@@ -12,6 +12,11 @@ to that job; boundary windows follow the configured policy:
 
 Samples on idle nodes accumulate into the unattributed remainder, which is
 how rogue background load stays visible in filesystem totals.
+
+Both entry points work on a SampleBlock; a plain sequence of StatSample is
+packed into one on entry. Whole windows are assigned per node with
+np.searchsorted over job starts and summed with np.add.at; only proportional
+windows cut by a job boundary take the scalar split.
 """
 
 from __future__ import annotations
@@ -20,13 +25,17 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import AttributionConflictError
 from .model import (
     ALL_FIELDS,
     AppHourRecord,
     FsHourRecord,
     JobRecord,
+    SampleBlock,
     StatSample,
+    id_codes,
     vector_to_counters,
 )
 from .timeutil import HOUR, floor_hour
@@ -35,6 +44,9 @@ BOUNDARY_POLICIES = ("midpoint", "proportional")
 
 _N = len(ALL_FIELDS)
 _ZEROS = (0,) * _N
+# whole-window owners besides job positions
+_UNATTRIBUTED = -1
+_CUT = -2
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,79 +113,123 @@ def attribute(
 ) -> AttributionResult:
     """Split samples between the jobs occupying their nodes.
 
-    Raises AttributionConflictError if any two jobs overlap on a node.
+    Raises AttributionConflictError if any two jobs overlap on a node, and
+    LassiError if the counter sums could leave the int64 range.
     """
     index = _node_index(jobs)
-    midpoint = config.boundary_policy == "midpoint"
-    attributed: dict = {}
-    unattributed: dict = {}
+    block = SampleBlock.from_samples(samples, config.window_len)
+    block.check_sum_bound()
+    apps = [job.app_id for job in jobs]
+    position = {app_id: k for k, app_id in enumerate(apps)}
+    wlen = block.window_len
 
-    for sample in samples:
-        vec = sample.oss.as_tuple() + sample.mds.as_tuple()
-        w = sample.window_start
-        wlen = sample.window_len
-        entry = index.get(sample.node_id)
+    owner = np.full(len(block), _UNATTRIBUTED, np.int64)
+    node_ids, node_codes = id_codes(block.node)
+    by_node = np.argsort(node_codes, kind="stable")
+    bounds = np.searchsorted(node_codes[by_node], np.arange(len(node_ids) + 1))
+    for code, node in enumerate(node_ids):
+        entry = index.get(node)
         if entry is None:
-            _accumulate(unattributed, (sample.fs_id, w), vec)
             continue
         starts, node_jobs = entry
-
-        if midpoint:
+        rows = by_node[bounds[code] : bounds[code + 1]]
+        w = block.window[rows]
+        start = np.array(starts, np.int64)
+        end = np.array([j.end for j in node_jobs], np.int64)
+        if config.boundary_policy == "midpoint":
             # Doubled arithmetic keeps odd window lengths exact; the job
             # covers the midpoint iff 2*start <= 2*w + wlen < 2*end, and
             # non-overlapping intervals leave exactly one candidate.
             mid2 = 2 * w + wlen
-            i = bisect_right(starts, mid2 // 2) - 1
-            if i >= 0 and mid2 < 2 * node_jobs[i].end:
-                _accumulate(attributed, (node_jobs[i].app_id, sample.fs_id, w), vec)
-            else:
-                _accumulate(unattributed, (sample.fs_id, w), vec)
-            continue
+            i = np.searchsorted(start, mid2 // 2, side="right") - 1
+            hit = (i >= 0) & (mid2 < 2 * end[i])
+        else:
+            # the last job starting at or before w owns the whole window if it
+            # runs to the window's end; any other overlap cuts the window
+            i = np.searchsorted(start, w, side="right") - 1
+            hit = (i >= 0) & (end[i] >= w + wlen)
+            after = np.minimum(i + 1, len(start) - 1)
+            cut = ~hit & (
+                ((i >= 0) & (end[i] > w)) | ((i + 1 < len(start)) & (start[after] < w + wlen))
+            )
+            owner[rows[cut]] = _CUT
+        owner[rows[hit]] = np.array([position[j.app_id] for j in node_jobs], np.int64)[i[hit]]
 
-        # proportional: walk jobs overlapping [w, w + wlen) in start order
-        w_end = w + wlen
-        i = bisect_right(starts, w_end) - 1
-        shares: list[tuple[JobRecord, int]] = []
-        while i >= 0:
-            job = node_jobs[i]
-            if job.end <= w:
-                # non-overlapping jobs sorted by start have sorted ends
-                break
-            if job.start < w_end:
-                overlap = min(job.end, w_end) - max(job.start, w)
-                if overlap > 0:
-                    shares.append((job, overlap))
-            i -= 1
-        if not shares:
-            _accumulate(unattributed, (sample.fs_id, w), vec)
-            continue
-        shares.reverse()
-        cum = 0
-        prev = _ZEROS
-        for job, overlap in shares:
-            cum += overlap
-            if cum >= wlen:
-                scaled = vec
-            else:
-                fraction = cum / wlen
-                scaled = tuple(round(v * fraction) for v in vec)
-            _accumulate(
-                attributed,
-                (job.app_id, sample.fs_id, w),
-                [a - b for a, b in zip(scaled, prev)],
-            )
-            prev = scaled
-        if prev != vec:
-            _accumulate(
-                unattributed,
-                (sample.fs_id, w),
-                [a - b for a, b in zip(vec, prev)],
-            )
+    # one group per (owner, fs, window); cut windows are summed but dropped
+    fs_ids, fs_codes = id_codes(block.fs)
+    windows, window_pos = np.unique(block.window, return_inverse=True)
+    key = ((owner - _CUT) * len(fs_ids) + fs_codes) * len(windows) + window_pos
+    groups, group_of_row = np.unique(key, return_inverse=True)
+    sums = np.zeros((len(groups), _N), np.int64)
+    np.add.at(sums, group_of_row, block.counters)
+
+    attributed: dict = {}
+    unattributed: dict = {}
+    group_owner = (groups // (len(fs_ids) * len(windows)) + _CUT).tolist()
+    group_fs = (groups // len(windows) % len(fs_ids)).tolist()
+    group_window = windows[groups % len(windows)].tolist()
+    for who, f, w, vec in zip(group_owner, group_fs, group_window, sums.tolist()):
+        if who >= 0:
+            attributed[(apps[who], fs_ids[f], w)] = vec
+        elif who == _UNATTRIBUTED:
+            unattributed[(fs_ids[f], w)] = vec
+
+    for r in np.flatnonzero(owner == _CUT).tolist():
+        _split_window(
+            tuple(block.counters[r].tolist()),
+            int(block.window[r]),
+            wlen,
+            block.fs[r],
+            index[block.node[r]],
+            attributed,
+            unattributed,
+        )
 
     return AttributionResult(
         attributed={k: tuple(v) for k, v in attributed.items()},
         unattributed={k: tuple(v) for k, v in unattributed.items()},
     )
+
+
+def _split_window(vec, w, wlen, fs_id, entry, attributed, unattributed) -> None:
+    """Proportional split of one window that a job boundary cuts."""
+    starts, node_jobs = entry
+    # walk jobs overlapping [w, w + wlen) in start order
+    w_end = w + wlen
+    i = bisect_right(starts, w_end) - 1
+    shares: list[tuple[JobRecord, int]] = []
+    while i >= 0:
+        job = node_jobs[i]
+        if job.end <= w:
+            # non-overlapping jobs sorted by start have sorted ends
+            break
+        if job.start < w_end:
+            overlap = min(job.end, w_end) - max(job.start, w)
+            if overlap > 0:
+                shares.append((job, overlap))
+        i -= 1
+    shares.reverse()
+    cum = 0
+    prev = _ZEROS
+    for job, overlap in shares:
+        cum += overlap
+        if cum >= wlen:
+            scaled = vec
+        else:
+            fraction = cum / wlen
+            scaled = tuple(round(v * fraction) for v in vec)
+        _accumulate(
+            attributed,
+            (job.app_id, fs_id, w),
+            [a - b for a, b in zip(scaled, prev)],
+        )
+        prev = scaled
+    if prev != vec:
+        _accumulate(
+            unattributed,
+            (fs_id, w),
+            [a - b for a, b in zip(vec, prev)],
+        )
 
 
 def aggregate_hourly(
@@ -219,19 +275,32 @@ def fs_hourly_totals(
 
     Hours with no samples produce no record.
     """
-    totals: dict[tuple[str, int], list[int]] = {}
-    for sample in samples:
-        vec = sample.oss.as_tuple() + sample.mds.as_tuple()
-        _accumulate(totals, (sample.fs_id, sample.window_start - sample.window_start % HOUR), vec)
+    block = SampleBlock.from_samples(samples)
+    block.check_sum_bound()
+    fs_ids, fs_codes = id_codes(block.fs)
+    hours, hour_pos = np.unique(block.window - block.window % HOUR, return_inverse=True)
+    # slots run in (hour, fs) order, the order of the records
+    slot = hour_pos * len(fs_ids) + fs_codes
+    totals = np.zeros((len(hours) * len(fs_ids), _N), np.int64)
+    np.add.at(totals, slot, block.counters)
+    slot_of = {
+        (fs_ids[s % len(fs_ids)], int(hours[s // len(fs_ids)])): s
+        for s in np.unique(slot).tolist()
+    }
 
-    unattr: dict[tuple[str, int], list[int]] = {}
+    where, vecs = [], []
     for (fs_id, w), vec in result.unattributed.items():
-        _accumulate(unattr, (fs_id, w - w % HOUR), vec)
+        s = slot_of.get((fs_id, w - w % HOUR))
+        if s is not None:
+            where.append(s)
+            vecs.append(vec)
+    unattr = np.zeros_like(totals)
+    np.add.at(unattr, np.array(where, np.int64), np.array(vecs, np.int64).reshape(-1, _N))
 
     records = []
-    for (fs_id, hour), vec in sorted(totals.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        oss, mds = vector_to_counters(vec)
-        un_oss, un_mds = vector_to_counters(unattr.get((fs_id, hour), _ZEROS))
+    for (fs_id, hour), s in slot_of.items():
+        oss, mds = vector_to_counters(totals[s].tolist())
+        un_oss, un_mds = vector_to_counters(unattr[s].tolist())
         records.append(
             FsHourRecord(
                 fs_id=fs_id,

@@ -18,20 +18,37 @@ the result reproduces it byte for byte.
 
 Strict mode raises IngestError at the first invalid row. Lenient mode skips
 invalid rows and reports them; a duplicate key in lenient mode keeps the last
-occurrence and counts the superseded row as rejected.
+occurrence and counts the superseded row as rejected. Counters must fit in a
+signed 64-bit integer; larger values are rejected like any other bad row.
+
+Stats files that are provably clean are read column-wise in one pass; every
+other stats file goes through the row loop, which alone produces rejects,
+strict errors and the lenient keep-last rule.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Union
 
+import numpy as np
+
 from .errors import IngestError
-from .model import JobRecord, MdsCounters, OssCounters, StatSample
-from .timeutil import format_utc, parse_utc
+from .model import (
+    ALL_FIELDS,
+    INT64_MAX,
+    JobRecord,
+    MdsCounters,
+    OssCounters,
+    SampleBlock,
+    StatSample,
+    id_codes,
+)
+from .timeutil import HOUR, format_utc, parse_utc
 
 STATS_HEADER = (
     "window_start",
@@ -127,62 +144,143 @@ class _Rejects:
 
 def parse_stats_csv(
     source: Source, mode: str = "strict", window_len: int = 180
-) -> tuple[list[StatSample], IngestReport]:
-    """Parse a stats CSV into samples plus an ingest report."""
+) -> tuple[SampleBlock, IngestReport]:
+    """Parse a stats CSV into a sample block plus an ingest report."""
     rejects = _Rejects(mode)
     stream, owned = _open_source(source)
-    samples: list[StatSample] = []
-    index: dict[tuple[str, str, int], tuple[int, int]] = {}
-    rows_read = 0
     try:
-        reader = csv.reader(stream)
-        _check_header(next(reader, None), STATS_HEADER)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            rows_read += 1
-            if len(row) != len(STATS_HEADER):
-                rejects.add(line_no, f"expected {len(STATS_HEADER)} columns, got {len(row)}")
-                continue
-            try:
-                window_start = parse_utc(row[0])
-            except ValueError:
-                rejects.add(line_no, f"bad timestamp {row[0]!r}")
-                continue
-            try:
-                vals = [int(v) for v in row[3:]]
-            except ValueError:
-                rejects.add(line_no, "non-integer counter value")
-                continue
-            try:
-                sample = StatSample(
-                    fs_id=row[1],
-                    node_id=row[2],
-                    window_start=window_start,
-                    oss=OssCounters(*vals[:5]),
-                    mds=MdsCounters(*vals[5:]),
-                    window_len=window_len,
-                )
-            except ValueError as exc:
-                rejects.add(line_no, str(exc))
-                continue
-            key = sample.key()
-            prev = index.get(key)
-            if prev is None:
-                index[key] = (len(samples), line_no)
-                samples.append(sample)
-            else:
-                prev_pos, prev_line = prev
-                if rejects.strict:
-                    raise IngestError(line_no, f"duplicate sample for {key}")
-                rejects.rows.append(
-                    (prev_line, f"duplicate (fs, node, window) superseded by line {line_no}")
-                )
-                samples[prev_pos] = sample
-                index[key] = (prev_pos, line_no)
+        text = stream.read()
     finally:
         if owned:
             stream.close()
+    block = _parse_clean_stats(text, window_len)
+    if block is not None:
+        n = len(block)
+        return block, IngestReport(rows_read=n, rows_accepted=n, rows_rejected=0)
+    samples, report = _parse_stats_rows(text, rejects, window_len)
+    return SampleBlock.from_samples(samples, window_len), report
+
+
+_STATS_HEADER_LINE = ",".join(STATS_HEADER)
+# one row read whole by np.loadtxt: the three key columns as str, then counters
+_STATS_ROW_DTYPE = np.dtype([("key", object, (3,)), ("counters", np.int64, (len(ALL_FIELDS),))])
+# the clean path reads about this many characters per np.loadtxt call, so its
+# transient row objects stay small next to the columns it fills
+_PARSE_CHUNK_CHARS = 1 << 16
+
+
+def _parse_clean_stats(text: str, window_len: int) -> SampleBlock | None:
+    """The block the row loop would return without rejects, or None.
+
+    None unless the file is provably clean: exact header; no quote, CR or
+    NUL; LF after every row and no blank lines; 24 columns on every row;
+    counters that np.loadtxt reads as int64 (it takes only tokens that int()
+    takes, with equal value) and that are >= 0; exact on-grid timestamps;
+    non-empty ids; unique keys.
+    """
+    if window_len <= 0 or HOUR % window_len:
+        return None
+    if '"' in text or "\r" in text or "\x00" in text or "\n\n" in text:
+        return None
+    if not text.startswith(_STATS_HEADER_LINE + "\n") or not text.endswith("\n"):
+        return None
+    n = text.count("\n") - 1
+    if text.count(",") != (n + 1) * (len(STATS_HEADER) - 1):
+        return None
+    fs = np.empty(n, object)
+    node = np.empty(n, object)
+    window = np.empty(n, np.int64)
+    counters = np.empty((n, len(ALL_FIELDS)), np.int64)
+    ids: dict[str, str] = {}  # one shared str per distinct id
+    starts: dict[str, int] = {}
+    row = 0
+    pos = len(_STATS_HEADER_LINE) + 1
+    while pos < len(text):
+        stop = text.find("\n", pos + _PARSE_CHUNK_CHARS) + 1 or len(text)
+        lines = text[pos : stop - 1].split("\n")
+        pos = stop
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    lines, delimiter=",", comments=None, dtype=_STATS_ROW_DTYPE, ndmin=1
+                )
+            if len(table) != len(lines):
+                return None
+            keys = table["key"]
+            for stamp in set(keys[:, 0].tolist()) - starts.keys():
+                starts[stamp] = parse_utc(stamp)
+        except (ValueError, Warning):
+            return None
+        chunk = slice(row, row + len(lines))
+        window[chunk] = [starts[stamp] for stamp in keys[:, 0].tolist()]
+        fs[chunk] = [ids.setdefault(x, x) for x in keys[:, 1].tolist()]
+        node[chunk] = [ids.setdefault(x, x) for x in keys[:, 2].tolist()]
+        counters[chunk] = table["counters"]
+        row += len(lines)
+    if n and (counters.min() < 0 or "" in ids or any(w % window_len for w in starts.values())):
+        return None
+    try:
+        return SampleBlock.from_columns(fs, node, window, counters, window_len)
+    except ValueError:  # duplicate keys: strict and lenient answer differently
+        return None
+
+
+def _parse_stats_rows(
+    text: str, rejects: "_Rejects", window_len: int
+) -> tuple[list[StatSample], IngestReport]:
+    """The row-by-row stats parser: line-numbered rejects, keep-last duplicates."""
+    samples: list[StatSample] = []
+    index: dict[tuple[str, str, int], tuple[int, int]] = {}
+    rows_read = 0
+    reader = csv.reader(io.StringIO(text, newline=""))
+    _check_header(next(reader, None), STATS_HEADER)
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        rows_read += 1
+        if len(row) != len(STATS_HEADER):
+            rejects.add(line_no, f"expected {len(STATS_HEADER)} columns, got {len(row)}")
+            continue
+        try:
+            window_start = parse_utc(row[0])
+        except ValueError:
+            rejects.add(line_no, f"bad timestamp {row[0]!r}")
+            continue
+        try:
+            vals = [int(v) for v in row[3:]]
+        except ValueError:
+            rejects.add(line_no, "non-integer counter value")
+            continue
+        if max(vals) > INT64_MAX:
+            rejects.add(line_no, "counter exceeds int64 range")
+            continue
+        try:
+            sample = StatSample(
+                fs_id=row[1],
+                node_id=row[2],
+                window_start=window_start,
+                oss=OssCounters(*vals[:5]),
+                mds=MdsCounters(*vals[5:]),
+                window_len=window_len,
+            )
+        except ValueError as exc:
+            rejects.add(line_no, str(exc))
+            continue
+        key = sample.key()
+        prev = index.get(key)
+        if prev is None:
+            index[key] = (len(samples), line_no)
+            samples.append(sample)
+        else:
+            prev_pos, prev_line = prev
+            if rejects.strict:
+                raise IngestError(line_no, f"duplicate sample for {key}")
+            rejects.rows.append(
+                (prev_line, f"duplicate (fs, node, window) superseded by line {line_no}")
+            )
+            samples[prev_pos] = sample
+            index[key] = (prev_pos, line_no)
     return samples, rejects.report(rows_read, len(samples))
 
 
@@ -238,17 +336,6 @@ def parse_jobs_csv(source: Source, mode: str = "strict") -> tuple[list[JobRecord
     return jobs, rejects.report(rows_read, len(jobs))
 
 
-def stats_rows(samples: Iterable[StatSample]) -> list[tuple]:
-    """Canonical row tuples for samples, sorted by (window, fs, node)."""
-    ordered = sorted(samples, key=lambda s: (s.window_start, s.fs_id, s.node_id))
-    return [
-        (format_utc(s.window_start), s.fs_id, s.node_id)
-        + s.oss.as_tuple()
-        + s.mds.as_tuple()
-        for s in ordered
-    ]
-
-
 def jobs_rows(jobs: Iterable[JobRecord]) -> list[tuple]:
     """Canonical row tuples for jobs, sorted by (start, app_id)."""
     ordered = sorted(jobs, key=lambda j: (j.start, j.app_id))
@@ -266,7 +353,8 @@ def jobs_rows(jobs: Iterable[JobRecord]) -> list[tuple]:
     ]
 
 
-def _write_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
+def render_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
+    """A header plus rows in canonical CSV form: LF endings, minimal quoting."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -274,11 +362,32 @@ def _write_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
     return buf.getvalue()
 
 
+def _csv_fields(ids: np.ndarray) -> np.ndarray:
+    """Each id as the csv writer renders it inside a row."""
+    labels, codes = id_codes(ids)
+    return np.array([render_csv((label,), [])[:-1] for label in labels], dtype=object)[codes]
+
+
+_STATS_LINE = "%s,%s,%s" + ",%d" * len(ALL_FIELDS) + "\n"
+_SERIALIZE_CHUNK = 4096
+
+
 def serialize_stats_csv(samples: Iterable[StatSample]) -> str:
-    """Render samples in canonical stats CSV form."""
-    return _write_csv(STATS_HEADER, stats_rows(samples))
+    """Render samples (a SampleBlock or StatSample values) in canonical stats CSV form."""
+    block = SampleBlock.from_samples(samples)
+    starts, inverse = np.unique(block.window, return_inverse=True)
+    stamps = np.array([format_utc(w) for w in starts.tolist()], dtype=object)[inverse]
+    fs, node = _csv_fields(block.fs), _csv_fields(block.node)
+    parts = [_STATS_HEADER_LINE + "\n"]
+    for lo in range(0, len(block), _SERIALIZE_CHUNK):
+        hi = min(lo + _SERIALIZE_CHUNK, len(block))
+        cells = np.empty((hi - lo, 3 + len(ALL_FIELDS)), dtype=object)
+        cells[:, 0], cells[:, 1], cells[:, 2] = stamps[lo:hi], fs[lo:hi], node[lo:hi]
+        cells[:, 3:] = block.counters[lo:hi]
+        parts.append(_STATS_LINE * (hi - lo) % tuple(cells.ravel().tolist()))
+    return "".join(parts)
 
 
 def serialize_jobs_csv(jobs: Iterable[JobRecord]) -> str:
     """Render job records in canonical jobs CSV form."""
-    return _write_csv(JOBS_HEADER, jobs_rows(jobs))
+    return render_csv(JOBS_HEADER, jobs_rows(jobs))

@@ -3,13 +3,21 @@
 Counters are cumulative-delta integers for one sampling window. OSS counters
 cover data movement (KiB and operation counts), MDS counters cover the sixteen
 metadata operations the servers report. All types are immutable; arithmetic
-returns new values. Python ints are unbounded so summing never overflows.
+returns new values.
+
+Sample counters are exact integers in [0, 2**63 - 1]: ingest rejects larger
+values, and SampleBlock keeps counters as int64, so every rollup first checks
+that its sums cannot leave that range (SampleBlock.check_sum_bound).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import LassiError
 from .timeutil import HOUR
 
 OSS_FIELDS = ("read_kb", "read_ops", "write_kb", "write_ops", "other")
@@ -32,6 +40,8 @@ MDS_FIELDS = (
     "cdr",
 )
 ALL_FIELDS = OSS_FIELDS + MDS_FIELDS
+
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,3 +265,232 @@ class FsHourRecord:
 
     def key(self) -> tuple[str, int]:
         return (self.fs_id, self.hour)
+
+
+def id_codes(ids: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct ids, plus each row's position among them.
+
+    The codes order rows exactly as the id strings do, so integer sorts and
+    groupings stand in for string ones.
+    """
+    first_seen: dict[str, int] = {}
+    raw = np.fromiter(
+        (first_seen.setdefault(x, len(first_seen)) for x in ids.tolist()), np.int64, len(ids)
+    )
+    labels = sorted(first_seen)
+    rank = np.empty(len(labels), np.int64)
+    rank[[first_seen[x] for x in labels]] = np.arange(len(labels))
+    return labels, rank[raw]
+
+
+def canonical_order(
+    fs: np.ndarray, node: np.ndarray, window: np.ndarray, tiebreak: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row order sorting by (window, fs, node), then by ``tiebreak``.
+
+    Also returns, per sorted row, whether the next sorted row has the same
+    (window, fs, node) key.
+    """
+    _, fs_codes = id_codes(fs)
+    _, node_codes = id_codes(node)
+    keys = (node_codes, fs_codes, window)
+    order = np.lexsort(keys if tiebreak is None else (tiebreak,) + keys)
+    repeat = np.zeros(len(order), bool)
+    if len(order) > 1:
+        a, b = order[:-1], order[1:]
+        repeat[:-1] = (window[a] == window[b]) & (fs_codes[a] == fs_codes[b]) & (
+            node_codes[a] == node_codes[b]
+        )
+    return order, repeat
+
+
+def _unique_order(fs: np.ndarray, node: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Canonical row order; duplicate (window, fs, node) keys raise ValueError."""
+    order, repeat = canonical_order(fs, node, window)
+    if repeat.any():
+        i = order[int(np.argmax(repeat))]
+        raise ValueError(f"duplicate sample for {(fs[i], node[i], int(window[i]))}")
+    return order
+
+
+class SampleBlock(Sequence):
+    """Samples as columns: one row per (window, fs, node), in that order.
+
+    ``fs`` and ``node`` are object arrays of id strings, ``window`` holds
+    int64 window starts and ``counters`` an int64 (n, 21) array in
+    ALL_FIELDS order; every row shares one ``window_len``. Rows are in
+    canonical (window, fs, node) order with unique keys; the constructor
+    trusts its caller on that, from_columns establishes it.
+
+    As a Sequence the block yields StatSample values, for callers outside
+    the hot path.
+    """
+
+    __slots__ = ("fs", "node", "window", "counters", "window_len")
+
+    def __init__(
+        self,
+        fs: np.ndarray,
+        node: np.ndarray,
+        window: np.ndarray,
+        counters: np.ndarray,
+        window_len: int,
+    ):
+        n = len(window)
+        if len(fs) != n or len(node) != n or counters.shape != (n, len(ALL_FIELDS)):
+            raise ValueError("sample block columns differ in length")
+        self.fs = fs
+        self.node = node
+        self.window = window
+        self.counters = counters
+        self.window_len = window_len
+
+    @classmethod
+    def empty(cls, window_len: int) -> "SampleBlock":
+        return cls(
+            np.empty(0, object),
+            np.empty(0, object),
+            np.empty(0, np.int64),
+            np.empty((0, len(ALL_FIELDS)), np.int64),
+            window_len,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        fs: np.ndarray,
+        node: np.ndarray,
+        window: np.ndarray,
+        counters: np.ndarray,
+        window_len: int,
+    ) -> "SampleBlock":
+        """Sort columns into canonical order; duplicate keys raise ValueError.
+
+        Columns already in that order are kept, not copied.
+        """
+        order = _unique_order(fs, node, window)
+        if (np.diff(order) == 1).all():
+            return cls(fs, node, window, counters, window_len)
+        return cls(fs[order], node[order], window[order], counters[order], window_len)
+
+    @classmethod
+    def from_samples(
+        cls, samples: Iterable[StatSample], window_len: int = 180
+    ) -> "SampleBlock":
+        """Pack samples into a block; a block is returned as it is.
+
+        ``window_len`` applies only when there are no samples to take it from.
+        """
+        if isinstance(samples, SampleBlock):
+            return samples
+        samples = list(samples)
+        lens = {s.window_len for s in samples}
+        if len(lens) > 1:
+            raise ValueError(f"samples mix window lengths {sorted(lens)}")
+        try:
+            counters = np.array(
+                [s.oss.as_tuple() + s.mds.as_tuple() for s in samples], dtype=np.int64
+            ).reshape(len(samples), len(ALL_FIELDS))
+            window = np.array([s.window_start for s in samples], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("sample value exceeds int64 range") from None
+        return cls.from_columns(
+            np.array([s.fs_id for s in samples], dtype=object),
+            np.array([s.node_id for s in samples], dtype=object),
+            window,
+            counters,
+            lens.pop() if lens else window_len,
+        )
+
+    @classmethod
+    def concat(cls, blocks: Iterable["SampleBlock"], window_len: int = 180) -> "SampleBlock":
+        """One block holding every row of ``blocks``, in canonical order."""
+        blocks = [b for b in blocks if len(b)]
+        if not blocks:
+            return cls.empty(window_len)
+        if len({b.window_len for b in blocks}) > 1:
+            raise ValueError("cannot concatenate blocks with different window lengths")
+        if len(blocks) == 1:
+            return blocks[0]
+        fs, node, window = (
+            np.concatenate([getattr(b, name) for b in blocks]) for name in ("fs", "node", "window")
+        )
+        if all(a._key(-1) < b._key(0) for a, b in zip(blocks, blocks[1:])):
+            counters = np.concatenate([b.counters for b in blocks])
+            return cls(fs, node, window, counters, blocks[0].window_len)
+        order = _unique_order(fs, node, window)
+        # scatter each block's counters straight to their sorted rows
+        dest = np.empty(len(order), np.int64)
+        dest[order] = np.arange(len(order))
+        counters = np.empty((len(order), len(ALL_FIELDS)), np.int64)
+        lo = 0
+        for b in blocks:
+            counters[dest[lo : lo + len(b)]] = b.counters
+            lo += len(b)
+        return cls(fs[order], node[order], window[order], counters, blocks[0].window_len)
+
+    def _key(self, i: int) -> tuple[int, str, str]:
+        return (int(self.window[i]), self.fs[i], self.node[i])
+
+    def take(self, index) -> "SampleBlock":
+        """Rows selected by a boolean mask or ascending positions."""
+        return SampleBlock(
+            self.fs[index],
+            self.node[index],
+            self.window[index],
+            self.counters[index],
+            self.window_len,
+        )
+
+    def check_sum_bound(self) -> None:
+        """Raise LassiError unless any sum of counter rows fits in int64."""
+        n = len(self)
+        if n and int(self.counters.max()) > INT64_MAX // n:
+            raise LassiError(f"summing {n} samples could exceed the int64 counter range")
+
+    def __len__(self) -> int:
+        return len(self.window)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        vals = self.counters[i].tolist()
+        return StatSample(
+            fs_id=self.fs[i],
+            node_id=self.node[i],
+            window_start=int(self.window[i]),
+            oss=OssCounters(*vals[:5]),
+            mds=MdsCounters(*vals[5:]),
+            window_len=self.window_len,
+        )
+
+    def __iter__(self):
+        for fs_id, node_id, w, vals in zip(
+            self.fs.tolist(), self.node.tolist(), self.window.tolist(), self.counters.tolist()
+        ):
+            yield StatSample(
+                fs_id=fs_id,
+                node_id=node_id,
+                window_start=w,
+                oss=OssCounters(*vals[:5]),
+                mds=MdsCounters(*vals[5:]),
+                window_len=self.window_len,
+            )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SampleBlock):
+            return (
+                self.window_len == other.window_len
+                and np.array_equal(self.window, other.window)
+                and np.array_equal(self.counters, other.counters)
+                and self.fs.tolist() == other.fs.tolist()
+                and self.node.tolist() == other.node.tolist()
+            )
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SampleBlock({len(self)} samples, window_len={self.window_len})"

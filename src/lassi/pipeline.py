@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .analysis import ExposureRecord, run_risk_exposure
 from .attribution import (
     AttributionConfig,
@@ -23,7 +25,16 @@ from .attribution import (
 from .errors import IngestError, LassiError
 from .ingest import parse_jobs_csv, parse_stats_csv
 from .metrics import FsBaseline, RiskSeries, compute_baseline, fs_risk_series, ops_quality
-from .model import ALL_FIELDS, AppHourRecord, FsHourRecord, JobRecord, StatSample
+from .model import (
+    ALL_FIELDS,
+    AppHourRecord,
+    FsHourRecord,
+    JobRecord,
+    SampleBlock,
+    StatSample,
+    canonical_order,
+    id_codes,
+)
 from .store import Partition, Store
 from .timeutil import DAY, HOUR, date_str, day_range, floor_day, floor_hour, hour_range
 
@@ -74,6 +85,29 @@ def _merge(existing: Iterable, incoming: Iterable, key, mode: str, rejected: lis
     return list(merged.values())
 
 
+def _merge_samples(old: SampleBlock, new: SampleBlock) -> tuple[SampleBlock, np.ndarray]:
+    """Key-wise union in canonical order, new rows winning.
+
+    Also returns the positions in ``new`` of rows whose counters differ from
+    the old row they replace.
+    """
+    if not len(old):
+        return new, np.empty(0, np.int64)
+    fs, node, window, counters = (
+        np.concatenate([getattr(old, name), getattr(new, name)])
+        for name in ("fs", "node", "window", "counters")
+    )
+    source = np.repeat(np.array([0, 1], np.int8), [len(old), len(new)])
+    order, repeat = canonical_order(fs, node, window, source)
+    # a repeated key is an old row directly followed by its replacement
+    replaced = order[repeat]
+    replacing = order[np.flatnonzero(repeat) + 1]
+    changed = replacing[(counters[replaced] != counters[replacing]).any(axis=1)] - len(old)
+    keep = order[~repeat]
+    merged = SampleBlock(fs[keep], node[keep], window[keep], counters[keep], new.window_len)
+    return merged, changed
+
+
 def ingest_files(
     store: Store,
     stats_paths: Sequence[str | Path] = (),
@@ -85,17 +119,15 @@ def ingest_files(
     partitions = 0
     overridden: list = []
 
-    samples: dict[tuple, StatSample] = {}
+    samples = SampleBlock.empty(store.window_len)
     for path in stats_paths:
         parsed, report = parse_stats_csv(path, mode, store.window_len)
         rejected += report.rows_rejected
-        for s in parsed:
-            old = samples.get(s.key())
-            if old is not None and old != s:
-                if mode == "strict":
-                    raise IngestError(0, f"{path}: sample {s.key()} conflicts across inputs")
-                overridden.append(s.key())
-            samples[s.key()] = s
+        samples, changed = _merge_samples(samples, parsed)
+        if len(changed) and mode == "strict":
+            key = parsed[int(changed[0])].key()
+            raise IngestError(0, f"{path}: sample {key} conflicts across inputs")
+        rejected += len(changed)
 
     jobs: dict[str, JobRecord] = {}
     for path in jobs_paths:
@@ -109,13 +141,16 @@ def ingest_files(
                 overridden.append(j.app_id)
             jobs[j.app_id] = j
 
-    by_partition: dict[Partition, list[StatSample]] = {}
-    for s in samples.values():
-        p = Partition("samples", s.fs_id, floor_day(s.window_start))
-        by_partition.setdefault(p, []).append(s)
-    for partition, batch in sorted(by_partition.items(), key=lambda kv: kv[0].relative_path()):
-        existing = _existing_samples(store, partition)
-        merged = _merge(existing, batch, lambda s: s.key(), mode, overridden)
+    fs_ids, fs_codes = id_codes(samples.fs)
+    days = samples.window - samples.window % DAY
+    for code, day in sorted(set(zip(fs_codes.tolist(), days.tolist()))):
+        partition = Partition("samples", fs_ids[code], day)
+        batch = samples.take((fs_codes == code) & (days == day))
+        merged, changed = _merge_samples(_existing_samples(store, partition), batch)
+        if len(changed) and mode == "strict":
+            key = batch[int(changed[0])].key()
+            raise IngestError(0, f"record {key} conflicts with stored data")
+        rejected += len(changed)
         store.write_partition(merged, partition)
         partitions += 1
 
@@ -138,9 +173,9 @@ def ingest_files(
     )
 
 
-def _existing_samples(store: Store, partition: Partition) -> list[StatSample]:
+def _existing_samples(store: Store, partition: Partition) -> SampleBlock:
     if not store.path(partition).exists():
-        return []
+        return SampleBlock.empty(store.window_len)
     return store.read_range("samples", partition.fs_id, partition.date, partition.date + DAY)
 
 
@@ -228,9 +263,9 @@ def aggregate_range(
         config = AttributionConfig(window_len=store.window_len)
 
     fs_ids = store.list_fs("samples")
-    samples: list[StatSample] = []
-    for fs_id in fs_ids:
-        samples.extend(store.read_range("samples", fs_id, t0, t1))
+    samples = SampleBlock.concat(
+        (store.read_range("samples", fs_id, t0, t1) for fs_id in fs_ids), store.window_len
+    )
     jobs = store.query_jobs_overlapping(t0, t1)
 
     result = attribute(samples, jobs, config)

@@ -14,12 +14,13 @@ module.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import ingest
 from .errors import IngestError, MissingBaselineError, StoreError, StoreLockError
@@ -29,7 +30,7 @@ from .model import (
     AppHourRecord,
     FsHourRecord,
     JobRecord,
-    StatSample,
+    SampleBlock,
     vector_to_counters,
 )
 from .timeutil import DAY, date_str, day_range, floor_day, format_utc, parse_date, parse_utc
@@ -99,14 +100,6 @@ def _baseline_rows(baselines: Sequence[FsBaseline]) -> list[tuple]:
     return rows
 
 
-def _render(header: tuple[str, ...], rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 class Store:
     """Filesystem-backed partition store rooted at one directory."""
 
@@ -145,24 +138,31 @@ class Store:
         """Replace one partition with the given records. Returns row count.
 
         Every record must belong to the partition's filesystem and day;
-        anything else raises ValueError.
+        anything else raises ValueError. Samples may come as a SampleBlock.
         """
-        records = list(records)
         dataset = partition.dataset
         if dataset == "samples":
-            self._check_bounds(
-                records, partition, lambda s: (s.fs_id, floor_day(s.window_start))
+            block = SampleBlock.from_samples(records, self.window_len)
+            outside = (block.fs != partition.fs_id) | (
+                block.window - block.window % DAY != partition.date
             )
-            text = ingest.serialize_stats_csv(records)
-        elif dataset == "jobs":
+            if outside.any():
+                raise ValueError(
+                    f"record {block[int(np.argmax(outside))]} outside partition "
+                    f"({partition.fs_id}, {date_str(partition.date)})"
+                )
+            self._write_text(self.path(partition), ingest.serialize_stats_csv(block))
+            return len(block)
+        records = list(records)
+        if dataset == "jobs":
             self._check_bounds(records, partition, lambda j: (None, floor_day(j.start)))
             text = ingest.serialize_jobs_csv(records)
         elif dataset == "app_hours":
             self._check_bounds(records, partition, lambda r: (r.fs_id, floor_day(r.hour)))
-            text = _render(APP_HOURS_HEADER, _app_hour_rows(records))
+            text = ingest.render_csv(APP_HOURS_HEADER, _app_hour_rows(records))
         elif dataset == "fs_hours":
             self._check_bounds(records, partition, lambda r: (r.fs_id, floor_day(r.hour)))
-            text = _render(FS_HOURS_HEADER, _fs_hour_rows(records))
+            text = ingest.render_csv(FS_HOURS_HEADER, _fs_hour_rows(records))
         elif dataset == "baselines":
             for b in records:
                 if b.fs_id != partition.fs_id:
@@ -170,7 +170,7 @@ class Store:
                         f"baseline for {b.fs_id} does not belong in partition "
                         f"{partition.fs_id}"
                     )
-            text = _render(BASELINE_HEADER, _baseline_rows(records))
+            text = ingest.render_csv(BASELINE_HEADER, _baseline_rows(records))
         else:
             raise ValueError(f"dataset {dataset!r} is not a CSV partition dataset")
         self._write_text(self.path(partition), text)
@@ -204,27 +204,31 @@ class Store:
                 raise StoreError(f"unexpected file in store: {p}")
         return dates
 
-    def read_range(self, dataset: str, fs_id: str | None, t0: int, t1: int) -> list:
+    def read_range(
+        self, dataset: str, fs_id: str | None, t0: int, t1: int
+    ) -> list | SampleBlock:
         """Records with time key in [t0, t1), in time order.
 
-        samples filter on window_start, app_hours/fs_hours on hour, jobs on
-        start (see query_jobs_overlapping for span queries).
+        samples filter on window_start and come back as one SampleBlock;
+        app_hours/fs_hours filter on hour, jobs on start (see
+        query_jobs_overlapping for span queries), and come back as lists.
         """
         if t1 <= t0:
             raise ValueError(f"empty range: t0 {format_utc(t0)} >= t1 {format_utc(t1)}")
-        out: list = []
+        parts = []
         for day in day_range(t0, t1):
             path = self.root / Partition(dataset, fs_id, day).relative_path()
-            if not path.exists():
-                continue
-            out.extend(self._read_file(dataset, path, t0, t1))
-        return out
+            if path.exists():
+                parts.append(self._read_file(dataset, path, t0, t1))
+        if dataset == "samples":
+            return SampleBlock.concat(parts, self.window_len)
+        return [record for part in parts for record in part]
 
-    def _read_file(self, dataset: str, path: Path, t0: int, t1: int) -> list:
+    def _read_file(self, dataset: str, path: Path, t0: int, t1: int) -> list | SampleBlock:
         try:
             if dataset == "samples":
-                samples, _ = ingest.parse_stats_csv(path, "strict", self.window_len)
-                return [s for s in samples if t0 <= s.window_start < t1]
+                block, _ = ingest.parse_stats_csv(path, "strict", self.window_len)
+                return block.take((t0 <= block.window) & (block.window < t1))
             if dataset == "jobs":
                 jobs, _ = ingest.parse_jobs_csv(path, "strict")
                 return [j for j in jobs if t0 <= j.start < t1]

@@ -32,6 +32,9 @@ def parse_utc(text: str) -> int:
         return cached
     dt = datetime.strptime(text, _TS_FORMAT).replace(tzinfo=timezone.utc)
     value = int(dt.timestamp())
+    # strptime also takes single-digit fields such as "2017-10-9T1:2:3Z"
+    if format_utc(value) != text:
+        raise ValueError(f"time data {text!r} is not exactly YYYY-MM-DDTHH:MM:SSZ")
     if len(_parse_cache) < _CACHE_LIMIT:
         _parse_cache[text] = value
     return value

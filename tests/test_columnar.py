@@ -1,0 +1,447 @@
+"""The columnar sample block: clean-file parsing, merging, vector attribution.
+
+The row-by-row stats parser and the per-sample attribution loop are the
+references here: the block paths must return exactly what they return.
+"""
+
+import csv
+import io
+from bisect import bisect_right
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import BASE_DAY, mk_job, mk_sample
+from lassi.attribution import (
+    AttributionConfig,
+    _accumulate,
+    _node_index,
+    attribute,
+    fs_hourly_totals,
+)
+from lassi.errors import IngestError, LassiError
+from lassi.ingest import (
+    STATS_HEADER,
+    _parse_clean_stats,
+    _parse_stats_rows,
+    _Rejects,
+    parse_stats_csv,
+    serialize_stats_csv,
+)
+from lassi.model import INT64_MAX, SampleBlock, StatSample, vector_to_counters
+from lassi.pipeline import ingest_files
+from lassi.store import Store
+from lassi.timeutil import DAY, HOUR, format_utc, parse_utc
+
+HEADER = ",".join(STATS_HEADER)
+T0 = "2017-10-09T00:00:00Z"
+T1 = "2017-10-09T00:03:00Z"
+
+
+def row(ts=T0, fs="fs2", node="nid1", counters=("1",) * 21):
+    return ",".join((ts, fs, node) + tuple(counters))
+
+
+def text_of(*rows, end="\n"):
+    return end.join((HEADER,) + rows) + end
+
+
+def row_loop(text, mode, window_len=180):
+    """What the row loop alone returns, packed as parse_stats_csv packs it."""
+    samples, report = _parse_stats_rows(text, _Rejects(mode), window_len)
+    return SampleBlock.from_samples(samples, window_len), report
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IngestError as exc:
+        return ("IngestError", exc.line, exc.reason)
+
+
+def assert_agrees(text, window_len=180):
+    for mode in ("strict", "lenient"):
+        got = outcome(parse_stats_csv, io.StringIO(text), mode, window_len)
+        want = outcome(row_loop, text, mode, window_len)
+        assert got == want, (mode, text)
+
+
+# --- timestamps are exact -------------------------------------------------
+
+
+def test_parse_utc_rejects_single_digit_fields():
+    with pytest.raises(ValueError):
+        parse_utc("2017-10-9T1:2:3Z")
+    assert parse_utc("2017-10-09T01:02:03Z") == 1507510923
+
+
+def test_single_digit_timestamp_is_a_line_numbered_reject():
+    text = text_of(row(), row(ts="2017-10-9T0:3:0Z"))
+    with pytest.raises(IngestError) as err:
+        parse_stats_csv(io.StringIO(text))
+    assert err.value.line == 3
+    assert "bad timestamp" in err.value.reason
+
+    block, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    assert len(block) == 1
+    assert report.rejected_reasons == ((3, "bad timestamp '2017-10-9T0:3:0Z'"),)
+
+
+# --- int64 guard ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("big", [str(2**63), str(10**30)])
+def test_counter_above_int64_is_a_line_numbered_reject(big):
+    text = text_of(row(), row(ts=T1, counters=(big,) + ("0",) * 20))
+    with pytest.raises(IngestError) as err:
+        parse_stats_csv(io.StringIO(text))
+    assert (err.value.line, err.value.reason) == (3, "counter exceeds int64 range")
+
+    block, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    assert len(block) == 1
+    assert report.rejected_reasons == ((3, "counter exceeds int64 range"),)
+
+
+def test_int64_max_counter_is_exact():
+    text = text_of(row(counters=(str(INT64_MAX),) + ("0",) * 20))
+    (sample,), report = parse_stats_csv(io.StringIO(text))
+    assert sample.oss.read_kb == INT64_MAX
+    assert report.rows_rejected == 0
+
+
+def test_rollups_refuse_sums_that_could_overflow():
+    big = 2**62
+    samples = [
+        mk_sample("fs2", "nid1", BASE_DAY, read_kb=big),
+        mk_sample("fs2", "nid2", BASE_DAY, read_kb=big),
+    ]
+    job = mk_job("app1", ["nid1", "nid2"], BASE_DAY, BASE_DAY + HOUR)
+    with pytest.raises(LassiError, match="int64"):
+        attribute(samples, [job])
+    with pytest.raises(LassiError, match="int64"):
+        fs_hourly_totals(samples, attribute(samples[:1], [job]))
+    # one such sample alone cannot overflow
+    result = attribute(samples[:1], [job])
+    assert result.attributed[("app1", "fs2", BASE_DAY)][0] == big
+
+
+# --- clean path agrees with the row loop -----------------------------------
+
+TOKENS = [" 5", "+5", "5_0", "٣", "1e3", "5.0", str(2**63), "-3", "007", ""]
+
+
+@pytest.mark.parametrize("token", TOKENS)
+def test_counter_tokens_agree(token):
+    text = text_of(row(), row(ts=T1, counters=(token,) + ("2",) * 20))
+    assert_agrees(text)
+
+
+def _shapes():
+    good = [row(), row(ts=T1), row(node="nid2")]
+    return {
+        "canonical": text_of(*good),
+        "unsorted": text_of(*reversed(good)),
+        "no final newline": text_of(*good)[:-1],
+        "quoted field": text_of(good[0], row(ts=T1, node='"nid1"')),
+        "quoted comma": text_of(good[0], row(ts=T1, node='"n,1"')),
+        "crlf": text_of(*good, end="\r\n"),
+        "hash in id": text_of(good[0], row(ts=T1, node="nid#1")),
+        "blank line": text_of(good[0], "", good[1]),
+        "blank last line": text_of(*good) + "\n",
+        "space line": text_of(good[0], " ", good[1]),
+        "duplicate key": text_of(good[0], good[1], row(counters=("7",) * 21)),
+        "identical duplicate": text_of(good[0], good[1], good[0]),
+        "off grid": text_of(good[0], row(ts="2017-10-09T00:01:00Z")),
+        "negative": text_of(good[0], row(ts=T1, counters=("-1",) + ("0",) * 20)),
+        "short row": text_of(good[0], "2017-10-09T00:03:00Z,fs2,nid1,1,2"),
+        "long row": text_of(good[0], row(ts=T1) + ",9"),
+        "empty id": text_of(good[0], row(ts=T1, fs="")),
+        "space in id": text_of(good[0], row(ts=T1, fs=" fs2")),
+        "nul in id": text_of(good[0], row(ts=T1, node="n\x00")),
+        "single-digit time": text_of(good[0], row(ts="2017-10-9T0:3:0Z")),
+        "header only": HEADER + "\n",
+        "header without newline": HEADER,
+        "empty": "",
+        "bad header": "window_start,fs\n" + good[0] + "\n",
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_shapes()))
+def test_file_shapes_agree(shape):
+    assert_agrees(_shapes()[shape])
+
+
+def test_clean_path_takes_canonical_files_only():
+    shapes = _shapes()
+    for clean in ("canonical", "unsorted", "hash in id", "header only", "space in id"):
+        assert _parse_clean_stats(shapes[clean], 180) is not None, clean
+    for name, text in shapes.items():
+        if name not in ("canonical", "unsorted", "hash in id", "header only", "space in id"):
+            assert _parse_clean_stats(text, 180) is None, name
+    assert _parse_clean_stats(shapes["canonical"], 7) is None  # 7 does not divide 3600
+
+
+ts_tokens = st.sampled_from(
+    [T0, T1, "2017-10-09T00:06:00Z", "2017-10-09T00:01:00Z", "2017-10-9T0:3:0Z", "nope"]
+)
+id_tokens = st.sampled_from(
+    ["fs1", "fs2", "nid1", "n,1", 'n"1', "a#b", "", " x", "é", "a\x0cb", "\x85", "n\u2028"]
+)
+counter_tokens = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(TOKENS + [str(INT64_MAX), "\x0c5", "5\u2028"]),
+)
+rows_st = st.lists(
+    st.tuples(ts_tokens, id_tokens, id_tokens, st.lists(counter_tokens, min_size=21, max_size=21)),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=rows_st, quoted=st.booleans(), crlf=st.booleans(), dup=st.booleans())
+def test_clean_path_agrees_with_row_loop(rows, quoted, crlf, dup):
+    lines = [[ts, fs, node, *vals] for ts, fs, node, vals in rows]
+    if dup and lines:
+        lines.append(list(lines[0]))
+    if quoted:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n" if crlf else "\n").writerows(
+            [list(STATS_HEADER)] + lines
+        )
+        text = buf.getvalue()
+    else:
+        text = text_of(*(",".join(line) for line in lines), end="\r\n" if crlf else "\n")
+    assert_agrees(text)
+
+
+# --- canonical serialization ---------------------------------------------
+
+
+def reference_serialize(samples):
+    """Canonical stats CSV as the csv module writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(STATS_HEADER)
+    for s in sorted(samples, key=lambda s: (s.window_start, s.fs_id, s.node_id)):
+        writer.writerow(
+            (format_utc(s.window_start), s.fs_id, s.node_id) + s.oss.as_tuple() + s.mds.as_tuple()
+        )
+    return buf.getvalue()
+
+
+awkward_ids = st.text(
+    alphabet=st.sampled_from(["a", "b", ",", '"', "\n", "\r", " ", "#", "é"]),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            awkward_ids,
+            awkward_ids,
+            st.integers(0, 30).map(lambda i: BASE_DAY + i * 180),
+            st.lists(st.integers(0, INT64_MAX), min_size=21, max_size=21),
+        ),
+        max_size=12,
+        unique_by=lambda t: (t[0], t[1], t[2]),
+    )
+)
+def test_serialize_matches_csv_writer(rows):
+    samples = [
+        StatSample(fs, node, w, *vector_to_counters(vec)) for fs, node, w, vec in rows
+    ]
+    text = serialize_stats_csv(SampleBlock.from_samples(samples))
+    assert text == reference_serialize(samples)
+    if any("\r" in fs + node for fs, node, _, _ in rows):
+        # minimal quoting with LF endings leaves a CR bare, so such a file
+        # does not read back; the csv module writes it the same way
+        return
+    back, report = parse_stats_csv(io.StringIO(text))
+    assert report.rows_rejected == 0
+    assert serialize_stats_csv(back) == text
+
+
+# --- the block as a sequence ---------------------------------------------
+
+
+def test_block_is_a_sample_sequence():
+    samples = [
+        mk_sample("fs2", "nid2", BASE_DAY, read_kb=1),
+        mk_sample("fs1", "nid9", BASE_DAY + 180, open=2),
+        mk_sample("fs1", "nid1", BASE_DAY),
+    ]
+    block = SampleBlock.from_samples(samples)
+    canonical = sorted(samples, key=lambda s: (s.window_start, s.fs_id, s.node_id))
+    assert len(block) == 3
+    assert list(block) == canonical
+    assert block == canonical
+    assert block[-1] == canonical[-1]
+    assert list(block[1:]) == canonical[1:]
+    assert SampleBlock.from_samples(block) is block
+    assert SampleBlock.from_samples(reversed(samples)) == block
+
+
+def test_block_rejects_duplicates_and_mixed_window_lengths():
+    with pytest.raises(ValueError, match="duplicate"):
+        SampleBlock.from_samples([mk_sample("fs2", "nid1", 0), mk_sample("fs2", "nid1", 0)])
+    with pytest.raises(ValueError, match="window lengths"):
+        SampleBlock.from_samples([mk_sample("fs2", "n1", 0), mk_sample("fs2", "n2", 0, 900)])
+
+
+def test_concat_restores_canonical_order():
+    a = SampleBlock.from_samples([mk_sample("fs2", "n1", 0), mk_sample("fs2", "n1", 360)])
+    b = SampleBlock.from_samples([mk_sample("fs1", "n1", 180), mk_sample("fs1", "n1", 360)])
+    both = SampleBlock.concat([a, b])
+    assert [(s.window_start, s.fs_id) for s in both] == [
+        (0, "fs2"),
+        (180, "fs1"),
+        (360, "fs1"),
+        (360, "fs2"),
+    ]
+    assert SampleBlock.concat([a[:1], a[1:]]) == a
+    with pytest.raises(ValueError, match="duplicate"):
+        SampleBlock.concat([a, a])
+
+
+def test_ingest_merges_overlapping_files_in_one_call(tmp_path):
+    one, two = tmp_path / "a.csv", tmp_path / "b.csv"
+    one.write_text(text_of(row(), row(ts=T1)), encoding="utf-8")
+    two.write_text(text_of(row(ts=T1), row(node="nid2")), encoding="utf-8")
+    store = Store(tmp_path / "store")
+    summary = ingest_files(store, [one, two])
+    assert (summary.samples, summary.rejected) == (3, 0)
+    got = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    assert [(s.window_start, s.node_id) for s in got] == [
+        (BASE_DAY, "nid1"),
+        (BASE_DAY, "nid2"),
+        (BASE_DAY + 180, "nid1"),
+    ]
+
+    changed = tmp_path / "c.csv"
+    changed.write_text(text_of(row(counters=("9",) * 21), row(ts=T1)), encoding="utf-8")
+    summary = ingest_files(store, [changed], mode="lenient")
+    assert summary.rejected == 1  # one stored row replaced, one identical
+    assert store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + 1)[0].oss.read_kb == 9
+
+
+# --- vector attribution agrees with the per-sample loop --------------------
+
+
+def reference_attribute(samples, jobs, config):
+    """The per-sample attribution loop the vector path replaced."""
+    index = _node_index(jobs)
+    attributed, unattributed = {}, {}
+    for s in samples:
+        vec = s.oss.as_tuple() + s.mds.as_tuple()
+        w, wlen = s.window_start, s.window_len
+        entry = index.get(s.node_id)
+        if entry is None:
+            _accumulate(unattributed, (s.fs_id, w), vec)
+            continue
+        starts, node_jobs = entry
+        if config.boundary_policy == "midpoint":
+            mid2 = 2 * w + wlen
+            i = bisect_right(starts, mid2 // 2) - 1
+            if i >= 0 and mid2 < 2 * node_jobs[i].end:
+                _accumulate(attributed, (node_jobs[i].app_id, s.fs_id, w), vec)
+            else:
+                _accumulate(unattributed, (s.fs_id, w), vec)
+            continue
+        shares = [
+            (j, min(j.end, w + wlen) - max(j.start, w))
+            for j in node_jobs
+            if j.start < w + wlen and j.end > w
+        ]
+        if not shares:
+            _accumulate(unattributed, (s.fs_id, w), vec)
+            continue
+        cum, prev = 0, (0,) * len(vec)
+        for job, overlap in shares:
+            cum += overlap
+            scaled = vec if cum >= wlen else tuple(round(v * (cum / wlen)) for v in vec)
+            _accumulate(attributed, (job.app_id, s.fs_id, w), [a - b for a, b in zip(scaled, prev)])
+            prev = scaled
+        if prev != vec:
+            _accumulate(unattributed, (s.fs_id, w), [a - b for a, b in zip(vec, prev)])
+    return (
+        {k: tuple(v) for k, v in attributed.items()},
+        {k: tuple(v) for k, v in unattributed.items()},
+    )
+
+
+def reference_fs_totals(samples, unattributed):
+    totals, unattr = {}, {}
+    for s in samples:
+        hour = s.window_start - s.window_start % HOUR
+        _accumulate(totals, (s.fs_id, hour), s.oss.as_tuple() + s.mds.as_tuple())
+    for (fs_id, w), vec in unattributed.items():
+        _accumulate(unattr, (fs_id, w - w % HOUR), vec)
+    return [
+        (hour, fs_id, tuple(vec), tuple(unattr.get((fs_id, hour), (0,) * 21)))
+        for (fs_id, hour), vec in sorted(totals.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    ]
+
+
+NODES = ["n1", "n2", "n3"]
+job_cuts = st.lists(st.integers(0, 30 * 180), min_size=2, max_size=8, unique=True).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cuts=st.tuples(job_cuts, job_cuts, job_cuts),
+    cells=st.lists(
+        st.tuples(
+            st.sampled_from(["fs1", "fs2"]),
+            st.sampled_from(NODES + ["idle"]),
+            st.integers(0, 28),
+            st.lists(st.integers(0, 10**9), min_size=21, max_size=21),
+        ),
+        max_size=40,
+        unique_by=lambda t: (t[0], t[1], t[2]),
+    ),
+    policy=st.sampled_from(["midpoint", "proportional"]),
+)
+def test_vector_attribution_matches_sample_loop(cuts, cells, policy):
+    jobs = []
+    for node, bounds in zip(NODES, cuts):
+        for k, (s, e) in enumerate(zip(bounds[::2], bounds[1::2])):
+            jobs.append(mk_job(f"{node}-app{k}", [node], BASE_DAY + s, BASE_DAY + e))
+    samples = [
+        StatSample(fs, node, BASE_DAY + i * 180, *vector_to_counters(vec))
+        for fs, node, i, vec in cells
+    ]
+    config = AttributionConfig(boundary_policy=policy)
+    result = attribute(samples, jobs, config)
+    want_attributed, want_unattributed = reference_attribute(samples, jobs, config)
+    assert result.attributed == want_attributed
+    assert result.unattributed == want_unattributed
+    got_totals = [
+        (
+            r.hour,
+            r.fs_id,
+            r.oss.as_tuple() + r.mds.as_tuple(),
+            r.unattributed_oss.as_tuple() + r.unattributed_mds.as_tuple(),
+        )
+        for r in fs_hourly_totals(samples, result)
+    ]
+    assert got_totals == reference_fs_totals(samples, want_unattributed)
+    assert isinstance(next(iter(result.attributed.values()), (0,))[0], int)
+
+
+def test_block_and_sample_list_attribute_alike():
+    job = mk_job("app1", ["nid1"], BASE_DAY + 100, BASE_DAY + HOUR)
+    samples = [
+        mk_sample("fs2", n, BASE_DAY + i * 180, read_kb=i + 1)
+        for n in ("nid1", "nid2")
+        for i in range(4)
+    ]
+    config = AttributionConfig(boundary_policy="proportional")
+    block = SampleBlock.from_samples(samples)
+    assert attribute(block, [job], config) == attribute(samples, [job], config)
+    assert np.array_equal(block.counters[:, 0], [1, 1, 2, 2, 3, 3, 4, 4])
