@@ -9,200 +9,12 @@ Typical flow: ingest CSVs into a Store, aggregate a date range, build
 baselines, then build reports or query analyses. synth/oracle generate
 synthetic scenarios with independently computed expected results for
 end-to-end verification.
+
+The API is the modules themselves: lassi.pipeline for the end-to-end flows,
+lassi.store, lassi.ingest, lassi.attribution, lassi.metrics, lassi.analysis,
+lassi.report, lassi.synth and lassi.oracle.
 """
 
-from .analysis import (
-    AppGroup,
-    Contributor,
-    ExposureRecord,
-    ScatterPoint,
-    SlowdownResult,
-    detect_slowdown,
-    group_jobs,
-    group_key,
-    normalize_command,
-    run_risk_exposure,
-    runtime_vs_risk,
-    top_contributors,
-)
-from .attribution import (
-    BOUNDARY_POLICIES,
-    AttributionConfig,
-    AttributionResult,
-    aggregate_hourly,
-    attribute,
-    fs_hourly_totals,
-)
-from .errors import (
-    AttributionConflictError,
-    IngestError,
-    LassiError,
-    MissingBaselineError,
-    ScenarioError,
-    SeriesGapError,
-    StoreError,
-    StoreLockError,
-)
-from .ingest import (
-    IngestReport,
-    parse_jobs_csv,
-    parse_stats_csv,
-    serialize_jobs_csv,
-    serialize_stats_csv,
-)
-from .metrics import (
-    FsBaseline,
-    OpsRecord,
-    RiskBreakdown,
-    RiskRecord,
-    RiskSeries,
-    compute_baseline,
-    fs_risk_from_totals,
-    fs_risk_series,
-    ops_quality,
-    risk_mds,
-    risk_oss,
-    risk_stat,
-    rsd,
-)
-from .model import (
-    ALL_FIELDS,
-    MDS_FIELDS,
-    OSS_FIELDS,
-    AppHourRecord,
-    FsHourRecord,
-    JobRecord,
-    MdsCounters,
-    OssCounters,
-    StatSample,
-    add_counters,
-    counters_to_vector,
-    scale_counters,
-    vector_to_counters,
-)
-from .oracle import OracleData, VerifyReport, compute_oracle, read_oracle, verify, write_oracle
-from .pipeline import (
-    AggregateSummary,
-    IngestSummary,
-    PipelineOutputs,
-    aggregate_range,
-    build_baselines,
-    compute_outputs,
-    compute_outputs_from_files,
-    conservation_errors,
-    exposure_for,
-    ingest_files,
-)
-from .report import (
-    DailyReportBundle,
-    RsdTable,
-    build_daily_report,
-    build_rsd_table,
-    bundle_files,
-    fmt_num,
-    write_bundle,
-    write_rsd_table,
-)
-from .store import Partition, Store
-from .synth import (
-    ARCHETYPES,
-    GeneratedScenario,
-    Scenario,
-    generate,
-    load_scenario,
-    parse_scenario,
-)
 from .version import __version__
 
-__all__ = [
-    "ALL_FIELDS",
-    "ARCHETYPES",
-    "BOUNDARY_POLICIES",
-    "AggregateSummary",
-    "AppGroup",
-    "AppHourRecord",
-    "AttributionConfig",
-    "AttributionConflictError",
-    "AttributionResult",
-    "Contributor",
-    "DailyReportBundle",
-    "ExposureRecord",
-    "FsBaseline",
-    "FsHourRecord",
-    "GeneratedScenario",
-    "IngestError",
-    "IngestReport",
-    "IngestSummary",
-    "JobRecord",
-    "LassiError",
-    "MDS_FIELDS",
-    "MdsCounters",
-    "MissingBaselineError",
-    "OSS_FIELDS",
-    "OpsRecord",
-    "OracleData",
-    "OssCounters",
-    "Partition",
-    "PipelineOutputs",
-    "RiskBreakdown",
-    "RiskRecord",
-    "RiskSeries",
-    "RsdTable",
-    "ScatterPoint",
-    "Scenario",
-    "ScenarioError",
-    "SeriesGapError",
-    "SlowdownResult",
-    "StatSample",
-    "Store",
-    "StoreError",
-    "StoreLockError",
-    "VerifyReport",
-    "__version__",
-    "add_counters",
-    "aggregate_hourly",
-    "aggregate_range",
-    "attribute",
-    "build_baselines",
-    "build_daily_report",
-    "build_rsd_table",
-    "bundle_files",
-    "compute_baseline",
-    "compute_oracle",
-    "compute_outputs",
-    "compute_outputs_from_files",
-    "conservation_errors",
-    "counters_to_vector",
-    "detect_slowdown",
-    "exposure_for",
-    "fmt_num",
-    "fs_hourly_totals",
-    "fs_risk_from_totals",
-    "fs_risk_series",
-    "generate",
-    "group_jobs",
-    "group_key",
-    "ingest_files",
-    "load_scenario",
-    "normalize_command",
-    "ops_quality",
-    "parse_jobs_csv",
-    "parse_scenario",
-    "parse_stats_csv",
-    "read_oracle",
-    "risk_mds",
-    "risk_oss",
-    "risk_stat",
-    "rsd",
-    "run_risk_exposure",
-    "runtime_vs_risk",
-    "scale_counters",
-    "serialize_jobs_csv",
-    "serialize_stats_csv",
-    "top_contributors",
-    "vector_to_counters",
-    "verify",
-    "write_bundle",
-    "write_oracle",
-    "write_rsd_table",
-]
+__all__ = ["__version__"]

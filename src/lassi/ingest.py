@@ -13,8 +13,8 @@ Job files carry one row per application run:
 Timestamps are ISO-8601 UTC with a trailing Z. The nodes field joins node ids
 with ';'. The command field is RFC-4180 quoted when it contains commas or
 quotes. Canonical form (what the serializers emit) is LF line endings, minimal
-quoting, rows sorted by primary key; parsing a canonical file and serializing
-the result reproduces it byte for byte.
+quoting plus quotes around any field holding a CR, rows sorted by primary key;
+parsing a canonical file and serializing the result reproduces it byte for byte.
 
 Strict mode raises IngestError at the first invalid row. Lenient mode skips
 invalid rows and reports them; a duplicate key in lenient mode keeps the last
@@ -33,7 +33,7 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -353,13 +353,25 @@ def jobs_rows(jobs: Iterable[JobRecord]) -> list[tuple]:
     ]
 
 
-def render_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
-    """A header plus rows in canonical CSV form: LF endings, minimal quoting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+class _LfLines(list):
+    """Collects csv rows written with CRLF endings, ending each with LF instead.
+
+    A CRLF terminator makes the csv writer quote fields that hold a CR, which
+    an LF terminator would leave bare and unreadable.
+    """
+
+    def write(self, line: str) -> None:
+        self.append(line[:-2] + "\n")
+
+
+def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header plus rows in canonical CSV form: LF endings, minimal quoting,
+    and quotes around any field holding a CR."""
+    lines = _LfLines()
+    writer = csv.writer(lines, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(lines)
 
 
 def _csv_fields(ids: np.ndarray) -> np.ndarray:

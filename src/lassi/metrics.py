@@ -87,15 +87,12 @@ class RiskRecord:
     risk_mds: float
     contributions: dict[str, float]
     undefined: tuple[str, ...] = ()
-    raw: dict[str, float] | None = None
 
 
 @dataclass(frozen=True)
 class OpsRecord:
     """Hourly ops-quality values; None marks hours with nothing to measure."""
 
-    subject_id: str | None
-    hour: int | None
     read_kb_ops: float | None
     write_kb_ops: float | None
 
@@ -213,22 +210,7 @@ def risk_mds(mds: MdsCounters, baseline: FsBaseline) -> RiskBreakdown:
     return _breakdown(mds.as_tuple(), MDS_STATS, baseline)
 
 
-def raw_risks(
-    oss: OssCounters, mds: MdsCounters, baseline: FsBaseline
-) -> dict[str, float]:
-    """Unclamped per-stat risks (negatives included, undefined omitted)."""
-    out: dict[str, float] = {}
-    vec = oss.as_tuple() + mds.as_tuple()
-    for stat, x in zip(ALL_FIELDS, vec):
-        r = risk_stat(x, baseline.means[stat], baseline.alpha)
-        if r is not None:
-            out[stat] = r
-    return out
-
-
-def ops_quality(
-    oss: OssCounters, subject_id: str | None = None, hour: int | None = None
-) -> OpsRecord:
+def ops_quality(oss: OssCounters) -> OpsRecord:
     """KiB-per-op quality of reads and writes; 1.0 means 1 MiB per op.
 
     With no volume and no operations the metric is undefined (None);
@@ -241,24 +223,32 @@ def ops_quality(
         return None if ops == 0 else math.inf
 
     return OpsRecord(
-        subject_id=subject_id,
-        hour=hour,
         read_kb_ops=side(oss.read_kb, oss.read_ops),
         write_kb_ops=side(oss.write_kb, oss.write_ops),
     )
+
+
+def ops_series(
+    fs_hours: Iterable[FsHourRecord], hours: Sequence[int]
+) -> tuple[OpsRecord, ...]:
+    """Ops quality of one filesystem's hourly totals at each hour of the grid.
+
+    Hours with no record have nothing to measure: both values are None.
+    """
+    by_hour = {rec.hour: rec.oss for rec in fs_hours}
+    empty = OpsRecord(read_kb_ops=None, write_kb_ops=None)
+    return tuple(ops_quality(by_hour[h]) if h in by_hour else empty for h in hours)
 
 
 def fs_risk_series(
     app_hours: Iterable[AppHourRecord],
     baseline: FsBaseline,
     hours: Sequence[int] | None = None,
-    debug: bool = False,
 ) -> RiskSeries:
     """Per-app hourly risks against the filesystem baseline, summed per hour.
 
     The filesystem-level hourly figure is the sum of the per-app clamped
-    risks; hours on the grid with no app activity score zero. With debug=True
-    each record also carries its raw unclamped per-stat risks.
+    risks; hours on the grid with no app activity score zero.
     """
     records: list[RiskRecord] = []
     oss_by_hour: dict[int, float] = {}
@@ -279,7 +269,6 @@ def fs_risk_series(
                 risk_mds=bm.value,
                 contributions={**bo.contributions, **bm.contributions},
                 undefined=bo.undefined + bm.undefined,
-                raw=raw_risks(rec.oss, rec.mds, baseline) if debug else None,
             )
         )
         oss_by_hour[rec.hour] = oss_by_hour.get(rec.hour, 0.0) + bo.value

@@ -2,8 +2,7 @@
 
 Counters are cumulative-delta integers for one sampling window. OSS counters
 cover data movement (KiB and operation counts), MDS counters cover the sixteen
-metadata operations the servers report. All types are immutable; arithmetic
-returns new values.
+metadata operations the servers report. All types are immutable.
 
 Sample counters are exact integers in [0, 2**63 - 1]: ingest rejects larger
 values, and SampleBlock keeps counters as int64, so every rollup first checks
@@ -61,18 +60,6 @@ class OssCounters:
     def as_tuple(self) -> tuple[int, ...]:
         return (self.read_kb, self.read_ops, self.write_kb, self.write_ops, self.other)
 
-    def __add__(self, other: "OssCounters") -> "OssCounters":
-        return OssCounters(
-            self.read_kb + other.read_kb,
-            self.read_ops + other.read_ops,
-            self.write_kb + other.write_kb,
-            self.write_ops + other.write_ops,
-            self.other + other.other,
-        )
-
-    def is_zero(self) -> bool:
-        return max(self.as_tuple()) == 0
-
 
 @dataclass(frozen=True, slots=True)
 class MdsCounters:
@@ -118,40 +105,6 @@ class MdsCounters:
             self.sdr,
             self.cdr,
         )
-
-    def __add__(self, other: "MdsCounters") -> "MdsCounters":
-        a = self.as_tuple()
-        b = other.as_tuple()
-        return MdsCounters(*(x + y for x, y in zip(a, b)))
-
-    def is_zero(self) -> bool:
-        return max(self.as_tuple()) == 0
-
-
-def add_counters(a, b):
-    """Field-wise sum of two counter values of the same type."""
-    if type(a) is not type(b):
-        raise TypeError(f"cannot add {type(a).__name__} and {type(b).__name__}")
-    return a + b
-
-
-def scale_counters(c, fraction: float):
-    """Scale every field by ``fraction`` in [0, 1], rounding half to even.
-
-    Used for proportional boundary-window attribution; the result is always
-    field-wise between zero and the input.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction {fraction!r} outside [0, 1]")
-    if fraction == 1.0:
-        return c
-    cls = type(c)
-    return cls(*(round(v * fraction) for v in c.as_tuple()))
-
-
-def counters_to_vector(oss: OssCounters, mds: MdsCounters) -> tuple[int, ...]:
-    """Flatten an (OSS, MDS) pair into one tuple in ALL_FIELDS order."""
-    return oss.as_tuple() + mds.as_tuple()
 
 
 def vector_to_counters(vec) -> tuple[OssCounters, MdsCounters]:

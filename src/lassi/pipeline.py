@@ -24,7 +24,7 @@ from .attribution import (
 )
 from .errors import IngestError, LassiError
 from .ingest import parse_jobs_csv, parse_stats_csv
-from .metrics import FsBaseline, RiskSeries, compute_baseline, fs_risk_series, ops_quality
+from .metrics import FsBaseline, RiskSeries, compute_baseline, fs_risk_series, ops_series
 from .model import (
     ALL_FIELDS,
     AppHourRecord,
@@ -71,28 +71,35 @@ class PipelineOutputs:
     exposures: tuple[ExposureRecord, ...]
 
 
-def _merge(existing: Iterable, incoming: Iterable, key, mode: str, rejected: list) -> list:
-    """Key-wise union, new records winning; strict mode refuses changes."""
-    merged = {key(r): r for r in existing}
-    for record in incoming:
-        k = key(record)
-        old = merged.get(k)
-        if old is not None and old != record:
+def _merge(
+    old: Iterable[JobRecord], new: Iterable[JobRecord], mode: str, where: str
+) -> tuple[list[JobRecord], int]:
+    """Union by app_id, new jobs winning; also the number of jobs a new one changed.
+
+    Strict mode refuses a changed job instead.
+    """
+    merged = {j.app_id: j for j in old}
+    changed = 0
+    for job in new:
+        prior = merged.get(job.app_id)
+        if prior is not None and prior != job:
             if mode == "strict":
-                raise IngestError(0, f"record {k} conflicts with stored data")
-            rejected.append(k)
-        merged[k] = record
-    return list(merged.values())
+                raise IngestError(0, f"job {job.app_id} conflicts {where}")
+            changed += 1
+        merged[job.app_id] = job
+    return list(merged.values()), changed
 
 
-def _merge_samples(old: SampleBlock, new: SampleBlock) -> tuple[SampleBlock, np.ndarray]:
-    """Key-wise union in canonical order, new rows winning.
+def _merge_samples(
+    old: SampleBlock, new: SampleBlock, mode: str, where: str
+) -> tuple[SampleBlock, int]:
+    """Key-wise union in canonical order, new rows winning; also the number
+    of rows whose counters a new row changed.
 
-    Also returns the positions in ``new`` of rows whose counters differ from
-    the old row they replace.
+    Strict mode refuses a changed row instead.
     """
     if not len(old):
-        return new, np.empty(0, np.int64)
+        return new, 0
     fs, node, window, counters = (
         np.concatenate([getattr(old, name), getattr(new, name)])
         for name in ("fs", "node", "window", "counters")
@@ -103,9 +110,11 @@ def _merge_samples(old: SampleBlock, new: SampleBlock) -> tuple[SampleBlock, np.
     replaced = order[repeat]
     replacing = order[np.flatnonzero(repeat) + 1]
     changed = replacing[(counters[replaced] != counters[replacing]).any(axis=1)] - len(old)
+    if len(changed) and mode == "strict":
+        raise IngestError(0, f"sample {new[int(changed[0])].key()} conflicts {where}")
     keep = order[~repeat]
     merged = SampleBlock(fs[keep], node[keep], window[keep], counters[keep], new.window_len)
-    return merged, changed
+    return merged, len(changed)
 
 
 def ingest_files(
@@ -116,73 +125,45 @@ def ingest_files(
 ) -> IngestSummary:
     """Parse source CSVs and fold them into the store's daily partitions."""
     rejected = 0
-    partitions = 0
-    overridden: list = []
-
     samples = SampleBlock.empty(store.window_len)
     for path in stats_paths:
         parsed, report = parse_stats_csv(path, mode, store.window_len)
-        rejected += report.rows_rejected
-        samples, changed = _merge_samples(samples, parsed)
-        if len(changed) and mode == "strict":
-            key = parsed[int(changed[0])].key()
-            raise IngestError(0, f"{path}: sample {key} conflicts across inputs")
-        rejected += len(changed)
+        samples, changed = _merge_samples(samples, parsed, mode, f"across inputs ({path})")
+        rejected += report.rows_rejected + changed
 
-    jobs: dict[str, JobRecord] = {}
+    jobs: list[JobRecord] = []
     for path in jobs_paths:
         parsed, report = parse_jobs_csv(path, mode)
-        rejected += report.rows_rejected
-        for j in parsed:
-            old = jobs.get(j.app_id)
-            if old is not None and old != j:
-                if mode == "strict":
-                    raise IngestError(0, f"{path}: job {j.app_id} conflicts across inputs")
-                overridden.append(j.app_id)
-            jobs[j.app_id] = j
+        jobs, changed = _merge(jobs, parsed, mode, f"across inputs ({path})")
+        rejected += report.rows_rejected + changed
+
+    def fold(partition: Partition, batch, merge) -> int:
+        """Merge a batch into its stored partition and write the result."""
+        stored = store.read_range(
+            partition.dataset, partition.fs_id, partition.date, partition.date + DAY
+        )
+        merged, changed = merge(stored, batch, mode, "with stored data")
+        store.write_partition(merged, partition)
+        return changed
 
     fs_ids, fs_codes = id_codes(samples.fs)
     days = samples.window - samples.window % DAY
-    for code, day in sorted(set(zip(fs_codes.tolist(), days.tolist()))):
-        partition = Partition("samples", fs_ids[code], day)
+    sample_keys = sorted(set(zip(fs_codes.tolist(), days.tolist())))
+    for code, day in sample_keys:
         batch = samples.take((fs_codes == code) & (days == day))
-        merged, changed = _merge_samples(_existing_samples(store, partition), batch)
-        if len(changed) and mode == "strict":
-            key = batch[int(changed[0])].key()
-            raise IngestError(0, f"record {key} conflicts with stored data")
-        rejected += len(changed)
-        store.write_partition(merged, partition)
-        partitions += 1
+        rejected += fold(Partition("samples", fs_ids[code], day), batch, _merge_samples)
+    jobs_by_day: dict[int, list[JobRecord]] = {}
+    for j in jobs:
+        jobs_by_day.setdefault(floor_day(j.start), []).append(j)
+    for day in sorted(jobs_by_day):
+        rejected += fold(Partition("jobs", None, day), jobs_by_day[day], _merge)
 
-    jobs_by_partition: dict[Partition, list[JobRecord]] = {}
-    for j in jobs.values():
-        p = Partition("jobs", None, floor_day(j.start))
-        jobs_by_partition.setdefault(p, []).append(j)
-    for partition, batch in sorted(
-        jobs_by_partition.items(), key=lambda kv: kv[0].relative_path()
-    ):
-        existing = _existing_jobs(store, partition)
-        merged = _merge(existing, batch, lambda j: j.app_id, mode, overridden)
-        store.write_partition(merged, partition)
-        partitions += 1
-
-    # counted last so overrides of already-stored records are included
-    rejected += len(overridden)
     return IngestSummary(
-        samples=len(samples), jobs=len(jobs), rejected=rejected, partitions=partitions
+        samples=len(samples),
+        jobs=len(jobs),
+        rejected=rejected,
+        partitions=len(sample_keys) + len(jobs_by_day),
     )
-
-
-def _existing_samples(store: Store, partition: Partition) -> SampleBlock:
-    if not store.path(partition).exists():
-        return SampleBlock.empty(store.window_len)
-    return store.read_range("samples", partition.fs_id, partition.date, partition.date + DAY)
-
-
-def _existing_jobs(store: Store, partition: Partition) -> list[JobRecord]:
-    if not store.path(partition).exists():
-        return []
-    return store.read_range("jobs", None, partition.date, partition.date + DAY)
 
 
 def conservation_errors(
@@ -243,6 +224,21 @@ def _check_hourly_conservation(
                 )
 
 
+def _rollup(
+    samples: Sequence[StatSample],
+    jobs: Sequence[JobRecord],
+    config: AttributionConfig,
+    span: tuple[int, int],
+) -> tuple[list[AppHourRecord], list[FsHourRecord]]:
+    """Attribute samples to jobs, roll them up per hour, and check that the
+    hourly rollups conserve every counter."""
+    result = attribute(samples, jobs, config)
+    app_hours = aggregate_hourly(result, jobs, span=span)
+    fs_hours = fs_hourly_totals(samples, result)
+    _check_hourly_conservation(app_hours, fs_hours)
+    return app_hours, fs_hours
+
+
 def aggregate_range(
     store: Store,
     t0: int,
@@ -268,10 +264,7 @@ def aggregate_range(
     )
     jobs = store.query_jobs_overlapping(t0, t1)
 
-    result = attribute(samples, jobs, config)
-    app_hours = aggregate_hourly(result, jobs, span=(t0, t1))
-    fs_hours = fs_hourly_totals(samples, result)
-    _check_hourly_conservation(app_hours, fs_hours)
+    app_hours, fs_hours = _rollup(samples, jobs, config, (t0, t1))
 
     seen_fs = sorted(set(fs_ids) | {r.fs_id for r in app_hours})
     partitions = 0
@@ -337,9 +330,7 @@ def compute_outputs(
     if config is None:
         config = AttributionConfig()
 
-    result = attribute(samples, jobs, config)
-    app_hours = tuple(aggregate_hourly(result, jobs, span=period))
-    fs_hours = tuple(fs_hourly_totals(samples, result))
+    app_hours, fs_hours = _rollup(samples, jobs, config, period)
     grid = tuple(hour_range(t0, t1))
 
     fs_ids = sorted({r.fs_id for r in fs_hours})
@@ -352,16 +343,10 @@ def compute_outputs(
         baselines[fs_id] = baseline
         app_records = [r for r in app_hours if r.fs_id == fs_id]
         risk[fs_id] = fs_risk_series(app_records, baseline, hours=grid)
-        by_hour = {r.hour: r for r in fs_records}
-        entries = []
-        for hour in grid:
-            rec = by_hour.get(hour)
-            if rec is None:
-                entries.append((hour, None, None))
-            else:
-                q = ops_quality(rec.oss)
-                entries.append((hour, q.read_kb_ops, q.write_kb_ops))
-        ops[fs_id] = tuple(entries)
+        ops[fs_id] = tuple(
+            (hour, q.read_kb_ops, q.write_kb_ops)
+            for hour, q in zip(grid, ops_series(fs_records, grid))
+        )
 
     pairs = {(r.app_id, r.fs_id) for r in app_hours}
     exposures = []
@@ -373,8 +358,8 @@ def compute_outputs(
     return PipelineOutputs(
         period=period,
         alpha=alpha,
-        app_hours=app_hours,
-        fs_hours=fs_hours,
+        app_hours=tuple(app_hours),
+        fs_hours=tuple(fs_hours),
         baselines=baselines,
         risk=risk,
         ops=ops,

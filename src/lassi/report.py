@@ -18,18 +18,16 @@ infinite ops values serialize as "inf".
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from .analysis import Contributor, top_contributors
 from .charts import ChartSeries, ChartSpec, render_timeseries_chart
-from .metrics import FsBaseline, fs_risk_from_totals, fs_risk_series, ops_quality, rsd
+from .ingest import render_csv
+from .metrics import FsBaseline, fs_risk_from_totals, fs_risk_series, ops_series, rsd
 from .model import ALL_FIELDS, MDS_FIELDS
 from .store import Partition, Store
 from .timeutil import DAY, HOUR, date_str, format_utc, hour_range
@@ -149,18 +147,7 @@ def build_daily_report(
     oss_side = _side_breakdown(series.records, risk_oss_hourly, hours, t0, t1, k, "oss")
     mds_side = _side_breakdown(series.records, risk_mds_hourly, hours, t0, t1, k, "mds")
 
-    by_hour = {rec.hour: rec for rec in fs_hours}
-    read_ops: list[float | None] = []
-    write_ops: list[float | None] = []
-    for hour in hours:
-        rec = by_hour.get(hour)
-        if rec is None:
-            read_ops.append(None)
-            write_ops.append(None)
-        else:
-            ops = ops_quality(rec.oss, subject_id=fs_id, hour=hour)
-            read_ops.append(ops.read_kb_ops)
-            write_ops.append(ops.write_kb_ops)
+    ops = ops_series(fs_hours, hours)
 
     return DailyReportBundle(
         fs_id=fs_id,
@@ -170,8 +157,8 @@ def build_daily_report(
         risk_mds=risk_mds_hourly,
         oss=oss_side,
         mds=mds_side,
-        read_kb_ops=tuple(read_ops),
-        write_kb_ops=tuple(write_ops),
+        read_kb_ops=tuple(q.read_kb_ops for q in ops),
+        write_kb_ops=tuple(q.write_kb_ops for q in ops),
         alpha=baseline.alpha,
         baseline_period=baseline.period,
         fs_risk_basis=fs_risk_basis,
@@ -222,25 +209,17 @@ def bundle_to_json(bundle: DailyReportBundle) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def bundle_csvs(bundle: DailyReportBundle) -> dict[str, str]:
     hours_iso = [format_utc(h) for h in bundle.hours]
     files = {
-        "risk_stats.csv": _csv_text(
+        "risk_stats.csv": render_csv(
             ("hour", "risk_oss", "risk_mds"),
             [
                 (h, fmt_num(o), fmt_num(m))
                 for h, o, m in zip(hours_iso, bundle.risk_oss, bundle.risk_mds)
             ],
         ),
-        "ops_metric.csv": _csv_text(
+        "ops_metric.csv": render_csv(
             ("hour", "read_kb_ops", "write_kb_ops"),
             [
                 (h, fmt_num(r), fmt_num(w))
@@ -257,7 +236,7 @@ def bundle_csvs(bundle: DailyReportBundle) -> dict[str, str]:
             row += [fmt_num(sb.contributions[a][i]) for a in apps]
             row.append(fmt_num(sb.other[i]))
             rows.append(row)
-        files[name] = _csv_text(header, rows)
+        files[name] = render_csv(header, rows)
     return files
 
 
@@ -435,7 +414,7 @@ def rsd_table_csvs(table: RsdTable) -> dict[str, str]:
                 cell = row.cells[stat]
                 out += [fmt_num(cell.mean), fmt_num(cell.cv)]
             rows.append(out)
-        files[name] = _csv_text(header, rows)
+        files[name] = render_csv(header, rows)
     return files
 
 

@@ -82,7 +82,3 @@ def day_range(t0: int, t1: int) -> range:
     if t1 <= t0:
         return range(0, 0)
     return range(floor_day(t0), t1, DAY)
-
-
-def is_aligned(ts: int, step: int) -> bool:
-    return ts % step == 0

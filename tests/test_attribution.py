@@ -142,6 +142,16 @@ def test_proportional_split_pinned():
     assert result.unattributed == {}
 
 
+@pytest.mark.parametrize("value,owned", [(5, 2), (7, 4)])
+def test_proportional_half_window_rounds_half_to_even(value, owned):
+    # a job holding the first 90 s of a 180 s window owns half of each counter
+    w = BASE_DAY
+    job = mk_job("app1", ["nid1"], w - HOUR, w + 90)
+    result = attribute([mk_sample("fs2", "nid1", w, read_kb=value)], [job], PROPORTIONAL)
+    assert result.attributed[("app1", "fs2", w)][0] == owned
+    assert result.unattributed[("fs2", w)][0] == value - owned
+
+
 def test_proportional_leftover_stays_unattributed():
     w = BASE_DAY
     a = mk_job("app1", ["nid1"], w - HOUR, w + 45)  # covers a quarter

@@ -221,15 +221,21 @@ def test_clean_path_agrees_with_row_loop(rows, quoted, crlf, dup):
 
 
 def reference_serialize(samples):
-    """Canonical stats CSV as the csv module writes it."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(STATS_HEADER)
-    for s in sorted(samples, key=lambda s: (s.window_start, s.fs_id, s.node_id)):
-        writer.writerow(
-            (format_utc(s.window_start), s.fs_id, s.node_id) + s.oss.as_tuple() + s.mds.as_tuple()
-        )
-    return buf.getvalue()
+    """Canonical stats CSV as the csv module writes it, one row at a time.
+
+    Each row is written with a CRLF terminator, which makes the writer quote
+    any field holding a CR, and then ended with LF instead.
+    """
+    rows = [STATS_HEADER] + [
+        (format_utc(s.window_start), s.fs_id, s.node_id) + s.oss.as_tuple() + s.mds.as_tuple()
+        for s in sorted(samples, key=lambda s: (s.window_start, s.fs_id, s.node_id))
+    ]
+    lines = []
+    for r in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(r)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 awkward_ids = st.text(
@@ -258,10 +264,6 @@ def test_serialize_matches_csv_writer(rows):
     ]
     text = serialize_stats_csv(SampleBlock.from_samples(samples))
     assert text == reference_serialize(samples)
-    if any("\r" in fs + node for fs, node, _, _ in rows):
-        # minimal quoting with LF endings leaves a CR bare, so such a file
-        # does not read back; the csv module writes it the same way
-        return
     back, report = parse_stats_csv(io.StringIO(text))
     assert report.rows_rejected == 0
     assert serialize_stats_csv(back) == text

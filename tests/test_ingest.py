@@ -14,6 +14,8 @@ from lassi.ingest import (
     serialize_jobs_csv,
     serialize_stats_csv,
 )
+from lassi.store import Partition, Store
+from lassi.timeutil import DAY
 
 GOOD_ROW = "2017-10-09T00:00:00Z,fs2,nid00001," + ",".join(["1"] * 21)
 
@@ -173,6 +175,17 @@ def test_stats_serialize_parse_round_trip(rows):
     assert sorted(parsed, key=lambda s: s.key()) == sorted(samples, key=lambda s: s.key())
     # canonical form is a fixed point
     assert serialize_stats_csv(parsed) == text
+
+
+@pytest.mark.parametrize("command", ["./a.x\r", "a\rb", "a\r\nb", 'a,"\rb"'])
+def test_job_command_with_cr_reads_back_from_the_store(tmp_path, command):
+    store = Store(tmp_path / "store")
+    job = mk_job("app1", ["n1"], 3600, 7200, command=command)
+    store.write_partition([job], Partition("jobs", None, 0))
+    (back,) = store.read_range("jobs", None, 0, DAY)
+    assert back == job
+    text = serialize_jobs_csv([job])
+    assert serialize_jobs_csv(parse_jobs_csv(io.StringIO(text))[0]) == text
 
 
 def test_jobs_serialize_parse_round_trip():

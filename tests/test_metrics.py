@@ -11,7 +11,7 @@ from lassi.metrics import (
     fs_risk_from_totals,
     fs_risk_series,
     ops_quality,
-    raw_risks,
+    ops_series,
     risk_mds,
     risk_oss,
     risk_stat,
@@ -82,13 +82,6 @@ def test_risk_mds_covers_all_sixteen():
     assert got.undefined == ()
 
 
-def test_raw_risks_keep_negatives():
-    b = baseline_with(fill=1.0)
-    raw = raw_risks(OssCounters(), MdsCounters(), b)
-    assert set(raw) == set(ALL_FIELDS)
-    assert all(v == -1.0 for v in raw.values())
-
-
 @pytest.mark.parametrize(
     "kb,ops,expected",
     [
@@ -109,6 +102,15 @@ def test_ops_quality_sides_independent():
     rec = ops_quality(OssCounters(read_kb=1024, read_ops=2, write_kb=0, write_ops=0))
     assert rec.read_kb_ops == 2.0
     assert rec.write_kb_ops is None
+
+
+def test_ops_series_follows_the_hour_grid():
+    records = [fs_hour(BASE_DAY + HOUR, read_kb=4, read_ops=1, write_ops=3)]
+    grid = (BASE_DAY, BASE_DAY + HOUR)
+    quiet, busy = ops_series(records, grid)
+    assert (quiet.read_kb_ops, quiet.write_kb_ops) == (None, None)  # no record that hour
+    assert (busy.read_kb_ops, busy.write_kb_ops) == (256.0, math.inf)
+    assert ops_series(records, ()) == ()
 
 
 def test_rsd_pinned():
@@ -243,14 +245,6 @@ def test_fs_risk_series_rejects_foreign_fs():
     )
     with pytest.raises(ValueError):
         fs_risk_series([rec], b)
-
-
-def test_fs_risk_series_debug_raw():
-    b = baseline_with(fill=1.0)
-    series = fs_risk_series([app_hour("a", BASE_DAY, read_kb=4)], b, debug=True)
-    (rec,) = series.records
-    assert rec.raw["read_kb"] == 1.0
-    assert rec.raw["open"] == -1.0
 
 
 def test_fs_risk_from_totals_scores_totals_directly():

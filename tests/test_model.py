@@ -12,9 +12,6 @@ from lassi.model import (
     MdsCounters,
     OssCounters,
     StatSample,
-    add_counters,
-    counters_to_vector,
-    scale_counters,
     vector_to_counters,
 )
 from lassi.timeutil import (
@@ -26,7 +23,6 @@ from lassi.timeutil import (
     floor_hour,
     format_utc,
     hour_range,
-    is_aligned,
     parse_date,
     parse_utc,
 )
@@ -47,38 +43,10 @@ def test_counters_reject_negative_values():
         MdsCounters(statfs=-5)
 
 
-def test_counters_add_fieldwise():
-    a = OssCounters(1, 2, 3, 4, 5)
-    b = OssCounters(10, 20, 30, 40, 50)
-    assert (a + b).as_tuple() == (11, 22, 33, 44, 55)
-    assert add_counters(a, b) == a + b
-    with pytest.raises(TypeError):
-        add_counters(a, MdsCounters())
-
-
 @given(counter_vec)
 def test_vector_round_trip(vec):
     oss, mds = vector_to_counters(vec)
-    assert counters_to_vector(oss, mds) == tuple(vec)
-
-
-@given(counter_vec, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-def test_scale_counters_bounded(vec, fraction):
-    oss, _ = vector_to_counters(vec)
-    scaled = scale_counters(oss, fraction)
-    for low, orig in zip(scaled.as_tuple(), oss.as_tuple()):
-        assert 0 <= low <= orig
-
-
-def test_scale_counters_endpoints():
-    oss = OssCounters(100, 10, 50, 5, 1)
-    assert scale_counters(oss, 1.0) is oss
-    assert scale_counters(oss, 0.0).as_tuple() == (0, 0, 0, 0, 0)
-    # round half to even on .5 boundaries
-    assert scale_counters(OssCounters(read_kb=5), 0.5).read_kb == 2
-    assert scale_counters(OssCounters(read_kb=7), 0.5).read_kb == 4
-    with pytest.raises(ValueError):
-        scale_counters(oss, 1.5)
+    assert oss.as_tuple() + mds.as_tuple() == tuple(vec)
 
 
 def test_stat_sample_validates_grid():
@@ -161,8 +129,7 @@ def test_floor_and_ranges():
     t = parse_utc("2017-10-09T13:30:05Z")
     assert floor_hour(t) == parse_utc("2017-10-09T13:00:00Z")
     assert floor_day(t) == parse_utc("2017-10-09T00:00:00Z")
-    assert is_aligned(floor_hour(t), HOUR)
-    assert not is_aligned(t, HOUR)
+    assert floor_hour(t) % HOUR == 0
 
     hours = list(hour_range(t, t + 2 * HOUR))
     assert hours == [floor_hour(t), floor_hour(t) + HOUR, floor_hour(t) + 2 * HOUR]

@@ -1,9 +1,12 @@
 """Store-facing flows: idempotent ingest, aggregation, stored exposures."""
 
+from dataclasses import replace
+
 import pytest
 
+from lassi import pipeline
 from lassi.attribution import AttributionConfig
-from lassi.errors import IngestError
+from lassi.errors import IngestError, LassiError
 from lassi.ingest import JOBS_HEADER, STATS_HEADER
 from lassi.pipeline import (
     aggregate_range,
@@ -92,6 +95,72 @@ def test_ingest_conflict_across_inputs_in_one_call(tmp_path):
         ingest_files(store, [a, b])
 
 
+JOB_A = "app1,1.sdb,u,2017-10-09T00:00:00Z,2017-10-09T01:00:00Z,nid1,./a.x"
+JOB_B = "app1,1.sdb,u,2017-10-09T00:00:00Z,2017-10-09T01:00:00Z,nid1,./b.x"
+JOB_C = "app1,1.sdb,u,2017-10-09T00:00:00Z,2017-10-09T01:00:00Z,nid1,./c.x"
+JOB_2 = "app2,2.sdb,u,2017-10-09T02:00:00Z,2017-10-09T03:00:00Z,nid2,./d.x"
+
+
+def test_strict_ingest_refuses_a_job_changed_across_inputs(tmp_path):
+    store = Store(tmp_path / "store")
+    a = jobs_file(tmp_path, "a.csv", [JOB_A])
+    b = jobs_file(tmp_path, "b.csv", [JOB_B])
+    with pytest.raises(IngestError, match="app1"):
+        ingest_files(store, jobs_paths=[a, b])
+
+
+def test_strict_ingest_refuses_a_job_changed_from_the_store(tmp_path):
+    store = Store(tmp_path / "store")
+    ingest_files(store, jobs_paths=[jobs_file(tmp_path, "a.csv", [JOB_A])])
+    with pytest.raises(IngestError, match="app1"):
+        ingest_files(store, jobs_paths=[jobs_file(tmp_path, "b.csv", [JOB_B])])
+
+
+def test_lenient_ingest_counts_job_overrides_and_keeps_the_new_job(tmp_path):
+    store = Store(tmp_path / "store")
+    ingest_files(store, jobs_paths=[jobs_file(tmp_path, "a.csv", [JOB_A, JOB_2])])
+    b = jobs_file(tmp_path, "b.csv", [JOB_B, JOB_2])
+    c = jobs_file(tmp_path, "c.csv", [JOB_C])
+    summary = ingest_files(store, jobs_paths=[b, c], mode="lenient")
+    # c overrides b's app1, which overrides the stored app1; app2 is unchanged
+    assert (summary.jobs, summary.rejected) == (2, 2)
+    stored = store.read_range("jobs", None, BASE_DAY, BASE_DAY + DAY)
+    assert {j.app_id: j.command for j in stored} == {"app1": "./c.x", "app2": "./d.x"}
+
+
+def write_fixture(store, fixture):
+    """The hand-computed fixture's samples and jobs, plus a job with no activity."""
+    by_day = {}
+    for s in fixture.samples:
+        by_day.setdefault(floor_day(s.window_start), []).append(s)
+    for day, batch in by_day.items():
+        store.write_partition(batch, Partition("samples", "fs2", day))
+    ghost = mk_job("app5", ["nid00009"], REPORT_DAY + 10 * HOUR, REPORT_DAY + 11 * HOUR)
+    store.write_partition(list(fixture.jobs) + [ghost], Partition("jobs", None, REPORT_DAY))
+
+
+def test_both_rollup_paths_check_conservation(tmp_path, monkeypatch, exposure_fixture):
+    store = Store(tmp_path / "store")
+    write_fixture(store, exposure_fixture)
+    real = pipeline.aggregate_hourly
+
+    def lossy(*args, **kwargs):
+        # lose one KiB from the first app-hour that read anything
+        records = list(real(*args, **kwargs))
+        i = next(i for i, r in enumerate(records) if r.oss.read_kb)
+        oss = records[i].oss
+        records[i] = replace(records[i], oss=replace(oss, read_kb=oss.read_kb - 1))
+        return records
+
+    monkeypatch.setattr(pipeline, "aggregate_hourly", lossy)
+    with pytest.raises(LassiError, match="conservation violated"):
+        aggregate_range(store, BASE_DAY, REPORT_DAY + DAY)
+    with pytest.raises(LassiError, match="conservation violated"):
+        compute_outputs(
+            exposure_fixture.samples, exposure_fixture.jobs, (BASE_DAY, REPORT_DAY + DAY)
+        )
+
+
 def test_aggregate_range_validation(tmp_path):
     store = Store(tmp_path / "store")
     with pytest.raises(ValueError):
@@ -116,15 +185,7 @@ def test_aggregate_writes_header_only_partitions_for_idle_days(tmp_path):
 def exposure_store(tmp_path, exposure_fixture):
     """The hand-computed two-day fixture, ingested and aggregated."""
     store = Store(tmp_path / "store")
-    by_day = {}
-    for s in exposure_fixture.samples:
-        by_day.setdefault(floor_day(s.window_start), []).append(s)
-    for day, batch in by_day.items():
-        store.write_partition(batch, Partition("samples", "fs2", day))
-    ghost = mk_job("app5", ["nid00009"], REPORT_DAY + 10 * HOUR, REPORT_DAY + 11 * HOUR)
-    store.write_partition(
-        list(exposure_fixture.jobs) + [ghost], Partition("jobs", None, REPORT_DAY)
-    )
+    write_fixture(store, exposure_fixture)
     aggregate_range(store, BASE_DAY, REPORT_DAY + DAY, AttributionConfig())
     build_baselines(store, *exposure_fixture.baseline_period)
     return store
