@@ -117,6 +117,26 @@ def _merge_samples(
     return merged, len(changed)
 
 
+def _moved_jobs(store: Store, jobs: Sequence[JobRecord], mode: str) -> dict[int, set[str]]:
+    """Stored jobs partitions holding an incoming app_id whose start moved to
+    another day, each with those app_ids; strict mode refuses such a job.
+
+    The per-partition merge cannot see these jobs: the old record lives in
+    the partition of its old start day.
+    """
+    incoming = {j.app_id: floor_day(j.start) for j in jobs}
+    moved: dict[int, set[str]] = {}
+    if not incoming:
+        return moved
+    for day, stored in store.job_partitions(incoming):
+        for app_id in incoming.keys() & stored.keys():
+            if incoming[app_id] != day:
+                if mode == "strict":
+                    raise IngestError(0, f"job {app_id} conflicts with stored data")
+                moved.setdefault(day, set()).add(app_id)
+    return moved
+
+
 def ingest_files(
     store: Store,
     stats_paths: Sequence[str | Path] = (),
@@ -137,11 +157,17 @@ def ingest_files(
         jobs, changed = _merge(jobs, parsed, mode, f"across inputs ({path})")
         rejected += report.rows_rejected + changed
 
-    def fold(partition: Partition, batch, merge) -> int:
-        """Merge a batch into its stored partition and write the result."""
+    moved = _moved_jobs(store, jobs, mode)
+    rejected += len(set().union(*moved.values()))
+
+    def fold(partition: Partition, batch, merge, drop=()) -> int:
+        """Merge a batch into its stored partition, less any dropped jobs,
+        and write the result."""
         stored = store.read_range(
             partition.dataset, partition.fs_id, partition.date, partition.date + DAY
         )
+        if drop:
+            stored = [j for j in stored if j.app_id not in drop]
         merged, changed = merge(stored, batch, mode, "with stored data")
         store.write_partition(merged, partition)
         return changed
@@ -155,14 +181,16 @@ def ingest_files(
     jobs_by_day: dict[int, list[JobRecord]] = {}
     for j in jobs:
         jobs_by_day.setdefault(floor_day(j.start), []).append(j)
-    for day in sorted(jobs_by_day):
-        rejected += fold(Partition("jobs", None, day), jobs_by_day[day], _merge)
+    job_days = sorted(jobs_by_day.keys() | moved.keys())
+    for day in job_days:
+        batch = jobs_by_day.get(day, [])
+        rejected += fold(Partition("jobs", None, day), batch, _merge, moved.get(day, ()))
 
     return IngestSummary(
         samples=len(samples),
         jobs=len(jobs),
         rejected=rejected,
-        partitions=len(sample_keys) + len(jobs_by_day),
+        partitions=len(sample_keys) + len(job_days),
     )
 
 
@@ -383,11 +411,10 @@ def compute_outputs_from_files(
 
 
 def find_job(store: Store, app_id: str) -> JobRecord:
-    """Locate one job by app_id; scans every stored jobs partition."""
-    for day in store.partition_dates("jobs", None):
-        for job in store.read_range("jobs", None, day, day + DAY):
-            if job.app_id == app_id:
-                return job
+    """Locate one job by app_id among the stored jobs partitions."""
+    for _, jobs in store.job_partitions((app_id,)):
+        if app_id in jobs:
+            return jobs[app_id]
     raise ValueError(f"no job with app_id {app_id!r} in the store")
 
 

@@ -5,6 +5,14 @@ rewritten whole: content is serialized in canonical sorted form, written to a
 temp file, and moved into place atomically. A ``.lock`` file enforces a single
 writer per partition; readers never need the lock because rename is atomic.
 
+A ``Store`` memoizes the parsed jobs, app_hours, fs_hours and baselines
+partitions it reads, keyed on each file's exact bytes: every read still reads
+the file, and reuses the earlier parse only when the bytes are unchanged, so a
+write by any writer is parsed and checked afresh. Samples are never held, and
+no setting controls any of this; the memo lives as long as the ``Store``. A
+lookup of jobs by app_id reads every jobs file but parses only those whose
+bytes may name one of the jobs.
+
 Datasets: samples and jobs reuse the ingest wire format; app_hours, fs_hours,
 and baselines use the mirrors defined here. Report bundles live under
 ``<root>/reports/`` but are directories of files, written by the report
@@ -14,11 +22,14 @@ module.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +54,13 @@ FS_HOURS_HEADER = (
 )
 BASELINE_HEADER = ("fs", "period_start", "period_end", "alpha", "basis", "stat", "mean")
 
+# the time key read_range filters each record dataset on
+_TIME_KEY = {
+    "jobs": attrgetter("start"),
+    "app_hours": attrgetter("hour"),
+    "fs_hours": attrgetter("hour"),
+}
+
 
 @dataclass(frozen=True, slots=True)
 class Partition:
@@ -60,6 +78,18 @@ class Partition:
 
     def relative_path(self) -> Path:
         return Path(self.dataset) / (self.fs_id or "all") / f"{date_str(self.date)}.csv"
+
+
+def _may_hold(jobs_csv: bytes, app_ids: set[bytes]) -> bool:
+    """Whether a jobs file's bytes may hold a row for one of app_ids.
+
+    An unquoted app_id is the bytes of its line up to the first comma, so
+    this is false only when no line starts with one of them or with a quote
+    (a quoted app_id, or a quoted field's next line, needs a parse to tell).
+    """
+    if jobs_csv.startswith(b'"') or b'\n"' in jobs_csv:
+        return True
+    return not app_ids.isdisjoint(line.split(b",", 1)[0] for line in jobs_csv.split(b"\n"))
 
 
 def _app_hour_rows(records: Sequence[AppHourRecord]) -> list[tuple]:
@@ -106,6 +136,8 @@ class Store:
     def __init__(self, root: str | Path, window_len: int = 180):
         self.root = Path(root)
         self.window_len = window_len
+        # path -> (the bytes last parsed there, their parse); see _parsed
+        self._memo: dict[Path, tuple[bytes, object]] = {}
 
     def path(self, partition: Partition) -> Path:
         return self.root / partition.relative_path()
@@ -211,53 +243,80 @@ class Store:
 
         samples filter on window_start and come back as one SampleBlock;
         app_hours/fs_hours filter on hour, jobs on start (see
-        query_jobs_overlapping for span queries), and come back as lists.
+        query_jobs_overlapping for span queries), and come back as new lists.
         """
         if t1 <= t0:
             raise ValueError(f"empty range: t0 {format_utc(t0)} >= t1 {format_utc(t1)}")
-        parts = []
-        for day in day_range(t0, t1):
-            path = self.root / Partition(dataset, fs_id, day).relative_path()
-            if path.exists():
-                parts.append(self._read_file(dataset, path, t0, t1))
+        if dataset != "samples" and dataset not in _TIME_KEY:
+            raise ValueError(f"dataset {dataset!r} does not support read_range")
+        paths = [self.path(Partition(dataset, fs_id, day)) for day in day_range(t0, t1)]
+        paths = [path for path in paths if path.exists()]
         if dataset == "samples":
-            return SampleBlock.concat(parts, self.window_len)
-        return [record for part in parts for record in part]
-
-    def _read_file(self, dataset: str, path: Path, t0: int, t1: int) -> list | SampleBlock:
-        try:
-            if dataset == "samples":
-                block, _ = ingest.parse_stats_csv(path, "strict", self.window_len)
-                return block.take((t0 <= block.window) & (block.window < t1))
+            return SampleBlock.concat(
+                (self._read_samples(path, t0, t1) for path in paths), self.window_len
+            )
+        key = _TIME_KEY[dataset]
+        out = []
+        for path in paths:
+            records = self._parsed(dataset, path)
             if dataset == "jobs":
-                jobs, _ = ingest.parse_jobs_csv(path, "strict")
-                return [j for j in jobs if t0 <= j.start < t1]
-            if dataset == "app_hours":
-                return self._read_rows(path, APP_HOURS_HEADER, self._app_hour, t0, t1)
-            if dataset == "fs_hours":
-                return self._read_rows(path, FS_HOURS_HEADER, self._fs_hour, t0, t1)
+                records = records.values()
+            out.extend(r for r in records if t0 <= key(r) < t1)
+        return out
+
+    def _read_samples(self, path: Path, t0: int, t1: int) -> SampleBlock:
+        try:
+            block, _ = ingest.parse_stats_csv(path, "strict", self.window_len)
         except IngestError as exc:
             raise StoreError(f"{path}: {exc}") from exc
-        raise ValueError(f"dataset {dataset!r} does not support read_range")
+        return block.take((t0 <= block.window) & (block.window < t1))
+
+    def _parsed(self, dataset: str, path: Path, data: bytes | None = None):
+        """The strict parse of one jobs, app_hours, fs_hours or baselines file.
+
+        The file is read on every call (or its bytes given as data), and an
+        earlier parse is reused only while the bytes equal those it came
+        from. Parses are never handed out mutable: jobs come as a read-only
+        app_id mapping, aggregates as tuples of frozen records, and callers
+        copy a baseline's means.
+        """
+        if data is None:
+            data = path.read_bytes()
+        hit = self._memo.get(path)
+        if hit is not None and hit[0] == data:
+            return hit[1]
+        stream = io.StringIO(data.decode("utf-8"), newline="")
+        try:
+            if dataset == "jobs":
+                jobs, _ = ingest.parse_jobs_csv(stream, "strict")
+                parsed = MappingProxyType({j.app_id: j for j in jobs})
+            elif dataset == "app_hours":
+                parsed = self._read_rows(path, stream, APP_HOURS_HEADER, self._app_hour)
+            elif dataset == "fs_hours":
+                parsed = self._read_rows(path, stream, FS_HOURS_HEADER, self._fs_hour)
+            else:
+                parsed = self._parse_baseline(path, stream)
+        except IngestError as exc:
+            raise StoreError(f"{path}: {exc}") from exc
+        self._memo[path] = (data, parsed)
+        return parsed
 
     @staticmethod
-    def _read_rows(path: Path, header: tuple[str, ...], build, t0: int, t1: int) -> list:
+    def _read_rows(path: Path, stream: io.StringIO, header: tuple[str, ...], build) -> tuple:
         out = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            got = next(reader, None)
-            if got is None or tuple(got) != header:
-                raise StoreError(f"{path}: bad header {got!r}")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    hour = parse_utc(row[0])
-                except ValueError as exc:
-                    raise StoreError(f"{path}: {exc}") from exc
-                if t0 <= hour < t1:
-                    out.append(build(hour, row))
-        return out
+        reader = csv.reader(stream)
+        got = next(reader, None)
+        if got is None or tuple(got) != header:
+            raise StoreError(f"{path}: bad header {got!r}")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                hour = parse_utc(row[0])
+            except ValueError as exc:
+                raise StoreError(f"{path}: {exc}") from exc
+            out.append(build(hour, row))
+        return tuple(out)
 
     @staticmethod
     def _app_hour(hour: int, row: list[str]) -> AppHourRecord:
@@ -283,17 +342,31 @@ class Store:
         """Jobs whose [start, end) intersects [t0, t1), any start date."""
         if t1 <= t0:
             raise ValueError(f"empty range: t0 {format_utc(t0)} >= t1 {format_utc(t1)}")
-        out: list[JobRecord] = []
-        base = self.root / "jobs" / "all"
-        if base.is_dir():
-            for path in sorted(base.glob("*.csv")):
-                try:
-                    jobs, _ = ingest.parse_jobs_csv(path, "strict")
-                except IngestError as exc:
-                    raise StoreError(f"{path}: {exc}") from exc
-                out.extend(j for j in jobs if j.overlaps(t0, t1))
+        out = [
+            j for _, jobs in self.job_partitions() for j in jobs.values() if j.overlaps(t0, t1)
+        ]
         out.sort(key=lambda j: (j.start, j.app_id))
         return out
+
+    def job_partitions(
+        self, app_ids: Collection[str] | None = None
+    ) -> Iterator[tuple[int, Mapping[str, JobRecord]]]:
+        """Each stored jobs partition's date with its jobs by app_id (read-only).
+
+        Given app_ids, partitions that cannot hold any of them may be left
+        out: a file whose bytes have no parse in the memo is parsed only if
+        it may name one of them (see _may_hold), so a lookup of a few jobs
+        in a new Store reads every partition but parses only those few.
+        """
+        wanted = None if app_ids is None else {a.encode("utf-8") for a in app_ids}
+        for day in self.partition_dates("jobs", None):
+            path = self.path(Partition("jobs", None, day))
+            data = path.read_bytes()
+            hit = self._memo.get(path)
+            if hit is not None and hit[0] == data:
+                yield day, hit[1]
+            elif wanted is None or _may_hold(data, wanted):
+                yield day, self._parsed("jobs", path, data)
 
     def write_baseline(self, baseline: FsBaseline, label_date: int) -> Path:
         """Store a baseline under its filesystem, labeled by report date."""
@@ -309,29 +382,30 @@ class Store:
                 f"no baseline stored for {fs_id} on or before {date_str(date)}; "
                 f"run `lassi baseline` first"
             )
-        path = self.root / Partition("baselines", fs_id, max(candidates)).relative_path()
-        return self._parse_baseline(path, fs_id)
+        path = self.path(Partition("baselines", fs_id, max(candidates)))
+        baseline = self._parsed("baselines", path)
+        return replace(baseline, means=dict(baseline.means))
 
     @staticmethod
-    def _parse_baseline(path: Path, fs_id: str) -> FsBaseline:
+    def _parse_baseline(path: Path, stream: io.StringIO) -> FsBaseline:
+        fs_id = path.parent.name
         means: dict[str, float] = {}
         period = None
         alpha = None
         basis = "fs_total"
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            got = next(reader, None)
-            if got is None or tuple(got) != BASELINE_HEADER:
-                raise StoreError(f"{path}: bad header {got!r}")
-            for row in reader:
-                if not row:
-                    continue
-                if row[0] != fs_id:
-                    raise StoreError(f"{path}: baseline row for {row[0]!r}, expected {fs_id!r}")
-                period = (parse_utc(row[1]), parse_utc(row[2]))
-                alpha = float(row[3])
-                basis = row[4]
-                means[row[5]] = float(row[6])
+        reader = csv.reader(stream)
+        got = next(reader, None)
+        if got is None or tuple(got) != BASELINE_HEADER:
+            raise StoreError(f"{path}: bad header {got!r}")
+        for row in reader:
+            if not row:
+                continue
+            if row[0] != fs_id:
+                raise StoreError(f"{path}: baseline row for {row[0]!r}, expected {fs_id!r}")
+            period = (parse_utc(row[1]), parse_utc(row[2]))
+            alpha = float(row[3])
+            basis = row[4]
+            means[row[5]] = float(row[6])
         if period is None or alpha is None or set(means) != set(ALL_FIELDS):
             raise StoreError(f"{path}: incomplete baseline")
         return FsBaseline(fs_id=fs_id, period=period, alpha=alpha, means=means, basis=basis)

@@ -29,7 +29,9 @@ hours, so each of the four exposures is 502 OSS / 77 MDS, identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
+from lassi import ingest
 from lassi.model import (
     ALL_FIELDS,
     JobRecord,
@@ -57,6 +59,19 @@ def mk_sample(fs_id, node_id, window_start, window_len=180, **counters) -> StatS
         mds=mds,
         window_len=window_len,
     )
+
+
+def count_calls(monkeypatch, name) -> list:
+    """Wrap ingest.<name> for one test; the returned list grows by one per call."""
+    calls = []
+    real = getattr(ingest, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, name, wrapper)
+    return calls
 
 
 def mk_job(
@@ -156,6 +171,10 @@ def build_exposure_fixture(window_len: int = 180) -> ExposureFixture:
         expected_exposure_oss=502.0,
         expected_exposure_mds=77.0,
     )
+
+
+# two commands of eight tasks over two days; see the file's header
+TASKFARM_SCENARIO = Path(__file__).parent / "data" / "taskfarm_scenario.ini"
 
 
 def scenario_text(

@@ -1,11 +1,14 @@
 """CLI behavior: exit codes, output formats, and config precedence."""
 
+import csv
+
 import pytest
 
+from lassi.analysis import group_key
 from lassi.cli import main
 from lassi.ingest import JOBS_HEADER, STATS_HEADER
 
-from helpers import scenario_text
+from helpers import TASKFARM_SCENARIO, scenario_text
 
 STATS_HEADER_LINE = ",".join(STATS_HEADER)
 JOBS_HEADER_LINE = ",".join(JOBS_HEADER)
@@ -106,6 +109,49 @@ def test_full_cli_flow(tmp_path, capsys):
     assert lines[0] == "app_id,runtime_s,risk_oss_sum,risk_mds_axis"
     assert len(lines) == 3
     assert lines[1].startswith("app0001,10800,")
+
+
+def test_scatter_output_survives_an_unrelated_reingest(tmp_path, capsys):
+    data = tmp_path / "data"
+    store = ["--store", str(tmp_path / "store"), "--window-len", "600"]
+    stats, jobs = ["--stats", str(data / "stats.csv")], ["--jobs", str(data / "jobs.csv")]
+    assert main(["synth", "--scenario", str(TASKFARM_SCENARIO), "--out", str(data)]) == 0
+    assert main(["ingest", *store, *stats, *jobs]) == 0
+    assert main(["aggregate", *store, "--from", "2017-10-10", "--to", "2017-10-12",
+                 "--boundary-policy", "proportional"]) == 0
+    assert main(["baseline", *store, "--date", "2017-10-10"]) == 0
+    capsys.readouterr()
+
+    with open(data / "jobs.csv", encoding="utf-8", newline="") as fh:
+        commands = {row["command"] for row in csv.DictReader(fh)}
+    assert len(commands) == 2
+    keys = [group_key(command) for command in sorted(commands)]
+
+    def scatter():
+        out = {}
+        for key in keys:
+            assert main(["scatter", *store, "--key", key]) == 0
+            out[key] = capsys.readouterr().out
+        return out
+
+    before = scatter()
+    # a header line and one line per run of the group's eight
+    assert all(len(text.splitlines()) == 9 for text in before.values())
+
+    # the same files again plus one job of another command, in the same jobs
+    # partition: that partition's bytes change, the scattered groups do not
+    other = tmp_path / "other.csv"
+    other.write_text(
+        JOBS_HEADER_LINE + "\n"
+        "solo1,77.sdb,u,2017-10-10T05:00:00Z,2017-10-10T06:00:00Z,nid99,./solo.x\n",
+        encoding="utf-8",
+    )
+    jobs_day = tmp_path / "store" / "jobs" / "all" / "2017-10-10.csv"
+    old_jobs = jobs_day.read_bytes()
+    assert main(["ingest", *store, *stats, *jobs, "--jobs", str(other)]) == 0
+    assert "rejected=0" in capsys.readouterr().out
+    assert jobs_day.read_bytes() != old_jobs
+    assert scatter() == before
 
 
 def test_usage_errors_exit_64(capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from lassi import pipeline
+from lassi import pipeline, synth
 from lassi.attribution import AttributionConfig
 from lassi.errors import IngestError, LassiError
 from lassi.ingest import JOBS_HEADER, STATS_HEADER
@@ -17,9 +17,16 @@ from lassi.pipeline import (
     ingest_files,
 )
 from lassi.store import Partition, Store
-from lassi.timeutil import DAY, HOUR, floor_day
+from lassi.timeutil import DAY, HOUR, floor_day, parse_utc
 
-from helpers import BASE_DAY, REPORT_DAY, build_exposure_fixture, mk_job
+from helpers import (
+    BASE_DAY,
+    REPORT_DAY,
+    TASKFARM_SCENARIO,
+    build_exposure_fixture,
+    count_calls,
+    mk_job,
+)
 
 STATS_LINE = ",".join(STATS_HEADER)
 JOBS_LINE = ",".join(JOBS_HEADER)
@@ -128,6 +135,36 @@ def test_lenient_ingest_counts_job_overrides_and_keeps_the_new_job(tmp_path):
     assert {j.app_id: j.command for j in stored} == {"app1": "./c.x", "app2": "./d.x"}
 
 
+JOB_MOVED = "app1,1.sdb,u,2017-10-10T00:00:00Z,2017-10-10T01:00:00Z,nid1,./a.x"
+
+
+def test_strict_ingest_refuses_a_job_moved_to_another_day(tmp_path):
+    store = Store(tmp_path / "store")
+    ingest_files(store, jobs_paths=[jobs_file(tmp_path, "a.csv", [JOB_A])])
+    moved = jobs_file(tmp_path, "b.csv", [JOB_MOVED])
+    # a new Store, as each CLI command makes, holds no parse of the old day
+    with pytest.raises(IngestError, match="job app1 conflicts with stored data"):
+        ingest_files(Store(store.root), jobs_paths=[moved])
+    assert not store.path(Partition("jobs", None, BASE_DAY + DAY)).exists()
+
+
+def test_lenient_ingest_moves_a_redelivered_job_to_its_new_day(tmp_path):
+    store = Store(tmp_path / "store")
+    ingest_files(store, jobs_paths=[jobs_file(tmp_path, "a.csv", [JOB_A, JOB_2])])
+    moved = jobs_file(tmp_path, "b.csv", [JOB_MOVED])
+    summary = ingest_files(Store(store.root), jobs_paths=[moved], mode="lenient")
+    assert (summary.jobs, summary.rejected, summary.partitions) == (1, 1, 2)
+    old_day = store.read_range("jobs", None, BASE_DAY, BASE_DAY + DAY)
+    assert [j.app_id for j in old_day] == ["app2"]
+    both_days = store.query_jobs_overlapping(BASE_DAY, BASE_DAY + 2 * DAY)
+    assert [(j.app_id, floor_day(j.start)) for j in both_days] == [
+        ("app2", BASE_DAY),
+        ("app1", BASE_DAY + DAY),
+    ]
+    # the moved job is one record again, so a rollup over both days accepts it
+    aggregate_range(store, BASE_DAY, BASE_DAY + 2 * DAY)
+
+
 def write_fixture(store, fixture):
     """The hand-computed fixture's samples and jobs, plus a job with no activity."""
     by_day = {}
@@ -210,6 +247,14 @@ def test_find_job(exposure_store):
         find_job(exposure_store, "app99")
 
 
+def test_find_job_parses_each_jobs_partition_once(exposure_store, monkeypatch):
+    parses = count_calls(monkeypatch, "parse_jobs_csv")
+    fresh = Store(exposure_store.root)
+    for app_id in ("app1", "app5", "app1"):
+        assert find_job(fresh, app_id).app_id == app_id
+    assert len(parses) == len(fresh.partition_dates("jobs", None))
+
+
 def test_exposure_for_matches_hand_computation(exposure_store, exposure_fixture):
     (record,) = exposure_for(exposure_store, "app1")
     assert record.fs_id == "fs2"
@@ -250,3 +295,22 @@ def test_compute_outputs_validation(exposure_fixture):
         )
     with pytest.raises(ValueError):
         compute_outputs(exposure_fixture.samples, exposure_fixture.jobs, (BASE_DAY, BASE_DAY))
+
+
+def test_long_lived_and_fresh_stores_give_the_same_exposures(tmp_path):
+    scenario = synth.parse_scenario(TASKFARM_SCENARIO.read_text(encoding="utf-8"))
+    gen = synth.generate(scenario, tmp_path / "data", with_oracle=False)
+    start = parse_utc("2017-10-10T00:00:00Z")
+    store = Store(tmp_path / "store", window_len=600)
+    ingest_files(store, [gen.stats_path], [gen.jobs_path])
+    aggregate_range(
+        store, start, start + 2 * DAY, AttributionConfig("proportional", window_len=600)
+    )
+    build_baselines(store, start, start + DAY)
+
+    assert len(gen.jobs) == 16
+    assert {floor_day(j.start) for j in gen.jobs} == {start, start + DAY}
+    for job in gen.jobs:
+        fresh = exposure_for(Store(store.root, window_len=600), job.app_id)
+        assert exposure_for(store, job.app_id) == fresh
+        assert fresh and all(r.app_id == job.app_id for r in fresh)

@@ -16,7 +16,17 @@ from lassi.model import (
 from lassi.store import Partition, Store
 from lassi.timeutil import DAY, HOUR, parse_utc
 
-from helpers import BASE_DAY, mk_job, mk_sample
+from helpers import BASE_DAY, count_calls, mk_job, mk_sample
+
+
+def app_hour(read_kb):
+    return AppHourRecord(
+        app_id="app1",
+        fs_id="fs2",
+        hour=BASE_DAY + 3 * HOUR,
+        oss=OssCounters(read_kb, 2, 3, 4, 5),
+        mds=MdsCounters(*range(16)),
+    )
 
 
 @pytest.fixture
@@ -219,3 +229,118 @@ def test_rewrite_replaces_partition(store):
     store.write_partition([mk_sample("fs2", "nid9", BASE_DAY, read_ops=5)], partition)
     back = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
     assert [(s.node_id, s.oss.read_ops) for s in back] == [("nid9", 5)]
+
+
+def test_unchanged_partitions_are_parsed_once(store, monkeypatch):
+    day = BASE_DAY
+    store.write_partition([mk_job("app1", ["nid1"], day + HOUR, day + 2 * HOUR)],
+                          Partition("jobs", None, day))
+    parses = count_calls(monkeypatch, "parse_jobs_csv")
+    for _ in range(3):
+        assert [j.app_id for j in store.read_range("jobs", None, day, day + DAY)] == ["app1"]
+        assert [j.app_id for j in store.query_jobs_overlapping(day, day + DAY)] == ["app1"]
+    assert len(parses) == 1
+
+
+def test_reads_return_fresh_copies(store):
+    store.write_partition([app_hour(1)], Partition("app_hours", "fs2", BASE_DAY))
+    first = store.read_range("app_hours", "fs2", BASE_DAY, BASE_DAY + DAY)
+    first.clear()
+    assert store.read_range("app_hours", "fs2", BASE_DAY, BASE_DAY + DAY) == [app_hour(1)]
+
+    store.write_baseline(make_baseline(fill=0.25), BASE_DAY)
+    got = store.load_baseline("fs2", BASE_DAY)
+    got.means["read_kb"] = 99.0
+    assert store.load_baseline("fs2", BASE_DAY) == make_baseline(fill=0.25)
+
+    job = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR)
+    store.write_partition([job], Partition("jobs", None, BASE_DAY))
+    ((day, jobs),) = store.job_partitions()
+    assert (day, dict(jobs)) == (BASE_DAY, {"app1": job})
+    with pytest.raises(TypeError):
+        jobs["app9"] = job
+
+
+def test_memo_follows_a_second_writer_of_equal_length(tmp_path):
+    reader = Store(tmp_path / "data")
+    writer = Store(tmp_path / "data")
+    jobs_part = Partition("jobs", None, BASE_DAY)
+    hours_part = Partition("app_hours", "fs2", BASE_DAY)
+    job_a = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR, command="./a.x", job_id="1.sdb")
+    job_b = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR, command="./b.x", job_id="1.sdb")
+    writer.write_partition([job_a], jobs_part)
+    writer.write_partition([app_hour(1)], hours_part)
+    assert reader.read_range("jobs", None, BASE_DAY, BASE_DAY + DAY) == [job_a]
+    assert reader.read_range("app_hours", "fs2", BASE_DAY, BASE_DAY + DAY) == [app_hour(1)]
+
+    sizes = [reader.path(p).stat().st_size for p in (jobs_part, hours_part)]
+    writer.write_partition([job_b], jobs_part)
+    writer.write_partition([app_hour(2)], hours_part)
+    # same byte length, different content: only the bytes can tell them apart
+    assert [reader.path(p).stat().st_size for p in (jobs_part, hours_part)] == sizes
+
+    assert reader.read_range("jobs", None, BASE_DAY, BASE_DAY + DAY) == [job_b]
+    assert reader.query_jobs_overlapping(BASE_DAY, BASE_DAY + DAY) == [job_b]
+    assert reader.read_range("app_hours", "fs2", BASE_DAY, BASE_DAY + DAY) == [app_hour(2)]
+
+
+@pytest.mark.parametrize("dataset", ["jobs", "app_hours", "fs_hours", "baselines"])
+def test_corrupting_a_memoized_partition_raises(store, dataset):
+    fs_hour = FsHourRecord(
+        fs_id="fs2",
+        hour=BASE_DAY,
+        oss=OssCounters(1, 2, 3, 4, 5),
+        mds=MdsCounters(*([1] * 16)),
+        unattributed_oss=OssCounters(0, 0, 0, 0, 0),
+        unattributed_mds=MdsCounters(*([0] * 16)),
+    )
+    records = {
+        "jobs": [mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR)],
+        "app_hours": [app_hour(1)],
+        "fs_hours": [fs_hour],
+        "baselines": [make_baseline()],
+    }[dataset]
+    partition = Partition(dataset, None if dataset == "jobs" else "fs2", BASE_DAY)
+    store.write_partition(records, partition)
+
+    def read():
+        if dataset == "baselines":
+            return store.load_baseline("fs2", BASE_DAY)
+        return store.read_range(dataset, partition.fs_id, BASE_DAY, BASE_DAY + DAY)
+
+    read()
+    path = store.path(partition)
+    path.write_bytes(b"X" + path.read_bytes()[1:])
+    with pytest.raises(StoreError, match="header"):
+        read()
+
+
+def test_samples_are_never_memoized(store, monkeypatch):
+    store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], samples_partition())
+    parses = count_calls(monkeypatch, "parse_stats_csv")
+    for _ in range(3):
+        assert len(store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)) == 1
+    assert len(parses) == 3
+
+
+def test_a_job_lookup_in_a_new_store_parses_only_partitions_that_may_hold_it(store, monkeypatch):
+    days = [BASE_DAY + i * DAY for i in range(4)]
+    for i, day in enumerate(days[:3]):
+        job = mk_job(f"app{i}", ["nid1"], day, day + HOUR)
+        store.write_partition([job], Partition("jobs", None, day))
+    # a comma in an app_id quotes it, so only a parse can tell what that file holds
+    quoted = mk_job("app,3", ["nid1"], days[3], days[3] + HOUR)
+    store.write_partition([quoted], Partition("jobs", None, days[3]))
+    parses = count_calls(monkeypatch, "parse_jobs_csv")
+    fresh = Store(store.root)
+
+    assert [(day, set(jobs)) for day, jobs in fresh.job_partitions({"app1"})] == [
+        (days[1], {"app1"}),
+        (days[3], {"app,3"}),
+    ]
+    assert len(parses) == 2
+    # memoized parses are handed out as they are; the rest stay unparsed
+    assert [day for day, _ in fresh.job_partitions({"app,3"})] == [days[1], days[3]]
+    assert len(parses) == 2
+    assert [day for day, _ in fresh.job_partitions()] == days
+    assert len(parses) == 4
