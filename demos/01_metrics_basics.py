@@ -6,10 +6,20 @@ and why the dispersion measure is scale-free.
 """
 
 from lassi.metrics import FsBaseline, ops_quality, risk_mds, risk_oss, risk_stat, rsd
-from lassi.model import ALL_FIELDS, MdsCounters, OssCounters
+from lassi.model import ALL_FIELDS
 from lassi.timeutil import parse_utc
 
 HOUR = 3600
+
+
+def counters(**by_name: int) -> tuple[int, ...]:
+    """The 21-counter vector (ALL_FIELDS order) with the named stats set."""
+    return tuple(by_name.get(stat, 0) for stat in ALL_FIELDS)
+
+
+def named(vec: tuple[int, ...]) -> dict[str, int]:
+    """The non-zero counters of a vector, by name."""
+    return {stat: v for stat, v in zip(ALL_FIELDS, vec) if v}
 
 
 def show_risk_stat() -> None:
@@ -33,26 +43,25 @@ def show_summed_risk() -> None:
         alpha=2.0,
         means=means,
     )
-    oss = OssCounters(read_kb=10000, read_ops=500, write_kb=1500)
-    breakdown = risk_oss(oss, baseline)
-    print(f"counters: {oss}")
-    print(f"summed OSS risk {breakdown.value:.2f}; only the statistic over")
-    print(f"threshold contributes: {breakdown.contributions}")
-    mds = MdsCounters(open=8000, getattr=2500)
-    print(f"summed MDS risk {risk_mds(mds, baseline).value:.2f} for {mds}")
+    vec = counters(read_kb=10000, read_ops=500, write_kb=1500, open=8000, getattr=2500)
+    breakdown = risk_oss(vec, baseline)
+    print(f"counters: {named(vec)}")
+    print(f"summed OSS risk {breakdown.value:.2f} over the five data statistics; only")
+    print(f"the statistic over threshold contributes: {breakdown.contributions}")
+    print(f"summed MDS risk {risk_mds(vec, baseline).value:.2f} over the sixteen metadata ones")
     print()
 
 
 def show_ops_quality() -> None:
     print("== ops quality (KiB moved per operation, scaled so 1.0 = 1 MiB) ==")
     cases = [
-        ("1 MiB per read", OssCounters(read_kb=10240, read_ops=10)),
-        ("4 KiB per read", OssCounters(read_kb=40, read_ops=10)),
-        ("no reads at all", OssCounters(write_kb=100, write_ops=1)),
-        ("ops moving zero bytes", OssCounters(read_ops=10)),
+        ("1 MiB per read", counters(read_kb=10240, read_ops=10)),
+        ("4 KiB per read", counters(read_kb=40, read_ops=10)),
+        ("no reads at all", counters(write_kb=100, write_ops=1)),
+        ("ops moving zero bytes", counters(read_ops=10)),
     ]
-    for label, counters in cases:
-        rec = ops_quality(counters)
+    for label, vec in cases:
+        rec = ops_quality(vec)
         print(f"  {label:<22} read_kb_ops={rec.read_kb_ops}")
     print("values above 1.0 mean the metadata cost dominates the data moved")
     print()

@@ -36,7 +36,6 @@ from .model import (
     SampleBlock,
     StatSample,
     id_codes,
-    vector_to_counters,
 )
 from .timeutil import HOUR, floor_hour
 
@@ -69,8 +68,8 @@ class AttributionResult:
     """Counter vectors keyed by (app_id, fs_id, window_start), plus the
     unattributed remainder keyed by (fs_id, window_start).
 
-    Vectors hold the 21 counters in ALL_FIELDS order; use
-    model.vector_to_counters to get typed values back.
+    Vectors hold the 21 counters in ALL_FIELDS order, the form every
+    record's ``counters`` takes.
     """
 
     attributed: dict[tuple[str, str, int], tuple[int, ...]]
@@ -261,11 +260,11 @@ def aggregate_hourly(
         for hour in range(first, last + 1, HOUR):
             acc.setdefault((app_id, fs_id, hour), list(_ZEROS))
 
-    records = []
-    for (app_id, fs_id, hour), vec in sorted(acc.items(), key=lambda kv: (kv[0][2], kv[0][1], kv[0][0])):
-        oss, mds = vector_to_counters(vec)
-        records.append(AppHourRecord(app_id=app_id, fs_id=fs_id, hour=hour, oss=oss, mds=mds))
-    return records
+    ordered = sorted(acc.items(), key=lambda kv: (kv[0][2], kv[0][1], kv[0][0]))
+    return [
+        AppHourRecord(app_id=app_id, fs_id=fs_id, hour=hour, counters=tuple(vec))
+        for (app_id, fs_id, hour), vec in ordered
+    ]
 
 
 def fs_hourly_totals(
@@ -297,18 +296,12 @@ def fs_hourly_totals(
     unattr = np.zeros_like(totals)
     np.add.at(unattr, np.array(where, np.int64), np.array(vecs, np.int64).reshape(-1, _N))
 
-    records = []
-    for (fs_id, hour), s in slot_of.items():
-        oss, mds = vector_to_counters(totals[s].tolist())
-        un_oss, un_mds = vector_to_counters(unattr[s].tolist())
-        records.append(
-            FsHourRecord(
-                fs_id=fs_id,
-                hour=hour,
-                oss=oss,
-                mds=mds,
-                unattributed_oss=un_oss,
-                unattributed_mds=un_mds,
-            )
+    return [
+        FsHourRecord(
+            fs_id=fs_id,
+            hour=hour,
+            counters=tuple(totals[s].tolist()),
+            unattributed=tuple(unattr[s].tolist()),
         )
-    return records
+        for (fs_id, hour), s in slot_of.items()
+    ]

@@ -287,7 +287,7 @@ def cmd_scatter(args, settings: Settings) -> int:
 
     exposures = {}
     for app_id, _runtime in group.runs:
-        recs = exposure_for(store, app_id, args.fs)
+        recs = exposure_for(store, app_id, args.fs, alpha=args.alpha)
         if len(recs) != 1:
             raise ValueError(
                 f"app {app_id} touched {len(recs)} filesystems; pass --fs to pick one"

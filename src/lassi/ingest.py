@@ -42,40 +42,13 @@ from .model import (
     ALL_FIELDS,
     INT64_MAX,
     JobRecord,
-    MdsCounters,
-    OssCounters,
     SampleBlock,
     StatSample,
     id_codes,
 )
 from .timeutil import HOUR, format_utc, parse_utc
 
-STATS_HEADER = (
-    "window_start",
-    "fs",
-    "node",
-    "read_kb",
-    "read_ops",
-    "write_kb",
-    "write_ops",
-    "other",
-    "open",
-    "close",
-    "mknod",
-    "link",
-    "unlink",
-    "mkdir",
-    "rmdir",
-    "ren",
-    "getattr",
-    "setattr",
-    "getxattr",
-    "setxattr",
-    "statfs",
-    "sync",
-    "sdr",
-    "cdr",
-)
+STATS_HEADER = ("window_start", "fs", "node") + ALL_FIELDS
 
 JOBS_HEADER = ("app_id", "job_id", "user", "start", "end", "nodes", "command")
 
@@ -260,8 +233,7 @@ def _parse_stats_rows(
                 fs_id=row[1],
                 node_id=row[2],
                 window_start=window_start,
-                oss=OssCounters(*vals[:5]),
-                mds=MdsCounters(*vals[5:]),
+                counters=tuple(vals),
                 window_len=window_len,
             )
         except ValueError as exc:

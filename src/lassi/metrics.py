@@ -30,13 +30,15 @@ from .model import (
     OSS_FIELDS,
     AppHourRecord,
     FsHourRecord,
-    MdsCounters,
-    OssCounters,
 )
 from .timeutil import HOUR, format_utc
 
 OSS_STATS = OSS_FIELDS
 MDS_STATS = MDS_FIELDS
+_N_OSS = len(OSS_STATS)
+_READ_KB, _READ_OPS, _WRITE_KB, _WRITE_OPS = (
+    ALL_FIELDS.index(f) for f in ("read_kb", "read_ops", "write_kb", "write_ops")
+)
 
 
 @dataclass(frozen=True)
@@ -157,8 +159,7 @@ def compute_baseline(
         if not t0 <= record.hour < t1:
             continue
         matched += 1
-        vec = record.oss.as_tuple() + record.mds.as_tuple()
-        for i, v in enumerate(vec):
+        for i, v in enumerate(record.counters):
             sums[i] += v
     if fs_id is None or matched == 0:
         raise ValueError("no fs-hour records inside the baseline period")
@@ -184,7 +185,7 @@ def risk_stat(x: float, mean: float, alpha: float = 2.0) -> float | None:
     return (x - scaled) / scaled
 
 
-def _breakdown(values: tuple[int, ...], stats: tuple[str, ...], baseline: FsBaseline) -> RiskBreakdown:
+def _breakdown(values: Sequence[int], stats: tuple[str, ...], baseline: FsBaseline) -> RiskBreakdown:
     contributions: dict[str, float] = {}
     undefined: list[str] = []
     means = baseline.means
@@ -200,18 +201,21 @@ def _breakdown(values: tuple[int, ...], stats: tuple[str, ...], baseline: FsBase
     return RiskBreakdown(value=total, contributions=contributions, undefined=tuple(undefined))
 
 
-def risk_oss(oss: OssCounters, baseline: FsBaseline) -> RiskBreakdown:
-    """Summed positive risk over the five data-movement statistics."""
-    return _breakdown(oss.as_tuple(), OSS_STATS, baseline)
+def risk_oss(counters: Sequence[int], baseline: FsBaseline) -> RiskBreakdown:
+    """Summed positive risk over the five data-movement statistics of a
+    21-counter vector in ALL_FIELDS order."""
+    return _breakdown(counters[:_N_OSS], OSS_STATS, baseline)
 
 
-def risk_mds(mds: MdsCounters, baseline: FsBaseline) -> RiskBreakdown:
-    """Summed positive risk over all sixteen metadata statistics."""
-    return _breakdown(mds.as_tuple(), MDS_STATS, baseline)
+def risk_mds(counters: Sequence[int], baseline: FsBaseline) -> RiskBreakdown:
+    """Summed positive risk over all sixteen metadata statistics of a
+    21-counter vector in ALL_FIELDS order."""
+    return _breakdown(counters[_N_OSS:], MDS_STATS, baseline)
 
 
-def ops_quality(oss: OssCounters) -> OpsRecord:
-    """KiB-per-op quality of reads and writes; 1.0 means 1 MiB per op.
+def ops_quality(counters: Sequence[int]) -> OpsRecord:
+    """KiB-per-op quality of reads and writes of a 21-counter vector;
+    1.0 means 1 MiB per op.
 
     With no volume and no operations the metric is undefined (None);
     operations that moved no data at all give +inf.
@@ -223,8 +227,8 @@ def ops_quality(oss: OssCounters) -> OpsRecord:
         return None if ops == 0 else math.inf
 
     return OpsRecord(
-        read_kb_ops=side(oss.read_kb, oss.read_ops),
-        write_kb_ops=side(oss.write_kb, oss.write_ops),
+        read_kb_ops=side(counters[_READ_KB], counters[_READ_OPS]),
+        write_kb_ops=side(counters[_WRITE_KB], counters[_WRITE_OPS]),
     )
 
 
@@ -235,7 +239,7 @@ def ops_series(
 
     Hours with no record have nothing to measure: both values are None.
     """
-    by_hour = {rec.hour: rec.oss for rec in fs_hours}
+    by_hour = {rec.hour: rec.counters for rec in fs_hours}
     empty = OpsRecord(read_kb_ops=None, write_kb_ops=None)
     return tuple(ops_quality(by_hour[h]) if h in by_hour else empty for h in hours)
 
@@ -258,8 +262,8 @@ def fs_risk_series(
             raise ValueError(
                 f"record for {rec.fs_id} evaluated against baseline for {baseline.fs_id}"
             )
-        bo = risk_oss(rec.oss, baseline)
-        bm = risk_mds(rec.mds, baseline)
+        bo = risk_oss(rec.counters, baseline)
+        bm = risk_mds(rec.counters, baseline)
         records.append(
             RiskRecord(
                 app_id=rec.app_id,
@@ -297,8 +301,8 @@ def fs_risk_from_totals(
             raise ValueError(
                 f"record for {rec.fs_id} evaluated against baseline for {baseline.fs_id}"
             )
-        oss_by_hour[rec.hour] = risk_oss(rec.oss, baseline).value
-        mds_by_hour[rec.hour] = risk_mds(rec.mds, baseline).value
+        oss_by_hour[rec.hour] = risk_oss(rec.counters, baseline).value
+        mds_by_hour[rec.hour] = risk_mds(rec.counters, baseline).value
 
     grid = tuple(hours) if hours is not None else tuple(sorted(oss_by_hour))
     return RiskSeries(

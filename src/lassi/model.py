@@ -1,8 +1,11 @@
 """Core value types: counter vectors, samples, jobs, and hourly aggregates.
 
-Counters are cumulative-delta integers for one sampling window. OSS counters
-cover data movement (KiB and operation counts), MDS counters cover the sixteen
-metadata operations the servers report. All types are immutable.
+Counters are cumulative-delta integers for one sampling window. Every record
+carries them in one form: ``counters``, a tuple of 21 Python ints in
+ALL_FIELDS order, the five OSS data-movement statistics (KiB and operation
+counts) followed by the sixteen MDS metadata operations the servers report.
+_check_counters holds the rules all records share: exactly 21 values, none
+negative. All types are immutable.
 
 Sample counters are exact integers in [0, 2**63 - 1]: ingest rejects larger
 values, and SampleBlock keeps counters as int64, so every rollup first checks
@@ -43,73 +46,14 @@ ALL_FIELDS = OSS_FIELDS + MDS_FIELDS
 INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True, slots=True)
-class OssCounters:
-    """Data-movement counters for one window: volume in KiB plus op counts."""
-
-    read_kb: int = 0
-    read_ops: int = 0
-    write_kb: int = 0
-    write_ops: int = 0
-    other: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.read_kb, self.read_ops, self.write_kb, self.write_ops, self.other) < 0:
-            raise ValueError(f"negative counter in {self.as_tuple()}")
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (self.read_kb, self.read_ops, self.write_kb, self.write_ops, self.other)
-
-
-@dataclass(frozen=True, slots=True)
-class MdsCounters:
-    """Metadata-operation counters for one window."""
-
-    open: int = 0
-    close: int = 0
-    mknod: int = 0
-    link: int = 0
-    unlink: int = 0
-    mkdir: int = 0
-    rmdir: int = 0
-    ren: int = 0
-    getattr: int = 0
-    setattr: int = 0
-    getxattr: int = 0
-    setxattr: int = 0
-    statfs: int = 0
-    sync: int = 0
-    sdr: int = 0
-    cdr: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.as_tuple()) < 0:
-            raise ValueError(f"negative counter in {self.as_tuple()}")
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (
-            self.open,
-            self.close,
-            self.mknod,
-            self.link,
-            self.unlink,
-            self.mkdir,
-            self.rmdir,
-            self.ren,
-            self.getattr,
-            self.setattr,
-            self.getxattr,
-            self.setxattr,
-            self.statfs,
-            self.sync,
-            self.sdr,
-            self.cdr,
-        )
-
-
-def vector_to_counters(vec) -> tuple[OssCounters, MdsCounters]:
-    """Rebuild an (OSS, MDS) pair from a 21-entry vector in ALL_FIELDS order."""
-    return OssCounters(*vec[:5]), MdsCounters(*vec[5:])
+def _check_counters(counters: tuple[int, ...], name: str = "counters") -> None:
+    """Raise unless counters is a tuple of 21 non-negative counters."""
+    if type(counters) is not tuple:
+        raise TypeError(f"{name} must be a tuple, got {type(counters).__name__}")
+    if len(counters) != len(ALL_FIELDS):
+        raise ValueError(f"{name} hold {len(counters)} values, expected {len(ALL_FIELDS)}")
+    if min(counters) < 0:
+        raise ValueError(f"negative counter in {name} {counters}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,11 +67,11 @@ class StatSample:
     fs_id: str
     node_id: str
     window_start: int
-    oss: OssCounters
-    mds: MdsCounters
+    counters: tuple[int, ...]
     window_len: int = 180
 
     def __post_init__(self) -> None:
+        _check_counters(self.counters)
         if self.window_len <= 0 or HOUR % self.window_len != 0:
             raise ValueError(f"window_len {self.window_len} must divide 3600")
         if self.window_start % self.window_len != 0:
@@ -180,10 +124,10 @@ class AppHourRecord:
     app_id: str
     fs_id: str
     hour: int
-    oss: OssCounters
-    mds: MdsCounters
+    counters: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_counters(self.counters)
         if self.hour % HOUR != 0:
             raise ValueError(f"hour {self.hour} not aligned to hour grid")
 
@@ -197,24 +141,19 @@ class FsHourRecord:
 
     fs_id: str
     hour: int
-    oss: OssCounters
-    mds: MdsCounters
-    unattributed_oss: OssCounters
-    unattributed_mds: MdsCounters
+    counters: tuple[int, ...]
+    unattributed: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_counters(self.counters)
+        _check_counters(self.unattributed, "unattributed")
         if self.hour % HOUR != 0:
             raise ValueError(f"hour {self.hour} not aligned to hour grid")
-        for un, total in (
-            (self.unattributed_oss, self.oss),
-            (self.unattributed_mds, self.mds),
-        ):
-            for u, t in zip(un.as_tuple(), total.as_tuple()):
-                if u > t:
-                    raise ValueError(
-                        f"unattributed portion {un.as_tuple()} exceeds totals "
-                        f"{total.as_tuple()} for {self.fs_id}"
-                    )
+        if any(u > t for u, t in zip(self.unattributed, self.counters)):
+            raise ValueError(
+                f"unattributed portion {self.unattributed} exceeds totals "
+                f"{self.counters} for {self.fs_id}"
+            )
 
     def key(self) -> tuple[str, int]:
         return (self.fs_id, self.hour)
@@ -341,9 +280,9 @@ class SampleBlock(Sequence):
         if len(lens) > 1:
             raise ValueError(f"samples mix window lengths {sorted(lens)}")
         try:
-            counters = np.array(
-                [s.oss.as_tuple() + s.mds.as_tuple() for s in samples], dtype=np.int64
-            ).reshape(len(samples), len(ALL_FIELDS))
+            counters = np.array([s.counters for s in samples], dtype=np.int64).reshape(
+                len(samples), len(ALL_FIELDS)
+            )
             window = np.array([s.window_start for s in samples], dtype=np.int64)
         except OverflowError:
             raise ValueError("sample value exceeds int64 range") from None
@@ -407,13 +346,11 @@ class SampleBlock(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return self.take(i)
-        vals = self.counters[i].tolist()
         return StatSample(
             fs_id=self.fs[i],
             node_id=self.node[i],
             window_start=int(self.window[i]),
-            oss=OssCounters(*vals[:5]),
-            mds=MdsCounters(*vals[5:]),
+            counters=tuple(self.counters[i].tolist()),
             window_len=self.window_len,
         )
 
@@ -425,8 +362,7 @@ class SampleBlock(Sequence):
                 fs_id=fs_id,
                 node_id=node_id,
                 window_start=w,
-                oss=OssCounters(*vals[:5]),
-                mds=MdsCounters(*vals[5:]),
+                counters=tuple(vals),
                 window_len=self.window_len,
             )
 

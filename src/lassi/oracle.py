@@ -449,16 +449,14 @@ def verify(outputs, oracle_dir: str | Path, rel_tol: float = 1e-9) -> VerifyRepo
 
     got_app = {}
     for rec in outputs.app_hours:
-        got_app[(rec.app_id, rec.fs_id, rec.hour)] = list(
-            rec.oss.as_tuple() + rec.mds.as_tuple()
-        )
+        got_app[(rec.app_id, rec.fs_id, rec.hour)] = list(rec.counters)
     _compare_tables(d, "app_hours", got_app, want.app_hours, _key3)
 
     got_tot = {}
     got_un = {}
     for rec in outputs.fs_hours:
-        got_tot[(rec.fs_id, rec.hour)] = list(rec.oss.as_tuple() + rec.mds.as_tuple())
-        un = list(rec.unattributed_oss.as_tuple() + rec.unattributed_mds.as_tuple())
+        got_tot[(rec.fs_id, rec.hour)] = list(rec.counters)
+        un = list(rec.unattributed)
         if any(un):
             got_un[(rec.fs_id, rec.hour)] = un
     _compare_tables(d, "fs_hours", got_tot, want.fs_hours, _key2)

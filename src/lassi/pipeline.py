@@ -201,10 +201,9 @@ def conservation_errors(
     totals: dict[tuple[str, int], list[int]] = {}
     for s in samples:
         key = (s.fs_id, s.window_start)
-        vec = s.oss.as_tuple() + s.mds.as_tuple()
         slot = totals.setdefault(key, [0] * _N)
-        for i in range(_N):
-            slot[i] += vec[i]
+        for i, v in enumerate(s.counters):
+            slot[i] += v
 
     recon: dict[tuple[str, int], list[int]] = {}
     for (app_id, fs_id, w), vec in result.attributed.items():
@@ -237,12 +236,10 @@ def _check_hourly_conservation(
     sums: dict[tuple[str, int], list[int]] = {}
     for rec in app_hours:
         slot = sums.setdefault((rec.fs_id, rec.hour), [0] * _N)
-        vec = rec.oss.as_tuple() + rec.mds.as_tuple()
-        for i in range(_N):
-            slot[i] += vec[i]
+        for i, v in enumerate(rec.counters):
+            slot[i] += v
     for rec in fs_hours:
-        total = rec.oss.as_tuple() + rec.mds.as_tuple()
-        un = rec.unattributed_oss.as_tuple() + rec.unattributed_mds.as_tuple()
+        total, un = rec.counters, rec.unattributed
         attributed = sums.get((rec.fs_id, rec.hour), [0] * _N)
         for i in range(_N):
             if attributed[i] + un[i] != total[i]:

@@ -357,11 +357,7 @@ def build_rsd_table(store: Store, t0: int, t1: int) -> RsdTable:
         columns: dict[str, list[int]] = {stat: [] for stat in ALL_FIELDS}
         for hour in hours:
             rec = by_hour.get(hour)
-            vec = (
-                rec.oss.as_tuple() + rec.mds.as_tuple()
-                if rec is not None
-                else (0,) * len(ALL_FIELDS)
-            )
+            vec = rec.counters if rec is not None else (0,) * len(ALL_FIELDS)
             for stat, v in zip(ALL_FIELDS, vec):
                 columns[stat].append(v)
 

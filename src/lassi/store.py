@@ -42,7 +42,6 @@ from .model import (
     FsHourRecord,
     JobRecord,
     SampleBlock,
-    vector_to_counters,
 )
 from .timeutil import DAY, date_str, day_range, floor_day, format_utc, parse_date, parse_utc
 
@@ -94,22 +93,12 @@ def _may_hold(jobs_csv: bytes, app_ids: set[bytes]) -> bool:
 
 def _app_hour_rows(records: Sequence[AppHourRecord]) -> list[tuple]:
     ordered = sorted(records, key=lambda r: (r.hour, r.fs_id, r.app_id))
-    return [
-        (format_utc(r.hour), r.fs_id, r.app_id) + r.oss.as_tuple() + r.mds.as_tuple()
-        for r in ordered
-    ]
+    return [(format_utc(r.hour), r.fs_id, r.app_id) + r.counters for r in ordered]
 
 
 def _fs_hour_rows(records: Sequence[FsHourRecord]) -> list[tuple]:
     ordered = sorted(records, key=lambda r: (r.hour, r.fs_id))
-    return [
-        (format_utc(r.hour), r.fs_id)
-        + r.oss.as_tuple()
-        + r.mds.as_tuple()
-        + r.unattributed_oss.as_tuple()
-        + r.unattributed_mds.as_tuple()
-        for r in ordered
-    ]
+    return [(format_utc(r.hour), r.fs_id) + r.counters + r.unattributed for r in ordered]
 
 
 def _baseline_rows(baselines: Sequence[FsBaseline]) -> list[tuple]:
@@ -302,41 +291,46 @@ class Store:
         return parsed
 
     @staticmethod
-    def _read_rows(path: Path, stream: io.StringIO, header: tuple[str, ...], build) -> tuple:
-        out = []
+    def _rows(path: Path, stream: io.StringIO, header: tuple[str, ...]):
+        """(line number, row) of each non-empty row, after the header.
+
+        Rows must have one cell per header column; anything else raises
+        StoreError naming the path and line.
+        """
         reader = csv.reader(stream)
         got = next(reader, None)
         if got is None or tuple(got) != header:
             raise StoreError(f"{path}: bad header {got!r}")
-        for row in reader:
+        for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise StoreError(
+                    f"{path}: line {line_no}: expected {len(header)} columns, got {len(row)}"
+                )
+            yield line_no, row
+
+    @classmethod
+    def _read_rows(cls, path: Path, stream: io.StringIO, header: tuple[str, ...], build) -> tuple:
+        out = []
+        for line_no, row in cls._rows(path, stream, header):
             try:
-                hour = parse_utc(row[0])
+                out.append(build(parse_utc(row[0]), row))
             except ValueError as exc:
-                raise StoreError(f"{path}: {exc}") from exc
-            out.append(build(hour, row))
+                raise StoreError(f"{path}: line {line_no}: {exc}") from exc
         return tuple(out)
 
     @staticmethod
     def _app_hour(hour: int, row: list[str]) -> AppHourRecord:
-        oss, mds = vector_to_counters([int(v) for v in row[3:]])
-        return AppHourRecord(app_id=row[2], fs_id=row[1], hour=hour, oss=oss, mds=mds)
+        return AppHourRecord(
+            app_id=row[2], fs_id=row[1], hour=hour, counters=tuple(map(int, row[3:]))
+        )
 
     @staticmethod
     def _fs_hour(hour: int, row: list[str]) -> FsHourRecord:
-        vals = [int(v) for v in row[2:]]
+        vals = tuple(map(int, row[2:]))
         n = len(ALL_FIELDS)
-        oss, mds = vector_to_counters(vals[:n])
-        un_oss, un_mds = vector_to_counters(vals[n:])
-        return FsHourRecord(
-            fs_id=row[1],
-            hour=hour,
-            oss=oss,
-            mds=mds,
-            unattributed_oss=un_oss,
-            unattributed_mds=un_mds,
-        )
+        return FsHourRecord(fs_id=row[1], hour=hour, counters=vals[:n], unattributed=vals[n:])
 
     def query_jobs_overlapping(self, t0: int, t1: int) -> list[JobRecord]:
         """Jobs whose [start, end) intersects [t0, t1), any start date."""
@@ -386,26 +380,29 @@ class Store:
         baseline = self._parsed("baselines", path)
         return replace(baseline, means=dict(baseline.means))
 
-    @staticmethod
-    def _parse_baseline(path: Path, stream: io.StringIO) -> FsBaseline:
+    @classmethod
+    def _parse_baseline(cls, path: Path, stream: io.StringIO) -> FsBaseline:
         fs_id = path.parent.name
         means: dict[str, float] = {}
         period = None
         alpha = None
         basis = "fs_total"
-        reader = csv.reader(stream)
-        got = next(reader, None)
-        if got is None or tuple(got) != BASELINE_HEADER:
-            raise StoreError(f"{path}: bad header {got!r}")
-        for row in reader:
-            if not row:
-                continue
+        for line_no, row in cls._rows(path, stream, BASELINE_HEADER):
             if row[0] != fs_id:
                 raise StoreError(f"{path}: baseline row for {row[0]!r}, expected {fs_id!r}")
-            period = (parse_utc(row[1]), parse_utc(row[2]))
-            alpha = float(row[3])
+            try:
+                period = (parse_utc(row[1]), parse_utc(row[2]))
+                alpha = float(row[3])
+                mean = float(row[6])
+            except ValueError as exc:
+                raise StoreError(f"{path}: line {line_no}: {exc}") from exc
+            if mean < 0:
+                raise StoreError(f"{path}: line {line_no}: negative mean {row[6]!r}")
             basis = row[4]
-            means[row[5]] = float(row[6])
+            means[row[5]] = mean
         if period is None or alpha is None or set(means) != set(ALL_FIELDS):
             raise StoreError(f"{path}: incomplete baseline")
-        return FsBaseline(fs_id=fs_id, period=period, alpha=alpha, means=means, basis=basis)
+        try:
+            return FsBaseline(fs_id=fs_id, period=period, alpha=alpha, means=means, basis=basis)
+        except ValueError as exc:
+            raise StoreError(f"{path}: {exc}") from exc

@@ -32,12 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from lassi import ingest
-from lassi.model import (
-    ALL_FIELDS,
-    JobRecord,
-    StatSample,
-    vector_to_counters,
-)
+from lassi.model import ALL_FIELDS, JobRecord, StatSample
 from lassi.timeutil import DAY, HOUR, parse_utc
 
 BASE_DAY = parse_utc("2017-10-09T00:00:00Z")
@@ -46,17 +41,20 @@ REPORT_DAY = BASE_DAY + DAY
 _JOB_SEQ = [0]
 
 
-def mk_sample(fs_id, node_id, window_start, window_len=180, **counters) -> StatSample:
+def mk_counters(**by_name) -> tuple[int, ...]:
+    """A 21-counter vector in ALL_FIELDS order: the named stats, zero elsewhere."""
     vec = [0] * len(ALL_FIELDS)
-    for stat, value in counters.items():
+    for stat, value in by_name.items():
         vec[ALL_FIELDS.index(stat)] = value
-    oss, mds = vector_to_counters(vec)
+    return tuple(vec)
+
+
+def mk_sample(fs_id, node_id, window_start, window_len=180, **counters) -> StatSample:
     return StatSample(
         fs_id=fs_id,
         node_id=node_id,
         window_start=window_start,
-        oss=oss,
-        mds=mds,
+        counters=mk_counters(**counters),
         window_len=window_len,
     )
 

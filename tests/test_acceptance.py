@@ -27,7 +27,7 @@ from lassi.metrics import (
     risk_stat,
     rsd,
 )
-from lassi.model import ALL_FIELDS, MdsCounters, OssCounters
+from lassi.model import ALL_FIELDS
 from lassi.oracle import verify
 from lassi.pipeline import (
     aggregate_range,
@@ -42,7 +42,7 @@ from lassi.store import Store
 from lassi.synth import ACTOR_TYPES, generate, load_scenario, parse_scenario
 from lassi.timeutil import DAY, HOUR, hour_range, parse_utc
 
-from helpers import BASE_DAY, REPORT_DAY, mk_job, scenario_text
+from helpers import BASE_DAY, REPORT_DAY, mk_counters, mk_job, scenario_text
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDEN_SCENARIO = Path(__file__).parent / "data" / "golden_scenario.ini"
@@ -91,8 +91,9 @@ def test_criterion_01_risk_statistic(capsys):
         rng = np.random.default_rng(101)
         for _ in range(1000):
             vec = rng.integers(0, 400, size=21)
-            bo = risk_oss(OssCounters(*map(int, vec[:5])), baseline)
-            bm = risk_mds(MdsCounters(*map(int, vec[5:])), baseline)
+            counters = tuple(map(int, vec))
+            bo = risk_oss(counters, baseline)
+            bm = risk_mds(counters, baseline)
             expect_oss = sum(
                 max(0.0, (int(v) - 200.0) / 200.0) for v in vec[:5]
             )
@@ -108,11 +109,11 @@ def test_criterion_01_risk_statistic(capsys):
 
 def test_criterion_02_ops_quality(capsys):
     def body():
-        assert ops_quality(OssCounters(read_kb=1024, read_ops=1)).read_kb_ops == 1.0
-        assert ops_quality(OssCounters(read_kb=4, read_ops=1)).read_kb_ops == 256.0
-        assert ops_quality(OssCounters()).read_kb_ops is None
-        assert ops_quality(OssCounters(write_ops=7)).write_kb_ops == math.inf
-        rec = ops_quality(OssCounters(read_kb=2048, read_ops=1, write_kb=512, write_ops=2))
+        assert ops_quality(mk_counters(read_kb=1024, read_ops=1)).read_kb_ops == 1.0
+        assert ops_quality(mk_counters(read_kb=4, read_ops=1)).read_kb_ops == 256.0
+        assert ops_quality(mk_counters()).read_kb_ops is None
+        assert ops_quality(mk_counters(write_ops=7)).write_kb_ops == math.inf
+        rec = ops_quality(mk_counters(read_kb=2048, read_ops=1, write_kb=512, write_ops=2))
         assert rec.read_kb_ops == 0.5
         assert rec.write_kb_ops == 4.0
 

@@ -11,20 +11,19 @@ from lassi.attribution import (
     fs_hourly_totals,
 )
 from lassi.errors import AttributionConflictError
-from lassi.model import StatSample, vector_to_counters
+from lassi.model import StatSample
 from lassi.pipeline import conservation_errors
 from lassi.timeutil import DAY, HOUR
 
-from helpers import BASE_DAY, mk_job, mk_sample
+from helpers import BASE_DAY, mk_counters, mk_job, mk_sample
 
 MIDPOINT = AttributionConfig(boundary_policy="midpoint")
 PROPORTIONAL = AttributionConfig(boundary_policy="proportional")
 
 
 def vec_sample(vec, w=BASE_DAY, window_len=180, node="nid1"):
-    oss, mds = vector_to_counters(vec)
     return StatSample(
-        fs_id="fs2", node_id=node, window_start=w, oss=oss, mds=mds, window_len=window_len
+        fs_id="fs2", node_id=node, window_start=w, counters=tuple(vec), window_len=window_len
     )
 
 
@@ -203,10 +202,10 @@ def test_aggregate_hourly_zero_fills_job_span():
     samples = [mk_sample("fs2", "nid1", BASE_DAY + 180, open=6)]
     result = attribute(samples, [job], MIDPOINT)
     records = aggregate_hourly(result, [job])
-    assert [(r.hour, r.mds.open) for r in records] == [
-        (BASE_DAY, 6),
-        (BASE_DAY + HOUR, 0),
-        (BASE_DAY + 2 * HOUR, 0),
+    assert [(r.hour, r.counters) for r in records] == [
+        (BASE_DAY, mk_counters(open=6)),
+        (BASE_DAY + HOUR, mk_counters()),
+        (BASE_DAY + 2 * HOUR, mk_counters()),
     ]
 
 
@@ -238,8 +237,8 @@ def test_fs_hourly_totals_include_unattributed():
     assert len(records) == 2  # only hours that saw samples
     first, second = records
     assert first.hour == BASE_DAY
-    assert first.oss.read_kb == 140
-    assert first.unattributed_oss.read_kb == 40
+    assert first.counters == mk_counters(read_kb=140)
+    assert first.unattributed == mk_counters(read_kb=40)
     assert second.hour == BASE_DAY + 2 * HOUR
-    assert second.oss.write_kb == 9
-    assert second.unattributed_oss.write_kb == 9
+    assert second.counters == mk_counters(write_kb=9)
+    assert second.unattributed == mk_counters(write_kb=9)

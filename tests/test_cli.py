@@ -111,7 +111,11 @@ def test_full_cli_flow(tmp_path, capsys):
     assert lines[1].startswith("app0001,10800,")
 
 
-def test_scatter_output_survives_an_unrelated_reingest(tmp_path, capsys):
+def taskfarm_store(tmp_path, capsys) -> tuple[list[str], list[str]]:
+    """Synth, ingest, aggregate and baseline the task farm scenario.
+
+    Returns the store options and the group key of each of its commands.
+    """
     data = tmp_path / "data"
     store = ["--store", str(tmp_path / "store"), "--window-len", "600"]
     stats, jobs = ["--stats", str(data / "stats.csv")], ["--jobs", str(data / "jobs.csv")]
@@ -125,7 +129,13 @@ def test_scatter_output_survives_an_unrelated_reingest(tmp_path, capsys):
     with open(data / "jobs.csv", encoding="utf-8", newline="") as fh:
         commands = {row["command"] for row in csv.DictReader(fh)}
     assert len(commands) == 2
-    keys = [group_key(command) for command in sorted(commands)]
+    return store, [group_key(command) for command in sorted(commands)]
+
+
+def test_scatter_output_survives_an_unrelated_reingest(tmp_path, capsys):
+    store, keys = taskfarm_store(tmp_path, capsys)
+    data = tmp_path / "data"
+    stats, jobs = ["--stats", str(data / "stats.csv")], ["--jobs", str(data / "jobs.csv")]
 
     def scatter():
         out = {}
@@ -152,6 +162,38 @@ def test_scatter_output_survives_an_unrelated_reingest(tmp_path, capsys):
     assert "rejected=0" in capsys.readouterr().out
     assert jobs_day.read_bytes() != old_jobs
     assert scatter() == before
+
+
+def test_scatter_honours_alpha_like_exposure(tmp_path, capsys):
+    store, keys = taskfarm_store(tmp_path, capsys)
+
+    def scatter_rows(*alpha):
+        rows = []
+        for key in keys:
+            assert main(["scatter", *store, "--key", key, *alpha]) == 0
+            rows += list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        return rows
+
+    rows = scatter_rows("--alpha", "4")
+    assert len(rows) == 16
+    assert rows != scatter_rows()  # alpha 4 scores differently from the stored 2.0
+    for app_id, _runtime, risk_oss_sum, risk_mds_axis in rows:
+        assert main(["exposure", *store, "--app", app_id, "--alpha", "4"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        fields = dict(item.split("=", 1) for item in line.split())
+        assert float(fields["risk_oss"]) == float(risk_oss_sum)
+        assert float(fields["risk_mds"]) == -float(risk_mds_axis)
+
+
+def test_truncated_store_row_exits_1(tmp_path, capsys):
+    store, _ = taskfarm_store(tmp_path, capsys)
+    path = tmp_path / "store" / "app_hours" / "fs2" / "2017-10-10.csv"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[1] = ",".join(lines[1].split(",")[:-3])  # 18 of the 21 counters
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+    assert main(["report", *store, "--fs", "fs2", "--date", "2017-10-10"]) == 1
+    assert f"{path}: line 2: expected 24 columns, got 21" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_64(capsys):

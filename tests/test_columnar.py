@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BASE_DAY, mk_job, mk_sample
+from helpers import BASE_DAY, mk_counters, mk_job, mk_sample
 from lassi.attribution import (
     AttributionConfig,
     _accumulate,
@@ -30,7 +30,7 @@ from lassi.ingest import (
     parse_stats_csv,
     serialize_stats_csv,
 )
-from lassi.model import INT64_MAX, SampleBlock, StatSample, vector_to_counters
+from lassi.model import INT64_MAX, SampleBlock, StatSample
 from lassi.pipeline import ingest_files
 from lassi.store import Store
 from lassi.timeutil import DAY, HOUR, format_utc, parse_utc
@@ -107,7 +107,7 @@ def test_counter_above_int64_is_a_line_numbered_reject(big):
 def test_int64_max_counter_is_exact():
     text = text_of(row(counters=(str(INT64_MAX),) + ("0",) * 20))
     (sample,), report = parse_stats_csv(io.StringIO(text))
-    assert sample.oss.read_kb == INT64_MAX
+    assert sample.counters == mk_counters(read_kb=INT64_MAX)
     assert report.rows_rejected == 0
 
 
@@ -227,7 +227,7 @@ def reference_serialize(samples):
     any field holding a CR, and then ended with LF instead.
     """
     rows = [STATS_HEADER] + [
-        (format_utc(s.window_start), s.fs_id, s.node_id) + s.oss.as_tuple() + s.mds.as_tuple()
+        (format_utc(s.window_start), s.fs_id, s.node_id) + s.counters
         for s in sorted(samples, key=lambda s: (s.window_start, s.fs_id, s.node_id))
     ]
     lines = []
@@ -260,7 +260,7 @@ awkward_ids = st.text(
 )
 def test_serialize_matches_csv_writer(rows):
     samples = [
-        StatSample(fs, node, w, *vector_to_counters(vec)) for fs, node, w, vec in rows
+        StatSample(fs, node, w, tuple(vec)) for fs, node, w, vec in rows
     ]
     text = serialize_stats_csv(SampleBlock.from_samples(samples))
     assert text == reference_serialize(samples)
@@ -329,7 +329,7 @@ def test_ingest_merges_overlapping_files_in_one_call(tmp_path):
     changed.write_text(text_of(row(counters=("9",) * 21), row(ts=T1)), encoding="utf-8")
     summary = ingest_files(store, [changed], mode="lenient")
     assert summary.rejected == 1  # one stored row replaced, one identical
-    assert store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + 1)[0].oss.read_kb == 9
+    assert store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + 1)[0].counters == (9,) * 21
 
 
 # --- vector attribution agrees with the per-sample loop --------------------
@@ -340,7 +340,7 @@ def reference_attribute(samples, jobs, config):
     index = _node_index(jobs)
     attributed, unattributed = {}, {}
     for s in samples:
-        vec = s.oss.as_tuple() + s.mds.as_tuple()
+        vec = s.counters
         w, wlen = s.window_start, s.window_len
         entry = index.get(s.node_id)
         if entry is None:
@@ -381,7 +381,7 @@ def reference_fs_totals(samples, unattributed):
     totals, unattr = {}, {}
     for s in samples:
         hour = s.window_start - s.window_start % HOUR
-        _accumulate(totals, (s.fs_id, hour), s.oss.as_tuple() + s.mds.as_tuple())
+        _accumulate(totals, (s.fs_id, hour), s.counters)
     for (fs_id, w), vec in unattributed.items():
         _accumulate(unattr, (fs_id, w - w % HOUR), vec)
     return [
@@ -415,7 +415,7 @@ def test_vector_attribution_matches_sample_loop(cuts, cells, policy):
         for k, (s, e) in enumerate(zip(bounds[::2], bounds[1::2])):
             jobs.append(mk_job(f"{node}-app{k}", [node], BASE_DAY + s, BASE_DAY + e))
     samples = [
-        StatSample(fs, node, BASE_DAY + i * 180, *vector_to_counters(vec))
+        StatSample(fs, node, BASE_DAY + i * 180, tuple(vec))
         for fs, node, i, vec in cells
     ]
     config = AttributionConfig(boundary_policy=policy)
@@ -424,13 +424,7 @@ def test_vector_attribution_matches_sample_loop(cuts, cells, policy):
     assert result.attributed == want_attributed
     assert result.unattributed == want_unattributed
     got_totals = [
-        (
-            r.hour,
-            r.fs_id,
-            r.oss.as_tuple() + r.mds.as_tuple(),
-            r.unattributed_oss.as_tuple() + r.unattributed_mds.as_tuple(),
-        )
-        for r in fs_hourly_totals(samples, result)
+        (r.hour, r.fs_id, r.counters, r.unattributed) for r in fs_hourly_totals(samples, result)
     ]
     assert got_totals == reference_fs_totals(samples, want_unattributed)
     assert isinstance(next(iter(result.attributed.values()), (0,))[0], int)

@@ -37,8 +37,7 @@ def test_parse_stats_happy_path():
     assert s.fs_id == "fs2"
     assert s.node_id == "nid00001"
     assert s.window_start == 1507507200
-    assert s.oss.as_tuple() == (1, 1, 1, 1, 1)
-    assert s.mds.as_tuple() == (1,) * 16
+    assert s.counters == (1,) * 21
 
 
 def test_parse_stats_accepts_bytes_stream():
@@ -97,7 +96,7 @@ def test_duplicate_sample_lenient_last_wins():
         io.StringIO(stats_text(GOOD_ROW, second)), mode="lenient"
     )
     (s,) = samples
-    assert s.oss.read_kb == 7
+    assert s.counters == (7,) * 21
     assert report.rows_accepted == 1
     assert report.rows_rejected == 1
     line, reason = report.rejected_reasons[0]

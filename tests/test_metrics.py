@@ -17,16 +17,10 @@ from lassi.metrics import (
     risk_stat,
     rsd,
 )
-from lassi.model import (
-    ALL_FIELDS,
-    AppHourRecord,
-    FsHourRecord,
-    MdsCounters,
-    OssCounters,
-)
+from lassi.model import ALL_FIELDS, MDS_FIELDS, AppHourRecord, FsHourRecord
 from lassi.timeutil import HOUR
 
-from helpers import BASE_DAY
+from helpers import BASE_DAY, mk_counters
 
 
 def baseline_with(fill=0.0, alpha=2.0, **overrides):
@@ -66,8 +60,8 @@ def test_risk_stat_validation():
 def test_risk_oss_sums_only_positive_terms():
     # read_kb risk +1.0, write_kb risk -0.5 (ignored), read_ops undefined
     b = baseline_with(read_kb=10, write_kb=10, write_ops=1, other=1)
-    oss = OssCounters(read_kb=40, read_ops=3, write_kb=10, write_ops=0, other=0)
-    got = risk_oss(oss, b)
+    vec = mk_counters(read_kb=40, read_ops=3, write_kb=10, write_ops=0, other=0)
+    got = risk_oss(vec, b)
     assert got.value == 1.0
     assert got.contributions == {"read_kb": 1.0}
     assert got.undefined == ("read_ops",)
@@ -75,8 +69,8 @@ def test_risk_oss_sums_only_positive_terms():
 
 def test_risk_mds_covers_all_sixteen():
     b = baseline_with(fill=1.0)
-    mds = MdsCounters(*([4] * 16))  # each stat: (4 - 2) / 2 = 1.0
-    got = risk_mds(mds, b)
+    vec = mk_counters(**{name: 4 for name in MDS_FIELDS})  # each stat: (4 - 2) / 2 = 1.0
+    got = risk_mds(vec, b)
     assert got.value == 16.0
     assert len(got.contributions) == 16
     assert got.undefined == ()
@@ -93,13 +87,13 @@ def test_risk_mds_covers_all_sixteen():
     ],
 )
 def test_ops_quality_pinned(kb, ops, expected):
-    rec = ops_quality(OssCounters(read_kb=kb, read_ops=ops, write_kb=kb, write_ops=ops))
+    rec = ops_quality(mk_counters(read_kb=kb, read_ops=ops, write_kb=kb, write_ops=ops))
     assert rec.read_kb_ops == expected
     assert rec.write_kb_ops == expected
 
 
 def test_ops_quality_sides_independent():
-    rec = ops_quality(OssCounters(read_kb=1024, read_ops=2, write_kb=0, write_ops=0))
+    rec = ops_quality(mk_counters(read_kb=1024, read_ops=2, write_kb=0, write_ops=0))
     assert rec.read_kb_ops == 2.0
     assert rec.write_kb_ops is None
 
@@ -140,15 +134,8 @@ def test_rsd_scale_invariant(values, scale):
 
 
 def fs_hour(hour, **counters):
-    oss_kwargs = {k: v for k, v in counters.items() if k in OssCounters.__slots__}
-    mds_kwargs = {k: v for k, v in counters.items() if k not in oss_kwargs}
     return FsHourRecord(
-        fs_id="fs2",
-        hour=hour,
-        oss=OssCounters(**oss_kwargs),
-        mds=MdsCounters(**mds_kwargs),
-        unattributed_oss=OssCounters(),
-        unattributed_mds=MdsCounters(),
+        fs_id="fs2", hour=hour, counters=mk_counters(**counters), unattributed=mk_counters()
     )
 
 
@@ -189,8 +176,7 @@ def test_compute_baseline_validation():
     with pytest.raises(ValueError):
         compute_baseline([], (BASE_DAY, BASE_DAY + HOUR))
     mixed = [records[0], FsHourRecord(
-        fs_id="fs3", hour=BASE_DAY, oss=OssCounters(), mds=MdsCounters(),
-        unattributed_oss=OssCounters(), unattributed_mds=MdsCounters(),
+        fs_id="fs3", hour=BASE_DAY, counters=mk_counters(), unattributed=mk_counters()
     )]
     with pytest.raises(ValueError):
         compute_baseline(mixed, (BASE_DAY, BASE_DAY + HOUR))
@@ -211,15 +197,7 @@ def test_baseline_dataclass_validation():
 
 
 def app_hour(app, hour, **counters):
-    oss_kwargs = {k: v for k, v in counters.items() if k in OssCounters.__slots__}
-    mds_kwargs = {k: v for k, v in counters.items() if k not in oss_kwargs}
-    return AppHourRecord(
-        app_id=app,
-        fs_id="fs2",
-        hour=hour,
-        oss=OssCounters(**oss_kwargs),
-        mds=MdsCounters(**mds_kwargs),
-    )
+    return AppHourRecord(app_id=app, fs_id="fs2", hour=hour, counters=mk_counters(**counters))
 
 
 def test_fs_risk_series_sums_apps_and_fills_grid():
@@ -240,9 +218,7 @@ def test_fs_risk_series_sums_apps_and_fills_grid():
 
 def test_fs_risk_series_rejects_foreign_fs():
     b = baseline_with(read_kb=10)
-    rec = AppHourRecord(
-        app_id="a", fs_id="fs9", hour=BASE_DAY, oss=OssCounters(), mds=MdsCounters()
-    )
+    rec = AppHourRecord(app_id="a", fs_id="fs9", hour=BASE_DAY, counters=mk_counters())
     with pytest.raises(ValueError):
         fs_risk_series([rec], b)
 

@@ -9,10 +9,7 @@ from lassi.model import (
     AppHourRecord,
     FsHourRecord,
     JobRecord,
-    MdsCounters,
-    OssCounters,
     StatSample,
-    vector_to_counters,
 )
 from lassi.timeutil import (
     DAY,
@@ -27,7 +24,17 @@ from lassi.timeutil import (
     parse_utc,
 )
 
-counter_vec = st.lists(st.integers(min_value=0, max_value=10**12), min_size=21, max_size=21)
+from helpers import mk_counters
+
+ZEROS = mk_counters()
+
+# one builder per counter field of the three records
+RECORD_COUNTERS = {
+    "sample": lambda vec: StatSample("fs2", "nid00001", 0, vec),
+    "app_hour": lambda vec: AppHourRecord("a", "fs2", 0, vec),
+    "fs_hour": lambda vec: FsHourRecord("fs2", 0, vec, ZEROS),
+    "fs_hour_unattributed": lambda vec: FsHourRecord("fs2", 0, (10,) * 21, vec),
+}
 
 
 def test_field_order_matches_wire_format():
@@ -36,31 +43,40 @@ def test_field_order_matches_wire_format():
     assert ALL_FIELDS == OSS_FIELDS + MDS_FIELDS
 
 
-def test_counters_reject_negative_values():
-    with pytest.raises(ValueError):
-        OssCounters(read_kb=-1)
-    with pytest.raises(ValueError):
-        MdsCounters(statfs=-5)
+@pytest.mark.parametrize("record", sorted(RECORD_COUNTERS))
+def test_counters_reject_negative_values(record):
+    build = RECORD_COUNTERS[record]
+    build(mk_counters(read_kb=1, statfs=5))
+    with pytest.raises(ValueError, match="negative"):
+        build(mk_counters(read_kb=-1))
+    with pytest.raises(ValueError, match="negative"):
+        build(mk_counters(statfs=-5))
 
 
-@given(counter_vec)
-def test_vector_round_trip(vec):
-    oss, mds = vector_to_counters(vec)
-    assert oss.as_tuple() + mds.as_tuple() == tuple(vec)
+@pytest.mark.parametrize("length", [20, 22])
+@pytest.mark.parametrize("record", sorted(RECORD_COUNTERS))
+def test_counters_must_number_exactly_21(record, length):
+    with pytest.raises(ValueError, match=f"hold {length} values, expected 21"):
+        RECORD_COUNTERS[record]((1,) * length)
+
+
+@pytest.mark.parametrize("record", sorted(RECORD_COUNTERS))
+def test_counters_must_be_a_tuple(record):
+    with pytest.raises(TypeError):
+        RECORD_COUNTERS[record]([1] * 21)
 
 
 def test_stat_sample_validates_grid():
-    oss, mds = OssCounters(), MdsCounters()
-    StatSample("fs2", "nid00001", 0, oss, mds)
-    StatSample("fs2", "nid00001", 540, oss, mds)
+    StatSample("fs2", "nid00001", 0, ZEROS)
+    StatSample("fs2", "nid00001", 540, ZEROS)
     with pytest.raises(ValueError):
-        StatSample("fs2", "nid00001", 100, oss, mds)  # off the 180 s grid
+        StatSample("fs2", "nid00001", 100, ZEROS)  # off the 180 s grid
     with pytest.raises(ValueError):
-        StatSample("fs2", "nid00001", 0, oss, mds, window_len=7)  # 7 !| 3600
+        StatSample("fs2", "nid00001", 0, ZEROS, window_len=7)  # 7 !| 3600
     with pytest.raises(ValueError):
-        StatSample("", "nid00001", 0, oss, mds)
+        StatSample("", "nid00001", 0, ZEROS)
     with pytest.raises(ValueError):
-        StatSample("fs2", "", 0, oss, mds)
+        StatSample("fs2", "", 0, ZEROS)
 
 
 def test_job_record_validation_and_helpers():
@@ -79,20 +95,20 @@ def test_job_record_validation_and_helpers():
 
 
 def test_hour_records_validate_alignment():
-    oss, mds = OssCounters(), MdsCounters()
-    AppHourRecord("a", "fs2", 7200, oss, mds)
+    AppHourRecord("a", "fs2", 7200, ZEROS)
     with pytest.raises(ValueError):
-        AppHourRecord("a", "fs2", 7201, oss, mds)
+        AppHourRecord("a", "fs2", 7201, ZEROS)
     with pytest.raises(ValueError):
-        FsHourRecord("fs2", 180, oss, mds, oss, mds)
+        FsHourRecord("fs2", 180, ZEROS, ZEROS)
 
 
 def test_fs_hour_record_rejects_unattributed_above_totals():
-    total = OssCounters(read_kb=10)
-    over = OssCounters(read_kb=11)
-    with pytest.raises(ValueError):
-        FsHourRecord("fs2", 0, total, MdsCounters(), over, MdsCounters())
-    rec = FsHourRecord("fs2", 0, total, MdsCounters(), total, MdsCounters())
+    total = mk_counters(read_kb=10)
+    with pytest.raises(ValueError, match="exceeds totals"):
+        FsHourRecord("fs2", 0, total, mk_counters(read_kb=11))
+    with pytest.raises(ValueError, match="exceeds totals"):
+        FsHourRecord("fs2", 0, total, mk_counters(cdr=1))
+    rec = FsHourRecord("fs2", 0, total, total)
     assert rec.key() == ("fs2", 0)
 
 

@@ -8,6 +8,7 @@ from lassi import pipeline, synth
 from lassi.attribution import AttributionConfig
 from lassi.errors import IngestError, LassiError
 from lassi.ingest import JOBS_HEADER, STATS_HEADER
+from lassi.model import ALL_FIELDS
 from lassi.pipeline import (
     aggregate_range,
     build_baselines,
@@ -25,6 +26,7 @@ from helpers import (
     TASKFARM_SCENARIO,
     build_exposure_fixture,
     count_calls,
+    mk_counters,
     mk_job,
 )
 
@@ -91,7 +93,7 @@ def test_ingest_conflicting_resubmission(tmp_path):
     summary = ingest_files(store, [b], mode="lenient")
     assert summary.rejected == 1  # the override is reported
     (got,) = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
-    assert got.oss.read_kb == 9  # and the new value wins
+    assert got.counters == mk_counters(read_kb=9)  # and the new value wins
 
 
 def test_ingest_conflict_across_inputs_in_one_call(tmp_path):
@@ -184,9 +186,11 @@ def test_both_rollup_paths_check_conservation(tmp_path, monkeypatch, exposure_fi
     def lossy(*args, **kwargs):
         # lose one KiB from the first app-hour that read anything
         records = list(real(*args, **kwargs))
-        i = next(i for i, r in enumerate(records) if r.oss.read_kb)
-        oss = records[i].oss
-        records[i] = replace(records[i], oss=replace(oss, read_kb=oss.read_kb - 1))
+        read_kb = ALL_FIELDS.index("read_kb")
+        i = next(i for i, r in enumerate(records) if r.counters[read_kb])
+        vec = list(records[i].counters)
+        vec[read_kb] -= 1
+        records[i] = replace(records[i], counters=tuple(vec))
         return records
 
     monkeypatch.setattr(pipeline, "aggregate_hourly", lossy)

@@ -8,7 +8,7 @@ import pytest
 
 from lassi.charts import ChartSeries, ChartSpec, render_timeseries_chart
 from lassi.metrics import FsBaseline
-from lassi.model import ALL_FIELDS, AppHourRecord, FsHourRecord, MdsCounters, OssCounters
+from lassi.model import ALL_FIELDS, AppHourRecord, FsHourRecord
 from lassi.report import (
     RSD_MDS_STATS,
     build_daily_report,
@@ -25,7 +25,7 @@ from lassi.report import (
 from lassi.store import Partition, Store
 from lassi.timeutil import DAY, HOUR, parse_utc
 
-from helpers import REPORT_DAY, mk_job
+from helpers import REPORT_DAY, mk_counters, mk_job
 
 H = [REPORT_DAY + i * HOUR for i in range(24)]
 
@@ -48,21 +48,12 @@ def test_fmt_num_pinned(value, expected):
 
 
 def app_hour(app, hour, **counters):
-    oss_kwargs = {k: v for k, v in counters.items() if k in OssCounters.__slots__}
-    mds_kwargs = {k: v for k, v in counters.items() if k not in oss_kwargs}
-    return AppHourRecord(
-        app_id=app, fs_id="fs2", hour=hour,
-        oss=OssCounters(**oss_kwargs), mds=MdsCounters(**mds_kwargs),
-    )
+    return AppHourRecord(app_id=app, fs_id="fs2", hour=hour, counters=mk_counters(**counters))
 
 
 def fs_hour(hour, **counters):
-    oss_kwargs = {k: v for k, v in counters.items() if k in OssCounters.__slots__}
-    mds_kwargs = {k: v for k, v in counters.items() if k not in oss_kwargs}
     return FsHourRecord(
-        fs_id="fs2", hour=hour,
-        oss=OssCounters(**oss_kwargs), mds=MdsCounters(**mds_kwargs),
-        unattributed_oss=OssCounters(), unattributed_mds=MdsCounters(),
+        fs_id="fs2", hour=hour, counters=mk_counters(**counters), unattributed=mk_counters()
     )
 
 

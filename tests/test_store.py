@@ -1,22 +1,21 @@
 """Partition store round-trips, bounds checks, locking, and baseline lookup."""
 
 import os
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lassi.errors import MissingBaselineError, StoreError, StoreLockError
 from lassi.metrics import FsBaseline
-from lassi.model import (
-    ALL_FIELDS,
-    AppHourRecord,
-    FsHourRecord,
-    OssCounters,
-    MdsCounters,
-)
+from lassi.model import ALL_FIELDS, INT64_MAX, AppHourRecord, FsHourRecord
 from lassi.store import Partition, Store
 from lassi.timeutil import DAY, HOUR, parse_utc
 
-from helpers import BASE_DAY, count_calls, mk_job, mk_sample
+from helpers import BASE_DAY, count_calls, mk_counters, mk_job, mk_sample
 
 
 def app_hour(read_kb):
@@ -24,8 +23,16 @@ def app_hour(read_kb):
         app_id="app1",
         fs_id="fs2",
         hour=BASE_DAY + 3 * HOUR,
-        oss=OssCounters(read_kb, 2, 3, 4, 5),
-        mds=MdsCounters(*range(16)),
+        counters=(read_kb, 2, 3, 4, 5) + tuple(range(16)),
+    )
+
+
+def fs_hour():
+    return FsHourRecord(
+        fs_id="fs2",
+        hour=BASE_DAY,
+        counters=(1, 2, 3, 4, 5) + (1,) * 16,
+        unattributed=mk_counters(),
     )
 
 
@@ -73,8 +80,8 @@ def test_samples_round_trip(store):
         (BASE_DAY + 180, "nid1"),
         (BASE_DAY + 360, "nid2"),
     ]
-    assert back[2].oss.read_kb == 7
-    assert back[1].mds.open == 1
+    assert back[2].counters == mk_counters(read_kb=7)
+    assert back[1].counters == mk_counters(open=1)
 
 
 def test_read_range_filters_on_window_start(store):
@@ -124,8 +131,7 @@ def test_app_hours_round_trip(store):
         app_id="app1",
         fs_id="fs2",
         hour=BASE_DAY + 3 * HOUR,
-        oss=OssCounters(1, 2, 3, 4, 5),
-        mds=MdsCounters(*range(16)),
+        counters=(1, 2, 3, 4, 5) + tuple(range(16)),
     )
     store.write_partition([rec], Partition("app_hours", "fs2", BASE_DAY))
     (back,) = store.read_range("app_hours", "fs2", BASE_DAY, BASE_DAY + DAY)
@@ -136,14 +142,68 @@ def test_fs_hours_round_trip(store):
     rec = FsHourRecord(
         fs_id="fs2",
         hour=BASE_DAY,
-        oss=OssCounters(10, 20, 30, 40, 50),
-        mds=MdsCounters(*([6] * 16)),
-        unattributed_oss=OssCounters(1, 2, 3, 4, 5),
-        unattributed_mds=MdsCounters(*([1] * 16)),
+        counters=(10, 20, 30, 40, 50) + (6,) * 16,
+        unattributed=(1, 2, 3, 4, 5) + (1,) * 16,
     )
     store.write_partition([rec], Partition("fs_hours", "fs2", BASE_DAY))
     (back,) = store.read_range("fs_hours", "fs2", BASE_DAY, BASE_DAY + DAY)
     assert back == rec
+
+
+counter_vec = st.tuples(*[st.integers(min_value=0, max_value=INT64_MAX)] * len(ALL_FIELDS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(counter_vec, counter_vec), min_size=1, max_size=24))
+def test_hour_records_round_trip_through_partitions(vectors):
+    hours = [BASE_DAY + i * HOUR for i in range(len(vectors))]
+    written = {
+        "app_hours": [
+            AppHourRecord(f"app{i}", "fs2", hour, a)
+            for i, (hour, (a, _)) in enumerate(zip(hours, vectors))
+        ],
+        "fs_hours": [
+            FsHourRecord("fs2", hour, tuple(map(max, a, b)), tuple(map(min, a, b)))
+            for hour, (a, b) in zip(hours, vectors)
+        ],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Store(Path(tmp) / "first"), Store(Path(tmp) / "second")
+        for dataset, records in written.items():
+            partition = Partition(dataset, "fs2", BASE_DAY)
+            first.write_partition(records, partition)
+            back = Store(first.root).read_range(dataset, "fs2", BASE_DAY, BASE_DAY + DAY)
+            assert back == records
+            second.write_partition(back, partition)
+            assert second.path(partition).read_bytes() == first.path(partition).read_bytes()
+
+
+@pytest.mark.parametrize("defect", ["short", "long", "non_integer", "negative"])
+@pytest.mark.parametrize("dataset", ["app_hours", "fs_hours", "baselines"])
+def test_malformed_row_raises_store_error_naming_path_and_line(store, dataset, defect):
+    records = {"app_hours": [app_hour(1)], "fs_hours": [fs_hour()], "baselines": [make_baseline()]}
+    partition = Partition(dataset, "fs2", BASE_DAY)
+    store.write_partition(records[dataset], partition)
+    path = store.path(partition)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    cells = lines[1].split(",")  # the last cell is a counter, or a baseline mean
+    if defect == "short":
+        cells = cells[:-3]
+    elif defect == "long":
+        cells += ["0", "0"]
+    elif defect == "non_integer":
+        cells[-1] = "x" if dataset == "baselines" else "1.5"
+    else:
+        cells[-1] = "-1"
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+    fresh = Store(store.root)
+    with pytest.raises(StoreError, match=re.escape(f"{path}: line 2: ")):
+        if dataset == "baselines":
+            fresh.load_baseline("fs2", BASE_DAY)
+        else:
+            fresh.read_range(dataset, "fs2", BASE_DAY, BASE_DAY + DAY)
 
 
 def test_baseline_store_and_lookup(store):
@@ -228,7 +288,7 @@ def test_rewrite_replaces_partition(store):
     )
     store.write_partition([mk_sample("fs2", "nid9", BASE_DAY, read_ops=5)], partition)
     back = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
-    assert [(s.node_id, s.oss.read_ops) for s in back] == [("nid9", 5)]
+    assert [(s.node_id, s.counters) for s in back] == [("nid9", mk_counters(read_ops=5))]
 
 
 def test_unchanged_partitions_are_parsed_once(store, monkeypatch):
@@ -286,18 +346,10 @@ def test_memo_follows_a_second_writer_of_equal_length(tmp_path):
 
 @pytest.mark.parametrize("dataset", ["jobs", "app_hours", "fs_hours", "baselines"])
 def test_corrupting_a_memoized_partition_raises(store, dataset):
-    fs_hour = FsHourRecord(
-        fs_id="fs2",
-        hour=BASE_DAY,
-        oss=OssCounters(1, 2, 3, 4, 5),
-        mds=MdsCounters(*([1] * 16)),
-        unattributed_oss=OssCounters(0, 0, 0, 0, 0),
-        unattributed_mds=MdsCounters(*([0] * 16)),
-    )
     records = {
         "jobs": [mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR)],
         "app_hours": [app_hour(1)],
-        "fs_hours": [fs_hour],
+        "fs_hours": [fs_hour()],
         "baselines": [make_baseline()],
     }[dataset]
     partition = Partition(dataset, None if dataset == "jobs" else "fs2", BASE_DAY)
