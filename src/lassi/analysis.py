@@ -152,21 +152,13 @@ def detect_slowdown(
     )
 
 
-def run_risk_exposure(
-    job: JobRecord, series: RiskSeries | Mapping[int, tuple[float, float]]
-) -> ExposureRecord:
+def run_risk_exposure(job: JobRecord, series: RiskSeries) -> ExposureRecord:
     """Sum hourly filesystem risk over every hour [start, end) touches.
 
     Partial hours count fully. The series must cover every touched hour;
     gaps raise SeriesGapError naming the missing hours.
     """
-    if isinstance(series, RiskSeries):
-        fs_id = series.fs_id
-        mapping = series.as_mapping()
-    else:
-        fs_id = ""
-        mapping = dict(series)
-
+    mapping = series.as_mapping()
     needed = range(floor_hour(job.start), job.end, HOUR)
     missing = tuple(h for h in needed if h not in mapping)
     if missing:
@@ -180,7 +172,7 @@ def run_risk_exposure(
         mds_sum += m
     return ExposureRecord(
         app_id=job.app_id,
-        fs_id=fs_id,
+        fs_id=series.fs_id,
         risk_oss_sum=oss_sum,
         risk_mds_sum=mds_sum,
         hours=len(needed),

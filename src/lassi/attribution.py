@@ -15,8 +15,11 @@ how rogue background load stays visible in filesystem totals.
 
 Both entry points work on a SampleBlock; a plain sequence of StatSample is
 packed into one on entry. Whole windows are assigned per node with
-np.searchsorted over job starts and summed with np.add.at; only proportional
-windows cut by a job boundary take the scalar split.
+np.searchsorted over job starts; only proportional windows cut by a job
+boundary take the scalar split, whose shares join the grouping as extra keyed
+rows. One np.unique + np.add.at sums it all into an AttributionResult: int64
+columns with one row per (owner, fs, window). The hourly rollups group those
+rows again with numpy.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .timeutil import HOUR, floor_hour
 BOUNDARY_POLICIES = ("midpoint", "proportional")
 
 _N = len(ALL_FIELDS)
-_ZEROS = (0,) * _N
 # whole-window owners besides job positions
 _UNATTRIBUTED = -1
 _CUT = -2
@@ -63,17 +65,21 @@ class AttributionConfig:
             raise ValueError(f"window_len {self.window_len} must divide 3600")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttributionResult:
-    """Counter vectors keyed by (app_id, fs_id, window_start), plus the
-    unattributed remainder keyed by (fs_id, window_start).
+    """Summed counters, one row per (owner, fs, window) key.
 
-    Vectors hold the 21 counters in ALL_FIELDS order, the form every
-    record's ``counters`` takes.
+    ``owner`` holds int64 indexes into ``apps``, the job list's app_ids, or
+    -1 for the unattributed remainder; ``fs`` holds fs id strings, ``window``
+    int64 window starts and ``counters`` an int64 (n, 21) array in ALL_FIELDS
+    order, the form every record's ``counters`` takes.
     """
 
-    attributed: dict[tuple[str, str, int], tuple[int, ...]]
-    unattributed: dict[tuple[str, int], tuple[int, ...]]
+    apps: tuple[str, ...]
+    owner: np.ndarray
+    fs: np.ndarray
+    window: np.ndarray
+    counters: np.ndarray
 
 
 def _node_index(jobs: Sequence[JobRecord]):
@@ -96,15 +102,6 @@ def _node_index(jobs: Sequence[JobRecord]):
     return index
 
 
-def _accumulate(acc: dict, key, vec) -> None:
-    slot = acc.get(key)
-    if slot is None:
-        acc[key] = list(vec)
-    else:
-        for i in range(_N):
-            slot[i] += vec[i]
-
-
 def attribute(
     samples: Iterable[StatSample],
     jobs: Sequence[JobRecord],
@@ -118,7 +115,7 @@ def attribute(
     index = _node_index(jobs)
     block = SampleBlock.from_samples(samples, config.window_len)
     block.check_sum_bound()
-    apps = [job.app_id for job in jobs]
+    apps = tuple(job.app_id for job in jobs)
     position = {app_id: k for k, app_id in enumerate(apps)}
     wlen = block.window_len
 
@@ -154,49 +151,50 @@ def attribute(
             owner[rows[cut]] = _CUT
         owner[rows[hit]] = np.array([position[j.app_id] for j in node_jobs], np.int64)[i[hit]]
 
-    # one group per (owner, fs, window); cut windows are summed but dropped
+    # each share of a cut window becomes one more keyed row, at the window's key
+    share_row, share_owner, share_vec = [], [], []
+    for r in np.flatnonzero(owner == _CUT).tolist():
+        vec, w = block.counters[r].tolist(), int(block.window[r])
+        for who, share in _split_window(vec, w, wlen, index[block.node[r]], position):
+            share_row.append(r)
+            share_owner.append(who)
+            share_vec.append(share)
+
+    # one group per (owner, fs, window); the cut windows' own rows hold the
+    # lowest keys, and their groups are dropped
     fs_ids, fs_codes = id_codes(block.fs)
     windows, window_pos = np.unique(block.window, return_inverse=True)
-    key = ((owner - _CUT) * len(fs_ids) + fs_codes) * len(windows) + window_pos
+    cells = len(fs_ids) * len(windows)
+    cell = fs_codes * len(windows) + window_pos
+    who = np.concatenate([owner, np.array(share_owner, np.int64)])
+    key = (who - _CUT) * cells + np.concatenate([cell, cell[np.array(share_row, np.int64)]])
     groups, group_of_row = np.unique(key, return_inverse=True)
     sums = np.zeros((len(groups), _N), np.int64)
-    np.add.at(sums, group_of_row, block.counters)
-
-    attributed: dict = {}
-    unattributed: dict = {}
-    group_owner = (groups // (len(fs_ids) * len(windows)) + _CUT).tolist()
-    group_fs = (groups // len(windows) % len(fs_ids)).tolist()
-    group_window = windows[groups % len(windows)].tolist()
-    for who, f, w, vec in zip(group_owner, group_fs, group_window, sums.tolist()):
-        if who >= 0:
-            attributed[(apps[who], fs_ids[f], w)] = vec
-        elif who == _UNATTRIBUTED:
-            unattributed[(fs_ids[f], w)] = vec
-
-    for r in np.flatnonzero(owner == _CUT).tolist():
-        _split_window(
-            tuple(block.counters[r].tolist()),
-            int(block.window[r]),
-            wlen,
-            block.fs[r],
-            index[block.node[r]],
-            attributed,
-            unattributed,
-        )
-
+    np.add.at(sums, group_of_row[: len(block)], block.counters)
+    np.add.at(sums, group_of_row[len(block) :], np.array(share_vec, np.int64).reshape(-1, _N))
+    kept = np.searchsorted(groups, cells)
+    groups = groups[kept:]
     return AttributionResult(
-        attributed={k: tuple(v) for k, v in attributed.items()},
-        unattributed={k: tuple(v) for k, v in unattributed.items()},
+        apps=apps,
+        owner=groups // cells + _CUT,
+        fs=np.array(fs_ids, object)[groups // len(windows) % len(fs_ids)],
+        window=windows[groups % len(windows)],
+        counters=sums[kept:],
     )
 
 
-def _split_window(vec, w, wlen, fs_id, entry, attributed, unattributed) -> None:
-    """Proportional split of one window that a job boundary cuts."""
+def _split_window(vec, w, wlen, entry, position) -> list[tuple[int, list[int]]]:
+    """Proportional split of one window that a job boundary cuts.
+
+    Returns (owner, share) per overlapping job in start order, the owner
+    being the job's position, then (-1, leftover) if anything stays
+    unattributed.
+    """
     starts, node_jobs = entry
     # walk jobs overlapping [w, w + wlen) in start order
     w_end = w + wlen
     i = bisect_right(starts, w_end) - 1
-    shares: list[tuple[JobRecord, int]] = []
+    overlaps: list[tuple[JobRecord, int]] = []
     while i >= 0:
         job = node_jobs[i]
         if job.end <= w:
@@ -205,30 +203,24 @@ def _split_window(vec, w, wlen, fs_id, entry, attributed, unattributed) -> None:
         if job.start < w_end:
             overlap = min(job.end, w_end) - max(job.start, w)
             if overlap > 0:
-                shares.append((job, overlap))
+                overlaps.append((job, overlap))
         i -= 1
-    shares.reverse()
+    overlaps.reverse()
+    shares = []
     cum = 0
-    prev = _ZEROS
-    for job, overlap in shares:
+    prev = [0] * _N
+    for job, overlap in overlaps:
         cum += overlap
         if cum >= wlen:
             scaled = vec
         else:
             fraction = cum / wlen
-            scaled = tuple(round(v * fraction) for v in vec)
-        _accumulate(
-            attributed,
-            (job.app_id, fs_id, w),
-            [a - b for a, b in zip(scaled, prev)],
-        )
+            scaled = [round(v * fraction) for v in vec]
+        shares.append((position[job.app_id], [a - b for a, b in zip(scaled, prev)]))
         prev = scaled
     if prev != vec:
-        _accumulate(
-            unattributed,
-            (fs_id, w),
-            [a - b for a, b in zip(vec, prev)],
-        )
+        shares.append((_UNATTRIBUTED, [a - b for a, b in zip(vec, prev)]))
+    return shares
 
 
 def aggregate_hourly(
@@ -243,27 +235,46 @@ def aggregate_hourly(
     built from these records have no gaps. ``span`` clamps that materialized
     range, for aggregating one day of a longer job.
     """
-    acc: dict[tuple[str, str, int], list[int]] = {}
-    for (app_id, fs_id, w), vec in result.attributed.items():
-        _accumulate(acc, (app_id, fs_id, w - w % HOUR), vec)
+    rows = np.flatnonzero(result.owner >= 0)
+    if not len(rows):
+        return []
+    app_ids, app_rank = id_codes(np.array(result.apps, object))
+    app = app_rank[result.owner[rows]]
+    fs_ids, fs = id_codes(result.fs[rows])
+    hour = result.window[rows] - result.window[rows] % HOUR
 
+    # zero-fill rows: every hour of each (app, fs) pair's clamped job span
     jobs_by_id = {j.app_id: j for j in jobs}
-    for app_id, fs_id in {(a, f) for (a, f, _) in result.attributed}:
-        job = jobs_by_id.get(app_id)
+    fill = []
+    for pair in np.unique(app * len(fs_ids) + fs).tolist():
+        a, f = divmod(pair, len(fs_ids))
+        job = jobs_by_id.get(app_ids[a])
         if job is None:
-            raise ValueError(f"attributed app {app_id!r} missing from job list")
-        first = floor_hour(job.start)
-        last = floor_hour(job.end - 1)
+            raise ValueError(f"attributed app {app_ids[a]!r} missing from job list")
+        first, last = floor_hour(job.start), floor_hour(job.end - 1)
         if span is not None:
             first = max(first, floor_hour(span[0]))
             last = min(last, floor_hour(span[1] - 1))
-        for hour in range(first, last + 1, HOUR):
-            acc.setdefault((app_id, fs_id, hour), list(_ZEROS))
+        fill += [(h, f, a) for h in range(first, last + 1, HOUR)]
+    fill = np.array(fill, np.int64).reshape(-1, 3)
+    hour = np.concatenate([hour, fill[:, 0]])
+    fs = np.concatenate([fs, fill[:, 1]])
+    app = np.concatenate([app, fill[:, 2]])
 
-    ordered = sorted(acc.items(), key=lambda kv: (kv[0][2], kv[0][1], kv[0][0]))
+    # keys run in (hour, fs, app) order, the order of the records
+    hours, hour_pos = np.unique(hour, return_inverse=True)
+    key = (hour_pos * len(fs_ids) + fs) * len(app_ids) + app
+    groups, group_of_row = np.unique(key, return_inverse=True)
+    sums = np.zeros((len(groups), _N), np.int64)
+    np.add.at(sums, group_of_row[: len(rows)], result.counters[rows])
     return [
-        AppHourRecord(app_id=app_id, fs_id=fs_id, hour=hour, counters=tuple(vec))
-        for (app_id, fs_id, hour), vec in ordered
+        AppHourRecord(app_id=app_ids[a], fs_id=fs_ids[f], hour=h, counters=tuple(vec))
+        for h, f, a, vec in zip(
+            hours[groups // (len(fs_ids) * len(app_ids))].tolist(),
+            (groups // len(app_ids) % len(fs_ids)).tolist(),
+            (groups % len(app_ids)).tolist(),
+            sums.tolist(),
+        )
     ]
 
 
@@ -276,32 +287,24 @@ def fs_hourly_totals(
     """
     block = SampleBlock.from_samples(samples)
     block.check_sum_bound()
-    fs_ids, fs_codes = id_codes(block.fs)
-    hours, hour_pos = np.unique(block.window - block.window % HOUR, return_inverse=True)
+    n = len(block)
+    # the unattributed rows take the samples' slot arithmetic
+    un = np.flatnonzero(result.owner == _UNATTRIBUTED)
+    fs_ids, fs_codes = id_codes(np.concatenate([block.fs, result.fs[un]]))
+    window = np.concatenate([block.window, result.window[un]])
+    hours, hour_pos = np.unique(window - window % HOUR, return_inverse=True)
     # slots run in (hour, fs) order, the order of the records
     slot = hour_pos * len(fs_ids) + fs_codes
     totals = np.zeros((len(hours) * len(fs_ids), _N), np.int64)
-    np.add.at(totals, slot, block.counters)
-    slot_of = {
-        (fs_ids[s % len(fs_ids)], int(hours[s // len(fs_ids)])): s
-        for s in np.unique(slot).tolist()
-    }
-
-    where, vecs = [], []
-    for (fs_id, w), vec in result.unattributed.items():
-        s = slot_of.get((fs_id, w - w % HOUR))
-        if s is not None:
-            where.append(s)
-            vecs.append(vec)
+    np.add.at(totals, slot[:n], block.counters)
     unattr = np.zeros_like(totals)
-    np.add.at(unattr, np.array(where, np.int64), np.array(vecs, np.int64).reshape(-1, _N))
-
+    np.add.at(unattr, slot[n:], result.counters[un])
     return [
         FsHourRecord(
-            fs_id=fs_id,
-            hour=hour,
+            fs_id=fs_ids[s % len(fs_ids)],
+            hour=int(hours[s // len(fs_ids)]),
             counters=tuple(totals[s].tolist()),
             unattributed=tuple(unattr[s].tolist()),
         )
-        for (fs_id, hour), s in slot_of.items()
+        for s in np.unique(slot[:n]).tolist()
     ]

@@ -8,20 +8,14 @@ a range rewrites the same partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .analysis import ExposureRecord, run_risk_exposure
-from .attribution import (
-    AttributionConfig,
-    AttributionResult,
-    aggregate_hourly,
-    attribute,
-    fs_hourly_totals,
-)
+from .attribution import AttributionConfig, aggregate_hourly, attribute, fs_hourly_totals
 from .errors import IngestError, LassiError
 from .ingest import parse_jobs_csv, parse_stats_csv
 from .metrics import FsBaseline, RiskSeries, compute_baseline, fs_risk_series, ops_series
@@ -194,59 +188,30 @@ def ingest_files(
     )
 
 
-def conservation_errors(
-    samples: Iterable[StatSample], result: AttributionResult
-) -> list[str]:
-    """Window-level check: attributed + unattributed must equal the inputs."""
-    totals: dict[tuple[str, int], list[int]] = {}
-    for s in samples:
-        key = (s.fs_id, s.window_start)
-        slot = totals.setdefault(key, [0] * _N)
-        for i, v in enumerate(s.counters):
-            slot[i] += v
-
-    recon: dict[tuple[str, int], list[int]] = {}
-    for (app_id, fs_id, w), vec in result.attributed.items():
-        slot = recon.setdefault((fs_id, w), [0] * _N)
-        for i in range(_N):
-            slot[i] += vec[i]
-    for (fs_id, w), vec in result.unattributed.items():
-        slot = recon.setdefault((fs_id, w), [0] * _N)
-        for i in range(_N):
-            slot[i] += vec[i]
-
-    problems = []
-    for key in sorted(set(totals) | set(recon)):
-        got = recon.get(key, [0] * _N)
-        want = totals.get(key, [0] * _N)
-        if got != want:
-            fs_id, w = key
-            for i in range(_N):
-                if got[i] != want[i]:
-                    problems.append(
-                        f"{fs_id} window {w} {ALL_FIELDS[i]}: "
-                        f"attributed+unattributed {got[i]} != sampled {want[i]}"
-                    )
-    return problems
-
-
 def _check_hourly_conservation(
     app_hours: Sequence[AppHourRecord], fs_hours: Sequence[FsHourRecord]
 ) -> None:
-    sums: dict[tuple[str, int], list[int]] = {}
-    for rec in app_hours:
-        slot = sums.setdefault((rec.fs_id, rec.hour), [0] * _N)
-        for i, v in enumerate(rec.counters):
-            slot[i] += v
-    for rec in fs_hours:
-        total, un = rec.counters, rec.unattributed
-        attributed = sums.get((rec.fs_id, rec.hour), [0] * _N)
-        for i in range(_N):
-            if attributed[i] + un[i] != total[i]:
-                raise LassiError(
-                    f"conservation violated for {rec.fs_id} hour {rec.hour} "
-                    f"{ALL_FIELDS[i]}: {attributed[i]} + {un[i]} != {total[i]}"
-                )
+    """Per (fs, hour), the app-hours plus the unattributed portion must equal
+    the totals, field by field; an hour with no totals has none to share."""
+    f = len(fs_hours)
+    records = (*fs_hours, *app_hours)
+    fs_ids, fs_codes = id_codes(np.array([r.fs_id for r in records], object))
+    hours, hour_pos = np.unique(np.array([r.hour for r in records], np.int64), return_inverse=True)
+    # keys run in (hour, fs) order, the order of the fs-hour records
+    keys, slot = np.unique(hour_pos * len(fs_ids) + fs_codes, return_inverse=True)
+    total, un, attributed = (np.zeros((len(keys), _N), np.int64) for _ in range(3))
+    total[slot[:f]] = np.array([r.counters for r in fs_hours], np.int64).reshape(-1, _N)
+    un[slot[:f]] = np.array([r.unattributed for r in fs_hours], np.int64).reshape(-1, _N)
+    counters = np.array([r.counters for r in app_hours], np.int64).reshape(-1, _N)
+    np.add.at(attributed, slot[f:], counters)
+    bad = np.argwhere(attributed != total - un)
+    if len(bad):
+        k, i = bad[0].tolist()
+        raise LassiError(
+            f"conservation violated for {fs_ids[keys[k] % len(fs_ids)]} "
+            f"hour {hours[keys[k] // len(fs_ids)]} {ALL_FIELDS[i]}: "
+            f"{attributed[k, i]} + {un[k, i]} != {total[k, i]}"
+        )
 
 
 def _rollup(
@@ -445,13 +410,7 @@ def exposure_for(
             continue
         baseline = store.load_baseline(fs, floor_day(job.start))
         if alpha is not None and alpha != baseline.alpha:
-            baseline = FsBaseline(
-                fs_id=baseline.fs_id,
-                period=baseline.period,
-                alpha=alpha,
-                means=baseline.means,
-                basis=baseline.basis,
-            )
+            baseline = replace(baseline, alpha=alpha)
         series = fs_risk_series(records, baseline, hours=grid)
         out.append(run_risk_exposure(job, series))
     if not out:

@@ -2,8 +2,9 @@
 
 Layout: ``<root>/<dataset>/<fs_id | all>/<YYYY-MM-DD>.csv``. Partitions are
 rewritten whole: content is serialized in canonical sorted form, written to a
-temp file, and moved into place atomically. A ``.lock`` file enforces a single
-writer per partition; readers never need the lock because rename is atomic.
+temp file, and moved into place atomically. A ``fcntl.flock`` on a ``.lock``
+file enforces a single writer per partition, and ends with its writer, even a
+killed one; readers never need the lock because rename is atomic.
 
 A ``Store`` memoizes the parsed jobs, app_hours, fs_hours and baselines
 partitions it reads, keyed on each file's exact bytes: every read still reads
@@ -22,6 +23,7 @@ module.
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
 import os
 from contextlib import contextmanager
@@ -77,6 +79,18 @@ class Partition:
 
     def relative_path(self) -> Path:
         return Path(self.dataset) / (self.fs_id or "all") / f"{date_str(self.date)}.csv"
+
+
+def _check_home(record, partition: Partition) -> None:
+    """Raise ValueError unless a jobs, app_hours or fs_hours record belongs in the partition."""
+    if partition.dataset == "jobs":
+        home = (None, floor_day(record.start))
+    else:
+        home = (record.fs_id, floor_day(record.hour))
+    if home != (partition.fs_id, partition.date):
+        raise ValueError(
+            f"record {record} outside partition ({partition.fs_id}, {date_str(partition.date)})"
+        )
 
 
 def _may_hold(jobs_csv: bytes, app_ids: set[bytes]) -> bool:
@@ -135,15 +149,17 @@ class Store:
     def _locked(self, path: Path):
         lock = path.with_name(path.name + ".lock")
         lock.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
         try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StoreLockError(f"partition {path} is locked by another writer") from None
-        try:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StoreLockError(f"partition {path} is locked by another writer") from None
             yield
         finally:
+            # closing releases the lock; the file stays, since a writer that
+            # unlinked it could leave the next two locking different files
             os.close(fd)
-            os.unlink(lock)
 
     def _write_text(self, path: Path, text: str) -> None:
         with self._locked(path):
@@ -175,14 +191,14 @@ class Store:
             self._write_text(self.path(partition), ingest.serialize_stats_csv(block))
             return len(block)
         records = list(records)
+        if dataset in ("jobs", "app_hours", "fs_hours"):
+            for record in records:
+                _check_home(record, partition)
         if dataset == "jobs":
-            self._check_bounds(records, partition, lambda j: (None, floor_day(j.start)))
             text = ingest.serialize_jobs_csv(records)
         elif dataset == "app_hours":
-            self._check_bounds(records, partition, lambda r: (r.fs_id, floor_day(r.hour)))
             text = ingest.render_csv(APP_HOURS_HEADER, _app_hour_rows(records))
         elif dataset == "fs_hours":
-            self._check_bounds(records, partition, lambda r: (r.fs_id, floor_day(r.hour)))
             text = ingest.render_csv(FS_HOURS_HEADER, _fs_hour_rows(records))
         elif dataset == "baselines":
             for b in records:
@@ -196,16 +212,6 @@ class Store:
             raise ValueError(f"dataset {dataset!r} is not a CSV partition dataset")
         self._write_text(self.path(partition), text)
         return len(records)
-
-    @staticmethod
-    def _check_bounds(records, partition: Partition, key) -> None:
-        for record in records:
-            fs_id, day = key(record)
-            if fs_id != partition.fs_id or day != partition.date:
-                raise ValueError(
-                    f"record {record} outside partition "
-                    f"({partition.fs_id}, {date_str(partition.date)})"
-                )
 
     def list_fs(self, dataset: str) -> list[str]:
         base = self.root / dataset
@@ -265,9 +271,10 @@ class Store:
 
         The file is read on every call (or its bytes given as data), and an
         earlier parse is reused only while the bytes equal those it came
-        from. Parses are never handed out mutable: jobs come as a read-only
-        app_id mapping, aggregates as tuples of frozen records, and callers
-        copy a baseline's means.
+        from. Aggregate rows must belong in the file's partition. Parses are
+        never handed out mutable: jobs come as a read-only app_id mapping,
+        aggregates as tuples of frozen records, and callers copy a
+        baseline's means.
         """
         if data is None:
             data = path.read_bytes()
@@ -312,10 +319,13 @@ class Store:
 
     @classmethod
     def _read_rows(cls, path: Path, stream: io.StringIO, header: tuple[str, ...], build) -> tuple:
+        home = Partition(path.parent.parent.name, path.parent.name, parse_date(path.stem))
         out = []
         for line_no, row in cls._rows(path, stream, header):
             try:
-                out.append(build(parse_utc(row[0]), row))
+                record = build(parse_utc(row[0]), row)
+                _check_home(record, home)
+                out.append(record)
             except ValueError as exc:
                 raise StoreError(f"{path}: line {line_no}: {exc}") from exc
         return tuple(out)

@@ -72,6 +72,52 @@ def count_calls(monkeypatch, name) -> list:
     return calls
 
 
+def result_dicts(result) -> tuple[dict, dict]:
+    """An AttributionResult as dicts of counter tuples: attributed keyed by
+    (app_id, fs_id, window_start), unattributed by (fs_id, window_start)."""
+    attributed, unattributed = {}, {}
+    for who, fs_id, w, vec in zip(
+        result.owner.tolist(), result.fs.tolist(), result.window.tolist(), result.counters.tolist()
+    ):
+        if who < 0:
+            unattributed[(fs_id, w)] = tuple(vec)
+        else:
+            attributed[(result.apps[who], fs_id, w)] = tuple(vec)
+    return attributed, unattributed
+
+
+def conservation_errors(samples, result) -> list[str]:
+    """Window-level check: attributed + unattributed must equal the inputs."""
+    n = len(ALL_FIELDS)
+    totals: dict[tuple[str, int], list[int]] = {}
+    for s in samples:
+        slot = totals.setdefault((s.fs_id, s.window_start), [0] * n)
+        for i, v in enumerate(s.counters):
+            slot[i] += v
+
+    attributed, unattributed = result_dicts(result)
+    recon: dict[tuple[str, int], list[int]] = {}
+    parts = [((fs_id, w), vec) for (_, fs_id, w), vec in attributed.items()]
+    for key, vec in parts + list(unattributed.items()):
+        slot = recon.setdefault(key, [0] * n)
+        for i in range(n):
+            slot[i] += vec[i]
+
+    problems = []
+    for key in sorted(set(totals) | set(recon)):
+        got = recon.get(key, [0] * n)
+        want = totals.get(key, [0] * n)
+        if got != want:
+            fs_id, w = key
+            for i in range(n):
+                if got[i] != want[i]:
+                    problems.append(
+                        f"{fs_id} window {w} {ALL_FIELDS[i]}: "
+                        f"attributed+unattributed {got[i]} != sampled {want[i]}"
+                    )
+    return problems
+
+
 def mk_job(
     app_id,
     nodes,

@@ -34,7 +34,6 @@ from lassi.pipeline import (
     build_baselines,
     compute_outputs,
     compute_outputs_from_files,
-    conservation_errors,
     ingest_files,
 )
 from lassi.report import build_daily_report, bundle_files, write_bundle
@@ -42,7 +41,14 @@ from lassi.store import Store
 from lassi.synth import ACTOR_TYPES, generate, load_scenario, parse_scenario
 from lassi.timeutil import DAY, HOUR, hour_range, parse_utc
 
-from helpers import BASE_DAY, REPORT_DAY, mk_counters, mk_job, scenario_text
+from helpers import (
+    BASE_DAY,
+    REPORT_DAY,
+    conservation_errors,
+    mk_counters,
+    mk_job,
+    scenario_text,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDEN_SCENARIO = Path(__file__).parent / "data" / "golden_scenario.ini"

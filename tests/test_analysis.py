@@ -127,13 +127,6 @@ def test_run_risk_exposure_gap_raises():
     assert err.value.missing_hours == (BASE_DAY + HOUR,)
 
 
-def test_run_risk_exposure_accepts_plain_mapping():
-    job = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR)
-    exposure = run_risk_exposure(job, {BASE_DAY: (3.0, 0.5)})
-    assert exposure.risk_oss_sum == 3.0
-    assert exposure.fs_id == ""
-
-
 def test_runtime_vs_risk_points():
     jobs = jobs_with_runtimes([100, 200])
     (group,) = group_jobs(jobs)

@@ -1,5 +1,6 @@
 """Window attribution: ownership rules, conflicts, conservation, rollups."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,10 +13,9 @@ from lassi.attribution import (
 )
 from lassi.errors import AttributionConflictError
 from lassi.model import StatSample
-from lassi.pipeline import conservation_errors
 from lassi.timeutil import DAY, HOUR
 
-from helpers import BASE_DAY, mk_counters, mk_job, mk_sample
+from helpers import BASE_DAY, conservation_errors, mk_counters, mk_job, mk_sample, result_dicts
 
 MIDPOINT = AttributionConfig(boundary_policy="midpoint")
 PROPORTIONAL = AttributionConfig(boundary_policy="proportional")
@@ -39,8 +39,9 @@ def test_midpoint_window_inside_job():
     job = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR)
     sample = mk_sample("fs2", "nid1", BASE_DAY + 180, read_kb=100)
     result = attribute([sample], [job], MIDPOINT)
-    assert result.attributed[("app1", "fs2", BASE_DAY + 180)][0] == 100
-    assert result.unattributed == {}
+    attributed, unattributed = result_dicts(result)
+    assert attributed[("app1", "fs2", BASE_DAY + 180)][0] == 100
+    assert unattributed == {}
 
 
 @pytest.mark.parametrize(
@@ -56,10 +57,11 @@ def test_midpoint_start_boundary(job_start_offset, owned):
     w = BASE_DAY
     job = mk_job("app1", ["nid1"], w + job_start_offset, w + HOUR)
     result = attribute([mk_sample("fs2", "nid1", w, read_kb=7)], [job], MIDPOINT)
+    attributed, unattributed = result_dicts(result)
     if owned:
-        assert ("app1", "fs2", w) in result.attributed
+        assert ("app1", "fs2", w) in attributed
     else:
-        assert result.unattributed[("fs2", w)][0] == 7
+        assert unattributed[("fs2", w)][0] == 7
 
 
 @pytest.mark.parametrize(
@@ -74,7 +76,8 @@ def test_midpoint_end_boundary(job_end_offset, owned):
     w = BASE_DAY
     job = mk_job("app1", ["nid1"], w - HOUR, w + job_end_offset)
     result = attribute([mk_sample("fs2", "nid1", w, read_kb=7)], [job], MIDPOINT)
-    assert (("app1", "fs2", w) in result.attributed) is owned
+    attributed, unattributed = result_dicts(result)
+    assert (("app1", "fs2", w) in attributed) is owned
 
 
 def test_midpoint_odd_window_length():
@@ -84,13 +87,15 @@ def test_midpoint_odd_window_length():
     result = attribute(
         [mk_sample("fs2", "nid1", w, window_len=225, read_kb=3)], [inside], MIDPOINT
     )
-    assert ("app1", "fs2", w) in result.attributed
+    attributed, unattributed = result_dicts(result)
+    assert ("app1", "fs2", w) in attributed
 
     outside = mk_job("app2", ["nid2"], w + 113, w + HOUR)
     result = attribute(
         [mk_sample("fs2", "nid2", w, window_len=225, read_kb=3)], [outside], MIDPOINT
     )
-    assert result.attributed == {}
+    attributed, unattributed = result_dicts(result)
+    assert attributed == {}
 
 
 def test_idle_and_unknown_nodes_stay_unattributed():
@@ -100,8 +105,9 @@ def test_idle_and_unknown_nodes_stay_unattributed():
         mk_sample("fs2", "nid9", BASE_DAY, write_kb=20),  # never allocated
     ]
     result = attribute(samples, [job], MIDPOINT)
-    assert result.attributed == {}
-    assert result.unattributed[("fs2", BASE_DAY)][2] == 30
+    attributed, unattributed = result_dicts(result)
+    assert attributed == {}
+    assert unattributed[("fs2", BASE_DAY)][2] == 30
 
 
 def test_overlapping_jobs_conflict():
@@ -119,7 +125,8 @@ def test_touching_jobs_do_not_conflict():
     result = attribute(
         [mk_sample("fs2", "nid1", BASE_DAY + HOUR, read_ops=4)], [a, b], MIDPOINT
     )
-    assert result.attributed == {("app2", "fs2", BASE_DAY + HOUR): (0, 4) + (0,) * 19}
+    attributed, unattributed = result_dicts(result)
+    assert attributed == {("app2", "fs2", BASE_DAY + HOUR): (0, 4) + (0,) * 19}
 
 
 def test_duplicate_app_id_rejected():
@@ -136,9 +143,10 @@ def test_proportional_split_pinned():
     b = mk_job("app2", ["nid1"], w + 90, w + HOUR)
     sample = mk_sample("fs2", "nid1", w, read_kb=5)
     result = attribute([sample], [a, b], PROPORTIONAL)
-    assert result.attributed[("app1", "fs2", w)][0] == 2
-    assert result.attributed[("app2", "fs2", w)][0] == 3
-    assert result.unattributed == {}
+    attributed, unattributed = result_dicts(result)
+    assert attributed[("app1", "fs2", w)][0] == 2
+    assert attributed[("app2", "fs2", w)][0] == 3
+    assert unattributed == {}
 
 
 @pytest.mark.parametrize("value,owned", [(5, 2), (7, 4)])
@@ -147,8 +155,9 @@ def test_proportional_half_window_rounds_half_to_even(value, owned):
     w = BASE_DAY
     job = mk_job("app1", ["nid1"], w - HOUR, w + 90)
     result = attribute([mk_sample("fs2", "nid1", w, read_kb=value)], [job], PROPORTIONAL)
-    assert result.attributed[("app1", "fs2", w)][0] == owned
-    assert result.unattributed[("fs2", w)][0] == value - owned
+    attributed, unattributed = result_dicts(result)
+    assert attributed[("app1", "fs2", w)][0] == owned
+    assert unattributed[("fs2", w)][0] == value - owned
 
 
 def test_proportional_leftover_stays_unattributed():
@@ -156,11 +165,12 @@ def test_proportional_leftover_stays_unattributed():
     a = mk_job("app1", ["nid1"], w - HOUR, w + 45)  # covers a quarter
     sample = mk_sample("fs2", "nid1", w, read_kb=5, write_kb=8)
     result = attribute([sample], [a], PROPORTIONAL)
-    got = result.attributed[("app1", "fs2", w)]
+    attributed, unattributed = result_dicts(result)
+    got = attributed[("app1", "fs2", w)]
     assert got[0] == round(5 * 0.25)
     assert got[2] == 2
-    assert result.unattributed[("fs2", w)][0] == 5 - got[0]
-    assert result.unattributed[("fs2", w)][2] == 6
+    assert unattributed[("fs2", w)][0] == 5 - got[0]
+    assert unattributed[("fs2", w)][2] == 6
 
 
 intervals_st = st.lists(
@@ -177,10 +187,11 @@ def test_proportional_conserves_every_field(bounds, vec):
     ]
     sample = vec_sample(vec)
     result = attribute([sample], jobs, PROPORTIONAL)
+    attributed, unattributed = result_dicts(result)
     totals = [0] * 21
-    for parts in result.attributed.values():
+    for parts in attributed.values():
         totals = [t + p for t, p in zip(totals, parts)]
-    for parts in result.unattributed.values():
+    for parts in unattributed.values():
         totals = [t + p for t, p in zip(totals, parts)]
     assert totals == vec
     assert conservation_errors([sample], result) == []
@@ -219,7 +230,11 @@ def test_aggregate_hourly_span_clamp():
 
 def test_aggregate_hourly_requires_job_metadata():
     result = AttributionResult(
-        attributed={("ghost", "fs2", BASE_DAY): (1,) * 21}, unattributed={}
+        apps=("ghost",),
+        owner=np.array([0]),
+        fs=np.array(["fs2"], object),
+        window=np.array([BASE_DAY]),
+        counters=np.ones((1, 21), np.int64),
     )
     with pytest.raises(ValueError):
         aggregate_hourly(result, [])

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BASE_DAY, mk_counters, mk_job, mk_sample
+from helpers import BASE_DAY, mk_counters, mk_job, mk_sample, result_dicts
 from lassi.attribution import (
     AttributionConfig,
-    _accumulate,
     _node_index,
+    aggregate_hourly,
     attribute,
     fs_hourly_totals,
 )
@@ -33,7 +33,7 @@ from lassi.ingest import (
 from lassi.model import INT64_MAX, SampleBlock, StatSample
 from lassi.pipeline import ingest_files
 from lassi.store import Store
-from lassi.timeutil import DAY, HOUR, format_utc, parse_utc
+from lassi.timeutil import DAY, HOUR, floor_hour, format_utc, parse_utc
 
 HEADER = ",".join(STATS_HEADER)
 T0 = "2017-10-09T00:00:00Z"
@@ -123,8 +123,8 @@ def test_rollups_refuse_sums_that_could_overflow():
     with pytest.raises(LassiError, match="int64"):
         fs_hourly_totals(samples, attribute(samples[:1], [job]))
     # one such sample alone cannot overflow
-    result = attribute(samples[:1], [job])
-    assert result.attributed[("app1", "fs2", BASE_DAY)][0] == big
+    attributed, _ = result_dicts(attribute(samples[:1], [job]))
+    assert attributed[("app1", "fs2", BASE_DAY)][0] == big
 
 
 # --- clean path agrees with the row loop -----------------------------------
@@ -335,6 +335,12 @@ def test_ingest_merges_overlapping_files_in_one_call(tmp_path):
 # --- vector attribution agrees with the per-sample loop --------------------
 
 
+def accumulate(acc, key, vec):
+    slot = acc.setdefault(key, [0] * len(vec))
+    for i, v in enumerate(vec):
+        slot[i] += v
+
+
 def reference_attribute(samples, jobs, config):
     """The per-sample attribution loop the vector path replaced."""
     index = _node_index(jobs)
@@ -344,16 +350,16 @@ def reference_attribute(samples, jobs, config):
         w, wlen = s.window_start, s.window_len
         entry = index.get(s.node_id)
         if entry is None:
-            _accumulate(unattributed, (s.fs_id, w), vec)
+            accumulate(unattributed, (s.fs_id, w), vec)
             continue
         starts, node_jobs = entry
         if config.boundary_policy == "midpoint":
             mid2 = 2 * w + wlen
             i = bisect_right(starts, mid2 // 2) - 1
             if i >= 0 and mid2 < 2 * node_jobs[i].end:
-                _accumulate(attributed, (node_jobs[i].app_id, s.fs_id, w), vec)
+                accumulate(attributed, (node_jobs[i].app_id, s.fs_id, w), vec)
             else:
-                _accumulate(unattributed, (s.fs_id, w), vec)
+                accumulate(unattributed, (s.fs_id, w), vec)
             continue
         shares = [
             (j, min(j.end, w + wlen) - max(j.start, w))
@@ -361,16 +367,16 @@ def reference_attribute(samples, jobs, config):
             if j.start < w + wlen and j.end > w
         ]
         if not shares:
-            _accumulate(unattributed, (s.fs_id, w), vec)
+            accumulate(unattributed, (s.fs_id, w), vec)
             continue
         cum, prev = 0, (0,) * len(vec)
         for job, overlap in shares:
             cum += overlap
             scaled = vec if cum >= wlen else tuple(round(v * (cum / wlen)) for v in vec)
-            _accumulate(attributed, (job.app_id, s.fs_id, w), [a - b for a, b in zip(scaled, prev)])
+            accumulate(attributed, (job.app_id, s.fs_id, w), [a - b for a, b in zip(scaled, prev)])
             prev = scaled
         if prev != vec:
-            _accumulate(unattributed, (s.fs_id, w), [a - b for a, b in zip(vec, prev)])
+            accumulate(unattributed, (s.fs_id, w), [a - b for a, b in zip(vec, prev)])
     return (
         {k: tuple(v) for k, v in attributed.items()},
         {k: tuple(v) for k, v in unattributed.items()},
@@ -381,12 +387,33 @@ def reference_fs_totals(samples, unattributed):
     totals, unattr = {}, {}
     for s in samples:
         hour = s.window_start - s.window_start % HOUR
-        _accumulate(totals, (s.fs_id, hour), s.counters)
+        accumulate(totals, (s.fs_id, hour), s.counters)
     for (fs_id, w), vec in unattributed.items():
-        _accumulate(unattr, (fs_id, w - w % HOUR), vec)
+        accumulate(unattr, (fs_id, w - w % HOUR), vec)
     return [
         (hour, fs_id, tuple(vec), tuple(unattr.get((fs_id, hour), (0,) * 21)))
         for (fs_id, hour), vec in sorted(totals.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    ]
+
+
+def reference_aggregate_hourly(attributed, jobs, span):
+    """The dict-based hourly rollup the numpy grouping replaced."""
+    acc = {}
+    for (app_id, fs_id, w), vec in attributed.items():
+        accumulate(acc, (app_id, fs_id, w - w % HOUR), vec)
+    jobs_by_id = {j.app_id: j for j in jobs}
+    for app_id, fs_id in {(a, f) for (a, f, _) in attributed}:
+        job = jobs_by_id[app_id]
+        first = floor_hour(job.start)
+        last = floor_hour(job.end - 1)
+        if span is not None:
+            first = max(first, floor_hour(span[0]))
+            last = min(last, floor_hour(span[1] - 1))
+        for hour in range(first, last + 1, HOUR):
+            acc.setdefault((app_id, fs_id, hour), [0] * 21)
+    return [
+        (hour, fs_id, app_id, tuple(vec))
+        for (app_id, fs_id, hour), vec in sorted(acc.items(), key=lambda kv: kv[0][::-1])
     ]
 
 
@@ -408,12 +435,14 @@ job_cuts = st.lists(st.integers(0, 30 * 180), min_size=2, max_size=8, unique=Tru
         unique_by=lambda t: (t[0], t[1], t[2]),
     ),
     policy=st.sampled_from(["midpoint", "proportional"]),
+    span=st.sampled_from([None, (BASE_DAY, BASE_DAY + HOUR), (BASE_DAY + HOUR, BASE_DAY + DAY)]),
 )
-def test_vector_attribution_matches_sample_loop(cuts, cells, policy):
+def test_vector_attribution_matches_sample_loop(cuts, cells, policy, span):
     jobs = []
     for node, bounds in zip(NODES, cuts):
         for k, (s, e) in enumerate(zip(bounds[::2], bounds[1::2])):
             jobs.append(mk_job(f"{node}-app{k}", [node], BASE_DAY + s, BASE_DAY + e))
+    jobs.reverse()  # job list order differs from app_id order
     samples = [
         StatSample(fs, node, BASE_DAY + i * 180, tuple(vec))
         for fs, node, i, vec in cells
@@ -421,13 +450,15 @@ def test_vector_attribution_matches_sample_loop(cuts, cells, policy):
     config = AttributionConfig(boundary_policy=policy)
     result = attribute(samples, jobs, config)
     want_attributed, want_unattributed = reference_attribute(samples, jobs, config)
-    assert result.attributed == want_attributed
-    assert result.unattributed == want_unattributed
+    assert result_dicts(result) == (want_attributed, want_unattributed)
     got_totals = [
         (r.hour, r.fs_id, r.counters, r.unattributed) for r in fs_hourly_totals(samples, result)
     ]
     assert got_totals == reference_fs_totals(samples, want_unattributed)
-    assert isinstance(next(iter(result.attributed.values()), (0,))[0], int)
+    got_hours = [
+        (r.hour, r.fs_id, r.app_id, r.counters) for r in aggregate_hourly(result, jobs, span)
+    ]
+    assert got_hours == reference_aggregate_hourly(want_attributed, jobs, span)
 
 
 def test_block_and_sample_list_attribute_alike():
@@ -439,5 +470,7 @@ def test_block_and_sample_list_attribute_alike():
     ]
     config = AttributionConfig(boundary_policy="proportional")
     block = SampleBlock.from_samples(samples)
-    assert attribute(block, [job], config) == attribute(samples, [job], config)
+    assert result_dicts(attribute(block, [job], config)) == result_dicts(
+        attribute(samples, [job], config)
+    )
     assert np.array_equal(block.counters[:, 0], [1, 1, 2, 2, 3, 3, 4, 4])

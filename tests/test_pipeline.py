@@ -8,7 +8,7 @@ from lassi import pipeline, synth
 from lassi.attribution import AttributionConfig
 from lassi.errors import IngestError, LassiError
 from lassi.ingest import JOBS_HEADER, STATS_HEADER
-from lassi.model import ALL_FIELDS
+from lassi.model import ALL_FIELDS, AppHourRecord, FsHourRecord
 from lassi.pipeline import (
     aggregate_range,
     build_baselines,
@@ -200,6 +200,25 @@ def test_both_rollup_paths_check_conservation(tmp_path, monkeypatch, exposure_fi
         compute_outputs(
             exposure_fixture.samples, exposure_fixture.jobs, (BASE_DAY, REPORT_DAY + DAY)
         )
+
+
+def test_hourly_conservation_check_names_the_first_differing_field():
+    check = pipeline._check_hourly_conservation
+    fs_hour = FsHourRecord("fs2", BASE_DAY, mk_counters(read_kb=5, open=2), mk_counters(read_kb=1))
+    app_hours = [
+        AppHourRecord("app1", "fs2", BASE_DAY, mk_counters(read_kb=3)),
+        AppHourRecord("app2", "fs2", BASE_DAY, mk_counters(read_kb=1, open=2)),
+    ]
+    check(app_hours, [fs_hour])
+    check(app_hours + [AppHourRecord("app1", "fs2", BASE_DAY + HOUR, mk_counters())], [fs_hour])
+
+    short = [app_hours[0], replace(app_hours[1], counters=mk_counters(read_kb=1, open=1))]
+    with pytest.raises(LassiError, match=f"fs2 hour {BASE_DAY} open: 1 \\+ 0 != 2"):
+        check(short, [fs_hour])
+    # an app-hour where the filesystem has no totals has nothing to share
+    stray = AppHourRecord("app1", "fs2", BASE_DAY + HOUR, mk_counters(write_kb=4))
+    with pytest.raises(LassiError, match=f"fs2 hour {BASE_DAY + HOUR} write_kb: 4 \\+ 0 != 0"):
+        check(app_hours + [stray], [fs_hour])
 
 
 def test_aggregate_range_validation(tmp_path):

@@ -1,7 +1,10 @@
 """Partition store round-trips, bounds checks, locking, and baseline lookup."""
 
+import fcntl
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lassi
 from lassi.errors import MissingBaselineError, StoreError, StoreLockError
 from lassi.metrics import FsBaseline
 from lassi.model import ALL_FIELDS, INT64_MAX, AppHourRecord, FsHourRecord
 from lassi.store import Partition, Store
-from lassi.timeutil import DAY, HOUR, parse_utc
+from lassi.timeutil import DAY, HOUR, format_utc, parse_utc
 
 from helpers import BASE_DAY, count_calls, mk_counters, mk_job, mk_sample
 
@@ -206,6 +210,28 @@ def test_malformed_row_raises_store_error_naming_path_and_line(store, dataset, d
             fresh.read_range(dataset, "fs2", BASE_DAY, BASE_DAY + DAY)
 
 
+@pytest.mark.parametrize("move", ["fs", "day", "both"])
+@pytest.mark.parametrize("dataset", ["app_hours", "fs_hours"])
+def test_row_outside_its_partition_raises_store_error_naming_path_and_line(store, dataset, move):
+    records = {"app_hours": [app_hour(1)], "fs_hours": [fs_hour()]}[dataset]
+    partition = Partition(dataset, "fs2", BASE_DAY)
+    store.write_partition(records, partition)
+    path = store.path(partition)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    cells = lines[1].split(",")
+    if move in ("fs", "both"):
+        cells[1] = "fs3"
+    if move in ("day", "both"):
+        cells[0] = format_utc(parse_utc(cells[0]) + 3 * DAY)
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+    for reader in (store, Store(store.root)):
+        with pytest.raises(StoreError, match=re.escape(f"{path}: line 2: record ")) as err:
+            reader.read_range(dataset, "fs2", BASE_DAY, BASE_DAY + 5 * DAY)
+        assert "outside partition (fs2, 2017-10-09)" in str(err.value)
+
+
 def test_baseline_store_and_lookup(store):
     old = make_baseline(fill=0.25)
     new = make_baseline(fill=1 / 3, read_kb=1234.5)
@@ -236,12 +262,49 @@ def test_lock_conflict(store):
     path = store.path(partition)
     path.parent.mkdir(parents=True)
     lock = path.with_name(path.name + ".lock")
-    lock.touch()
-    with pytest.raises(StoreLockError):
-        store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], partition)
-    lock.unlink()
+    with open(lock, "w") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(StoreLockError, match="locked by another writer"):
+            store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], partition)
     store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], partition)
-    assert not lock.exists()
+    assert lock.exists()  # left in place for the next writer to lock
+
+
+# a writer that takes a partition's lock and waits inside Store._locked
+HOLD_LOCK = """
+import sys, time
+from pathlib import Path
+from lassi.store import Store
+store = Store(sys.argv[1])
+with store._locked(Path(sys.argv[2])):
+    print("locked", flush=True)
+    time.sleep(60)
+"""
+
+
+def test_lock_of_a_killed_writer_is_released(store):
+    partition = samples_partition()
+    path = store.path(partition)
+    env = dict(os.environ, PYTHONPATH=str(Path(lassi.__file__).parents[1]))
+    writer = subprocess.Popen(
+        [sys.executable, "-c", HOLD_LOCK, str(store.root), str(path)],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        assert writer.stdout.readline() == "locked\n"
+        with pytest.raises(StoreLockError):
+            store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], partition)
+        writer.kill()  # SIGKILL: no cleanup runs in the writer
+        assert writer.wait(timeout=30) == -9
+    finally:
+        if writer.poll() is None:
+            writer.kill()
+            writer.wait(timeout=30)
+        writer.stdout.close()
+    store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], partition)
+    assert len(store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)) == 1
 
 
 def test_no_temp_files_left_behind(store):
@@ -250,7 +313,7 @@ def test_no_temp_files_left_behind(store):
         name
         for _, _, files in os.walk(store.root)
         for name in files
-        if ".tmp" in name or name.endswith(".lock")
+        if ".tmp" in name
     ]
     assert leftovers == []
 
