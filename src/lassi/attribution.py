@@ -13,20 +13,19 @@ to that job; boundary windows follow the configured policy:
 Samples on idle nodes accumulate into the unattributed remainder, which is
 how rogue background load stays visible in filesystem totals.
 
-Both entry points work on a SampleBlock; a plain sequence of StatSample is
-packed into one on entry. Whole windows are assigned per node with
-np.searchsorted over job starts; only proportional windows cut by a job
-boundary take the scalar split, whose shares join the grouping as extra keyed
-rows. One np.unique + np.add.at sums it all into an AttributionResult: int64
-columns with one row per (owner, fs, window). The hourly rollups group those
-rows again with numpy.
+Both entry points take a SampleBlock, the one form samples have. Whole
+windows are assigned per node with np.searchsorted over job starts; only
+proportional windows cut by a job boundary take the scalar split, whose
+shares join the grouping as extra keyed rows. One np.unique + np.add.at
+sums it all into an AttributionResult: int64 columns with one row per
+(owner, fs, window). The hourly rollups group those rows again with numpy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .model import (
     FsHourRecord,
     JobRecord,
     SampleBlock,
-    StatSample,
     id_codes,
 )
 from .timeutil import HOUR, floor_hour
@@ -103,7 +101,7 @@ def _node_index(jobs: Sequence[JobRecord]):
 
 
 def attribute(
-    samples: Iterable[StatSample],
+    block: SampleBlock,
     jobs: Sequence[JobRecord],
     config: AttributionConfig = AttributionConfig(),
 ) -> AttributionResult:
@@ -113,7 +111,6 @@ def attribute(
     LassiError if the counter sums could leave the int64 range.
     """
     index = _node_index(jobs)
-    block = SampleBlock.from_samples(samples, config.window_len)
     block.check_sum_bound()
     apps = tuple(job.app_id for job in jobs)
     position = {app_id: k for k, app_id in enumerate(apps)}
@@ -278,14 +275,11 @@ def aggregate_hourly(
     ]
 
 
-def fs_hourly_totals(
-    samples: Iterable[StatSample], result: AttributionResult
-) -> list[FsHourRecord]:
+def fs_hourly_totals(block: SampleBlock, result: AttributionResult) -> list[FsHourRecord]:
     """Per (fs, hour) totals over all samples plus the unattributed portion.
 
     Hours with no samples produce no record.
     """
-    block = SampleBlock.from_samples(samples)
     block.check_sum_bound()
     n = len(block)
     # the unattributed rows take the samples' slot arithmetic

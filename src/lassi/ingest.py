@@ -21,9 +21,10 @@ invalid rows and reports them; a duplicate key in lenient mode keeps the last
 occurrence and counts the superseded row as rejected. Counters must fit in a
 signed 64-bit integer; larger values are rejected like any other bad row.
 
-Stats files that are provably clean are read column-wise in one pass; every
-other stats file goes through the row loop, which alone produces rejects,
-strict errors and the lenient keep-last rule.
+Stats files parse into a SampleBlock, the only form samples take. Files that
+are provably clean are read column-wise in one pass; every other stats file
+goes through the row loop, which fills the same columns and alone produces
+rejects, strict errors and the lenient keep-last rule.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .model import (
     INT64_MAX,
     JobRecord,
     SampleBlock,
-    StatSample,
     id_codes,
 )
 from .timeutil import HOUR, format_utc, parse_utc
@@ -130,8 +130,7 @@ def parse_stats_csv(
     if block is not None:
         n = len(block)
         return block, IngestReport(rows_read=n, rows_accepted=n, rows_rejected=0)
-    samples, report = _parse_stats_rows(text, rejects, window_len)
-    return SampleBlock.from_samples(samples, window_len), report
+    return _parse_stats_rows(text, rejects, window_len)
 
 
 _STATS_HEADER_LINE = ",".join(STATS_HEADER)
@@ -201,10 +200,16 @@ def _parse_clean_stats(text: str, window_len: int) -> SampleBlock | None:
 
 def _parse_stats_rows(
     text: str, rejects: "_Rejects", window_len: int
-) -> tuple[list[StatSample], IngestReport]:
-    """The row-by-row stats parser: line-numbered rejects, keep-last duplicates."""
-    samples: list[StatSample] = []
-    index: dict[tuple[str, str, int], tuple[int, int]] = {}
+) -> tuple[SampleBlock, IngestReport]:
+    """The row-by-row stats parser: line-numbered rejects, keep-last duplicates.
+
+    A row must have 24 cells, an exact timestamp on the window_len grid,
+    non-empty ids and integer counters in [0, 2**63 - 1]; a window_len that
+    does not divide an hour rejects every row.
+    """
+    bad_len = window_len <= 0 or HOUR % window_len != 0
+    # (fs, node, window) -> (line, counters) of the row that holds the key
+    kept: dict[tuple[str, str, int], tuple[int, list[int]]] = {}
     rows_read = 0
     reader = csv.reader(io.StringIO(text, newline=""))
     _check_header(next(reader, None), STATS_HEADER)
@@ -227,33 +232,34 @@ def _parse_stats_rows(
             continue
         if max(vals) > INT64_MAX:
             rejects.add(line_no, "counter exceeds int64 range")
-            continue
-        try:
-            sample = StatSample(
-                fs_id=row[1],
-                node_id=row[2],
-                window_start=window_start,
-                counters=tuple(vals),
-                window_len=window_len,
+        elif min(vals) < 0:
+            rejects.add(line_no, f"negative counter in counters {tuple(vals)}")
+        elif bad_len:
+            rejects.add(line_no, f"window_len {window_len} must divide 3600")
+        elif window_start % window_len:
+            rejects.add(
+                line_no, f"window_start {window_start} not aligned to {window_len}s grid"
             )
-        except ValueError as exc:
-            rejects.add(line_no, str(exc))
-            continue
-        key = sample.key()
-        prev = index.get(key)
-        if prev is None:
-            index[key] = (len(samples), line_no)
-            samples.append(sample)
+        elif not row[1] or not row[2]:
+            rejects.add(line_no, "fs_id and node_id must be non-empty")
         else:
-            prev_pos, prev_line = prev
-            if rejects.strict:
-                raise IngestError(line_no, f"duplicate sample for {key}")
-            rejects.rows.append(
-                (prev_line, f"duplicate (fs, node, window) superseded by line {line_no}")
-            )
-            samples[prev_pos] = sample
-            index[key] = (prev_pos, line_no)
-    return samples, rejects.report(rows_read, len(samples))
+            key = (row[1], row[2], window_start)
+            prev = kept.get(key)
+            if prev is not None:
+                if rejects.strict:
+                    raise IngestError(line_no, f"duplicate sample for {key}")
+                rejects.rows.append(
+                    (prev[0], f"duplicate (fs, node, window) superseded by line {line_no}")
+                )
+            kept[key] = (line_no, vals)
+    block = SampleBlock.from_columns(
+        np.array([k[0] for k in kept], object),
+        np.array([k[1] for k in kept], object),
+        np.array([k[2] for k in kept], np.int64),
+        np.array([vals for _, vals in kept.values()], np.int64).reshape(-1, len(ALL_FIELDS)),
+        window_len,
+    )
+    return block, rejects.report(rows_read, len(block))
 
 
 def parse_jobs_csv(source: Source, mode: str = "strict") -> tuple[list[JobRecord], IngestReport]:
@@ -356,9 +362,8 @@ _STATS_LINE = "%s,%s,%s" + ",%d" * len(ALL_FIELDS) + "\n"
 _SERIALIZE_CHUNK = 4096
 
 
-def serialize_stats_csv(samples: Iterable[StatSample]) -> str:
-    """Render samples (a SampleBlock or StatSample values) in canonical stats CSV form."""
-    block = SampleBlock.from_samples(samples)
+def serialize_stats_csv(block: SampleBlock) -> str:
+    """Render a sample block in canonical stats CSV form."""
     starts, inverse = np.unique(block.window, return_inverse=True)
     stamps = np.array([format_utc(w) for w in starts.tolist()], dtype=object)[inverse]
     fs, node = _csv_fields(block.fs), _csv_fields(block.node)

@@ -87,7 +87,6 @@ class RiskRecord:
     hour: int
     risk_oss: float
     risk_mds: float
-    contributions: dict[str, float]
     undefined: tuple[str, ...] = ()
 
 
@@ -271,7 +270,6 @@ def fs_risk_series(
                 hour=rec.hour,
                 risk_oss=bo.value,
                 risk_mds=bm.value,
-                contributions={**bo.contributions, **bm.contributions},
                 undefined=bo.undefined + bm.undefined,
             )
         )

@@ -7,14 +7,16 @@ counts) followed by the sixteen MDS metadata operations the servers report.
 _check_counters holds the rules all records share: exactly 21 values, none
 negative. All types are immutable.
 
-Sample counters are exact integers in [0, 2**63 - 1]: ingest rejects larger
-values, and SampleBlock keeps counters as int64, so every rollup first checks
-that its sums cannot leave that range (SampleBlock.check_sum_bound).
+Samples have one form, the SampleBlock: columns with one row per (window,
+fs, node). Ingest enforces the rules a sample row obeys (on-grid window,
+non-empty ids, counters in [0, 2**63 - 1]); the block keeps counters as
+int64, so every rollup first checks that its sums cannot leave that range
+(SampleBlock.check_sum_bound).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,35 +56,6 @@ def _check_counters(counters: tuple[int, ...], name: str = "counters") -> None:
         raise ValueError(f"{name} hold {len(counters)} values, expected {len(ALL_FIELDS)}")
     if min(counters) < 0:
         raise ValueError(f"negative counter in {name} {counters}")
-
-
-@dataclass(frozen=True, slots=True)
-class StatSample:
-    """Counters one node reported against one filesystem for one window.
-
-    window_start must sit on the sampling grid: multiples of window_len,
-    which itself divides an hour so hourly rollups never split a window.
-    """
-
-    fs_id: str
-    node_id: str
-    window_start: int
-    counters: tuple[int, ...]
-    window_len: int = 180
-
-    def __post_init__(self) -> None:
-        _check_counters(self.counters)
-        if self.window_len <= 0 or HOUR % self.window_len != 0:
-            raise ValueError(f"window_len {self.window_len} must divide 3600")
-        if self.window_start % self.window_len != 0:
-            raise ValueError(
-                f"window_start {self.window_start} not aligned to {self.window_len}s grid"
-            )
-        if not self.fs_id or not self.node_id:
-            raise ValueError("fs_id and node_id must be non-empty")
-
-    def key(self) -> tuple[str, str, int]:
-        return (self.fs_id, self.node_id, self.window_start)
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,7 +178,7 @@ def _unique_order(fs: np.ndarray, node: np.ndarray, window: np.ndarray) -> np.nd
     return order
 
 
-class SampleBlock(Sequence):
+class SampleBlock:
     """Samples as columns: one row per (window, fs, node), in that order.
 
     ``fs`` and ``node`` are object arrays of id strings, ``window`` holds
@@ -213,9 +186,6 @@ class SampleBlock(Sequence):
     ALL_FIELDS order; every row shares one ``window_len``. Rows are in
     canonical (window, fs, node) order with unique keys; the constructor
     trusts its caller on that, from_columns establishes it.
-
-    As a Sequence the block yields StatSample values, for callers outside
-    the hot path.
     """
 
     __slots__ = ("fs", "node", "window", "counters", "window_len")
@@ -266,35 +236,6 @@ class SampleBlock(Sequence):
         return cls(fs[order], node[order], window[order], counters[order], window_len)
 
     @classmethod
-    def from_samples(
-        cls, samples: Iterable[StatSample], window_len: int = 180
-    ) -> "SampleBlock":
-        """Pack samples into a block; a block is returned as it is.
-
-        ``window_len`` applies only when there are no samples to take it from.
-        """
-        if isinstance(samples, SampleBlock):
-            return samples
-        samples = list(samples)
-        lens = {s.window_len for s in samples}
-        if len(lens) > 1:
-            raise ValueError(f"samples mix window lengths {sorted(lens)}")
-        try:
-            counters = np.array([s.counters for s in samples], dtype=np.int64).reshape(
-                len(samples), len(ALL_FIELDS)
-            )
-            window = np.array([s.window_start for s in samples], dtype=np.int64)
-        except OverflowError:
-            raise ValueError("sample value exceeds int64 range") from None
-        return cls.from_columns(
-            np.array([s.fs_id for s in samples], dtype=object),
-            np.array([s.node_id for s in samples], dtype=object),
-            window,
-            counters,
-            lens.pop() if lens else window_len,
-        )
-
-    @classmethod
     def concat(cls, blocks: Iterable["SampleBlock"], window_len: int = 180) -> "SampleBlock":
         """One block holding every row of ``blocks``, in canonical order."""
         blocks = [b for b in blocks if len(b)]
@@ -324,6 +265,10 @@ class SampleBlock(Sequence):
     def _key(self, i: int) -> tuple[int, str, str]:
         return (int(self.window[i]), self.fs[i], self.node[i])
 
+    def key(self, i: int) -> tuple[str, str, int]:
+        """Row i's (fs, node, window) key, the form error messages name a sample by."""
+        return (self.fs[i], self.node[i], int(self.window[i]))
+
     def take(self, index) -> "SampleBlock":
         """Rows selected by a boolean mask or ascending positions."""
         return SampleBlock(
@@ -343,29 +288,6 @@ class SampleBlock(Sequence):
     def __len__(self) -> int:
         return len(self.window)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.take(i)
-        return StatSample(
-            fs_id=self.fs[i],
-            node_id=self.node[i],
-            window_start=int(self.window[i]),
-            counters=tuple(self.counters[i].tolist()),
-            window_len=self.window_len,
-        )
-
-    def __iter__(self):
-        for fs_id, node_id, w, vals in zip(
-            self.fs.tolist(), self.node.tolist(), self.window.tolist(), self.counters.tolist()
-        ):
-            yield StatSample(
-                fs_id=fs_id,
-                node_id=node_id,
-                window_start=w,
-                counters=tuple(vals),
-                window_len=self.window_len,
-            )
-
     def __eq__(self, other) -> bool:
         if isinstance(other, SampleBlock):
             return (
@@ -375,11 +297,7 @@ class SampleBlock(Sequence):
                 and self.fs.tolist() == other.fs.tolist()
                 and self.node.tolist() == other.node.tolist()
             )
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
         return NotImplemented
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"SampleBlock({len(self)} samples, window_len={self.window_len})"

@@ -25,7 +25,6 @@ from .model import (
     FsHourRecord,
     JobRecord,
     SampleBlock,
-    StatSample,
     canonical_order,
     id_codes,
 )
@@ -105,7 +104,7 @@ def _merge_samples(
     replacing = order[np.flatnonzero(repeat) + 1]
     changed = replacing[(counters[replaced] != counters[replacing]).any(axis=1)] - len(old)
     if len(changed) and mode == "strict":
-        raise IngestError(0, f"sample {new[int(changed[0])].key()} conflicts {where}")
+        raise IngestError(0, f"sample {new.key(int(changed[0]))} conflicts {where}")
     keep = order[~repeat]
     merged = SampleBlock(fs[keep], node[keep], window[keep], counters[keep], new.window_len)
     return merged, len(changed)
@@ -156,14 +155,15 @@ def ingest_files(
 
     def fold(partition: Partition, batch, merge, drop=()) -> int:
         """Merge a batch into its stored partition, less any dropped jobs,
-        and write the result."""
-        stored = store.read_range(
-            partition.dataset, partition.fs_id, partition.date, partition.date + DAY
-        )
-        if drop:
-            stored = [j for j in stored if j.app_id not in drop]
-        merged, changed = merge(stored, batch, mode, "with stored data")
-        store.write_partition(merged, partition)
+        and write the result, all under the partition's lock."""
+        with store._locked(store.path(partition)):
+            stored = store.read_range(
+                partition.dataset, partition.fs_id, partition.date, partition.date + DAY
+            )
+            if drop:
+                stored = [j for j in stored if j.app_id not in drop]
+            merged, changed = merge(stored, batch, mode, "with stored data")
+            store.write_partition(merged, partition)
         return changed
 
     fs_ids, fs_codes = id_codes(samples.fs)
@@ -215,7 +215,7 @@ def _check_hourly_conservation(
 
 
 def _rollup(
-    samples: Sequence[StatSample],
+    samples: SampleBlock,
     jobs: Sequence[JobRecord],
     config: AttributionConfig,
     span: tuple[int, int],
@@ -302,7 +302,7 @@ def build_baselines(
 
 
 def compute_outputs(
-    samples: Sequence[StatSample],
+    samples: SampleBlock,
     jobs: Sequence[JobRecord],
     period: tuple[int, int],
     alpha: float = 2.0,

@@ -4,7 +4,13 @@ Layout: ``<root>/<dataset>/<fs_id | all>/<YYYY-MM-DD>.csv``. Partitions are
 rewritten whole: content is serialized in canonical sorted form, written to a
 temp file, and moved into place atomically. A ``fcntl.flock`` on a ``.lock``
 file enforces a single writer per partition, and ends with its writer, even a
-killed one; readers never need the lock because rename is atomic.
+killed one; readers never need the lock because rename is atomic. A writer
+that reads a partition to merge into it takes the lock first; a ``Store``
+re-enters a lock it holds, so its write then goes through.
+
+Every samples, app_hours and fs_hours row must belong to its file's
+filesystem and day: a write refuses a stray row with ValueError, and a read
+that meets one raises StoreError.
 
 A ``Store`` memoizes the parsed jobs, app_hours, fs_hours and baselines
 partitions it reads, keyed on each file's exact bytes: every read still reads
@@ -93,6 +99,18 @@ def _check_home(record, partition: Partition) -> None:
         )
 
 
+def _check_samples_home(block: SampleBlock, partition: Partition) -> None:
+    """Raise ValueError unless every sample row belongs in the partition."""
+    outside = (block.fs != partition.fs_id) | (
+        block.window - block.window % DAY != partition.date
+    )
+    if outside.any():
+        raise ValueError(
+            f"sample {block.key(int(np.argmax(outside)))} outside partition "
+            f"({partition.fs_id}, {date_str(partition.date)})"
+        )
+
+
 def _may_hold(jobs_csv: bytes, app_ids: set[bytes]) -> bool:
     """Whether a jobs file's bytes may hold a row for one of app_ids.
 
@@ -141,12 +159,18 @@ class Store:
         self.window_len = window_len
         # path -> (the bytes last parsed there, their parse); see _parsed
         self._memo: dict[Path, tuple[bytes, object]] = {}
+        # partitions this Store holds the lock of; see _locked
+        self._held: set[Path] = set()
 
     def path(self, partition: Partition) -> Path:
         return self.root / partition.relative_path()
 
     @contextmanager
     def _locked(self, path: Path):
+        """Hold the partition's lock; re-entering it within this Store is a no-op."""
+        if path in self._held:
+            yield
+            return
         lock = path.with_name(path.name + ".lock")
         lock.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
@@ -155,8 +179,10 @@ class Store:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
                 raise StoreLockError(f"partition {path} is locked by another writer") from None
+            self._held.add(path)
             yield
         finally:
+            self._held.discard(path)
             # closing releases the lock; the file stays, since a writer that
             # unlinked it could leave the next two locking different files
             os.close(fd)
@@ -171,25 +197,17 @@ class Store:
                 if tmp.exists():
                     tmp.unlink()
 
-    def write_partition(self, records: Iterable, partition: Partition) -> int:
+    def write_partition(self, records: Iterable | SampleBlock, partition: Partition) -> int:
         """Replace one partition with the given records. Returns row count.
 
         Every record must belong to the partition's filesystem and day;
-        anything else raises ValueError. Samples may come as a SampleBlock.
+        anything else raises ValueError. Samples come as one SampleBlock.
         """
         dataset = partition.dataset
         if dataset == "samples":
-            block = SampleBlock.from_samples(records, self.window_len)
-            outside = (block.fs != partition.fs_id) | (
-                block.window - block.window % DAY != partition.date
-            )
-            if outside.any():
-                raise ValueError(
-                    f"record {block[int(np.argmax(outside))]} outside partition "
-                    f"({partition.fs_id}, {date_str(partition.date)})"
-                )
-            self._write_text(self.path(partition), ingest.serialize_stats_csv(block))
-            return len(block)
+            _check_samples_home(records, partition)
+            self._write_text(self.path(partition), ingest.serialize_stats_csv(records))
+            return len(records)
         records = list(records)
         if dataset in ("jobs", "app_hours", "fs_hours"):
             for record in records:
@@ -244,25 +262,28 @@ class Store:
             raise ValueError(f"empty range: t0 {format_utc(t0)} >= t1 {format_utc(t1)}")
         if dataset != "samples" and dataset not in _TIME_KEY:
             raise ValueError(f"dataset {dataset!r} does not support read_range")
-        paths = [self.path(Partition(dataset, fs_id, day)) for day in day_range(t0, t1)]
-        paths = [path for path in paths if path.exists()]
+        parts = [Partition(dataset, fs_id, day) for day in day_range(t0, t1)]
+        parts = [p for p in parts if self.path(p).exists()]
         if dataset == "samples":
             return SampleBlock.concat(
-                (self._read_samples(path, t0, t1) for path in paths), self.window_len
+                (self._read_samples(p, t0, t1) for p in parts), self.window_len
             )
         key = _TIME_KEY[dataset]
         out = []
-        for path in paths:
-            records = self._parsed(dataset, path)
+        for p in parts:
+            records = self._parsed(dataset, self.path(p))
             if dataset == "jobs":
                 records = records.values()
             out.extend(r for r in records if t0 <= key(r) < t1)
         return out
 
-    def _read_samples(self, path: Path, t0: int, t1: int) -> SampleBlock:
+    def _read_samples(self, partition: Partition, t0: int, t1: int) -> SampleBlock:
+        """One samples partition's rows in [t0, t1); every row must belong in it."""
+        path = self.path(partition)
         try:
             block, _ = ingest.parse_stats_csv(path, "strict", self.window_len)
-        except IngestError as exc:
+            _check_samples_home(block, partition)
+        except (IngestError, ValueError) as exc:
             raise StoreError(f"{path}: {exc}") from exc
         return block.take((t0 <= block.window) & (block.window < t1))
 

@@ -31,8 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from lassi import ingest
-from lassi.model import ALL_FIELDS, JobRecord, StatSample
+from lassi.model import ALL_FIELDS, JobRecord, SampleBlock
 from lassi.timeutil import DAY, HOUR, parse_utc
 
 BASE_DAY = parse_utc("2017-10-09T00:00:00Z")
@@ -49,13 +51,20 @@ def mk_counters(**by_name) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def mk_sample(fs_id, node_id, window_start, window_len=180, **counters) -> StatSample:
-    return StatSample(
-        fs_id=fs_id,
-        node_id=node_id,
-        window_start=window_start,
-        counters=mk_counters(**counters),
-        window_len=window_len,
+def mk_sample(fs_id, node_id, window_start, **counters) -> tuple:
+    """One sample row for mk_block: (fs_id, node_id, window_start, counters)."""
+    return (fs_id, node_id, window_start, mk_counters(**counters))
+
+
+def mk_block(rows, window_len=180) -> SampleBlock:
+    """A sample block of (fs_id, node_id, window_start, counters) rows in any order."""
+    rows = list(rows)
+    return SampleBlock.from_columns(
+        np.array([r[0] for r in rows], object),
+        np.array([r[1] for r in rows], object),
+        np.array([r[2] for r in rows], np.int64),
+        np.array([r[3] for r in rows], np.int64).reshape(len(rows), len(ALL_FIELDS)),
+        window_len,
     )
 
 
@@ -86,13 +95,13 @@ def result_dicts(result) -> tuple[dict, dict]:
     return attributed, unattributed
 
 
-def conservation_errors(samples, result) -> list[str]:
+def conservation_errors(block, result) -> list[str]:
     """Window-level check: attributed + unattributed must equal the inputs."""
     n = len(ALL_FIELDS)
     totals: dict[tuple[str, int], list[int]] = {}
-    for s in samples:
-        slot = totals.setdefault((s.fs_id, s.window_start), [0] * n)
-        for i, v in enumerate(s.counters):
+    for fs_id, w, vec in zip(block.fs.tolist(), block.window.tolist(), block.counters.tolist()):
+        slot = totals.setdefault((fs_id, w), [0] * n)
+        for i, v in enumerate(vec):
             slot[i] += v
 
     attributed, unattributed = result_dicts(result)
@@ -141,7 +150,7 @@ def mk_job(
 
 @dataclass(frozen=True)
 class ExposureFixture:
-    samples: tuple[StatSample, ...]
+    samples: SampleBlock
     jobs: tuple[JobRecord, ...]
     baseline_period: tuple[int, int]
     report_day: int
@@ -157,7 +166,7 @@ def build_exposure_fixture(window_len: int = 180) -> ExposureFixture:
     frozen = (2000, 200, 404000, 804000, 812000, 10400, 10800)
     if HOUR % window_len or any(v % per_hour for v in frozen):
         raise ValueError("window_len incompatible with the frozen fixture arithmetic")
-    samples: list[StatSample] = []
+    samples: list[tuple] = []
 
     background = dict(
         read_kb=2000 // per_hour,
@@ -170,9 +179,7 @@ def build_exposure_fixture(window_len: int = 180) -> ExposureFixture:
 
     for day in (BASE_DAY, REPORT_DAY):
         for i in range(DAY // window_len):
-            samples.append(
-                mk_sample("fs2", "nid00001", day + i * window_len, window_len, **background)
-            )
+            samples.append(mk_sample("fs2", "nid00001", day + i * window_len, **background))
 
     run_start = REPORT_DAY + 10 * HOUR
     run_end = REPORT_DAY + 13 * HOUR
@@ -187,15 +194,12 @@ def build_exposure_fixture(window_len: int = 180) -> ExposureFixture:
                     "fs2",
                     "nid00002",
                     w,
-                    window_len,
                     read_kb=read_per_window[hour_idx],
                     open=open_per_window[hour_idx],
                 )
             )
             for node in ("nid00003", "nid00004", "nid00005"):
-                samples.append(
-                    mk_sample("fs2", node, w, window_len, write_kb=2000 // per_hour)
-                )
+                samples.append(mk_sample("fs2", node, w, write_kb=2000 // per_hour))
 
     jobs = tuple(
         mk_job(f"app{i}", [node], run_start, run_end)
@@ -205,7 +209,7 @@ def build_exposure_fixture(window_len: int = 180) -> ExposureFixture:
     )
 
     return ExposureFixture(
-        samples=tuple(samples),
+        samples=mk_block(samples, window_len),
         jobs=jobs,
         baseline_period=(BASE_DAY, BASE_DAY + DAY),
         report_day=REPORT_DAY,

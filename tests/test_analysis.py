@@ -141,9 +141,7 @@ def test_runtime_vs_risk_points():
 
 
 def risk_rec(app, hour, oss, mds=0.0):
-    return RiskRecord(
-        app_id=app, fs_id="fs2", hour=hour, risk_oss=oss, risk_mds=mds, contributions={}
-    )
+    return RiskRecord(app_id=app, fs_id="fs2", hour=hour, risk_oss=oss, risk_mds=mds)
 
 
 def test_top_contributors_ranking_and_shares():

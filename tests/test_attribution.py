@@ -12,19 +12,24 @@ from lassi.attribution import (
     fs_hourly_totals,
 )
 from lassi.errors import AttributionConflictError
-from lassi.model import StatSample
 from lassi.timeutil import DAY, HOUR
 
-from helpers import BASE_DAY, conservation_errors, mk_counters, mk_job, mk_sample, result_dicts
+from helpers import (
+    BASE_DAY,
+    conservation_errors,
+    mk_block,
+    mk_counters,
+    mk_job,
+    mk_sample,
+    result_dicts,
+)
 
 MIDPOINT = AttributionConfig(boundary_policy="midpoint")
 PROPORTIONAL = AttributionConfig(boundary_policy="proportional")
 
 
-def vec_sample(vec, w=BASE_DAY, window_len=180, node="nid1"):
-    return StatSample(
-        fs_id="fs2", node_id=node, window_start=w, counters=tuple(vec), window_len=window_len
-    )
+def vec_block(vec):
+    return mk_block([("fs2", "nid1", BASE_DAY, vec)])
 
 
 def test_config_validation():
@@ -37,8 +42,8 @@ def test_config_validation():
 
 def test_midpoint_window_inside_job():
     job = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR)
-    sample = mk_sample("fs2", "nid1", BASE_DAY + 180, read_kb=100)
-    result = attribute([sample], [job], MIDPOINT)
+    sample = mk_block([mk_sample("fs2", "nid1", BASE_DAY + 180, read_kb=100)])
+    result = attribute(sample, [job], MIDPOINT)
     attributed, unattributed = result_dicts(result)
     assert attributed[("app1", "fs2", BASE_DAY + 180)][0] == 100
     assert unattributed == {}
@@ -56,7 +61,7 @@ def test_midpoint_window_inside_job():
 def test_midpoint_start_boundary(job_start_offset, owned):
     w = BASE_DAY
     job = mk_job("app1", ["nid1"], w + job_start_offset, w + HOUR)
-    result = attribute([mk_sample("fs2", "nid1", w, read_kb=7)], [job], MIDPOINT)
+    result = attribute(mk_block([mk_sample("fs2", "nid1", w, read_kb=7)]), [job], MIDPOINT)
     attributed, unattributed = result_dicts(result)
     if owned:
         assert ("app1", "fs2", w) in attributed
@@ -75,7 +80,7 @@ def test_midpoint_start_boundary(job_start_offset, owned):
 def test_midpoint_end_boundary(job_end_offset, owned):
     w = BASE_DAY
     job = mk_job("app1", ["nid1"], w - HOUR, w + job_end_offset)
-    result = attribute([mk_sample("fs2", "nid1", w, read_kb=7)], [job], MIDPOINT)
+    result = attribute(mk_block([mk_sample("fs2", "nid1", w, read_kb=7)]), [job], MIDPOINT)
     attributed, unattributed = result_dicts(result)
     assert (("app1", "fs2", w) in attributed) is owned
 
@@ -85,14 +90,14 @@ def test_midpoint_odd_window_length():
     w = BASE_DAY
     inside = mk_job("app1", ["nid1"], w + 112, w + HOUR)
     result = attribute(
-        [mk_sample("fs2", "nid1", w, window_len=225, read_kb=3)], [inside], MIDPOINT
+        mk_block([mk_sample("fs2", "nid1", w, read_kb=3)], window_len=225), [inside], MIDPOINT
     )
     attributed, unattributed = result_dicts(result)
     assert ("app1", "fs2", w) in attributed
 
     outside = mk_job("app2", ["nid2"], w + 113, w + HOUR)
     result = attribute(
-        [mk_sample("fs2", "nid2", w, window_len=225, read_kb=3)], [outside], MIDPOINT
+        mk_block([mk_sample("fs2", "nid2", w, read_kb=3)], window_len=225), [outside], MIDPOINT
     )
     attributed, unattributed = result_dicts(result)
     assert attributed == {}
@@ -100,10 +105,10 @@ def test_midpoint_odd_window_length():
 
 def test_idle_and_unknown_nodes_stay_unattributed():
     job = mk_job("app1", ["nid1"], BASE_DAY + 2 * HOUR, BASE_DAY + 3 * HOUR)
-    samples = [
+    samples = mk_block([
         mk_sample("fs2", "nid1", BASE_DAY, write_kb=10),  # before the job
         mk_sample("fs2", "nid9", BASE_DAY, write_kb=20),  # never allocated
-    ]
+    ])
     result = attribute(samples, [job], MIDPOINT)
     attributed, unattributed = result_dicts(result)
     assert attributed == {}
@@ -114,7 +119,7 @@ def test_overlapping_jobs_conflict():
     a = mk_job("app1", ["nid1", "nid2"], BASE_DAY, BASE_DAY + 2 * HOUR)
     b = mk_job("app2", ["nid2"], BASE_DAY + HOUR, BASE_DAY + 3 * HOUR)
     with pytest.raises(AttributionConflictError) as err:
-        attribute([], [a, b], MIDPOINT)
+        attribute(mk_block([]), [a, b], MIDPOINT)
     assert err.value.node_id == "nid2"
     assert {err.value.app_a, err.value.app_b} == {"app1", "app2"}
 
@@ -123,7 +128,7 @@ def test_touching_jobs_do_not_conflict():
     a = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR)
     b = mk_job("app2", ["nid1"], BASE_DAY + HOUR, BASE_DAY + 2 * HOUR)
     result = attribute(
-        [mk_sample("fs2", "nid1", BASE_DAY + HOUR, read_ops=4)], [a, b], MIDPOINT
+        mk_block([mk_sample("fs2", "nid1", BASE_DAY + HOUR, read_ops=4)]), [a, b], MIDPOINT
     )
     attributed, unattributed = result_dicts(result)
     assert attributed == {("app2", "fs2", BASE_DAY + HOUR): (0, 4) + (0,) * 19}
@@ -133,7 +138,7 @@ def test_duplicate_app_id_rejected():
     a = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR)
     b = mk_job("app1", ["nid2"], BASE_DAY, BASE_DAY + HOUR)
     with pytest.raises(ValueError):
-        attribute([], [a, b], MIDPOINT)
+        attribute(mk_block([]), [a, b], MIDPOINT)
 
 
 def test_proportional_split_pinned():
@@ -141,8 +146,8 @@ def test_proportional_split_pinned():
     w = BASE_DAY
     a = mk_job("app1", ["nid1"], w - HOUR, w + 90)
     b = mk_job("app2", ["nid1"], w + 90, w + HOUR)
-    sample = mk_sample("fs2", "nid1", w, read_kb=5)
-    result = attribute([sample], [a, b], PROPORTIONAL)
+    sample = mk_block([mk_sample("fs2", "nid1", w, read_kb=5)])
+    result = attribute(sample, [a, b], PROPORTIONAL)
     attributed, unattributed = result_dicts(result)
     assert attributed[("app1", "fs2", w)][0] == 2
     assert attributed[("app2", "fs2", w)][0] == 3
@@ -154,7 +159,8 @@ def test_proportional_half_window_rounds_half_to_even(value, owned):
     # a job holding the first 90 s of a 180 s window owns half of each counter
     w = BASE_DAY
     job = mk_job("app1", ["nid1"], w - HOUR, w + 90)
-    result = attribute([mk_sample("fs2", "nid1", w, read_kb=value)], [job], PROPORTIONAL)
+    sample = mk_block([mk_sample("fs2", "nid1", w, read_kb=value)])
+    result = attribute(sample, [job], PROPORTIONAL)
     attributed, unattributed = result_dicts(result)
     assert attributed[("app1", "fs2", w)][0] == owned
     assert unattributed[("fs2", w)][0] == value - owned
@@ -163,8 +169,8 @@ def test_proportional_half_window_rounds_half_to_even(value, owned):
 def test_proportional_leftover_stays_unattributed():
     w = BASE_DAY
     a = mk_job("app1", ["nid1"], w - HOUR, w + 45)  # covers a quarter
-    sample = mk_sample("fs2", "nid1", w, read_kb=5, write_kb=8)
-    result = attribute([sample], [a], PROPORTIONAL)
+    sample = mk_block([mk_sample("fs2", "nid1", w, read_kb=5, write_kb=8)])
+    result = attribute(sample, [a], PROPORTIONAL)
     attributed, unattributed = result_dicts(result)
     got = attributed[("app1", "fs2", w)]
     assert got[0] == round(5 * 0.25)
@@ -185,8 +191,8 @@ def test_proportional_conserves_every_field(bounds, vec):
         mk_job(f"app{i}", ["nid1"], BASE_DAY + s, BASE_DAY + e)
         for i, (s, e) in enumerate(zip(bounds[::2], bounds[1::2]))
     ]
-    sample = vec_sample(vec)
-    result = attribute([sample], jobs, PROPORTIONAL)
+    sample = vec_block(vec)
+    result = attribute(sample, jobs, PROPORTIONAL)
     attributed, unattributed = result_dicts(result)
     totals = [0] * 21
     for parts in attributed.values():
@@ -194,7 +200,7 @@ def test_proportional_conserves_every_field(bounds, vec):
     for parts in unattributed.values():
         totals = [t + p for t, p in zip(totals, parts)]
     assert totals == vec
-    assert conservation_errors([sample], result) == []
+    assert conservation_errors(sample, result) == []
 
 
 @given(bounds=intervals_st, vec=vector_st)
@@ -203,14 +209,14 @@ def test_midpoint_conserves_every_field(bounds, vec):
         mk_job(f"app{i}", ["nid1"], BASE_DAY + s, BASE_DAY + e)
         for i, (s, e) in enumerate(zip(bounds[::2], bounds[1::2]))
     ]
-    sample = vec_sample(vec)
-    result = attribute([sample], jobs, MIDPOINT)
-    assert conservation_errors([sample], result) == []
+    sample = vec_block(vec)
+    result = attribute(sample, jobs, MIDPOINT)
+    assert conservation_errors(sample, result) == []
 
 
 def test_aggregate_hourly_zero_fills_job_span():
     job = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + 3 * HOUR)
-    samples = [mk_sample("fs2", "nid1", BASE_DAY + 180, open=6)]
+    samples = mk_block([mk_sample("fs2", "nid1", BASE_DAY + 180, open=6)])
     result = attribute(samples, [job], MIDPOINT)
     records = aggregate_hourly(result, [job])
     assert [(r.hour, r.counters) for r in records] == [
@@ -222,7 +228,7 @@ def test_aggregate_hourly_zero_fills_job_span():
 
 def test_aggregate_hourly_span_clamp():
     job = mk_job("app1", ["nid1"], BASE_DAY + 22 * HOUR, BASE_DAY + DAY + 2 * HOUR)
-    samples = [mk_sample("fs2", "nid1", BASE_DAY + 22 * HOUR, read_kb=1)]
+    samples = mk_block([mk_sample("fs2", "nid1", BASE_DAY + 22 * HOUR, read_kb=1)])
     result = attribute(samples, [job], MIDPOINT)
     records = aggregate_hourly(result, [job], span=(BASE_DAY, BASE_DAY + DAY))
     assert [r.hour for r in records] == [BASE_DAY + 22 * HOUR, BASE_DAY + 23 * HOUR]
@@ -242,11 +248,11 @@ def test_aggregate_hourly_requires_job_metadata():
 
 def test_fs_hourly_totals_include_unattributed():
     job = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR)
-    samples = [
+    samples = mk_block([
         mk_sample("fs2", "nid1", BASE_DAY, read_kb=100),
         mk_sample("fs2", "nid9", BASE_DAY + 180, read_kb=40),
         mk_sample("fs2", "nid9", BASE_DAY + 2 * HOUR, write_kb=9),
-    ]
+    ])
     result = attribute(samples, [job], MIDPOINT)
     records = fs_hourly_totals(samples, result)
     assert len(records) == 2  # only hours that saw samples

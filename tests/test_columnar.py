@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BASE_DAY, mk_counters, mk_job, mk_sample, result_dicts
+from helpers import BASE_DAY, mk_block, mk_counters, mk_job, mk_sample, result_dicts
 from lassi.attribution import (
     AttributionConfig,
     _node_index,
@@ -30,7 +30,7 @@ from lassi.ingest import (
     parse_stats_csv,
     serialize_stats_csv,
 )
-from lassi.model import INT64_MAX, SampleBlock, StatSample
+from lassi.model import INT64_MAX, SampleBlock
 from lassi.pipeline import ingest_files
 from lassi.store import Store
 from lassi.timeutil import DAY, HOUR, floor_hour, format_utc, parse_utc
@@ -49,9 +49,8 @@ def text_of(*rows, end="\n"):
 
 
 def row_loop(text, mode, window_len=180):
-    """What the row loop alone returns, packed as parse_stats_csv packs it."""
-    samples, report = _parse_stats_rows(text, _Rejects(mode), window_len)
-    return SampleBlock.from_samples(samples, window_len), report
+    """What the row loop alone returns."""
+    return _parse_stats_rows(text, _Rejects(mode), window_len)
 
 
 def outcome(fn, *args):
@@ -106,24 +105,25 @@ def test_counter_above_int64_is_a_line_numbered_reject(big):
 
 def test_int64_max_counter_is_exact():
     text = text_of(row(counters=(str(INT64_MAX),) + ("0",) * 20))
-    (sample,), report = parse_stats_csv(io.StringIO(text))
-    assert sample.counters == mk_counters(read_kb=INT64_MAX)
+    block, report = parse_stats_csv(io.StringIO(text))
+    assert block.counters.tolist() == [list(mk_counters(read_kb=INT64_MAX))]
     assert report.rows_rejected == 0
 
 
 def test_rollups_refuse_sums_that_could_overflow():
     big = 2**62
-    samples = [
+    rows = [
         mk_sample("fs2", "nid1", BASE_DAY, read_kb=big),
         mk_sample("fs2", "nid2", BASE_DAY, read_kb=big),
     ]
+    samples, first = mk_block(rows), mk_block(rows[:1])
     job = mk_job("app1", ["nid1", "nid2"], BASE_DAY, BASE_DAY + HOUR)
     with pytest.raises(LassiError, match="int64"):
         attribute(samples, [job])
     with pytest.raises(LassiError, match="int64"):
-        fs_hourly_totals(samples, attribute(samples[:1], [job]))
+        fs_hourly_totals(samples, attribute(first, [job]))
     # one such sample alone cannot overflow
-    attributed, _ = result_dicts(attribute(samples[:1], [job]))
+    attributed, _ = result_dicts(attribute(first, [job]))
     assert attributed[("app1", "fs2", BASE_DAY)][0] == big
 
 
@@ -221,14 +221,15 @@ def test_clean_path_agrees_with_row_loop(rows, quoted, crlf, dup):
 
 
 def reference_serialize(samples):
-    """Canonical stats CSV as the csv module writes it, one row at a time.
+    """Canonical stats CSV of (fs, node, window, counters) rows as the csv
+    module writes it, one row at a time.
 
     Each row is written with a CRLF terminator, which makes the writer quote
     any field holding a CR, and then ended with LF instead.
     """
     rows = [STATS_HEADER] + [
-        (format_utc(s.window_start), s.fs_id, s.node_id) + s.counters
-        for s in sorted(samples, key=lambda s: (s.window_start, s.fs_id, s.node_id))
+        (format_utc(w), fs, node) + tuple(vec)
+        for fs, node, w, vec in sorted(samples, key=lambda s: (s[2], s[0], s[1]))
     ]
     lines = []
     for r in rows:
@@ -259,54 +260,54 @@ awkward_ids = st.text(
     )
 )
 def test_serialize_matches_csv_writer(rows):
-    samples = [
-        StatSample(fs, node, w, tuple(vec)) for fs, node, w, vec in rows
-    ]
-    text = serialize_stats_csv(SampleBlock.from_samples(samples))
-    assert text == reference_serialize(samples)
+    text = serialize_stats_csv(mk_block(rows))
+    assert text == reference_serialize(rows)
     back, report = parse_stats_csv(io.StringIO(text))
     assert report.rows_rejected == 0
     assert serialize_stats_csv(back) == text
 
 
-# --- the block as a sequence ---------------------------------------------
+# --- block construction ---------------------------------------------------
 
 
-def test_block_is_a_sample_sequence():
+def test_from_columns_puts_rows_in_canonical_order():
     samples = [
         mk_sample("fs2", "nid2", BASE_DAY, read_kb=1),
         mk_sample("fs1", "nid9", BASE_DAY + 180, open=2),
         mk_sample("fs1", "nid1", BASE_DAY),
     ]
-    block = SampleBlock.from_samples(samples)
-    canonical = sorted(samples, key=lambda s: (s.window_start, s.fs_id, s.node_id))
+    block = mk_block(samples)
     assert len(block) == 3
-    assert list(block) == canonical
-    assert block == canonical
-    assert block[-1] == canonical[-1]
-    assert list(block[1:]) == canonical[1:]
-    assert SampleBlock.from_samples(block) is block
-    assert SampleBlock.from_samples(reversed(samples)) == block
+    assert [block.key(i) for i in range(3)] == [
+        ("fs1", "nid1", BASE_DAY),
+        ("fs2", "nid2", BASE_DAY),
+        ("fs1", "nid9", BASE_DAY + 180),
+    ]
+    assert block.counters.tolist() == [[0] * 21, list(samples[0][3]), list(samples[1][3])]
+    assert mk_block(reversed(samples)) == block
+    assert block != mk_block(samples, window_len=360)
 
 
 def test_block_rejects_duplicates_and_mixed_window_lengths():
     with pytest.raises(ValueError, match="duplicate"):
-        SampleBlock.from_samples([mk_sample("fs2", "nid1", 0), mk_sample("fs2", "nid1", 0)])
+        mk_block([mk_sample("fs2", "nid1", 0), mk_sample("fs2", "nid1", 0)])
     with pytest.raises(ValueError, match="window lengths"):
-        SampleBlock.from_samples([mk_sample("fs2", "n1", 0), mk_sample("fs2", "n2", 0, 900)])
+        SampleBlock.concat(
+            [mk_block([mk_sample("fs2", "n1", 0)]), mk_block([mk_sample("fs2", "n2", 0)], 900)]
+        )
 
 
 def test_concat_restores_canonical_order():
-    a = SampleBlock.from_samples([mk_sample("fs2", "n1", 0), mk_sample("fs2", "n1", 360)])
-    b = SampleBlock.from_samples([mk_sample("fs1", "n1", 180), mk_sample("fs1", "n1", 360)])
+    a = mk_block([mk_sample("fs2", "n1", 0), mk_sample("fs2", "n1", 360)])
+    b = mk_block([mk_sample("fs1", "n1", 180), mk_sample("fs1", "n1", 360)])
     both = SampleBlock.concat([a, b])
-    assert [(s.window_start, s.fs_id) for s in both] == [
+    assert list(zip(both.window.tolist(), both.fs.tolist())) == [
         (0, "fs2"),
         (180, "fs1"),
         (360, "fs1"),
         (360, "fs2"),
     ]
-    assert SampleBlock.concat([a[:1], a[1:]]) == a
+    assert SampleBlock.concat([a.take([0]), a.take([1])]) == a
     with pytest.raises(ValueError, match="duplicate"):
         SampleBlock.concat([a, a])
 
@@ -319,7 +320,7 @@ def test_ingest_merges_overlapping_files_in_one_call(tmp_path):
     summary = ingest_files(store, [one, two])
     assert (summary.samples, summary.rejected) == (3, 0)
     got = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
-    assert [(s.window_start, s.node_id) for s in got] == [
+    assert list(zip(got.window.tolist(), got.node.tolist())) == [
         (BASE_DAY, "nid1"),
         (BASE_DAY, "nid2"),
         (BASE_DAY + 180, "nid1"),
@@ -329,7 +330,8 @@ def test_ingest_merges_overlapping_files_in_one_call(tmp_path):
     changed.write_text(text_of(row(counters=("9",) * 21), row(ts=T1)), encoding="utf-8")
     summary = ingest_files(store, [changed], mode="lenient")
     assert summary.rejected == 1  # one stored row replaced, one identical
-    assert store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + 1)[0].counters == (9,) * 21
+    got = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + 1)
+    assert got.counters[0].tolist() == [9] * 21
 
 
 # --- vector attribution agrees with the per-sample loop --------------------
@@ -342,24 +344,24 @@ def accumulate(acc, key, vec):
 
 
 def reference_attribute(samples, jobs, config):
-    """The per-sample attribution loop the vector path replaced."""
+    """The per-sample attribution loop the vector path replaced, over
+    (fs, node, window, counters) rows of config.window_len windows."""
     index = _node_index(jobs)
     attributed, unattributed = {}, {}
-    for s in samples:
-        vec = s.counters
-        w, wlen = s.window_start, s.window_len
-        entry = index.get(s.node_id)
+    wlen = config.window_len
+    for fs_id, node_id, w, vec in samples:
+        entry = index.get(node_id)
         if entry is None:
-            accumulate(unattributed, (s.fs_id, w), vec)
+            accumulate(unattributed, (fs_id, w), vec)
             continue
         starts, node_jobs = entry
         if config.boundary_policy == "midpoint":
             mid2 = 2 * w + wlen
             i = bisect_right(starts, mid2 // 2) - 1
             if i >= 0 and mid2 < 2 * node_jobs[i].end:
-                accumulate(attributed, (node_jobs[i].app_id, s.fs_id, w), vec)
+                accumulate(attributed, (node_jobs[i].app_id, fs_id, w), vec)
             else:
-                accumulate(unattributed, (s.fs_id, w), vec)
+                accumulate(unattributed, (fs_id, w), vec)
             continue
         shares = [
             (j, min(j.end, w + wlen) - max(j.start, w))
@@ -367,16 +369,16 @@ def reference_attribute(samples, jobs, config):
             if j.start < w + wlen and j.end > w
         ]
         if not shares:
-            accumulate(unattributed, (s.fs_id, w), vec)
+            accumulate(unattributed, (fs_id, w), vec)
             continue
         cum, prev = 0, (0,) * len(vec)
         for job, overlap in shares:
             cum += overlap
             scaled = vec if cum >= wlen else tuple(round(v * (cum / wlen)) for v in vec)
-            accumulate(attributed, (job.app_id, s.fs_id, w), [a - b for a, b in zip(scaled, prev)])
+            accumulate(attributed, (job.app_id, fs_id, w), [a - b for a, b in zip(scaled, prev)])
             prev = scaled
         if prev != vec:
-            accumulate(unattributed, (s.fs_id, w), [a - b for a, b in zip(vec, prev)])
+            accumulate(unattributed, (fs_id, w), [a - b for a, b in zip(vec, prev)])
     return (
         {k: tuple(v) for k, v in attributed.items()},
         {k: tuple(v) for k, v in unattributed.items()},
@@ -385,9 +387,8 @@ def reference_attribute(samples, jobs, config):
 
 def reference_fs_totals(samples, unattributed):
     totals, unattr = {}, {}
-    for s in samples:
-        hour = s.window_start - s.window_start % HOUR
-        accumulate(totals, (s.fs_id, hour), s.counters)
+    for fs_id, _, w, vec in samples:
+        accumulate(totals, (fs_id, w - w % HOUR), vec)
     for (fs_id, w), vec in unattributed.items():
         accumulate(unattr, (fs_id, w - w % HOUR), vec)
     return [
@@ -443,34 +444,17 @@ def test_vector_attribution_matches_sample_loop(cuts, cells, policy, span):
         for k, (s, e) in enumerate(zip(bounds[::2], bounds[1::2])):
             jobs.append(mk_job(f"{node}-app{k}", [node], BASE_DAY + s, BASE_DAY + e))
     jobs.reverse()  # job list order differs from app_id order
-    samples = [
-        StatSample(fs, node, BASE_DAY + i * 180, tuple(vec))
-        for fs, node, i, vec in cells
-    ]
+    samples = [(fs, node, BASE_DAY + i * 180, tuple(vec)) for fs, node, i, vec in cells]
+    block = mk_block(samples)
     config = AttributionConfig(boundary_policy=policy)
-    result = attribute(samples, jobs, config)
+    result = attribute(block, jobs, config)
     want_attributed, want_unattributed = reference_attribute(samples, jobs, config)
     assert result_dicts(result) == (want_attributed, want_unattributed)
     got_totals = [
-        (r.hour, r.fs_id, r.counters, r.unattributed) for r in fs_hourly_totals(samples, result)
+        (r.hour, r.fs_id, r.counters, r.unattributed) for r in fs_hourly_totals(block, result)
     ]
     assert got_totals == reference_fs_totals(samples, want_unattributed)
     got_hours = [
         (r.hour, r.fs_id, r.app_id, r.counters) for r in aggregate_hourly(result, jobs, span)
     ]
     assert got_hours == reference_aggregate_hourly(want_attributed, jobs, span)
-
-
-def test_block_and_sample_list_attribute_alike():
-    job = mk_job("app1", ["nid1"], BASE_DAY + 100, BASE_DAY + HOUR)
-    samples = [
-        mk_sample("fs2", n, BASE_DAY + i * 180, read_kb=i + 1)
-        for n in ("nid1", "nid2")
-        for i in range(4)
-    ]
-    config = AttributionConfig(boundary_policy="proportional")
-    block = SampleBlock.from_samples(samples)
-    assert result_dicts(attribute(block, [job], config)) == result_dicts(
-        attribute(samples, [job], config)
-    )
-    assert np.array_equal(block.counters[:, 0], [1, 1, 2, 2, 3, 3, 4, 4])

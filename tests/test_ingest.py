@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import mk_job, mk_sample
+from helpers import mk_block, mk_job, mk_sample
 from lassi.errors import IngestError
 from lassi.ingest import (
     JOBS_HEADER,
@@ -33,11 +33,9 @@ def test_parse_stats_happy_path():
     assert report.rows_read == 1
     assert report.rows_accepted == 1
     assert report.rows_rejected == 0
-    (s,) = samples
-    assert s.fs_id == "fs2"
-    assert s.node_id == "nid00001"
-    assert s.window_start == 1507507200
-    assert s.counters == (1,) * 21
+    assert len(samples) == 1
+    assert samples.key(0) == ("fs2", "nid00001", 1507507200)
+    assert samples.counters.tolist() == [[1] * 21]
 
 
 def test_parse_stats_accepts_bytes_stream():
@@ -76,10 +74,53 @@ def test_parse_stats_rejects_bad_rows(row, needle):
     assert needle in str(err.value)
 
     samples, report = parse_stats_csv(io.StringIO(stats_text(row)), mode="lenient")
-    assert samples == []
+    assert len(samples) == 0
     assert report.rows_rejected == 1
     assert report.first_error_line == 2
     assert report.rejected_reasons[0][0] == 2
+
+
+ZERO_CELLS = ",".join(["0"] * 21)
+
+
+@pytest.mark.parametrize(
+    "row,reason",
+    [
+        (
+            "2017-10-09T00:01:00Z,fs2,nid1," + ZERO_CELLS,
+            "window_start 1507507260 not aligned to 180s grid",
+        ),
+        ("2017-10-09T00:00:00Z,,nid1," + ZERO_CELLS, "fs_id and node_id must be non-empty"),
+        ("2017-10-09T00:00:00Z,fs2,," + ZERO_CELLS, "fs_id and node_id must be non-empty"),
+        (
+            "2017-10-09T00:00:00Z,fs2,nid1,0,0,-3," + ",".join(["0"] * 18),
+            f"negative counter in counters {(0, 0, -3) + (0,) * 18}",
+        ),
+    ],
+    ids=["off grid", "empty fs", "empty node", "negative counter"],
+)
+def test_sample_rules_hold_at_the_parse_boundary(row, reason):
+    text = stats_text(GOOD_ROW, row)
+    with pytest.raises(IngestError) as err:
+        parse_stats_csv(io.StringIO(text))
+    assert (err.value.line, err.value.reason) == (3, reason)
+
+    samples, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    assert len(samples) == report.rows_accepted == 1
+    assert report.rejected_reasons == ((3, reason),)
+
+
+@pytest.mark.parametrize("window_len", [7, 0])
+def test_window_len_off_the_hour_rejects_every_row(window_len):
+    text = stats_text(GOOD_ROW, GOOD_ROW.replace("nid00001", "nid00002"))
+    reason = f"window_len {window_len} must divide 3600"
+    with pytest.raises(IngestError) as err:
+        parse_stats_csv(io.StringIO(text), window_len=window_len)
+    assert (err.value.line, err.value.reason) == (2, reason)
+
+    samples, report = parse_stats_csv(io.StringIO(text), "lenient", window_len)
+    assert len(samples) == report.rows_accepted == 0
+    assert report.rejected_reasons == ((2, reason), (3, reason))
 
 
 def test_duplicate_sample_strict_raises_at_later_line():
@@ -95,8 +136,7 @@ def test_duplicate_sample_lenient_last_wins():
     samples, report = parse_stats_csv(
         io.StringIO(stats_text(GOOD_ROW, second)), mode="lenient"
     )
-    (s,) = samples
-    assert s.counters == (7,) * 21
+    assert samples.counters.tolist() == [[7] * 21]
     assert report.rows_accepted == 1
     assert report.rows_rejected == 1
     line, reason = report.rejected_reasons[0]
@@ -164,14 +204,14 @@ small_counters = st.lists(st.integers(min_value=0, max_value=999), min_size=21, 
     )
 )
 def test_stats_serialize_parse_round_trip(rows):
-    samples = [
+    samples = mk_block(
         mk_sample(fs, node, w, **dict(zip(("read_kb", "open"), (vec[0], vec[5]))))
         for fs, node, w, vec in rows
-    ]
+    )
     text = serialize_stats_csv(samples)
     parsed, report = parse_stats_csv(io.StringIO(text))
     assert report.rows_rejected == 0
-    assert sorted(parsed, key=lambda s: s.key()) == sorted(samples, key=lambda s: s.key())
+    assert parsed == samples
     # canonical form is a fixed point
     assert serialize_stats_csv(parsed) == text
 

@@ -9,7 +9,6 @@ from lassi.model import (
     AppHourRecord,
     FsHourRecord,
     JobRecord,
-    StatSample,
 )
 from lassi.timeutil import (
     DAY,
@@ -28,9 +27,8 @@ from helpers import mk_counters
 
 ZEROS = mk_counters()
 
-# one builder per counter field of the three records
+# one builder per counter field of the two hourly records
 RECORD_COUNTERS = {
-    "sample": lambda vec: StatSample("fs2", "nid00001", 0, vec),
     "app_hour": lambda vec: AppHourRecord("a", "fs2", 0, vec),
     "fs_hour": lambda vec: FsHourRecord("fs2", 0, vec, ZEROS),
     "fs_hour_unattributed": lambda vec: FsHourRecord("fs2", 0, (10,) * 21, vec),
@@ -64,19 +62,6 @@ def test_counters_must_number_exactly_21(record, length):
 def test_counters_must_be_a_tuple(record):
     with pytest.raises(TypeError):
         RECORD_COUNTERS[record]([1] * 21)
-
-
-def test_stat_sample_validates_grid():
-    StatSample("fs2", "nid00001", 0, ZEROS)
-    StatSample("fs2", "nid00001", 540, ZEROS)
-    with pytest.raises(ValueError):
-        StatSample("fs2", "nid00001", 100, ZEROS)  # off the 180 s grid
-    with pytest.raises(ValueError):
-        StatSample("fs2", "nid00001", 0, ZEROS, window_len=7)  # 7 !| 3600
-    with pytest.raises(ValueError):
-        StatSample("", "nid00001", 0, ZEROS)
-    with pytest.raises(ValueError):
-        StatSample("fs2", "", 0, ZEROS)
 
 
 def test_job_record_validation_and_helpers():

@@ -1,5 +1,6 @@
 """Store-facing flows: idempotent ingest, aggregation, stored exposures."""
 
+import fcntl
 from dataclasses import replace
 
 import pytest
@@ -92,8 +93,31 @@ def test_ingest_conflicting_resubmission(tmp_path):
 
     summary = ingest_files(store, [b], mode="lenient")
     assert summary.rejected == 1  # the override is reported
-    (got,) = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
-    assert got.counters == mk_counters(read_kb=9)  # and the new value wins
+    got = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    assert got.counters.tolist() == [list(mk_counters(read_kb=9))]  # and the new value wins
+
+
+def test_ingest_holds_each_partition_lock_while_it_reads_the_stored_rows(tmp_path, monkeypatch):
+    store = Store(tmp_path / "store")
+    stats = stats_file(tmp_path, "s.csv", [f"2017-10-09T00:00:00Z,fs2,nid1,{counters()}"])
+    jobs = jobs_file(
+        tmp_path, "j.csv", ["app1,1.sdb,u,2017-10-09T00:00:00Z,2017-10-09T01:00:00Z,nid1,./a.x"]
+    )
+    read_range = Store.read_range
+    locked = []
+
+    def spy(self, dataset, fs_id, t0, t1):
+        path = self.path(Partition(dataset, fs_id, t0))
+        with open(path.with_name(path.name + ".lock")) as other:
+            with pytest.raises(BlockingIOError):
+                fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        locked.append(dataset)
+        return read_range(self, dataset, fs_id, t0, t1)
+
+    monkeypatch.setattr(Store, "read_range", spy)
+    ingest_files(store, [stats], [jobs])  # into an empty store
+    ingest_files(store, [stats], [jobs])  # over the stored rows
+    assert locked == ["samples", "jobs"] * 2
 
 
 def test_ingest_conflict_across_inputs_in_one_call(tmp_path):
@@ -169,11 +193,9 @@ def test_lenient_ingest_moves_a_redelivered_job_to_its_new_day(tmp_path):
 
 def write_fixture(store, fixture):
     """The hand-computed fixture's samples and jobs, plus a job with no activity."""
-    by_day = {}
-    for s in fixture.samples:
-        by_day.setdefault(floor_day(s.window_start), []).append(s)
-    for day, batch in by_day.items():
-        store.write_partition(batch, Partition("samples", "fs2", day))
+    days = fixture.samples.window - fixture.samples.window % DAY
+    for day in sorted(set(days.tolist())):
+        store.write_partition(fixture.samples.take(days == day), Partition("samples", "fs2", day))
     ghost = mk_job("app5", ["nid00009"], REPORT_DAY + 10 * HOUR, REPORT_DAY + 11 * HOUR)
     store.write_partition(list(fixture.jobs) + [ghost], Partition("jobs", None, REPORT_DAY))
 

@@ -19,7 +19,7 @@ from lassi.model import ALL_FIELDS, INT64_MAX, AppHourRecord, FsHourRecord
 from lassi.store import Partition, Store
 from lassi.timeutil import DAY, HOUR, format_utc, parse_utc
 
-from helpers import BASE_DAY, count_calls, mk_counters, mk_job, mk_sample
+from helpers import BASE_DAY, count_calls, mk_block, mk_counters, mk_job, mk_sample
 
 
 def app_hour(read_kb):
@@ -70,29 +70,29 @@ def test_partition_validation():
 
 
 def test_samples_round_trip(store):
-    samples = [
+    samples = mk_block([
         mk_sample("fs2", "nid2", BASE_DAY + 360, read_kb=7),
         mk_sample("fs2", "nid1", BASE_DAY, write_ops=3),
         mk_sample("fs2", "nid1", BASE_DAY + 180, open=1),
-    ]
+    ])
     n = store.write_partition(samples, samples_partition())
     assert n == 3
     back = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
     # canonical order: window, then fs, then node
-    assert [(s.window_start, s.node_id) for s in back] == [
+    assert list(zip(back.window.tolist(), back.node.tolist())) == [
         (BASE_DAY, "nid1"),
         (BASE_DAY + 180, "nid1"),
         (BASE_DAY + 360, "nid2"),
     ]
-    assert back[2].counters == mk_counters(read_kb=7)
-    assert back[1].counters == mk_counters(open=1)
+    assert tuple(back.counters[2].tolist()) == mk_counters(read_kb=7)
+    assert tuple(back.counters[1].tolist()) == mk_counters(open=1)
 
 
 def test_read_range_filters_on_window_start(store):
-    samples = [mk_sample("fs2", "nid1", BASE_DAY + i * 180) for i in range(4)]
+    samples = mk_block(mk_sample("fs2", "nid1", BASE_DAY + i * 180) for i in range(4))
     store.write_partition(samples, samples_partition())
     mid = store.read_range("samples", "fs2", BASE_DAY + 180, BASE_DAY + 540)
-    assert [s.window_start for s in mid] == [BASE_DAY + 180, BASE_DAY + 360]
+    assert mid.window.tolist() == [BASE_DAY + 180, BASE_DAY + 360]
 
 
 def test_read_range_rejects_empty_range(store):
@@ -101,12 +101,12 @@ def test_read_range_rejects_empty_range(store):
 
 
 def test_write_partition_rejects_out_of_bounds(store):
-    stray_day = mk_sample("fs2", "nid1", BASE_DAY + DAY)
+    stray_day = mk_block([mk_sample("fs2", "nid1", BASE_DAY + DAY)])
     with pytest.raises(ValueError):
-        store.write_partition([stray_day], samples_partition())
-    stray_fs = mk_sample("fs3", "nid1", BASE_DAY)
+        store.write_partition(stray_day, samples_partition())
+    stray_fs = mk_block([mk_sample("fs3", "nid1", BASE_DAY)])
     with pytest.raises(ValueError):
-        store.write_partition([stray_fs], samples_partition())
+        store.write_partition(stray_fs, samples_partition())
 
 
 def test_write_partition_rejects_reports_dataset(store):
@@ -232,6 +232,28 @@ def test_row_outside_its_partition_raises_store_error_naming_path_and_line(store
         assert "outside partition (fs2, 2017-10-09)" in str(err.value)
 
 
+@pytest.mark.parametrize("move", ["fs", "day"])
+def test_samples_row_outside_its_partition_raises_store_error_naming_path_and_key(store, move):
+    rows = [mk_sample("fs2", "nid1", BASE_DAY), mk_sample("fs2", "nid2", BASE_DAY + 180)]
+    store.write_partition(mk_block(rows), samples_partition())
+    path = store.path(samples_partition())
+    lines = path.read_text(encoding="utf-8").split("\n")
+    cells = lines[2].split(",")
+    if move == "fs":
+        cells[1] = "fs3"
+        key = ("fs3", "nid2", BASE_DAY + 180)
+    else:
+        cells[0] = format_utc(BASE_DAY + DAY + 180)
+        key = ("fs2", "nid2", BASE_DAY + DAY + 180)
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+    for reader in (store, Store(store.root)):
+        with pytest.raises(StoreError) as err:
+            reader.read_range("samples", "fs2", BASE_DAY, BASE_DAY + 2 * DAY)
+        assert str(err.value) == f"{path}: sample {key} outside partition (fs2, 2017-10-09)"
+
+
 def test_baseline_store_and_lookup(store):
     old = make_baseline(fill=0.25)
     new = make_baseline(fill=1 / 3, read_kb=1234.5)
@@ -265,8 +287,8 @@ def test_lock_conflict(store):
     with open(lock, "w") as held:
         fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
         with pytest.raises(StoreLockError, match="locked by another writer"):
-            store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], partition)
-    store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], partition)
+            store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), partition)
+    store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), partition)
     assert lock.exists()  # left in place for the next writer to lock
 
 
@@ -295,7 +317,7 @@ def test_lock_of_a_killed_writer_is_released(store):
     try:
         assert writer.stdout.readline() == "locked\n"
         with pytest.raises(StoreLockError):
-            store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], partition)
+            store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), partition)
         writer.kill()  # SIGKILL: no cleanup runs in the writer
         assert writer.wait(timeout=30) == -9
     finally:
@@ -303,12 +325,12 @@ def test_lock_of_a_killed_writer_is_released(store):
             writer.kill()
             writer.wait(timeout=30)
         writer.stdout.close()
-    store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], partition)
+    store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), partition)
     assert len(store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)) == 1
 
 
 def test_no_temp_files_left_behind(store):
-    store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], samples_partition())
+    store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
     leftovers = [
         name
         for _, _, files in os.walk(store.root)
@@ -319,7 +341,7 @@ def test_no_temp_files_left_behind(store):
 
 
 def test_stray_file_in_store_rejected(store):
-    store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], samples_partition())
+    store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
     (store.root / "samples" / "fs2" / "notes.csv").write_text("junk", encoding="utf-8")
     with pytest.raises(StoreError):
         store.partition_dates("samples", "fs2")
@@ -335,9 +357,9 @@ def test_corrupt_partition_surfaces_as_store_error(store):
 
 
 def test_list_fs(store):
-    store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], samples_partition())
+    store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
     store.write_partition(
-        [mk_sample("fs1", "nid1", BASE_DAY)], samples_partition(fs="fs1")
+        mk_block([mk_sample("fs1", "nid1", BASE_DAY)]), samples_partition(fs="fs1")
     )
     assert store.list_fs("samples") == ["fs1", "fs2"]
     assert store.list_fs("baselines") == []
@@ -346,12 +368,12 @@ def test_list_fs(store):
 def test_rewrite_replaces_partition(store):
     partition = samples_partition()
     store.write_partition(
-        [mk_sample("fs2", "nid1", BASE_DAY), mk_sample("fs2", "nid2", BASE_DAY)],
+        mk_block([mk_sample("fs2", "nid1", BASE_DAY), mk_sample("fs2", "nid2", BASE_DAY)]),
         partition,
     )
-    store.write_partition([mk_sample("fs2", "nid9", BASE_DAY, read_ops=5)], partition)
+    store.write_partition(mk_block([mk_sample("fs2", "nid9", BASE_DAY, read_ops=5)]), partition)
     back = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
-    assert [(s.node_id, s.counters) for s in back] == [("nid9", mk_counters(read_ops=5))]
+    assert back == mk_block([mk_sample("fs2", "nid9", BASE_DAY, read_ops=5)])
 
 
 def test_unchanged_partitions_are_parsed_once(store, monkeypatch):
@@ -431,7 +453,7 @@ def test_corrupting_a_memoized_partition_raises(store, dataset):
 
 
 def test_samples_are_never_memoized(store, monkeypatch):
-    store.write_partition([mk_sample("fs2", "nid1", BASE_DAY)], samples_partition())
+    store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
     parses = count_calls(monkeypatch, "parse_stats_csv")
     for _ in range(3):
         assert len(store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)) == 1
