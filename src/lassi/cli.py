@@ -7,10 +7,12 @@ scenarios and check pipeline results against the bundled reference results.
 
 Settings resolve in precedence order: command-line flags, then LASSI_*
 environment variables, then an INI config file ([lassi] section, path from
---config or LASSI_CONFIG), then built-in defaults.
+--config or LASSI_CONFIG), then built-in defaults. The alpha setting is what
+`baseline` stores; --alpha on report, exposure or scatter re-scores it.
 
-Exit codes: 0 success, 1 I/O or store failure, 2 invalid data or arguments
-discovered while running, 3 attribution conflict, 64 command-line usage error.
+Exit codes: 0 success, 1 I/O or store failure (a day never aggregated too),
+2 invalid data or arguments discovered while running, 3 attribution
+conflict, 64 command-line usage error.
 """
 
 from __future__ import annotations
@@ -208,6 +210,7 @@ def cmd_report(args, settings: Settings) -> int:
         store,
         args.fs,
         args.date,
+        baseline=store.load_baseline(args.fs, args.date, args.alpha),
         k=settings.top_k,
         fs_risk_basis=settings.fs_risk_basis,
         generated_at=generated_at,

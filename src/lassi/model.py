@@ -104,9 +104,6 @@ class AppHourRecord:
         if self.hour % HOUR != 0:
             raise ValueError(f"hour {self.hour} not aligned to hour grid")
 
-    def key(self) -> tuple[str, str, int]:
-        return (self.app_id, self.fs_id, self.hour)
-
 
 @dataclass(frozen=True, slots=True)
 class FsHourRecord:
@@ -127,9 +124,6 @@ class FsHourRecord:
                 f"unattributed portion {self.unattributed} exceeds totals "
                 f"{self.counters} for {self.fs_id}"
             )
-
-    def key(self) -> tuple[str, int]:
-        return (self.fs_id, self.hour)
 
 
 def id_codes(ids: np.ndarray) -> tuple[list[str], np.ndarray]:

@@ -1,16 +1,17 @@
 """End-to-end flows: files into the store, store into aggregates and results.
 
 Thin orchestration over the ingest, attribution, metric, and analysis modules;
-all policy lives there. The store-facing flows partition by (filesystem, day)
-and are idempotent: re-ingesting the same file changes nothing, re-aggregating
-a range rewrites the same partitions.
+all policy lives there, and locking, durable writes and the refusal of days
+never aggregated live in the store. The store-facing flows partition by
+(filesystem, day) and are idempotent: re-ingesting the same file changes
+nothing, re-aggregating a range rewrites the same partitions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .model import (
     id_codes,
 )
 from .store import Partition, Store
-from .timeutil import DAY, HOUR, date_str, day_range, floor_day, floor_hour, hour_range
+from .timeutil import DAY, HOUR, day_range, floor_day, floor_hour, hour_range
 
 _N = len(ALL_FIELDS)
 
@@ -65,13 +66,12 @@ class PipelineOutputs:
 
 
 def _merge(
-    old: Iterable[JobRecord], new: Iterable[JobRecord], mode: str, where: str
+    old: Iterable[JobRecord], new: Iterable[JobRecord], mode: str, where: str, drop: Collection = ()
 ) -> tuple[list[JobRecord], int]:
-    """Union by app_id, new jobs winning; also the number of jobs a new one changed.
-
-    Strict mode refuses a changed job instead.
+    """Union by app_id, less old jobs in drop, new jobs winning; also the
+    number of jobs a new one changed. Strict mode refuses a changed job instead.
     """
-    merged = {j.app_id: j for j in old}
+    merged = {j.app_id: j for j in old if j.app_id not in drop}
     changed = 0
     for job in new:
         prior = merged.get(job.app_id)
@@ -153,32 +153,26 @@ def ingest_files(
     moved = _moved_jobs(store, jobs, mode)
     rejected += len(set().union(*moved.values()))
 
-    def fold(partition: Partition, batch, merge, drop=()) -> int:
-        """Merge a batch into its stored partition, less any dropped jobs,
-        and write the result, all under the partition's lock."""
-        with store._locked(store.path(partition)):
-            stored = store.read_range(
-                partition.dataset, partition.fs_id, partition.date, partition.date + DAY
-            )
-            if drop:
-                stored = [j for j in stored if j.app_id not in drop]
-            merged, changed = merge(stored, batch, mode, "with stored data")
-            store.write_partition(merged, partition)
-        return changed
-
+    # one partition's batch at a time, each merged under that partition's lock
     fs_ids, fs_codes = id_codes(samples.fs)
     days = samples.window - samples.window % DAY
     sample_keys = sorted(set(zip(fs_codes.tolist(), days.tolist())))
     for code, day in sample_keys:
         batch = samples.take((fs_codes == code) & (days == day))
-        rejected += fold(Partition("samples", fs_ids[code], day), batch, _merge_samples)
+        rejected += store.merge_partition(
+            Partition("samples", fs_ids[code], day),
+            lambda stored: _merge_samples(stored, batch, mode, "with stored data"),
+        )
     jobs_by_day: dict[int, list[JobRecord]] = {}
     for j in jobs:
         jobs_by_day.setdefault(floor_day(j.start), []).append(j)
     job_days = sorted(jobs_by_day.keys() | moved.keys())
     for day in job_days:
-        batch = jobs_by_day.get(day, [])
-        rejected += fold(Partition("jobs", None, day), batch, _merge, moved.get(day, ()))
+        batch, drop = jobs_by_day.get(day, []), moved.get(day, ())
+        rejected += store.merge_partition(
+            Partition("jobs", None, day),
+            lambda stored: _merge(stored, batch, mode, "with stored data", drop),
+        )
 
     return IngestSummary(
         samples=len(samples),
@@ -237,9 +231,9 @@ def aggregate_range(
 ) -> AggregateSummary:
     """Attribute stored samples over [t0, t1) and write hourly partitions.
 
-    The range must be day-aligned because partitions are daily. Partitions
-    are written for every (filesystem, day) in range, header-only when idle,
-    so later stages can tell an idle day from a day never aggregated.
+    The range must be day-aligned because partitions are daily. Every
+    (filesystem, day) in range is written, header-only when idle, so the
+    store can tell an idle day from a day never aggregated.
     """
     if t0 % DAY or t1 % DAY:
         raise ValueError("aggregate range must be day-aligned")
@@ -257,20 +251,17 @@ def aggregate_range(
     app_hours, fs_hours = _rollup(samples, jobs, config, (t0, t1))
 
     seen_fs = sorted(set(fs_ids) | {r.fs_id for r in app_hours})
-    partitions = 0
     for fs_id in seen_fs:
         for day in day_range(t0, t1):
             day_apps = [r for r in app_hours if r.fs_id == fs_id and day <= r.hour < day + DAY]
             day_fs = [r for r in fs_hours if r.fs_id == fs_id and day <= r.hour < day + DAY]
-            store.write_partition(day_apps, Partition("app_hours", fs_id, day))
-            store.write_partition(day_fs, Partition("fs_hours", fs_id, day))
-            partitions += 2
+            store.write_aggregates(fs_id, day, day_apps, day_fs)
 
     return AggregateSummary(
         filesystems=tuple(seen_fs),
         app_hour_records=len(app_hours),
         fs_hour_records=len(fs_hours),
-        partitions=partitions,
+        partitions=2 * len(seen_fs) * len(day_range(t0, t1)),
     )
 
 
@@ -285,19 +276,20 @@ def build_baselines(
     """Compute and store per-filesystem baselines over [t0, t1).
 
     The stored label defaults to the period's first day, so reports for that
-    day onward resolve it.
+    day onward resolve it. A day never aggregated stores nothing and raises
+    FileNotFoundError.
     """
     if fs_ids is None:
         fs_ids = store.list_fs("fs_hours")
     if not fs_ids:
         raise ValueError("no aggregated filesystems; run `lassi aggregate` first")
     label = floor_day(label_date if label_date is not None else t0)
-    out: dict[str, FsBaseline] = {}
-    for fs_id in fs_ids:
-        records = store.read_range("fs_hours", fs_id, t0, t1)
-        baseline = compute_baseline(records, (t0, t1), alpha, fs_id)
+    out = {
+        fs_id: compute_baseline(store.read_range("fs_hours", fs_id, t0, t1), (t0, t1), alpha, fs_id)
+        for fs_id in fs_ids
+    }
+    for baseline in out.values():
         store.write_baseline(baseline, label)
-        out[fs_id] = baseline
     return out
 
 
@@ -388,9 +380,10 @@ def exposure_for(
 ) -> list[ExposureRecord]:
     """Ambient filesystem risk summed over one run's hours.
 
-    Uses the stored baseline effective on the job's start date. Without an
-    explicit filesystem, every filesystem with attributed activity for the
-    app during its run is reported.
+    Uses the stored baseline effective on the job's start date, with alpha
+    in place of its own when given. Without an explicit filesystem, every
+    filesystem with attributed activity for the app during its run is
+    reported.
     """
     job = find_job(store, app_id)
     t0 = floor_hour(job.start)
@@ -400,17 +393,10 @@ def exposure_for(
     candidates = [fs_id] if fs_id else store.list_fs("app_hours")
     out: list[ExposureRecord] = []
     for fs in candidates:
-        for day in day_range(t0, t1):
-            if not store.path(Partition("fs_hours", fs, day)).exists():
-                raise FileNotFoundError(
-                    f"no aggregates for {fs} on {date_str(day)}; run `lassi aggregate` first"
-                )
         records = store.read_range("app_hours", fs, t0, t1)
         if fs_id is None and not any(r.app_id == app_id for r in records):
             continue
-        baseline = store.load_baseline(fs, floor_day(job.start))
-        if alpha is not None and alpha != baseline.alpha:
-            baseline = replace(baseline, alpha=alpha)
+        baseline = store.load_baseline(fs, floor_day(job.start), alpha)
         series = fs_risk_series(records, baseline, hours=grid)
         out.append(run_risk_exposure(job, series))
     if not out:

@@ -14,13 +14,15 @@ identical inputs produce byte-identical bundles, because generated_at is only
 included when the caller supplies one. Numbers serialize as shortest
 round-trip decimals; undefined values are empty CSV cells and JSON nulls,
 infinite ops values serialize as "inf".
+
+Both refuse a day never aggregated (FileNotFoundError, from the store), and
+write each file with the store's replace_file: fsynced, then renamed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from .charts import ChartSeries, ChartSpec, render_timeseries_chart
 from .ingest import render_csv
 from .metrics import FsBaseline, fs_risk_from_totals, fs_risk_series, ops_series, rsd
 from .model import ALL_FIELDS, MDS_FIELDS
-from .store import Partition, Store
+from .store import Store, replace_file
 from .timeutil import DAY, HOUR, date_str, format_utc, hour_range
 from .version import __version__
 
@@ -129,10 +131,6 @@ def build_daily_report(
         baseline = store.load_baseline(fs_id, date)
 
     t0, t1 = date, date + DAY
-    if not store.path(Partition("fs_hours", fs_id, date)).exists():
-        raise FileNotFoundError(
-            f"no aggregates for {fs_id} on {date_str(date)}; run `lassi aggregate` first"
-        )
     app_hours = store.read_range("app_hours", fs_id, t0, t1)
     fs_hours = store.read_range("fs_hours", fs_id, t0, t1)
 
@@ -298,16 +296,8 @@ def bundle_files(bundle: DailyReportBundle) -> dict[str, str]:
 def write_bundle(bundle: DailyReportBundle, root: str | Path) -> Path:
     """Write the bundle directory under <root>/reports/, replacing files atomically."""
     out_dir = Path(root) / "reports" / bundle.fs_id / date_str(bundle.date)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in sorted(bundle_files(bundle).items()):
-        path = out_dir / name
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        try:
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        replace_file(out_dir / name, text)
     return out_dir
 
 
@@ -437,9 +427,8 @@ def rsd_table_json(table: RsdTable) -> str:
 def write_rsd_table(table: RsdTable, root: str | Path) -> Path:
     t0, t1 = table.period
     out_dir = Path(root) / "reports" / "rsd" / f"{date_str(t0)}_{date_str(t1)}"
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = rsd_table_csvs(table)
     files["rsd.json"] = rsd_table_json(table)
     for name, text in sorted(files.items()):
-        (out_dir / name).write_text(text, encoding="utf-8")
+        replace_file(out_dir / name, text)
     return out_dir

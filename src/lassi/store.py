@@ -1,12 +1,17 @@
 """Partitioned on-disk store for samples, jobs, aggregates, and baselines.
 
 Layout: ``<root>/<dataset>/<fs_id | all>/<YYYY-MM-DD>.csv``. Partitions are
-rewritten whole: content is serialized in canonical sorted form, written to a
-temp file, and moved into place atomically. A ``fcntl.flock`` on a ``.lock``
-file enforces a single writer per partition, and ends with its writer, even a
-killed one; readers never need the lock because rename is atomic. A writer
-that reads a partition to merge into it takes the lock first; a ``Store``
-re-enters a lock it holds, so its write then goes through.
+rewritten whole: content is serialized in canonical sorted form and written
+by replace_file (also the writer of report bundles and RSD tables): a temp
+file, fsynced, renamed into place, then the directory fsynced. A
+``fcntl.flock`` on a ``.lock`` file enforces a single writer per partition,
+and ends with its writer, even a killed one; readers never need the lock
+because rename is atomic. merge_partition holds the lock while it reads,
+merges and writes, so two merging writers cannot lose each other's rows.
+
+An ``fs_hours`` partition marks its (filesystem, day) as aggregated; reading
+app_hours or fs_hours over a day without one raises FileNotFoundError, so a
+day never aggregated is not taken for an idle one.
 
 Every samples, app_hours and fs_hours row must belong to its file's
 filesystem and day: a write refuses a stray row with ValueError, and a read
@@ -123,6 +128,26 @@ def _may_hold(jobs_csv: bytes, app_ids: set[bytes]) -> bool:
     return not app_ids.isdisjoint(line.split(b",", 1)[0] for line in jobs_csv.split(b"\n"))
 
 
+def replace_file(path: Path, text: str) -> None:
+    """Replace path's content with text via a fsynced temp file, renamed over
+    it; the directory is then fsynced so the rename survives a crash."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _app_hour_rows(records: Sequence[AppHourRecord]) -> list[tuple]:
     ordered = sorted(records, key=lambda r: (r.hour, r.fs_id, r.app_id))
     return [(format_utc(r.hour), r.fs_id, r.app_id) + r.counters for r in ordered]
@@ -189,13 +214,20 @@ class Store:
 
     def _write_text(self, path: Path, text: str) -> None:
         with self._locked(path):
-            tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-            try:
-                tmp.write_text(text, encoding="utf-8")
-                os.replace(tmp, path)
-            finally:
-                if tmp.exists():
-                    tmp.unlink()
+            replace_file(path, text)
+
+    def merge_partition(self, partition: Partition, merge) -> int:
+        """Rewrite a partition as merge(stored rows) -> (rows, count) under its lock."""
+        p = partition
+        with self._locked(self.path(p)):
+            rows, count = merge(self.read_range(p.dataset, p.fs_id, p.date, p.date + DAY))
+            self.write_partition(rows, p)
+        return count
+
+    def write_aggregates(self, fs_id: str, day: int, app_hours, fs_hours) -> None:
+        """Write a (filesystem, day)'s app_hours, then the fs_hours that mark it aggregated."""
+        self.write_partition(app_hours, Partition("app_hours", fs_id, day))
+        self.write_partition(fs_hours, Partition("fs_hours", fs_id, day))
 
     def write_partition(self, records: Iterable | SampleBlock, partition: Partition) -> int:
         """Replace one partition with the given records. Returns row count.
@@ -257,13 +289,22 @@ class Store:
         samples filter on window_start and come back as one SampleBlock;
         app_hours/fs_hours filter on hour, jobs on start (see
         query_jobs_overlapping for span queries), and come back as new lists.
+        A day never aggregated raises FileNotFoundError for app_hours/fs_hours.
         """
         if t1 <= t0:
             raise ValueError(f"empty range: t0 {format_utc(t0)} >= t1 {format_utc(t1)}")
         if dataset != "samples" and dataset not in _TIME_KEY:
             raise ValueError(f"dataset {dataset!r} does not support read_range")
         parts = [Partition(dataset, fs_id, day) for day in day_range(t0, t1)]
-        parts = [p for p in parts if self.path(p).exists()]
+        if dataset in ("app_hours", "fs_hours"):
+            for p in parts:
+                if not self.path(replace(p, dataset="fs_hours")).exists():
+                    raise FileNotFoundError(
+                        f"no aggregates for {fs_id} on {date_str(p.date)}; "
+                        f"run `lassi aggregate` first"
+                    )
+        else:
+            parts = [p for p in parts if self.path(p).exists()]
         if dataset == "samples":
             return SampleBlock.concat(
                 (self._read_samples(p, t0, t1) for p in parts), self.window_len
@@ -399,8 +440,9 @@ class Store:
         self.write_partition([baseline], partition)
         return self.path(partition)
 
-    def load_baseline(self, fs_id: str, date: int) -> FsBaseline:
-        """Newest stored baseline for fs_id with label date <= date."""
+    def load_baseline(self, fs_id: str, date: int, alpha: float | None = None) -> FsBaseline:
+        """Newest stored baseline for fs_id with label date <= date, with
+        alpha, when given, in place of the stored one."""
         candidates = [d for d in self.partition_dates("baselines", fs_id) if d <= date]
         if not candidates:
             raise MissingBaselineError(
@@ -409,7 +451,8 @@ class Store:
             )
         path = self.path(Partition("baselines", fs_id, max(candidates)))
         baseline = self._parsed("baselines", path)
-        return replace(baseline, means=dict(baseline.means))
+        alpha = baseline.alpha if alpha is None else alpha
+        return replace(baseline, means=dict(baseline.means), alpha=alpha)
 
     @classmethod
     def _parse_baseline(cls, path: Path, stream: io.StringIO) -> FsBaseline:

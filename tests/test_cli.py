@@ -1,12 +1,17 @@
 """CLI behavior: exit codes, output formats, and config precedence."""
 
 import csv
+import json
+from dataclasses import replace
 
 import pytest
 
 from lassi.analysis import group_key
 from lassi.cli import main
 from lassi.ingest import JOBS_HEADER, STATS_HEADER
+from lassi.report import build_daily_report, bundle_to_json
+from lassi.store import Store
+from lassi.timeutil import parse_date
 
 from helpers import TASKFARM_SCENARIO, scenario_text
 
@@ -194,6 +199,39 @@ def test_truncated_store_row_exits_1(tmp_path, capsys):
 
     assert main(["report", *store, "--fs", "fs2", "--date", "2017-10-10"]) == 1
     assert f"{path}: line 2: expected 24 columns, got 21" in capsys.readouterr().err
+
+
+def test_baseline_and_rsd_refuse_a_day_never_aggregated(tmp_path, capsys):
+    store, _ = taskfarm_store(tmp_path, capsys)  # aggregated 2017-10-10 and 2017-10-11
+    baselines = tmp_path / "store" / "baselines"
+    before = {p: p.read_bytes() for p in baselines.rglob("*.csv")}
+    week = ["--from", "2017-10-10", "--to", "2017-10-13"]
+
+    for argv in (["baseline", *store, *week], ["rsd", *store, *week]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "no aggregates for fs2 on 2017-10-12; run `lassi aggregate` first" in err
+    assert main(["baseline", *store, "--date", "2017-10-10", "--fs", "fs9"]) == 1
+    assert "no aggregates for fs9 on 2017-10-10" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in baselines.rglob("*.csv")} == before
+    assert not (tmp_path / "store" / "reports").exists()
+
+
+def test_report_alpha_rescores_the_stored_baseline(tmp_path, capsys):
+    store, _ = taskfarm_store(tmp_path, capsys)
+    day = parse_date("2017-10-11")
+    report_json = tmp_path / "store" / "reports" / "fs2" / "2017-10-11" / "report.json"
+
+    assert main(["report", *store, "--fs", "fs2", "--date", "2017-10-11"]) == 0
+    default = json.loads(report_json.read_text(encoding="utf-8"))
+    assert main(["report", *store, "--fs", "fs2", "--date", "2017-10-11", "--alpha", "4"]) == 0
+    text = report_json.read_text(encoding="utf-8")
+    assert json.loads(text)["metadata"]["alpha"] == 4.0
+
+    stored = Store(tmp_path / "store", window_len=600)
+    baseline = replace(stored.load_baseline("fs2", day), alpha=4.0)
+    assert text == bundle_to_json(build_daily_report(stored, "fs2", day, baseline=baseline))
+    assert json.loads(text)["risk_stats"] != default["risk_stats"]
 
 
 def test_usage_errors_exit_64(capsys):

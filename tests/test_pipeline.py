@@ -285,6 +285,19 @@ def test_build_baselines_requires_aggregates(tmp_path):
         build_baselines(Store(tmp_path / "empty"), BASE_DAY, BASE_DAY + DAY)
 
 
+def test_build_baselines_refuses_a_day_never_aggregated(exposure_store, exposure_fixture):
+    stored = exposure_store.path(Partition("baselines", "fs2", BASE_DAY))
+    before = stored.read_bytes()
+    with pytest.raises(FileNotFoundError) as err:
+        build_baselines(exposure_store, BASE_DAY, REPORT_DAY + 2 * DAY)
+    assert str(err.value) == (
+        "no aggregates for fs2 on 2017-10-11; run `lassi aggregate` first"
+    )
+    with pytest.raises(FileNotFoundError, match="no aggregates for fs9 on 2017-10-09"):
+        build_baselines(exposure_store, *exposure_fixture.baseline_period, fs_ids=["fs9"])
+    assert stored.read_bytes() == before
+
+
 def test_find_job(exposure_store):
     job = find_job(exposure_store, "app1")
     assert job.app_id == "app1"

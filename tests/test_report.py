@@ -300,6 +300,14 @@ def test_rsd_table_validation(rsd_store):
         build_rsd_table(rsd_store, REPORT_DAY, REPORT_DAY + 90)
 
 
+def test_rsd_table_refuses_a_day_never_aggregated(rsd_store):
+    with pytest.raises(FileNotFoundError) as err:
+        build_rsd_table(rsd_store, REPORT_DAY, REPORT_DAY + DAY + HOUR)
+    assert str(err.value) == (
+        "no aggregates for fs2 on 2017-10-11; run `lassi aggregate` first"
+    )
+
+
 def test_rsd_table_files(rsd_store, tmp_path):
     table = build_rsd_table(rsd_store, REPORT_DAY, REPORT_DAY + 2 * HOUR)
     csvs = rsd_table_csvs(table)

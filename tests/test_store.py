@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lassi
+from lassi.cli import main
 from lassi.errors import MissingBaselineError, StoreError, StoreLockError
+from lassi.ingest import serialize_stats_csv
 from lassi.metrics import FsBaseline
 from lassi.model import ALL_FIELDS, INT64_MAX, AppHourRecord, FsHourRecord
 from lassi.store import Partition, Store
@@ -47,6 +49,13 @@ def store(tmp_path):
 
 def samples_partition(fs="fs2", date=BASE_DAY):
     return Partition("samples", fs, date)
+
+
+def mark_aggregated(store, *days):
+    """Header-only fs_hours partitions, so fs2's aggregates on those days
+    (BASE_DAY by default) can be read; later writes may fill them."""
+    for day in days or (BASE_DAY,):
+        store.write_partition([], Partition("fs_hours", "fs2", day))
 
 
 def make_baseline(fs="fs2", fill=0.125, **overrides):
@@ -137,7 +146,7 @@ def test_app_hours_round_trip(store):
         hour=BASE_DAY + 3 * HOUR,
         counters=(1, 2, 3, 4, 5) + tuple(range(16)),
     )
-    store.write_partition([rec], Partition("app_hours", "fs2", BASE_DAY))
+    store.write_aggregates("fs2", BASE_DAY, [rec], [])
     (back,) = store.read_range("app_hours", "fs2", BASE_DAY, BASE_DAY + DAY)
     assert back == rec
 
@@ -161,14 +170,15 @@ counter_vec = st.tuples(*[st.integers(min_value=0, max_value=INT64_MAX)] * len(A
 @given(st.lists(st.tuples(counter_vec, counter_vec), min_size=1, max_size=24))
 def test_hour_records_round_trip_through_partitions(vectors):
     hours = [BASE_DAY + i * HOUR for i in range(len(vectors))]
+    # fs_hours first: it marks the day as aggregated, so app_hours can be read
     written = {
-        "app_hours": [
-            AppHourRecord(f"app{i}", "fs2", hour, a)
-            for i, (hour, (a, _)) in enumerate(zip(hours, vectors))
-        ],
         "fs_hours": [
             FsHourRecord("fs2", hour, tuple(map(max, a, b)), tuple(map(min, a, b)))
             for hour, (a, b) in zip(hours, vectors)
+        ],
+        "app_hours": [
+            AppHourRecord(f"app{i}", "fs2", hour, a)
+            for i, (hour, (a, _)) in enumerate(zip(hours, vectors))
         ],
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -187,6 +197,7 @@ def test_hour_records_round_trip_through_partitions(vectors):
 def test_malformed_row_raises_store_error_naming_path_and_line(store, dataset, defect):
     records = {"app_hours": [app_hour(1)], "fs_hours": [fs_hour()], "baselines": [make_baseline()]}
     partition = Partition(dataset, "fs2", BASE_DAY)
+    mark_aggregated(store)
     store.write_partition(records[dataset], partition)
     path = store.path(partition)
     lines = path.read_text(encoding="utf-8").split("\n")
@@ -215,6 +226,7 @@ def test_malformed_row_raises_store_error_naming_path_and_line(store, dataset, d
 def test_row_outside_its_partition_raises_store_error_naming_path_and_line(store, dataset, move):
     records = {"app_hours": [app_hour(1)], "fs_hours": [fs_hour()]}[dataset]
     partition = Partition(dataset, "fs2", BASE_DAY)
+    mark_aggregated(store, *(BASE_DAY + i * DAY for i in range(5)))
     store.write_partition(records, partition)
     path = store.path(partition)
     lines = path.read_text(encoding="utf-8").split("\n")
@@ -329,6 +341,43 @@ def test_lock_of_a_killed_writer_is_released(store):
     assert len(store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)) == 1
 
 
+def test_an_ingest_into_a_locked_partition_exits_1_and_the_retry_lands(store, tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text(serialize_stats_csv(mk_block([mk_sample("fs2", "nid1", BASE_DAY)])))
+    second.write_text(serialize_stats_csv(mk_block([mk_sample("fs2", "nid2", BASE_DAY)])))
+    ingest = ["ingest", "--store", str(store.root), "--stats"]
+    assert main([*ingest, str(first)]) == 0
+    path = store.path(samples_partition())
+    before = path.read_bytes()
+
+    env = dict(os.environ, PYTHONPATH=str(Path(lassi.__file__).parents[1]))
+    holder = subprocess.Popen(
+        [sys.executable, "-c", HOLD_LOCK, str(store.root), str(path)],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        blocked = subprocess.run(
+            [sys.executable, "-m", "lassi.cli", *ingest, str(second)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert blocked.returncode == 1
+        assert f"partition {path} is locked by another writer" in blocked.stderr
+        assert path.read_bytes() == before
+    finally:
+        holder.kill()
+        holder.wait(timeout=30)
+        holder.stdout.close()
+    assert main([*ingest, str(second)]) == 0
+    got = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    assert got == mk_block([mk_sample("fs2", n, BASE_DAY) for n in ("nid1", "nid2")])
+
+
 def test_no_temp_files_left_behind(store):
     store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
     leftovers = [
@@ -388,7 +437,7 @@ def test_unchanged_partitions_are_parsed_once(store, monkeypatch):
 
 
 def test_reads_return_fresh_copies(store):
-    store.write_partition([app_hour(1)], Partition("app_hours", "fs2", BASE_DAY))
+    store.write_aggregates("fs2", BASE_DAY, [app_hour(1)], [])
     first = store.read_range("app_hours", "fs2", BASE_DAY, BASE_DAY + DAY)
     first.clear()
     assert store.read_range("app_hours", "fs2", BASE_DAY, BASE_DAY + DAY) == [app_hour(1)]
@@ -414,6 +463,7 @@ def test_memo_follows_a_second_writer_of_equal_length(tmp_path):
     job_a = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR, command="./a.x", job_id="1.sdb")
     job_b = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR, command="./b.x", job_id="1.sdb")
     writer.write_partition([job_a], jobs_part)
+    mark_aggregated(writer)
     writer.write_partition([app_hour(1)], hours_part)
     assert reader.read_range("jobs", None, BASE_DAY, BASE_DAY + DAY) == [job_a]
     assert reader.read_range("app_hours", "fs2", BASE_DAY, BASE_DAY + DAY) == [app_hour(1)]
@@ -438,6 +488,7 @@ def test_corrupting_a_memoized_partition_raises(store, dataset):
         "baselines": [make_baseline()],
     }[dataset]
     partition = Partition(dataset, None if dataset == "jobs" else "fs2", BASE_DAY)
+    mark_aggregated(store)
     store.write_partition(records, partition)
 
     def read():
