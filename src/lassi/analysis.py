@@ -3,9 +3,9 @@
 Runs of the same application are recognized by their exact launch command
 after whitespace normalization; changing any argument makes a different
 group. A run is flagged slow when its runtime reaches a configurable factor
-of its group's mean runtime. Exposure totals the filesystem-level hourly risk
-over every hour a run's span touches, so concurrent identical runs see
-identical exposure regardless of their own I/O.
+of its group's mean runtime, the run itself included. Exposure totals the
+filesystem-level hourly risk over every hour a run's span touches, so
+concurrent identical runs see identical exposure regardless of their own I/O.
 """
 
 from __future__ import annotations
@@ -104,14 +104,11 @@ def group_jobs(jobs: Iterable[JobRecord]) -> list[AppGroup]:
     return groups
 
 
-def detect_slowdown(
-    group: AppGroup, factor: float = 1.5, exclude_self: bool = False
-) -> SlowdownResult:
+def detect_slowdown(group: AppGroup, factor: float = 1.5) -> SlowdownResult:
     """Flag runs whose runtime reaches factor times the group mean.
 
-    The mean includes the candidate run by default; exclude_self compares
-    each run against the mean of the others instead. Groups with fewer than
-    two runs cannot be judged and come back empty with a reason.
+    The mean includes the candidate run. Groups with fewer than two runs
+    cannot be judged and come back empty with a reason and no threshold.
     """
     if factor <= 0:
         raise ValueError(f"factor must be positive, got {factor}")
@@ -123,22 +120,6 @@ def detect_slowdown(
             threshold=None,
             flagged=(),
             reason=f"insufficient data: {len(group.runs)} run(s), need at least 2",
-        )
-
-    if exclude_self:
-        total = sum(r for _, r in group.runs)
-        n = len(group.runs)
-        flagged = tuple(
-            (app, r)
-            for app, r in group.runs
-            if r >= factor * ((total - r) / (n - 1))
-        )
-        return SlowdownResult(
-            group_key=group.group_key,
-            command=group.command,
-            mean_runtime=group.mean_runtime,
-            threshold=None,
-            flagged=flagged,
         )
 
     threshold = factor * group.mean_runtime

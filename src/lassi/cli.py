@@ -5,9 +5,10 @@ range, build baselines, emit report bundles and dispersion tables, and query
 slowdown, exposure, and scatter views. synth and verify generate synthetic
 scenarios and check pipeline results against the bundled reference results.
 
-Settings resolve in precedence order: command-line flags, then LASSI_*
-environment variables, then an INI config file ([lassi] section, path from
---config or LASSI_CONFIG), then built-in defaults. The alpha setting is what
+The five settings (store, window_len, alpha, boundary_policy, top_k) resolve
+in precedence order: command-line flags, then LASSI_* environment variables,
+then an INI config file ([lassi] section, path from --config or LASSI_CONFIG;
+any other key is an error), then built-in defaults. The alpha setting is what
 `baseline` stores; --alpha on report, exposure or scatter re-scores it.
 
 Exit codes: 0 success, 1 I/O or store failure (a day never aggregated too),
@@ -43,7 +44,6 @@ from .pipeline import (
     ingest_files,
 )
 from .report import (
-    FS_RISK_BASES,
     build_daily_report,
     build_rsd_table,
     bundle_files,
@@ -60,7 +60,6 @@ _DEFAULTS = {
     "window_len": "180",
     "alpha": "2.0",
     "boundary_policy": "midpoint",
-    "fs_risk_basis": "sum",
     "top_k": "8",
 }
 
@@ -71,7 +70,6 @@ class Settings:
     window_len: int
     alpha: float
     boundary_policy: str
-    fs_risk_basis: str
     top_k: int
 
 
@@ -127,15 +125,12 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             window_len=int(values["window_len"]),
             alpha=float(values["alpha"]),
             boundary_policy=values["boundary_policy"],
-            fs_risk_basis=values["fs_risk_basis"],
             top_k=int(values["top_k"]),
         )
     except ValueError as exc:
         raise ValueError(f"bad setting value: {exc}") from None
     if settings.boundary_policy not in BOUNDARY_POLICIES:
         raise ValueError(f"boundary_policy must be one of {BOUNDARY_POLICIES}")
-    if settings.fs_risk_basis not in FS_RISK_BASES:
-        raise ValueError(f"fs_risk_basis must be one of {FS_RISK_BASES}")
     if settings.alpha <= 0:
         raise ValueError("alpha must be positive")
     if settings.top_k < 1:
@@ -212,7 +207,6 @@ def cmd_report(args, settings: Settings) -> int:
         args.date,
         baseline=store.load_baseline(args.fs, args.date, args.alpha),
         k=settings.top_k,
-        fs_risk_basis=settings.fs_risk_basis,
         generated_at=generated_at,
     )
     path = write_bundle(bundle, store.root)
@@ -248,16 +242,13 @@ def cmd_slowdown(args, settings: Settings) -> int:
     flagged_total = 0
     groups = group_jobs(jobs)
     for group in groups:
-        result = detect_slowdown(group, factor=args.factor, exclude_self=args.exclude_self)
-        if result.reason is not None:
-            continue
-        for app_id, runtime in result.flagged:
+        result = detect_slowdown(group, factor=args.factor)
+        for app_id, runtime in result.flagged:  # empty for a group too small to judge
             flagged_total += 1
-            threshold = "-" if result.threshold is None else fmt_num(round(result.threshold, 3))
             print(
                 f"flagged app={app_id} runtime={runtime}s "
                 f"mean={fmt_num(round(result.mean_runtime, 3))}s "
-                f"threshold={threshold}s command={result.command!r}"
+                f"threshold={fmt_num(round(result.threshold, 3))}s command={result.command!r}"
             )
     print(f"groups={len(groups)} flagged_runs={flagged_total}")
     return 0
@@ -385,7 +376,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fs", required=True, metavar="FS")
     p.add_argument("--date", required=True, type=_date, metavar="DATE")
     p.add_argument("--top-k", dest="top_k", type=int, metavar="K")
-    p.add_argument("--fs-risk-basis", dest="fs_risk_basis", choices=FS_RISK_BASES)
     p.add_argument(
         "--generated-at",
         dest="generated_at",
@@ -404,7 +394,6 @@ def build_parser() -> _Parser:
     p.add_argument("--from", dest="t0", type=_time, metavar="TIME")
     p.add_argument("--to", dest="t1", type=_time, metavar="TIME", help="exclusive")
     p.add_argument("--factor", type=float, default=1.5, metavar="F")
-    p.add_argument("--exclude-self", dest="exclude_self", action="store_true")
     p.set_defaults(func=cmd_slowdown, date=None)
 
     p = sub.add_parser("exposure", parents=[common], help="ambient risk summed over one run")

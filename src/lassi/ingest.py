@@ -18,8 +18,9 @@ parsing a canonical file and serializing the result reproduces it byte for byte.
 
 Strict mode raises IngestError at the first invalid row. Lenient mode skips
 invalid rows and reports them; a duplicate key in lenient mode keeps the last
-occurrence and counts the superseded row as rejected. Counters must fit in a
-signed 64-bit integer; larger values are rejected like any other bad row.
+occurrence and counts the superseded row as rejected. Counters are spelled
+in ASCII digits (parse_int_cells) and must fit in a signed 64-bit integer;
+anything else is rejected like any other bad row.
 
 Stats files parse into a SampleBlock, the only form samples take. Files that
 are provably clean are read column-wise in one pass; every other stats file
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -115,6 +117,22 @@ class _Rejects:
         )
 
 
+# cells spelled -?[0-9]+ in ASCII, joined by commas; the sign is allowed so a
+# negative counter is refused as negative rather than as a bad spelling
+_INT_CELLS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
+def parse_int_cells(cells: Sequence[str]) -> list[int]:
+    """The integers spelled by cells; ValueError unless each is -?[0-9]+ in ASCII.
+
+    This is the one integer grammar of counter cells: int() alone would also
+    take "1_000", " +2" or "٣".
+    """
+    if _INT_CELLS.fullmatch(",".join(cells)) is None:
+        raise ValueError(f"non-integer cell in {list(cells)!r}")
+    return [int(c) for c in cells]
+
+
 def parse_stats_csv(
     source: Source, mode: str = "strict", window_len: int = 180
 ) -> tuple[SampleBlock, IngestReport]:
@@ -134,6 +152,11 @@ def parse_stats_csv(
 
 
 _STATS_HEADER_LINE = ",".join(STATS_HEADER)
+# what sends an ASCII file to the row loop: a quote, CR, NUL or blank line,
+# and "+" or any whitespace but LF, which np.loadtxt takes around a number
+_UNCLEAN_CHARS = (
+    '"', "\r", "\x00", "\n\n", "+", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"
+)
 # one row read whole by np.loadtxt: the three key columns as str, then counters
 _STATS_ROW_DTYPE = np.dtype([("key", object, (3,)), ("counters", np.int64, (len(ALL_FIELDS),))])
 # the clean path reads about this many characters per np.loadtxt call, so its
@@ -144,15 +167,17 @@ _PARSE_CHUNK_CHARS = 1 << 16
 def _parse_clean_stats(text: str, window_len: int) -> SampleBlock | None:
     """The block the row loop would return without rejects, or None.
 
-    None unless the file is provably clean: exact header; no quote, CR or
-    NUL; LF after every row and no blank lines; 24 columns on every row;
-    counters that np.loadtxt reads as int64 (it takes only tokens that int()
-    takes, with equal value) and that are >= 0; exact on-grid timestamps;
-    non-empty ids; unique keys.
+    None unless the file is provably clean: ASCII only; exact header; no
+    quote, CR, NUL, "+" or whitespace other than LF; LF after every row and
+    no blank lines; 24 columns on every row; counters that np.loadtxt reads
+    as int64 and that are >= 0; exact on-grid timestamps; non-empty ids;
+    unique keys. np.loadtxt reads a signed or space-padded token, and gives
+    a non-ASCII one a value, where parse_int_cells refuses it; on what is
+    left it takes only -?[0-9]+, with int()'s value.
     """
     if window_len <= 0 or HOUR % window_len:
         return None
-    if '"' in text or "\r" in text or "\x00" in text or "\n\n" in text:
+    if not text.isascii() or any(c in text for c in _UNCLEAN_CHARS):
         return None
     if not text.startswith(_STATS_HEADER_LINE + "\n") or not text.endswith("\n"):
         return None
@@ -204,8 +229,8 @@ def _parse_stats_rows(
     """The row-by-row stats parser: line-numbered rejects, keep-last duplicates.
 
     A row must have 24 cells, an exact timestamp on the window_len grid,
-    non-empty ids and integer counters in [0, 2**63 - 1]; a window_len that
-    does not divide an hour rejects every row.
+    non-empty ids and counters (parse_int_cells) in [0, 2**63 - 1]; a
+    window_len that does not divide an hour rejects every row.
     """
     bad_len = window_len <= 0 or HOUR % window_len != 0
     # (fs, node, window) -> (line, counters) of the row that holds the key
@@ -226,7 +251,7 @@ def _parse_stats_rows(
             rejects.add(line_no, f"bad timestamp {row[0]!r}")
             continue
         try:
-            vals = [int(v) for v in row[3:]]
+            vals = parse_int_cells(row[3:])
         except ValueError:
             rejects.add(line_no, "non-integer counter value")
             continue

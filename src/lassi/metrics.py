@@ -4,7 +4,8 @@ The per-statistic risk measures how far a value sits above a scaled
 historical average: ``(x - alpha * avg) / (alpha * avg)``. Values at or below
 the scaled average mean headroom, not risk, so non-positive contributions are
 ignored wherever per-statistic risks are summed. risk_oss sums the five
-data-movement statistics, risk_mds all sixteen metadata statistics.
+data-movement statistics, risk_mds all sixteen metadata statistics. A
+filesystem's hourly risk is the sum of its applications' clamped risks.
 
 Ops quality relates operation counts to volume moved: ``ops * 1024 / kb`` is
 1.0 when every operation moves the optimal 1 MiB and grows as transfers get
@@ -49,7 +50,6 @@ class FsBaseline:
     period: tuple[int, int]
     alpha: float
     means: Mapping[str, float]
-    basis: str = "fs_total"
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
@@ -131,9 +131,10 @@ def compute_baseline(
     fs_hours: Iterable[FsHourRecord],
     period: tuple[int, int],
     alpha: float = 2.0,
-    fs_id: str | None = None,
+    *,
+    fs_id: str,
 ) -> FsBaseline:
-    """Mean hourly filesystem totals over [t0, t1), zero-filling quiet hours."""
+    """Mean hourly totals of fs_id over [t0, t1), zero-filling quiet hours."""
     t0, t1 = period
     if t1 <= t0:
         raise ValueError(f"empty baseline period {format_utc(t0)}..{format_utc(t1)}")
@@ -144,23 +145,13 @@ def compute_baseline(
 
     sums = [0] * len(ALL_FIELDS)
     matched = 0
-    explicit = fs_id is not None
     for record in fs_hours:
-        if explicit:
-            if record.fs_id != fs_id:
-                continue
-        elif fs_id is None:
-            fs_id = record.fs_id
-        elif record.fs_id != fs_id:
-            raise ValueError(
-                f"records for multiple filesystems ({fs_id}, {record.fs_id}); pass fs_id"
-            )
-        if not t0 <= record.hour < t1:
+        if record.fs_id != fs_id or not t0 <= record.hour < t1:
             continue
         matched += 1
         for i, v in enumerate(record.counters):
             sums[i] += v
-    if fs_id is None or matched == 0:
+    if matched == 0:
         raise ValueError("no fs-hour records inside the baseline period")
 
     n_hours = (t1 - t0) // HOUR
@@ -246,7 +237,7 @@ def ops_series(
 def fs_risk_series(
     app_hours: Iterable[AppHourRecord],
     baseline: FsBaseline,
-    hours: Sequence[int] | None = None,
+    hours: Sequence[int],
 ) -> RiskSeries:
     """Per-app hourly risks against the filesystem baseline, summed per hour.
 
@@ -276,7 +267,7 @@ def fs_risk_series(
         oss_by_hour[rec.hour] = oss_by_hour.get(rec.hour, 0.0) + bo.value
         mds_by_hour[rec.hour] = mds_by_hour.get(rec.hour, 0.0) + bm.value
 
-    grid = tuple(hours) if hours is not None else tuple(sorted(oss_by_hour))
+    grid = tuple(hours)
     return RiskSeries(
         fs_id=baseline.fs_id,
         hours=grid,
@@ -285,28 +276,3 @@ def fs_risk_series(
         records=tuple(records),
     )
 
-
-def fs_risk_from_totals(
-    fs_hours: Iterable[FsHourRecord],
-    baseline: FsBaseline,
-    hours: Sequence[int] | None = None,
-) -> RiskSeries:
-    """Alternative filesystem risk basis: score the fs-total counters directly."""
-    oss_by_hour: dict[int, float] = {}
-    mds_by_hour: dict[int, float] = {}
-    for rec in fs_hours:
-        if rec.fs_id != baseline.fs_id:
-            raise ValueError(
-                f"record for {rec.fs_id} evaluated against baseline for {baseline.fs_id}"
-            )
-        oss_by_hour[rec.hour] = risk_oss(rec.counters, baseline).value
-        mds_by_hour[rec.hour] = risk_mds(rec.counters, baseline).value
-
-    grid = tuple(hours) if hours is not None else tuple(sorted(oss_by_hour))
-    return RiskSeries(
-        fs_id=baseline.fs_id,
-        hours=grid,
-        oss=tuple(oss_by_hour.get(h, 0.0) for h in grid),
-        mds=tuple(mds_by_hour.get(h, 0.0) for h in grid),
-        records=(),
-    )

@@ -285,7 +285,9 @@ def build_baselines(
         raise ValueError("no aggregated filesystems; run `lassi aggregate` first")
     label = floor_day(label_date if label_date is not None else t0)
     out = {
-        fs_id: compute_baseline(store.read_range("fs_hours", fs_id, t0, t1), (t0, t1), alpha, fs_id)
+        fs_id: compute_baseline(
+            store.read_range("fs_hours", fs_id, t0, t1), (t0, t1), alpha, fs_id=fs_id
+        )
         for fs_id in fs_ids
     }
     for baseline in out.values():
@@ -321,7 +323,7 @@ def compute_outputs(
     ops: dict[str, tuple] = {}
     for fs_id in fs_ids:
         fs_records = [r for r in fs_hours if r.fs_id == fs_id]
-        baseline = compute_baseline(fs_records, period, alpha, fs_id)
+        baseline = compute_baseline(fs_records, period, alpha, fs_id=fs_id)
         baselines[fs_id] = baseline
         app_records = [r for r in app_hours if r.fs_id == fs_id]
         risk[fs_id] = fs_risk_series(app_records, baseline, hours=grid)

@@ -9,14 +9,16 @@ A daily report bundle is a directory of files for one (filesystem, date):
                               ops_metric.csv  hourly read/write ops quality
                               *.svg           one chart per table
 
-All four series cover exactly 24 hourly buckets. Output is deterministic:
-identical inputs produce byte-identical bundles, because generated_at is only
-included when the caller supplies one. Numbers serialize as shortest
-round-trip decimals; undefined values are empty CSV cells and JSON nulls,
-infinite ops values serialize as "inf".
+All four series cover exactly 24 hourly buckets; fs risk is the sum of the
+per-app clamped risks (report.json's fs_risk_basis, always "sum"). Output is
+deterministic: identical inputs produce byte-identical bundles, because
+generated_at is only included when the caller supplies one. Numbers serialize
+as shortest round-trip decimals; undefined values are empty CSV cells and JSON
+nulls, infinite ops values serialize as "inf".
 
 Both refuse a day never aggregated (FileNotFoundError, from the store), and
-write each file with the store's replace_file: fsynced, then renamed.
+write their directory with the store's replace_files: each file fsynced, then
+renamed, then the directory fsynced once.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from pathlib import Path
 from .analysis import Contributor, top_contributors
 from .charts import ChartSeries, ChartSpec, render_timeseries_chart
 from .ingest import render_csv
-from .metrics import FsBaseline, fs_risk_from_totals, fs_risk_series, ops_series, rsd
+from .metrics import FsBaseline, fs_risk_series, ops_series, rsd
 from .model import ALL_FIELDS, MDS_FIELDS
-from .store import Store, replace_file
+from .store import Store, replace_files
 from .timeutil import DAY, HOUR, date_str, format_utc, hour_range
 from .version import __version__
 
@@ -39,8 +41,6 @@ RSD_IGNORED = ("getxattr", "setxattr", "sdr", "cdr")
 
 RSD_OSS_STATS = ("read_mb", "read_ops", "write_mb", "write_ops", "other")
 RSD_MDS_STATS = tuple(s for s in MDS_FIELDS if s not in RSD_IGNORED)
-
-FS_RISK_BASES = ("sum", "totals")
 
 
 def fmt_num(value) -> str:
@@ -87,7 +87,6 @@ class DailyReportBundle:
     write_kb_ops: tuple[float | None, ...]
     alpha: float
     baseline_period: tuple[int, int]
-    fs_risk_basis: str
     top_k: int
     generated_at: int | None = None
 
@@ -117,14 +116,11 @@ def build_daily_report(
     date: int,
     baseline: FsBaseline | None = None,
     k: int = 8,
-    fs_risk_basis: str = "sum",
     generated_at: int | None = None,
 ) -> DailyReportBundle:
     """Assemble the daily bundle for one filesystem from store partitions."""
     if date % DAY != 0:
         raise ValueError("report date must be a UTC midnight")
-    if fs_risk_basis not in FS_RISK_BASES:
-        raise ValueError(f"fs_risk_basis must be one of {FS_RISK_BASES}")
     if k < 1:
         raise ValueError(f"top-k must be at least 1, got {k}")
     if baseline is None:
@@ -136,14 +132,8 @@ def build_daily_report(
 
     hours = tuple(hour_range(t0, t1))
     series = fs_risk_series(app_hours, baseline, hours)
-    if fs_risk_basis == "totals":
-        fs_level = fs_risk_from_totals(fs_hours, baseline, hours)
-        risk_oss_hourly, risk_mds_hourly = fs_level.oss, fs_level.mds
-    else:
-        risk_oss_hourly, risk_mds_hourly = series.oss, series.mds
-
-    oss_side = _side_breakdown(series.records, risk_oss_hourly, hours, t0, t1, k, "oss")
-    mds_side = _side_breakdown(series.records, risk_mds_hourly, hours, t0, t1, k, "mds")
+    oss_side = _side_breakdown(series.records, series.oss, hours, t0, t1, k, "oss")
+    mds_side = _side_breakdown(series.records, series.mds, hours, t0, t1, k, "mds")
 
     ops = ops_series(fs_hours, hours)
 
@@ -151,15 +141,14 @@ def build_daily_report(
         fs_id=fs_id,
         date=date,
         hours=hours,
-        risk_oss=risk_oss_hourly,
-        risk_mds=risk_mds_hourly,
+        risk_oss=series.oss,
+        risk_mds=series.mds,
         oss=oss_side,
         mds=mds_side,
         read_kb_ops=tuple(q.read_kb_ops for q in ops),
         write_kb_ops=tuple(q.write_kb_ops for q in ops),
         alpha=baseline.alpha,
         baseline_period=baseline.period,
-        fs_risk_basis=fs_risk_basis,
         top_k=k,
         generated_at=generated_at,
     )
@@ -170,7 +159,7 @@ def bundle_to_json(bundle: DailyReportBundle) -> str:
     metadata = {
         "alpha": bundle.alpha,
         "baseline_period": [format_utc(t) for t in bundle.baseline_period],
-        "fs_risk_basis": bundle.fs_risk_basis,
+        "fs_risk_basis": "sum",
         "generator_version": __version__,
         "top_k": bundle.top_k,
     }
@@ -296,8 +285,7 @@ def bundle_files(bundle: DailyReportBundle) -> dict[str, str]:
 def write_bundle(bundle: DailyReportBundle, root: str | Path) -> Path:
     """Write the bundle directory under <root>/reports/, replacing files atomically."""
     out_dir = Path(root) / "reports" / bundle.fs_id / date_str(bundle.date)
-    for name, text in sorted(bundle_files(bundle).items()):
-        replace_file(out_dir / name, text)
+    replace_files(out_dir, bundle_files(bundle))
     return out_dir
 
 
@@ -429,6 +417,5 @@ def write_rsd_table(table: RsdTable, root: str | Path) -> Path:
     out_dir = Path(root) / "reports" / "rsd" / f"{date_str(t0)}_{date_str(t1)}"
     files = rsd_table_csvs(table)
     files["rsd.json"] = rsd_table_json(table)
-    for name, text in sorted(files.items()):
-        replace_file(out_dir / name, text)
+    replace_files(out_dir, files)
     return out_dir

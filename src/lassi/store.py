@@ -2,12 +2,13 @@
 
 Layout: ``<root>/<dataset>/<fs_id | all>/<YYYY-MM-DD>.csv``. Partitions are
 rewritten whole: content is serialized in canonical sorted form and written
-by replace_file (also the writer of report bundles and RSD tables): a temp
-file, fsynced, renamed into place, then the directory fsynced. A
-``fcntl.flock`` on a ``.lock`` file enforces a single writer per partition,
-and ends with its writer, even a killed one; readers never need the lock
-because rename is atomic. merge_partition holds the lock while it reads,
-merges and writes, so two merging writers cannot lose each other's rows.
+by replace_files (also the writer of report bundles and RSD tables): each
+file to a temp file, fsynced and renamed into place, then the directory
+fsynced once. A ``fcntl.flock`` on a ``.lock`` file enforces a single
+writer per partition, and ends with its writer, even a killed one; readers
+never need the lock because rename is atomic. merge_partition holds the
+lock while it reads, merges and writes, so two merging writers cannot lose
+each other's rows.
 
 An ``fs_hours`` partition marks its (filesystem, day) as aggregated; reading
 app_hours or fs_hours over a day without one raises FileNotFoundError, so a
@@ -15,7 +16,9 @@ day never aggregated is not taken for an idle one.
 
 Every samples, app_hours and fs_hours row must belong to its file's
 filesystem and day: a write refuses a stray row with ValueError, and a read
-that meets one raises StoreError.
+that meets one raises StoreError. A read also refuses an app_hours or
+fs_hours counter not spelled as the writer spells it (digits, no leading
+zero or sign).
 
 A ``Store`` memoizes the parsed jobs, app_hours, fs_hours and baselines
 partitions it reads, keyed on each file's exact bytes: every read still reads
@@ -128,20 +131,35 @@ def _may_hold(jobs_csv: bytes, app_ids: set[bytes]) -> bool:
     return not app_ids.isdisjoint(line.split(b",", 1)[0] for line in jobs_csv.split(b"\n"))
 
 
-def replace_file(path: Path, text: str) -> None:
-    """Replace path's content with text via a fsynced temp file, renamed over
-    it; the directory is then fsynced so the rename survives a crash."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    fd = os.open(path.parent, os.O_RDONLY)
+def _canonical_ints(cells: list[str]) -> tuple[int, ...]:
+    """Integer cells as the store writes them: ingest's grammar, canonically spelled."""
+    vals = ingest.parse_int_cells(cells)
+    for cell, value in zip(cells, vals):
+        if str(value) != cell:
+            raise ValueError(f"non-canonical integer {cell!r}")
+    return tuple(vals)
+
+
+def replace_files(directory: Path, files: Mapping[str, str]) -> None:
+    """Replace each named file in directory with its text, in name order.
+
+    Each text goes to a fsynced temp file that is renamed over the name; the
+    directory is fsynced once after the last rename, so every rename has
+    survived a crash once this returns.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, text in sorted(files.items()):
+        path = directory / name
+        tmp = path.with_name(f"{name}.tmp{os.getpid()}")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
@@ -168,7 +186,7 @@ def _baseline_rows(baselines: Sequence[FsBaseline]) -> list[tuple]:
                     format_utc(b.period[0]),
                     format_utc(b.period[1]),
                     repr(b.alpha),
-                    b.basis,
+                    "fs_total",  # the one basis; the column keeps the file format
                     stat,
                     repr(b.means[stat]),
                 )
@@ -214,7 +232,7 @@ class Store:
 
     def _write_text(self, path: Path, text: str) -> None:
         with self._locked(path):
-            replace_file(path, text)
+            replace_files(path.parent, {path.name: text})
 
     def merge_partition(self, partition: Partition, merge) -> int:
         """Rewrite a partition as merge(stored rows) -> (rows, count) under its lock."""
@@ -395,12 +413,12 @@ class Store:
     @staticmethod
     def _app_hour(hour: int, row: list[str]) -> AppHourRecord:
         return AppHourRecord(
-            app_id=row[2], fs_id=row[1], hour=hour, counters=tuple(map(int, row[3:]))
+            app_id=row[2], fs_id=row[1], hour=hour, counters=_canonical_ints(row[3:])
         )
 
     @staticmethod
     def _fs_hour(hour: int, row: list[str]) -> FsHourRecord:
-        vals = tuple(map(int, row[2:]))
+        vals = _canonical_ints(row[2:])
         n = len(ALL_FIELDS)
         return FsHourRecord(fs_id=row[1], hour=hour, counters=vals[:n], unattributed=vals[n:])
 
@@ -460,7 +478,6 @@ class Store:
         means: dict[str, float] = {}
         period = None
         alpha = None
-        basis = "fs_total"
         for line_no, row in cls._rows(path, stream, BASELINE_HEADER):
             if row[0] != fs_id:
                 raise StoreError(f"{path}: baseline row for {row[0]!r}, expected {fs_id!r}")
@@ -472,11 +489,10 @@ class Store:
                 raise StoreError(f"{path}: line {line_no}: {exc}") from exc
             if mean < 0:
                 raise StoreError(f"{path}: line {line_no}: negative mean {row[6]!r}")
-            basis = row[4]
             means[row[5]] = mean
         if period is None or alpha is None or set(means) != set(ALL_FIELDS):
             raise StoreError(f"{path}: incomplete baseline")
         try:
-            return FsBaseline(fs_id=fs_id, period=period, alpha=alpha, means=means, basis=basis)
+            return FsBaseline(fs_id=fs_id, period=period, alpha=alpha, means=means)
         except ValueError as exc:
             raise StoreError(f"{path}: {exc}") from exc

@@ -28,6 +28,8 @@ hours, so each of the four exposures is 502 OSS / 77 MDS, identically.
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +81,19 @@ def count_calls(monkeypatch, name) -> list:
 
     monkeypatch.setattr(ingest, name, wrapper)
     return calls
+
+
+def fsync_spy(monkeypatch) -> list:
+    """Spy on the store's fsyncs for one test; the list gets "file" or "dir" per call."""
+    synced = []
+    real = os.fsync
+
+    def spy(fd):
+        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        real(fd)
+
+    monkeypatch.setattr("lassi.store.os.fsync", spy)
+    return synced
 
 
 def result_dicts(result) -> tuple[dict, dict]:

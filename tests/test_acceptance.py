@@ -150,7 +150,7 @@ def test_criterion_04_exposure_fixture(capsys, exposure_fixture):
         app_hours = aggregate_hourly(result, fx.jobs)
         fs_hours = fs_hourly_totals(fx.samples, result)
         baseline_records = [r for r in fs_hours if r.hour < REPORT_DAY]
-        baseline = compute_baseline(baseline_records, fx.baseline_period, alpha=2.0)
+        baseline = compute_baseline(baseline_records, fx.baseline_period, alpha=2.0, fs_id="fs2")
         assert baseline.means["read_kb"] == 2000.0
         assert baseline.means["open"] == 200.0
 

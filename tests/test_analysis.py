@@ -78,14 +78,6 @@ def test_detect_slowdown_threshold_is_inclusive():
     assert result.flagged == (("app3", 150),)
 
 
-def test_detect_slowdown_exclude_self():
-    (group,) = group_jobs(jobs_with_runtimes([100, 100, 100, 400]))
-    result = detect_slowdown(group, factor=1.5, exclude_self=True)
-    # 400 against mean(100,100,100)=100 -> flagged; 100 against 200 -> not
-    assert result.flagged == (("app3", 400),)
-    assert result.threshold is None
-
-
 def test_detect_slowdown_insufficient_data():
     (group,) = group_jobs(jobs_with_runtimes([100]))
     result = detect_slowdown(group)

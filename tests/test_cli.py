@@ -247,6 +247,28 @@ def test_usage_errors_exit_64(capsys):
         capsys.readouterr()
 
 
+def test_removed_settings_are_refused(tmp_path, monkeypatch, capsys):
+    store = ["--store", str(tmp_path / "s")]
+    for argv in (
+        ["report", *store, "--fs", "fs2", "--date", "2017-10-10", "--fs-risk-basis", "sum"],
+        ["slowdown", *store, "--exclude-self"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64, argv
+        capsys.readouterr()
+
+    cfg = tmp_path / "lassi.ini"
+    cfg.write_text("[lassi]\nfs_risk_basis = sum\n", encoding="utf-8")
+    assert main(["ingest", "--config", str(cfg), "--stats", "x.csv"]) == 2
+    assert "unknown key 'fs_risk_basis'" in capsys.readouterr().err
+
+    # the old variable is ignored like any other unknown LASSI_* variable
+    monkeypatch.setenv("LASSI_FS_RISK_BASIS", "totals")
+    ingest_into(["ingest", *store], tmp_path, capsys)
+    assert (tmp_path / "s" / "samples").is_dir()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

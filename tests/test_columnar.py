@@ -175,10 +175,10 @@ def test_file_shapes_agree(shape):
 
 def test_clean_path_takes_canonical_files_only():
     shapes = _shapes()
-    for clean in ("canonical", "unsorted", "hash in id", "header only", "space in id"):
+    for clean in ("canonical", "unsorted", "hash in id", "header only"):
         assert _parse_clean_stats(shapes[clean], 180) is not None, clean
     for name, text in shapes.items():
-        if name not in ("canonical", "unsorted", "hash in id", "header only", "space in id"):
+        if name not in ("canonical", "unsorted", "hash in id", "header only"):
             assert _parse_clean_stats(text, 180) is None, name
     assert _parse_clean_stats(shapes["canonical"], 7) is None  # 7 does not divide 3600
 

@@ -83,6 +83,28 @@ def test_parse_stats_rejects_bad_rows(row, needle):
 ZERO_CELLS = ",".join(["0"] * 21)
 
 
+# np.loadtxt reads " 5", "+5" and "\x0b5" as 5 and "5Ǿ5" as 5125; int() reads "5_0" and "٣"
+@pytest.mark.parametrize("cell", [" 5", "+5", "5_0", "٣", "\x0b5", "5Ǿ5"])
+def test_counter_cells_outside_the_integer_grammar_are_rejects(cell):
+    row = "2017-10-09T00:03:00Z,fs2,nid00001," + ",".join([cell] + ["1"] * 20)
+    text = stats_text(GOOD_ROW, row)
+    with pytest.raises(IngestError) as err:
+        parse_stats_csv(io.StringIO(text))
+    assert (err.value.line, err.value.reason) == (3, "non-integer counter value")
+
+    samples, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    assert len(samples) == report.rows_accepted == 1
+    assert report.rejected_reasons == ((3, "non-integer counter value"),)
+
+
+def test_leading_zeros_still_read_at_ingest():
+    row = "2017-10-09T00:03:00Z,fs2,nid00001," + ",".join(["007"] + ["1"] * 20)
+    for mode in ("strict", "lenient"):
+        samples, report = parse_stats_csv(io.StringIO(stats_text(GOOD_ROW, row)), mode)
+        assert report.rows_rejected == 0
+        assert samples.counters[1].tolist() == [7] + [1] * 20
+
+
 @pytest.mark.parametrize(
     "row,reason",
     [

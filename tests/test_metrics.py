@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from lassi.metrics import (
     FsBaseline,
     compute_baseline,
-    fs_risk_from_totals,
     fs_risk_series,
     ops_quality,
     ops_series,
@@ -142,17 +141,16 @@ def fs_hour(hour, **counters):
 def test_compute_baseline_zero_fills_quiet_hours():
     # 3 active hours out of a 6 hour period: mean divides by 6, not 3
     records = [fs_hour(BASE_DAY + i * HOUR, read_kb=12, open=6) for i in range(3)]
-    b = compute_baseline(records, (BASE_DAY, BASE_DAY + 6 * HOUR), alpha=2.0)
+    b = compute_baseline(records, (BASE_DAY, BASE_DAY + 6 * HOUR), alpha=2.0, fs_id="fs2")
     assert b.means["read_kb"] == 6.0
     assert b.means["open"] == 3.0
     assert b.means["write_kb"] == 0.0
     assert b.fs_id == "fs2"
-    assert b.basis == "fs_total"
 
 
 def test_compute_baseline_means_are_exact_integer_division():
     records = [fs_hour(BASE_DAY, read_kb=1), fs_hour(BASE_DAY + HOUR, read_kb=1)]
-    b = compute_baseline(records, (BASE_DAY, BASE_DAY + 3 * HOUR))
+    b = compute_baseline(records, (BASE_DAY, BASE_DAY + 3 * HOUR), fs_id="fs2")
     assert b.means["read_kb"] == 2 / 3
 
 
@@ -161,25 +159,20 @@ def test_compute_baseline_ignores_hours_outside_period():
         fs_hour(BASE_DAY, read_kb=10),
         fs_hour(BASE_DAY + 5 * HOUR, read_kb=999),
     ]
-    b = compute_baseline(records, (BASE_DAY, BASE_DAY + 2 * HOUR))
+    b = compute_baseline(records, (BASE_DAY, BASE_DAY + 2 * HOUR), fs_id="fs2")
     assert b.means["read_kb"] == 5.0
 
 
 def test_compute_baseline_validation():
     records = [fs_hour(BASE_DAY, read_kb=1)]
     with pytest.raises(ValueError):
-        compute_baseline(records, (BASE_DAY + HOUR, BASE_DAY))
+        compute_baseline(records, (BASE_DAY + HOUR, BASE_DAY), fs_id="fs2")
     with pytest.raises(ValueError):
-        compute_baseline(records, (BASE_DAY, BASE_DAY + 90))
+        compute_baseline(records, (BASE_DAY, BASE_DAY + 90), fs_id="fs2")
     with pytest.raises(ValueError):
-        compute_baseline(records, (BASE_DAY, BASE_DAY + HOUR), alpha=0)
+        compute_baseline(records, (BASE_DAY, BASE_DAY + HOUR), alpha=0, fs_id="fs2")
     with pytest.raises(ValueError):
-        compute_baseline([], (BASE_DAY, BASE_DAY + HOUR))
-    mixed = [records[0], FsHourRecord(
-        fs_id="fs3", hour=BASE_DAY, counters=mk_counters(), unattributed=mk_counters()
-    )]
-    with pytest.raises(ValueError):
-        compute_baseline(mixed, (BASE_DAY, BASE_DAY + HOUR))
+        compute_baseline([], (BASE_DAY, BASE_DAY + HOUR), fs_id="fs2")
 
 
 def test_baseline_dataclass_validation():
@@ -220,12 +213,4 @@ def test_fs_risk_series_rejects_foreign_fs():
     b = baseline_with(read_kb=10)
     rec = AppHourRecord(app_id="a", fs_id="fs9", hour=BASE_DAY, counters=mk_counters())
     with pytest.raises(ValueError):
-        fs_risk_series([rec], b)
-
-
-def test_fs_risk_from_totals_scores_totals_directly():
-    b = baseline_with(read_kb=10)
-    records = [fs_hour(BASE_DAY, read_kb=100)]
-    series = fs_risk_from_totals(records, b)
-    assert series.oss == (4.0,)
-    assert series.records == ()
+        fs_risk_series([rec], b, hours=(BASE_DAY,))

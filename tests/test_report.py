@@ -25,7 +25,7 @@ from lassi.report import (
 from lassi.store import Partition, Store
 from lassi.timeutil import DAY, HOUR, parse_utc
 
-from helpers import REPORT_DAY, mk_counters, mk_job
+from helpers import REPORT_DAY, fsync_spy, mk_counters, mk_job
 
 H = [REPORT_DAY + i * HOUR for i in range(24)]
 
@@ -113,19 +113,10 @@ def test_daily_report_validation(report_store):
     with pytest.raises(ValueError):
         build_daily_report(report_store, "fs2", REPORT_DAY + 60)
     with pytest.raises(ValueError):
-        build_daily_report(report_store, "fs2", REPORT_DAY, fs_risk_basis="mean")
-    with pytest.raises(ValueError):
         build_daily_report(report_store, "fs2", REPORT_DAY, k=0)
     with pytest.raises(FileNotFoundError) as err:
         build_daily_report(report_store, "fs2", REPORT_DAY + DAY)
     assert "lassi aggregate" in str(err.value)
-
-
-def test_daily_report_totals_basis(report_store):
-    bundle = build_daily_report(report_store, "fs2", REPORT_DAY, fs_risk_basis="totals")
-    # fs totals at 05:00: read_kb=100 -> 4.0, read_ops=25 -> 11.5
-    assert bundle.risk_oss[5] == 15.5
-    assert bundle.fs_risk_basis == "totals"
 
 
 def test_bundle_json_shape(report_store):
@@ -191,6 +182,13 @@ def test_write_bundle_files_and_determinism(report_store, tmp_path):
     write_bundle(again, tmp_path / "out")
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+def test_a_bundle_fsyncs_each_file_and_its_directory_once(report_store, tmp_path, monkeypatch):
+    bundle = build_daily_report(report_store, "fs2", REPORT_DAY)
+    synced = fsync_spy(monkeypatch)
+    write_bundle(bundle, tmp_path / "out")
+    assert synced == ["file"] * 9 + ["dir"]
 
 
 def chart_spec(values_a, values_b=None, labels=None):
@@ -325,3 +323,10 @@ def test_rsd_table_files(rsd_store, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "rsd.json", "rsd_mds.csv", "rsd_oss.csv",
     ]
+
+
+def test_an_rsd_table_fsyncs_each_file_and_its_directory_once(rsd_store, tmp_path, monkeypatch):
+    table = build_rsd_table(rsd_store, REPORT_DAY, REPORT_DAY + 2 * HOUR)
+    synced = fsync_spy(monkeypatch)
+    write_rsd_table(table, tmp_path / "out")
+    assert synced == ["file"] * 3 + ["dir"]

@@ -21,7 +21,7 @@ from lassi.model import ALL_FIELDS, INT64_MAX, AppHourRecord, FsHourRecord
 from lassi.store import Partition, Store
 from lassi.timeutil import DAY, HOUR, format_utc, parse_utc
 
-from helpers import BASE_DAY, count_calls, mk_block, mk_counters, mk_job, mk_sample
+from helpers import BASE_DAY, count_calls, fsync_spy, mk_block, mk_counters, mk_job, mk_sample
 
 
 def app_hour(read_kb):
@@ -66,7 +66,6 @@ def make_baseline(fs="fs2", fill=0.125, **overrides):
         period=(BASE_DAY - 7 * DAY, BASE_DAY),
         alpha=2.0,
         means=means,
-        basis="fs_total",
     )
 
 
@@ -219,6 +218,31 @@ def test_malformed_row_raises_store_error_naming_path_and_line(store, dataset, d
             fresh.load_baseline("fs2", BASE_DAY)
         else:
             fresh.read_range(dataset, "fs2", BASE_DAY, BASE_DAY + DAY)
+
+
+@pytest.mark.parametrize("cell", ["1_000", "+2", "007"])
+@pytest.mark.parametrize("dataset", ["app_hours", "fs_hours"])
+def test_non_canonical_counter_raises_store_error_naming_path_and_line(store, dataset, cell):
+    records = {"app_hours": [app_hour(1)], "fs_hours": [fs_hour()]}[dataset]
+    partition = Partition(dataset, "fs2", BASE_DAY)
+    mark_aggregated(store)
+    store.write_partition(records, partition)
+    path = store.path(partition)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    cells = lines[1].split(",")
+    cells[-1] = cell
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+    with pytest.raises(StoreError, match=re.escape(f"{path}: line 2: ")) as err:
+        Store(store.root).read_range(dataset, "fs2", BASE_DAY, BASE_DAY + DAY)
+    assert repr(cell) in str(err.value)
+
+
+def test_a_partition_write_fsyncs_one_file_and_its_directory(store, monkeypatch):
+    synced = fsync_spy(monkeypatch)
+    store.write_partition([app_hour(1)], Partition("app_hours", "fs2", BASE_DAY))
+    assert synced == ["file", "dir"]
 
 
 @pytest.mark.parametrize("move", ["fs", "day", "both"])
