@@ -374,6 +374,19 @@ def find_job(store: Store, app_id: str) -> JobRecord:
     raise ValueError(f"no job with app_id {app_id!r} in the store")
 
 
+def _joined(days: Sequence[RiskSeries]) -> RiskSeries:
+    """Consecutive day series of one filesystem as one series."""
+    if len(days) == 1:
+        return days[0]
+    return RiskSeries(
+        fs_id=days[0].fs_id,
+        hours=tuple(h for s in days for h in s.hours),
+        oss=tuple(v for s in days for v in s.oss),
+        mds=tuple(v for s in days for v in s.mds),
+        records=tuple(r for s in days for r in s.records),
+    )
+
+
 def exposure_for(
     store: Store,
     app_id: str,
@@ -385,21 +398,25 @@ def exposure_for(
     Uses the stored baseline effective on the job's start date, with alpha
     in place of its own when given. Without an explicit filesystem, every
     filesystem with attributed activity for the app during its run is
-    reported.
+    reported; only those load a baseline. Activity is read from
+    Store.day_apps and risk from Store.day_risk, one full-day series per
+    day the run spans, so the runs of a day share one series within a
+    Store. A day never aggregated raises FileNotFoundError.
     """
     job = find_job(store, app_id)
     t0 = floor_hour(job.start)
-    grid = tuple(hour_range(t0, job.end))
-    t1 = grid[-1] + HOUR
+    t1 = hour_range(t0, job.end)[-1] + HOUR
+    days = day_range(t0, t1)
 
     candidates = [fs_id] if fs_id else store.list_fs("app_hours")
     out: list[ExposureRecord] = []
     for fs in candidates:
-        records = store.read_range("app_hours", fs, t0, t1)
-        if fs_id is None and not any(r.app_id == app_id for r in records):
+        if fs_id is None and not any(
+            t0 <= hour < t1 for day in days for hour in store.day_apps(fs, day).get(app_id, ())
+        ):
             continue
         baseline = store.load_baseline(fs, floor_day(job.start), alpha)
-        series = fs_risk_series(records, baseline, hours=grid)
+        series = _joined([store.day_risk(fs, day, baseline) for day in days])
         out.append(run_risk_exposure(job, series))
     if not out:
         raise ValueError(f"app {app_id!r} has no attributed activity; pass an explicit fs")

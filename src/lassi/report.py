@@ -31,7 +31,7 @@ from pathlib import Path
 from .analysis import Contributor, top_contributors
 from .charts import ChartSeries, ChartSpec, render_timeseries_chart
 from .ingest import render_csv
-from .metrics import FsBaseline, fs_risk_series, ops_series, rsd
+from .metrics import FsBaseline, ops_series, rsd
 from .model import ALL_FIELDS, MDS_FIELDS
 from .store import Store, replace_files
 from .timeutil import DAY, HOUR, date_str, format_utc, hour_range
@@ -79,8 +79,6 @@ class DailyReportBundle:
     fs_id: str
     date: int
     hours: tuple[int, ...]
-    risk_oss: tuple[float, ...]
-    risk_mds: tuple[float, ...]
     oss: SideBreakdown
     mds: SideBreakdown
     read_kb_ops: tuple[float | None, ...]
@@ -127,11 +125,10 @@ def build_daily_report(
         baseline = store.load_baseline(fs_id, date)
 
     t0, t1 = date, date + DAY
-    app_hours = store.read_range("app_hours", fs_id, t0, t1)
+    series = store.day_risk(fs_id, date, baseline)
     fs_hours = store.read_range("fs_hours", fs_id, t0, t1)
 
-    hours = tuple(hour_range(t0, t1))
-    series = fs_risk_series(app_hours, baseline, hours)
+    hours = series.hours
     oss_side = _side_breakdown(series.records, series.oss, hours, t0, t1, k, "oss")
     mds_side = _side_breakdown(series.records, series.mds, hours, t0, t1, k, "mds")
 
@@ -141,8 +138,6 @@ def build_daily_report(
         fs_id=fs_id,
         date=date,
         hours=hours,
-        risk_oss=series.oss,
-        risk_mds=series.mds,
         oss=oss_side,
         mds=mds_side,
         read_kb_ops=tuple(q.read_kb_ops for q in ops),
@@ -182,8 +177,8 @@ def bundle_to_json(bundle: DailyReportBundle) -> str:
         "metadata": metadata,
         "risk_stats": {
             "hours": hours_iso,
-            "risk_oss": list(bundle.risk_oss),
-            "risk_mds": list(bundle.risk_mds),
+            "risk_oss": list(bundle.oss.fs_risk),
+            "risk_mds": list(bundle.mds.fs_risk),
         },
         "oss_risk": side(bundle.oss),
         "mds_risk": side(bundle.mds),
@@ -203,7 +198,7 @@ def bundle_csvs(bundle: DailyReportBundle) -> dict[str, str]:
             ("hour", "risk_oss", "risk_mds"),
             [
                 (h, fmt_num(o), fmt_num(m))
-                for h, o, m in zip(hours_iso, bundle.risk_oss, bundle.risk_mds)
+                for h, o, m in zip(hours_iso, bundle.oss.fs_risk, bundle.mds.fs_risk)
             ],
         ),
         "ops_metric.csv": render_csv(
@@ -236,8 +231,8 @@ def bundle_charts(bundle: DailyReportBundle) -> dict[str, str]:
                 title=f"{title} hourly risk",
                 x_labels=labels,
                 series=(
-                    ChartSeries("risk_oss", bundle.risk_oss),
-                    ChartSeries("risk_mds", bundle.risk_mds),
+                    ChartSeries("risk_oss", bundle.oss.fs_risk),
+                    ChartSeries("risk_mds", bundle.mds.fs_risk),
                 ),
                 y_label="risk",
             ),

@@ -23,8 +23,13 @@ zero or sign).
 A ``Store`` memoizes the parsed jobs, app_hours, fs_hours and baselines
 partitions it reads, keyed on each file's exact bytes: every read still reads
 the file, and reuses the earlier parse only when the bytes are unchanged, so a
-write by any writer is parsed and checked afresh. Samples are never held, and
-no setting controls any of this; the memo lives as long as the ``Store``. A
+write by any writer is parsed and checked afresh. Beside an app_hours parse it
+keeps the values derived from it: the day's risk series (day_risk), one per
+baseline, keyed on the baseline's values (filesystem, period, alpha, means),
+and the day's app_id -> hours index (day_apps). They follow the same rule:
+each call reads the file's bytes, checks the day's fs_hours marker, and drops
+them with the parse when the bytes change. Samples are never held, and no
+setting controls any of this; the memo lives as long as the ``Store``. A
 lookup of jobs by app_id reads every jobs file but parses only those whose
 bytes may name one of the jobs.
 
@@ -51,7 +56,7 @@ import numpy as np
 
 from . import ingest
 from .errors import IngestError, MissingBaselineError, StoreError, StoreLockError
-from .metrics import FsBaseline
+from .metrics import FsBaseline, RiskSeries, fs_risk_series
 from .model import (
     ALL_FIELDS,
     AppHourRecord,
@@ -59,7 +64,16 @@ from .model import (
     JobRecord,
     SampleBlock,
 )
-from .timeutil import DAY, date_str, day_range, floor_day, format_utc, parse_date, parse_utc
+from .timeutil import (
+    DAY,
+    date_str,
+    day_range,
+    floor_day,
+    format_utc,
+    hour_range,
+    parse_date,
+    parse_utc,
+)
 
 DATASETS = ("samples", "jobs", "app_hours", "fs_hours", "baselines", "reports")
 
@@ -91,8 +105,12 @@ class Partition:
         if self.date % DAY != 0:
             raise ValueError("partition date must be a UTC midnight")
 
+    def parts(self) -> tuple[str, str, str]:
+        """The path's components below the store root."""
+        return self.dataset, self.fs_id or "all", f"{date_str(self.date)}.csv"
+
     def relative_path(self) -> Path:
-        return Path(self.dataset) / (self.fs_id or "all") / f"{date_str(self.date)}.csv"
+        return Path(*self.parts())
 
 
 def _check_home(record, partition: Partition) -> None:
@@ -200,13 +218,14 @@ class Store:
     def __init__(self, root: str | Path, window_len: int = 180):
         self.root = Path(root)
         self.window_len = window_len
-        # path -> (the bytes last parsed there, their parse); see _parsed
-        self._memo: dict[Path, tuple[bytes, object]] = {}
+        # path -> (the bytes last parsed there, their parse, values derived
+        # from that parse by key); see _entry
+        self._memo: dict[Path, tuple[bytes, object, dict]] = {}
         # partitions this Store holds the lock of; see _locked
         self._held: set[Path] = set()
 
     def path(self, partition: Partition) -> Path:
-        return self.root / partition.relative_path()
+        return self.root.joinpath(*partition.parts())
 
     @contextmanager
     def _locked(self, path: Path):
@@ -288,15 +307,20 @@ class Store:
         return sorted(p.name for p in base.iterdir() if p.is_dir() and p.name != "all")
 
     def partition_dates(self, dataset: str, fs_id: str | None) -> list[int]:
-        base = self.root / dataset / (fs_id or "all")
-        if not base.is_dir():
+        base = self.root.joinpath(dataset, fs_id or "all")
+        try:
+            names = os.listdir(base)
+        except (FileNotFoundError, NotADirectoryError):
             return []
         dates = []
-        for p in sorted(base.glob("*.csv")):
+        # *.csv names, hidden files aside
+        for name in sorted(names):
+            if not name.endswith(".csv") or name.startswith("."):
+                continue
             try:
-                dates.append(parse_date(p.stem))
+                dates.append(parse_date(name[:-4]))
             except ValueError:
-                raise StoreError(f"unexpected file in store: {p}")
+                raise StoreError(f"unexpected file in store: {base / name}")
         return dates
 
     def read_range(
@@ -316,11 +340,7 @@ class Store:
         parts = [Partition(dataset, fs_id, day) for day in day_range(t0, t1)]
         if dataset in ("app_hours", "fs_hours"):
             for p in parts:
-                if not self.path(replace(p, dataset="fs_hours")).exists():
-                    raise FileNotFoundError(
-                        f"no aggregates for {fs_id} on {date_str(p.date)}; "
-                        f"run `lassi aggregate` first"
-                    )
+                self._check_aggregated(fs_id, p.date)
         else:
             parts = [p for p in parts if self.path(p).exists()]
         if dataset == "samples":
@@ -336,6 +356,56 @@ class Store:
             out.extend(r for r in records if t0 <= key(r) < t1)
         return out
 
+    def _check_aggregated(self, fs_id: str | None, day: int) -> None:
+        """Raise FileNotFoundError unless (fs_id, day) has its fs_hours marker."""
+        if not self.path(Partition("fs_hours", fs_id, day)).exists():
+            raise FileNotFoundError(
+                f"no aggregates for {fs_id} on {date_str(day)}; run `lassi aggregate` first"
+            )
+
+    def _day_derived(self, fs_id: str, day: int, key: tuple, build):
+        """build(app-hour records) of one aggregated (filesystem, day), kept
+        beside the parse of its app_hours file under key until the bytes change."""
+        self._check_aggregated(fs_id, day)
+        path = self.path(Partition("app_hours", fs_id, day))
+        _, records, derived = self._entry("app_hours", path)
+        if key not in derived:
+            derived[key] = build(records)
+        return derived[key]
+
+    def day_risk(self, fs_id: str, day: int, baseline: FsBaseline) -> RiskSeries:
+        """The 24-hour fs_risk_series of one aggregated (filesystem, day).
+
+        Computed once per baseline value (fs, period, alpha and means) for
+        the day's current app_hours bytes; a day never aggregated raises
+        FileNotFoundError.
+        """
+        key = (
+            "risk",
+            baseline.fs_id,
+            baseline.period,
+            baseline.alpha,
+            tuple(baseline.means[stat] for stat in ALL_FIELDS),
+        )
+        return self._day_derived(
+            fs_id,
+            day,
+            key,
+            lambda records: fs_risk_series(records, baseline, tuple(hour_range(day, day + DAY))),
+        )
+
+    def day_apps(self, fs_id: str, day: int) -> Mapping[str, tuple[int, ...]]:
+        """Each app_id with app-hours on one aggregated (filesystem, day), with
+        those hours (read-only); a day never aggregated raises FileNotFoundError."""
+
+        def index(records) -> Mapping[str, tuple[int, ...]]:
+            hours: dict[str, list[int]] = {}
+            for r in records:
+                hours.setdefault(r.app_id, []).append(r.hour)
+            return MappingProxyType({app_id: tuple(h) for app_id, h in hours.items()})
+
+        return self._day_derived(fs_id, day, ("apps",), index)
+
     def _read_samples(self, partition: Partition, t0: int, t1: int) -> SampleBlock:
         """One samples partition's rows in [t0, t1); every row must belong in it."""
         path = self.path(partition)
@@ -349,18 +419,25 @@ class Store:
     def _parsed(self, dataset: str, path: Path, data: bytes | None = None):
         """The strict parse of one jobs, app_hours, fs_hours or baselines file.
 
+        Parses are never handed out mutable: jobs come as a read-only app_id
+        mapping, aggregates as tuples of frozen records, and callers copy a
+        baseline's means. See _entry.
+        """
+        return self._entry(dataset, path, data)[1]
+
+    def _entry(self, dataset: str, path: Path, data: bytes | None = None):
+        """(bytes, parse, derived values) of one file's memo entry.
+
         The file is read on every call (or its bytes given as data), and an
-        earlier parse is reused only while the bytes equal those it came
-        from. Aggregate rows must belong in the file's partition. Parses are
-        never handed out mutable: jobs come as a read-only app_id mapping,
-        aggregates as tuples of frozen records, and callers copy a
-        baseline's means.
+        earlier entry is reused only while the bytes equal those it came
+        from; otherwise the file is parsed afresh and the entry starts with
+        no derived values. Aggregate rows must belong in the file's partition.
         """
         if data is None:
             data = path.read_bytes()
         hit = self._memo.get(path)
         if hit is not None and hit[0] == data:
-            return hit[1]
+            return hit
         stream = io.StringIO(data.decode("utf-8"), newline="")
         try:
             if dataset == "jobs":
@@ -374,8 +451,8 @@ class Store:
                 parsed = self._parse_baseline(path, stream)
         except IngestError as exc:
             raise StoreError(f"{path}: {exc}") from exc
-        self._memo[path] = (data, parsed)
-        return parsed
+        entry = self._memo[path] = (data, parsed, {})
+        return entry
 
     @staticmethod
     def _rows(path: Path, stream: io.StringIO, header: tuple[str, ...]):

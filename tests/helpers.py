@@ -36,8 +36,11 @@ from pathlib import Path
 import numpy as np
 
 from lassi import ingest
+from lassi.analysis import ExposureRecord, run_risk_exposure
+from lassi.metrics import fs_risk_series
 from lassi.model import ALL_FIELDS, JobRecord, SampleBlock
-from lassi.timeutil import DAY, HOUR, parse_utc
+from lassi.pipeline import find_job
+from lassi.timeutil import DAY, HOUR, floor_day, floor_hour, hour_range, parse_utc
 
 BASE_DAY = parse_utc("2017-10-09T00:00:00Z")
 REPORT_DAY = BASE_DAY + DAY
@@ -140,6 +143,24 @@ def conservation_errors(block, result) -> list[str]:
                         f"attributed+unattributed {got[i]} != sampled {want[i]}"
                     )
     return problems
+
+
+def reference_exposures(store, app_id, fs_id=None, alpha=None) -> list[ExposureRecord]:
+    """pipeline.exposure_for computed the direct way: a range read of the
+    run's own app-hours, one fs_risk_series over its hours, then
+    run_risk_exposure. Only filesystems where the app has app-hours in the
+    run's hours count unless fs_id names one."""
+    job = find_job(store, app_id)
+    grid = tuple(hour_range(floor_hour(job.start), job.end))
+    t0, t1 = grid[0], grid[-1] + HOUR
+    out = []
+    for fs in [fs_id] if fs_id else store.list_fs("app_hours"):
+        records = store.read_range("app_hours", fs, t0, t1)
+        if fs_id is None and not any(r.app_id == app_id for r in records):
+            continue
+        baseline = store.load_baseline(fs, floor_day(job.start), alpha)
+        out.append(run_risk_exposure(job, fs_risk_series(records, baseline, hours=grid)))
+    return out
 
 
 def mk_job(

@@ -344,6 +344,16 @@ def test_exposure_for_app_without_activity(exposure_store):
     assert "no attributed activity" in str(err.value)
 
 
+def test_exposure_for_counts_only_activity_during_the_run(exposure_store):
+    # an app-hour of app5 on its run's day but after the run is no activity in it
+    partition = Partition("app_hours", "fs2", REPORT_DAY)
+    records = exposure_store.read_range("app_hours", "fs2", REPORT_DAY, REPORT_DAY + DAY)
+    later = AppHourRecord("app5", "fs2", REPORT_DAY + 16 * HOUR, mk_counters(read_kb=1))
+    exposure_store.write_partition(records + [later], partition)
+    with pytest.raises(ValueError, match="no attributed activity"):
+        exposure_for(exposure_store, "app5")
+
+
 def test_compute_outputs_validation(exposure_fixture):
     with pytest.raises(ValueError):
         compute_outputs(

@@ -88,10 +88,10 @@ def report_store(tmp_path):
 def test_daily_report_grid_and_risk(report_store):
     bundle = build_daily_report(report_store, "fs2", REPORT_DAY)
     assert bundle.hours == tuple(H)
-    assert len(bundle.risk_oss) == 24
-    assert bundle.risk_oss[5] == 3.0
-    assert sum(bundle.risk_oss) == 3.0
-    assert bundle.risk_mds == (0.0,) * 24
+    assert len(bundle.oss.fs_risk) == 24
+    assert bundle.oss.fs_risk[5] == 3.0
+    assert sum(bundle.oss.fs_risk) == 3.0
+    assert bundle.mds.fs_risk == (0.0,) * 24
     assert bundle.alpha == 2.0
     # top contributors ranked by summed risk, shares against the fs total
     assert [(c.app_id, c.total) for c in bundle.oss.top] == [("app2", 2.0), ("app1", 1.0)]
@@ -164,7 +164,7 @@ def test_bundle_stack_covers_fs_risk(report_store):
         sum(vals) + other
         for vals, other in zip(zip(*bundle.oss.contributions.values()), bundle.oss.other)
     ]
-    assert stacked[5] == bundle.risk_oss[5]
+    assert stacked[5] == bundle.oss.fs_risk[5]
 
 
 def test_write_bundle_files_and_determinism(report_store, tmp_path):
