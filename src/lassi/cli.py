@@ -160,7 +160,8 @@ def cmd_ingest(args, settings: Settings) -> int:
     summary = ingest_files(_store(settings), args.stats or (), args.jobs or (), args.mode)
     print(
         f"ingested samples={summary.samples} jobs={summary.jobs} "
-        f"rejected={summary.rejected} partitions={summary.partitions}"
+        f"rejected={summary.rejected} partitions={summary.partitions} "
+        f"written={summary.written}"
     )
     return 0
 

@@ -22,10 +22,17 @@ occurrence and counts the superseded row as rejected. Counters are spelled
 in ASCII digits (parse_int_cells) and must fit in a signed 64-bit integer;
 anything else is rejected like any other bad row.
 
-Stats files parse into a SampleBlock, the only form samples take. Files that
-are provably clean are read column-wise in one pass; every other stats file
-goes through the row loop, which fills the same columns and alone produces
-rejects, strict errors and the lenient keep-last rule.
+Stats files parse into a SampleBlock, the only form samples take. The body
+is read in line-aligned ranges of about 64 KiB. A range proven clean is read
+column-wise by np.loadtxt; a range that fails the proof is halved until its
+bad rows sit in leaves of a few lines (or, where they are dense, in halves),
+which the row loop reads with their absolute line numbers, so a file with a
+few bad rows costs about what a clean one does. The row loop alone decides a
+bad row's reason. A file
+holding a quote, CR or NUL goes whole to the row loop, since csv quoting can
+span lines. Duplicate keys are resolved once over all accepted rows in line
+order, so every path gives the whole-file row loop's block, report and
+strict error.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import io
 import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
@@ -46,6 +54,7 @@ from .model import (
     INT64_MAX,
     JobRecord,
     SampleBlock,
+    canonical_order,
     id_codes,
 )
 from .timeutil import HOUR, format_utc, parse_utc
@@ -130,161 +139,293 @@ def parse_int_cells(cells: Sequence[str]) -> list[int]:
     """
     if _INT_CELLS.fullmatch(",".join(cells)) is None:
         raise ValueError(f"non-integer cell in {list(cells)!r}")
-    return [int(c) for c in cells]
+    return list(map(int, cells))
 
 
 def parse_stats_csv(
     source: Source, mode: str = "strict", window_len: int = 180
 ) -> tuple[SampleBlock, IngestReport]:
-    """Parse a stats CSV into a sample block plus an ingest report."""
-    rejects = _Rejects(mode)
+    """Parse a stats CSV into a sample block plus an ingest report.
+
+    The body is cut into line-aligned ranges of about _RANGE_CHARS
+    characters. A range that passes the clean proof (_StatsRows._read_range)
+    is read column-wise, and a row of it with a negative counter, a bad
+    timestamp or an empty id goes alone through the row loop. A range that
+    fails is halved and each half retried; a failing half of at most
+    _LEAF_LINES lines, or one whose sibling failed too, goes through the row
+    loop with its absolute line numbers. A file holding a quote, CR or NUL,
+    or a window_len that does not divide an hour, goes whole to the row
+    loop. Duplicate keys are resolved once over all accepted rows in line
+    order (_StatsRows.result), so the answer is the whole-file row loop's:
+    the same block, report and strict error. Strict mode reads no range
+    after the first one holding a bad row.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     stream, owned = _open_source(source)
     try:
         text = stream.read()
     finally:
         if owned:
             stream.close()
-    block = _parse_clean_stats(text, window_len)
-    if block is not None:
-        n = len(block)
-        return block, IngestReport(rows_read=n, rows_accepted=n, rows_rejected=0)
-    return _parse_stats_rows(text, rejects, window_len)
+    if window_len <= 0 or HOUR % window_len or any(c in text for c in _CSV_SPECIAL):
+        return _parse_stats_rows(text, mode, window_len)
+    pos = text.find("\n") + 1 or len(text)  # past the header, without copying the body
+    _check_header(next(csv.reader([text[:pos]]), None) if text else None, STATS_HEADER)
+    rows = _StatsRows(text.count("\n", pos) + 1, mode, window_len)
+    line = 2
+    while pos < len(text) and not rows.done():
+        stop = text.find("\n", pos + _RANGE_CHARS) + 1 or len(text)
+        chunk = text[pos:stop]
+        lines = chunk.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        rows.add_range(chunk, lines, line)
+        pos, line = stop, line + len(lines)
+    return rows.result()
+
+
+def _parse_stats_rows(text: str, mode: str, window_len: int) -> tuple[SampleBlock, IngestReport]:
+    """The whole file through the row loop; the reference the ranges must equal."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    _check_header(next(reader, None), STATS_HEADER)
+    rows = _StatsRows(0, mode, window_len)
+    rows.row_loop(takewhile(lambda _: not rows.done(), enumerate(reader, start=2)))
+    return rows.result()
 
 
 _STATS_HEADER_LINE = ",".join(STATS_HEADER)
-# what sends an ASCII file to the row loop: a quote, CR, NUL or blank line,
-# and "+" or any whitespace but LF, which np.loadtxt takes around a number
-_UNCLEAN_CHARS = (
-    '"', "\r", "\x00", "\n\n", "+", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"
-)
+# a file holding one of these goes whole to the row loop: the csv module reads
+# quotes and CR across lines, and before Python 3.11 refuses NUL
+_CSV_SPECIAL = ('"', "\r", "\x00")
+# what fails an ASCII range's clean proof: "+" and any whitespace but LF,
+# which np.loadtxt takes around a number
+_UNCLEAN_CHARS = ("+", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 # one row read whole by np.loadtxt: the three key columns as str, then counters
 _STATS_ROW_DTYPE = np.dtype([("key", object, (3,)), ("counters", np.int64, (len(ALL_FIELDS),))])
-# the clean path reads about this many characters per np.loadtxt call, so its
-# transient row objects stay small next to the columns it fills
-_PARSE_CHUNK_CHARS = 1 << 16
+# a range holds about this many characters, so a np.loadtxt call's transient
+# row objects stay small next to the columns it fills
+_RANGE_CHARS = 1 << 16
+# a failing range of at most this many lines goes through the row loop
+_LEAF_LINES = 16
+# the window of a row whose timestamp parse_utc refuses; no timestamp has it
+_NO_STAMP = np.iinfo(np.int64).min
 
 
-def _parse_clean_stats(text: str, window_len: int) -> SampleBlock | None:
-    """The block the row loop would return without rejects, or None.
+class _StatsRows:
+    """The accepted and the bad rows of one stats file, as they are found.
 
-    None unless the file is provably clean: ASCII only; exact header; no
-    quote, CR, NUL, "+" or whitespace other than LF; LF after every row and
-    no blank lines; 24 columns on every row; counters that np.loadtxt reads
-    as int64 and that are >= 0; exact on-grid timestamps; non-empty ids;
-    unique keys. np.loadtxt reads a signed or space-padded token, and gives
-    a non-ASCII one a value, where parse_int_cells refuses it; on what is
-    left it takes only -?[0-9]+, with int()'s value.
+    Column-read ranges fill preallocated columns; the row loop appends its
+    rows to a list. Every accepted row keeps its line number, so duplicate
+    keys are resolved in line order once all rows are in (result).
     """
-    if window_len <= 0 or HOUR % window_len:
-        return None
-    if not text.isascii() or any(c in text for c in _UNCLEAN_CHARS):
-        return None
-    if not text.startswith(_STATS_HEADER_LINE + "\n") or not text.endswith("\n"):
-        return None
-    n = text.count("\n") - 1
-    if text.count(",") != (n + 1) * (len(STATS_HEADER) - 1):
-        return None
-    fs = np.empty(n, object)
-    node = np.empty(n, object)
-    window = np.empty(n, np.int64)
-    counters = np.empty((n, len(ALL_FIELDS)), np.int64)
-    ids: dict[str, str] = {}  # one shared str per distinct id
-    starts: dict[str, int] = {}
-    row = 0
-    pos = len(_STATS_HEADER_LINE) + 1
-    while pos < len(text):
-        stop = text.find("\n", pos + _PARSE_CHUNK_CHARS) + 1 or len(text)
-        lines = text[pos : stop - 1].split("\n")
-        pos = stop
+
+    def __init__(self, capacity: int, mode: str, window_len: int):
+        self.strict = mode == "strict"
+        self.window_len = window_len
+        self.fs = np.empty(capacity, object)
+        self.node = np.empty(capacity, object)
+        self.window = np.empty(capacity, np.int64)
+        self.counters = np.empty((capacity, len(ALL_FIELDS)), np.int64)
+        self.line = np.empty(capacity, np.int64)
+        self.n = 0  # column rows filled
+        # (line, fs, node, window, counters) of each row the row loop accepts
+        self.rows: list[tuple[int, str, str, int, list[int]]] = []
+        self.bad: list[tuple[int, str]] = []  # (line, reason) of each bad row
+        self.ids: dict[str, str] = {}  # one shared str per distinct id
+        self.starts: dict[str, int] = {}  # timestamp -> window start or _NO_STAMP
+
+    def done(self) -> bool:
+        """Whether strict mode has its answer: once a range with a bad row is
+        taken whole, no later line can hold an earlier error."""
+        return self.strict and bool(self.bad)
+
+    def add_range(self, text: str, lines: list[str], first: int) -> None:
+        """Take lines first, first + 1, ... (text is them joined by LF),
+        column-wise if they pass the clean proof, else by halves."""
+        if not self._read_range(text, lines, first):
+            self._split(lines, first)
+
+    def _split(self, lines: list[str], first: int) -> None:
+        """Take a range that failed its proof by halves, each column-wise if
+        it passes. A failing half is halved again unless its sibling failed
+        too: bad rows are then dense, and more proofs would cost more than
+        the row loop they save, so the row loop takes both halves. It also
+        takes a failing range of at most _LEAF_LINES lines."""
+        if len(lines) <= _LEAF_LINES:
+            self._loop_lines(lines, first)
+            return
+        half = len(lines) // 2
+        halves = ((lines[:half], first), (lines[half:], first + half))
+        failed = [
+            (part, at) for part, at in halves if not self._read_range("\n".join(part), part, at)
+        ]
+        for part, at in failed:
+            if len(failed) == 2:
+                self._loop_lines(part, at)
+            else:
+                self._split(part, at)
+
+    def _loop_lines(self, lines: list[str], first: int) -> None:
+        """Lines first, first + 1, ... through the row loop."""
+        self.row_loop(zip(range(first, first + len(lines)), csv.reader(lines)))
+
+    def _read_range(self, text: str, lines: list[str], first: int) -> bool:
+        """Read a range column-wise if it passes the clean proof; False if not.
+
+        The proof: ASCII only; no "+" or whitespace other than LF; 23 commas
+        on every line; every line read by np.loadtxt as three keys and 21
+        int64 counters. np.loadtxt reads a signed or space-padded token, and
+        gives a non-ASCII one a value, where parse_int_cells refuses it; on
+        what is left it takes only -?[0-9]+, with int()'s value. A row of a
+        proven range with a negative counter, an inexact or off-grid
+        timestamp or an empty id goes alone through the row loop.
+        """
+        if not text.isascii() or any(c in text for c in _UNCLEAN_CHARS):
+            return False
+        if text.count(",") != len(lines) * (len(STATS_HEADER) - 1):
+            return False
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 table = np.loadtxt(
                     lines, delimiter=",", comments=None, dtype=_STATS_ROW_DTYPE, ndmin=1
                 )
-            if len(table) != len(lines):
-                return None
-            keys = table["key"]
-            for stamp in set(keys[:, 0].tolist()) - starts.keys():
-                starts[stamp] = parse_utc(stamp)
         except (ValueError, Warning):
-            return None
-        chunk = slice(row, row + len(lines))
-        window[chunk] = [starts[stamp] for stamp in keys[:, 0].tolist()]
-        fs[chunk] = [ids.setdefault(x, x) for x in keys[:, 1].tolist()]
-        node[chunk] = [ids.setdefault(x, x) for x in keys[:, 2].tolist()]
-        counters[chunk] = table["counters"]
-        row += len(lines)
-    if n and (counters.min() < 0 or "" in ids or any(w % window_len for w in starts.values())):
-        return None
-    try:
-        return SampleBlock.from_columns(fs, node, window, counters, window_len)
-    except ValueError:  # duplicate keys: strict and lenient answer differently
-        return None
+            return False
+        if len(table) != len(lines):
+            return False
+        keys = table["key"]
+        stamps = keys[:, 0].tolist()
+        for stamp in set(stamps) - self.starts.keys():
+            try:
+                self.starts[stamp] = parse_utc(stamp)
+            except ValueError:
+                self.starts[stamp] = _NO_STAMP
+        ids = self.ids
+        at = slice(self.n, self.n + len(lines))
+        fs, node, window, counters = self.fs[at], self.node[at], self.window[at], self.counters[at]
+        window[:] = [self.starts[stamp] for stamp in stamps]
+        fs[:] = [ids.setdefault(x, x) for x in keys[:, 1].tolist()]
+        node[:] = [ids.setdefault(x, x) for x in keys[:, 2].tolist()]
+        counters[:] = table["counters"]
+        line = self.line[at]
+        line[:] = np.arange(first, first + len(lines))
+        # only a range holding a bad row pays for the row mask; an empty id
+        # needs two adjacent commas
+        if (
+            counters.min() >= 0
+            and window.min() != _NO_STAMP
+            and not (window % self.window_len).any()
+            and ",," not in text
+        ):
+            self.n += len(lines)
+            return True
+        bad = (
+            (counters < 0).any(axis=1)
+            | (window == _NO_STAMP)
+            | (window % self.window_len != 0)
+            | (fs == "")
+            | (node == "")
+        )
+        good = ~bad
+        kept = int(good.sum())
+        for column in (fs, node, window, counters, line):
+            column[:kept] = column[good]
+        self.n += kept
+        picked = np.flatnonzero(bad).tolist()
+        self.row_loop(zip([first + i for i in picked], csv.reader(lines[i] for i in picked)))
+        return True
 
+    def row_loop(self, rows: Iterable[tuple[int, list[str]]]) -> None:
+        """Check (line, cells) rows one by one; a blank row is skipped.
 
-def _parse_stats_rows(
-    text: str, rejects: "_Rejects", window_len: int
-) -> tuple[SampleBlock, IngestReport]:
-    """The row-by-row stats parser: line-numbered rejects, keep-last duplicates.
-
-    A row must have 24 cells, an exact timestamp on the window_len grid,
-    non-empty ids and counters (parse_int_cells) in [0, 2**63 - 1]; a
-    window_len that does not divide an hour rejects every row.
-    """
-    bad_len = window_len <= 0 or HOUR % window_len != 0
-    # (fs, node, window) -> (line, counters) of the row that holds the key
-    kept: dict[tuple[str, str, int], tuple[int, list[int]]] = {}
-    rows_read = 0
-    reader = csv.reader(io.StringIO(text, newline=""))
-    _check_header(next(reader, None), STATS_HEADER)
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        rows_read += 1
-        if len(row) != len(STATS_HEADER):
-            rejects.add(line_no, f"expected {len(STATS_HEADER)} columns, got {len(row)}")
-            continue
-        try:
-            window_start = parse_utc(row[0])
-        except ValueError:
-            rejects.add(line_no, f"bad timestamp {row[0]!r}")
-            continue
-        try:
-            vals = parse_int_cells(row[3:])
-        except ValueError:
-            rejects.add(line_no, "non-integer counter value")
-            continue
-        if max(vals) > INT64_MAX:
-            rejects.add(line_no, "counter exceeds int64 range")
-        elif min(vals) < 0:
-            rejects.add(line_no, f"negative counter in counters {tuple(vals)}")
-        elif bad_len:
-            rejects.add(line_no, f"window_len {window_len} must divide 3600")
-        elif window_start % window_len:
-            rejects.add(
-                line_no, f"window_start {window_start} not aligned to {window_len}s grid"
-            )
-        elif not row[1] or not row[2]:
-            rejects.add(line_no, "fs_id and node_id must be non-empty")
-        else:
-            key = (row[1], row[2], window_start)
-            prev = kept.get(key)
-            if prev is not None:
-                if rejects.strict:
-                    raise IngestError(line_no, f"duplicate sample for {key}")
-                rejects.rows.append(
-                    (prev[0], f"duplicate (fs, node, window) superseded by line {line_no}")
+        A row must have 24 cells, an exact timestamp on the window_len grid,
+        non-empty ids and counters (parse_int_cells) in [0, 2**63 - 1]; a
+        window_len that does not divide an hour makes every row bad.
+        """
+        window_len = self.window_len
+        bad_len = window_len <= 0 or HOUR % window_len != 0
+        ids = self.ids
+        for line_no, row in rows:
+            if not row:
+                continue
+            if len(row) != len(STATS_HEADER):
+                reason = f"expected {len(STATS_HEADER)} columns, got {len(row)}"
+                self.bad.append((line_no, reason))
+                continue
+            try:
+                window_start = parse_utc(row[0])
+            except ValueError:
+                self.bad.append((line_no, f"bad timestamp {row[0]!r}"))
+                continue
+            try:
+                vals = parse_int_cells(row[3:])
+            except ValueError:
+                self.bad.append((line_no, "non-integer counter value"))
+                continue
+            if max(vals) > INT64_MAX:
+                self.bad.append((line_no, "counter exceeds int64 range"))
+            elif min(vals) < 0:
+                self.bad.append((line_no, f"negative counter in counters {tuple(vals)}"))
+            elif bad_len:
+                self.bad.append((line_no, f"window_len {window_len} must divide 3600"))
+            elif window_start % window_len:
+                self.bad.append(
+                    (line_no, f"window_start {window_start} not aligned to {window_len}s grid")
                 )
-            kept[key] = (line_no, vals)
-    block = SampleBlock.from_columns(
-        np.array([k[0] for k in kept], object),
-        np.array([k[1] for k in kept], object),
-        np.array([k[2] for k in kept], np.int64),
-        np.array([vals for _, vals in kept.values()], np.int64).reshape(-1, len(ALL_FIELDS)),
-        window_len,
-    )
-    return block, rejects.report(rows_read, len(block))
+            elif not row[1] or not row[2]:
+                self.bad.append((line_no, "fs_id and node_id must be non-empty"))
+            else:
+                fs, node = ids.setdefault(row[1], row[1]), ids.setdefault(row[2], row[2])
+                self.rows.append((line_no, fs, node, window_start, vals))
+
+    def result(self) -> tuple[SampleBlock, IngestReport]:
+        """The block and report of all rows, duplicate keys resolved in line order.
+
+        Lenient mode keeps each key's last row and rejects every earlier one
+        as superseded by the next; strict mode raises the lowest-line error
+        among the bad rows and the second occurrences of a key.
+        """
+        n = self.n
+        fs, node, window, counters, line = (
+            self.fs[:n], self.node[:n], self.window[:n], self.counters[:n], self.line[:n]
+        )
+        if self.rows:
+            lines, fss, nodes, windows, vals = zip(*self.rows)
+            fs = np.concatenate([fs, np.array(fss, object)])
+            node = np.concatenate([node, np.array(nodes, object)])
+            window = np.concatenate([window, np.array(windows, np.int64)])
+            counters = np.concatenate([counters, np.array(vals, np.int64)])
+            line = np.concatenate([line, np.array(lines, np.int64)])
+        order, repeat = canonical_order(fs, node, window, line)
+        # a repeated key's row is superseded by the next sorted row, its next occurrence
+        superseded = order[repeat]
+        by = order[np.flatnonzero(repeat) + 1]
+        errors = list(self.bad)
+        if self.strict:
+            if len(by):
+                i = int(by[np.argmin(line[by])])
+                key = (fs[i], node[i], int(window[i]))
+                errors.append((int(line[i]), f"duplicate sample for {key}"))
+            if errors:
+                raise IngestError(*min(errors))
+        errors += [
+            (a, f"duplicate (fs, node, window) superseded by line {b}")
+            for a, b in zip(line[superseded].tolist(), line[by].tolist())
+        ]
+        keep = order[~repeat]
+        if len(keep) != len(order) or not (np.diff(keep) == 1).all():
+            fs, node, window, counters = fs[keep], node[keep], window[keep], counters[keep]
+        block = SampleBlock(fs, node, window, counters, self.window_len)
+        errors.sort()
+        return block, IngestReport(
+            rows_read=len(order) + len(self.bad),
+            rows_accepted=len(block),
+            rows_rejected=len(errors),
+            first_error_line=errors[0][0] if errors else None,
+            rejected_reasons=tuple(errors),
+        )
 
 
 def parse_jobs_csv(source: Source, mode: str = "strict") -> tuple[list[JobRecord], IngestReport]:

@@ -4,7 +4,8 @@ Thin orchestration over the ingest, attribution, metric, and analysis modules;
 all policy lives there, and locking, durable writes and the refusal of days
 never aggregated live in the store. The store-facing flows partition by
 (filesystem, day) and are idempotent: re-ingesting the same file changes
-nothing, re-aggregating a range rewrites the same partitions.
+nothing and writes no partition, re-aggregating a range rewrites the same
+partitions.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ class IngestSummary:
     jobs: int
     rejected: int
     partitions: int
+    # partitions rewritten; a merge that changes no stored row leaves its file as it is
+    written: int
 
 
 @dataclass(frozen=True)
@@ -66,12 +69,16 @@ class PipelineOutputs:
 
 
 def _merge(
-    old: Iterable[JobRecord], new: Iterable[JobRecord], mode: str, where: str, drop: Collection = ()
+    old: list[JobRecord], new: Iterable[JobRecord], mode: str, where: str, drop: Collection = ()
 ) -> tuple[list[JobRecord], int]:
     """Union by app_id, less old jobs in drop, new jobs winning; also the
     number of jobs a new one changed. Strict mode refuses a changed job instead.
+
+    When that leaves every old job as it was and adds none, the union is old
+    itself.
     """
     merged = {j.app_id: j for j in old if j.app_id not in drop}
+    same = len(merged) == len(old)
     changed = 0
     for job in new:
         prior = merged.get(job.app_id)
@@ -79,8 +86,9 @@ def _merge(
             if mode == "strict":
                 raise IngestError(0, f"job {job.app_id} conflicts {where}")
             changed += 1
+        same = same and prior == job
         merged[job.app_id] = job
-    return list(merged.values()), changed
+    return (old if same else list(merged.values())), changed
 
 
 def _merge_samples(
@@ -89,7 +97,8 @@ def _merge_samples(
     """Key-wise union in canonical order, new rows winning; also the number
     of rows whose counters a new row changed.
 
-    Strict mode refuses a changed row instead.
+    Strict mode refuses a changed row instead. When no new row adds a key or
+    changes a counter, the union is old itself.
     """
     if not len(old):
         return new, 0
@@ -105,6 +114,8 @@ def _merge_samples(
     changed = replacing[(counters[replaced] != counters[replacing]).any(axis=1)] - len(old)
     if len(changed) and mode == "strict":
         raise IngestError(0, f"sample {new.key(int(changed[0]))} conflicts {where}")
+    if not len(changed) and len(replaced) == len(new):
+        return old, 0
     keep = order[~repeat]
     merged = SampleBlock(fs[keep], node[keep], window[keep], counters[keep], new.window_len)
     return merged, len(changed)
@@ -154,31 +165,35 @@ def ingest_files(
     rejected += len(set().union(*moved.values()))
 
     # one partition's batch at a time, each merged under that partition's lock
+    merges = []
     fs_ids, fs_codes = id_codes(samples.fs)
     days = samples.window - samples.window % DAY
-    sample_keys = sorted(set(zip(fs_codes.tolist(), days.tolist())))
-    for code, day in sample_keys:
+    for code, day in sorted(set(zip(fs_codes.tolist(), days.tolist()))):
         batch = samples.take((fs_codes == code) & (days == day))
-        rejected += store.merge_partition(
-            Partition("samples", fs_ids[code], day),
-            lambda stored: _merge_samples(stored, batch, mode, "with stored data"),
+        merges.append(
+            store.merge_partition(
+                Partition("samples", fs_ids[code], day),
+                lambda stored: _merge_samples(stored, batch, mode, "with stored data"),
+            )
         )
     jobs_by_day: dict[int, list[JobRecord]] = {}
     for j in jobs:
         jobs_by_day.setdefault(floor_day(j.start), []).append(j)
-    job_days = sorted(jobs_by_day.keys() | moved.keys())
-    for day in job_days:
+    for day in sorted(jobs_by_day.keys() | moved.keys()):
         batch, drop = jobs_by_day.get(day, []), moved.get(day, ())
-        rejected += store.merge_partition(
-            Partition("jobs", None, day),
-            lambda stored: _merge(stored, batch, mode, "with stored data", drop),
+        merges.append(
+            store.merge_partition(
+                Partition("jobs", None, day),
+                lambda stored: _merge(stored, batch, mode, "with stored data", drop),
+            )
         )
 
     return IngestSummary(
         samples=len(samples),
         jobs=len(jobs),
-        rejected=rejected,
-        partitions=len(sample_keys) + len(job_days),
+        rejected=rejected + sum(count for count, _ in merges),
+        partitions=len(merges),
+        written=sum(written for _, written in merges),
     )
 
 

@@ -8,7 +8,9 @@ fsynced once. A ``fcntl.flock`` on a ``.lock`` file enforces a single
 writer per partition, and ends with its writer, even a killed one; readers
 never need the lock because rename is atomic. merge_partition holds the
 lock while it reads, merges and writes, so two merging writers cannot lose
-each other's rows.
+each other's rows; a merge that changes nothing leaves the file untouched.
+Partition file names are exactly ``YYYY-MM-DD.csv``; any other ``.csv`` name
+is an unexpected file (StoreError).
 
 An ``fs_hours`` partition marks its (filesystem, day) as aggregated; reading
 app_hours or fs_hours over a day without one raises FileNotFoundError, so a
@@ -253,13 +255,22 @@ class Store:
         with self._locked(path):
             replace_files(path.parent, {path.name: text})
 
-    def merge_partition(self, partition: Partition, merge) -> int:
-        """Rewrite a partition as merge(stored rows) -> (rows, count) under its lock."""
+    def merge_partition(self, partition: Partition, merge) -> tuple[int, bool]:
+        """Rewrite a partition as merge(stored rows) -> (rows, count) under its
+        lock; returns count and whether the file was written.
+
+        A merge that returns the stored rows themselves leaves an existing
+        file as it is, bytes and modification time.
+        """
         p = partition
-        with self._locked(self.path(p)):
-            rows, count = merge(self.read_range(p.dataset, p.fs_id, p.date, p.date + DAY))
-            self.write_partition(rows, p)
-        return count
+        path = self.path(p)
+        with self._locked(path):
+            stored = self.read_range(p.dataset, p.fs_id, p.date, p.date + DAY)
+            rows, count = merge(stored)
+            written = rows is not stored or not path.exists()
+            if written:
+                self.write_partition(rows, p)
+        return count, written
 
     def write_aggregates(self, fs_id: str, day: int, app_hours, fs_hours) -> None:
         """Write a (filesystem, day)'s app_hours, then the fs_hours that mark it aggregated."""

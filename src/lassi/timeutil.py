@@ -2,14 +2,16 @@
 
 Timestamps are integer epoch seconds everywhere inside the package. The only
 accepted wire format is ISO-8601 UTC with a trailing Z (YYYY-MM-DDTHH:MM:SSZ).
-Parse and format results are cached: a day of samples repeats the same 480
-window timestamps once per node, so the cache turns the hot ingest path into
-dict lookups.
+Dates are exactly YYYY-MM-DD. Parse and format results are cached: a day of
+samples repeats the same 480 window timestamps once per node, and the store
+parses the same partition names on every listing, so the cache turns those
+hot paths into dict lookups.
 """
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+import re
+from datetime import date, datetime, timezone
 
 HOUR = 3600
 DAY = 86400
@@ -20,6 +22,10 @@ _CACHE_LIMIT = 500_000
 
 _parse_cache: dict[str, int] = {}
 _format_cache: dict[int, str] = {}
+_date_cache: dict[str, int] = {}
+
+_DATE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
+_EPOCH = date(1970, 1, 1)
 
 
 def parse_utc(text: str) -> int:
@@ -52,9 +58,21 @@ def format_utc(ts: int) -> str:
 
 
 def parse_date(text: str) -> int:
-    """Parse YYYY-MM-DD into the epoch seconds of that UTC midnight."""
-    dt = datetime.strptime(text, _DATE_FORMAT).replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    """Parse YYYY-MM-DD into the epoch seconds of that UTC midnight.
+
+    Raises ValueError for anything that is not exactly that format, such as
+    "2017-10-9", or not a calendar date.
+    """
+    cached = _date_cache.get(text)
+    if cached is not None:
+        return cached
+    match = _DATE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"date {text!r} is not exactly YYYY-MM-DD")
+    value = (date(*map(int, match.groups())) - _EPOCH).days * DAY
+    if len(_date_cache) < _CACHE_LIMIT:
+        _date_cache[text] = value
+    return value
 
 
 def date_str(ts: int) -> str:

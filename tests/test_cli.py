@@ -79,6 +79,12 @@ def test_full_cli_flow(tmp_path, capsys):
     assert out.startswith("ingested samples=")
     assert "jobs=2" in out
     assert "rejected=0" in out
+    assert out.endswith(" partitions=3 written=3\n")
+
+    # the same files again change no stored row, so no partition is written
+    assert main(["ingest", *store, "--stats", str(data / "stats.csv"),
+                 "--jobs", str(data / "jobs.csv")]) == 0
+    assert capsys.readouterr().out.endswith(" rejected=0 partitions=3 written=0\n")
 
     assert main(["aggregate", *store, "--date", "2017-10-10",
                  "--window-len", "900"]) == 0
@@ -240,6 +246,7 @@ def test_usage_errors_exit_64(capsys):
         ["frobnicate"],
         ["report", "--fs", "fs2"],  # missing required --date
         ["aggregate", "--date", "not-a-date"],
+        ["aggregate", "--date", "2017-10-9"],  # dates are exactly YYYY-MM-DD
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

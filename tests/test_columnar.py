@@ -6,6 +6,7 @@ references here: the block paths must return exactly what they return.
 
 import csv
 import io
+import random
 from bisect import bisect_right
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import BASE_DAY, mk_block, mk_counters, mk_job, mk_sample, result_dicts
+from lassi import ingest
 from lassi.attribution import (
     AttributionConfig,
     _node_index,
@@ -22,14 +24,7 @@ from lassi.attribution import (
     fs_hourly_totals,
 )
 from lassi.errors import IngestError, LassiError
-from lassi.ingest import (
-    STATS_HEADER,
-    _parse_clean_stats,
-    _parse_stats_rows,
-    _Rejects,
-    parse_stats_csv,
-    serialize_stats_csv,
-)
+from lassi.ingest import STATS_HEADER, _parse_stats_rows, parse_stats_csv, serialize_stats_csv
 from lassi.model import INT64_MAX, SampleBlock
 from lassi.pipeline import ingest_files
 from lassi.store import Store
@@ -49,8 +44,8 @@ def text_of(*rows, end="\n"):
 
 
 def row_loop(text, mode, window_len=180):
-    """What the row loop alone returns."""
-    return _parse_stats_rows(text, _Rejects(mode), window_len)
+    """What the row loop alone returns for the whole text."""
+    return _parse_stats_rows(text, mode, window_len)
 
 
 def outcome(fn, *args):
@@ -60,11 +55,21 @@ def outcome(fn, *args):
         return ("IngestError", exc.line, exc.reason)
 
 
+# (range characters, leaf lines): as shipped, and small enough that ranges of
+# one to a few lines are halved down to leaves of one or two
+SPLITS = [(ingest._RANGE_CHARS, ingest._LEAF_LINES), (1, 1), (300, 1), (300, 2)]
+
+
 def assert_agrees(text, window_len=180):
-    for mode in ("strict", "lenient"):
-        got = outcome(parse_stats_csv, io.StringIO(text), mode, window_len)
-        want = outcome(row_loop, text, mode, window_len)
-        assert got == want, (mode, text)
+    """parse_stats_csv equals the whole-text row loop in both modes, under every split."""
+    for range_chars, leaf_lines in SPLITS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_RANGE_CHARS", range_chars)
+            mp.setattr(ingest, "_LEAF_LINES", leaf_lines)
+            for mode in ("strict", "lenient"):
+                got = outcome(parse_stats_csv, io.StringIO(text), mode, window_len)
+                want = outcome(row_loop, text, mode, window_len)
+                assert got == want, (range_chars, leaf_lines, mode, text)
 
 
 # --- timestamps are exact -------------------------------------------------
@@ -173,14 +178,51 @@ def test_file_shapes_agree(shape):
     assert_agrees(_shapes()[shape])
 
 
-def test_clean_path_takes_canonical_files_only():
-    shapes = _shapes()
-    for clean in ("canonical", "unsorted", "hash in id", "header only"):
-        assert _parse_clean_stats(shapes[clean], 180) is not None, clean
-    for name, text in shapes.items():
-        if name not in ("canonical", "unsorted", "hash in id", "header only"):
-            assert _parse_clean_stats(text, 180) is None, name
-    assert _parse_clean_stats(shapes["canonical"], 7) is None  # 7 does not divide 3600
+def looped_lines(monkeypatch) -> list:
+    """Spy on the row loop for one test; the list gets each line number it is given."""
+    seen = []
+    real = ingest._StatsRows.row_loop
+
+    def spy(self, rows):
+        rows = list(rows)
+        seen.extend(line for line, _ in rows)
+        real(self, rows)
+
+    monkeypatch.setattr(ingest._StatsRows, "row_loop", spy)
+    return seen
+
+
+# shapes read column-wise whole, and those whose rows pass the range proof
+# except one, which alone goes through the row loop
+CLEAN_SHAPES = {
+    "canonical",
+    "unsorted",
+    "no final newline",
+    "hash in id",
+    "duplicate key",
+    "identical duplicate",
+    "header only",
+    "header without newline",
+    "empty",
+    "bad header",
+}
+ONE_BAD_ROW = {"off grid", "negative", "empty id", "single-digit time"}
+
+
+def test_clean_path_takes_canonical_files_only(monkeypatch):
+    seen = looped_lines(monkeypatch)
+    for name, text in _shapes().items():
+        seen.clear()
+        outcome(parse_stats_csv, io.StringIO(text), "lenient")
+        if name in CLEAN_SHAPES:
+            assert seen == [], name
+        elif name in ONE_BAD_ROW:
+            assert seen == [3], name
+        else:
+            assert seen, name
+    seen.clear()
+    parse_stats_csv(io.StringIO(_shapes()["canonical"]), "lenient", 7)  # 7 does not divide 3600
+    assert seen == [2, 3, 4]
 
 
 ts_tokens = st.sampled_from(
@@ -215,6 +257,71 @@ def test_clean_path_agrees_with_row_loop(rows, quoted, crlf, dup):
     else:
         text = text_of(*(",".join(line) for line in lines), end="\r\n" if crlf else "\n")
     assert_agrees(text)
+
+
+def dirty_lines(seed: int, every: int | None, n: int = 3000) -> list[str]:
+    """About n stats lines over 20 nodes of one filesystem, with earlier
+    rows repeated 1,000 lines on, half of them with a changed counter; and
+    given every, a bad row after every every-th line, cycling through the
+    benchmark's re-delivery defects (negative counter, off-grid timestamp,
+    short row, "x.5" counter), and a blank line after every 4 * every-th."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(n):
+        stamp = format_utc(BASE_DAY + (i // 20) * 180)
+        counters = [str(rng.randrange(10**6)) for _ in range(21)]
+        lines.append(",".join([stamp, "fs1", f"nid{i % 20:03d}", *counters]))
+    out = []
+    for i, line in enumerate(lines):
+        out.append(line)
+        if i >= 1000 and i % 89 == 0:
+            cells = lines[i - 1000].split(",")
+            if i % 2:
+                cells[3 + i % 21] = str(int(cells[3 + i % 21]) + 1)
+            out.append(",".join(cells))
+        if every and i % every == 0:
+            cells = line.split(",")
+            kind = i // every % 4
+            if kind == 0:
+                cells[5] = "-" + cells[5]
+            elif kind == 1:
+                cells[0] = format_utc(parse_utc(cells[0]) + 60)
+            elif kind == 2:
+                cells = cells[: 3 + i % 21]
+            else:
+                cells[7] += ".5"
+            out.append(",".join(cells))
+        if every and i % (4 * every) == 1:
+            out.append("")
+    return out
+
+
+@pytest.mark.parametrize("split", [(ingest._RANGE_CHARS, ingest._LEAF_LINES), (4096, 4)])
+@pytest.mark.parametrize("every", [None, 97, 331])
+def test_dirty_file_agrees_with_row_loop(monkeypatch, split, every):
+    monkeypatch.setattr(ingest, "_RANGE_CHARS", split[0])
+    monkeypatch.setattr(ingest, "_LEAF_LINES", split[1])
+    text = text_of(*dirty_lines(11, every))
+    for mode in ("strict", "lenient"):
+        got = outcome(parse_stats_csv, io.StringIO(text), mode)
+        want = outcome(row_loop, text, mode)
+        assert got == want, mode
+    block, report = got
+    assert report.rows_read > len(block) > 2900
+    kinds = {"negative", "window_start", "expected", "non-integer"} if every else set()
+    assert {reason.split(" ")[0] for _, reason in report.rejected_reasons} == kinds | {"duplicate"}
+
+
+def test_sparse_bad_rows_cost_the_row_loop_a_leaf_each(monkeypatch):
+    monkeypatch.setattr(ingest, "_RANGE_CHARS", 4096)  # about 27 lines
+    monkeypatch.setattr(ingest, "_LEAF_LINES", 4)
+    text = text_of(*dirty_lines(11, every=331))
+    seen = looped_lines(monkeypatch)
+    _, report = parse_stats_csv(io.StringIO(text), "lenient")
+    bad_rows = sum(not reason.startswith("duplicate") for _, reason in report.rejected_reasons)
+    blank_lines = text.count("\n\n")
+    assert (bad_rows, blank_lines) == (10, 3)
+    assert len(seen) <= 4 * (bad_rows + blank_lines)
 
 
 # --- canonical serialization ---------------------------------------------

@@ -27,6 +27,7 @@ from helpers import (
     TASKFARM_SCENARIO,
     build_exposure_fixture,
     count_calls,
+    fsync_spy,
     mk_counters,
     mk_job,
 )
@@ -71,6 +72,65 @@ def test_ingest_files_is_idempotent(tmp_path):
     second = ingest_files(store, [stats], [jobs])
     assert (second.samples, second.jobs, second.rejected) == (2, 1, 0)
     assert partition_path.read_bytes() == before
+
+
+def snapshot(store):
+    """Bytes, inode and modification time of every partition file."""
+    return {
+        path: (path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns)
+        for path in sorted(store.root.rglob("*.csv"))
+    }
+
+
+REDELIVERED = [
+    f"{day}T{t}Z,{fs},nid{n},{counters(n)}"
+    for day in ("2017-10-09", "2017-10-10")
+    for t in ("00:00:00", "00:03:00")
+    for fs in ("fs2", "fs3")
+    for n in (1, 2)
+]
+
+
+def test_a_lenient_redelivery_of_stored_rows_writes_nothing(tmp_path, monkeypatch):
+    store = Store(tmp_path / "store")
+    ingest_files(store, [stats_file(tmp_path, "a.csv", REDELIVERED)])
+    before = snapshot(store)
+    assert len(before) == 4
+    bad = "2017-10-10T00:04:00Z,fs2,nid1," + counters()  # off the window grid
+    again = stats_file(tmp_path, "b.csv", REDELIVERED[::-1] + [bad])
+    synced = fsync_spy(monkeypatch)
+    summary = ingest_files(Store(store.root), [again], mode="lenient")
+    assert (summary.rejected, summary.partitions, summary.written) == (1, 4, 0)
+    assert synced == []
+    assert snapshot(store) == before
+
+
+def test_a_changed_counter_rewrites_only_its_partition(tmp_path):
+    store = Store(tmp_path / "store")
+    ingest_files(store, [stats_file(tmp_path, "a.csv", REDELIVERED)])
+    before = snapshot(store)
+    changed = [r.replace(",1,", ",7,", 1) if r.startswith("2017-10-10T00:03:00Z,fs3,nid1,") else r
+               for r in REDELIVERED]
+    assert changed != REDELIVERED
+    summary = ingest_files(store, [stats_file(tmp_path, "b.csv", changed)], mode="lenient")
+    assert (summary.rejected, summary.partitions, summary.written) == (1, 4, 1)
+    after = snapshot(store)
+    rewritten = store.path(Partition("samples", "fs3", BASE_DAY + DAY))
+    assert [p for p in before if after[p] != before[p]] == [rewritten]
+    assert after[rewritten][1] != before[rewritten][1]
+
+
+def test_a_reingest_of_identical_jobs_writes_nothing(tmp_path, monkeypatch):
+    store = Store(tmp_path / "store")
+    jobs = jobs_file(tmp_path, "j.csv", [JOB_A, JOB_2, JOB_MOVED.replace("app1,", "app3,")])
+    first = ingest_files(store, jobs_paths=[jobs])
+    assert (first.partitions, first.written) == (2, 2)
+    before = snapshot(store)
+    synced = fsync_spy(monkeypatch)
+    summary = ingest_files(Store(store.root), jobs_paths=[jobs], mode="strict")
+    assert (summary.jobs, summary.rejected, summary.partitions, summary.written) == (3, 0, 2, 0)
+    assert synced == []
+    assert snapshot(store) == before
 
 
 def test_ingest_merges_new_windows_into_existing_partition(tmp_path):
@@ -178,8 +238,13 @@ def test_lenient_ingest_moves_a_redelivered_job_to_its_new_day(tmp_path):
     store = Store(tmp_path / "store")
     ingest_files(store, jobs_paths=[jobs_file(tmp_path, "a.csv", [JOB_A, JOB_2])])
     moved = jobs_file(tmp_path, "b.csv", [JOB_MOVED])
+    before = snapshot(store)
     summary = ingest_files(Store(store.root), jobs_paths=[moved], mode="lenient")
-    assert (summary.jobs, summary.rejected, summary.partitions) == (1, 1, 2)
+    # both days are written: the old one loses the job, the new one gains it
+    assert (summary.jobs, summary.rejected, summary.partitions, summary.written) == (1, 1, 2, 2)
+    old_path = store.path(Partition("jobs", None, BASE_DAY))
+    assert snapshot(store)[old_path] != before[old_path]
+    assert store.path(Partition("jobs", None, BASE_DAY + DAY)).exists()
     old_day = store.read_range("jobs", None, BASE_DAY, BASE_DAY + DAY)
     assert [j.app_id for j in old_day] == ["app2"]
     both_days = store.query_jobs_overlapping(BASE_DAY, BASE_DAY + 2 * DAY)

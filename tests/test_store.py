@@ -19,7 +19,7 @@ from lassi.ingest import serialize_stats_csv
 from lassi.metrics import FsBaseline
 from lassi.model import ALL_FIELDS, INT64_MAX, AppHourRecord, FsHourRecord
 from lassi.store import Partition, Store
-from lassi.timeutil import DAY, HOUR, format_utc, parse_utc
+from lassi.timeutil import DAY, HOUR, format_utc, parse_date, parse_utc
 
 from helpers import BASE_DAY, count_calls, fsync_spy, mk_block, mk_counters, mk_job, mk_sample
 
@@ -418,6 +418,26 @@ def test_stray_file_in_store_rejected(store):
     (store.root / "samples" / "fs2" / "notes.csv").write_text("junk", encoding="utf-8")
     with pytest.raises(StoreError):
         store.partition_dates("samples", "fs2")
+
+
+@pytest.mark.parametrize(
+    "text", ["2017-10-9", "2017-1-09", "17-10-09", "2017-10-09 ", "2017-02-30", "2017-10-0\u0669"]
+)
+def test_parse_date_takes_exact_calendar_dates_only(text):
+    with pytest.raises(ValueError):
+        parse_date(text)
+    assert parse_date("2017-10-09") == BASE_DAY
+    assert parse_date("1969-12-31") == -DAY
+
+
+def test_a_non_canonical_partition_name_is_an_unexpected_file(store):
+    job = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + HOUR)
+    store.write_partition([job], Partition("jobs", None, BASE_DAY))
+    path = store.path(Partition("jobs", None, BASE_DAY))
+    # strptime read this name as a second copy of the day, whose jobs came back twice
+    path.with_name("2017-10-9.csv").write_bytes(path.read_bytes())
+    with pytest.raises(StoreError, match="unexpected file in store"):
+        store.query_jobs_overlapping(BASE_DAY, BASE_DAY + DAY)
 
 
 def test_corrupt_partition_surfaces_as_store_error(store):
