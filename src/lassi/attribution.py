@@ -18,7 +18,9 @@ windows are assigned per node with np.searchsorted over job starts; only
 proportional windows cut by a job boundary take the scalar split, whose
 shares join the grouping as extra keyed rows. One np.unique + np.add.at
 sums it all into an AttributionResult: int64 columns with one row per
-(owner, fs, window). The hourly rollups group those rows again with numpy.
+(owner, fs, window). Nodes and filesystems are grouped by the block's id
+codes, never by id strings. The hourly rollups group those rows again with
+numpy.
 """
 
 from __future__ import annotations
@@ -68,13 +70,15 @@ class AttributionResult:
     """Summed counters, one row per (owner, fs, window) key.
 
     ``owner`` holds int64 indexes into ``apps``, the job list's app_ids, or
-    -1 for the unattributed remainder; ``fs`` holds fs id strings, ``window``
+    -1 for the unattributed remainder; ``fs`` holds int64 codes into
+    ``fs_labels``, a sorted tuple of fs ids (the sample block's), ``window``
     int64 window starts and ``counters`` an int64 (n, 21) array in ALL_FIELDS
     order, the form every record's ``counters`` takes.
     """
 
     apps: tuple[str, ...]
     owner: np.ndarray
+    fs_labels: tuple[str, ...]
     fs: np.ndarray
     window: np.ndarray
     counters: np.ndarray
@@ -117,7 +121,7 @@ def attribute(
     wlen = block.window_len
 
     owner = np.full(len(block), _UNATTRIBUTED, np.int64)
-    node_ids, node_codes = id_codes(block.node)
+    node_ids, node_codes = block.node_labels, block.node
     by_node = np.argsort(node_codes, kind="stable")
     bounds = np.searchsorted(node_codes[by_node], np.arange(len(node_ids) + 1))
     for code, node in enumerate(node_ids):
@@ -152,17 +156,18 @@ def attribute(
     share_row, share_owner, share_vec = [], [], []
     for r in np.flatnonzero(owner == _CUT).tolist():
         vec, w = block.counters[r].tolist(), int(block.window[r])
-        for who, share in _split_window(vec, w, wlen, index[block.node[r]], position):
+        entry = index[node_ids[node_codes[r]]]
+        for who, share in _split_window(vec, w, wlen, entry, position):
             share_row.append(r)
             share_owner.append(who)
             share_vec.append(share)
 
     # one group per (owner, fs, window); the cut windows' own rows hold the
     # lowest keys, and their groups are dropped
-    fs_ids, fs_codes = id_codes(block.fs)
+    fs_ids, fs_codes = block.fs_labels, block.fs
     windows, window_pos = np.unique(block.window, return_inverse=True)
     cells = len(fs_ids) * len(windows)
-    cell = fs_codes * len(windows) + window_pos
+    cell = fs_codes.astype(np.int64) * len(windows) + window_pos
     who = np.concatenate([owner, np.array(share_owner, np.int64)])
     key = (who - _CUT) * cells + np.concatenate([cell, cell[np.array(share_row, np.int64)]])
     groups, group_of_row = np.unique(key, return_inverse=True)
@@ -174,7 +179,8 @@ def attribute(
     return AttributionResult(
         apps=apps,
         owner=groups // cells + _CUT,
-        fs=np.array(fs_ids, object)[groups // len(windows) % len(fs_ids)],
+        fs_labels=fs_ids,
+        fs=groups // len(windows) % len(fs_ids),
         window=windows[groups % len(windows)],
         counters=sums[kept:],
     )
@@ -235,9 +241,9 @@ def aggregate_hourly(
     rows = np.flatnonzero(result.owner >= 0)
     if not len(rows):
         return []
-    app_ids, app_rank = id_codes(np.array(result.apps, object))
-    app = app_rank[result.owner[rows]]
-    fs_ids, fs = id_codes(result.fs[rows])
+    app_ids, app_rank = id_codes(result.apps)
+    app = app_rank[result.owner[rows]].astype(np.int64)
+    fs_ids, fs = result.fs_labels, result.fs[rows]
     hour = result.window[rows] - result.window[rows] % HOUR
 
     # zero-fill rows: every hour of each (app, fs) pair's clamped job span
@@ -278,13 +284,16 @@ def aggregate_hourly(
 def fs_hourly_totals(block: SampleBlock, result: AttributionResult) -> list[FsHourRecord]:
     """Per (fs, hour) totals over all samples plus the unattributed portion.
 
+    ``result`` is attribute(block, ...), so both code fs over one table.
     Hours with no samples produce no record.
     """
+    if result.fs_labels != block.fs_labels:
+        raise ValueError("attribution result does not code fs over the block's labels")
     block.check_sum_bound()
     n = len(block)
     # the unattributed rows take the samples' slot arithmetic
     un = np.flatnonzero(result.owner == _UNATTRIBUTED)
-    fs_ids, fs_codes = id_codes(np.concatenate([block.fs, result.fs[un]]))
+    fs_ids, fs_codes = block.fs_labels, np.concatenate([block.fs, result.fs[un]])
     window = np.concatenate([block.window, result.window[un]])
     hours, hour_pos = np.unique(window - window % HOUR, return_inverse=True)
     # slots run in (hour, fs) order, the order of the records

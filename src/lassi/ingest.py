@@ -28,11 +28,13 @@ column-wise by np.loadtxt; a range that fails the proof is halved until its
 bad rows sit in leaves of a few lines (or, where they are dense, in halves),
 which the row loop reads with their absolute line numbers, so a file with a
 few bad rows costs about what a clean one does. The row loop alone decides a
-bad row's reason. A file
+bad row's reason; a row the csv module refuses, such as one holding a cell
+longer than csv.field_size_limit(), is a bad row like any other. A file
 holding a quote, CR or NUL goes whole to the row loop, since csv quoting can
 span lines. Duplicate keys are resolved once over all accepted rows in line
 order, so every path gives the whole-file row loop's block, report and
-strict error.
+strict error. The fs and node ids of a file are coded as they are first
+read, once per distinct id, and the block carries those codes.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ import io
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import count, takewhile
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -55,7 +57,7 @@ from .model import (
     JobRecord,
     SampleBlock,
     canonical_order,
-    id_codes,
+    label_codes,
 )
 from .timeutil import HOUR, format_utc, parse_utc
 
@@ -94,9 +96,25 @@ def _open_source(source: Source) -> tuple[IO[str], bool]:
     raise TypeError(f"cannot read from {type(source).__name__}")
 
 
-def _check_header(row: list[str] | None, expected: tuple[str, ...]) -> None:
+def csv_rows(lines: Iterable[str], first: int) -> Iterator[tuple[int, list[str] | csv.Error]]:
+    """(line, cells) of each csv row of lines, numbered from first. A row the
+    csv module refuses, such as one holding a cell longer than
+    csv.field_size_limit(), comes with its csv.Error in place of cells."""
+    reader = csv.reader(lines)
+    for line in count(first):
+        try:
+            yield line, next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield line, exc
+
+
+def _check_header(row: list[str] | csv.Error | None, expected: tuple[str, ...]) -> None:
     if row is None:
         raise IngestError(1, "empty file: missing header")
+    if isinstance(row, csv.Error):
+        raise IngestError(1, f"bad header: {row}")
     if tuple(row) != expected:
         raise IngestError(1, f"bad header {row!r}; expected {','.join(expected)}")
 
@@ -171,7 +189,7 @@ def parse_stats_csv(
     if window_len <= 0 or HOUR % window_len or any(c in text for c in _CSV_SPECIAL):
         return _parse_stats_rows(text, mode, window_len)
     pos = text.find("\n") + 1 or len(text)  # past the header, without copying the body
-    _check_header(next(csv.reader([text[:pos]]), None) if text else None, STATS_HEADER)
+    _check_header(next(csv_rows([text[:pos]], 1))[1] if text else None, STATS_HEADER)
     rows = _StatsRows(text.count("\n", pos) + 1, mode, window_len)
     line = 2
     while pos < len(text) and not rows.done():
@@ -187,10 +205,10 @@ def parse_stats_csv(
 
 def _parse_stats_rows(text: str, mode: str, window_len: int) -> tuple[SampleBlock, IngestReport]:
     """The whole file through the row loop; the reference the ranges must equal."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    _check_header(next(reader, None), STATS_HEADER)
+    lines = csv_rows(io.StringIO(text, newline=""), 1)
+    _check_header(next(lines, (1, None))[1], STATS_HEADER)
     rows = _StatsRows(0, mode, window_len)
-    rows.row_loop(takewhile(lambda _: not rows.done(), enumerate(reader, start=2)))
+    rows.row_loop(takewhile(lambda _: not rows.done(), lines))
     return rows.result()
 
 
@@ -212,27 +230,38 @@ _LEAF_LINES = 16
 _NO_STAMP = np.iinfo(np.int64).min
 
 
+class _IdCodes(dict):
+    """Each distinct id's code, given in first-seen order on first lookup."""
+
+    def __missing__(self, key: str) -> int:
+        code = self[key] = len(self)
+        return code
+
+
 class _StatsRows:
     """The accepted and the bad rows of one stats file, as they are found.
 
     Column-read ranges fill preallocated columns; the row loop appends its
     rows to a list. Every accepted row keeps its line number, so duplicate
-    keys are resolved in line order once all rows are in (result).
+    keys are resolved in line order once all rows are in (result). fs and
+    node ids are held as codes in first-seen order (fs_ids, node_ids), which
+    result remaps once to sorted order.
     """
 
     def __init__(self, capacity: int, mode: str, window_len: int):
         self.strict = mode == "strict"
         self.window_len = window_len
-        self.fs = np.empty(capacity, object)
-        self.node = np.empty(capacity, object)
+        self.fs = np.empty(capacity, np.int32)
+        self.node = np.empty(capacity, np.int32)
         self.window = np.empty(capacity, np.int64)
         self.counters = np.empty((capacity, len(ALL_FIELDS)), np.int64)
         self.line = np.empty(capacity, np.int64)
         self.n = 0  # column rows filled
-        # (line, fs, node, window, counters) of each row the row loop accepts
-        self.rows: list[tuple[int, str, str, int, list[int]]] = []
+        # (line, fs code, node code, window, counters) of each row the row loop accepts
+        self.rows: list[tuple[int, int, int, int, list[int]]] = []
         self.bad: list[tuple[int, str]] = []  # (line, reason) of each bad row
-        self.ids: dict[str, str] = {}  # one shared str per distinct id
+        self.fs_ids = _IdCodes()
+        self.node_ids = _IdCodes()
         self.starts: dict[str, int] = {}  # timestamp -> window start or _NO_STAMP
 
     def done(self) -> bool:
@@ -268,19 +297,26 @@ class _StatsRows:
 
     def _loop_lines(self, lines: list[str], first: int) -> None:
         """Lines first, first + 1, ... through the row loop."""
-        self.row_loop(zip(range(first, first + len(lines)), csv.reader(lines)))
+        self.row_loop(csv_rows(lines, first))
 
     def _read_range(self, text: str, lines: list[str], first: int) -> bool:
         """Read a range column-wise if it passes the clean proof; False if not.
 
-        The proof: ASCII only; no "+" or whitespace other than LF; 23 commas
-        on every line; every line read by np.loadtxt as three keys and 21
-        int64 counters. np.loadtxt reads a signed or space-padded token, and
-        gives a non-ASCII one a value, where parse_int_cells refuses it; on
-        what is left it takes only -?[0-9]+, with int()'s value. A row of a
-        proven range with a negative counter, an inexact or off-grid
-        timestamp or an empty id goes alone through the row loop.
+        The proof: no cell longer than csv.field_size_limit(), which only a
+        range longer than that limit can hold; ASCII only; no "+" or
+        whitespace other than LF; 23 commas on every line; every line read
+        by np.loadtxt as three keys and 21 int64 counters. np.loadtxt reads
+        a signed or space-padded token, and gives a non-ASCII one a value,
+        where parse_int_cells refuses it; on what is left it takes only
+        -?[0-9]+, with int()'s value. A row of a proven range with a
+        negative counter, an inexact or off-grid timestamp or an empty id
+        goes alone through the row loop.
         """
+        limit = csv.field_size_limit()
+        if len(text) > limit and any(
+            len(cell) > limit for line in lines if len(line) > limit for cell in line.split(",")
+        ):
+            return False
         if not text.isascii() or any(c in text for c in _UNCLEAN_CHARS):
             return False
         if text.count(",") != len(lines) * (len(STATS_HEADER) - 1):
@@ -302,12 +338,12 @@ class _StatsRows:
                 self.starts[stamp] = parse_utc(stamp)
             except ValueError:
                 self.starts[stamp] = _NO_STAMP
-        ids = self.ids
+        fs_ids, node_ids = self.fs_ids, self.node_ids
         at = slice(self.n, self.n + len(lines))
         fs, node, window, counters = self.fs[at], self.node[at], self.window[at], self.counters[at]
         window[:] = [self.starts[stamp] for stamp in stamps]
-        fs[:] = [ids.setdefault(x, x) for x in keys[:, 1].tolist()]
-        node[:] = [ids.setdefault(x, x) for x in keys[:, 2].tolist()]
+        fs[:] = np.fromiter(map(fs_ids.__getitem__, keys[:, 1].tolist()), np.int32, len(lines))
+        node[:] = np.fromiter(map(node_ids.__getitem__, keys[:, 2].tolist()), np.int32, len(lines))
         counters[:] = table["counters"]
         line = self.line[at]
         line[:] = np.arange(first, first + len(lines))
@@ -325,8 +361,8 @@ class _StatsRows:
             (counters < 0).any(axis=1)
             | (window == _NO_STAMP)
             | (window % self.window_len != 0)
-            | (fs == "")
-            | (node == "")
+            | (fs == fs_ids.get("", -1))
+            | (node == node_ids.get("", -1))
         )
         good = ~bad
         kept = int(good.sum())
@@ -337,17 +373,21 @@ class _StatsRows:
         self.row_loop(zip([first + i for i in picked], csv.reader(lines[i] for i in picked)))
         return True
 
-    def row_loop(self, rows: Iterable[tuple[int, list[str]]]) -> None:
+    def row_loop(self, rows: Iterable[tuple[int, list[str] | csv.Error]]) -> None:
         """Check (line, cells) rows one by one; a blank row is skipped.
 
-        A row must have 24 cells, an exact timestamp on the window_len grid,
-        non-empty ids and counters (parse_int_cells) in [0, 2**63 - 1]; a
-        window_len that does not divide an hour makes every row bad.
+        A row must be readable as csv (cells, not a csv.Error), have 24
+        cells, an exact timestamp on the window_len grid, non-empty ids and
+        counters (parse_int_cells) in [0, 2**63 - 1]; a window_len that does
+        not divide an hour makes every row bad.
         """
         window_len = self.window_len
         bad_len = window_len <= 0 or HOUR % window_len != 0
-        ids = self.ids
+        fs_ids, node_ids = self.fs_ids, self.node_ids
         for line_no, row in rows:
+            if isinstance(row, csv.Error):
+                self.bad.append((line_no, str(row)))
+                continue
             if not row:
                 continue
             if len(row) != len(STATS_HEADER):
@@ -377,8 +417,7 @@ class _StatsRows:
             elif not row[1] or not row[2]:
                 self.bad.append((line_no, "fs_id and node_id must be non-empty"))
             else:
-                fs, node = ids.setdefault(row[1], row[1]), ids.setdefault(row[2], row[2])
-                self.rows.append((line_no, fs, node, window_start, vals))
+                self.rows.append((line_no, fs_ids[row[1]], node_ids[row[2]], window_start, vals))
 
     def result(self) -> tuple[SampleBlock, IngestReport]:
         """The block and report of all rows, duplicate keys resolved in line order.
@@ -393,11 +432,13 @@ class _StatsRows:
         )
         if self.rows:
             lines, fss, nodes, windows, vals = zip(*self.rows)
-            fs = np.concatenate([fs, np.array(fss, object)])
-            node = np.concatenate([node, np.array(nodes, object)])
+            fs = np.concatenate([fs, np.array(fss, np.int32)])
+            node = np.concatenate([node, np.array(nodes, np.int32)])
             window = np.concatenate([window, np.array(windows, np.int64)])
             counters = np.concatenate([counters, np.array(vals, np.int64)])
             line = np.concatenate([line, np.array(lines, np.int64)])
+        fs_labels, fs = label_codes(list(self.fs_ids), fs)
+        node_labels, node = label_codes(list(self.node_ids), node)
         order, repeat = canonical_order(fs, node, window, line)
         # a repeated key's row is superseded by the next sorted row, its next occurrence
         superseded = order[repeat]
@@ -406,7 +447,7 @@ class _StatsRows:
         if self.strict:
             if len(by):
                 i = int(by[np.argmin(line[by])])
-                key = (fs[i], node[i], int(window[i]))
+                key = (fs_labels[fs[i]], node_labels[node[i]], int(window[i]))
                 errors.append((int(line[i]), f"duplicate sample for {key}"))
             if errors:
                 raise IngestError(*min(errors))
@@ -417,7 +458,7 @@ class _StatsRows:
         keep = order[~repeat]
         if len(keep) != len(order) or not (np.diff(keep) == 1).all():
             fs, node, window, counters = fs[keep], node[keep], window[keep], counters[keep]
-        block = SampleBlock(fs, node, window, counters, self.window_len)
+        block = SampleBlock(fs_labels, fs, node_labels, node, window, counters, self.window_len)
         errors.sort()
         return block, IngestReport(
             rows_read=len(order) + len(self.bad),
@@ -436,12 +477,15 @@ def parse_jobs_csv(source: Source, mode: str = "strict") -> tuple[list[JobRecord
     seen: dict[str, int] = {}
     rows_read = 0
     try:
-        reader = csv.reader(stream)
-        _check_header(next(reader, None), JOBS_HEADER)
-        for line_no, row in enumerate(reader, start=2):
+        rows = csv_rows(stream, 1)
+        _check_header(next(rows, (1, None))[1], JOBS_HEADER)
+        for line_no, row in rows:
             if not row:
                 continue
             rows_read += 1
+            if isinstance(row, csv.Error):
+                rejects.add(line_no, str(row))
+                continue
             if len(row) != len(JOBS_HEADER):
                 rejects.add(line_no, f"expected {len(JOBS_HEADER)} columns, got {len(row)}")
                 continue
@@ -518,9 +562,9 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "".join(lines)
 
 
-def _csv_fields(ids: np.ndarray) -> np.ndarray:
-    """Each id as the csv writer renders it inside a row."""
-    labels, codes = id_codes(ids)
+def _csv_fields(labels: Sequence[str], codes: np.ndarray) -> np.ndarray:
+    """Each coded id as the csv writer renders it inside a row; each label
+    is rendered once."""
     return np.array([render_csv((label,), [])[:-1] for label in labels], dtype=object)[codes]
 
 
@@ -532,7 +576,8 @@ def serialize_stats_csv(block: SampleBlock) -> str:
     """Render a sample block in canonical stats CSV form."""
     starts, inverse = np.unique(block.window, return_inverse=True)
     stamps = np.array([format_utc(w) for w in starts.tolist()], dtype=object)[inverse]
-    fs, node = _csv_fields(block.fs), _csv_fields(block.node)
+    fs = _csv_fields(block.fs_labels, block.fs)
+    node = _csv_fields(block.node_labels, block.node)
     parts = [_STATS_HEADER_LINE + "\n"]
     for lo in range(0, len(block), _SERIALIZE_CHUNK):
         hi = min(lo + _SERIALIZE_CHUNK, len(block))

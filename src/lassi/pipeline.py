@@ -29,6 +29,7 @@ from .model import (
     SampleBlock,
     canonical_order,
     id_codes,
+    merged_labels,
 )
 from .store import Partition, Store
 from .timeutil import DAY, HOUR, day_range, floor_day, floor_hour, hour_range
@@ -102,9 +103,10 @@ def _merge_samples(
     """
     if not len(old):
         return new, 0
-    fs, node, window, counters = (
-        np.concatenate([getattr(old, name), getattr(new, name)])
-        for name in ("fs", "node", "window", "counters")
+    fs_labels, fs = merged_labels((old, new), "fs")
+    node_labels, node = merged_labels((old, new), "node")
+    window, counters = (
+        np.concatenate([getattr(old, name), getattr(new, name)]) for name in ("window", "counters")
     )
     source = np.repeat(np.array([0, 1], np.int8), [len(old), len(new)])
     order, repeat = canonical_order(fs, node, window, source)
@@ -117,7 +119,9 @@ def _merge_samples(
     if not len(changed) and len(replaced) == len(new):
         return old, 0
     keep = order[~repeat]
-    merged = SampleBlock(fs[keep], node[keep], window[keep], counters[keep], new.window_len)
+    merged = SampleBlock(
+        fs_labels, fs[keep], node_labels, node[keep], window[keep], counters[keep], new.window_len
+    )
     return merged, len(changed)
 
 
@@ -166,7 +170,7 @@ def ingest_files(
 
     # one partition's batch at a time, each merged under that partition's lock
     merges = []
-    fs_ids, fs_codes = id_codes(samples.fs)
+    fs_ids, fs_codes = samples.fs_labels, samples.fs
     days = samples.window - samples.window % DAY
     for code, day in sorted(set(zip(fs_codes.tolist(), days.tolist()))):
         batch = samples.take((fs_codes == code) & (days == day))
@@ -204,7 +208,7 @@ def _check_hourly_conservation(
     the totals, field by field; an hour with no totals has none to share."""
     f = len(fs_hours)
     records = (*fs_hours, *app_hours)
-    fs_ids, fs_codes = id_codes(np.array([r.fs_id for r in records], object))
+    fs_ids, fs_codes = id_codes(r.fs_id for r in records)
     hours, hour_pos = np.unique(np.array([r.hour for r in records], np.int64), return_inverse=True)
     # keys run in (hour, fs) order, the order of the fs-hour records
     keys, slot = np.unique(hour_pos * len(fs_ids) + fs_codes, return_inverse=True)

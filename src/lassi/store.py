@@ -129,7 +129,9 @@ def _check_home(record, partition: Partition) -> None:
 
 def _check_samples_home(block: SampleBlock, partition: Partition) -> None:
     """Raise ValueError unless every sample row belongs in the partition."""
-    outside = (block.fs != partition.fs_id) | (
+    labels = block.fs_labels
+    home = labels.index(partition.fs_id) if partition.fs_id in labels else -1
+    outside = (block.fs != home) | (
         block.window - block.window % DAY != partition.date
     )
     if outside.any():
@@ -469,14 +471,16 @@ class Store:
     def _rows(path: Path, stream: io.StringIO, header: tuple[str, ...]):
         """(line number, row) of each non-empty row, after the header.
 
-        Rows must have one cell per header column; anything else raises
-        StoreError naming the path and line.
+        Rows must be readable as csv and have one cell per header column;
+        anything else raises StoreError naming the path and line.
         """
-        reader = csv.reader(stream)
-        got = next(reader, None)
-        if got is None or tuple(got) != header:
+        rows = ingest.csv_rows(stream, 1)
+        got = next(rows, (1, None))[1]
+        if got is None or isinstance(got, csv.Error) or tuple(got) != header:
             raise StoreError(f"{path}: bad header {got!r}")
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in rows:
+            if isinstance(row, csv.Error):
+                raise StoreError(f"{path}: line {line_no}: {row}")
             if not row:
                 continue
             if len(row) != len(header):

@@ -61,12 +61,19 @@ def mk_sample(fs_id, node_id, window_start, **counters) -> tuple:
     return (fs_id, node_id, window_start, mk_counters(**counters))
 
 
+def first_seen_codes(ids) -> tuple[list[str], np.ndarray]:
+    """Distinct ids in first-seen order, and each id's position among them."""
+    seen: dict[str, int] = {}
+    codes = [seen.setdefault(x, len(seen)) for x in ids]
+    return list(seen), np.array(codes, np.int32)
+
+
 def mk_block(rows, window_len=180) -> SampleBlock:
     """A sample block of (fs_id, node_id, window_start, counters) rows in any order."""
     rows = list(rows)
     return SampleBlock.from_columns(
-        np.array([r[0] for r in rows], object),
-        np.array([r[1] for r in rows], object),
+        *first_seen_codes(r[0] for r in rows),
+        *first_seen_codes(r[1] for r in rows),
         np.array([r[2] for r in rows], np.int64),
         np.array([r[3] for r in rows], np.int64).reshape(len(rows), len(ALL_FIELDS)),
         window_len,
@@ -99,12 +106,23 @@ def fsync_spy(monkeypatch) -> list:
     return synced
 
 
+def block_rows(block) -> list[tuple]:
+    """A sample block as (fs_id, node_id, window_start, counters) rows, ids as strings."""
+    return [
+        (block.fs_labels[f], block.node_labels[n], w, tuple(vec))
+        for f, n, w, vec in zip(
+            block.fs.tolist(), block.node.tolist(), block.window.tolist(), block.counters.tolist()
+        )
+    ]
+
+
 def result_dicts(result) -> tuple[dict, dict]:
     """An AttributionResult as dicts of counter tuples: attributed keyed by
     (app_id, fs_id, window_start), unattributed by (fs_id, window_start)."""
     attributed, unattributed = {}, {}
+    fs_ids = [result.fs_labels[f] for f in result.fs.tolist()]
     for who, fs_id, w, vec in zip(
-        result.owner.tolist(), result.fs.tolist(), result.window.tolist(), result.counters.tolist()
+        result.owner.tolist(), fs_ids, result.window.tolist(), result.counters.tolist()
     ):
         if who < 0:
             unattributed[(fs_id, w)] = tuple(vec)
@@ -117,7 +135,7 @@ def conservation_errors(block, result) -> list[str]:
     """Window-level check: attributed + unattributed must equal the inputs."""
     n = len(ALL_FIELDS)
     totals: dict[tuple[str, int], list[int]] = {}
-    for fs_id, w, vec in zip(block.fs.tolist(), block.window.tolist(), block.counters.tolist()):
+    for fs_id, _, w, vec in block_rows(block):
         slot = totals.setdefault((fs_id, w), [0] * n)
         for i, v in enumerate(vec):
             slot[i] += v

@@ -238,7 +238,8 @@ def test_aggregate_hourly_requires_job_metadata():
     result = AttributionResult(
         apps=("ghost",),
         owner=np.array([0]),
-        fs=np.array(["fs2"], object),
+        fs_labels=("fs2",),
+        fs=np.array([0]),
         window=np.array([BASE_DAY]),
         counters=np.ones((1, 21), np.int64),
     )

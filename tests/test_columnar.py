@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BASE_DAY, mk_block, mk_counters, mk_job, mk_sample, result_dicts
+from helpers import (
+    BASE_DAY,
+    block_rows,
+    mk_block,
+    mk_counters,
+    mk_job,
+    mk_sample,
+    result_dicts,
+)
 from lassi import ingest
 from lassi.attribution import (
     AttributionConfig,
@@ -26,7 +34,7 @@ from lassi.attribution import (
 from lassi.errors import IngestError, LassiError
 from lassi.ingest import STATS_HEADER, _parse_stats_rows, parse_stats_csv, serialize_stats_csv
 from lassi.model import INT64_MAX, SampleBlock
-from lassi.pipeline import ingest_files
+from lassi.pipeline import _merge_samples, ingest_files
 from lassi.store import Store
 from lassi.timeutil import DAY, HOUR, floor_hour, format_utc, parse_utc
 
@@ -176,6 +184,29 @@ def _shapes():
 @pytest.mark.parametrize("shape", sorted(_shapes()))
 def test_file_shapes_agree(shape):
     assert_agrees(_shapes()[shape])
+
+
+def test_a_cell_past_the_csv_field_limit_is_a_line_numbered_reject():
+    limit = csv.field_size_limit()
+    long_row = row(node="n" * (limit + 1))
+    plain = text_of(long_row, row())
+    # the same file with one cell quoted goes whole to the row loop
+    quoted = text_of(long_row, row(node='"nid1"'))
+    reason = f"field larger than field limit ({limit})"
+    for text in (plain, quoted):
+        assert_agrees(text)
+        block, report = parse_stats_csv(io.StringIO(text), "lenient")
+        assert [block.key(i) for i in range(len(block))] == [("fs2", "nid1", BASE_DAY)]
+        assert report.rejected_reasons == ((2, reason),)
+        with pytest.raises(IngestError) as err:
+            parse_stats_csv(io.StringIO(text))
+        assert (err.value.line, err.value.reason) == (2, reason)
+    assert outcome(parse_stats_csv, io.StringIO(plain), "lenient") == outcome(
+        parse_stats_csv, io.StringIO(quoted), "lenient"
+    )
+    # a cell of exactly the limit is a cell like any other
+    block, report = parse_stats_csv(io.StringIO(text_of(row(node="n" * limit))))
+    assert (len(block), report.rows_rejected) == (1, 0)
 
 
 def looped_lines(monkeypatch) -> list:
@@ -408,7 +439,7 @@ def test_concat_restores_canonical_order():
     a = mk_block([mk_sample("fs2", "n1", 0), mk_sample("fs2", "n1", 360)])
     b = mk_block([mk_sample("fs1", "n1", 180), mk_sample("fs1", "n1", 360)])
     both = SampleBlock.concat([a, b])
-    assert list(zip(both.window.tolist(), both.fs.tolist())) == [
+    assert [(w, fs) for fs, _, w, _ in block_rows(both)] == [
         (0, "fs2"),
         (180, "fs1"),
         (360, "fs1"),
@@ -419,6 +450,100 @@ def test_concat_restores_canonical_order():
         SampleBlock.concat([a, a])
 
 
+# --- the code form equals a string-keyed reference --------------------------
+
+# ids whose first-seen order differs from their sorted order ("n9" before
+# "n10"), ids the csv writer quotes, and non-ASCII ids
+code_ids = st.sampled_from(["n9", "n10", "n1", "a,b", 'q"t', "é", "Ω2", "z"]) | awkward_ids
+sample_rows = st.lists(
+    st.tuples(
+        code_ids,
+        code_ids,
+        st.integers(0, 6).map(lambda i: BASE_DAY + i * 180),
+        st.tuples(*[st.integers(0, 3)] * 21),
+    ),
+    max_size=14,
+    unique_by=lambda t: (t[0], t[1], t[2]),
+)
+
+
+def canonical_rows(rows):
+    """(fs, node, window, counters) rows sorted by (window, fs, node) as strings."""
+    return sorted(rows, key=lambda r: (r[2], r[0], r[1]))
+
+
+def assert_code_form(block):
+    """Label tables sorted, distinct and all used; every code indexes its table."""
+    for labels, codes in ((block.fs_labels, block.fs), (block.node_labels, block.node)):
+        assert type(labels) is tuple and list(labels) == sorted(set(labels))
+        assert codes.dtype == np.int32
+        assert sorted(set(codes.tolist())) == list(range(len(labels)))
+
+
+def first_duplicate(a, b):
+    """The message naming the lowest (window, fs, node) key both row lists hold."""
+    both = {r[:3] for r in a} & {r[:3] for r in b}
+    fs, node, w = min(both, key=lambda k: (k[2], k[0], k[1]))
+    return f"duplicate sample for {(fs, node, w)}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(old=sample_rows, new=sample_rows, mask=st.lists(st.booleans(), min_size=14, max_size=14))
+def test_code_form_matches_string_keyed_reference(old, new, mask):
+    a, b = mk_block(old), mk_block(new)
+    for block, rows in ((a, old), (b, new)):
+        assert_code_form(block)
+        assert block_rows(block) == canonical_rows(rows)
+        assert [block.key(i) for i in range(len(block))] == [r[:3] for r in canonical_rows(rows)]
+
+    # take keeps the selected rows and only the labels they use
+    picked = a.take(np.array(mask[: len(a)], bool))
+    assert_code_form(picked)
+    assert block_rows(picked) == [r for r, m in zip(canonical_rows(old), mask) if m]
+
+    # concat: the sorted union, or the lowest shared key named in the error
+    if {r[:3] for r in old} & {r[:3] for r in new}:
+        with pytest.raises(ValueError) as exc:
+            SampleBlock.concat([a, b])
+        assert str(exc.value) == first_duplicate(old, new)
+    else:
+        both = SampleBlock.concat([a, b])
+        assert_code_form(both)
+        assert block_rows(both) == canonical_rows(old + new)
+        assert both == mk_block(new + old)
+
+    # _merge_samples: new rows win; strict refuses the lowest changed key
+    union = {r[:3]: r for r in old}
+    changed = sorted(
+        (r for r in new if r[:3] in union and union[r[:3]] != r), key=lambda r: (r[2], r[0], r[1])
+    )
+    union.update({r[:3]: r for r in new})
+    merged, count = _merge_samples(a, b, "lenient", "here")
+    assert_code_form(merged)
+    assert block_rows(merged) == canonical_rows(list(union.values()))
+    assert count == len(changed)
+    if old and not changed and len(union) == len(old):
+        assert merged is a
+    if changed:
+        with pytest.raises(IngestError) as exc:
+            _merge_samples(a, b, "strict", "here")
+        assert exc.value.reason == f"sample {changed[0][:3]} conflicts here"
+    else:
+        assert _merge_samples(a, b, "strict", "here") == (merged, 0)
+
+    # the canonical text parses back to the block, and so does the same
+    # rows' text in drawn order, whose ids come first-seen unsorted
+    text = serialize_stats_csv(merged)
+    back, report = parse_stats_csv(io.StringIO(text))
+    assert report.rows_rejected == 0
+    assert_code_form(back)
+    assert back == merged
+    drawn = ingest.render_csv(
+        STATS_HEADER, [(format_utc(w), fs, node) + vec for fs, node, w, vec in union.values()]
+    )
+    assert parse_stats_csv(io.StringIO(drawn))[0] == merged
+
+
 def test_ingest_merges_overlapping_files_in_one_call(tmp_path):
     one, two = tmp_path / "a.csv", tmp_path / "b.csv"
     one.write_text(text_of(row(), row(ts=T1)), encoding="utf-8")
@@ -427,7 +552,7 @@ def test_ingest_merges_overlapping_files_in_one_call(tmp_path):
     summary = ingest_files(store, [one, two])
     assert (summary.samples, summary.rejected) == (3, 0)
     got = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
-    assert list(zip(got.window.tolist(), got.node.tolist())) == [
+    assert [(w, node) for _, node, w, _ in block_rows(got)] == [
         (BASE_DAY, "nid1"),
         (BASE_DAY, "nid2"),
         (BASE_DAY + 180, "nid1"),

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -203,6 +204,19 @@ def test_duplicate_app_id_rejected():
     assert j.job_id == "1.sdb"  # first record stands, later duplicate is rejected
     assert report.rows_rejected == 1
     assert "duplicate app_id" in report.rejected_reasons[0][1]
+
+
+def test_a_jobs_cell_past_the_csv_field_limit_is_a_line_numbered_reject():
+    limit = csv.field_size_limit()
+    good = "app1,1.sdb,u,2017-10-09T01:00:00Z,2017-10-09T02:00:00Z,n1,c"
+    long = "app2,2.sdb,u,2017-10-09T01:00:00Z,2017-10-09T02:00:00Z,n2," + "c" * (limit + 1)
+    reason = f"field larger than field limit ({limit})"
+    jobs, report = parse_jobs_csv(io.StringIO(jobs_text(long, good)), mode="lenient")
+    assert [j.app_id for j in jobs] == ["app1"]
+    assert report.rejected_reasons == ((2, reason),)
+    with pytest.raises(IngestError) as err:
+        parse_jobs_csv(io.StringIO(jobs_text(long, good)))
+    assert (err.value.line, err.value.reason) == (2, reason)
 
 
 def test_bad_mode_rejected():

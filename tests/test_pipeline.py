@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from lassi import pipeline, synth
+from lassi import attribution, model, pipeline, synth
 from lassi.attribution import AttributionConfig
 from lassi.errors import IngestError, LassiError
 from lassi.ingest import JOBS_HEADER, STATS_HEADER
@@ -447,3 +447,32 @@ def test_long_lived_and_fresh_stores_give_the_same_exposures(tmp_path):
         fresh = exposure_for(Store(store.root, window_len=600), job.app_id)
         assert exposure_for(store, job.app_id) == fresh
         assert fresh and all(r.app_id == job.app_id for r in fresh)
+
+
+def test_ids_are_coded_once_per_file_not_once_per_sample(tmp_path, monkeypatch):
+    """After the parser's one dedup, id strings are coded only for records:
+    the job list's app_ids and the hourly records the conservation check
+    groups, never a per-sample column."""
+    scenario = synth.parse_scenario(TASKFARM_SCENARIO.read_text(encoding="utf-8"))
+    gen = synth.generate(scenario, tmp_path / "data", with_oracle=False)
+    coded = []
+
+    def spy(real):
+        def id_codes(ids):
+            ids = list(ids)
+            coded.append(len(ids))
+            return real(ids)
+
+        return id_codes
+
+    for module in (model, pipeline, attribution):
+        monkeypatch.setattr(module, "id_codes", spy(module.id_codes))
+    start = parse_utc("2017-10-10T00:00:00Z")
+    store = Store(tmp_path / "store", window_len=600)
+    ingested = ingest_files(store, [gen.stats_path], [gen.jobs_path])
+    summary = aggregate_range(
+        store, start, start + 2 * DAY, AttributionConfig("proportional", window_len=600)
+    )
+    records = summary.app_hour_records + summary.fs_hour_records
+    assert sorted(coded) == sorted([len(gen.jobs), records])
+    assert ingested.samples > 10 * records

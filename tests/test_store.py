@@ -1,5 +1,6 @@
 """Partition store round-trips, bounds checks, locking, and baseline lookup."""
 
+import csv
 import fcntl
 import os
 import re
@@ -21,7 +22,16 @@ from lassi.model import ALL_FIELDS, INT64_MAX, AppHourRecord, FsHourRecord
 from lassi.store import Partition, Store
 from lassi.timeutil import DAY, HOUR, format_utc, parse_date, parse_utc
 
-from helpers import BASE_DAY, count_calls, fsync_spy, mk_block, mk_counters, mk_job, mk_sample
+from helpers import (
+    BASE_DAY,
+    block_rows,
+    count_calls,
+    fsync_spy,
+    mk_block,
+    mk_counters,
+    mk_job,
+    mk_sample,
+)
 
 
 def app_hour(read_kb):
@@ -87,7 +97,7 @@ def test_samples_round_trip(store):
     assert n == 3
     back = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
     # canonical order: window, then fs, then node
-    assert list(zip(back.window.tolist(), back.node.tolist())) == [
+    assert [(w, node) for _, node, w, _ in block_rows(back)] == [
         (BASE_DAY, "nid1"),
         (BASE_DAY + 180, "nid1"),
         (BASE_DAY + 360, "nid2"),
@@ -191,7 +201,7 @@ def test_hour_records_round_trip_through_partitions(vectors):
             assert second.path(partition).read_bytes() == first.path(partition).read_bytes()
 
 
-@pytest.mark.parametrize("defect", ["short", "long", "non_integer", "negative"])
+@pytest.mark.parametrize("defect", ["short", "long", "non_integer", "negative", "past_csv_limit"])
 @pytest.mark.parametrize("dataset", ["app_hours", "fs_hours", "baselines"])
 def test_malformed_row_raises_store_error_naming_path_and_line(store, dataset, defect):
     records = {"app_hours": [app_hour(1)], "fs_hours": [fs_hour()], "baselines": [make_baseline()]}
@@ -207,6 +217,8 @@ def test_malformed_row_raises_store_error_naming_path_and_line(store, dataset, d
         cells += ["0", "0"]
     elif defect == "non_integer":
         cells[-1] = "x" if dataset == "baselines" else "1.5"
+    elif defect == "past_csv_limit":
+        cells[-1] = "1" * (csv.field_size_limit() + 1)
     else:
         cells[-1] = "-1"
     lines[1] = ",".join(cells)
