@@ -41,6 +41,7 @@ from .pipeline import (
     build_baselines,
     compute_outputs_from_files,
     exposure_for,
+    exposures,
     ingest_files,
 )
 from .report import (
@@ -280,18 +281,17 @@ def cmd_scatter(args, settings: Settings) -> int:
     if group is None:
         raise ValueError("no command group matches; pass --app or --key")
 
-    exposures = {}
-    for app_id, _runtime in group.runs:
-        recs = exposure_for(store, app_id, args.fs, alpha=args.alpha)
+    by_app = exposures(store, [app_id for app_id, _runtime in group.runs], args.fs, args.alpha)
+    for app_id, recs in by_app.items():
         if len(recs) != 1:
             raise ValueError(
                 f"app {app_id} touched {len(recs)} filesystems; pass --fs to pick one"
             )
-        exposures[app_id] = recs[0]
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("app_id", "runtime_s", "risk_oss_sum", "risk_mds_axis"))
-    for point in runtime_vs_risk(group, exposures):
+    points = runtime_vs_risk(group, {app_id: recs[0] for app_id, recs in by_app.items()})
+    for point in points:
         writer.writerow(
             (
                 point.app_id,

@@ -44,7 +44,7 @@ import io
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import count, takewhile
+from itertools import takewhile
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
 
@@ -97,11 +97,14 @@ def _open_source(source: Source) -> tuple[IO[str], bool]:
 
 
 def csv_rows(lines: Iterable[str], first: int) -> Iterator[tuple[int, list[str] | csv.Error]]:
-    """(line, cells) of each csv row of lines, numbered from first. A row the
-    csv module refuses, such as one holding a cell longer than
+    """(line, cells) of each csv row of lines, where the first of lines is
+    line first: each row has the number of the line it starts on, so a
+    quoted cell that spans lines does not shift later rows. A row the csv
+    module refuses, such as one holding a cell longer than
     csv.field_size_limit(), comes with its csv.Error in place of cells."""
     reader = csv.reader(lines)
-    for line in count(first):
+    while True:
+        line = first + reader.line_num
         try:
             yield line, next(reader)
         except StopIteration:

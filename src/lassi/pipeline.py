@@ -10,9 +10,10 @@ partitions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -385,12 +386,25 @@ def compute_outputs_from_files(
     return compute_outputs(samples, jobs, period, alpha, config)
 
 
+def _jobs_by_id(store: Store, app_ids: Sequence[str]) -> dict[str, JobRecord]:
+    """Each app_id's job from the stored jobs partitions, read in one pass
+    that ends once all are found; the first app_id not stored raises ValueError."""
+    wanted = set(app_ids)
+    found: dict[str, JobRecord] = {}
+    for _, jobs in store.job_partitions(wanted):
+        for app_id in jobs.keys() & wanted:
+            found.setdefault(app_id, jobs[app_id])
+        if len(found) == len(wanted):
+            break
+    for app_id in app_ids:
+        if app_id not in found:
+            raise ValueError(f"no job with app_id {app_id!r} in the store")
+    return found
+
+
 def find_job(store: Store, app_id: str) -> JobRecord:
     """Locate one job by app_id among the stored jobs partitions."""
-    for _, jobs in store.job_partitions((app_id,)):
-        if app_id in jobs:
-            return jobs[app_id]
-    raise ValueError(f"no job with app_id {app_id!r} in the store")
+    return _jobs_by_id(store, (app_id,))[app_id]
 
 
 def _joined(days: Sequence[RiskSeries]) -> RiskSeries:
@@ -406,37 +420,86 @@ def _joined(days: Sequence[RiskSeries]) -> RiskSeries:
     )
 
 
+def exposures(
+    store: Store,
+    app_ids: Sequence[str],
+    fs_id: str | None = None,
+    alpha: float | None = None,
+) -> dict[str, list[ExposureRecord]]:
+    """Ambient filesystem risk summed over each run's hours, by app_id in
+    the order given.
+
+    Each run uses the stored baseline effective on its start date, with
+    alpha in place of its own when given. Without an explicit filesystem,
+    every filesystem with attributed activity for the app during its run is
+    reported; only those load a baseline. Activity is read from
+    Store.day_apps and risk from Store.day_risk, one full-day series per day
+    a run spans. The batch reads the jobs partitions in one pass, lists each
+    filesystem's baselines once, loads each (filesystem, label) baseline
+    once and reads each (filesystem, day)'s activity and risk once, so runs
+    sharing days share that work. The first app_id not stored raises
+    ValueError; then, app by app, a day never aggregated raises
+    FileNotFoundError and an app with no activity ValueError.
+    """
+    jobs = _jobs_by_id(store, app_ids)
+    candidates = [fs_id] if fs_id else store.list_fs("app_hours")
+    labels: dict[str, list[int]] = {}
+    baselines: dict[tuple[str, int], FsBaseline] = {}
+    active: dict[tuple[str, int], Mapping[str, tuple[int, ...]]] = {}
+    risk: dict[tuple[tuple[str, int], int], RiskSeries] = {}
+
+    def baseline(fs: str, day: int) -> tuple[str, int]:
+        """The (fs, label) key in baselines of what load_baseline(fs, day,
+        alpha) gives, loaded once per label."""
+        dates = labels.get(fs)
+        if dates is None:
+            dates = labels[fs] = store.partition_dates("baselines", fs)
+        at = bisect_right(dates, day)
+        key = (fs, dates[at - 1] if at else day)
+        if key not in baselines:
+            # with no label on or before day, load_baseline raises its error
+            baselines[key] = (
+                store.baseline_at(fs, key[1], alpha) if at else store.load_baseline(fs, day, alpha)
+            )
+        return key
+
+    def day_apps(fs: str, day: int) -> Mapping[str, tuple[int, ...]]:
+        if (fs, day) not in active:
+            active[fs, day] = store.day_apps(fs, day)
+        return active[fs, day]
+
+    def day_risk(key: tuple[str, int], day: int) -> RiskSeries:
+        if (key, day) not in risk:
+            risk[key, day] = store.day_risk(key[0], day, baselines[key])
+        return risk[key, day]
+
+    out: dict[str, list[ExposureRecord]] = {}
+    for app_id in app_ids:
+        job = jobs[app_id]
+        t0 = floor_hour(job.start)
+        t1 = hour_range(t0, job.end)[-1] + HOUR
+        days = day_range(t0, t1)
+        records: list[ExposureRecord] = []
+        for fs in candidates:
+            if fs_id is None and not any(
+                t0 <= hour < t1 for day in days for hour in day_apps(fs, day).get(app_id, ())
+            ):
+                continue
+            key = baseline(fs, floor_day(job.start))
+            series = _joined([day_risk(key, day) for day in days])
+            records.append(run_risk_exposure(job, series))
+        if not records:
+            raise ValueError(f"app {app_id!r} has no attributed activity; pass an explicit fs")
+        out[app_id] = records
+    return out
+
+
 def exposure_for(
     store: Store,
     app_id: str,
     fs_id: str | None = None,
     alpha: float | None = None,
 ) -> list[ExposureRecord]:
-    """Ambient filesystem risk summed over one run's hours.
-
-    Uses the stored baseline effective on the job's start date, with alpha
-    in place of its own when given. Without an explicit filesystem, every
-    filesystem with attributed activity for the app during its run is
-    reported; only those load a baseline. Activity is read from
-    Store.day_apps and risk from Store.day_risk, one full-day series per
-    day the run spans, so the runs of a day share one series within a
-    Store. A day never aggregated raises FileNotFoundError.
-    """
-    job = find_job(store, app_id)
-    t0 = floor_hour(job.start)
-    t1 = hour_range(t0, job.end)[-1] + HOUR
-    days = day_range(t0, t1)
-
-    candidates = [fs_id] if fs_id else store.list_fs("app_hours")
-    out: list[ExposureRecord] = []
-    for fs in candidates:
-        if fs_id is None and not any(
-            t0 <= hour < t1 for day in days for hour in store.day_apps(fs, day).get(app_id, ())
-        ):
-            continue
-        baseline = store.load_baseline(fs, floor_day(job.start), alpha)
-        series = _joined([store.day_risk(fs, day, baseline) for day in days])
-        out.append(run_risk_exposure(job, series))
-    if not out:
-        raise ValueError(f"app {app_id!r} has no attributed activity; pass an explicit fs")
-    return out
+    """Ambient filesystem risk summed over one run's hours: exposures for
+    one app_id, with its records, rules and errors."""
+    return exposures(store, (app_id,), fs_id, alpha)[app_id]

@@ -30,8 +30,9 @@ keeps the values derived from it: the day's risk series (day_risk), one per
 baseline, keyed on the baseline's values (filesystem, period, alpha, means),
 and the day's app_id -> hours index (day_apps). They follow the same rule:
 each call reads the file's bytes, checks the day's fs_hours marker, and drops
-them with the parse when the bytes change. Samples are never held, and no
-setting controls any of this; the memo lives as long as the ``Store``. A
+them with the parse when the bytes change. Each partition's path is joined
+once per ``Store``. Samples are never held, and no setting controls any of
+this; the memo lives as long as the ``Store``. A
 lookup of jobs by app_id reads every jobs file but parses only those whose
 bytes may name one of the jobs.
 
@@ -227,9 +228,15 @@ class Store:
         self._memo: dict[Path, tuple[bytes, object, dict]] = {}
         # partitions this Store holds the lock of; see _locked
         self._held: set[Path] = set()
+        # each partition's path, resolved once; see path
+        self._paths: dict[Partition, Path] = {}
 
     def path(self, partition: Partition) -> Path:
-        return self.root.joinpath(*partition.parts())
+        """The partition's file below the root, joined once per Store."""
+        path = self._paths.get(partition)
+        if path is None:
+            path = self._paths[partition] = self.root.joinpath(*partition.parts())
+        return path
 
     @contextmanager
     def _locked(self, path: Path):
@@ -559,7 +566,12 @@ class Store:
                 f"no baseline stored for {fs_id} on or before {date_str(date)}; "
                 f"run `lassi baseline` first"
             )
-        path = self.path(Partition("baselines", fs_id, max(candidates)))
+        return self.baseline_at(fs_id, max(candidates), alpha)
+
+    def baseline_at(self, fs_id: str, label_date: int, alpha: float | None = None) -> FsBaseline:
+        """The baseline stored for fs_id under exactly label_date, with alpha,
+        when given, in place of the stored one; FileNotFoundError if none."""
+        path = self.path(Partition("baselines", fs_id, label_date))
         baseline = self._parsed("baselines", path)
         alpha = baseline.alpha if alpha is None else alpha
         return replace(baseline, means=dict(baseline.means), alpha=alpha)

@@ -2,10 +2,12 @@
 
 Timestamps are integer epoch seconds everywhere inside the package. The only
 accepted wire format is ISO-8601 UTC with a trailing Z (YYYY-MM-DDTHH:MM:SSZ).
-Dates are exactly YYYY-MM-DD. Parse and format results are cached: a day of
-samples repeats the same 480 window timestamps once per node, and the store
-parses the same partition names on every listing, so the cache turns those
-hot paths into dict lookups.
+Dates are exactly YYYY-MM-DD. Parse and format results are cached, dates
+(parse_date, date_str) as well as timestamps: a day of samples repeats the
+same 480 window timestamps once per node, and the store parses and names the
+same partition dates on every listing and lookup, so the caches turn those
+hot paths into dict lookups. Each cache stops growing at _CACHE_LIMIT
+entries.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ _CACHE_LIMIT = 500_000
 _parse_cache: dict[str, int] = {}
 _format_cache: dict[int, str] = {}
 _date_cache: dict[str, int] = {}
+_date_str_cache: dict[int, str] = {}
 
 _DATE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
 _EPOCH = date(1970, 1, 1)
@@ -77,7 +80,13 @@ def parse_date(text: str) -> int:
 
 def date_str(ts: int) -> str:
     """Format the UTC calendar date containing ``ts`` as YYYY-MM-DD."""
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime(_DATE_FORMAT)
+    cached = _date_str_cache.get(ts)
+    if cached is not None:
+        return cached
+    text = datetime.fromtimestamp(ts, tz=timezone.utc).strftime(_DATE_FORMAT)
+    if len(_date_str_cache) < _CACHE_LIMIT:
+        _date_str_cache[ts] = text
+    return text
 
 
 def floor_hour(ts: int) -> int:

@@ -5,7 +5,8 @@ the memo beside its app_hours parse. These tests hold that path to the
 direct one (a range read and one fs_risk_series per query), check that a
 series is scored once per (filesystem, day, baseline values), that a
 long-lived Store follows every change to its inputs, and that the refusals
-of the direct path still hold.
+of the direct path still hold, for one run (exposure_for) and for a batch
+of runs (exposures).
 """
 
 import csv
@@ -18,7 +19,13 @@ from lassi.attribution import AttributionConfig
 from lassi.errors import MissingBaselineError
 from lassi.ingest import JOBS_HEADER, STATS_HEADER
 from lassi.metrics import fs_risk_series
-from lassi.pipeline import aggregate_range, build_baselines, exposure_for, ingest_files
+from lassi.pipeline import (
+    aggregate_range,
+    build_baselines,
+    exposure_for,
+    exposures,
+    ingest_files,
+)
 from lassi.report import build_daily_report, bundle_files
 from lassi.store import Partition, Store
 from lassi.timeutil import DAY, hour_range, parse_utc
@@ -92,6 +99,60 @@ def test_exposures_equal_the_direct_path(store, alpha):
     crossing = exposure_for(store, CROSSING, alpha=alpha)
     assert [(r.fs_id, r.hours) for r in crossing] == [("fs2", 3), ("fs3", 3)]
     assert any(r.risk_oss_sum > 0 for app_id in apps for r in exposure_for(store, app_id))
+
+
+@pytest.mark.parametrize("alpha", [None, 4.0])
+def test_a_batch_equals_the_direct_path_app_by_app(store, alpha):
+    direct = Store(store.root, window_len=WINDOW)
+    apps = active_apps(store)
+    # given order is kept, a repeated app_id answered once
+    batch = exposures(store, [*reversed(apps), apps[0]], alpha=alpha)
+    assert list(batch) == [*reversed(apps)]
+    assert batch == {app_id: reference_exposures(direct, app_id, alpha=alpha) for app_id in apps}
+    stored = [*apps, CROSSING, IDLE]
+    for fs in FILESYSTEMS:
+        assert exposures(store, stored, fs, alpha) == {
+            app_id: reference_exposures(direct, app_id, fs, alpha) for app_id in stored
+        }
+
+
+def spy(monkeypatch, name) -> list:
+    """Record the arguments of each Store.<name> call for one test."""
+    calls = []
+    real = getattr(Store, name)
+
+    def wrapper(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Store, name, wrapper)
+    return calls
+
+
+def test_a_batch_lists_jobs_once_and_loads_each_baseline_label_once(store, monkeypatch):
+    apps = active_apps(store)
+    listed = spy(monkeypatch, "partition_dates")
+    loaded = spy(monkeypatch, "baseline_at")
+    exposures(store, apps)
+    assert sorted(listed, key=str) == [("baselines", "fs2"), ("baselines", "fs3"), ("jobs", None)]
+    assert sorted(loaded) == [("fs2", START, None), ("fs3", START, None)]
+
+
+@pytest.mark.parametrize(
+    "app_id, message",
+    [
+        ("app9999", "no job with app_id 'app9999' in the store"),
+        (IDLE, f"app {IDLE!r} has no attributed activity; pass an explicit fs"),
+    ],
+)
+def test_a_batch_refuses_as_exposure_for_does(store, app_id, message):
+    with pytest.raises(ValueError) as single:
+        exposure_for(store, app_id)
+    assert str(single.value) == message
+    for batch in ([app_id], ["app0001", app_id, "app0002"]):
+        with pytest.raises(ValueError) as err:
+            exposures(store, batch)
+        assert str(err.value) == message
 
 
 def test_daily_report_series_is_a_direct_fs_risk_series(store):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import mk_block, mk_job, mk_sample
-from lassi.errors import IngestError
+from lassi.errors import IngestError, StoreError
 from lassi.ingest import (
     JOBS_HEADER,
     STATS_HEADER,
@@ -217,6 +217,46 @@ def test_a_jobs_cell_past_the_csv_field_limit_is_a_line_numbered_reject():
     with pytest.raises(IngestError) as err:
         parse_jobs_csv(io.StringIO(jobs_text(long, good)))
     assert (err.value.line, err.value.reason) == (2, reason)
+
+
+# a quoted id holding a newline spans lines 2 and 3, so the bad row is line 5
+QUOTED_NEWLINE_NODE = '2017-10-09T00:00:00Z,fs2,"n\nid",' + ",".join(["1"] * 21)
+NEGATIVE_ROW = "2017-10-09T00:06:00Z,fs2,nid00001,-1," + ",".join(["1"] * 20)
+QUOTED_NEWLINE_JOB = 'app1,1.sdb,u,2017-10-09T01:00:00Z,2017-10-09T02:00:00Z,n1,"a\nb"'
+GOOD_JOB = "app2,2.sdb,u,2017-10-09T01:00:00Z,2017-10-09T02:00:00Z,n2,c"
+BAD_TIME_JOB = "app3,3.sdb,u,2017-10-09T01:00:00Z,never,n3,c"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_stats_csv, stats_text(QUOTED_NEWLINE_NODE, GOOD_ROW, NEGATIVE_ROW)),
+        (parse_jobs_csv, jobs_text(QUOTED_NEWLINE_JOB, GOOD_JOB, BAD_TIME_JOB)),
+    ],
+    ids=["stats", "jobs"],
+)
+def test_rejects_name_the_file_line_after_a_quoted_newline(parse, text):
+    assert text.splitlines()[4].startswith(("2017-10-09T00:06:00Z,", "app3,"))
+    with pytest.raises(IngestError) as err:
+        parse(io.StringIO(text))
+    assert err.value.line == 5
+    parsed, report = parse(io.StringIO(text), mode="lenient")
+    assert len(parsed) == 2
+    assert [line for line, _ in report.rejected_reasons] == [5]
+    assert report.first_error_line == 5
+
+
+def test_a_store_error_names_the_file_line_after_a_quoted_newline(tmp_path):
+    store = Store(tmp_path / "store")
+    partition = Partition("jobs", None, 0)
+    jobs = [mk_job("app1", ["n1"], 3600, 7200, command="a\nb"), mk_job("app2", ["n2"], 3600, 7200)]
+    store.write_partition(jobs, partition)
+    path = store.path(partition)
+    text = path.read_text(encoding="utf-8")
+    assert text.count("\n") == 4  # header, app1 over two lines, app2
+    path.write_text(text.replace("app2,", "app1,"), encoding="utf-8")
+    with pytest.raises(StoreError, match="line 4: duplicate app_id"):
+        store.read_range("jobs", None, 0, DAY)
 
 
 def test_bad_mode_rejected():

@@ -1,3 +1,5 @@
+from datetime import datetime, timezone
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -102,6 +104,20 @@ def test_parse_format_round_trip_known_values():
     assert format_utc(1507555800) == "2017-10-09T13:30:00Z"
     assert parse_date("2017-10-09") == 1507507200
     assert date_str(1507555800) == "2017-10-09"
+
+
+LEAP_DAYS = ("1972-02-29", "2000-02-29", "2016-02-29", "2024-02-29")
+
+
+@pytest.mark.parametrize("day", ["1970-01-01", *LEAP_DAYS])
+def test_cached_date_str_equals_strftime(day):
+    midnight = parse_date(day)
+    for ts in (midnight, midnight + HOUR, midnight + DAY - 1, midnight + DAY):
+        want = datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%d")
+        # the first call may fill the cache, the second reads it
+        assert date_str(ts) == date_str(ts) == want
+    assert date_str(midnight) == day
+    assert date_str(midnight + DAY) != day
 
 
 @given(st.integers(min_value=0, max_value=4102444800))

@@ -425,6 +425,21 @@ def test_no_temp_files_left_behind(store):
     assert leftovers == []
 
 
+def test_a_partition_path_is_resolved_once_per_store(store):
+    partitions = [
+        Partition(dataset, fs_id, day)
+        for dataset, fs_id in (("samples", "fs2"), ("jobs", None), ("baselines", "fs3"))
+        for day in (0, BASE_DAY, BASE_DAY + DAY)
+    ]
+    first = [store.path(p) for p in partitions]
+    assert first == [store.root.joinpath(*p.parts()) for p in partitions]
+    # equal partitions share the one path; another Store joins its own root
+    again = [store.path(Partition(p.dataset, p.fs_id, p.date)) for p in partitions]
+    assert all(a is f for a, f in zip(again, first))
+    other = Store(store.root / "other")
+    assert other.path(partitions[0]) == store.root / "other" / "samples" / "fs2" / "1970-01-01.csv"
+
+
 def test_stray_file_in_store_rejected(store):
     store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
     (store.root / "samples" / "fs2" / "notes.csv").write_text("junk", encoding="utf-8")
