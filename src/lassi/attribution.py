@@ -39,6 +39,7 @@ from .model import (
     JobRecord,
     SampleBlock,
     id_codes,
+    merged_labels,
 )
 from .timeutil import HOUR, floor_hour
 
@@ -82,6 +83,22 @@ class AttributionResult:
     fs: np.ndarray
     window: np.ndarray
     counters: np.ndarray
+
+    @classmethod
+    def concat(cls, results: Sequence["AttributionResult"]) -> "AttributionResult":
+        """One result holding every row of results, which share one job list;
+        fs codes move onto the union of their label tables."""
+        if len(results) == 1:
+            return results[0]
+        if len({r.apps for r in results}) != 1:
+            raise ValueError("cannot concatenate results over different job lists")
+        fs_labels, fs = merged_labels(results, "fs")
+        owner, window, counters = (
+            np.concatenate([getattr(r, name) for r in results])
+            for name in ("owner", "window", "counters")
+        )
+        fs = fs.astype(np.int64, copy=False)
+        return cls(results[0].apps, owner, fs_labels, fs, window, counters)
 
 
 def _node_index(jobs: Sequence[JobRecord]):

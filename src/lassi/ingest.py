@@ -99,18 +99,30 @@ def _open_source(source: Source) -> tuple[IO[str], bool]:
 def csv_rows(lines: Iterable[str], first: int) -> Iterator[tuple[int, list[str] | csv.Error]]:
     """(line, cells) of each csv row of lines, where the first of lines is
     line first: each row has the number of the line it starts on, so a
-    quoted cell that spans lines does not shift later rows. A row the csv
-    module refuses, such as one holding a cell longer than
-    csv.field_size_limit(), comes with its csv.Error in place of cells."""
-    reader = csv.reader(lines)
+    quoted cell that spans lines does not shift later rows. Lines are counted
+    at LF, as wc -l and the stats range reader count them: a piece of lines
+    ending at a lone CR continues its line, though the csv module may end a
+    row there. A row the csv module refuses, such as one holding a cell
+    longer than csv.field_size_limit(), comes with its csv.Error in place of
+    cells."""
+    line = first
+
+    def pieces() -> Iterator[str]:
+        nonlocal line
+        for piece in lines:
+            if not piece.endswith("\r"):
+                line += 1
+            yield piece
+
+    reader = csv.reader(pieces())
     while True:
-        line = first + reader.line_num
+        at = line
         try:
-            yield line, next(reader)
+            yield at, next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
-            yield line, exc
+            yield at, exc
 
 
 def _check_header(row: list[str] | csv.Error | None, expected: tuple[str, ...]) -> None:

@@ -179,7 +179,8 @@ def canonical_order(
 
 def merged_labels(blocks: Sequence["SampleBlock"], name: str) -> tuple[tuple[str, ...], np.ndarray]:
     """One label table for column ``name`` ("fs" or "node") of several
-    blocks, and that column's codes over it, block after block.
+    blocks, and that column's codes over it, block after block. Attribution
+    results code fs the same way, so their fs columns merge here too.
 
     Blocks sharing one table keep their codes; otherwise each block's codes
     move onto the union through its own small table (label_codes).

@@ -6,6 +6,11 @@ never aggregated live in the store. The store-facing flows partition by
 (filesystem, day) and are idempotent: re-ingesting the same file changes
 nothing and writes no partition, re-aggregating a range rewrites the same
 partitions.
+
+Aggregation holds one UTC day of samples at a time, so its memory grows with
+a day of data, not with the range; what it keeps between days is the output
+(hourly records) and each day's attribution result. Ingest still gathers
+whole input files before it splits them by partition.
 """
 
 from __future__ import annotations
@@ -18,7 +23,13 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .analysis import ExposureRecord, run_risk_exposure
-from .attribution import AttributionConfig, aggregate_hourly, attribute, fs_hourly_totals
+from .attribution import (
+    AttributionConfig,
+    AttributionResult,
+    aggregate_hourly,
+    attribute,
+    fs_hourly_totals,
+)
 from .errors import IngestError, LassiError
 from .ingest import parse_jobs_csv, parse_stats_csv
 from .metrics import FsBaseline, RiskSeries, compute_baseline, fs_risk_series, ops_series
@@ -229,18 +240,37 @@ def _check_hourly_conservation(
 
 
 def _rollup(
-    samples: SampleBlock,
+    blocks: Iterable[SampleBlock],
     jobs: Sequence[JobRecord],
     config: AttributionConfig,
     span: tuple[int, int],
 ) -> tuple[list[AppHourRecord], list[FsHourRecord]]:
     """Attribute samples to jobs, roll them up per hour, and check that the
-    hourly rollups conserve every counter."""
-    result = attribute(samples, jobs, config)
-    app_hours = aggregate_hourly(result, jobs, span=span)
-    fs_hours = fs_hourly_totals(samples, result)
+    hourly rollups conserve every counter.
+
+    blocks holds at least one block, and no hour has samples in two of them;
+    each is attributed and totalled, then dropped before the next is drawn.
+    Only its attribution result is kept, for the one aggregate_hourly call
+    that zero-fills each (app, fs) pair over all of span.
+    """
+    results: list[AttributionResult] = []
+    fs_hours: list[FsHourRecord] = []
+    for block in blocks:
+        result = attribute(block, jobs, config)
+        fs_hours += fs_hourly_totals(block, result)
+        results.append(result)
+        del block, result  # so this day's block is freed before the next is read
+    app_hours = aggregate_hourly(AttributionResult.concat(results), jobs, span=span)
     _check_hourly_conservation(app_hours, fs_hours)
     return app_hours, fs_hours
+
+
+def _by_partition(records: Iterable) -> dict[tuple[str, int], list]:
+    """Hourly records grouped by (filesystem, day), each group in their order."""
+    out: dict[tuple[str, int], list] = {}
+    for r in records:
+        out.setdefault((r.fs_id, floor_day(r.hour)), []).append(r)
+    return out
 
 
 def aggregate_range(
@@ -251,7 +281,10 @@ def aggregate_range(
 ) -> AggregateSummary:
     """Attribute stored samples over [t0, t1) and write hourly partitions.
 
-    The range must be day-aligned because partitions are daily. Every
+    The range must be day-aligned because partitions are daily. Samples are
+    read, attributed against every job overlapping the range and totalled
+    one UTC day at a time, so memory holds one day's samples, not the
+    range's. Nothing is written until every day has passed; then every
     (filesystem, day) in range is written, header-only when idle, so the
     store can tell an idle day from a day never aggregated.
     """
@@ -263,25 +296,31 @@ def aggregate_range(
         config = AttributionConfig(window_len=store.window_len)
 
     fs_ids = store.list_fs("samples")
-    samples = SampleBlock.concat(
-        (store.read_range("samples", fs_id, t0, t1) for fs_id in fs_ids), store.window_len
+    days = day_range(t0, t1)
+    blocks = (
+        SampleBlock.concat(
+            (store.read_range("samples", fs_id, day, day + DAY) for fs_id in fs_ids),
+            store.window_len,
+        )
+        for day in days
     )
     jobs = store.query_jobs_overlapping(t0, t1)
 
-    app_hours, fs_hours = _rollup(samples, jobs, config, (t0, t1))
+    app_hours, fs_hours = _rollup(blocks, jobs, config, (t0, t1))
 
+    day_apps, day_fs = _by_partition(app_hours), _by_partition(fs_hours)
     seen_fs = sorted(set(fs_ids) | {r.fs_id for r in app_hours})
     for fs_id in seen_fs:
-        for day in day_range(t0, t1):
-            day_apps = [r for r in app_hours if r.fs_id == fs_id and day <= r.hour < day + DAY]
-            day_fs = [r for r in fs_hours if r.fs_id == fs_id and day <= r.hour < day + DAY]
-            store.write_aggregates(fs_id, day, day_apps, day_fs)
+        for day in days:
+            store.write_aggregates(
+                fs_id, day, day_apps.get((fs_id, day), []), day_fs.get((fs_id, day), [])
+            )
 
     return AggregateSummary(
         filesystems=tuple(seen_fs),
         app_hour_records=len(app_hours),
         fs_hour_records=len(fs_hours),
-        partitions=2 * len(seen_fs) * len(day_range(t0, t1)),
+        partitions=2 * len(seen_fs) * len(days),
     )
 
 
@@ -334,7 +373,7 @@ def compute_outputs(
     if config is None:
         config = AttributionConfig()
 
-    app_hours, fs_hours = _rollup(samples, jobs, config, period)
+    app_hours, fs_hours = _rollup((samples,), jobs, config, period)
     grid = tuple(hour_range(t0, t1))
 
     fs_ids = sorted({r.fs_id for r in fs_hours})

@@ -477,7 +477,7 @@ def _iter_rows(
             for node_name, arr, mask in by_fs[fs_id]:
                 if mask is not None and not mask[i]:
                     continue
-                yield w, fs_id, node_name, tuple(int(v) for v in arr[i])
+                yield w, fs_id, node_name, tuple(arr[i].tolist())
 
 
 def _job_records(jobs: Sequence[PlannedJob]) -> tuple[JobRecord, ...]:

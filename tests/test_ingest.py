@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import mk_block, mk_job, mk_sample
 from lassi.errors import IngestError, StoreError
+from lassi.model import AppHourRecord
 from lassi.ingest import (
     JOBS_HEADER,
     STATS_HEADER,
@@ -257,6 +258,64 @@ def test_a_store_error_names_the_file_line_after_a_quoted_newline(tmp_path):
     path.write_text(text.replace("app2,", "app1,"), encoding="utf-8")
     with pytest.raises(StoreError, match="line 4: duplicate app_id"):
         store.read_range("jobs", None, 0, DAY)
+
+
+# a quoted command holding a lone CR stays on LF line 2, so the bad job is LF line 3
+LONE_CR_JOB = 'app1,1.sdb,u,2017-10-09T01:00:00Z,2017-10-09T02:00:00Z,n1,"a\rb"'
+LONE_CR_NODE = '2017-10-09T00:00:00Z,fs2,"n\rid",' + ",".join(["1"] * 21)
+
+
+@pytest.mark.parametrize("source", ["path", "text", "bytes"])
+def test_jobs_rejects_count_lines_at_lf_after_a_lone_cr(tmp_path, source):
+    text = jobs_text(LONE_CR_JOB, BAD_TIME_JOB)
+    assert text.count("\n") == 3
+    path = tmp_path / "jobs.csv"
+    path.write_bytes(text.encode("utf-8"))
+    sources = {
+        "path": lambda: path,
+        "text": lambda: io.StringIO(text, newline=""),
+        "bytes": lambda: io.BytesIO(text.encode("utf-8")),
+    }
+    with pytest.raises(IngestError) as err:
+        parse_jobs_csv(sources[source]())
+    assert err.value.line == 3
+    jobs, report = parse_jobs_csv(sources[source](), mode="lenient")
+    assert [j.command for j in jobs] == ["a\rb"]
+    assert report.rejected_reasons[0][0] == 3
+
+
+def test_stats_row_loop_counts_lines_at_lf_after_a_lone_cr(tmp_path):
+    text = stats_text(LONE_CR_NODE, GOOD_ROW, NEGATIVE_ROW)
+    path = tmp_path / "stats.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for source in (path, io.StringIO(text, newline="")):
+        samples, report = parse_stats_csv(source, mode="lenient")
+        assert sorted(samples.node_labels) == ["n\rid", "nid00001"]
+        assert report.rejected_reasons[0][0] == 4
+    # a row ended by a lone CR shares its LF line with the next row
+    text = stats_text(GOOD_ROW + "\r" + NEGATIVE_ROW, NEGATIVE_ROW.replace("00:06", "00:09"))
+    _, report = parse_stats_csv(io.StringIO(text, newline=""), mode="lenient")
+    assert [line for line, _ in report.rejected_reasons] == [2, 3]
+
+
+def test_a_store_error_counts_lines_at_lf_after_a_lone_cr(tmp_path):
+    store = Store(tmp_path / "store")
+    partition = Partition("jobs", None, 0)
+    jobs = [mk_job("app1", ["n1"], 3600, 7200, command="a\rb"), mk_job("app2", ["n2"], 3600, 7200)]
+    store.write_partition(jobs, partition)
+    path = store.path(partition)
+    data = path.read_bytes()
+    assert data.count(b"\n") == 3 and b'"a\rb"' in data  # header, app1, app2
+    path.write_bytes(data.replace(b"app2,", b"app1,"))
+    with pytest.raises(StoreError, match="line 3: duplicate app_id"):
+        store.read_range("jobs", None, 0, DAY)
+
+    # the aggregate row reader counts the same way
+    store.write_aggregates("fs2", 0, [AppHourRecord("a\rb", "fs2", 0, (0,) * 21)], [])
+    path = store.path(Partition("app_hours", "fs2", 0))
+    path.write_bytes(path.read_bytes() + b"1970-01-01T00:00:00Z,fs2\n")
+    with pytest.raises(StoreError, match="line 3: expected 24 columns, got 2"):
+        store.read_range("app_hours", "fs2", 0, DAY)
 
 
 def test_bad_mode_rejected():

@@ -7,7 +7,7 @@ import pytest
 
 from lassi import attribution, model, pipeline, synth
 from lassi.attribution import AttributionConfig
-from lassi.errors import IngestError, LassiError
+from lassi.errors import AttributionConflictError, IngestError, LassiError, StoreError
 from lassi.ingest import JOBS_HEADER, STATS_HEADER
 from lassi.model import ALL_FIELDS, AppHourRecord, FsHourRecord
 from lassi.pipeline import (
@@ -28,8 +28,10 @@ from helpers import (
     build_exposure_fixture,
     count_calls,
     fsync_spy,
+    mk_block,
     mk_counters,
     mk_job,
+    mk_sample,
 )
 
 STATS_LINE = ",".join(STATS_HEADER)
@@ -476,3 +478,207 @@ def test_ids_are_coded_once_per_file_not_once_per_sample(tmp_path, monkeypatch):
     records = summary.app_hour_records + summary.fs_hour_records
     assert sorted(coded) == sorted([len(gen.jobs), records])
     assert ingested.samples > 10 * records
+
+
+# --- day-bounded aggregation -------------------------------------------------
+
+WLEN = 600
+DAYS = (BASE_DAY, BASE_DAY + DAY, BASE_DAY + 2 * DAY)
+
+
+def three_day_case():
+    """Samples and jobs over three days, fs1 the home filesystem.
+
+    cross runs over the first midnight on n1 and shows on fs2 on day 1 only,
+    so the range rule zero-fills its fs2 hours on day 2; long runs on n2 from
+    day 1 into day 3; early started before the range and late ends after
+    it; cut starts and ends inside windows; n3 is never busy.
+    """
+    jobs = [
+        mk_job("cross", ["n1"], BASE_DAY + 22 * HOUR, BASE_DAY + DAY + 3 * HOUR),
+        mk_job("long", ["n2"], BASE_DAY + 12 * HOUR + 250, DAYS[2] + 6 * HOUR + 300),
+        mk_job("early", ["n1"], BASE_DAY - 2 * HOUR, BASE_DAY + 2 * HOUR),
+        mk_job("late", ["n1"], DAYS[2] + 20 * HOUR, DAYS[2] + DAY + 5 * HOUR),
+        mk_job("cut", ["n3", "n4"], DAYS[1] + 5 * HOUR + 100, DAYS[1] + 7 * HOUR + 420),
+    ]
+    rows = []
+    for w in range(BASE_DAY, DAYS[2] + DAY, WLEN):
+        k = (w - BASE_DAY) // WLEN
+        for n, node in enumerate(("n1", "n2", "n3", "n4")):
+            rows.append(mk_sample("fs1", node, w, read_kb=k % 97 + n, open=(k * 7 + n) % 13))
+        if BASE_DAY + 22 * HOUR <= w < DAYS[1]:
+            rows.append(mk_sample("fs2", "n1", w, write_kb=k % 11 + 1, getattr=k % 5))
+        if k % 3 == 0:
+            rows.append(mk_sample("fs3", "n2", w, other=k % 4))
+    return mk_block(rows, WLEN), jobs
+
+
+def store_case(root, block, jobs):
+    store = Store(root, window_len=WLEN)
+    days = block.window - block.window % DAY
+    for code, fs_id in enumerate(block.fs_labels):
+        for day in sorted(set(days.tolist())):
+            rows = (block.fs == code) & (days == day)
+            if rows.any():
+                store.write_partition(block.take(rows), Partition("samples", fs_id, day))
+    by_day = {}
+    for job in jobs:
+        by_day.setdefault(floor_day(job.start), []).append(job)
+    for day, day_jobs in by_day.items():
+        store.write_partition(day_jobs, Partition("jobs", None, day))
+    return store
+
+
+def aggregate_files(store):
+    return {
+        path.relative_to(store.root): path.read_bytes()
+        for tree in ("app_hours", "fs_hours")
+        for path in sorted((store.root / tree).rglob("*.csv"))
+    }
+
+
+@pytest.mark.parametrize("policy", attribution.BOUNDARY_POLICIES)
+def test_aggregate_range_equals_the_whole_range_rollup(tmp_path, policy):
+    block, jobs = three_day_case()
+    config = AttributionConfig(policy, WLEN)
+    t0, t1 = DAYS[0], DAYS[2] + DAY
+    store = store_case(tmp_path / "days", block, jobs)
+    summary = aggregate_range(store, t0, t1, config)
+
+    # the reference: one block for the range, split by the old filter loop
+    ranged = store.query_jobs_overlapping(t0, t1)
+    assert [j.app_id for j in ranged] == ["early", "long", "cross", "cut", "late"]
+    app_hours, fs_hours = pipeline._rollup((block,), ranged, config, (t0, t1))
+    reference = Store(tmp_path / "whole", window_len=WLEN)
+    for fs_id in ("fs1", "fs2", "fs3"):
+        for day in DAYS:
+            reference.write_aggregates(
+                fs_id,
+                day,
+                [r for r in app_hours if r.fs_id == fs_id and floor_day(r.hour) == day],
+                [r for r in fs_hours if r.fs_id == fs_id and floor_day(r.hour) == day],
+            )
+    assert aggregate_files(store) == aggregate_files(reference)
+    assert len(aggregate_files(store)) == 2 * 3 * 3
+    assert summary == pipeline.AggregateSummary(
+        ("fs1", "fs2", "fs3"), len(app_hours), len(fs_hours), 18
+    )
+
+    # cross saw fs2 on day 1 only; day 2 holds its zero-filled hours there
+    day2 = store.read_range("app_hours", "fs2", DAYS[1], DAYS[1] + DAY)
+    assert [(r.app_id, r.hour - DAYS[1], any(r.counters)) for r in day2] == [
+        ("cross", h * HOUR, False) for h in range(3)
+    ]
+    # fs1 holds a record for every hour of each run inside the range: long's
+    # over three days, early's and late's clamped to the range
+    stored = [
+        r for fs_id in ("fs1", "fs2", "fs3") for r in store.read_range("app_hours", fs_id, t0, t1)
+    ]
+    assert len(stored) == summary.app_hour_records
+    fs1_hours = {}
+    for r in stored:
+        if r.fs_id == "fs1":
+            fs1_hours.setdefault(r.app_id, []).append(r.hour)
+    assert fs1_hours == {
+        "early": [t0, t0 + HOUR],
+        "long": list(range(BASE_DAY + 12 * HOUR, DAYS[2] + 7 * HOUR, HOUR)),
+        "cross": list(range(BASE_DAY + 22 * HOUR, DAYS[1] + 3 * HOUR, HOUR)),
+        "cut": list(range(DAYS[1] + 5 * HOUR, DAYS[1] + 8 * HOUR, HOUR)),
+        "late": list(range(DAYS[2] + 20 * HOUR, t1, HOUR)),
+    }
+
+
+def test_each_attribute_call_sees_one_utc_day(tmp_path, monkeypatch):
+    block, jobs = three_day_case()
+    store = store_case(tmp_path / "store", block, jobs)
+    seen = []
+    real = pipeline.attribute
+
+    def spy(samples, job_list, config):
+        seen.append(sorted({floor_day(w) for w in samples.window.tolist()}))
+        assert [j.app_id for j in job_list] == ["early", "long", "cross", "cut", "late"]
+        return real(samples, job_list, config)
+
+    monkeypatch.setattr(pipeline, "attribute", spy)
+    aggregate_range(store, DAYS[0], DAYS[2] + DAY, AttributionConfig("proportional", WLEN))
+    assert seen == [[day] for day in DAYS]
+
+
+def conflicting_jobs_on_day_3(store):
+    """Two jobs holding n3 at once on the range's last day."""
+    a = mk_job("a", ["n3"], DAYS[2] + 10 * HOUR, DAYS[2] + 12 * HOUR)
+    b = mk_job("b", ["n3"], DAYS[2] + 11 * HOUR, DAYS[2] + 13 * HOUR)
+    jobs = store.read_range("jobs", None, DAYS[2], DAYS[2] + DAY)
+    store.write_partition(jobs + [a, b], Partition("jobs", None, DAYS[2]))
+
+
+def corrupt_samples_on_day_3(store):
+    path = store.path(Partition("samples", "fs1", DAYS[2]))
+    path.write_text(path.read_text(encoding="utf-8") + "not,a,sample\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "faults, error, match",
+    [
+        ((conflicting_jobs_on_day_3,), AttributionConflictError, "n3"),
+        ((corrupt_samples_on_day_3,), StoreError, "samples/fs1/2017-10-11"),
+        # day 1 is attributed before day 3 is read, so the conflict comes first
+        (
+            (conflicting_jobs_on_day_3, corrupt_samples_on_day_3),
+            AttributionConflictError,
+            "n3",
+        ),
+    ],
+    ids=["conflict", "corrupt", "both"],
+)
+def test_a_failing_later_day_writes_no_aggregate(tmp_path, faults, error, match):
+    block, jobs = three_day_case()
+    store = store_case(tmp_path / "store", block, jobs)
+    for fault in faults:
+        fault(store)
+    with pytest.raises(error, match=match):
+        aggregate_range(store, DAYS[0], DAYS[2] + DAY, AttributionConfig("midpoint", WLEN))
+    assert aggregate_files(store) == {}
+
+
+BIG = 2**62
+
+
+def test_the_sum_bound_holds_per_day(tmp_path):
+    """No sum crosses an hour, so a day's samples bound every sum: two big
+    samples on two days are summed apart, where one range block refused them."""
+    job = mk_job("app1", ["n1", "n2"], BASE_DAY, DAYS[1] + HOUR)
+    rows = [
+        mk_sample("fs1", "n1", BASE_DAY, read_kb=BIG),
+        mk_sample("fs1", "n1", DAYS[1], read_kb=BIG),
+    ]
+    store = store_case(tmp_path / "store", mk_block(rows, WLEN), [job])
+    config = AttributionConfig("midpoint", WLEN)
+    with pytest.raises(LassiError, match="summing 2 samples could exceed"):
+        pipeline._rollup((mk_block(rows, WLEN),), [job], config, (BASE_DAY, DAYS[2]))
+    aggregate_range(store, BASE_DAY, DAYS[2], config)
+    read_kb = ALL_FIELDS.index("read_kb")
+    for day in DAYS[:2]:
+        (hour,) = store.read_range("fs_hours", "fs1", day, day + DAY)
+        assert (hour.hour, hour.counters[read_kb]) == (day, BIG)
+
+    # a day that could overflow is refused, and the message counts that
+    # day's samples, not the range's
+    rows.append(mk_sample("fs1", "n2", DAYS[1], read_kb=BIG))
+    with pytest.raises(LassiError, match="summing 3 samples could exceed"):
+        pipeline._rollup((mk_block(rows, WLEN),), [job], config, (BASE_DAY, DAYS[2]))
+    store = store_case(tmp_path / "again", mk_block(rows, WLEN), [job])
+    with pytest.raises(LassiError, match="summing 2 samples could exceed"):
+        aggregate_range(store, BASE_DAY, DAYS[2], config)
+    assert aggregate_files(store) == {}
+    # that day's refusal comes before a later day's corrupt partition is read
+    rows = [
+        mk_sample("fs1", "n1", BASE_DAY, read_kb=BIG),
+        mk_sample("fs1", "n2", BASE_DAY, read_kb=BIG),
+        mk_sample("fs1", "n1", DAYS[2], read_kb=1),
+    ]
+    store = store_case(tmp_path / "both", mk_block(rows, WLEN), [job])
+    corrupt_samples_on_day_3(store)
+    with pytest.raises(LassiError, match="summing 2 samples could exceed"):
+        aggregate_range(store, BASE_DAY, DAYS[2] + DAY, config)
+    assert aggregate_files(store) == {}
