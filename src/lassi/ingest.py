@@ -17,21 +17,23 @@ quoting plus quotes around any field holding a CR, rows sorted by primary key;
 parsing a canonical file and serializing the result reproduces it byte for byte.
 
 Strict mode raises IngestError at the first invalid row. Lenient mode skips
-invalid rows and reports them; a duplicate key in lenient mode keeps the last
-occurrence and counts the superseded row as rejected. Counters are spelled
+invalid rows and reports them. A duplicate sample key in lenient mode keeps
+the last occurrence and counts each superseded row as rejected; a duplicate
+app_id keeps the first and rejects each later one. Counters are spelled
 in ASCII digits (parse_int_cells) and must fit in a signed 64-bit integer;
 anything else is rejected like any other bad row.
 
 Stats files parse into a SampleBlock, the only form samples take. The body
 is read in line-aligned ranges of about 64 KiB. A range proven clean is read
-column-wise by np.loadtxt; a range that fails the proof is halved until its
-bad rows sit in leaves of a few lines (or, where they are dense, in halves),
-which the row loop reads with their absolute line numbers, so a file with a
-few bad rows costs about what a clean one does. The row loop alone decides a
-bad row's reason; a row the csv module refuses, such as one holding a cell
-longer than csv.field_size_limit(), is a bad row like any other. A file
-holding a quote, CR or NUL goes whole to the row loop, since csv quoting can
-span lines. Duplicate keys are resolved once over all accepted rows in line
+column-wise by np.loadtxt. In a range that fails the proof, the lines of a
+plainly clean shape (_CLEAN_ROW) are still read column-wise together, and
+only the others go through the row loop, one line at a time with its
+absolute line number, so a file with a few bad rows costs about what a clean
+one does. The row loop alone decides a bad row's reason; a row the csv
+module refuses, such as one holding a cell longer than
+csv.field_size_limit(), is a bad row like any other. A file holding a
+quote, CR or NUL goes whole to the row loop, since csv quoting can span
+lines. Duplicate keys are resolved once over all accepted rows in line
 order, so every path gives the whole-file row loop's block, report and
 strict error. The fs and node ids of a file are coded as they are first
 read, once per distinct id, and the block carries those codes.
@@ -44,7 +46,7 @@ import io
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import chain, takewhile
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
 
@@ -183,15 +185,15 @@ def parse_stats_csv(
     The body is cut into line-aligned ranges of about _RANGE_CHARS
     characters. A range that passes the clean proof (_StatsRows._read_range)
     is read column-wise, and a row of it with a negative counter, a bad
-    timestamp or an empty id goes alone through the row loop. A range that
-    fails is halved and each half retried; a failing half of at most
-    _LEAF_LINES lines, or one whose sibling failed too, goes through the row
-    loop with its absolute line numbers. A file holding a quote, CR or NUL,
-    or a window_len that does not divide an hour, goes whole to the row
-    loop. Duplicate keys are resolved once over all accepted rows in line
-    order (_StatsRows.result), so the answer is the whole-file row loop's:
-    the same block, report and strict error. Strict mode reads no range
-    after the first one holding a bad row.
+    timestamp or an empty id goes alone through the row loop. In a range
+    that fails, the lines _CLEAN_ROW matches are read column-wise together,
+    and each other line goes through the row loop with its absolute line
+    number, so the row loop sees only the bad and the blank lines. A file
+    holding a quote, CR or NUL, or a window_len that does not divide an
+    hour, goes whole to the row loop. Duplicate keys are resolved once over
+    all accepted rows in line order (_StatsRows.result), so the answer is
+    the whole-file row loop's: the same block, report and strict error.
+    Strict mode reads no range after the first one holding a bad row.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -239,8 +241,9 @@ _STATS_ROW_DTYPE = np.dtype([("key", object, (3,)), ("counters", np.int64, (len(
 # a range holds about this many characters, so a np.loadtxt call's transient
 # row objects stay small next to the columns it fills
 _RANGE_CHARS = 1 << 16
-# a failing range of at most this many lines goes through the row loop
-_LEAF_LINES = 16
+# a line the clean proof is sure to pass: ids of printable ASCII but space,
+# '"', "+" and ",", and counters of at most 18 digits, which fit in int64
+_CLEAN_ROW = re.compile(r"(?:[!#-*\-./0-9:-~]*,){3}-?[0-9]{1,18}(?:,-?[0-9]{1,18}){20}")
 # the window of a row whose timestamp parse_utc refuses; no timestamp has it
 _NO_STAMP = np.iinfo(np.int64).min
 
@@ -286,36 +289,25 @@ class _StatsRows:
 
     def add_range(self, text: str, lines: list[str], first: int) -> None:
         """Take lines first, first + 1, ... (text is them joined by LF),
-        column-wise if they pass the clean proof, else by halves."""
-        if not self._read_range(text, lines, first):
-            self._split(lines, first)
-
-    def _split(self, lines: list[str], first: int) -> None:
-        """Take a range that failed its proof by halves, each column-wise if
-        it passes. A failing half is halved again unless its sibling failed
-        too: bad rows are then dense, and more proofs would cost more than
-        the row loop they save, so the row loop takes both halves. It also
-        takes a failing range of at most _LEAF_LINES lines."""
-        if len(lines) <= _LEAF_LINES:
-            self._loop_lines(lines, first)
+        column-wise if they pass the clean proof. Otherwise the lines that
+        _CLEAN_ROW matches are read column-wise together, and every other
+        line (or every line, should those fail the proof too) goes alone
+        through the row loop."""
+        if self._read_range(text, lines, range(first, first + len(lines))):
             return
-        half = len(lines) // 2
-        halves = ((lines[:half], first), (lines[half:], first + half))
-        failed = [
-            (part, at) for part, at in halves if not self._read_range("\n".join(part), part, at)
-        ]
-        for part, at in failed:
-            if len(failed) == 2:
-                self._loop_lines(part, at)
-            else:
-                self._split(part, at)
+        limit = csv.field_size_limit()
+        clean = [len(line) <= limit and _CLEAN_ROW.fullmatch(line) is not None for line in lines]
+        picked = [line for line, ok in zip(lines, clean) if ok]
+        line_nos = [first + i for i, ok in enumerate(clean) if ok]
+        if picked and self._read_range("\n".join(picked), picked, line_nos):
+            rest = [i for i, ok in enumerate(clean) if not ok]
+        else:
+            rest = range(len(lines))
+        self.row_loop(chain.from_iterable(csv_rows([lines[i]], first + i) for i in rest))
 
-    def _loop_lines(self, lines: list[str], first: int) -> None:
-        """Lines first, first + 1, ... through the row loop."""
-        self.row_loop(csv_rows(lines, first))
-
-    def _read_range(self, text: str, lines: list[str], first: int) -> bool:
-        """Read a range column-wise if it passes the clean proof; False if not.
+    def _read_range(self, text: str, lines: list[str], line_nos: Sequence[int]) -> bool:
+        """Read lines, numbered line_nos (text is them joined by LF),
+        column-wise if they pass the clean proof; False if not.
 
         The proof: no cell longer than csv.field_size_limit(), which only a
         range longer than that limit can hold; ASCII only; no "+" or
@@ -361,7 +353,7 @@ class _StatsRows:
         node[:] = np.fromiter(map(node_ids.__getitem__, keys[:, 2].tolist()), np.int32, len(lines))
         counters[:] = table["counters"]
         line = self.line[at]
-        line[:] = np.arange(first, first + len(lines))
+        line[:] = line_nos
         # only a range holding a bad row pays for the row mask; an empty id
         # needs two adjacent commas
         if (
@@ -379,13 +371,14 @@ class _StatsRows:
             | (fs == fs_ids.get("", -1))
             | (node == node_ids.get("", -1))
         )
+        # the bad rows' line numbers are taken before the columns are compacted
+        looped = zip(line[bad].tolist(), csv.reader(lines[i] for i in np.flatnonzero(bad).tolist()))
         good = ~bad
         kept = int(good.sum())
         for column in (fs, node, window, counters, line):
             column[:kept] = column[good]
         self.n += kept
-        picked = np.flatnonzero(bad).tolist()
-        self.row_loop(zip([first + i for i in picked], csv.reader(lines[i] for i in picked)))
+        self.row_loop(looped)
         return True
 
     def row_loop(self, rows: Iterable[tuple[int, list[str] | csv.Error]]) -> None:

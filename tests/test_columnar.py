@@ -63,21 +63,19 @@ def outcome(fn, *args):
         return ("IngestError", exc.line, exc.reason)
 
 
-# (range characters, leaf lines): as shipped, and small enough that ranges of
-# one to a few lines are halved down to leaves of one or two
-SPLITS = [(ingest._RANGE_CHARS, ingest._LEAF_LINES), (1, 1), (300, 1), (300, 2)]
+# range characters: as shipped, one line a range, and a few lines a range
+SPLITS = [ingest._RANGE_CHARS, 1, 300]
 
 
 def assert_agrees(text, window_len=180):
-    """parse_stats_csv equals the whole-text row loop in both modes, under every split."""
-    for range_chars, leaf_lines in SPLITS:
+    """parse_stats_csv equals the whole-text row loop in both modes, at every range size."""
+    for range_chars in SPLITS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_RANGE_CHARS", range_chars)
-            mp.setattr(ingest, "_LEAF_LINES", leaf_lines)
             for mode in ("strict", "lenient"):
                 got = outcome(parse_stats_csv, io.StringIO(text), mode, window_len)
                 want = outcome(row_loop, text, mode, window_len)
-                assert got == want, (range_chars, leaf_lines, mode, text)
+                assert got == want, (range_chars, mode, text)
 
 
 # --- timestamps are exact -------------------------------------------------
@@ -327,11 +325,10 @@ def dirty_lines(seed: int, every: int | None, n: int = 3000) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("split", [(ingest._RANGE_CHARS, ingest._LEAF_LINES), (4096, 4)])
+@pytest.mark.parametrize("range_chars", [ingest._RANGE_CHARS, 4096])
 @pytest.mark.parametrize("every", [None, 97, 331])
-def test_dirty_file_agrees_with_row_loop(monkeypatch, split, every):
-    monkeypatch.setattr(ingest, "_RANGE_CHARS", split[0])
-    monkeypatch.setattr(ingest, "_LEAF_LINES", split[1])
+def test_dirty_file_agrees_with_row_loop(monkeypatch, range_chars, every):
+    monkeypatch.setattr(ingest, "_RANGE_CHARS", range_chars)
     text = text_of(*dirty_lines(11, every))
     for mode in ("strict", "lenient"):
         got = outcome(parse_stats_csv, io.StringIO(text), mode)
@@ -343,16 +340,31 @@ def test_dirty_file_agrees_with_row_loop(monkeypatch, split, every):
     assert {reason.split(" ")[0] for _, reason in report.rejected_reasons} == kinds | {"duplicate"}
 
 
-def test_sparse_bad_rows_cost_the_row_loop_a_leaf_each(monkeypatch):
+def test_row_loop_sees_only_bad_and_blank_lines(monkeypatch):
     monkeypatch.setattr(ingest, "_RANGE_CHARS", 4096)  # about 27 lines
-    monkeypatch.setattr(ingest, "_LEAF_LINES", 4)
     text = text_of(*dirty_lines(11, every=331))
     seen = looped_lines(monkeypatch)
     _, report = parse_stats_csv(io.StringIO(text), "lenient")
-    bad_rows = sum(not reason.startswith("duplicate") for _, reason in report.rejected_reasons)
-    blank_lines = text.count("\n\n")
-    assert (bad_rows, blank_lines) == (10, 3)
-    assert len(seen) <= 4 * (bad_rows + blank_lines)
+    bad_rows = [line for line, why in report.rejected_reasons if not why.startswith("duplicate")]
+    blank_lines = [i for i, line in enumerate(text.split("\n")[:-1], 1) if not line]
+    assert (len(bad_rows), len(blank_lines)) == (10, 3)
+    assert sorted(seen) == sorted(bad_rows + blank_lines)
+
+
+def test_int64_max_counter_in_a_failing_range_is_exact(monkeypatch):
+    """A 19-digit counter is past the screen's 18 digits, so its row goes
+    through the row loop with the short row beside it, and keeps its value."""
+    big = row(ts=T1, counters=(str(INT64_MAX),) + ("0",) * 20)
+    text = text_of(row(), "2017-10-09T00:06:00Z,fs2,nid1,1,2", big, row(node="nid2"))
+    assert_agrees(text)
+    seen = looped_lines(monkeypatch)
+    block, report = parse_stats_csv(io.StringIO(text), "lenient")
+    assert sorted(seen) == [3, 4]
+    assert report.rejected_reasons == ((3, "expected 24 columns, got 5"),)
+    assert block.counters[:, 0].tolist() == [1, 1, INT64_MAX]
+    with pytest.raises(IngestError) as err:
+        parse_stats_csv(io.StringIO(text))
+    assert err.value.line == 3
 
 
 # --- canonical serialization ---------------------------------------------
