@@ -1,4 +1,4 @@
-"""CSV ingest and canonical serialization for samples and job records.
+"""CSV ingest for samples and job records, and canonical serialization of jobs.
 
 Stats files carry one row per (filesystem, node, window) with 21 counters:
 
@@ -12,9 +12,11 @@ Job files carry one row per application run:
 
 Timestamps are ISO-8601 UTC with a trailing Z. The nodes field joins node ids
 with ';'. The command field is RFC-4180 quoted when it contains commas or
-quotes. Canonical form (what the serializers emit) is LF line endings, minimal
-quoting plus quotes around any field holding a CR, rows sorted by primary key;
-parsing a canonical file and serializing the result reproduces it byte for byte.
+quotes. Canonical form (what serialize_jobs_csv and render_csv emit) is LF
+line endings, minimal quoting plus quotes around any field holding a CR, rows
+sorted by primary key; parsing a canonical jobs file and serializing the
+result reproduces it byte for byte. The store keeps samples as binary
+columns, so no stats CSV writer lives here.
 
 Strict mode raises IngestError at the first invalid row. Lenient mode skips
 invalid rows and reports them. A duplicate sample key in lenient mode keeps
@@ -229,7 +231,6 @@ def _parse_stats_rows(text: str, mode: str, window_len: int) -> tuple[SampleBloc
     return rows.result()
 
 
-_STATS_HEADER_LINE = ",".join(STATS_HEADER)
 # a file holding one of these goes whole to the row loop: the csv module reads
 # quotes and CR across lines, and before Python 3.11 refuses NUL
 _CSV_SPECIAL = ('"', "\r", "\x00")
@@ -568,32 +569,6 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return "".join(lines)
-
-
-def _csv_fields(labels: Sequence[str], codes: np.ndarray) -> np.ndarray:
-    """Each coded id as the csv writer renders it inside a row; each label
-    is rendered once."""
-    return np.array([render_csv((label,), [])[:-1] for label in labels], dtype=object)[codes]
-
-
-_STATS_LINE = "%s,%s,%s" + ",%d" * len(ALL_FIELDS) + "\n"
-_SERIALIZE_CHUNK = 4096
-
-
-def serialize_stats_csv(block: SampleBlock) -> str:
-    """Render a sample block in canonical stats CSV form."""
-    starts, inverse = np.unique(block.window, return_inverse=True)
-    stamps = np.array([format_utc(w) for w in starts.tolist()], dtype=object)[inverse]
-    fs = _csv_fields(block.fs_labels, block.fs)
-    node = _csv_fields(block.node_labels, block.node)
-    parts = [_STATS_HEADER_LINE + "\n"]
-    for lo in range(0, len(block), _SERIALIZE_CHUNK):
-        hi = min(lo + _SERIALIZE_CHUNK, len(block))
-        cells = np.empty((hi - lo, 3 + len(ALL_FIELDS)), dtype=object)
-        cells[:, 0], cells[:, 1], cells[:, 2] = stamps[lo:hi], fs[lo:hi], node[lo:hi]
-        cells[:, 3:] = block.counters[lo:hi]
-        parts.append(_STATS_LINE * (hi - lo) % tuple(cells.ravel().tolist()))
-    return "".join(parts)
 
 
 def serialize_jobs_csv(jobs: Iterable[JobRecord]) -> str:

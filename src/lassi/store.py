@@ -1,16 +1,29 @@
 """Partitioned on-disk store for samples, jobs, aggregates, and baselines.
 
-Layout: ``<root>/<dataset>/<fs_id | all>/<YYYY-MM-DD>.csv``. Partitions are
-rewritten whole: content is serialized in canonical sorted form and written
-by replace_files (also the writer of report bundles and RSD tables): each
-file to a temp file, fsynced and renamed into place, then the directory
-fsynced once. A ``fcntl.flock`` on a ``.lock`` file enforces a single
-writer per partition, and ends with its writer, even a killed one; readers
-never need the lock because rename is atomic. merge_partition holds the
-lock while it reads, merges and writes, so two merging writers cannot lose
-each other's rows; a merge that changes nothing leaves the file untouched.
-Partition file names are exactly ``YYYY-MM-DD.csv``; any other ``.csv`` name
-is an unexpected file (StoreError).
+Layout: ``<root>/<dataset>/<fs_id | all>/<YYYY-MM-DD>.<suffix>``, where the
+suffix is ``npz`` for samples and ``csv`` for every other dataset. Partitions
+are rewritten whole: content is serialized in canonical sorted form and
+written by replace_files (also the writer of report bundles and RSD tables):
+each file to a temp file, fsynced and renamed into place, then the directory
+fsynced once. A ``fcntl.flock`` on a ``<partition file>.lock`` file enforces
+a single writer per partition, and ends with its writer, even a killed one;
+readers never need the lock because rename is atomic. merge_partition holds
+the lock while it reads, merges and writes, so two merging writers cannot
+lose each other's rows; a merge that changes nothing leaves the file
+untouched. Partition file names are exactly ``YYYY-MM-DD`` plus the
+dataset's suffix; any other name with that suffix is an unexpected file
+(StoreError).
+
+A samples partition is an uncompressed ``.npz`` of the block's columns
+(_samples_npz): the node ids as UTF-8 bytes end to end with their end
+offsets, int32 node codes, int64 window starts and the (n, 21) int64
+counters; the filesystem is the partition's. np.savez stamps every entry
+with one fixed date, so equal blocks give equal bytes. The reader
+(_load_samples) loads no pickled object and refuses, as StoreError, any
+file the strict CSV read of the same rows would refuse. A samples directory
+holding a ``.csv`` partition, as stores written before samples were binary
+do, is refused whole with a hint to re-ingest the input; there is no
+migration.
 
 An ``fs_hours`` partition marks its (filesystem, day) as aggregated; reading
 app_hours or fs_hours over a day without one raises FileNotFoundError, so a
@@ -36,8 +49,8 @@ this; the memo lives as long as the ``Store``. A
 lookup of jobs by app_id reads every jobs file but parses only those whose
 bytes may name one of the jobs.
 
-Datasets: samples and jobs reuse the ingest wire format; app_hours, fs_hours,
-and baselines use the mirrors defined here. Report bundles live under
+Datasets: jobs reuse the ingest wire format; app_hours, fs_hours, and
+baselines use the CSV mirrors defined here. Report bundles live under
 ``<root>/reports/`` but are directories of files, written by the report
 module.
 """
@@ -48,6 +61,7 @@ import csv
 import fcntl
 import io
 import os
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -86,6 +100,17 @@ FS_HOURS_HEADER = (
 )
 BASELINE_HEADER = ("fs", "period_start", "period_end", "alpha", "basis", "stat", "mean")
 
+# each array of a samples partition file, with its dtype, in write order. The
+# node ids are UTF-8 bytes end to end, cut at node_label_ends, because a numpy
+# str array drops a trailing NUL, which an id may hold
+SAMPLES_ARRAYS = {
+    "node_labels": np.dtype(np.uint8),
+    "node_label_ends": np.dtype(np.int64),
+    "node": np.dtype(np.int32),
+    "window": np.dtype(np.int64),
+    "counters": np.dtype(np.int64),
+}
+
 # the time key read_range filters each record dataset on
 _TIME_KEY = {
     "jobs": attrgetter("start"),
@@ -110,10 +135,22 @@ class Partition:
 
     def parts(self) -> tuple[str, str, str]:
         """The path's components below the store root."""
-        return self.dataset, self.fs_id or "all", f"{date_str(self.date)}.csv"
+        return self.dataset, self.fs_id or "all", date_str(self.date) + _suffix(self.dataset)
 
     def relative_path(self) -> Path:
         return Path(*self.parts())
+
+
+def _suffix(dataset: str) -> str:
+    """The file name suffix of a dataset's partitions."""
+    return ".npz" if dataset == "samples" else ".csv"
+
+
+def _legacy_samples(path: Path) -> StoreError:
+    return StoreError(
+        f"{path}: a CSV samples partition, which this version no longer reads "
+        f"(samples are stored as .npz); re-ingest the input into a new store"
+    )
 
 
 def _check_home(record, partition: Partition) -> None:
@@ -142,6 +179,106 @@ def _check_samples_home(block: SampleBlock, partition: Partition) -> None:
         )
 
 
+def _samples_npz(block: SampleBlock) -> bytes:
+    """A samples partition file: the block's columns (SAMPLES_ARRAYS) as an
+    uncompressed .npz, whose bytes depend on the block's values only."""
+    ids = [label.encode("utf-8") for label in block.node_labels]
+    columns = {
+        "node_labels": np.frombuffer(b"".join(ids), np.uint8),
+        "node_label_ends": np.cumsum([len(i) for i in ids], dtype=np.int64),
+        "node": block.node,
+        "window": block.window,
+        "counters": block.counters,
+    }
+    out = io.BytesIO()
+    np.savez(
+        out,
+        **{name: np.ascontiguousarray(col, SAMPLES_ARRAYS[name]) for name, col in columns.items()},
+    )
+    return out.getvalue()
+
+
+def _load_samples(path: Path, partition: Partition, window_len: int) -> SampleBlock:
+    """The block a samples partition file holds.
+
+    Refused with a StoreError naming the path, and the row's (fs, node,
+    window) key where there is one: a file that is not a whole .npz of
+    exactly the SAMPLES_ARRAYS, stored uncompressed, with their dtypes and
+    shapes (an object array is never unpickled); node labels that are
+    empty, not UTF-8, unsorted, repeated or unused, or codes outside them; a
+    window off the window_len grid or outside the partition's day; a
+    negative counter; rows out of canonical order or repeating a key.
+    """
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz file")
+        with npz:
+            if sorted(npz.files) != sorted(SAMPLES_ARRAYS):
+                raise ValueError(f"arrays {sorted(npz.files)}, expected {sorted(SAMPLES_ARRAYS)}")
+            if any(info.compress_type != zipfile.ZIP_STORED for info in npz.zip.infolist()):
+                raise ValueError("compressed entries; the store writes them stored")
+            columns = {name: npz[name] for name in SAMPLES_ARRAYS}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise StoreError(f"{path}: unreadable samples partition: {exc}") from exc
+    for name, dtype in SAMPLES_ARRAYS.items():
+        col = columns[name]
+        if col.dtype != dtype or col.ndim != (2 if name == "counters" else 1):
+            raise StoreError(
+                f"{path}: array {name} is {col.dtype} of shape {col.shape}, expected {dtype}"
+            )
+    ids, ends, node, window, counters = columns.values()
+    n = len(window)
+    if len(node) != n or counters.shape != (n, len(ALL_FIELDS)):
+        raise StoreError(
+            f"{path}: columns differ in shape: node {node.shape}, window {window.shape}, "
+            f"counters {counters.shape}"
+        )
+
+    starts = np.concatenate([[0], ends])[:-1]
+    if (ends <= starts).any() or (ends[-1] if len(ends) else 0) != len(ids):
+        raise StoreError(f"{path}: node_label_ends do not cut node_labels into non-empty labels")
+    data = ids.tobytes()
+    try:
+        labels = tuple(data[a:b].decode("utf-8") for a, b in zip(starts.tolist(), ends.tolist()))
+    except UnicodeDecodeError as exc:
+        raise StoreError(f"{path}: node label not UTF-8: {exc}") from exc
+    for a, b in zip(labels, labels[1:]):
+        if a >= b:
+            raise StoreError(f"{path}: node labels not sorted and distinct: {a!r} before {b!r}")
+    outside = (node < 0) | (node >= len(labels))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise StoreError(
+            f"{path}: row {i} (window {window[i]}): node code {node[i]} not among "
+            f"{len(labels)} labels"
+        )
+    unused = np.bincount(node, minlength=len(labels)) == 0
+    if unused.any():
+        raise StoreError(f"{path}: node label {labels[int(np.argmax(unused))]!r} used by no row")
+
+    fs_labels = (partition.fs_id,) if n else ()
+    fs = np.zeros(n, np.int32)
+    block = SampleBlock(fs_labels, fs, labels, node, window, counters, window_len)
+    same_window = window[1:] == window[:-1]
+    for bad, what in (
+        (window % window_len != 0, f"off the {window_len}s window grid"),
+        (
+            window - window % DAY != partition.date,
+            f"outside partition ({partition.fs_id}, {date_str(partition.date)})",
+        ),
+        ((counters < 0).any(axis=1), "has a negative counter"),
+        (np.r_[False, same_window & (node[1:] == node[:-1])], "repeats the key before it"),
+        (
+            np.r_[False, (window[1:] < window[:-1]) | (same_window & (node[1:] < node[:-1]))],
+            "out of canonical (window, fs, node) order",
+        ),
+    ):
+        if bad.any():
+            raise StoreError(f"{path}: sample {block.key(int(np.argmax(bad)))} {what}")
+    return block
+
+
 def _may_hold(jobs_csv: bytes, app_ids: set[bytes]) -> bool:
     """Whether a jobs file's bytes may hold a row for one of app_ids.
 
@@ -163,20 +300,21 @@ def _canonical_ints(cells: list[str]) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def replace_files(directory: Path, files: Mapping[str, str]) -> None:
-    """Replace each named file in directory with its text, in name order.
+def replace_files(directory: Path, files: Mapping[str, str | bytes]) -> None:
+    """Replace each named file in directory with its bytes, or its text as
+    UTF-8, in name order.
 
-    Each text goes to a fsynced temp file that is renamed over the name; the
+    Each file goes to a fsynced temp file that is renamed over the name; the
     directory is fsynced once after the last rename, so every rename has
     survived a crash once this returns.
     """
     directory.mkdir(parents=True, exist_ok=True)
-    for name, text in sorted(files.items()):
+    for name, data in sorted(files.items()):
         path = directory / name
         tmp = path.with_name(f"{name}.tmp{os.getpid()}")
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(tmp, "wb") as fh:
+                fh.write(data if isinstance(data, bytes) else data.encode("utf-8"))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -228,6 +366,8 @@ class Store:
         self._memo: dict[Path, tuple[bytes, object, dict]] = {}
         # partitions this Store holds the lock of; see _locked
         self._held: set[Path] = set()
+        # whether the samples tree was found free of CSV partitions; see _check_no_csv_samples
+        self._samples_checked = False
         # each partition's path, resolved once; see path
         self._paths: dict[Partition, Path] = {}
 
@@ -260,9 +400,9 @@ class Store:
             # unlinked it could leave the next two locking different files
             os.close(fd)
 
-    def _write_text(self, path: Path, text: str) -> None:
+    def _write_file(self, path: Path, data: str | bytes) -> None:
         with self._locked(path):
-            replace_files(path.parent, {path.name: text})
+            replace_files(path.parent, {path.name: data})
 
     def merge_partition(self, partition: Partition, merge) -> tuple[int, bool]:
         """Rewrite a partition as merge(stored rows) -> (rows, count) under its
@@ -295,7 +435,7 @@ class Store:
         dataset = partition.dataset
         if dataset == "samples":
             _check_samples_home(records, partition)
-            self._write_text(self.path(partition), ingest.serialize_stats_csv(records))
+            self._write_file(self.path(partition), _samples_npz(records))
             return len(records)
         records = list(records)
         if dataset in ("jobs", "app_hours", "fs_hours"):
@@ -317,7 +457,7 @@ class Store:
             text = ingest.render_csv(BASELINE_HEADER, _baseline_rows(records))
         else:
             raise ValueError(f"dataset {dataset!r} is not a CSV partition dataset")
-        self._write_text(self.path(partition), text)
+        self._write_file(self.path(partition), text)
         return len(records)
 
     def list_fs(self, dataset: str) -> list[str]:
@@ -327,21 +467,40 @@ class Store:
         return sorted(p.name for p in base.iterdir() if p.is_dir() and p.name != "all")
 
     def partition_dates(self, dataset: str, fs_id: str | None) -> list[int]:
+        """The days of the dataset's partitions under fs_id, in order.
+
+        Each name with the dataset's suffix must be exactly ``YYYY-MM-DD``
+        plus that suffix, and a samples directory must hold no ``.csv``;
+        anything else raises StoreError. Hidden files are left aside.
+        """
         base = self.root.joinpath(dataset, fs_id or "all")
         try:
             names = os.listdir(base)
         except (FileNotFoundError, NotADirectoryError):
             return []
+        suffix = _suffix(dataset)
         dates = []
-        # *.csv names, hidden files aside
         for name in sorted(names):
-            if not name.endswith(".csv") or name.startswith("."):
+            if name.startswith("."):
+                continue
+            if dataset == "samples" and name.endswith(".csv"):
+                raise _legacy_samples(base / name)
+            if not name.endswith(suffix):
                 continue
             try:
-                dates.append(parse_date(name[:-4]))
+                dates.append(parse_date(name[: -len(suffix)]))
             except ValueError:
                 raise StoreError(f"unexpected file in store: {base / name}")
         return dates
+
+    def _check_no_csv_samples(self) -> None:
+        """Raise StoreError naming a CSV samples partition, if the store holds
+        one; the tree is scanned once per Store, as each command makes one."""
+        if self._samples_checked:
+            return
+        for path in sorted((self.root / "samples").glob("*/*.csv")):
+            raise _legacy_samples(path)
+        self._samples_checked = True
 
     def read_range(
         self, dataset: str, fs_id: str | None, t0: int, t1: int
@@ -358,6 +517,8 @@ class Store:
         if dataset != "samples" and dataset not in _TIME_KEY:
             raise ValueError(f"dataset {dataset!r} does not support read_range")
         parts = [Partition(dataset, fs_id, day) for day in day_range(t0, t1)]
+        if dataset == "samples":
+            self._check_no_csv_samples()
         if dataset in ("app_hours", "fs_hours"):
             for p in parts:
                 self._check_aggregated(fs_id, p.date)
@@ -428,12 +589,7 @@ class Store:
 
     def _read_samples(self, partition: Partition, t0: int, t1: int) -> SampleBlock:
         """One samples partition's rows in [t0, t1); every row must belong in it."""
-        path = self.path(partition)
-        try:
-            block, _ = ingest.parse_stats_csv(path, "strict", self.window_len)
-            _check_samples_home(block, partition)
-        except (IngestError, ValueError) as exc:
-            raise StoreError(f"{path}: {exc}") from exc
+        block = _load_samples(self.path(partition), partition, self.window_len)
         return block.take((t0 <= block.window) & (block.window < t1))
 
     def _parsed(self, dataset: str, path: Path, data: bytes | None = None):

@@ -40,7 +40,7 @@ from lassi.analysis import ExposureRecord, run_risk_exposure
 from lassi.metrics import fs_risk_series
 from lassi.model import ALL_FIELDS, JobRecord, SampleBlock
 from lassi.pipeline import find_job
-from lassi.timeutil import DAY, HOUR, floor_day, floor_hour, hour_range, parse_utc
+from lassi.timeutil import DAY, HOUR, floor_day, floor_hour, format_utc, hour_range, parse_utc
 
 BASE_DAY = parse_utc("2017-10-09T00:00:00Z")
 REPORT_DAY = BASE_DAY + DAY
@@ -78,6 +78,41 @@ def mk_block(rows, window_len=180) -> SampleBlock:
         np.array([r[3] for r in rows], np.int64).reshape(len(rows), len(ALL_FIELDS)),
         window_len,
     )
+
+
+def _csv_fields(labels, codes: np.ndarray) -> np.ndarray:
+    """Each coded id as the csv writer renders it inside a row; each label
+    is rendered once."""
+    return np.array([ingest.render_csv((label,), [])[:-1] for label in labels], dtype=object)[codes]
+
+
+_STATS_LINE = "%s,%s,%s" + ",%d" * len(ALL_FIELDS) + "\n"
+_SERIALIZE_CHUNK = 4096
+
+
+def serialize_stats_csv(block: SampleBlock) -> str:
+    """A sample block in canonical stats CSV form, the form parse_stats_csv
+    reads back to the same block; builds stats file fixtures."""
+    starts, inverse = np.unique(block.window, return_inverse=True)
+    stamps = np.array([format_utc(w) for w in starts.tolist()], dtype=object)[inverse]
+    fs = _csv_fields(block.fs_labels, block.fs)
+    node = _csv_fields(block.node_labels, block.node)
+    parts = [",".join(ingest.STATS_HEADER) + "\n"]
+    for lo in range(0, len(block), _SERIALIZE_CHUNK):
+        hi = min(lo + _SERIALIZE_CHUNK, len(block))
+        cells = np.empty((hi - lo, 3 + len(ALL_FIELDS)), dtype=object)
+        cells[:, 0], cells[:, 1], cells[:, 2] = stamps[lo:hi], fs[lo:hi], node[lo:hi]
+        cells[:, 3:] = block.counters[lo:hi]
+        parts.append(_STATS_LINE * (hi - lo) % tuple(cells.ravel().tolist()))
+    return "".join(parts)
+
+
+def edit_npz(path, drop=(), **arrays) -> None:
+    """Rewrite an .npz file with the named arrays dropped, then arrays set."""
+    with np.load(path) as npz:
+        kept = {name: npz[name] for name in npz.files if name not in drop}
+    kept.update(arrays)
+    np.savez(path, **kept)
 
 
 def count_calls(monkeypatch, name) -> list:

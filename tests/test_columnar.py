@@ -22,6 +22,7 @@ from helpers import (
     mk_job,
     mk_sample,
     result_dicts,
+    serialize_stats_csv,
 )
 from lassi import ingest
 from lassi.attribution import (
@@ -32,7 +33,7 @@ from lassi.attribution import (
     fs_hourly_totals,
 )
 from lassi.errors import IngestError, LassiError
-from lassi.ingest import STATS_HEADER, _parse_stats_rows, parse_stats_csv, serialize_stats_csv
+from lassi.ingest import STATS_HEADER, _parse_stats_rows, parse_stats_csv
 from lassi.model import INT64_MAX, SampleBlock
 from lassi.pipeline import _merge_samples, ingest_files
 from lassi.store import Store

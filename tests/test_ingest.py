@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import mk_block, mk_job, mk_sample
+from helpers import mk_block, mk_job, mk_sample, serialize_stats_csv
 from lassi.errors import IngestError, StoreError
 from lassi.model import AppHourRecord
 from lassi.ingest import (
@@ -14,7 +14,6 @@ from lassi.ingest import (
     parse_jobs_csv,
     parse_stats_csv,
     serialize_jobs_csv,
-    serialize_stats_csv,
 )
 from lassi.store import Partition, Store
 from lassi.timeutil import DAY

@@ -80,7 +80,8 @@ def snapshot(store):
     """Bytes, inode and modification time of every partition file."""
     return {
         path: (path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns)
-        for path in sorted(store.root.rglob("*.csv"))
+        for path in sorted(store.root.rglob("*"))
+        if path.suffix in (".csv", ".npz")
     }
 
 
@@ -588,6 +589,15 @@ def test_aggregate_range_equals_the_whole_range_rollup(tmp_path, policy):
     }
 
 
+def test_aggregate_range_reads_samples_without_the_csv_parser(tmp_path, monkeypatch):
+    block, jobs = three_day_case()
+    store = store_case(tmp_path / "store", block, jobs)
+    parses = count_calls(monkeypatch, "parse_stats_csv")
+    summary = aggregate_range(store, DAYS[0], DAYS[2] + DAY, AttributionConfig("midpoint", WLEN))
+    assert summary.partitions == 18
+    assert parses == []
+
+
 def test_each_attribute_call_sees_one_utc_day(tmp_path, monkeypatch):
     block, jobs = three_day_case()
     store = store_case(tmp_path / "store", block, jobs)
@@ -614,7 +624,7 @@ def conflicting_jobs_on_day_3(store):
 
 def corrupt_samples_on_day_3(store):
     path = store.path(Partition("samples", "fs1", DAYS[2]))
-    path.write_text(path.read_text(encoding="utf-8") + "not,a,sample\n", encoding="utf-8")
+    path.write_bytes(path.read_bytes()[:-1])
 
 
 @pytest.mark.parametrize(

@@ -2,35 +2,41 @@
 
 import csv
 import fcntl
+import io
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lassi
 from lassi.cli import main
+from lassi import store as store_module
 from lassi.errors import MissingBaselineError, StoreError, StoreLockError
-from lassi.ingest import serialize_stats_csv
 from lassi.metrics import FsBaseline
 from lassi.model import ALL_FIELDS, INT64_MAX, AppHourRecord, FsHourRecord
-from lassi.store import Partition, Store
+from lassi.pipeline import aggregate_range, ingest_files
+from lassi.store import SAMPLES_ARRAYS, Partition, Store
 from lassi.timeutil import DAY, HOUR, format_utc, parse_date, parse_utc
 
 from helpers import (
     BASE_DAY,
     block_rows,
     count_calls,
+    edit_npz,
     fsync_spy,
     mk_block,
     mk_counters,
     mk_job,
     mk_sample,
+    serialize_stats_csv,
 )
 
 
@@ -95,7 +101,12 @@ def test_samples_round_trip(store):
     ])
     n = store.write_partition(samples, samples_partition())
     assert n == 3
+    path = store.path(samples_partition())
+    assert path.name == "2017-10-09.npz"
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz.files == list(SAMPLES_ARRAYS)
     back = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    assert back == samples
     # canonical order: window, then fs, then node
     assert [(w, node) for _, node, w, _ in block_rows(back)] == [
         (BASE_DAY, "nid1"),
@@ -280,26 +291,277 @@ def test_row_outside_its_partition_raises_store_error_naming_path_and_line(store
         assert "outside partition (fs2, 2017-10-09)" in str(err.value)
 
 
-@pytest.mark.parametrize("move", ["fs", "day"])
+@pytest.mark.parametrize("move", ["previous_day", "next_day"])
 def test_samples_row_outside_its_partition_raises_store_error_naming_path_and_key(store, move):
+    """The file holds no filesystem column, so a stray row is a window of another day."""
     rows = [mk_sample("fs2", "nid1", BASE_DAY), mk_sample("fs2", "nid2", BASE_DAY + 180)]
     store.write_partition(mk_block(rows), samples_partition())
     path = store.path(samples_partition())
-    lines = path.read_text(encoding="utf-8").split("\n")
-    cells = lines[2].split(",")
-    if move == "fs":
-        cells[1] = "fs3"
-        key = ("fs3", "nid2", BASE_DAY + 180)
+    window = np.array([BASE_DAY, BASE_DAY + 180], np.int64)
+    if move == "previous_day":
+        window[0] -= DAY
+        key = ("fs2", "nid1", BASE_DAY - DAY)
     else:
-        cells[0] = format_utc(BASE_DAY + DAY + 180)
+        window[1] += DAY
         key = ("fs2", "nid2", BASE_DAY + DAY + 180)
-    lines[2] = ",".join(cells)
-    path.write_text("\n".join(lines), encoding="utf-8")
+    edit_npz(path, window=window)
 
     for reader in (store, Store(store.root)):
         with pytest.raises(StoreError) as err:
-            reader.read_range("samples", "fs2", BASE_DAY, BASE_DAY + 2 * DAY)
+            reader.read_range("samples", "fs2", BASE_DAY - DAY, BASE_DAY + 2 * DAY)
         assert str(err.value) == f"{path}: sample {key} outside partition (fs2, 2017-10-09)"
+
+
+W0, W1 = BASE_DAY, BASE_DAY + 180
+
+
+def stored_samples(store) -> tuple[Path, dict]:
+    """fs2's partition of BASE_DAY holding nid1 and nid2 over two windows:
+    its path, and its arrays to corrupt."""
+    rows = [mk_sample("fs2", n, W0 + w, read_kb=1) for w in (0, 180) for n in ("nid1", "nid2")]
+    store.write_partition(mk_block(rows), samples_partition())
+    path = store.path(samples_partition())
+    with np.load(path, allow_pickle=False) as npz:
+        return path, {name: npz[name] for name in npz.files}
+
+
+def i64(*values):
+    return np.array(values, np.int64)
+
+
+def i32(*values):
+    return np.array(values, np.int32)
+
+
+def edit(**change):
+    """A corruption: the file rewritten by edit_npz, each keyword's value
+    computed from the stored arrays."""
+
+    def corrupt(path, arrays):
+        edit_npz(path, **{name: fn(arrays) for name, fn in change.items()})
+
+    return corrupt
+
+
+def npy_file(path, arrays):
+    """The counters alone as a .npy file in place of the .npz."""
+    out = io.BytesIO()
+    np.save(out, arrays["counters"])
+    path.write_bytes(out.getvalue())
+
+
+def labels(*ids):
+    """edit() arguments giving node labels ids."""
+    encoded = [i.encode() for i in ids]
+    return {
+        "node_labels": lambda a: np.frombuffer(b"".join(encoded), np.uint8),
+        "node_label_ends": lambda a: np.cumsum([len(e) for e in encoded], dtype=np.int64),
+    }
+
+
+def const(value):
+    return lambda a: value
+
+
+ARRAYS = "['counters', 'node', 'node_label_ends', 'node_labels', 'window']"
+# name -> (corrupt(path, arrays) for the file of stored_samples, what the
+# StoreError says after the path)
+SAMPLES_DEFECTS = {
+    "missing_array": (
+        edit(drop=const(("window",))),
+        "unreadable samples partition: arrays ['counters', 'node', 'node_label_ends', "
+        f"'node_labels'], expected {ARRAYS}",
+    ),
+    "extra_array": (
+        edit(fs=const(i32(0, 0, 0, 0))),
+        "unreadable samples partition: arrays ['counters', 'fs', 'node', 'node_label_ends', "
+        f"'node_labels', 'window'], expected {ARRAYS}",
+    ),
+    "wrong_dtype": (
+        edit(window=lambda a: a["window"].astype(np.float64)),
+        "array window is float64 of shape (4,), expected int64",
+    ),
+    "big_endian": (
+        edit(node=lambda a: a["node"].astype(">i4")),
+        "array node is >i4 of shape (4,), expected int32",
+    ),
+    "two_dimensional_column": (
+        edit(node=lambda a: a["node"].reshape(2, 2)),
+        "array node is int32 of shape (2, 2), expected int32",
+    ),
+    "short_column": (
+        edit(window=lambda a: a["window"][:3]),
+        "columns differ in shape: node (4,), window (3,), counters (4, 21)",
+    ),
+    "short_counter_row": (
+        edit(counters=lambda a: a["counters"][:, :20]),
+        "columns differ in shape: node (4,), window (4,), counters (4, 20)",
+    ),
+    "empty_label": (
+        edit(**labels("", "nid2")),
+        "node_label_ends do not cut node_labels into non-empty labels",
+    ),
+    "ends_short_of_the_bytes": (
+        edit(node_label_ends=const(i64(4, 7))),
+        "node_label_ends do not cut node_labels into non-empty labels",
+    ),
+    "label_not_utf8": (
+        edit(node_labels=const(np.frombuffer(b"nid1nid\xff", np.uint8))),
+        "node label not UTF-8: ",
+    ),
+    "unsorted_labels": (
+        edit(**labels("nid2", "nid1")),
+        "node labels not sorted and distinct: 'nid2' before 'nid1'",
+    ),
+    "repeated_label": (
+        edit(**labels("nid1", "nid1")),
+        "node labels not sorted and distinct: 'nid1' before 'nid1'",
+    ),
+    "unused_label": (
+        edit(**labels("nid1", "nid2", "nid3")),
+        "node label 'nid3' used by no row",
+    ),
+    "code_out_of_range": (
+        edit(node=const(i32(0, 1, 0, 2))),
+        f"row 3 (window {W1}): node code 2 not among 2 labels",
+    ),
+    "negative_code": (
+        edit(node=const(i32(0, -1, 0, 1))),
+        f"row 1 (window {W0}): node code -1 not among 2 labels",
+    ),
+    "off_grid": (
+        edit(window=const(i64(W0, W0, W1, W1 + 1))),
+        f"sample ('fs2', 'nid2', {W1 + 1}) off the 180s window grid",
+    ),
+    "negative_counter": (
+        edit(counters=lambda a: a["counters"] * np.where(np.arange(4) == 2, -1, 1)[:, None]),
+        f"sample ('fs2', 'nid1', {W1}) has a negative counter",
+    ),
+    "out_of_order": (
+        edit(node=const(i32(1, 0, 0, 1))),
+        f"sample ('fs2', 'nid1', {W0}) out of canonical (window, fs, node) order",
+    ),
+    "windows_out_of_order": (
+        edit(window=const(i64(W1, W1, W0, W0))),
+        f"sample ('fs2', 'nid1', {W0}) out of canonical (window, fs, node) order",
+    ),
+    "repeated_key": (
+        edit(node=const(i32(0, 0, 0, 1))),
+        f"sample ('fs2', 'nid1', {W0}) repeats the key before it",
+    ),
+    "truncated": (
+        lambda path, a: path.write_bytes(path.read_bytes()[:-100]),
+        "unreadable samples partition: File is not a zip file",
+    ),
+    "not_a_zip": (
+        lambda path, a: path.write_bytes(b"window_start,fs,node\n"),
+        "unreadable samples partition: ",
+    ),
+    "npy_not_npz": (npy_file, "unreadable samples partition: not an .npz file"),
+    "compressed": (
+        lambda path, a: np.savez_compressed(path, **a),
+        "unreadable samples partition: compressed entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SAMPLES_DEFECTS))
+def test_a_corrupt_samples_file_raises_store_error_naming_path_and_defect(store, defect):
+    path, arrays = stored_samples(store)
+    corrupt, message = SAMPLES_DEFECTS[defect]
+    corrupt(path, arrays)
+    for reader in (store, Store(store.root)):
+        with pytest.raises(StoreError) as err:
+            reader.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+        assert str(err.value).startswith(f"{path}: {message}")
+
+
+class Unpickled:
+    """Records each time a pickle of it is loaded."""
+
+    loads: list = []
+
+    def __reduce__(self):
+        return (Unpickled.loads.append, ("unpickled",))
+
+
+def test_a_samples_file_holding_an_object_array_is_refused_not_unpickled(store):
+    path, arrays = stored_samples(store)
+    edit_npz(path, node_labels=np.array([Unpickled()], dtype=object))
+    with pytest.raises(StoreError, match=re.escape(f"{path}: unreadable samples partition: ")):
+        store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    assert Unpickled.loads == []
+
+
+def test_writing_one_block_twice_gives_equal_bytes(tmp_path):
+    block = mk_block([mk_sample("fs2", n, BASE_DAY + 180 * i, read_kb=i) for i in range(3)
+                      for n in ("nid1", "nid2")])
+    first, second = Store(tmp_path / "first"), Store(tmp_path / "second")
+    first.write_partition(block, samples_partition())
+    back = Store(first.root).read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    second.write_partition(back, samples_partition())
+    data = first.path(samples_partition()).read_bytes()
+    assert second.path(samples_partition()).read_bytes() == data
+    # every entry carries one fixed date, so the bytes do not depend on the clock
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+
+# ids the CSV form must quote or that numpy str arrays would cut (a trailing NUL)
+awkward_ids = st.text(
+    st.sampled_from([",", '"', "\r", "\n", "\x00", " ", "é", "\u4e2d", "\U0001f600", "a", "Z"]),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(awkward_ids, st.integers(0, DAY // 180 - 1), counter_vec),
+        min_size=0,
+        max_size=12,
+        unique_by=lambda row: row[:2],
+    )
+)
+def test_samples_partition_round_trip_with_awkward_ids(rows):
+    block = mk_block(("fs2", node, BASE_DAY + 180 * i, vec) for node, i, vec in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Store(Path(tmp) / "first"), Store(Path(tmp) / "second")
+        first.write_partition(block, samples_partition())
+        back = Store(first.root).read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+        assert back == block
+        second.write_partition(back, samples_partition())
+        path = samples_partition()
+        assert second.path(path).read_bytes() == first.path(path).read_bytes()
+
+
+def test_a_csv_samples_partition_is_refused_with_a_re_ingest_hint(tmp_path):
+    """A store written when samples were CSV is refused whole: every samples
+    read, ingest and aggregate names the file and says to re-ingest."""
+    root = tmp_path / "store"
+    Store(root).write_partition(mk_block([mk_sample("fs3", "nid1", BASE_DAY)]),
+                                samples_partition(fs="fs3"))
+    legacy = root / "samples" / "fs2" / "2017-10-09.csv"
+    legacy.parent.mkdir(parents=True)
+    legacy.write_text(serialize_stats_csv(mk_block([mk_sample("fs2", "nid1", BASE_DAY)])))
+    stats = tmp_path / "stats.csv"
+    stats.write_text(serialize_stats_csv(mk_block([mk_sample("fs3", "nid2", BASE_DAY)])))
+    message = re.escape(f"{legacy}: a CSV samples partition") + ".*re-ingest the input"
+
+    for refused in (
+        lambda s: s.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY),
+        lambda s: s.read_range("samples", "fs3", BASE_DAY, BASE_DAY + DAY),
+        lambda s: s.partition_dates("samples", "fs2"),
+        lambda s: ingest_files(s, [stats]),
+        lambda s: aggregate_range(s, BASE_DAY, BASE_DAY + DAY),
+    ):
+        with pytest.raises(StoreError, match=message):
+            refused(Store(root))
+    assert main(["ingest", "--store", str(root), "--stats", str(stats)]) == 1
+    # nothing was written: the fs3 partition still holds its one row
+    legacy.unlink()
+    assert len(Store(root).read_range("samples", "fs3", BASE_DAY, BASE_DAY + DAY)) == 1
 
 
 def test_baseline_store_and_lookup(store):
@@ -437,13 +699,15 @@ def test_a_partition_path_is_resolved_once_per_store(store):
     again = [store.path(Partition(p.dataset, p.fs_id, p.date)) for p in partitions]
     assert all(a is f for a, f in zip(again, first))
     other = Store(store.root / "other")
-    assert other.path(partitions[0]) == store.root / "other" / "samples" / "fs2" / "1970-01-01.csv"
+    assert other.path(partitions[0]) == store.root / "other" / "samples" / "fs2" / "1970-01-01.npz"
+    assert other.path(partitions[3]) == store.root / "other" / "jobs" / "all" / "1970-01-01.csv"
 
 
 def test_stray_file_in_store_rejected(store):
     store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
-    (store.root / "samples" / "fs2" / "notes.csv").write_text("junk", encoding="utf-8")
-    with pytest.raises(StoreError):
+    assert store.partition_dates("samples", "fs2") == [BASE_DAY]
+    (store.root / "samples" / "fs2" / "notes.npz").write_bytes(b"junk")
+    with pytest.raises(StoreError, match="unexpected file in store: .*notes.npz"):
         store.partition_dates("samples", "fs2")
 
 
@@ -472,7 +736,7 @@ def test_corrupt_partition_surfaces_as_store_error(store):
     path = store.path(partition)
     path.parent.mkdir(parents=True)
     path.write_text("wrong,header\n", encoding="utf-8")
-    with pytest.raises(StoreError):
+    with pytest.raises(StoreError, match=re.escape(f"{path}: unreadable samples partition")):
         store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
 
 
@@ -576,10 +840,19 @@ def test_corrupting_a_memoized_partition_raises(store, dataset):
 
 def test_samples_are_never_memoized(store, monkeypatch):
     store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
+    loads = []
+    real = store_module._load_samples
+
+    def spy(path, partition, window_len):
+        loads.append(path)
+        return real(path, partition, window_len)
+
+    monkeypatch.setattr(store_module, "_load_samples", spy)
     parses = count_calls(monkeypatch, "parse_stats_csv")
     for _ in range(3):
         assert len(store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)) == 1
-    assert len(parses) == 3
+    assert loads == [store.path(samples_partition())] * 3
+    assert parses == []
 
 
 def test_a_job_lookup_in_a_new_store_parses_only_partitions_that_may_hold_it(store, monkeypatch):
