@@ -25,20 +25,28 @@ app_id keeps the first and rejects each later one. Counters are spelled
 in ASCII digits (parse_int_cells) and must fit in a signed 64-bit integer;
 anything else is rejected like any other bad row.
 
-Stats files parse into a SampleBlock, the only form samples take. The body
-is read in line-aligned ranges of about 64 KiB. A range proven clean is read
-column-wise by np.loadtxt. In a range that fails the proof, the lines of a
-plainly clean shape (_CLEAN_ROW) are still read column-wise together, and
-only the others go through the row loop, one line at a time with its
-absolute line number, so a file with a few bad rows costs about what a clean
-one does. The row loop alone decides a bad row's reason; a row the csv
-module refuses, such as one holding a cell longer than
-csv.field_size_limit(), is a bad row like any other. A file holding a
-quote, CR or NUL goes whole to the row loop, since csv quoting can span
-lines. Duplicate keys are resolved once over all accepted rows in line
-order, so every path gives the whole-file row loop's block, report and
-strict error. The fs and node ids of a file are coded as they are first
-read, once per distinct id, and the block carries those codes.
+Stats files parse into a SampleBlock, the only form samples take, or, for
+ingest into a store, into a spill file (SpilledStats). The input is streamed in
+line-aligned ranges of about 64 KiB and never held as one text. A range
+proven clean is read column-wise by np.loadtxt. In a range that fails the
+proof, the lines of a plainly clean shape (_CLEAN_ROW) are still read
+column-wise together, and only the others go through the row loop, one line
+at a time with its absolute line number, so a file with a few bad rows
+costs about what a clean one does. The row loop alone decides a bad row's
+reason; a row the csv module refuses, such as one holding a cell longer than
+csv.field_size_limit(), is a bad row like any other. The first range
+holding a quote, CR or NUL starts the row loop, which reads the rest of the
+file from that range's first line, since csv quoting can span lines.
+Duplicate keys are resolved once over all accepted rows in line order, so
+every path gives the whole-file row loop's block, report and strict error.
+The fs and node ids of a file are coded as they are first read, once per
+distinct id, and the block carries those codes.
+
+Memory: into a block, a parse holds the whole file's columns (192 bytes a
+row) and one range. Into a spill, it holds one range and a few thousand
+rows, which it appends to the spill file grouped by (filesystem, UTC day)
+partition; a duplicate key never spans two partitions, so duplicates are
+then found, and the spilled rows later read back, one partition at a time.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ from .model import (
     canonical_order,
     label_codes,
 )
-from .timeutil import HOUR, format_utc, parse_utc
+from .timeutil import DAY, HOUR, format_utc, parse_utc
 
 STATS_HEADER = ("window_start", "fs", "node") + ALL_FIELDS
 
@@ -180,59 +188,118 @@ def parse_int_cells(cells: Sequence[str]) -> list[int]:
 
 
 def parse_stats_csv(
-    source: Source, mode: str = "strict", window_len: int = 180
-) -> tuple[SampleBlock, IngestReport]:
+    source: Source,
+    mode: str = "strict",
+    window_len: int = 180,
+    spill: IO[bytes] | None = None,
+) -> tuple[SampleBlock | SpilledStats, IngestReport]:
     """Parse a stats CSV into a sample block plus an ingest report.
 
-    The body is cut into line-aligned ranges of about _RANGE_CHARS
-    characters. A range that passes the clean proof (_StatsRows._read_range)
-    is read column-wise, and a row of it with a negative counter, a bad
-    timestamp or an empty id goes alone through the row loop. In a range
-    that fails, the lines _CLEAN_ROW matches are read column-wise together,
-    and each other line goes through the row loop with its absolute line
-    number, so the row loop sees only the bad and the blank lines. A file
-    holding a quote, CR or NUL, or a window_len that does not divide an
-    hour, goes whole to the row loop. Duplicate keys are resolved once over
-    all accepted rows in line order (_StatsRows.result), so the answer is
-    the whole-file row loop's: the same block, report and strict error.
-    Strict mode reads no range after the first one holding a bad row.
+    The input is read from the stream in line-aligned ranges of about
+    _RANGE_CHARS characters, a partial last line carried to the next range,
+    so the file is never held as one text. A range that passes the clean
+    proof (_StatsRows._read_range) is read column-wise, and a row of it with
+    a negative counter, a bad timestamp or an empty id goes alone through
+    the row loop. In a range that fails, the lines _CLEAN_ROW matches are
+    read column-wise together, and each other line goes through the row
+    loop with its absolute line number, so the row loop sees only the bad
+    and the blank lines. The first range holding a quote, CR or NUL starts
+    the row loop, which reads from that range's first line to the end of the
+    file: no earlier line holds one of these, so each was a whole csv row
+    and the csv reader starts there as the whole-file row loop would be. A
+    window_len that does not divide an hour sends the whole file to the row
+    loop. Duplicate keys are resolved in line order once all rows are in, so
+    the answer is the whole-file row loop's: the same block, report and
+    strict error. Strict mode reads no range after the first one holding a
+    bad row.
+
+    Given a spill, a seekable binary file, the accepted rows are appended
+    to it, _SPILL_ROWS at a time, by (fs, UTC day) partition, and the
+    result holds the file's SpilledStats in place of a block: memory then
+    holds one range of input and, while duplicate keys are resolved, one
+    partition's keys. Without one, the rows fill whole-file columns, sized
+    from the file's line count when the source is a path.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if spill is not None:
+        sink = SpilledStats(spill, window_len)
+    else:
+        sink = _Columns(_line_count(source) if isinstance(source, (str, Path)) else 0)
+    rows = _StatsRows(mode, window_len, sink)
     stream, owned = _open_source(source)
     try:
-        text = stream.read()
+        _read_stats(stream, rows)
     finally:
         if owned:
             stream.close()
-    if window_len <= 0 or HOUR % window_len or any(c in text for c in _CSV_SPECIAL):
-        return _parse_stats_rows(text, mode, window_len)
-    pos = text.find("\n") + 1 or len(text)  # past the header, without copying the body
-    _check_header(next(csv_rows([text[:pos]], 1))[1] if text else None, STATS_HEADER)
-    rows = _StatsRows(text.count("\n", pos) + 1, mode, window_len)
-    line = 2
-    while pos < len(text) and not rows.done():
-        stop = text.find("\n", pos + _RANGE_CHARS) + 1 or len(text)
-        chunk = text[pos:stop]
-        lines = chunk.split("\n")
+    return rows.result()
+
+
+def _line_count(path: str | Path) -> int:
+    """A bound on a file's data rows: its LF count plus one."""
+    with open(path, "rb") as fh:
+        return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b"")) + 1
+
+
+def _read_stats(stream: IO[str], rows: _StatsRows) -> None:
+    """Give rows the header and then the body of a stats stream, range by range."""
+    carry, line = "", 1
+    while not rows.done():
+        chunk = stream.read(_RANGE_CHARS)
+        carry += chunk
+        cut = carry.rfind("\n") + 1 if chunk else len(carry)
+        if not cut:
+            if chunk:
+                continue
+            break
+        text, carry = carry[:cut], carry[cut:]
+        if rows.bad_len or any(c in text for c in _CSV_SPECIAL):
+            lines = csv_rows(_pieces(text + carry, stream), line)
+            if line == 1:
+                _check_header(next(lines, (1, None))[1], STATS_HEADER)
+            rows.row_loop(takewhile(lambda _: not rows.done(), lines))
+            return
+        lines = text.split("\n")
         if not lines[-1]:
             lines.pop()
-        rows.add_range(chunk, lines, line)
-        pos, line = stop, line + len(lines)
-    return rows.result()
+        if line == 1:
+            _check_header(next(csv_rows(lines[:1], 1))[1], STATS_HEADER)
+            text, lines, line = text[len(lines[0]) + 1 :], lines[1:], 2
+            if not lines:
+                continue
+        rows.add_range(text, lines, line)
+        line += len(lines)
+    if line == 1:
+        _check_header(None, STATS_HEADER)
+
+
+def _pieces(text: str, stream: IO[str]) -> Iterator[str]:
+    """The lines of text and then of the rest of stream, split as a text
+    stream opened with newline="" splits them (at LF, CR LF or a lone CR).
+    Each read is cut after its last LF, so no CR LF is split in two."""
+    while True:
+        chunk = stream.read(_RANGE_CHARS)
+        text += chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        yield from io.StringIO(text[:cut], newline="")
+        if not chunk:
+            return
+        text = text[cut:]
 
 
 def _parse_stats_rows(text: str, mode: str, window_len: int) -> tuple[SampleBlock, IngestReport]:
     """The whole file through the row loop; the reference the ranges must equal."""
     lines = csv_rows(io.StringIO(text, newline=""), 1)
     _check_header(next(lines, (1, None))[1], STATS_HEADER)
-    rows = _StatsRows(0, mode, window_len)
+    rows = _StatsRows(mode, window_len, _Columns(0))
     rows.row_loop(takewhile(lambda _: not rows.done(), lines))
     return rows.result()
 
 
-# a file holding one of these goes whole to the row loop: the csv module reads
-# quotes and CR across lines, and before Python 3.11 refuses NUL
+# a range holding one of these starts the row loop, which reads the rest of the
+# file: the csv module reads quotes and CR across lines, and before Python 3.11
+# refuses NUL
 _CSV_SPECIAL = ('"', "\r", "\x00")
 # what fails an ASCII range's clean proof: "+" and any whitespace but LF,
 # which np.loadtxt takes around a number
@@ -247,6 +314,11 @@ _RANGE_CHARS = 1 << 16
 _CLEAN_ROW = re.compile(r"(?:[!#-*\-./0-9:-~]*,){3}-?[0-9]{1,18}(?:,-?[0-9]{1,18}){20}")
 # the window of a row whose timestamp parse_utc refuses; no timestamp has it
 _NO_STAMP = np.iinfo(np.int64).min
+# the row loop hands its accepted rows to the sink once it holds this many
+_ROWS_HELD = 1024
+# SpilledStats writes the rows it takes once it holds this many (about
+# 0.8 MB), so a partition is a few large segments, not one per range
+_SPILL_ROWS = 1 << 12
 
 
 class _IdCodes(dict):
@@ -257,31 +329,59 @@ class _IdCodes(dict):
         return code
 
 
+class _Starts(dict):
+    """Each timestamp's window start, or _NO_STAMP where parse_utc refuses
+    it, parsed on first lookup."""
+
+    def __missing__(self, stamp: str) -> int:
+        try:
+            start = parse_utc(stamp)
+        except ValueError:
+            start = _NO_STAMP
+        self[stamp] = start
+        return start
+
+
+def _repeats(fs, node, window, line) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows to keep, in canonical order: of each repeated key, its last
+    line. Also the positions of the rows a later row of their key
+    supersedes, and of those later rows (each the next occurrence)."""
+    order, repeat = canonical_order(fs, node, window, line)
+    return order[~repeat], order[repeat], order[np.flatnonzero(repeat) + 1]
+
+
+def _first_repeat(line: np.ndarray, by: np.ndarray, key) -> tuple[int, str] | None:
+    """The strict error of the lowest-line second occurrence among rows by,
+    named by key(row)."""
+    if not len(by):
+        return None
+    i = int(by[np.argmin(line[by])])
+    return int(line[i]), f"duplicate sample for {key(i)}"
+
+
 class _StatsRows:
     """The accepted and the bad rows of one stats file, as they are found.
 
-    Column-read ranges fill preallocated columns; the row loop appends its
-    rows to a list. Every accepted row keeps its line number, so duplicate
-    keys are resolved in line order once all rows are in (result). fs and
-    node ids are held as codes in first-seen order (fs_ids, node_ids), which
-    result remaps once to sorted order.
+    Accepted rows go to a sink range by range, each with its line number:
+    whole-file columns (_Columns) or a spill file by partition
+    (SpilledStats). Duplicate keys are resolved in line order once all rows
+    are in (result). fs and node ids are held as codes in first-seen order
+    (fs_ids, node_ids), which the sink maps once to sorted order.
     """
 
-    def __init__(self, capacity: int, mode: str, window_len: int):
+    def __init__(self, mode: str, window_len: int, sink: _Columns | SpilledStats):
         self.strict = mode == "strict"
         self.window_len = window_len
-        self.fs = np.empty(capacity, np.int32)
-        self.node = np.empty(capacity, np.int32)
-        self.window = np.empty(capacity, np.int64)
-        self.counters = np.empty((capacity, len(ALL_FIELDS)), np.int64)
-        self.line = np.empty(capacity, np.int64)
-        self.n = 0  # column rows filled
-        # (line, fs code, node code, window, counters) of each row the row loop accepts
+        # a window_len that does not divide an hour makes every row bad
+        self.bad_len = window_len <= 0 or HOUR % window_len != 0
+        self.sink = sink
+        # (line, fs code, node code, window, counters) of rows the row loop
+        # accepted and has not yet handed to the sink
         self.rows: list[tuple[int, int, int, int, list[int]]] = []
         self.bad: list[tuple[int, str]] = []  # (line, reason) of each bad row
         self.fs_ids = _IdCodes()
         self.node_ids = _IdCodes()
-        self.starts: dict[str, int] = {}  # timestamp -> window start or _NO_STAMP
+        self.starts = _Starts()
 
     def done(self) -> bool:
         """Whether strict mode has its answer: once a range with a bad row is
@@ -294,31 +394,34 @@ class _StatsRows:
         _CLEAN_ROW matches are read column-wise together, and every other
         line (or every line, should those fail the proof too) goes alone
         through the row loop."""
-        if self._read_range(text, lines, range(first, first + len(lines))):
+        if self._read_range(text, lines, np.arange(first, first + len(lines))):
             return
         limit = csv.field_size_limit()
         clean = [len(line) <= limit and _CLEAN_ROW.fullmatch(line) is not None for line in lines]
         picked = [line for line, ok in zip(lines, clean) if ok]
-        line_nos = [first + i for i, ok in enumerate(clean) if ok]
-        if picked and self._read_range("\n".join(picked), picked, line_nos):
+        if picked and self._read_range(
+            "\n".join(picked), picked, first + np.flatnonzero(clean).astype(np.int64)
+        ):
             rest = [i for i, ok in enumerate(clean) if not ok]
         else:
             rest = range(len(lines))
         self.row_loop(chain.from_iterable(csv_rows([lines[i]], first + i) for i in rest))
 
-    def _read_range(self, text: str, lines: list[str], line_nos: Sequence[int]) -> bool:
-        """Read lines, numbered line_nos (text is them joined by LF),
+    def _read_range(self, text: str, lines: list[str], line: np.ndarray) -> bool:
+        """Read lines, numbered line (text is them joined by LF),
         column-wise if they pass the clean proof; False if not.
 
         The proof: no cell longer than csv.field_size_limit(), which only a
         range longer than that limit can hold; ASCII only; no "+" or
-        whitespace other than LF; 23 commas on every line; every line read
-        by np.loadtxt as three keys and 21 int64 counters. np.loadtxt reads
-        a signed or space-padded token, and gives a non-ASCII one a value,
-        where parse_int_cells refuses it; on what is left it takes only
-        -?[0-9]+, with int()'s value. A row of a proven range with a
-        negative counter, an inexact or off-grid timestamp or an empty id
-        goes alone through the row loop.
+        whitespace other than LF; np.loadtxt reads a row of three keys and
+        21 int64 counters from every line. It refuses a line of more or
+        fewer than 24 cells ("requires 24 columns"), and skips a blank line,
+        which the row count then misses. np.loadtxt reads a signed or
+        space-padded token, and gives a non-ASCII one a value, where
+        parse_int_cells refuses it; on what is left it takes only -?[0-9]+,
+        with int()'s value. A row of a proven range with a negative counter,
+        an inexact or off-grid timestamp or an empty id goes alone through
+        the row loop.
         """
         limit = csv.field_size_limit()
         if len(text) > limit and any(
@@ -326,8 +429,6 @@ class _StatsRows:
         ):
             return False
         if not text.isascii() or any(c in text for c in _UNCLEAN_CHARS):
-            return False
-        if text.count(",") != len(lines) * (len(STATS_HEADER) - 1):
             return False
         try:
             with warnings.catch_warnings():
@@ -337,24 +438,14 @@ class _StatsRows:
                 )
         except (ValueError, Warning):
             return False
-        if len(table) != len(lines):
+        n = len(lines)
+        if len(table) != n:
             return False
         keys = table["key"]
-        stamps = keys[:, 0].tolist()
-        for stamp in set(stamps) - self.starts.keys():
-            try:
-                self.starts[stamp] = parse_utc(stamp)
-            except ValueError:
-                self.starts[stamp] = _NO_STAMP
-        fs_ids, node_ids = self.fs_ids, self.node_ids
-        at = slice(self.n, self.n + len(lines))
-        fs, node, window, counters = self.fs[at], self.node[at], self.window[at], self.counters[at]
-        window[:] = [self.starts[stamp] for stamp in stamps]
-        fs[:] = np.fromiter(map(fs_ids.__getitem__, keys[:, 1].tolist()), np.int32, len(lines))
-        node[:] = np.fromiter(map(node_ids.__getitem__, keys[:, 2].tolist()), np.int32, len(lines))
-        counters[:] = table["counters"]
-        line = self.line[at]
-        line[:] = line_nos
+        window = np.fromiter(map(self.starts.__getitem__, keys[:, 0].tolist()), np.int64, n)
+        fs = np.fromiter(map(self.fs_ids.__getitem__, keys[:, 1].tolist()), np.int32, n)
+        node = np.fromiter(map(self.node_ids.__getitem__, keys[:, 2].tolist()), np.int32, n)
+        counters = table["counters"]
         # only a range holding a bad row pays for the row mask; an empty id
         # needs two adjacent commas
         if (
@@ -363,23 +454,19 @@ class _StatsRows:
             and not (window % self.window_len).any()
             and ",," not in text
         ):
-            self.n += len(lines)
+            self.sink.add(fs, node, window, counters, line)
             return True
         bad = (
             (counters < 0).any(axis=1)
             | (window == _NO_STAMP)
             | (window % self.window_len != 0)
-            | (fs == fs_ids.get("", -1))
-            | (node == node_ids.get("", -1))
+            | (fs == self.fs_ids.get("", -1))
+            | (node == self.node_ids.get("", -1))
         )
-        # the bad rows' line numbers are taken before the columns are compacted
-        looped = zip(line[bad].tolist(), csv.reader(lines[i] for i in np.flatnonzero(bad).tolist()))
         good = ~bad
-        kept = int(good.sum())
-        for column in (fs, node, window, counters, line):
-            column[:kept] = column[good]
-        self.n += kept
-        self.row_loop(looped)
+        self.sink.add(fs[good], node[good], window[good], counters[good], line[good])
+        bad_lines = np.flatnonzero(bad).tolist()
+        self.row_loop(zip(line[bad].tolist(), csv.reader(lines[i] for i in bad_lines)))
         return True
 
     def row_loop(self, rows: Iterable[tuple[int, list[str] | csv.Error]]) -> None:
@@ -388,10 +475,10 @@ class _StatsRows:
         A row must be readable as csv (cells, not a csv.Error), have 24
         cells, an exact timestamp on the window_len grid, non-empty ids and
         counters (parse_int_cells) in [0, 2**63 - 1]; a window_len that does
-        not divide an hour makes every row bad.
+        not divide an hour makes every row bad. Accepted rows go to the sink
+        in batches of _ROWS_HELD.
         """
         window_len = self.window_len
-        bad_len = window_len <= 0 or HOUR % window_len != 0
         fs_ids, node_ids = self.fs_ids, self.node_ids
         for line_no, row in rows:
             if isinstance(row, csv.Error):
@@ -417,7 +504,7 @@ class _StatsRows:
                 self.bad.append((line_no, "counter exceeds int64 range"))
             elif min(vals) < 0:
                 self.bad.append((line_no, f"negative counter in counters {tuple(vals)}"))
-            elif bad_len:
+            elif self.bad_len:
                 self.bad.append((line_no, f"window_len {window_len} must divide 3600"))
             elif window_start % window_len:
                 self.bad.append(
@@ -427,55 +514,213 @@ class _StatsRows:
                 self.bad.append((line_no, "fs_id and node_id must be non-empty"))
             else:
                 self.rows.append((line_no, fs_ids[row[1]], node_ids[row[2]], window_start, vals))
+                if len(self.rows) == _ROWS_HELD:
+                    self._flush()
+        self._flush()
 
-    def result(self) -> tuple[SampleBlock, IngestReport]:
-        """The block and report of all rows, duplicate keys resolved in line order.
-
-        Lenient mode keeps each key's last row and rejects every earlier one
-        as superseded by the next; strict mode raises the lowest-line error
-        among the bad rows and the second occurrences of a key.
-        """
-        n = self.n
-        fs, node, window, counters, line = (
-            self.fs[:n], self.node[:n], self.window[:n], self.counters[:n], self.line[:n]
-        )
+    def _flush(self) -> None:
+        """Hand the row loop's accepted rows to the sink."""
         if self.rows:
             lines, fss, nodes, windows, vals = zip(*self.rows)
-            fs = np.concatenate([fs, np.array(fss, np.int32)])
-            node = np.concatenate([node, np.array(nodes, np.int32)])
-            window = np.concatenate([window, np.array(windows, np.int64)])
-            counters = np.concatenate([counters, np.array(vals, np.int64)])
-            line = np.concatenate([line, np.array(lines, np.int64)])
-        fs_labels, fs = label_codes(list(self.fs_ids), fs)
-        node_labels, node = label_codes(list(self.node_ids), node)
-        order, repeat = canonical_order(fs, node, window, line)
-        # a repeated key's row is superseded by the next sorted row, its next occurrence
-        superseded = order[repeat]
-        by = order[np.flatnonzero(repeat) + 1]
+            self.rows = []
+            self.sink.add(
+                np.array(fss, np.int32),
+                np.array(nodes, np.int32),
+                np.array(windows, np.int64),
+                np.array(vals, np.int64),
+                np.array(lines, np.int64),
+            )
+
+    def result(self) -> tuple[SampleBlock | SpilledStats, IngestReport]:
+        """The sink's block (or spill) and the file's report; see report."""
+        self._flush()
+        return self.sink.result(self)
+
+    def report(
+        self,
+        accepted: int,
+        superseded: list[int],
+        by: list[int],
+        first_repeat: tuple[int, str] | None,
+    ) -> IngestReport:
+        """The report of a file whose sink took accepted rows, of which the
+        rows on lines superseded were each superseded by the one on the line
+        at the same place in by, its key's next occurrence.
+
+        Lenient mode rejects every superseded row; strict mode raises the
+        lowest-line error among the bad rows and first_repeat, the lowest
+        second occurrence of a key (_first_repeat).
+        """
         errors = list(self.bad)
         if self.strict:
-            if len(by):
-                i = int(by[np.argmin(line[by])])
-                key = (fs_labels[fs[i]], node_labels[node[i]], int(window[i]))
-                errors.append((int(line[i]), f"duplicate sample for {key}"))
+            if first_repeat is not None:
+                errors.append(first_repeat)
             if errors:
                 raise IngestError(*min(errors))
         errors += [
             (a, f"duplicate (fs, node, window) superseded by line {b}")
-            for a, b in zip(line[superseded].tolist(), line[by].tolist())
+            for a, b in zip(superseded, by)
         ]
-        keep = order[~repeat]
-        if len(keep) != len(order) or not (np.diff(keep) == 1).all():
-            fs, node, window, counters = fs[keep], node[keep], window[keep], counters[keep]
-        block = SampleBlock(fs_labels, fs, node_labels, node, window, counters, self.window_len)
         errors.sort()
-        return block, IngestReport(
-            rows_read=len(order) + len(self.bad),
-            rows_accepted=len(block),
+        return IngestReport(
+            rows_read=accepted + len(self.bad),
+            rows_accepted=accepted - len(superseded),
             rows_rejected=len(errors),
             first_error_line=errors[0][0] if errors else None,
             rejected_reasons=tuple(errors),
         )
+
+
+class _Columns:
+    """Whole-file columns of accepted rows; grown, by doubling, only past
+    the capacity they start with."""
+
+    NAMES = ("fs", "node", "window", "counters", "line")
+
+    def __init__(self, capacity: int):
+        self.n = 0
+        self.fs = np.empty(capacity, np.int32)
+        self.node = np.empty(capacity, np.int32)
+        self.window = np.empty(capacity, np.int64)
+        self.counters = np.empty((capacity, len(ALL_FIELDS)), np.int64)
+        self.line = np.empty(capacity, np.int64)
+
+    def add(self, fs, node, window, counters, line) -> None:
+        n, k = self.n, len(window)
+        if n + k > len(self.window):
+            size = max(2 * len(self.window), n + k)
+            for name in self.NAMES:
+                old = getattr(self, name)
+                new = np.empty((size,) + old.shape[1:], old.dtype)
+                new[:n] = old[:n]
+                setattr(self, name, new)
+        at = slice(n, n + k)
+        self.fs[at], self.node[at], self.window[at] = fs, node, window
+        self.counters[at], self.line[at] = counters, line
+        self.n = n + k
+
+    def result(self, rows: _StatsRows) -> tuple[SampleBlock, IngestReport]:
+        """The block of all rows, each repeated key's last line kept."""
+        fs, node, window, counters, line = (getattr(self, name)[: self.n] for name in self.NAMES)
+        fs_labels, fs = label_codes(list(rows.fs_ids), fs)
+        node_labels, node = label_codes(list(rows.node_ids), node)
+        keep, superseded, by = _repeats(fs, node, window, line)
+        report = rows.report(
+            self.n,
+            line[superseded].tolist(),
+            line[by].tolist(),
+            _first_repeat(
+                line, by, lambda i: (fs_labels[fs[i]], node_labels[node[i]], int(window[i]))
+            ),
+        )
+        if len(keep) != self.n or not (np.diff(keep) == 1).all():
+            fs, node, window, counters = fs[keep], node[keep], window[keep], counters[keep]
+        block = SampleBlock(fs_labels, fs, node_labels, node, window, counters, rows.window_len)
+        return block, report
+
+
+class SpilledStats:
+    """One stats file's accepted rows, appended to a binary spill file by
+    (fs, UTC day) partition; what parse_stats_csv returns given a spill.
+
+    The caller owns the file, which may hold other files' rows too: any
+    seekable binary file, such as an unlinked temporary file beside the
+    store, which a crash cannot leave behind. A partition is the segments
+    its rows were written in, one per _SPILL_ROWS rows taken: the rows'
+    node codes (int32), window starts, line numbers and (n, 21) counters
+    (int64), in that order. Codes index the file's ids in first-seen order
+    (fs_ids, node_ids). Duplicate keys stay in the spill until block
+    resolves them; a key never spans two partitions.
+    """
+
+    def __init__(self, spill: IO[bytes], window_len: int):
+        self.spill = spill
+        self.window_len = window_len
+        self.fs_ids: tuple[str, ...] = ()
+        self.node_ids: tuple[str, ...] = ()
+        # (fs code, day) -> [(offset, rows)] while the parse runs; then
+        # (fs id, day) -> [(offset, rows)]
+        self.partitions: dict[tuple, list[tuple[int, int]]] = {}
+        # rows taken but not yet written, as (fs, node, window, counters, line)
+        self.held: list[tuple[np.ndarray, ...]] = []
+        self.rows_held = 0
+
+    def add(self, fs, node, window, counters, line) -> None:
+        """Take rows; they are written once _SPILL_ROWS are held. Counters
+        are copied out of a view, which would hold a whole np.loadtxt table."""
+        self.held.append((fs, node, window, np.ascontiguousarray(counters), line))
+        self.rows_held += len(window)
+        if self.rows_held >= _SPILL_ROWS:
+            self._write()
+
+    def _write(self) -> None:
+        """Append the rows held to the spill, a segment per partition."""
+        if not self.held:
+            return
+        fs, node, window, counters, line = (np.concatenate(c) for c in zip(*self.held))
+        self.held, self.rows_held = [], 0
+        group = (window // DAY) << 31 | fs
+        keys, inverse = np.unique(group, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        bounds = np.searchsorted(inverse[order], np.arange(len(keys) + 1)).tolist()
+        for key, a, b in zip(keys.tolist(), bounds, bounds[1:]):
+            rows = order[a:b] if len(keys) > 1 else slice(None)
+            offset = self.spill.seek(0, io.SEEK_END)
+            for column in (node[rows], window[rows], line[rows], counters[rows]):
+                self.spill.write(memoryview(np.ascontiguousarray(column)).cast("B"))
+            self.partitions.setdefault((key & ((1 << 31) - 1), (key >> 31) * DAY), []).append(
+                (offset, b - a)
+            )
+
+    def _load(self, segments: list[tuple[int, int]], counters: bool) -> list[np.ndarray]:
+        """A partition's node, window and line columns, and its counters if asked."""
+        n = sum(count for _, count in segments)
+        columns = [np.empty(n, np.int32), np.empty(n, np.int64), np.empty(n, np.int64)]
+        if counters:
+            columns.append(np.empty((n, len(ALL_FIELDS)), np.int64))
+        at = 0
+        for offset, count in segments:
+            self.spill.seek(offset)
+            for column in columns:
+                view = memoryview(column[at : at + count]).cast("B")
+                if self.spill.readinto(view) != len(view):
+                    raise OSError(f"sample spill ends inside the segment at {offset}")
+            at += count
+        return columns
+
+    def result(self, rows: _StatsRows) -> tuple[SpilledStats, IngestReport]:
+        """This file and its report, the partitions' keys read one at a time
+        to find the repeated ones."""
+        self._write()
+        self.fs_ids, self.node_ids = tuple(rows.fs_ids), tuple(rows.node_ids)
+        accepted, superseded, by, firsts = 0, [], [], []
+        for (code, day), segments in self.partitions.items():
+            node, window, line = self._load(segments, counters=False)
+            _, dropped, later = _repeats(np.zeros(len(node), np.int32), node, window, line)
+            accepted += len(node)
+            superseded += line[dropped].tolist()
+            by += line[later].tolist()
+            first = _first_repeat(
+                line, later, lambda i: (self.fs_ids[code], self.node_ids[node[i]], int(window[i]))
+            )
+            if first is not None:
+                firsts.append(first)
+        report = rows.report(accepted, superseded, by, min(firsts, default=None))
+        self.partitions = {
+            (self.fs_ids[code], day): segments for (code, day), segments in self.partitions.items()
+        }
+        return self, report
+
+    def block(self, fs_id: str, day: int) -> SampleBlock:
+        """One partition's rows as a block in canonical order, each repeated
+        key's last line kept."""
+        node, window, line, counters = self._load(self.partitions[fs_id, day], counters=True)
+        node_labels, node = label_codes(self.node_ids, node)
+        fs = np.zeros(len(node), np.int32)
+        keep, _, _ = _repeats(fs, node, window, line)
+        if len(keep) != len(node) or not (np.diff(keep) == 1).all():
+            fs, node, window, counters = fs[: len(keep)], node[keep], window[keep], counters[keep]
+        return SampleBlock((fs_id,), fs, node_labels, node, window, counters, self.window_len)
 
 
 def parse_jobs_csv(source: Source, mode: str = "strict") -> tuple[list[JobRecord], IngestReport]:

@@ -314,8 +314,9 @@ class SampleBlock:
         return (self.fs_labels[self.fs[i]], self.node_labels[self.node[i]], int(self.window[i]))
 
     def take(self, index) -> "SampleBlock":
-        """Rows selected by a boolean mask or ascending positions; labels
-        no selected row uses leave the tables."""
+        """Rows selected by a boolean mask, ascending positions or a slice
+        (whose columns are views); labels no selected row uses leave the
+        tables."""
         fs_labels, fs = label_codes(self.fs_labels, self.fs[index])
         node_labels, node = label_codes(self.node_labels, self.node[index])
         return SampleBlock(

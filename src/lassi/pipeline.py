@@ -9,12 +9,15 @@ partitions.
 
 Aggregation holds one UTC day of samples at a time, so its memory grows with
 a day of data, not with the range; what it keeps between days is the output
-(hourly records) and each day's attribution result. Ingest still gathers
-whole input files before it splits them by partition.
+(hourly records) and each day's attribution result. Ingest holds one
+(filesystem, day) partition of samples at a time: each stats file streams
+into a spill file in the store root, which the later passes read back one
+partition at a time.
 """
 
 from __future__ import annotations
 
+import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,12 +29,13 @@ from .analysis import ExposureRecord, run_risk_exposure
 from .attribution import (
     AttributionConfig,
     AttributionResult,
+    add_rows,
     aggregate_hourly,
     attribute,
     fs_hourly_totals,
 )
 from .errors import IngestError, LassiError
-from .ingest import parse_jobs_csv, parse_stats_csv
+from .ingest import SpilledStats, parse_jobs_csv, parse_stats_csv
 from .metrics import FsBaseline, RiskSeries, compute_baseline, fs_risk_series, ops_series
 from .model import (
     ALL_FIELDS,
@@ -104,17 +108,13 @@ def _merge(
     return (old if same else list(merged.values())), changed
 
 
-def _merge_samples(
-    old: SampleBlock, new: SampleBlock, mode: str, where: str
-) -> tuple[SampleBlock, int]:
-    """Key-wise union in canonical order, new rows winning; also the number
-    of rows whose counters a new row changed.
-
-    Strict mode refuses a changed row instead. When no new row adds a key or
-    changes a counter, the union is old itself.
-    """
+def _union(old: SampleBlock, new: SampleBlock) -> tuple[SampleBlock, np.ndarray]:
+    """Key-wise union in canonical order, new rows winning; also the
+    positions in new, ascending, of the rows that changed an old row's
+    counters. When no new row adds a key or changes a counter, the union is
+    old itself."""
     if not len(old):
-        return new, 0
+        return new, np.empty(0, np.int64)
     fs_labels, fs = merged_labels((old, new), "fs")
     node_labels, node = merged_labels((old, new), "node")
     window, counters = (
@@ -126,15 +126,51 @@ def _merge_samples(
     replaced = order[repeat]
     replacing = order[np.flatnonzero(repeat) + 1]
     changed = replacing[(counters[replaced] != counters[replacing]).any(axis=1)] - len(old)
-    if len(changed) and mode == "strict":
-        raise IngestError(0, f"sample {new.key(int(changed[0]))} conflicts {where}")
     if not len(changed) and len(replaced) == len(new):
-        return old, 0
+        return old, changed
     keep = order[~repeat]
     merged = SampleBlock(
         fs_labels, fs[keep], node_labels, node[keep], window[keep], counters[keep], new.window_len
     )
+    return merged, changed
+
+
+def _merge_samples(
+    old: SampleBlock, new: SampleBlock, mode: str, where: str
+) -> tuple[SampleBlock, int]:
+    """Key-wise union in canonical order, new rows winning (_union); also
+    the number of rows whose counters a new row changed.
+
+    Strict mode refuses a changed row instead, naming the first in
+    canonical order.
+    """
+    merged, changed = _union(old, new)
+    if len(changed) and mode == "strict":
+        raise IngestError(0, f"sample {new.key(int(changed[0]))} conflicts {where}")
     return merged, len(changed)
+
+
+def _merge_inputs(
+    inputs: Sequence[tuple[str | Path, SpilledStats]], fs_id: str, day: int
+) -> tuple[SampleBlock, int, tuple | None]:
+    """One (filesystem, day) partition's rows of every input that has it,
+    merged in input order, later inputs winning; with the number of rows a
+    later input changed, and the first such change as (input position,
+    (window, fs, node) key, (fs, node, window) key), or None."""
+    merged, changed, first = None, 0, None
+    for k, (_, spilled) in enumerate(inputs):
+        if (fs_id, day) not in spilled.partitions:
+            continue
+        block = spilled.block(fs_id, day)
+        if merged is None:
+            merged = block
+            continue
+        merged, rows = _union(merged, block)
+        changed += len(rows)
+        if len(rows) and first is None:
+            i = int(rows[0])
+            first = (k, block._key(i), block.key(i))
+    return merged, changed, first
 
 
 def _moved_jobs(store: Store, jobs: Sequence[JobRecord], mode: str) -> dict[int, set[str]]:
@@ -157,41 +193,82 @@ def _moved_jobs(store: Store, jobs: Sequence[JobRecord], mode: str) -> dict[int,
     return moved
 
 
+def _check_inputs(
+    inputs: Sequence[tuple[str | Path, SpilledStats]], partitions: Iterable[tuple[str, int]]
+) -> None:
+    """Strict mode's check pass over two or more stats files: raise the
+    IngestError a merge of the whole files in path order raises, naming the
+    first input that changes a row of an earlier one and, in it, the first
+    such sample in (window, fs, node) order."""
+    conflicts = [c for key in partitions if (c := _merge_inputs(inputs, *key)[2]) is not None]
+    if conflicts:
+        k, _, key = min(conflicts)
+        raise IngestError(0, f"sample {key} conflicts across inputs ({inputs[k][0]})")
+
+
 def ingest_files(
     store: Store,
     stats_paths: Sequence[str | Path] = (),
     jobs_paths: Sequence[str | Path] = (),
     mode: str = "strict",
 ) -> IngestSummary:
-    """Parse source CSVs and fold them into the store's daily partitions."""
-    rejected = 0
-    samples = SampleBlock.empty(store.window_len)
-    for path in stats_paths:
-        parsed, report = parse_stats_csv(path, mode, store.window_len)
-        samples, changed = _merge_samples(samples, parsed, mode, f"across inputs ({path})")
-        rejected += report.rows_rejected + changed
+    """Parse source CSVs and fold them into the store's daily partitions.
 
-    jobs: list[JobRecord] = []
-    for path in jobs_paths:
-        parsed, report = parse_jobs_csv(path, mode)
-        jobs, changed = _merge(jobs, parsed, mode, f"across inputs ({path})")
-        rejected += report.rows_rejected + changed
+    Each stats file is parsed range by range into a spill file, an unlinked
+    temporary file in the store root (so on the store's disk, and gone with
+    the process however it ends), its rows grouped by (filesystem, UTC day)
+    partition; a duplicate key never crosses a partition. Memory then holds
+    a range of input or one partition, never a whole stats file. In strict
+    mode with two or more stats files, a check pass merges each partition of
+    the inputs in path order (_check_inputs); a strict error in a later
+    file's parse comes after a conflict among the files before it, as it
+    did when whole files were merged one by one. Jobs are read whole.
+    Nothing is written until every input has been read and checked; then
+    each partition's inputs are merged again and folded into the store
+    under that partition's lock, one partition at a time.
+    """
+    store.root.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryFile(dir=store.root) as spill:
+        inputs: list[tuple[str | Path, SpilledStats]] = []
+        failure = None
+        rejected = 0
+        for path in stats_paths:
+            try:
+                spilled, report = parse_stats_csv(path, mode, store.window_len, spill)
+            except IngestError as exc:
+                failure = exc
+                break
+            inputs.append((path, spilled))
+            rejected += report.rows_rejected
+        partitions = sorted({key for _, spilled in inputs for key in spilled.partitions})
+        if mode == "strict" and len(inputs) > 1:
+            _check_inputs(inputs, partitions)
+        if failure is not None:
+            raise failure
 
-    moved = _moved_jobs(store, jobs, mode)
-    rejected += len(set().union(*moved.values()))
+        jobs: list[JobRecord] = []
+        for path in jobs_paths:
+            parsed, report = parse_jobs_csv(path, mode)
+            jobs, changed = _merge(jobs, parsed, mode, f"across inputs ({path})")
+            rejected += report.rows_rejected + changed
 
-    # one partition's batch at a time, each merged under that partition's lock
-    merges = []
-    fs_ids, fs_codes = samples.fs_labels, samples.fs
-    days = samples.window - samples.window % DAY
-    for code, day in sorted(set(zip(fs_codes.tolist(), days.tolist()))):
-        batch = samples.take((fs_codes == code) & (days == day))
-        merges.append(
-            store.merge_partition(
-                Partition("samples", fs_ids[code], day),
-                lambda stored: _merge_samples(stored, batch, mode, "with stored data"),
+        moved = _moved_jobs(store, jobs, mode)
+        rejected += len(set().union(*moved.values()))
+
+        # one partition's batch at a time, each merged under that partition's lock
+        merges = []
+        samples = 0
+        for fs_id, day in partitions:
+            batch, changed, _ = _merge_inputs(inputs, fs_id, day)
+            samples += len(batch)
+            rejected += changed
+            merges.append(
+                store.merge_partition(
+                    Partition("samples", fs_id, day),
+                    lambda stored: _merge_samples(stored, batch, mode, "with stored data"),
+                )
             )
-        )
+            del batch  # so this partition's rows are freed before the next is read
     jobs_by_day: dict[int, list[JobRecord]] = {}
     for j in jobs:
         jobs_by_day.setdefault(floor_day(j.start), []).append(j)
@@ -205,7 +282,7 @@ def ingest_files(
         )
 
     return IngestSummary(
-        samples=len(samples),
+        samples=samples,
         jobs=len(jobs),
         rejected=rejected + sum(count for count, _ in merges),
         partitions=len(merges),
@@ -224,11 +301,13 @@ def _check_hourly_conservation(
     hours, hour_pos = np.unique(np.array([r.hour for r in records], np.int64), return_inverse=True)
     # keys run in (hour, fs) order, the order of the fs-hour records
     keys, slot = np.unique(hour_pos * len(fs_ids) + fs_codes, return_inverse=True)
-    total, un, attributed = (np.zeros((len(keys), _N), np.int64) for _ in range(3))
+    total, un = (np.zeros((len(keys), _N), np.int64) for _ in range(2))
     total[slot[:f]] = np.array([r.counters for r in fs_hours], np.int64).reshape(-1, _N)
     un[slot[:f]] = np.array([r.unattributed for r in fs_hours], np.int64).reshape(-1, _N)
     counters = np.array([r.counters for r in app_hours], np.int64).reshape(-1, _N)
-    np.add.at(attributed, slot[f:], counters)
+    attributed = np.zeros((_N, len(keys)), np.int64)
+    add_rows(attributed, slot[f:], counters)
+    attributed = attributed.T
     bad = np.argwhere(attributed != total - un)
     if len(bad):
         k, i = bad[0].tolist()

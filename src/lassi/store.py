@@ -15,7 +15,7 @@ dataset's suffix; any other name with that suffix is an unexpected file
 (StoreError).
 
 A samples partition is an uncompressed ``.npz`` of the block's columns
-(_samples_npz): the node ids as UTF-8 bytes end to end with their end
+(_write_samples_npz): the node ids as UTF-8 bytes end to end with their end
 offsets, int32 node codes, int64 window starts and the (n, 21) int64
 counters; the filesystem is the partition's. np.savez stamps every entry
 with one fixed date, so equal blocks give equal bytes. The reader
@@ -67,7 +67,7 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -179,9 +179,10 @@ def _check_samples_home(block: SampleBlock, partition: Partition) -> None:
         )
 
 
-def _samples_npz(block: SampleBlock) -> bytes:
-    """A samples partition file: the block's columns (SAMPLES_ARRAYS) as an
-    uncompressed .npz, whose bytes depend on the block's values only."""
+def _write_samples_npz(fh: IO[bytes], block: SampleBlock) -> None:
+    """Write a samples partition file to fh: the block's columns
+    (SAMPLES_ARRAYS) as an uncompressed .npz, whose bytes depend on the
+    block's values only."""
     ids = [label.encode("utf-8") for label in block.node_labels]
     columns = {
         "node_labels": np.frombuffer(b"".join(ids), np.uint8),
@@ -190,12 +191,10 @@ def _samples_npz(block: SampleBlock) -> bytes:
         "window": block.window,
         "counters": block.counters,
     }
-    out = io.BytesIO()
     np.savez(
-        out,
+        fh,
         **{name: np.ascontiguousarray(col, SAMPLES_ARRAYS[name]) for name, col in columns.items()},
     )
-    return out.getvalue()
 
 
 def _load_samples(path: Path, partition: Partition, window_len: int) -> SampleBlock:
@@ -300,9 +299,9 @@ def _canonical_ints(cells: list[str]) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def replace_files(directory: Path, files: Mapping[str, str | bytes]) -> None:
-    """Replace each named file in directory with its bytes, or its text as
-    UTF-8, in name order.
+def replace_files(directory: Path, files: Mapping[str, str | bytes | Callable]) -> None:
+    """Replace each named file in directory with its bytes, its text as
+    UTF-8, or what a function writes to the open file, in name order.
 
     Each file goes to a fsynced temp file that is renamed over the name; the
     directory is fsynced once after the last rename, so every rename has
@@ -314,7 +313,10 @@ def replace_files(directory: Path, files: Mapping[str, str | bytes]) -> None:
         tmp = path.with_name(f"{name}.tmp{os.getpid()}")
         try:
             with open(tmp, "wb") as fh:
-                fh.write(data if isinstance(data, bytes) else data.encode("utf-8"))
+                if callable(data):
+                    data(fh)
+                else:
+                    fh.write(data.encode("utf-8") if isinstance(data, str) else data)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -400,7 +402,7 @@ class Store:
             # unlinked it could leave the next two locking different files
             os.close(fd)
 
-    def _write_file(self, path: Path, data: str | bytes) -> None:
+    def _write_file(self, path: Path, data: str | bytes | Callable) -> None:
         with self._locked(path):
             replace_files(path.parent, {path.name: data})
 
@@ -435,7 +437,9 @@ class Store:
         dataset = partition.dataset
         if dataset == "samples":
             _check_samples_home(records, partition)
-            self._write_file(self.path(partition), _samples_npz(records))
+            # straight into the temp file: an in-memory .npz first would copy
+            # the partition twice, and cost a fresh page for every 4 KiB
+            self._write_file(self.path(partition), lambda fh: _write_samples_npz(fh, records))
             return len(records)
         records = list(records)
         if dataset in ("jobs", "app_hours", "fs_hours"):
@@ -588,9 +592,15 @@ class Store:
         return self._day_derived(fs_id, day, ("apps",), index)
 
     def _read_samples(self, partition: Partition, t0: int, t1: int) -> SampleBlock:
-        """One samples partition's rows in [t0, t1); every row must belong in it."""
+        """One samples partition's rows in [t0, t1); every row must belong in it.
+
+        Rows run in window order, so those rows are one slice of the
+        partition's columns, taken as views; a whole partition is the loaded
+        block itself.
+        """
         block = _load_samples(self.path(partition), partition, self.window_len)
-        return block.take((t0 <= block.window) & (block.window < t1))
+        lo, hi = np.searchsorted(block.window, (t0, t1)).tolist()
+        return block if (lo, hi) == (0, len(block)) else block.take(slice(lo, hi))
 
     def _parsed(self, dataset: str, path: Path, data: bytes | None = None):
         """The strict parse of one jobs, app_hours, fs_hours or baselines file.

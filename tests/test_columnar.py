@@ -57,6 +57,14 @@ def row_loop(text, mode, window_len=180):
     return _parse_stats_rows(text, mode, window_len)
 
 
+def spilled(source, mode="strict", window_len=180):
+    """parse_stats_csv through an in-memory spill, its partitions joined
+    back into one block."""
+    parsed, report = parse_stats_csv(source, mode, window_len, io.BytesIO())
+    blocks = [parsed.block(fs_id, day) for fs_id, day in sorted(parsed.partitions)]
+    return SampleBlock.concat(blocks, window_len), report
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -69,14 +77,16 @@ SPLITS = [ingest._RANGE_CHARS, 1, 300]
 
 
 def assert_agrees(text, window_len=180):
-    """parse_stats_csv equals the whole-text row loop in both modes, at every range size."""
+    """parse_stats_csv, into columns or through a spill, equals the
+    whole-text row loop in both modes, at every range size."""
     for range_chars in SPLITS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_RANGE_CHARS", range_chars)
             for mode in ("strict", "lenient"):
-                got = outcome(parse_stats_csv, io.StringIO(text), mode, window_len)
                 want = outcome(row_loop, text, mode, window_len)
-                assert got == want, (range_chars, mode, text)
+                for parse in (parse_stats_csv, spilled):
+                    got = outcome(parse, io.StringIO(text), mode, window_len)
+                    assert got == want, (range_chars, mode, parse.__name__, text)
 
 
 # --- timestamps are exact -------------------------------------------------
@@ -350,6 +360,69 @@ def test_row_loop_sees_only_bad_and_blank_lines(monkeypatch):
     blank_lines = [i for i, line in enumerate(text.split("\n")[:-1], 1) if not line]
     assert (len(bad_rows), len(blank_lines)) == (10, 3)
     assert sorted(seen) == sorted(bad_rows + blank_lines)
+
+
+@pytest.mark.parametrize("cells", [23, 25])
+def test_a_line_of_22_or_24_commas_goes_to_the_row_loop(monkeypatch, cells):
+    """np.loadtxt refuses a range holding a line of the wrong cell count, so
+    that line alone goes through the row loop and is rejected there."""
+    cut = row(ts=T1).split(",")
+    wrong = ",".join(cut[:cells] + ["1"] * (cells - len(cut)))
+    assert wrong.count(",") == cells - 1
+    text = text_of(row(), wrong, row(node="nid2"))
+    assert_agrees(text)
+    seen = looped_lines(monkeypatch)
+    block, report = parse_stats_csv(io.StringIO(text), "lenient")
+    assert seen == [3]
+    assert report.rejected_reasons == ((3, f"expected 24 columns, got {cells}"),)
+    assert len(block) == 2
+
+
+@pytest.mark.parametrize("where", ["last range", "middle range"])
+@pytest.mark.parametrize("special", ['"', "\r"])
+def test_a_late_quote_or_cr_starts_the_row_loop_there(monkeypatch, where, special):
+    """The first range holding a quote or CR starts the row loop, which reads
+    to the end of the file; the answer is the whole-file row loop's."""
+    monkeypatch.setattr(ingest, "_RANGE_CHARS", 4096)  # about 27 lines
+    lines = dirty_lines(7, every=None)
+    at = len(lines) if where == "last range" else len(lines) // 2
+    late = row(ts=T1, node='"nid,9"') if special == '"' else row(ts=T1, node="nid9") + "\r"
+    text = text_of(*lines[:at], late, *lines[at:])
+    for mode in ("strict", "lenient"):
+        want = outcome(row_loop, text, mode)
+        assert outcome(parse_stats_csv, io.StringIO(text), mode) == want, mode
+        assert outcome(spilled, io.StringIO(text), mode) == want, mode
+    seen = looped_lines(monkeypatch)
+    block, report = parse_stats_csv(io.StringIO(text), "lenient")
+    late_line = at + 2
+    # the lines before the special one's range were read column-wise
+    assert late_line - 40 < min(seen) <= late_line
+    assert max(seen) == len(lines) + 2
+    assert ("fs2", "nid,9" if special == '"' else "nid9", BASE_DAY + 180) in {
+        block.key(i) for i in range(len(block))
+    }
+    assert report.rejected_reasons == row_loop(text, "lenient")[1].rejected_reasons
+
+
+def test_far_apart_duplicates_resolve_as_the_row_loop_does(monkeypatch):
+    """Lenient duplicates of one key many ranges apart give the whole-file
+    row loop's block and report, through a spill as in columns."""
+    monkeypatch.setattr(ingest, "_RANGE_CHARS", 4096)
+    lines = dirty_lines(3, every=None)
+    cells = lines[10].split(",")
+    again = [",".join(cells[:5] + [str(k)] + cells[6:]) for k in (7, 8, 9)]
+    text = text_of(*lines[:1000], again[0], *lines[1000:2000], again[1], *lines[2000:], again[2])
+    want = row_loop(text, "lenient")
+    assert parse_stats_csv(io.StringIO(text), "lenient") == want
+    assert spilled(io.StringIO(text), "lenient") == want
+    reasons = dict(want[1].rejected_reasons)
+    first, second, third = 1002, 2003, len(lines) + 4
+    assert reasons[12] == f"duplicate (fs, node, window) superseded by line {first}"
+    assert reasons[first] == f"duplicate (fs, node, window) superseded by line {second}"
+    assert reasons[second] == f"duplicate (fs, node, window) superseded by line {third}"
+    with pytest.raises(IngestError) as err:
+        spilled(io.StringIO(text))
+    assert outcome(row_loop, text, "strict") == ("IngestError", err.value.line, err.value.reason)
 
 
 def test_int64_max_counter_in_a_failing_range_is_exact(monkeypatch):

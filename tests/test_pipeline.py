@@ -1,6 +1,7 @@
 """Store-facing flows: idempotent ingest, aggregation, stored exposures."""
 
 import fcntl
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
     mk_counters,
     mk_job,
     mk_sample,
+    scenario_text,
 )
 
 STATS_LINE = ",".join(STATS_HEADER)
@@ -189,6 +191,96 @@ def test_ingest_conflict_across_inputs_in_one_call(tmp_path):
     b = stats_file(tmp_path, "b.csv", [f"2017-10-09T00:00:00Z,fs2,nid1,{counters(9)}"])
     with pytest.raises(IngestError):
         ingest_files(store, [a, b])
+
+
+def tree(root):
+    """Every file under root, lock files too, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+DAY_3 = [
+    f"2017-10-11T00:0{m}:00Z,fs{f},nid{n},{counters(n)}"
+    for m in (0, 3, 6)
+    for f in (2, 3)
+    for n in (1, 2)
+]
+
+
+def test_a_refused_strict_ingest_leaves_the_store_as_it_was(tmp_path):
+    store = Store(tmp_path / "store")
+    ingest_files(store, [stats_file(tmp_path, "a.csv", REDELIVERED)])
+    before = tree(store.root)
+    assert len(before) == 8  # four partitions, each with its lock file
+
+    # the file's only bad row is its last line
+    last_bad = stats_file(tmp_path, "b.csv", DAY_3 + ["2017-10-11T00:09:00Z,fs2,nid1,1,2"])
+    with pytest.raises(IngestError) as err:
+        ingest_files(store, [last_bad])
+    assert (err.value.line, err.value.reason) == (len(DAY_3) + 2, "expected 24 columns, got 5")
+    assert tree(store.root) == before
+
+    # the second input changes a row of the first
+    changed = stats_file(tmp_path, "c.csv", [DAY_3[-1].replace(counters(2), counters(7))])
+    with pytest.raises(IngestError, match="conflicts across inputs"):
+        ingest_files(store, [stats_file(tmp_path, "d.csv", DAY_3), changed])
+    assert tree(store.root) == before
+
+    # a new store gets its root and nothing in it
+    fresh = Store(tmp_path / "fresh")
+    with pytest.raises(IngestError):
+        ingest_files(fresh, [last_bad])
+    assert fresh.root.is_dir() and tree(fresh.root) == {}
+
+
+def test_a_conflict_across_inputs_names_the_first_sample_in_key_order(tmp_path):
+    """Each partition is merged alone, in (fs, day) order, yet the error
+    names the first changed sample in (window, fs, node) order, as a merge
+    of the whole files does; a bad row in a later input comes after it."""
+    rows = [
+        f"2017-10-10T00:00:00Z,fs1,nid5,{counters(1)}",
+        f"2017-10-09T00:03:00Z,fs2,nid9,{counters(1)}",
+        f"2017-10-09T00:03:00Z,fs2,nid1,{counters(1)}",
+    ]
+    a = stats_file(tmp_path, "a.csv", rows)
+    b = stats_file(tmp_path, "b.csv", [r.replace(counters(1), counters(2)) for r in rows])
+    bad = stats_file(tmp_path, "bad.csv", ["not a row"])
+    store = Store(tmp_path / "store")
+    named = f"sample ('fs2', 'nid1', {BASE_DAY + 180}) conflicts across inputs ({b})"
+    for paths in ([a, b], [a, b, bad]):
+        with pytest.raises(IngestError) as err:
+            ingest_files(store, paths)
+        assert err.value.reason == named
+    with pytest.raises(IngestError) as err:
+        ingest_files(store, [a, bad, b])
+    assert (err.value.line, err.value.reason) == (2, "expected 24 columns, got 1")
+    assert tree(store.root) == {}
+
+
+def test_ingest_memory_is_bounded_by_a_partition_not_the_file(tmp_path):
+    """numpy reports its buffers to tracemalloc, so the traced peak shows
+    what ingest holds at once: a range of input or one of the 16 (fs, day)
+    partitions, never the whole file's columns."""
+    scenario = synth.parse_scenario(
+        scenario_text(
+            days=4,
+            node_pool=40,
+            filesystems="fs1:48 fs2:48 fs3:48 fs4:48",
+            background="[background fs1]\nread_kb = 40\n",
+        )
+    )
+    gen = synth.generate(scenario, tmp_path / "data", with_oracle=False)
+    # int32 fs and node codes, int64 window, line and 21 counters per row
+    columns = gen.sample_rows * (4 + 4 + 8 + 8 + 21 * 8)
+    store = Store(tmp_path / "store")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        summary = ingest_files(store, [gen.stats_path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (summary.samples, summary.partitions) == (gen.sample_rows, 16)
+    assert peak < columns / 3, (peak, columns)
 
 
 JOB_A = "app1,1.sdb,u,2017-10-09T00:00:00Z,2017-10-09T01:00:00Z,nid1,./a.x"
