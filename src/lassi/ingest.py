@@ -25,8 +25,8 @@ app_id keeps the first and rejects each later one. Counters are spelled
 in ASCII digits (parse_int_cells) and must fit in a signed 64-bit integer;
 anything else is rejected like any other bad row.
 
-Stats files parse into a SampleBlock, the only form samples take, or, for
-ingest into a store, into a spill file (SpilledStats). The input is streamed in
+Stats files parse into a spill file (SpilledStats), read back as SampleBlocks,
+the only form samples take, by partition or by day. The input is streamed in
 line-aligned ranges of about 64 KiB and never held as one text. A range
 proven clean is read column-wise by np.loadtxt. In a range that fails the
 proof, the lines of a plainly clean shape (_CLEAN_ROW) are still read
@@ -42,11 +42,11 @@ every path gives the whole-file row loop's block, report and strict error.
 The fs and node ids of a file are coded as they are first read, once per
 distinct id, and the block carries those codes.
 
-Memory: into a block, a parse holds the whole file's columns (192 bytes a
-row) and one range. Into a spill, it holds one range and a few thousand
-rows, which it appends to the spill file grouped by (filesystem, UTC day)
-partition; a duplicate key never spans two partitions, so duplicates are
-then found, and the spilled rows later read back, one partition at a time.
+Memory: a parse holds one range of input and a few thousand rows, which it
+appends to the spill grouped by (filesystem, UTC day) partition; a duplicate
+key never spans two partitions, so duplicates are then found, and the
+spilled rows later read back, one partition or one day at a time. Only
+parse_stats_csv without a spill joins the days into one whole-file block.
 """
 
 from __future__ import annotations
@@ -54,9 +54,10 @@ from __future__ import annotations
 import csv
 import io
 import re
+import tempfile
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, takewhile
+from itertools import chain, groupby, takewhile
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
 
@@ -193,7 +194,7 @@ def parse_stats_csv(
     window_len: int = 180,
     spill: IO[bytes] | None = None,
 ) -> tuple[SampleBlock | SpilledStats, IngestReport]:
-    """Parse a stats CSV into a sample block plus an ingest report.
+    """Parse a stats CSV into its accepted rows plus an ingest report.
 
     The input is read from the stream in line-aligned ranges of about
     _RANGE_CHARS characters, a partial last line carried to the next range,
@@ -213,20 +214,28 @@ def parse_stats_csv(
     strict error. Strict mode reads no range after the first one holding a
     bad row.
 
-    Given a spill, a seekable binary file, the accepted rows are appended
-    to it, _SPILL_ROWS at a time, by (fs, UTC day) partition, and the
-    result holds the file's SpilledStats in place of a block: memory then
-    holds one range of input and, while duplicate keys are resolved, one
-    partition's keys. Without one, the rows fill whole-file columns, sized
-    from the file's line count when the source is a path.
+    The accepted rows are appended to a spill, a seekable binary file,
+    _SPILL_ROWS at a time, by (fs, UTC day) partition, so memory holds one
+    range of input and, while duplicate keys are resolved, one partition's
+    keys. Given a spill, the result holds the file's SpilledStats, to be
+    read back by partition or by day. Without one, the rows go to a
+    temporary file in the system temp directory, and the result holds its
+    days joined as one block.
     """
+    if spill is not None:
+        return _spill_stats(source, mode, window_len, spill)
+    with tempfile.TemporaryFile() as own:
+        spilled, report = _spill_stats(source, mode, window_len, own)
+        return SampleBlock.concat(spilled.days(), window_len), report
+
+
+def _spill_stats(
+    source: Source, mode: str, window_len: int, spill: IO[bytes]
+) -> tuple[SpilledStats, IngestReport]:
+    """parse_stats_csv into spill."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if spill is not None:
-        sink = SpilledStats(spill, window_len)
-    else:
-        sink = _Columns(_line_count(source) if isinstance(source, (str, Path)) else 0)
-    rows = _StatsRows(mode, window_len, sink)
+    rows = _StatsRows(mode, window_len, spill)
     stream, owned = _open_source(source)
     try:
         _read_stats(stream, rows)
@@ -234,12 +243,6 @@ def parse_stats_csv(
         if owned:
             stream.close()
     return rows.result()
-
-
-def _line_count(path: str | Path) -> int:
-    """A bound on a file's data rows: its LF count plus one."""
-    with open(path, "rb") as fh:
-        return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b"")) + 1
 
 
 def _read_stats(stream: IO[str], rows: _StatsRows) -> None:
@@ -292,9 +295,10 @@ def _parse_stats_rows(text: str, mode: str, window_len: int) -> tuple[SampleBloc
     """The whole file through the row loop; the reference the ranges must equal."""
     lines = csv_rows(io.StringIO(text, newline=""), 1)
     _check_header(next(lines, (1, None))[1], STATS_HEADER)
-    rows = _StatsRows(mode, window_len, _Columns(0))
+    rows = _StatsRows(mode, window_len, io.BytesIO())
     rows.row_loop(takewhile(lambda _: not rows.done(), lines))
-    return rows.result()
+    spilled, report = rows.result()
+    return SampleBlock.concat(spilled.days(), window_len), report
 
 
 # a range holding one of these starts the row loop, which reads the rest of the
@@ -362,19 +366,19 @@ def _first_repeat(line: np.ndarray, by: np.ndarray, key) -> tuple[int, str] | No
 class _StatsRows:
     """The accepted and the bad rows of one stats file, as they are found.
 
-    Accepted rows go to a sink range by range, each with its line number:
-    whole-file columns (_Columns) or a spill file by partition
-    (SpilledStats). Duplicate keys are resolved in line order once all rows
-    are in (result). fs and node ids are held as codes in first-seen order
-    (fs_ids, node_ids), which the sink maps once to sorted order.
+    Accepted rows go range by range, each with its line number, to the sink,
+    a SpilledStats over spill that groups them by partition. Duplicate keys
+    are resolved in line order once all rows are in (result). fs and node
+    ids are held as codes in first-seen order (fs_ids, node_ids), which the
+    sink's blocks map once to sorted order.
     """
 
-    def __init__(self, mode: str, window_len: int, sink: _Columns | SpilledStats):
+    def __init__(self, mode: str, window_len: int, spill: IO[bytes]):
         self.strict = mode == "strict"
         self.window_len = window_len
         # a window_len that does not divide an hour makes every row bad
         self.bad_len = window_len <= 0 or HOUR % window_len != 0
-        self.sink = sink
+        self.sink = SpilledStats(spill, window_len)
         # (line, fs code, node code, window, counters) of rows the row loop
         # accepted and has not yet handed to the sink
         self.rows: list[tuple[int, int, int, int, list[int]]] = []
@@ -531,8 +535,8 @@ class _StatsRows:
                 np.array(lines, np.int64),
             )
 
-    def result(self) -> tuple[SampleBlock | SpilledStats, IngestReport]:
-        """The sink's block (or spill) and the file's report; see report."""
+    def result(self) -> tuple[SpilledStats, IngestReport]:
+        """The sink and the file's report; see report."""
         self._flush()
         return self.sink.result(self)
 
@@ -571,66 +575,20 @@ class _StatsRows:
         )
 
 
-class _Columns:
-    """Whole-file columns of accepted rows; grown, by doubling, only past
-    the capacity they start with."""
-
-    NAMES = ("fs", "node", "window", "counters", "line")
-
-    def __init__(self, capacity: int):
-        self.n = 0
-        self.fs = np.empty(capacity, np.int32)
-        self.node = np.empty(capacity, np.int32)
-        self.window = np.empty(capacity, np.int64)
-        self.counters = np.empty((capacity, len(ALL_FIELDS)), np.int64)
-        self.line = np.empty(capacity, np.int64)
-
-    def add(self, fs, node, window, counters, line) -> None:
-        n, k = self.n, len(window)
-        if n + k > len(self.window):
-            size = max(2 * len(self.window), n + k)
-            for name in self.NAMES:
-                old = getattr(self, name)
-                new = np.empty((size,) + old.shape[1:], old.dtype)
-                new[:n] = old[:n]
-                setattr(self, name, new)
-        at = slice(n, n + k)
-        self.fs[at], self.node[at], self.window[at] = fs, node, window
-        self.counters[at], self.line[at] = counters, line
-        self.n = n + k
-
-    def result(self, rows: _StatsRows) -> tuple[SampleBlock, IngestReport]:
-        """The block of all rows, each repeated key's last line kept."""
-        fs, node, window, counters, line = (getattr(self, name)[: self.n] for name in self.NAMES)
-        fs_labels, fs = label_codes(list(rows.fs_ids), fs)
-        node_labels, node = label_codes(list(rows.node_ids), node)
-        keep, superseded, by = _repeats(fs, node, window, line)
-        report = rows.report(
-            self.n,
-            line[superseded].tolist(),
-            line[by].tolist(),
-            _first_repeat(
-                line, by, lambda i: (fs_labels[fs[i]], node_labels[node[i]], int(window[i]))
-            ),
-        )
-        if len(keep) != self.n or not (np.diff(keep) == 1).all():
-            fs, node, window, counters = fs[keep], node[keep], window[keep], counters[keep]
-        block = SampleBlock(fs_labels, fs, node_labels, node, window, counters, rows.window_len)
-        return block, report
-
-
 class SpilledStats:
     """One stats file's accepted rows, appended to a binary spill file by
-    (fs, UTC day) partition; what parse_stats_csv returns given a spill.
+    (fs, UTC day) partition; the one sink of a stats parse, and what
+    parse_stats_csv returns given a spill. Read back as blocks, one
+    partition (block) or one UTC day (days) at a time.
 
     The caller owns the file, which may hold other files' rows too: any
-    seekable binary file, such as an unlinked temporary file beside the
-    store, which a crash cannot leave behind. A partition is the segments
-    its rows were written in, one per _SPILL_ROWS rows taken: the rows'
-    node codes (int32), window starts, line numbers and (n, 21) counters
-    (int64), in that order. Codes index the file's ids in first-seen order
-    (fs_ids, node_ids). Duplicate keys stay in the spill until block
-    resolves them; a key never spans two partitions.
+    seekable binary file, such as an unlinked temporary file, which a crash
+    cannot leave behind. A partition is the segments its rows were written
+    in, one per _SPILL_ROWS rows taken: the rows' node codes (int32), window
+    starts, line numbers and (n, 21) counters (int64), in that order. Codes
+    index the file's ids in first-seen order (fs_ids, node_ids). Duplicate
+    keys stay in the spill until block resolves them; a key never spans two
+    partitions.
     """
 
     def __init__(self, spill: IO[bytes], window_len: int):
@@ -721,6 +679,16 @@ class SpilledStats:
         if len(keep) != len(node) or not (np.diff(keep) == 1).all():
             fs, node, window, counters = fs[: len(keep)], node[keep], window[keep], counters[keep]
         return SampleBlock((fs_id,), fs, node_labels, node, window, counters, self.window_len)
+
+    def days(self) -> Iterator[SampleBlock]:
+        """One block per UTC day holding rows, in day order: that day's
+        partitions joined, as aggregate_range joins a stored day. A file
+        with no rows gives one empty block, so a reader always gets one."""
+        if not self.partitions:
+            yield SampleBlock.empty(self.window_len)
+        by_day = sorted(self.partitions, key=lambda key: (key[1], key[0]))
+        for _, keys in groupby(by_day, key=lambda key: key[1]):
+            yield SampleBlock.concat((self.block(*key) for key in keys), self.window_len)
 
 
 def parse_jobs_csv(source: Source, mode: str = "strict") -> tuple[list[JobRecord], IngestReport]:

@@ -12,13 +12,14 @@ a day of data, not with the range; what it keeps between days is the output
 (hourly records) and each day's attribution result. Ingest holds one
 (filesystem, day) partition of samples at a time: each stats file streams
 into a spill file in the store root, which the later passes read back one
-partition at a time.
+partition at a time. compute_outputs_from_files, which `lassi verify` runs,
+streams its stats file into a spill file in the system temp directory and
+attributes it one UTC day at a time, as aggregation does.
 """
 
 from __future__ import annotations
 
 import tempfile
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
@@ -47,7 +48,7 @@ from .model import (
     id_codes,
     merged_labels,
 )
-from .store import Partition, Store
+from .store import Partition, Store, baseline_label
 from .timeutil import DAY, HOUR, day_range, floor_day, floor_hour, hour_range
 
 _N = len(ALL_FIELDS)
@@ -434,7 +435,7 @@ def build_baselines(
 
 
 def compute_outputs(
-    samples: SampleBlock,
+    blocks: Iterable[SampleBlock],
     jobs: Sequence[JobRecord],
     period: tuple[int, int],
     alpha: float = 2.0,
@@ -442,9 +443,11 @@ def compute_outputs(
 ) -> PipelineOutputs:
     """Run the full in-memory pipeline over one period.
 
-    Exposures are computed for every (job, filesystem) pair with attributed
-    activity; jobs must lie inside the period or the risk series cannot
-    cover them.
+    blocks holds the samples, at least one block, no hour's samples in two
+    of them (as _rollup takes them); each is attributed and dropped before
+    the next is drawn. Exposures are computed for every (job, filesystem)
+    pair with attributed activity; jobs must lie inside the period or the
+    risk series cannot cover them.
     """
     t0, t1 = period
     if t0 % HOUR or t1 % HOUR or t1 <= t0:
@@ -452,7 +455,7 @@ def compute_outputs(
     if config is None:
         config = AttributionConfig()
 
-    app_hours, fs_hours = _rollup((samples,), jobs, config, period)
+    app_hours, fs_hours = _rollup(blocks, jobs, config, period)
     grid = tuple(hour_range(t0, t1))
 
     fs_ids = sorted({r.fs_id for r in fs_hours})
@@ -497,11 +500,14 @@ def compute_outputs_from_files(
     window_len: int = 180,
     boundary_policy: str = "midpoint",
 ) -> PipelineOutputs:
-    """Parse source CSVs strictly, then run the in-memory pipeline."""
-    samples, _ = parse_stats_csv(stats_path, "strict", window_len)
-    jobs, _ = parse_jobs_csv(jobs_path, "strict")
-    config = AttributionConfig(boundary_policy=boundary_policy, window_len=window_len)
-    return compute_outputs(samples, jobs, period, alpha, config)
+    """Parse source CSVs strictly, then run the in-memory pipeline over the
+    samples one UTC day at a time (SpilledStats.days), so memory holds one
+    day of samples, not the file's."""
+    with tempfile.TemporaryFile() as spill:
+        spilled, _ = parse_stats_csv(stats_path, "strict", window_len, spill)
+        jobs, _ = parse_jobs_csv(jobs_path, "strict")
+        config = AttributionConfig(boundary_policy=boundary_policy, window_len=window_len)
+        return compute_outputs(spilled.days(), jobs, period, alpha, config)
 
 
 def _jobs_by_id(store: Store, app_ids: Sequence[str]) -> dict[str, JobRecord]:
@@ -572,13 +578,9 @@ def exposures(
         dates = labels.get(fs)
         if dates is None:
             dates = labels[fs] = store.partition_dates("baselines", fs)
-        at = bisect_right(dates, day)
-        key = (fs, dates[at - 1] if at else day)
+        key = (fs, baseline_label(fs, day, dates))
         if key not in baselines:
-            # with no label on or before day, load_baseline raises its error
-            baselines[key] = (
-                store.baseline_at(fs, key[1], alpha) if at else store.load_baseline(fs, day, alpha)
-            )
+            baselines[key] = store.baseline_at(fs, key[1], alpha)
         return key
 
     def day_apps(fs: str, day: int) -> Mapping[str, tuple[int, ...]]:

@@ -62,6 +62,7 @@ import fcntl
 import io
 import os
 import zipfile
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -355,6 +356,18 @@ def _baseline_rows(baselines: Sequence[FsBaseline]) -> list[tuple]:
                 )
             )
     return rows
+
+
+def baseline_label(fs_id: str, date: int, dates: Sequence[int]) -> int:
+    """The newest of fs_id's baseline label dates, sorted, on or before
+    date; MissingBaselineError if there is none."""
+    at = bisect_right(dates, date)
+    if not at:
+        raise MissingBaselineError(
+            f"no baseline stored for {fs_id} on or before {date_str(date)}; "
+            f"run `lassi baseline` first"
+        )
+    return dates[at - 1]
 
 
 class Store:
@@ -726,13 +739,8 @@ class Store:
     def load_baseline(self, fs_id: str, date: int, alpha: float | None = None) -> FsBaseline:
         """Newest stored baseline for fs_id with label date <= date, with
         alpha, when given, in place of the stored one."""
-        candidates = [d for d in self.partition_dates("baselines", fs_id) if d <= date]
-        if not candidates:
-            raise MissingBaselineError(
-                f"no baseline stored for {fs_id} on or before {date_str(date)}; "
-                f"run `lassi baseline` first"
-            )
-        return self.baseline_at(fs_id, max(candidates), alpha)
+        label = baseline_label(fs_id, date, self.partition_dates("baselines", fs_id))
+        return self.baseline_at(fs_id, label, alpha)
 
     def baseline_at(self, fs_id: str, label_date: int, alpha: float | None = None) -> FsBaseline:
         """The baseline stored for fs_id under exactly label_date, with alpha,

@@ -77,8 +77,8 @@ SPLITS = [ingest._RANGE_CHARS, 1, 300]
 
 
 def assert_agrees(text, window_len=180):
-    """parse_stats_csv, into columns or through a spill, equals the
-    whole-text row loop in both modes, at every range size."""
+    """parse_stats_csv, its days joined or its partitions joined, equals
+    the whole-text row loop in both modes, at every range size."""
     for range_chars in SPLITS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_RANGE_CHARS", range_chars)
@@ -406,7 +406,7 @@ def test_a_late_quote_or_cr_starts_the_row_loop_there(monkeypatch, where, specia
 
 def test_far_apart_duplicates_resolve_as_the_row_loop_does(monkeypatch):
     """Lenient duplicates of one key many ranges apart give the whole-file
-    row loop's block and report, through a spill as in columns."""
+    row loop's block and report, by days as by partitions."""
     monkeypatch.setattr(ingest, "_RANGE_CHARS", 4096)
     lines = dirty_lines(3, every=None)
     cells = lines[10].split(",")

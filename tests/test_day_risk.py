@@ -243,7 +243,8 @@ def test_refusals_hold_on_a_warm_store(store):
     # an inactive filesystem without a baseline is skipped, an active one refused
     store.path(Partition("baselines", "fs3", START)).unlink()
     assert exposure_for(store, "app0009") == fs2_only
-    with pytest.raises(MissingBaselineError):
+    missing = "^no baseline stored for fs3 on or before 2017-10-10; run `lassi baseline` first$"
+    with pytest.raises(MissingBaselineError, match=missing):
         exposure_for(store, "app0001")
 
     with pytest.raises(ValueError, match="no attributed activity"):

@@ -6,10 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from lassi import attribution, model, pipeline, synth
+from lassi import attribution, ingest, model, pipeline, synth
 from lassi.attribution import AttributionConfig
 from lassi.errors import AttributionConflictError, IngestError, LassiError, StoreError
-from lassi.ingest import JOBS_HEADER, STATS_HEADER
+from lassi.ingest import JOBS_HEADER, STATS_HEADER, serialize_jobs_csv
 from lassi.model import ALL_FIELDS, AppHourRecord, FsHourRecord
 from lassi.pipeline import (
     aggregate_range,
@@ -34,6 +34,7 @@ from helpers import (
     mk_job,
     mk_sample,
     scenario_text,
+    serialize_stats_csv,
 )
 
 STATS_LINE = ",".join(STATS_HEADER)
@@ -256,10 +257,23 @@ def test_a_conflict_across_inputs_names_the_first_sample_in_key_order(tmp_path):
     assert tree(store.root) == {}
 
 
-def test_ingest_memory_is_bounded_by_a_partition_not_the_file(tmp_path):
+def traced_peak(call):
+    """call's result and the peak of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_memory_is_bounded_by_a_partition_not_the_file(tmp_path, monkeypatch):
     """numpy reports its buffers to tracemalloc, so the traced peak shows
     what ingest holds at once: a range of input or one of the 16 (fs, day)
-    partitions, never the whole file's columns."""
+    partitions, never the whole file's columns. compute_outputs_from_files
+    holds one of the 4 days: its block and, while a day's partitions are
+    joined, those partitions, never the whole file's columns either."""
     scenario = synth.parse_scenario(
         scenario_text(
             days=4,
@@ -272,15 +286,22 @@ def test_ingest_memory_is_bounded_by_a_partition_not_the_file(tmp_path):
     # int32 fs and node codes, int64 window, line and 21 counters per row
     columns = gen.sample_rows * (4 + 4 + 8 + 8 + 21 * 8)
     store = Store(tmp_path / "store")
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        summary = ingest_files(store, [gen.stats_path])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    summary, peak = traced_peak(lambda: ingest_files(store, [gen.stats_path]))
     assert (summary.samples, summary.partitions) == (gen.sample_rows, 16)
     assert peak < columns / 3, (peak, columns)
+
+    period = (scenario.start, scenario.start + 4 * DAY)
+    outputs, peak = traced_peak(
+        lambda: pipeline.compute_outputs_from_files(gen.stats_path, gen.jobs_path, period)
+    )
+    assert len(outputs.fs_hours) == 4 * 4 * 24
+    assert peak < columns, (peak, columns)
+
+    # the whole-file form spills too, and is one call of its public name
+    parses = count_calls(monkeypatch, "parse_stats_csv")
+    block, _ = ingest.parse_stats_csv(gen.stats_path)
+    assert parses == [gen.stats_path]
+    assert len(block) == gen.sample_rows
 
 
 JOB_A = "app1,1.sdb,u,2017-10-09T00:00:00Z,2017-10-09T01:00:00Z,nid1,./a.x"
@@ -380,7 +401,7 @@ def test_both_rollup_paths_check_conservation(tmp_path, monkeypatch, exposure_fi
         aggregate_range(store, BASE_DAY, REPORT_DAY + DAY)
     with pytest.raises(LassiError, match="conservation violated"):
         compute_outputs(
-            exposure_fixture.samples, exposure_fixture.jobs, (BASE_DAY, REPORT_DAY + DAY)
+            (exposure_fixture.samples,), exposure_fixture.jobs, (BASE_DAY, REPORT_DAY + DAY)
         )
 
 
@@ -517,12 +538,12 @@ def test_exposure_for_counts_only_activity_during_the_run(exposure_store):
 def test_compute_outputs_validation(exposure_fixture):
     with pytest.raises(ValueError):
         compute_outputs(
-            exposure_fixture.samples,
+            (exposure_fixture.samples,),
             exposure_fixture.jobs,
             (BASE_DAY + 90, REPORT_DAY),
         )
     with pytest.raises(ValueError):
-        compute_outputs(exposure_fixture.samples, exposure_fixture.jobs, (BASE_DAY, BASE_DAY))
+        compute_outputs((exposure_fixture.samples,), exposure_fixture.jobs, (BASE_DAY, BASE_DAY))
 
 
 def test_long_lived_and_fresh_stores_give_the_same_exposures(tmp_path):
@@ -690,9 +711,25 @@ def test_aggregate_range_reads_samples_without_the_csv_parser(tmp_path, monkeypa
     assert parses == []
 
 
-def test_each_attribute_call_sees_one_utc_day(tmp_path, monkeypatch):
+def aggregate_stored(tmp_path, block, jobs, config):
+    aggregate_range(store_case(tmp_path / "store", block, jobs), DAYS[0], DAYS[2] + DAY, config)
+
+
+def verify_files(tmp_path, block, jobs, config):
+    """What `lassi verify` runs, over the case as stats and jobs files; the
+    period holds every job, as the risk series must."""
+    stats, jobs_csv = tmp_path / "stats.csv", tmp_path / "jobs.csv"
+    stats.write_text(serialize_stats_csv(block), encoding="utf-8")
+    jobs_csv.write_text(serialize_jobs_csv(jobs), encoding="utf-8")
+    period = (DAYS[0] - DAY, DAYS[2] + 2 * DAY)
+    pipeline.compute_outputs_from_files(
+        stats, jobs_csv, period, window_len=WLEN, boundary_policy=config.boundary_policy
+    )
+
+
+@pytest.mark.parametrize("flow", [aggregate_stored, verify_files])
+def test_each_attribute_call_sees_one_utc_day(tmp_path, monkeypatch, flow):
     block, jobs = three_day_case()
-    store = store_case(tmp_path / "store", block, jobs)
     seen = []
     real = pipeline.attribute
 
@@ -702,7 +739,7 @@ def test_each_attribute_call_sees_one_utc_day(tmp_path, monkeypatch):
         return real(samples, job_list, config)
 
     monkeypatch.setattr(pipeline, "attribute", spy)
-    aggregate_range(store, DAYS[0], DAYS[2] + DAY, AttributionConfig("proportional", WLEN))
+    flow(tmp_path, block, jobs, AttributionConfig("proportional", WLEN))
     assert seen == [[day] for day in DAYS]
 
 
