@@ -414,7 +414,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-oracle", dest="no_oracle", action="store_true")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("verify", parents=[common], help="check pipeline results against an oracle")
+    p = sub.add_parser("verify", parents=[common], help="check the store flow against an oracle")
     p.add_argument("data", metavar="DIR", help="directory with stats.csv and jobs.csv")
     p.add_argument("--oracle", metavar="DIR", help="oracle directory (default DIR/oracle)")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-9)

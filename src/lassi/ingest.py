@@ -682,10 +682,7 @@ class SpilledStats:
 
     def days(self) -> Iterator[SampleBlock]:
         """One block per UTC day holding rows, in day order: that day's
-        partitions joined, as aggregate_range joins a stored day. A file
-        with no rows gives one empty block, so a reader always gets one."""
-        if not self.partitions:
-            yield SampleBlock.empty(self.window_len)
+        partitions joined, as aggregate_range joins a stored day."""
         by_day = sorted(self.partitions, key=lambda key: (key[1], key[0]))
         for _, keys in groupby(by_day, key=lambda key: key[1]):
             yield SampleBlock.concat((self.block(*key) for key in keys), self.window_len)

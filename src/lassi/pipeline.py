@@ -13,8 +13,8 @@ a day of data, not with the range; what it keeps between days is the output
 (filesystem, day) partition of samples at a time: each stats file streams
 into a spill file in the store root, which the later passes read back one
 partition at a time. compute_outputs_from_files, which `lassi verify` runs,
-streams its stats file into a spill file in the system temp directory and
-attributes it one UTC day at a time, as aggregation does.
+is this same flow (ingest, aggregate, baselines, exposures) on a temporary
+store, so the oracle checks what an operator's store holds.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .attribution import (
 )
 from .errors import IngestError, LassiError
 from .ingest import SpilledStats, parse_jobs_csv, parse_stats_csv
-from .metrics import FsBaseline, RiskSeries, compute_baseline, fs_risk_series, ops_series
+from .metrics import FsBaseline, RiskSeries, compute_baseline, ops_series
+from .metrics import fs_risk_series  # noqa: F401 -- perfbench's span table wraps it here
 from .model import (
     ALL_FIELDS,
     AppHourRecord,
@@ -49,7 +50,7 @@ from .model import (
     merged_labels,
 )
 from .store import Partition, Store, baseline_label
-from .timeutil import DAY, HOUR, day_range, floor_day, floor_hour, hour_range
+from .timeutil import DAY, HOUR, date_str, day_range, floor_day, floor_hour, hour_range
 
 _N = len(ALL_FIELDS)
 
@@ -434,61 +435,43 @@ def build_baselines(
     return out
 
 
-def compute_outputs(
-    blocks: Iterable[SampleBlock],
-    jobs: Sequence[JobRecord],
-    period: tuple[int, int],
-    alpha: float = 2.0,
-    config: AttributionConfig | None = None,
-) -> PipelineOutputs:
-    """Run the full in-memory pipeline over one period.
-
-    blocks holds the samples, at least one block, no hour's samples in two
-    of them (as _rollup takes them); each is attributed and dropped before
-    the next is drawn. Exposures are computed for every (job, filesystem)
-    pair with attributed activity; jobs must lie inside the period or the
-    risk series cannot cover them.
-    """
+def compute_outputs(store: Store, period: tuple[int, int], alpha: float = 2.0) -> PipelineOutputs:
+    """What the store holds for an aggregated, baselined period: per
+    filesystem, its hourly records, the baseline effective on its first day
+    (with alpha), risk (Store.day_risk, days joined) and ops over its hours,
+    and the exposure of each app with app-hours there."""
     t0, t1 = period
-    if t0 % HOUR or t1 % HOUR or t1 <= t0:
-        raise ValueError("period must be hour-aligned and non-empty")
-    if config is None:
-        config = AttributionConfig()
-
-    app_hours, fs_hours = _rollup(blocks, jobs, config, period)
     grid = tuple(hour_range(t0, t1))
-
-    fs_ids = sorted({r.fs_id for r in fs_hours})
-    baselines: dict[str, FsBaseline] = {}
-    risk: dict[str, RiskSeries] = {}
-    ops: dict[str, tuple] = {}
-    for fs_id in fs_ids:
-        fs_records = [r for r in fs_hours if r.fs_id == fs_id]
-        baseline = compute_baseline(fs_records, period, alpha, fs_id=fs_id)
-        baselines[fs_id] = baseline
-        app_records = [r for r in app_hours if r.fs_id == fs_id]
-        risk[fs_id] = fs_risk_series(app_records, baseline, hours=grid)
-        ops[fs_id] = tuple(
-            (hour, q.read_kb_ops, q.write_kb_ops)
-            for hour, q in zip(grid, ops_series(fs_records, grid))
-        )
-
-    pairs = {(r.app_id, r.fs_id) for r in app_hours}
-    exposures = []
-    for job in sorted(jobs, key=lambda j: j.app_id):
-        for fs_id in fs_ids:
-            if (job.app_id, fs_id) in pairs:
-                exposures.append(run_risk_exposure(job, risk[fs_id]))
-
+    fs_ids = store.list_fs("fs_hours")
+    apps = {fs: store.read_range("app_hours", fs, t0, t1) for fs in fs_ids}
+    totals = {fs: store.read_range("fs_hours", fs, t0, t1) for fs in fs_ids}
+    baselines = {fs: store.load_baseline(fs, t0, alpha) for fs in fs_ids}
+    # exposures find these day series in the store's memo
+    risk = {
+        fs: _joined([store.day_risk(fs, day, baselines[fs]) for day in day_range(t0, t1)])
+        for fs in fs_ids
+    }
+    found = [
+        record
+        for fs in fs_ids
+        for records in exposures(store, sorted({r.app_id for r in apps[fs]}), fs, alpha).values()
+        for record in records
+    ]
     return PipelineOutputs(
         period=period,
         alpha=alpha,
-        app_hours=tuple(app_hours),
-        fs_hours=tuple(fs_hours),
+        app_hours=tuple(r for fs in fs_ids for r in apps[fs]),
+        fs_hours=tuple(r for fs in fs_ids for r in totals[fs]),
         baselines=baselines,
         risk=risk,
-        ops=ops,
-        exposures=tuple(exposures),
+        ops={
+            fs: tuple(
+                (hour, q.read_kb_ops, q.write_kb_ops)
+                for hour, q in zip(grid, ops_series(totals[fs], grid))
+            )
+            for fs in fs_ids
+        },
+        exposures=tuple(sorted(found, key=lambda e: (e.app_id, e.fs_id))),
     )
 
 
@@ -500,14 +483,24 @@ def compute_outputs_from_files(
     window_len: int = 180,
     boundary_policy: str = "midpoint",
 ) -> PipelineOutputs:
-    """Parse source CSVs strictly, then run the in-memory pipeline over the
-    samples one UTC day at a time (SpilledStats.days), so memory holds one
-    day of samples, not the file's."""
-    with tempfile.TemporaryFile() as spill:
-        spilled, _ = parse_stats_csv(stats_path, "strict", window_len, spill)
-        jobs, _ = parse_jobs_csv(jobs_path, "strict")
-        config = AttributionConfig(boundary_policy=boundary_policy, window_len=window_len)
-        return compute_outputs(spilled.days(), jobs, period, alpha, config)
+    """The store flow over a day-aligned period on a temporary store, gone
+    however the call ends: strict ingest, aggregate_range, build_baselines,
+    then compute_outputs. A stats row outside the period, which the
+    aggregate would drop, raises ValueError naming its partition."""
+    t0, t1 = period
+    if t0 % DAY or t1 % DAY or t1 <= t0:
+        raise ValueError("period must be day-aligned and non-empty")
+    with tempfile.TemporaryDirectory() as root:
+        store = Store(root, window_len)
+        ingest_files(store, [stats_path], [jobs_path])
+        for fs_id in store.list_fs("samples"):
+            for day in store.partition_dates("samples", fs_id):
+                if not t0 <= day < t1:
+                    where = f"{fs_id} on {date_str(day)}"
+                    raise ValueError(f"stats rows for {where} lie outside the period")
+        aggregate_range(store, t0, t1, AttributionConfig(boundary_policy, window_len))
+        build_baselines(store, t0, t1, alpha)
+        return compute_outputs(store, period, alpha)
 
 
 def _jobs_by_id(store: Store, app_ids: Sequence[str]) -> dict[str, JobRecord]:

@@ -32,7 +32,6 @@ from lassi.oracle import verify
 from lassi.pipeline import (
     aggregate_range,
     build_baselines,
-    compute_outputs,
     compute_outputs_from_files,
     ingest_files,
 )

@@ -341,6 +341,26 @@ def test_verify_mismatch_exits_2(tmp_path, capsys):
     assert "diff" in out
 
 
+def test_verify_refuses_stats_outside_the_oracle_period(tmp_path, capsys):
+    scenario_path = tmp_path / "scenario.ini"
+    scenario_path.write_text(SCENARIO, encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["synth", "--scenario", str(scenario_path), "--out", str(data)]) == 0
+    capsys.readouterr()
+
+    # the file's last row again, a day later: the oracle's period is one day
+    stats = data / "stats.csv"
+    last = stats.read_text(encoding="utf-8").splitlines()[-1].split(",")
+    fs_id = last[1]
+    last[0] = "2017-10-11T00:00:00Z"
+    with open(stats, "a", encoding="utf-8") as fh:
+        fh.write(",".join(last) + "\n")
+
+    assert main(["verify", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert f"stats rows for {fs_id} on 2017-10-11 lie outside the period" in err
+
+
 def test_synth_no_oracle(tmp_path, capsys):
     scenario_path = tmp_path / "scenario.ini"
     scenario_path.write_text(scenario_text(window_len=900), encoding="utf-8")

@@ -1,6 +1,7 @@
 """Store-facing flows: idempotent ingest, aggregation, stored exposures."""
 
 import fcntl
+import tempfile
 import tracemalloc
 from dataclasses import replace
 
@@ -14,13 +15,12 @@ from lassi.model import ALL_FIELDS, AppHourRecord, FsHourRecord
 from lassi.pipeline import (
     aggregate_range,
     build_baselines,
-    compute_outputs,
     exposure_for,
     find_job,
     ingest_files,
 )
 from lassi.store import Partition, Store
-from lassi.timeutil import DAY, HOUR, floor_day, parse_utc
+from lassi.timeutil import DAY, HOUR, date_str, floor_day, parse_utc
 
 from helpers import (
     BASE_DAY,
@@ -272,8 +272,8 @@ def test_ingest_memory_is_bounded_by_a_partition_not_the_file(tmp_path, monkeypa
     """numpy reports its buffers to tracemalloc, so the traced peak shows
     what ingest holds at once: a range of input or one of the 16 (fs, day)
     partitions, never the whole file's columns. compute_outputs_from_files
-    holds one of the 4 days: its block and, while a day's partitions are
-    joined, those partitions, never the whole file's columns either."""
+    runs that ingest and then aggregates one of the 4 days at a time, so it
+    never holds the whole file's columns either."""
     scenario = synth.parse_scenario(
         scenario_text(
             days=4,
@@ -381,7 +381,8 @@ def write_fixture(store, fixture):
     store.write_partition(list(fixture.jobs) + [ghost], Partition("jobs", None, REPORT_DAY))
 
 
-def test_both_rollup_paths_check_conservation(tmp_path, monkeypatch, exposure_fixture):
+def test_the_rollup_checks_conservation(tmp_path, monkeypatch, exposure_fixture):
+    """aggregate_range is the one rollup; `lassi verify` runs it too."""
     store = Store(tmp_path / "store")
     write_fixture(store, exposure_fixture)
     real = pipeline.aggregate_hourly
@@ -399,10 +400,6 @@ def test_both_rollup_paths_check_conservation(tmp_path, monkeypatch, exposure_fi
     monkeypatch.setattr(pipeline, "aggregate_hourly", lossy)
     with pytest.raises(LassiError, match="conservation violated"):
         aggregate_range(store, BASE_DAY, REPORT_DAY + DAY)
-    with pytest.raises(LassiError, match="conservation violated"):
-        compute_outputs(
-            (exposure_fixture.samples,), exposure_fixture.jobs, (BASE_DAY, REPORT_DAY + DAY)
-        )
 
 
 def test_hourly_conservation_check_names_the_first_differing_field():
@@ -533,17 +530,6 @@ def test_exposure_for_counts_only_activity_during_the_run(exposure_store):
     exposure_store.write_partition(records + [later], partition)
     with pytest.raises(ValueError, match="no attributed activity"):
         exposure_for(exposure_store, "app5")
-
-
-def test_compute_outputs_validation(exposure_fixture):
-    with pytest.raises(ValueError):
-        compute_outputs(
-            (exposure_fixture.samples,),
-            exposure_fixture.jobs,
-            (BASE_DAY + 90, REPORT_DAY),
-        )
-    with pytest.raises(ValueError):
-        compute_outputs((exposure_fixture.samples,), exposure_fixture.jobs, (BASE_DAY, BASE_DAY))
 
 
 def test_long_lived_and_fresh_stores_give_the_same_exposures(tmp_path):
@@ -715,20 +701,26 @@ def aggregate_stored(tmp_path, block, jobs, config):
     aggregate_range(store_case(tmp_path / "store", block, jobs), DAYS[0], DAYS[2] + DAY, config)
 
 
-def verify_files(tmp_path, block, jobs, config):
+def verify_files(tmp_path, block, jobs, config, period=(DAYS[0] - DAY, DAYS[2] + 2 * DAY)):
     """What `lassi verify` runs, over the case as stats and jobs files; the
-    period holds every job, as the risk series must."""
+    default period holds every job, as the exposures' risk series must."""
     stats, jobs_csv = tmp_path / "stats.csv", tmp_path / "jobs.csv"
     stats.write_text(serialize_stats_csv(block), encoding="utf-8")
     jobs_csv.write_text(serialize_jobs_csv(jobs), encoding="utf-8")
-    period = (DAYS[0] - DAY, DAYS[2] + 2 * DAY)
-    pipeline.compute_outputs_from_files(
+    return pipeline.compute_outputs_from_files(
         stats, jobs_csv, period, window_len=WLEN, boundary_policy=config.boundary_policy
     )
 
 
-@pytest.mark.parametrize("flow", [aggregate_stored, verify_files])
-def test_each_attribute_call_sees_one_utc_day(tmp_path, monkeypatch, flow):
+@pytest.mark.parametrize(
+    "flow, days",
+    [
+        pytest.param(aggregate_stored, [[day] for day in DAYS], id="aggregate_stored"),
+        # verify's period holds an idle day on either side of the samples
+        pytest.param(verify_files, [[], *([day] for day in DAYS), []], id="verify_files"),
+    ],
+)
+def test_each_attribute_call_sees_one_utc_day(tmp_path, monkeypatch, flow, days):
     block, jobs = three_day_case()
     seen = []
     real = pipeline.attribute
@@ -740,7 +732,50 @@ def test_each_attribute_call_sees_one_utc_day(tmp_path, monkeypatch, flow):
 
     monkeypatch.setattr(pipeline, "attribute", spy)
     flow(tmp_path, block, jobs, AttributionConfig("proportional", WLEN))
-    assert seen == [[day] for day in DAYS]
+    assert seen == days
+
+
+def test_verify_refuses_a_period_not_day_aligned_before_reading_input(tmp_path):
+    """Neither file exists, so reading one would raise FileNotFoundError."""
+    missing = (tmp_path / "stats.csv", tmp_path / "jobs.csv")
+    for period in ((DAYS[0] + HOUR, DAYS[2]), (DAYS[0], DAYS[0])):
+        with pytest.raises(ValueError, match="period must be day-aligned and non-empty"):
+            pipeline.compute_outputs_from_files(*missing, period, window_len=WLEN)
+
+
+def test_verify_refuses_stats_outside_its_period_and_leaves_no_store(tmp_path, monkeypatch):
+    """aggregate_range would drop the rows outside the period, so verify
+    names the first such (filesystem, day) partition instead; its temporary
+    store goes on success and on refusal alike."""
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    block, jobs = three_day_case()
+    config = AttributionConfig("midpoint", WLEN)
+    with pytest.raises(ValueError, match=f"stats rows for fs1 on {date_str(DAYS[0])} lie outside"):
+        verify_files(tmp_path, block, jobs, config, period=(DAYS[1], DAYS[2]))
+    assert list(temp.iterdir()) == []
+    assert len(verify_files(tmp_path, block, jobs, config).fs_hours) > 0
+    assert list(temp.iterdir()) == []
+
+
+def test_verify_exposes_each_app_fs_pair_of_its_app_hours(tmp_path):
+    """The pair rule: one exposure per distinct (app, fs) of the period's
+    app-hours, zero-filled hours included, in (app, fs) order."""
+    scenario = synth.parse_scenario(TASKFARM_SCENARIO.read_text(encoding="utf-8"))
+    gen = synth.generate(scenario, tmp_path / "data", with_oracle=False)
+    outputs = pipeline.compute_outputs_from_files(
+        gen.stats_path,
+        gen.jobs_path,
+        (scenario.start, scenario.end),
+        alpha=scenario.alpha,
+        window_len=scenario.window_len,
+        boundary_policy=scenario.boundary_policy,
+    )
+    pairs = [(e.app_id, e.fs_id) for e in outputs.exposures]
+    assert pairs == sorted({(r.app_id, r.fs_id) for r in outputs.app_hours})
+    # each of the farm's tasks touches one filesystem
+    assert len(pairs) == len(gen.jobs)
 
 
 def conflicting_jobs_on_day_3(store):
