@@ -20,7 +20,9 @@ shares join the grouping as extra keyed rows. One np.unique and exact
 int64 group sums (add_rows) turn it all into an AttributionResult: int64
 columns with one row per (owner, fs, window). Nodes and filesystems are
 grouped by the block's id codes, never by id strings. The hourly rollups
-group those rows again with numpy.
+group those rows again with numpy. The pipeline hands them one (filesystem,
+day) partition at a time and zero-fills a job's idle hours itself, since
+those span partitions.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ from .model import (
     JobRecord,
     SampleBlock,
     id_codes,
-    merged_labels,
 )
-from .timeutil import HOUR, floor_hour
+from .timeutil import HOUR
 
 BOUNDARY_POLICIES = ("midpoint", "proportional")
 
@@ -84,22 +85,6 @@ class AttributionResult:
     window: np.ndarray
     counters: np.ndarray
 
-    @classmethod
-    def concat(cls, results: Sequence["AttributionResult"]) -> "AttributionResult":
-        """One result holding every row of results, which share one job list;
-        fs codes move onto the union of their label tables."""
-        if len(results) == 1:
-            return results[0]
-        if len({r.apps for r in results}) != 1:
-            raise ValueError("cannot concatenate results over different job lists")
-        fs_labels, fs = merged_labels(results, "fs")
-        owner, window, counters = (
-            np.concatenate([getattr(r, name) for r in results])
-            for name in ("owner", "window", "counters")
-        )
-        fs = fs.astype(np.int64, copy=False)
-        return cls(results[0].apps, owner, fs_labels, fs, window, counters)
-
 
 def add_rows(totals: np.ndarray, group_of_row: np.ndarray, counters: np.ndarray) -> None:
     """Add each row of counters, an (n, 21) int64 array, to the column of
@@ -113,8 +98,12 @@ def add_rows(totals: np.ndarray, group_of_row: np.ndarray, counters: np.ndarray)
         np.add.at(total, group_of_row, column)
 
 
-def _node_index(jobs: Sequence[JobRecord]):
-    """Per-node job intervals sorted by start; rejects overlaps up front."""
+def node_index(jobs: Sequence[JobRecord]):
+    """Per-node job intervals sorted by start.
+
+    Raises AttributionConflictError if two jobs overlap on a node and
+    ValueError if an app_id repeats, whether or not any sample is at stake.
+    """
     seen_apps: set[str] = set()
     by_node: dict[str, list[JobRecord]] = {}
     for job in jobs:
@@ -143,7 +132,7 @@ def attribute(
     Raises AttributionConflictError if any two jobs overlap on a node, and
     LassiError if the counter sums could leave the int64 range.
     """
-    index = _node_index(jobs)
+    index = node_index(jobs)
     block.check_sum_bound()
     apps = tuple(job.app_id for job in jobs)
     position = {app_id: k for k, app_id in enumerate(apps)}
@@ -256,17 +245,11 @@ def _split_window(vec, w, wlen, entry, position) -> list[tuple[int, list[int]]]:
     return shares
 
 
-def aggregate_hourly(
-    result: AttributionResult,
-    jobs: Sequence[JobRecord],
-    span: tuple[int, int] | None = None,
-) -> list[AppHourRecord]:
+def aggregate_hourly(result: AttributionResult) -> list[AppHourRecord]:
     """Roll attributed windows up to (app, fs, hour) records.
 
-    Every hour a job's [start, end) touches gets a record for each filesystem
-    the app was seen on, all-zero when the app was idle there, so risk series
-    built from these records have no gaps. ``span`` clamps that materialized
-    range, for aggregating one day of a longer job.
+    Only hours holding an attributed window get a record; the pipeline
+    zero-fills the rest of each job's hours once a whole range is rolled up.
     """
     rows = np.flatnonzero(result.owner >= 0)
     if not len(rows):
@@ -276,30 +259,12 @@ def aggregate_hourly(
     fs_ids, fs = result.fs_labels, result.fs[rows]
     hour = result.window[rows] - result.window[rows] % HOUR
 
-    # zero-fill rows: every hour of each (app, fs) pair's clamped job span
-    jobs_by_id = {j.app_id: j for j in jobs}
-    fill = []
-    for pair in np.unique(app * len(fs_ids) + fs).tolist():
-        a, f = divmod(pair, len(fs_ids))
-        job = jobs_by_id.get(app_ids[a])
-        if job is None:
-            raise ValueError(f"attributed app {app_ids[a]!r} missing from job list")
-        first, last = floor_hour(job.start), floor_hour(job.end - 1)
-        if span is not None:
-            first = max(first, floor_hour(span[0]))
-            last = min(last, floor_hour(span[1] - 1))
-        fill += [(h, f, a) for h in range(first, last + 1, HOUR)]
-    fill = np.array(fill, np.int64).reshape(-1, 3)
-    hour = np.concatenate([hour, fill[:, 0]])
-    fs = np.concatenate([fs, fill[:, 1]])
-    app = np.concatenate([app, fill[:, 2]])
-
     # keys run in (hour, fs, app) order, the order of the records
     hours, hour_pos = np.unique(hour, return_inverse=True)
     key = (hour_pos * len(fs_ids) + fs) * len(app_ids) + app
     groups, group_of_row = np.unique(key, return_inverse=True)
     totals = np.zeros((_N, len(groups)), np.int64)
-    add_rows(totals, group_of_row[: len(rows)], result.counters[rows])
+    add_rows(totals, group_of_row, result.counters[rows])
     return [
         AppHourRecord(app_id=app_ids[a], fs_id=fs_ids[f], hour=h, counters=tuple(vec))
         for h, f, a, vec in zip(

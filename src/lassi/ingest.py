@@ -26,7 +26,7 @@ in ASCII digits (parse_int_cells) and must fit in a signed 64-bit integer;
 anything else is rejected like any other bad row.
 
 Stats files parse into a spill file (SpilledStats), read back as SampleBlocks,
-the only form samples take, by partition or by day. The input is streamed in
+the only form samples take, one partition at a time. The input is streamed in
 line-aligned ranges of about 64 KiB and never held as one text. A range
 proven clean is read column-wise by np.loadtxt. In a range that fails the
 proof, the lines of a plainly clean shape (_CLEAN_ROW) are still read
@@ -45,8 +45,9 @@ distinct id, and the block carries those codes.
 Memory: a parse holds one range of input and a few thousand rows, which it
 appends to the spill grouped by (filesystem, UTC day) partition; a duplicate
 key never spans two partitions, so duplicates are then found, and the
-spilled rows later read back, one partition or one day at a time. Only
-parse_stats_csv without a spill joins the days into one whole-file block.
+spilled rows later read back, one partition at a time. Only parse_stats_csv
+without a spill, and the row-loop reference _parse_stats_rows, join the
+partitions into one whole-file block.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ import io
 import re
 import tempfile
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain, groupby, takewhile
+from itertools import chain, takewhile
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
 
@@ -207,42 +209,39 @@ def parse_stats_csv(
     and the blank lines. The first range holding a quote, CR or NUL starts
     the row loop, which reads from that range's first line to the end of the
     file: no earlier line holds one of these, so each was a whole csv row
-    and the csv reader starts there as the whole-file row loop would be. A
-    window_len that does not divide an hour sends the whole file to the row
-    loop. Duplicate keys are resolved in line order once all rows are in, so
-    the answer is the whole-file row loop's: the same block, report and
-    strict error. Strict mode reads no range after the first one holding a
-    bad row.
+    and the csv reader starts there as the whole-file row loop would be.
+    Duplicate keys are resolved in line order once all rows are in, so the
+    answer is the whole-file row loop's: the same block, report and strict
+    error. Strict mode reads no range after the first one holding a bad row.
 
     The accepted rows are appended to a spill, a seekable binary file,
     _SPILL_ROWS at a time, by (fs, UTC day) partition, so memory holds one
     range of input and, while duplicate keys are resolved, one partition's
     keys. Given a spill, the result holds the file's SpilledStats, to be
-    read back by partition or by day. Without one, the rows go to a
+    read back one partition at a time. Without one, the rows go to a
     temporary file in the system temp directory, and the result holds its
-    days joined as one block.
+    partitions joined as one block.
+
+    A bad mode, or a window_len that does not divide an hour, raises
+    ValueError before anything is read.
     """
-    if spill is not None:
-        return _spill_stats(source, mode, window_len, spill)
-    with tempfile.TemporaryFile() as own:
-        spilled, report = _spill_stats(source, mode, window_len, own)
-        return SampleBlock.concat(spilled.days(), window_len), report
-
-
-def _spill_stats(
-    source: Source, mode: str, window_len: int, spill: IO[bytes]
-) -> tuple[SpilledStats, IngestReport]:
-    """parse_stats_csv into spill."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    rows = _StatsRows(mode, window_len, spill)
-    stream, owned = _open_source(source)
-    try:
-        _read_stats(stream, rows)
-    finally:
-        if owned:
-            stream.close()
-    return rows.result()
+    if window_len <= 0 or HOUR % window_len:
+        raise ValueError(f"window_len {window_len} must divide 3600")
+    with tempfile.TemporaryFile() if spill is None else nullcontext(spill) as sink:
+        rows = _StatsRows(mode, window_len, sink)
+        stream, owned = _open_source(source)
+        try:
+            _read_stats(stream, rows)
+        finally:
+            if owned:
+                stream.close()
+        spilled, report = rows.result()
+        if spill is not None:
+            return spilled, report
+        blocks = (spilled.block(*key) for key in spilled.partitions)
+        return SampleBlock.concat(blocks, window_len), report
 
 
 def _read_stats(stream: IO[str], rows: _StatsRows) -> None:
@@ -257,7 +256,7 @@ def _read_stats(stream: IO[str], rows: _StatsRows) -> None:
                 continue
             break
         text, carry = carry[:cut], carry[cut:]
-        if rows.bad_len or any(c in text for c in _CSV_SPECIAL):
+        if any(c in text for c in _CSV_SPECIAL):
             lines = csv_rows(_pieces(text + carry, stream), line)
             if line == 1:
                 _check_header(next(lines, (1, None))[1], STATS_HEADER)
@@ -298,7 +297,8 @@ def _parse_stats_rows(text: str, mode: str, window_len: int) -> tuple[SampleBloc
     rows = _StatsRows(mode, window_len, io.BytesIO())
     rows.row_loop(takewhile(lambda _: not rows.done(), lines))
     spilled, report = rows.result()
-    return SampleBlock.concat(spilled.days(), window_len), report
+    blocks = (spilled.block(*key) for key in spilled.partitions)
+    return SampleBlock.concat(blocks, window_len), report
 
 
 # a range holding one of these starts the row loop, which reads the rest of the
@@ -376,8 +376,6 @@ class _StatsRows:
     def __init__(self, mode: str, window_len: int, spill: IO[bytes]):
         self.strict = mode == "strict"
         self.window_len = window_len
-        # a window_len that does not divide an hour makes every row bad
-        self.bad_len = window_len <= 0 or HOUR % window_len != 0
         self.sink = SpilledStats(spill, window_len)
         # (line, fs code, node code, window, counters) of rows the row loop
         # accepted and has not yet handed to the sink
@@ -478,9 +476,8 @@ class _StatsRows:
 
         A row must be readable as csv (cells, not a csv.Error), have 24
         cells, an exact timestamp on the window_len grid, non-empty ids and
-        counters (parse_int_cells) in [0, 2**63 - 1]; a window_len that does
-        not divide an hour makes every row bad. Accepted rows go to the sink
-        in batches of _ROWS_HELD.
+        counters (parse_int_cells) in [0, 2**63 - 1]. Accepted rows go to the
+        sink in batches of _ROWS_HELD.
         """
         window_len = self.window_len
         fs_ids, node_ids = self.fs_ids, self.node_ids
@@ -508,8 +505,6 @@ class _StatsRows:
                 self.bad.append((line_no, "counter exceeds int64 range"))
             elif min(vals) < 0:
                 self.bad.append((line_no, f"negative counter in counters {tuple(vals)}"))
-            elif self.bad_len:
-                self.bad.append((line_no, f"window_len {window_len} must divide 3600"))
             elif window_start % window_len:
                 self.bad.append(
                     (line_no, f"window_start {window_start} not aligned to {window_len}s grid")
@@ -578,8 +573,8 @@ class _StatsRows:
 class SpilledStats:
     """One stats file's accepted rows, appended to a binary spill file by
     (fs, UTC day) partition; the one sink of a stats parse, and what
-    parse_stats_csv returns given a spill. Read back as blocks, one
-    partition (block) or one UTC day (days) at a time.
+    parse_stats_csv returns given a spill. Read back one partition at a
+    time, as a block (block).
 
     The caller owns the file, which may hold other files' rows too: any
     seekable binary file, such as an unlinked temporary file, which a crash
@@ -679,13 +674,6 @@ class SpilledStats:
         if len(keep) != len(node) or not (np.diff(keep) == 1).all():
             fs, node, window, counters = fs[: len(keep)], node[keep], window[keep], counters[keep]
         return SampleBlock((fs_id,), fs, node_labels, node, window, counters, self.window_len)
-
-    def days(self) -> Iterator[SampleBlock]:
-        """One block per UTC day holding rows, in day order: that day's
-        partitions joined, as aggregate_range joins a stored day."""
-        by_day = sorted(self.partitions, key=lambda key: (key[1], key[0]))
-        for _, keys in groupby(by_day, key=lambda key: key[1]):
-            yield SampleBlock.concat((self.block(*key) for key in keys), self.window_len)
 
 
 def parse_jobs_csv(source: Source, mode: str = "strict") -> tuple[list[JobRecord], IngestReport]:

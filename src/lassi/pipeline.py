@@ -1,18 +1,19 @@
 """End-to-end flows: files into the store, store into aggregates and results.
 
 Thin orchestration over the ingest, attribution, metric, and analysis modules;
-all policy lives there, and locking, durable writes and the refusal of days
+all policy lives there but the zero-fill of idle job hours, which spans
+partitions (_zero_fill), and locking, durable writes and the refusal of days
 never aggregated live in the store. The store-facing flows partition by
 (filesystem, day) and are idempotent: re-ingesting the same file changes
 nothing and writes no partition, re-aggregating a range rewrites the same
 partitions.
 
-Aggregation holds one UTC day of samples at a time, so its memory grows with
-a day of data, not with the range; what it keeps between days is the output
-(hourly records) and each day's attribution result. Ingest holds one
-(filesystem, day) partition of samples at a time: each stats file streams
-into a spill file in the store root, which the later passes read back one
-partition at a time. compute_outputs_from_files, which `lassi verify` runs,
+Aggregation and ingest each hold one (filesystem, day) partition of samples
+at a time, so their memory grows with a partition of data, not with the
+range or the file. Aggregation keeps its output (hourly records) between
+partitions and zero-fills it once after the last. Each stats file streams
+into a spill file in the store root, which ingest's later passes read back
+one partition at a time. compute_outputs_from_files, which `lassi verify` runs,
 is this same flow (ingest, aggregate, baselines, exposures) on a temporary
 store, so the oracle checks what an operator's store holds.
 """
@@ -29,11 +30,11 @@ import numpy as np
 from .analysis import ExposureRecord, run_risk_exposure
 from .attribution import (
     AttributionConfig,
-    AttributionResult,
     add_rows,
     aggregate_hourly,
     attribute,
     fs_hourly_totals,
+    node_index,
 )
 from .errors import IngestError, LassiError
 from .ingest import SpilledStats, parse_jobs_csv, parse_stats_csv
@@ -50,7 +51,7 @@ from .model import (
     merged_labels,
 )
 from .store import Partition, Store, baseline_label
-from .timeutil import DAY, HOUR, date_str, day_range, floor_day, floor_hour, hour_range
+from .timeutil import DAY, HOUR, date_str, day_range, floor_day, floor_hour, format_utc, hour_range
 
 _N = len(ALL_FIELDS)
 
@@ -321,36 +322,34 @@ def _check_hourly_conservation(
 
 
 def _rollup(
-    blocks: Iterable[SampleBlock],
-    jobs: Sequence[JobRecord],
-    config: AttributionConfig,
-    span: tuple[int, int],
+    block: SampleBlock, jobs: Sequence[JobRecord], config: AttributionConfig
 ) -> tuple[list[AppHourRecord], list[FsHourRecord]]:
-    """Attribute samples to jobs, roll them up per hour, and check that the
-    hourly rollups conserve every counter.
-
-    blocks holds at least one block, and no hour has samples in two of them;
-    each is attributed and totalled, then dropped before the next is drawn.
-    Only its attribution result is kept, for the one aggregate_hourly call
-    that zero-fills each (app, fs) pair over all of span.
-    """
-    results: list[AttributionResult] = []
-    fs_hours: list[FsHourRecord] = []
-    for block in blocks:
-        result = attribute(block, jobs, config)
-        fs_hours += fs_hourly_totals(block, result)
-        results.append(result)
-        del block, result  # so this day's block is freed before the next is read
-    app_hours = aggregate_hourly(AttributionResult.concat(results), jobs, span=span)
+    """One partition's samples attributed to jobs and rolled up per hour,
+    checked to conserve every counter; its app-hours are the attributed
+    hours only (_zero_fill adds the idle ones)."""
+    result = attribute(block, jobs, config)
+    app_hours = aggregate_hourly(result)
+    fs_hours = fs_hourly_totals(block, result)
     _check_hourly_conservation(app_hours, fs_hours)
     return app_hours, fs_hours
 
 
-def _by_partition(records: Iterable) -> dict[tuple[str, int], list]:
-    """Hourly records grouped by (filesystem, day), each group in their order."""
-    out: dict[tuple[str, int], list] = {}
-    for r in records:
-        out.setdefault((r.fs_id, floor_day(r.hour)), []).append(r)
+def _zero_fill(
+    app_hours: Iterable[AppHourRecord], jobs: Sequence[JobRecord], t0: int, t1: int
+) -> dict[tuple[str, int], list[AppHourRecord]]:
+    """The attributed app_hours of [t0, t1) plus an all-zero record for each
+    other hour of each (app, fs) pair's job inside [t0, t1), so risk series
+    built from them have no gaps; by (filesystem, day), in (hour, app) order."""
+    cells = {(r.fs_id, r.hour, r.app_id): r for r in app_hours}
+    jobs_by_id = {j.app_id: j for j in jobs}
+    for fs_id, app_id in {(fs_id, app_id) for fs_id, _, app_id in cells}:
+        job = jobs_by_id[app_id]
+        for hour in hour_range(max(job.start, t0), min(job.end, t1)):
+            if (fs_id, hour, app_id) not in cells:
+                cells[fs_id, hour, app_id] = AppHourRecord(app_id, fs_id, hour, (0,) * _N)
+    out: dict[tuple[str, int], list[AppHourRecord]] = {}
+    for (fs_id, hour, _), record in sorted(cells.items()):
+        out.setdefault((fs_id, floor_day(hour)), []).append(record)
     return out
 
 
@@ -363,11 +362,14 @@ def aggregate_range(
     """Attribute stored samples over [t0, t1) and write hourly partitions.
 
     The range must be day-aligned because partitions are daily. Samples are
-    read, attributed against every job overlapping the range and totalled
-    one UTC day at a time, so memory holds one day's samples, not the
-    range's. Nothing is written until every day has passed; then every
-    (filesystem, day) in range is written, header-only when idle, so the
-    store can tell an idle day from a day never aggregated.
+    read, attributed against every job overlapping the range, totalled and
+    checked one (filesystem, day) partition at a time, days outer, so
+    memory holds one partition's samples and what is kept between
+    partitions is their hourly records. Overlapping jobs are refused up
+    front, samples or not. Once every partition has passed, the idle hours
+    of each job are zero-filled (_zero_fill) and every (filesystem, day) in
+    range is written, header-only when idle, so the store can tell an idle
+    day from a day never aggregated.
     """
     if t0 % DAY or t1 % DAY:
         raise ValueError("aggregate range must be day-aligned")
@@ -378,30 +380,30 @@ def aggregate_range(
 
     fs_ids = store.list_fs("samples")
     days = day_range(t0, t1)
-    blocks = (
-        SampleBlock.concat(
-            (store.read_range("samples", fs_id, day, day + DAY) for fs_id in fs_ids),
-            store.window_len,
-        )
-        for day in days
-    )
     jobs = store.query_jobs_overlapping(t0, t1)
+    node_index(jobs)  # refuses overlapping jobs even where no partition holds samples
+    app_hours: list[AppHourRecord] = []
+    fs_hours: dict[tuple[str, int], list[FsHourRecord]] = {}
+    for day in days:
+        for fs_id in fs_ids:
+            block = store.read_range("samples", fs_id, day, day + DAY)
+            if len(block):
+                attributed, fs_hours[fs_id, day] = _rollup(block, jobs, config)
+                app_hours += attributed
+            del block  # so this partition's samples are freed before the next is read
+    day_apps = _zero_fill(app_hours, jobs, t0, t1)
 
-    app_hours, fs_hours = _rollup(blocks, jobs, config, (t0, t1))
-
-    day_apps, day_fs = _by_partition(app_hours), _by_partition(fs_hours)
-    seen_fs = sorted(set(fs_ids) | {r.fs_id for r in app_hours})
-    for fs_id in seen_fs:
+    for fs_id in fs_ids:
         for day in days:
             store.write_aggregates(
-                fs_id, day, day_apps.get((fs_id, day), []), day_fs.get((fs_id, day), [])
+                fs_id, day, day_apps.get((fs_id, day), []), fs_hours.get((fs_id, day), [])
             )
 
     return AggregateSummary(
-        filesystems=tuple(seen_fs),
-        app_hour_records=len(app_hours),
-        fs_hour_records=len(fs_hours),
-        partitions=2 * len(seen_fs) * len(days),
+        filesystems=tuple(fs_ids),
+        app_hour_records=sum(map(len, day_apps.values())),
+        fs_hour_records=sum(map(len, fs_hours.values())),
+        partitions=2 * len(fs_ids) * len(days),
     )
 
 
@@ -486,7 +488,9 @@ def compute_outputs_from_files(
     """The store flow over a day-aligned period on a temporary store, gone
     however the call ends: strict ingest, aggregate_range, build_baselines,
     then compute_outputs. A stats row outside the period, which the
-    aggregate would drop, raises ValueError naming its partition."""
+    aggregate would drop, raises ValueError naming its partition; so does,
+    naming the app, a run with app-hours in the period that crosses one of
+    its ends, whose exposure would need risk from outside it."""
     t0, t1 = period
     if t0 % DAY or t1 % DAY or t1 <= t0:
         raise ValueError("period must be day-aligned and non-empty")
@@ -499,6 +503,17 @@ def compute_outputs_from_files(
                     where = f"{fs_id} on {date_str(day)}"
                     raise ValueError(f"stats rows for {where} lie outside the period")
         aggregate_range(store, t0, t1, AttributionConfig(boundary_policy, window_len))
+        for job in sorted(store.query_jobs_overlapping(t0, t1), key=lambda j: j.app_id):
+            if (job.start < t0 or job.end > t1) and any(
+                job.app_id in store.day_apps(fs_id, day)
+                for fs_id in store.list_fs("app_hours")
+                for day in day_range(max(job.start, t0), min(job.end, t1))
+            ):
+                raise ValueError(
+                    f"app {job.app_id!r} has app-hours in the period {date_str(t0)} to "
+                    f"{date_str(t1)} but runs from {format_utc(job.start)} to "
+                    f"{format_utc(job.end)}, past its end"
+                )
         build_baselines(store, t0, t1, alpha)
         return compute_outputs(store, period, alpha)
 

@@ -146,7 +146,7 @@ def test_criterion_04_exposure_fixture(capsys, exposure_fixture):
         result = attribute(fx.samples, fx.jobs, AttributionConfig())
         from lassi.attribution import aggregate_hourly, fs_hourly_totals
 
-        app_hours = aggregate_hourly(result, fx.jobs)
+        app_hours = aggregate_hourly(result)
         fs_hours = fs_hourly_totals(fx.samples, result)
         baseline_records = [r for r in fs_hours if r.hour < REPORT_DAY]
         baseline = compute_baseline(baseline_records, fx.baseline_period, alpha=2.0, fs_id="fs2")

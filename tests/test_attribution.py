@@ -1,18 +1,16 @@
 """Window attribution: ownership rules, conflicts, conservation, rollups."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from lassi.attribution import (
     AttributionConfig,
-    AttributionResult,
     aggregate_hourly,
     attribute,
     fs_hourly_totals,
 )
 from lassi.errors import AttributionConflictError
-from lassi.timeutil import DAY, HOUR
+from lassi.timeutil import HOUR
 
 from helpers import (
     BASE_DAY,
@@ -214,37 +212,21 @@ def test_midpoint_conserves_every_field(bounds, vec):
     assert conservation_errors(sample, result) == []
 
 
-def test_aggregate_hourly_zero_fills_job_span():
+def test_aggregate_hourly_rolls_up_attributed_hours_only():
+    """The job's idle hours and the idle node's sample get no app-hour; the
+    pipeline zero-fills idle hours once a whole range is rolled up."""
     job = mk_job("app1", ["nid1"], BASE_DAY, BASE_DAY + 3 * HOUR)
-    samples = mk_block([mk_sample("fs2", "nid1", BASE_DAY + 180, open=6)])
-    result = attribute(samples, [job], MIDPOINT)
-    records = aggregate_hourly(result, [job])
-    assert [(r.hour, r.counters) for r in records] == [
-        (BASE_DAY, mk_counters(open=6)),
-        (BASE_DAY + HOUR, mk_counters()),
-        (BASE_DAY + 2 * HOUR, mk_counters()),
-    ]
-
-
-def test_aggregate_hourly_span_clamp():
-    job = mk_job("app1", ["nid1"], BASE_DAY + 22 * HOUR, BASE_DAY + DAY + 2 * HOUR)
-    samples = mk_block([mk_sample("fs2", "nid1", BASE_DAY + 22 * HOUR, read_kb=1)])
-    result = attribute(samples, [job], MIDPOINT)
-    records = aggregate_hourly(result, [job], span=(BASE_DAY, BASE_DAY + DAY))
-    assert [r.hour for r in records] == [BASE_DAY + 22 * HOUR, BASE_DAY + 23 * HOUR]
-
-
-def test_aggregate_hourly_requires_job_metadata():
-    result = AttributionResult(
-        apps=("ghost",),
-        owner=np.array([0]),
-        fs_labels=("fs2",),
-        fs=np.array([0]),
-        window=np.array([BASE_DAY]),
-        counters=np.ones((1, 21), np.int64),
+    samples = mk_block(
+        [
+            mk_sample("fs2", "nid1", BASE_DAY + 180, open=6),
+            mk_sample("fs2", "nid1", BASE_DAY + 360, open=1),
+            mk_sample("fs2", "nid2", BASE_DAY + HOUR, open=2),
+        ]
     )
-    with pytest.raises(ValueError):
-        aggregate_hourly(result, [])
+    records = aggregate_hourly(attribute(samples, [job], MIDPOINT))
+    assert [(r.app_id, r.fs_id, r.hour, r.counters) for r in records] == [
+        ("app1", "fs2", BASE_DAY, mk_counters(open=7)),
+    ]
 
 
 def test_fs_hourly_totals_include_unattributed():

@@ -321,6 +321,20 @@ def test_attribution_conflict_exits_3(tmp_path, capsys):
     assert "nid1" in capsys.readouterr().err
 
 
+def test_ingest_refuses_a_window_len_off_the_hour(tmp_path, capsys):
+    """In either mode, before any row is read or any partition written."""
+    stats = tmp_path / "stats.csv"
+    stats.write_text(
+        STATS_HEADER_LINE + "\n2017-10-10T00:00:00Z,fs2,nid1," + ",".join(["1"] * 21) + "\n",
+        encoding="utf-8",
+    )
+    store = ["--store", str(tmp_path / "s"), "--window-len", "7", "--stats", str(stats)]
+    for mode in ("strict", "lenient"):
+        assert main(["ingest", *store, "--mode", mode]) == 2
+        assert "window_len 7 must divide 3600" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "samples").exists()
+
+
 def test_verify_mismatch_exits_2(tmp_path, capsys):
     scenario_path = tmp_path / "scenario.ini"
     scenario_path.write_text(SCENARIO, encoding="utf-8")

@@ -27,17 +27,17 @@ from helpers import (
 from lassi import ingest
 from lassi.attribution import (
     AttributionConfig,
-    _node_index,
     aggregate_hourly,
     attribute,
     fs_hourly_totals,
+    node_index,
 )
 from lassi.errors import IngestError, LassiError
 from lassi.ingest import STATS_HEADER, _parse_stats_rows, parse_stats_csv
 from lassi.model import INT64_MAX, SampleBlock
 from lassi.pipeline import _merge_samples, ingest_files
 from lassi.store import Store
-from lassi.timeutil import DAY, HOUR, floor_hour, format_utc, parse_utc
+from lassi.timeutil import DAY, HOUR, format_utc, parse_utc
 
 HEADER = ",".join(STATS_HEADER)
 T0 = "2017-10-09T00:00:00Z"
@@ -261,8 +261,9 @@ def test_clean_path_takes_canonical_files_only(monkeypatch):
         else:
             assert seen, name
     seen.clear()
-    parse_stats_csv(io.StringIO(_shapes()["canonical"]), "lenient", 7)  # 7 does not divide 3600
-    assert seen == [2, 3, 4]
+    with pytest.raises(ValueError, match="window_len 7 must divide 3600"):
+        parse_stats_csv(io.StringIO(_shapes()["canonical"]), "lenient", 7)
+    assert seen == []
 
 
 ts_tokens = st.sampled_from(
@@ -664,7 +665,7 @@ def accumulate(acc, key, vec):
 def reference_attribute(samples, jobs, config):
     """The per-sample attribution loop the vector path replaced, over
     (fs, node, window, counters) rows of config.window_len windows."""
-    index = _node_index(jobs)
+    index = node_index(jobs)
     attributed, unattributed = {}, {}
     wlen = config.window_len
     for fs_id, node_id, w, vec in samples:
@@ -715,21 +716,11 @@ def reference_fs_totals(samples, unattributed):
     ]
 
 
-def reference_aggregate_hourly(attributed, jobs, span):
+def reference_aggregate_hourly(attributed):
     """The dict-based hourly rollup the numpy grouping replaced."""
     acc = {}
     for (app_id, fs_id, w), vec in attributed.items():
         accumulate(acc, (app_id, fs_id, w - w % HOUR), vec)
-    jobs_by_id = {j.app_id: j for j in jobs}
-    for app_id, fs_id in {(a, f) for (a, f, _) in attributed}:
-        job = jobs_by_id[app_id]
-        first = floor_hour(job.start)
-        last = floor_hour(job.end - 1)
-        if span is not None:
-            first = max(first, floor_hour(span[0]))
-            last = min(last, floor_hour(span[1] - 1))
-        for hour in range(first, last + 1, HOUR):
-            acc.setdefault((app_id, fs_id, hour), [0] * 21)
     return [
         (hour, fs_id, app_id, tuple(vec))
         for (app_id, fs_id, hour), vec in sorted(acc.items(), key=lambda kv: kv[0][::-1])
@@ -754,9 +745,8 @@ job_cuts = st.lists(st.integers(0, 30 * 180), min_size=2, max_size=8, unique=Tru
         unique_by=lambda t: (t[0], t[1], t[2]),
     ),
     policy=st.sampled_from(["midpoint", "proportional"]),
-    span=st.sampled_from([None, (BASE_DAY, BASE_DAY + HOUR), (BASE_DAY + HOUR, BASE_DAY + DAY)]),
 )
-def test_vector_attribution_matches_sample_loop(cuts, cells, policy, span):
+def test_vector_attribution_matches_sample_loop(cuts, cells, policy):
     jobs = []
     for node, bounds in zip(NODES, cuts):
         for k, (s, e) in enumerate(zip(bounds[::2], bounds[1::2])):
@@ -773,6 +763,6 @@ def test_vector_attribution_matches_sample_loop(cuts, cells, policy, span):
     ]
     assert got_totals == reference_fs_totals(samples, want_unattributed)
     got_hours = [
-        (r.hour, r.fs_id, r.app_id, r.counters) for r in aggregate_hourly(result, jobs, span)
+        (r.hour, r.fs_id, r.app_id, r.counters) for r in aggregate_hourly(result)
     ]
-    assert got_hours == reference_aggregate_hourly(want_attributed, jobs, span)
+    assert got_hours == reference_aggregate_hourly(want_attributed)

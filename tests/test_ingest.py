@@ -134,16 +134,15 @@ def test_sample_rules_hold_at_the_parse_boundary(row, reason):
 
 
 @pytest.mark.parametrize("window_len", [7, 0])
-def test_window_len_off_the_hour_rejects_every_row(window_len):
-    text = stats_text(GOOD_ROW, GOOD_ROW.replace("nid00001", "nid00002"))
-    reason = f"window_len {window_len} must divide 3600"
-    with pytest.raises(IngestError) as err:
-        parse_stats_csv(io.StringIO(text), window_len=window_len)
-    assert (err.value.line, err.value.reason) == (2, reason)
-
-    samples, report = parse_stats_csv(io.StringIO(text), "lenient", window_len)
-    assert len(samples) == report.rows_accepted == 0
-    assert report.rejected_reasons == ((2, reason), (3, reason))
+def test_window_len_off_the_hour_rejects_every_row(tmp_path, window_len):
+    """No window grid exists to check a row against, so the whole file is
+    refused up front, in either mode, spilled or not: the missing file is
+    never opened."""
+    missing = tmp_path / "missing.csv"
+    for mode in ("strict", "lenient"):
+        for spill in (None, io.BytesIO()):
+            with pytest.raises(ValueError, match=f"^window_len {window_len} must divide 3600$"):
+                parse_stats_csv(missing, mode, window_len, spill)
 
 
 def test_duplicate_sample_strict_raises_at_later_line():

@@ -1,6 +1,8 @@
 """Store-facing flows: idempotent ingest, aggregation, stored exposures."""
 
 import fcntl
+import re
+import shutil
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -20,7 +22,7 @@ from lassi.pipeline import (
     ingest_files,
 )
 from lassi.store import Partition, Store
-from lassi.timeutil import DAY, HOUR, date_str, floor_day, parse_utc
+from lassi.timeutil import DAY, HOUR, date_str, floor_day, floor_hour, parse_utc
 
 from helpers import (
     BASE_DAY,
@@ -382,24 +384,31 @@ def write_fixture(store, fixture):
 
 
 def test_the_rollup_checks_conservation(tmp_path, monkeypatch, exposure_fixture):
-    """aggregate_range is the one rollup; `lassi verify` runs it too."""
+    """aggregate_range is the one rollup; `lassi verify` runs it too. Each
+    partition's rollup is checked before the next partition is read."""
     store = Store(tmp_path / "store")
     write_fixture(store, exposure_fixture)
     real = pipeline.aggregate_hourly
+    read_kb = ALL_FIELDS.index("read_kb")
+    lost = []
 
-    def lossy(*args, **kwargs):
-        # lose one KiB from the first app-hour that read anything
-        records = list(real(*args, **kwargs))
-        read_kb = ALL_FIELDS.index("read_kb")
-        i = next(i for i, r in enumerate(records) if r.counters[read_kb])
-        vec = list(records[i].counters)
-        vec[read_kb] -= 1
-        records[i] = replace(records[i], counters=tuple(vec))
+    def lossy(result):
+        # lose one KiB from the partition's first app-hour that read anything
+        records = real(result)
+        for i, r in enumerate(records):
+            if r.counters[read_kb]:
+                vec = list(r.counters)
+                vec[read_kb] -= 1
+                records[i] = replace(r, counters=tuple(vec))
+                lost.append(r.hour)
+                break
         return records
 
     monkeypatch.setattr(pipeline, "aggregate_hourly", lossy)
-    with pytest.raises(LassiError, match="conservation violated"):
+    with pytest.raises(LassiError, match="conservation violated for fs2 hour") as err:
         aggregate_range(store, BASE_DAY, REPORT_DAY + DAY)
+    assert len(lost) == 1 and f"hour {lost[0]} read_kb" in str(err.value)
+    assert aggregate_files(store) == {}
 
 
 def test_hourly_conservation_check_names_the_first_differing_field():
@@ -576,7 +585,11 @@ def test_ids_are_coded_once_per_file_not_once_per_sample(tmp_path, monkeypatch):
         store, start, start + 2 * DAY, AttributionConfig("proportional", window_len=600)
     )
     records = summary.app_hour_records + summary.fs_hour_records
-    assert sorted(coded) == sorted([len(gen.jobs), records])
+    # per samples partition (2 filesystems x 2 days): aggregate_hourly codes
+    # the job list's app_ids, then the conservation check the partition's
+    # attributed app-hours and fs-hours
+    assert coded[0::2] == [len(gen.jobs)] * 4
+    assert summary.fs_hour_records < sum(coded[1::2]) <= records
     assert ingested.samples > 10 * records
 
 
@@ -645,10 +658,22 @@ def test_aggregate_range_equals_the_whole_range_rollup(tmp_path, policy):
     store = store_case(tmp_path / "days", block, jobs)
     summary = aggregate_range(store, t0, t1, config)
 
-    # the reference: one block for the range, split by the old filter loop
+    # the reference: one attribute call over the range's whole block, its
+    # app-hours zero-filled by the range rule written out here, split by a
+    # filter loop
     ranged = store.query_jobs_overlapping(t0, t1)
     assert [j.app_id for j in ranged] == ["early", "long", "cross", "cut", "late"]
-    app_hours, fs_hours = pipeline._rollup((block,), ranged, config, (t0, t1))
+    result = attribution.attribute(block, ranged, config)
+    fs_hours = attribution.fs_hourly_totals(block, result)
+    cells = {(r.hour, r.fs_id, r.app_id): r for r in attribution.aggregate_hourly(result)}
+    jobs_by_id = {j.app_id: j for j in ranged}
+    for _, fs_id, app_id in list(cells):
+        job = jobs_by_id[app_id]
+        first, last = max(floor_hour(job.start), t0), min(floor_hour(job.end - 1), t1 - HOUR)
+        for hour in range(first, last + 1, HOUR):
+            if (hour, fs_id, app_id) not in cells:
+                cells[hour, fs_id, app_id] = AppHourRecord(app_id, fs_id, hour, mk_counters())
+    app_hours = [cells[key] for key in sorted(cells)]
     reference = Store(tmp_path / "whole", window_len=WLEN)
     for fs_id in ("fs1", "fs2", "fs3"):
         for day in DAYS:
@@ -712,27 +737,53 @@ def verify_files(tmp_path, block, jobs, config, period=(DAYS[0] - DAY, DAYS[2] +
     )
 
 
+# the three-day case's samples partitions, days outer: fs2 holds day 1 only
+PARTITIONS = [
+    (fs_id, day)
+    for day, fs_ids in zip(DAYS, (("fs1", "fs2", "fs3"), ("fs1", "fs3"), ("fs1", "fs3")))
+    for fs_id in fs_ids
+]
+
+
 @pytest.mark.parametrize(
-    "flow, days",
+    "flow",
     [
-        pytest.param(aggregate_stored, [[day] for day in DAYS], id="aggregate_stored"),
-        # verify's period holds an idle day on either side of the samples
-        pytest.param(verify_files, [[], *([day] for day in DAYS), []], id="verify_files"),
+        pytest.param(aggregate_stored, id="aggregate_stored"),
+        # verify's period holds an idle day on either side of the samples,
+        # whose missing partitions are never attributed
+        pytest.param(verify_files, id="verify_files"),
     ],
 )
-def test_each_attribute_call_sees_one_utc_day(tmp_path, monkeypatch, flow, days):
+def test_each_attribute_call_sees_one_utc_day(tmp_path, monkeypatch, flow):
+    """Each call sees one filesystem's samples on one UTC day: a partition."""
     block, jobs = three_day_case()
     seen = []
     real = pipeline.attribute
 
     def spy(samples, job_list, config):
-        seen.append(sorted({floor_day(w) for w in samples.window.tolist()}))
+        days = {floor_day(w) for w in samples.window.tolist()}
+        seen.append((samples.fs_labels, sorted(days)))
         assert [j.app_id for j in job_list] == ["early", "long", "cross", "cut", "late"]
         return real(samples, job_list, config)
 
     monkeypatch.setattr(pipeline, "attribute", spy)
     flow(tmp_path, block, jobs, AttributionConfig("proportional", WLEN))
-    assert seen == days
+    assert seen == [((fs_id,), [day]) for fs_id, day in PARTITIONS]
+
+
+def test_an_app_seen_only_on_the_later_day_is_zero_filled_on_the_earlier(tmp_path):
+    """cross's reverse: a run over midnight that shows on fs2 only after it
+    gets all-zero fs2 hours on the day before, which has no fs2 samples."""
+    job = mk_job("rev", ["n1"], BASE_DAY + 22 * HOUR, DAYS[1] + 2 * HOUR)
+    rows = [mk_sample("fs1", "n1", w, read_kb=1) for w in range(job.start, job.end, WLEN)]
+    rows.append(mk_sample("fs2", "n1", DAYS[1] + HOUR, write_kb=5))
+    store = store_case(tmp_path / "store", mk_block(rows, WLEN), [job])
+    aggregate_range(store, DAYS[0], DAYS[2], AttributionConfig("midpoint", WLEN))
+    write_kb = ALL_FIELDS.index("write_kb")
+    assert [
+        (r.hour - BASE_DAY, r.counters[write_kb])
+        for r in store.read_range("app_hours", "fs2", DAYS[0], DAYS[2])
+    ] == [(22 * HOUR, 0), (23 * HOUR, 0), (DAY, 0), (DAY + HOUR, 5)]
 
 
 def test_verify_refuses_a_period_not_day_aligned_before_reading_input(tmp_path):
@@ -757,6 +808,18 @@ def test_verify_refuses_stats_outside_its_period_and_leaves_no_store(tmp_path, m
     assert list(temp.iterdir()) == []
     assert len(verify_files(tmp_path, block, jobs, config).fs_hours) > 0
     assert list(temp.iterdir()) == []
+
+
+@pytest.mark.parametrize("drop, app", [((), "early"), (("early",), "late")], ids=["start", "end"])
+def test_verify_refuses_a_run_crossing_a_period_end(tmp_path, drop, app):
+    """early starts before the period and late ends after it; each has
+    app-hours in it, so its exposure would need risk from outside it."""
+    block, jobs = three_day_case()
+    jobs = [j for j in jobs if j.app_id not in drop]
+    period = (DAYS[0], DAYS[2] + DAY)
+    want = f"app {app!r} has app-hours in the period {date_str(period[0])} to {date_str(period[1])}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        verify_files(tmp_path, block, jobs, AttributionConfig("midpoint", WLEN), period)
 
 
 def test_verify_exposes_each_app_fs_pair_of_its_app_hours(tmp_path):
@@ -786,6 +849,10 @@ def conflicting_jobs_on_day_3(store):
     store.write_partition(jobs + [a, b], Partition("jobs", None, DAYS[2]))
 
 
+def no_samples(store):
+    shutil.rmtree(store.root / "samples")
+
+
 def corrupt_samples_on_day_3(store):
     path = store.path(Partition("samples", "fs1", DAYS[2]))
     path.write_bytes(path.read_bytes()[:-1])
@@ -795,15 +862,17 @@ def corrupt_samples_on_day_3(store):
     "faults, error, match",
     [
         ((conflicting_jobs_on_day_3,), AttributionConflictError, "n3"),
+        # no partition to attribute, and still the conflict is refused
+        ((no_samples, conflicting_jobs_on_day_3), AttributionConflictError, "n3"),
         ((corrupt_samples_on_day_3,), StoreError, "samples/fs1/2017-10-11"),
-        # day 1 is attributed before day 3 is read, so the conflict comes first
+        # overlapping jobs are refused before any partition is read
         (
             (conflicting_jobs_on_day_3, corrupt_samples_on_day_3),
             AttributionConflictError,
             "n3",
         ),
     ],
-    ids=["conflict", "corrupt", "both"],
+    ids=["conflict", "conflict without samples", "corrupt", "both"],
 )
 def test_a_failing_later_day_writes_no_aggregate(tmp_path, faults, error, match):
     block, jobs = three_day_case()
@@ -819,8 +888,9 @@ BIG = 2**62
 
 
 def test_the_sum_bound_holds_per_day(tmp_path):
-    """No sum crosses an hour, so a day's samples bound every sum: two big
-    samples on two days are summed apart, where one range block refused them."""
+    """No sum crosses an hour or a filesystem, so a partition's samples
+    bound every sum: two big samples on two days, or on two filesystems of
+    one day, are summed apart, where one block of them is refused."""
     job = mk_job("app1", ["n1", "n2"], BASE_DAY, DAYS[1] + HOUR)
     rows = [
         mk_sample("fs1", "n1", BASE_DAY, read_kb=BIG),
@@ -829,18 +899,27 @@ def test_the_sum_bound_holds_per_day(tmp_path):
     store = store_case(tmp_path / "store", mk_block(rows, WLEN), [job])
     config = AttributionConfig("midpoint", WLEN)
     with pytest.raises(LassiError, match="summing 2 samples could exceed"):
-        pipeline._rollup((mk_block(rows, WLEN),), [job], config, (BASE_DAY, DAYS[2]))
+        pipeline._rollup(mk_block(rows, WLEN), [job], config)
     aggregate_range(store, BASE_DAY, DAYS[2], config)
     read_kb = ALL_FIELDS.index("read_kb")
     for day in DAYS[:2]:
         (hour,) = store.read_range("fs_hours", "fs1", day, day + DAY)
         assert (hour.hour, hour.counters[read_kb]) == (day, BIG)
 
-    # a day that could overflow is refused, and the message counts that
-    # day's samples, not the range's
+    two_fs = [rows[0], mk_sample("fs2", "n1", BASE_DAY, read_kb=BIG)]
+    with pytest.raises(LassiError, match="summing 2 samples could exceed"):
+        pipeline._rollup(mk_block(two_fs, WLEN), [job], config)
+    store = store_case(tmp_path / "two_fs", mk_block(two_fs, WLEN), [job])
+    aggregate_range(store, BASE_DAY, DAYS[1], config)
+    for fs_id in ("fs1", "fs2"):
+        (hour,) = store.read_range("fs_hours", fs_id, BASE_DAY, DAYS[1])
+        assert (hour.hour, hour.counters[read_kb]) == (BASE_DAY, BIG)
+
+    # a partition that could overflow is refused, and the message counts
+    # that partition's samples, not the range's
     rows.append(mk_sample("fs1", "n2", DAYS[1], read_kb=BIG))
     with pytest.raises(LassiError, match="summing 3 samples could exceed"):
-        pipeline._rollup((mk_block(rows, WLEN),), [job], config, (BASE_DAY, DAYS[2]))
+        pipeline._rollup(mk_block(rows, WLEN), [job], config)
     store = store_case(tmp_path / "again", mk_block(rows, WLEN), [job])
     with pytest.raises(LassiError, match="summing 2 samples could exceed"):
         aggregate_range(store, BASE_DAY, DAYS[2], config)
