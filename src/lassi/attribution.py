@@ -18,11 +18,12 @@ windows are assigned per node with np.searchsorted over job starts; only
 proportional windows cut by a job boundary take the scalar split, whose
 shares join the grouping as extra keyed rows. One np.unique and exact
 int64 group sums (add_rows) turn it all into an AttributionResult: int64
-columns with one row per (owner, fs, window). Nodes and filesystems are
-grouped by the block's id codes, never by id strings. The hourly rollups
-group those rows again with numpy. The pipeline hands them one (filesystem,
-day) partition at a time and zero-fills a job's idle hours itself, since
-those span partitions.
+columns with one row per (owner, window) of the block's one filesystem.
+Nodes are grouped by the block's id codes and owners are numbered in
+app_id order, so no id string is coded here. The hourly rollups group those
+rows again with numpy. The pipeline hands them one (filesystem, day)
+partition at a time and zero-fills a job's idle hours itself, since those
+span partitions.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .model import (
     FsHourRecord,
     JobRecord,
     SampleBlock,
-    id_codes,
 )
 from .timeutil import HOUR
 
@@ -69,19 +69,18 @@ class AttributionConfig:
 
 @dataclass(frozen=True, eq=False)
 class AttributionResult:
-    """Summed counters, one row per (owner, fs, window) key.
+    """Summed counters of one filesystem, ``fs_id`` (the sample block's),
+    one row per (owner, window) key.
 
-    ``owner`` holds int64 indexes into ``apps``, the job list's app_ids, or
-    -1 for the unattributed remainder; ``fs`` holds int64 codes into
-    ``fs_labels``, a sorted tuple of fs ids (the sample block's), ``window``
-    int64 window starts and ``counters`` an int64 (n, 21) array in ALL_FIELDS
+    ``owner`` holds int64 indexes into ``apps``, the job list's app_ids
+    sorted, or -1 for the unattributed remainder; ``window`` holds int64
+    window starts and ``counters`` an int64 (n, 21) array in ALL_FIELDS
     order, the form every record's ``counters`` takes.
     """
 
     apps: tuple[str, ...]
     owner: np.ndarray
-    fs_labels: tuple[str, ...]
-    fs: np.ndarray
+    fs_id: str
     window: np.ndarray
     counters: np.ndarray
 
@@ -134,7 +133,7 @@ def attribute(
     """
     index = node_index(jobs)
     block.check_sum_bound()
-    apps = tuple(job.app_id for job in jobs)
+    apps = tuple(sorted(job.app_id for job in jobs))
     position = {app_id: k for k, app_id in enumerate(apps)}
     wlen = block.window_len
 
@@ -180,12 +179,10 @@ def attribute(
             share_owner.append(who)
             share_vec.append(share)
 
-    # one group per (owner, fs, window); the cut windows' own rows hold the
+    # one group per (owner, window); the cut windows' own rows hold the
     # lowest keys, and their groups are dropped
-    fs_ids, fs_codes = block.fs_labels, block.fs
-    windows, window_pos = np.unique(block.window, return_inverse=True)
-    cells = len(fs_ids) * len(windows)
-    cell = fs_codes.astype(np.int64) * len(windows) + window_pos
+    windows, cell = np.unique(block.window, return_inverse=True)
+    cells = len(windows)
     who = np.concatenate([owner, np.array(share_owner, np.int64)])
     key = (who - _CUT) * cells + np.concatenate([cell, cell[np.array(share_row, np.int64)]])
     groups, group_of_row = np.unique(key, return_inverse=True)
@@ -198,9 +195,8 @@ def attribute(
     return AttributionResult(
         apps=apps,
         owner=groups // cells + _CUT,
-        fs_labels=fs_ids,
-        fs=groups // len(windows) % len(fs_ids),
-        window=windows[groups % len(windows)],
+        fs_id=block.fs_id,
+        window=windows[groups % cells],
         counters=sums[kept:],
     )
 
@@ -246,7 +242,8 @@ def _split_window(vec, w, wlen, entry, position) -> list[tuple[int, list[int]]]:
 
 
 def aggregate_hourly(result: AttributionResult) -> list[AppHourRecord]:
-    """Roll attributed windows up to (app, fs, hour) records.
+    """Roll attributed windows up to (app, hour) records of the result's
+    filesystem.
 
     Only hours holding an attributed window get a record; the pipeline
     zero-fills the rest of each job's hours once a whole range is rolled up.
@@ -254,58 +251,51 @@ def aggregate_hourly(result: AttributionResult) -> list[AppHourRecord]:
     rows = np.flatnonzero(result.owner >= 0)
     if not len(rows):
         return []
-    app_ids, app_rank = id_codes(result.apps)
-    app = app_rank[result.owner[rows]].astype(np.int64)
-    fs_ids, fs = result.fs_labels, result.fs[rows]
+    apps = result.apps
     hour = result.window[rows] - result.window[rows] % HOUR
 
-    # keys run in (hour, fs, app) order, the order of the records
+    # keys run in (hour, app) order, the order of the records: owners number
+    # the apps in app_id order
     hours, hour_pos = np.unique(hour, return_inverse=True)
-    key = (hour_pos * len(fs_ids) + fs) * len(app_ids) + app
-    groups, group_of_row = np.unique(key, return_inverse=True)
+    groups, group_of_row = np.unique(hour_pos * len(apps) + result.owner[rows], return_inverse=True)
     totals = np.zeros((_N, len(groups)), np.int64)
     add_rows(totals, group_of_row, result.counters[rows])
     return [
-        AppHourRecord(app_id=app_ids[a], fs_id=fs_ids[f], hour=h, counters=tuple(vec))
-        for h, f, a, vec in zip(
-            hours[groups // (len(fs_ids) * len(app_ids))].tolist(),
-            (groups // len(app_ids) % len(fs_ids)).tolist(),
-            (groups % len(app_ids)).tolist(),
-            totals.T.tolist(),
+        AppHourRecord(app_id=apps[a], fs_id=result.fs_id, hour=h, counters=tuple(vec))
+        for h, a, vec in zip(
+            hours[groups // len(apps)].tolist(), (groups % len(apps)).tolist(), totals.T.tolist()
         )
     ]
 
 
 def fs_hourly_totals(block: SampleBlock, result: AttributionResult) -> list[FsHourRecord]:
-    """Per (fs, hour) totals over all samples plus the unattributed portion.
+    """Per hour totals of the block's filesystem over all samples plus the
+    unattributed portion.
 
-    ``result`` is attribute(block, ...), so both code fs over one table.
-    Hours with no samples produce no record.
+    ``result`` is attribute(block, ...), so both hold one filesystem. Hours
+    with no samples produce no record.
     """
-    if result.fs_labels != block.fs_labels:
-        raise ValueError("attribution result does not code fs over the block's labels")
+    if result.fs_id != block.fs_id:
+        raise ValueError(
+            f"attribution result of {result.fs_id} does not belong to a block of {block.fs_id}"
+        )
     block.check_sum_bound()
     n = len(block)
-    # the unattributed rows take the samples' slot arithmetic
+    # the unattributed rows take the samples' slot arithmetic; slots run in
+    # hour order, the order of the records
     un = np.flatnonzero(result.owner == _UNATTRIBUTED)
-    fs_ids, fs_codes = block.fs_labels, np.concatenate([block.fs, result.fs[un]])
     window = np.concatenate([block.window, result.window[un]])
-    hours, hour_pos = np.unique(window - window % HOUR, return_inverse=True)
-    # slots run in (hour, fs) order, the order of the records
-    slot = hour_pos * len(fs_ids) + fs_codes
-    totals = np.zeros((_N, len(hours) * len(fs_ids)), np.int64)
+    hours, slot = np.unique(window - window % HOUR, return_inverse=True)
+    totals = np.zeros((_N, len(hours)), np.int64)
     add_rows(totals, slot[:n], block.counters)
     unattr = np.zeros_like(totals)
     add_rows(unattr, slot[n:], result.counters[un])
     used = np.unique(slot[:n])
     return [
         FsHourRecord(
-            fs_id=fs_ids[s % len(fs_ids)],
-            hour=int(hours[s // len(fs_ids)]),
-            counters=tuple(vec),
-            unattributed=tuple(un_vec),
+            fs_id=block.fs_id, hour=h, counters=tuple(vec), unattributed=tuple(un_vec)
         )
-        for s, vec, un_vec in zip(
-            used.tolist(), totals.T[used].tolist(), unattr.T[used].tolist()
+        for h, vec, un_vec in zip(
+            hours[used].tolist(), totals.T[used].tolist(), unattr.T[used].tolist()
         )
     ]

@@ -38,16 +38,17 @@ csv.field_size_limit(), is a bad row like any other. The first range
 holding a quote, CR or NUL starts the row loop, which reads the rest of the
 file from that range's first line, since csv quoting can span lines.
 Duplicate keys are resolved once over all accepted rows in line order, so
-every path gives the whole-file row loop's block, report and strict error.
+every path gives the whole-file row loop's blocks, report and strict error.
 The fs and node ids of a file are coded as they are first read, once per
-distinct id, and the block carries those codes.
+distinct id; a block holds one filesystem, named once, and carries the
+node codes.
 
 Memory: a parse holds one range of input and a few thousand rows, which it
 appends to the spill grouped by (filesystem, UTC day) partition; a duplicate
 key never spans two partitions, so duplicates are then found, and the
 spilled rows later read back, one partition at a time. Only parse_stats_csv
-without a spill, and the row-loop reference _parse_stats_rows, join the
-partitions into one whole-file block.
+without a spill, and the row-loop reference _parse_stats_rows, hold every
+partition's block at once, by (filesystem, day); nothing joins them.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def parse_stats_csv(
     mode: str = "strict",
     window_len: int = 180,
     spill: IO[bytes] | None = None,
-) -> tuple[SampleBlock | SpilledStats, IngestReport]:
+) -> tuple[dict[tuple[str, int], SampleBlock] | SpilledStats, IngestReport]:
     """Parse a stats CSV into its accepted rows plus an ingest report.
 
     The input is read from the stream in line-aligned ranges of about
@@ -219,8 +220,8 @@ def parse_stats_csv(
     range of input and, while duplicate keys are resolved, one partition's
     keys. Given a spill, the result holds the file's SpilledStats, to be
     read back one partition at a time. Without one, the rows go to a
-    temporary file in the system temp directory, and the result holds its
-    partitions joined as one block.
+    temporary file in the system temp directory, and the result holds each
+    (fs, day) partition's block, by key in sorted order.
 
     A bad mode, or a window_len that does not divide an hour, raises
     ValueError before anything is read.
@@ -240,8 +241,7 @@ def parse_stats_csv(
         spilled, report = rows.result()
         if spill is not None:
             return spilled, report
-        blocks = (spilled.block(*key) for key in spilled.partitions)
-        return SampleBlock.concat(blocks, window_len), report
+        return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
 
 
 def _read_stats(stream: IO[str], rows: _StatsRows) -> None:
@@ -290,15 +290,16 @@ def _pieces(text: str, stream: IO[str]) -> Iterator[str]:
         text = text[cut:]
 
 
-def _parse_stats_rows(text: str, mode: str, window_len: int) -> tuple[SampleBlock, IngestReport]:
+def _parse_stats_rows(
+    text: str, mode: str, window_len: int
+) -> tuple[dict[tuple[str, int], SampleBlock], IngestReport]:
     """The whole file through the row loop; the reference the ranges must equal."""
     lines = csv_rows(io.StringIO(text, newline=""), 1)
     _check_header(next(lines, (1, None))[1], STATS_HEADER)
     rows = _StatsRows(mode, window_len, io.BytesIO())
     rows.row_loop(takewhile(lambda _: not rows.done(), lines))
     spilled, report = rows.result()
-    blocks = (spilled.block(*key) for key in spilled.partitions)
-    return SampleBlock.concat(blocks, window_len), report
+    return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
 
 
 # a range holding one of these starts the row loop, which reads the rest of the
@@ -346,11 +347,12 @@ class _Starts(dict):
         return start
 
 
-def _repeats(fs, node, window, line) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows to keep, in canonical order: of each repeated key, its last
-    line. Also the positions of the rows a later row of their key
-    supersedes, and of those later rows (each the next occurrence)."""
-    order, repeat = canonical_order(fs, node, window, line)
+def _repeats(node, window, line) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of one partition to keep, in canonical order: of each
+    repeated key, its last line. Also the positions of the rows a later row
+    of their key supersedes, and of those later rows (each the next
+    occurrence)."""
+    order, repeat = canonical_order(node, window, line)
     return order[~repeat], order[repeat], order[np.flatnonzero(repeat) + 1]
 
 
@@ -574,7 +576,7 @@ class SpilledStats:
     """One stats file's accepted rows, appended to a binary spill file by
     (fs, UTC day) partition; the one sink of a stats parse, and what
     parse_stats_csv returns given a spill. Read back one partition at a
-    time, as a block (block).
+    time, as a block of its filesystem (block).
 
     The caller owns the file, which may hold other files' rows too: any
     seekable binary file, such as an unlinked temporary file, which a crash
@@ -649,7 +651,7 @@ class SpilledStats:
         accepted, superseded, by, firsts = 0, [], [], []
         for (code, day), segments in self.partitions.items():
             node, window, line = self._load(segments, counters=False)
-            _, dropped, later = _repeats(np.zeros(len(node), np.int32), node, window, line)
+            _, dropped, later = _repeats(node, window, line)
             accepted += len(node)
             superseded += line[dropped].tolist()
             by += line[later].tolist()
@@ -669,11 +671,10 @@ class SpilledStats:
         key's last line kept."""
         node, window, line, counters = self._load(self.partitions[fs_id, day], counters=True)
         node_labels, node = label_codes(self.node_ids, node)
-        fs = np.zeros(len(node), np.int32)
-        keep, _, _ = _repeats(fs, node, window, line)
+        keep, _, _ = _repeats(node, window, line)
         if len(keep) != len(node) or not (np.diff(keep) == 1).all():
-            fs, node, window, counters = fs[: len(keep)], node[keep], window[keep], counters[keep]
-        return SampleBlock((fs_id,), fs, node_labels, node, window, counters, self.window_len)
+            node, window, counters = node[keep], window[keep], counters[keep]
+        return SampleBlock(fs_id, node_labels, node, window, counters, self.window_len)
 
 
 def parse_jobs_csv(source: Source, mode: str = "strict") -> tuple[list[JobRecord], IngestReport]:

@@ -7,20 +7,22 @@ counts) followed by the sixteen MDS metadata operations the servers report.
 _check_counters holds the rules all records share: exactly 21 values, none
 negative. All types are immutable.
 
-Samples have one form, the SampleBlock: columns with one row per (window,
-fs, node). Its fs and node columns are int32 codes into sorted tables of
-the distinct ids (``fs_labels``, ``node_labels``). The parser makes the
-codes where it first reads the ids; after that, sorting, grouping, masking
-and comparing rows work on codes, and merging blocks remaps label tables,
-not rows (label_codes, merged_labels). Ingest enforces the rules a sample
-row obeys (on-grid window, non-empty ids, counters in [0, 2**63 - 1]); the
-block keeps counters as int64, so every rollup first checks that its sums
-cannot leave that range (SampleBlock.check_sum_bound).
+Samples have one form, the SampleBlock: one filesystem's samples as
+columns, one row per (window, node). The block names its filesystem once
+(``fs_id``), as the store's (filesystem, day) partitions do; its node
+column holds int32 codes into a sorted table of the distinct node ids
+(``node_labels``). The parser makes the codes where it first reads the ids;
+after that, sorting, grouping, masking and comparing rows work on codes, and
+merging blocks remaps label tables, not rows (label_codes, merged_labels).
+Ingest enforces the rules a sample row obeys (on-grid window, non-empty
+ids, counters in [0, 2**63 - 1]); the block keeps counters as int64, so
+every rollup first checks that its sums cannot leave that range
+(SampleBlock.check_sum_bound).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,45 +149,34 @@ def label_codes(labels: Sequence[str], codes: np.ndarray) -> tuple[tuple[str, ..
     return tuple(table), rank[codes]
 
 
-def id_codes(ids: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Sorted distinct ids, plus each id's position among them.
-
-    The codes order ids exactly as the strings do, so integer sorts and
-    groupings stand in for string ones. For record lists; sample blocks
-    carry their codes already.
-    """
-    first_seen: dict[str, int] = {}
-    raw = np.array([first_seen.setdefault(x, len(first_seen)) for x in ids], np.int32)
-    return label_codes(list(first_seen), raw)
-
-
 def canonical_order(
-    fs: np.ndarray, node: np.ndarray, window: np.ndarray, tiebreak: np.ndarray | None = None
+    node: np.ndarray, window: np.ndarray, tiebreak: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row order sorting by (window, fs, node), then by ``tiebreak``.
+    """Row order sorting one filesystem's rows by (window, node), then by
+    ``tiebreak``.
 
-    ``fs`` and ``node`` are codes into sorted label tables, so they sort as
-    the ids do. Also returns, per sorted row, whether the next sorted row
-    has the same (window, fs, node) key.
+    ``node`` holds codes into a sorted label table, so it sorts as the ids
+    do. Also returns, per sorted row, whether the next sorted row has the
+    same (window, node) key.
     """
-    keys = (node, fs, window)
+    keys = (node, window)
     order = np.lexsort(keys if tiebreak is None else (tiebreak,) + keys)
     repeat = np.zeros(len(order), bool)
     if len(order) > 1:
         a, b = order[:-1], order[1:]
-        repeat[:-1] = (window[a] == window[b]) & (fs[a] == fs[b]) & (node[a] == node[b])
+        repeat[:-1] = (window[a] == window[b]) & (node[a] == node[b])
     return order, repeat
 
 
-def merged_labels(blocks: Sequence["SampleBlock"], name: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """One label table for column ``name`` ("fs" or "node") of several
-    blocks, and that column's codes over it, block after block.
+def merged_labels(blocks: Sequence["SampleBlock"]) -> tuple[tuple[str, ...], np.ndarray]:
+    """One node label table for several blocks, and their node codes over
+    it, block after block.
 
     Blocks sharing one table keep their codes; otherwise each block's codes
     move onto the union through its own small table (label_codes).
     """
-    tables = [getattr(b, name + "_labels") for b in blocks]
-    columns = [getattr(b, name) for b in blocks]
+    tables = [b.node_labels for b in blocks]
+    columns = [b.node for b in blocks]
     if all(t == tables[0] for t in tables):
         return tables[0], np.concatenate(columns)
     offsets = np.cumsum([0] + [len(t) for t in tables[:-1]]).tolist()
@@ -195,36 +186,26 @@ def merged_labels(blocks: Sequence["SampleBlock"], name: str) -> tuple[tuple[str
     )
 
 
-def _unique_order(fs_labels, fs, node_labels, node, window) -> np.ndarray:
-    """Canonical row order; duplicate (window, fs, node) keys raise ValueError."""
-    order, repeat = canonical_order(fs, node, window)
-    if repeat.any():
-        i = order[int(np.argmax(repeat))]
-        key = (fs_labels[fs[i]], node_labels[node[i]], int(window[i]))
-        raise ValueError(f"duplicate sample for {key}")
-    return order
-
-
 class SampleBlock:
-    """Samples as columns: one row per (window, fs, node), in that order.
+    """One filesystem's samples as columns: one row per (window, node), in
+    that order.
 
-    ``fs`` and ``node`` are int32 codes into ``fs_labels`` and
-    ``node_labels``, tuples of the distinct ids the rows hold, sorted; so
-    codes sort, group and compare rows exactly as the ids do, and an id is
-    handled once per label, never once per row. key(i) names row i by its
-    ids. ``window`` holds int64 window starts and ``counters`` an int64
-    (n, 21) array in ALL_FIELDS order; every row shares one ``window_len``.
-    Rows are in canonical (window, fs, node) order with unique keys, and
-    every label is used by some row; the constructor trusts its caller on
-    that, from_columns establishes it.
+    ``fs_id`` names the filesystem every row belongs to. ``node`` holds
+    int32 codes into ``node_labels``, a tuple of the distinct node ids the
+    rows hold, sorted; so codes sort, group and compare rows exactly as the
+    ids do, and an id is handled once per label, never once per row. key(i)
+    names row i by its ids. ``window`` holds int64 window starts and
+    ``counters`` an int64 (n, 21) array in ALL_FIELDS order; every row
+    shares one ``window_len``. Rows are in canonical (window, node) order
+    with unique keys, and every label is used by some row; the constructor
+    trusts its caller on that, from_columns establishes it.
     """
 
-    __slots__ = ("fs_labels", "fs", "node_labels", "node", "window", "counters", "window_len")
+    __slots__ = ("fs_id", "node_labels", "node", "window", "counters", "window_len")
 
     def __init__(
         self,
-        fs_labels: tuple[str, ...],
-        fs: np.ndarray,
+        fs_id: str,
         node_labels: tuple[str, ...],
         node: np.ndarray,
         window: np.ndarray,
@@ -232,10 +213,9 @@ class SampleBlock:
         window_len: int,
     ):
         n = len(window)
-        if len(fs) != n or len(node) != n or counters.shape != (n, len(ALL_FIELDS)):
+        if len(node) != n or counters.shape != (n, len(ALL_FIELDS)):
             raise ValueError("sample block columns differ in length")
-        self.fs_labels = fs_labels
-        self.fs = fs
+        self.fs_id = fs_id
         self.node_labels = node_labels
         self.node = node
         self.window = window
@@ -243,89 +223,50 @@ class SampleBlock:
         self.window_len = window_len
 
     @classmethod
-    def empty(cls, window_len: int) -> "SampleBlock":
-        codes = np.empty(0, np.int32)
+    def empty(cls, fs_id: str, window_len: int) -> "SampleBlock":
         counters = np.empty((0, len(ALL_FIELDS)), np.int64)
-        return cls((), codes, (), codes, np.empty(0, np.int64), counters, window_len)
+        return cls(fs_id, (), np.empty(0, np.int32), np.empty(0, np.int64), counters, window_len)
 
     @classmethod
     def from_columns(
         cls,
-        fs_labels: Sequence[str],
-        fs: np.ndarray,
+        fs_id: str,
         node_labels: Sequence[str],
         node: np.ndarray,
         window: np.ndarray,
         counters: np.ndarray,
         window_len: int,
     ) -> "SampleBlock":
-        """A block from rows in any order whose ids are codes into label
-        tables in any order (repeats and unused labels allowed).
+        """A block from rows in any order whose node ids are codes into a
+        label table in any order (repeats and unused labels allowed).
 
         Duplicate keys raise ValueError. Columns already in canonical order
         are kept, not copied.
         """
-        fs_labels, fs = label_codes(fs_labels, np.asarray(fs, np.int32))
         node_labels, node = label_codes(node_labels, np.asarray(node, np.int32))
-        order = _unique_order(fs_labels, fs, node_labels, node, window)
+        order, repeat = canonical_order(node, window)
+        if repeat.any():
+            i = order[int(np.argmax(repeat))]
+            key = (fs_id, node_labels[node[i]], int(window[i]))
+            raise ValueError(f"duplicate sample for {key}")
         if (np.diff(order) == 1).all():
-            return cls(fs_labels, fs, node_labels, node, window, counters, window_len)
-        return cls(
-            fs_labels, fs[order], node_labels, node[order], window[order], counters[order],
-            window_len,
-        )
-
-    @classmethod
-    def concat(cls, blocks: Iterable["SampleBlock"], window_len: int = 180) -> "SampleBlock":
-        """One block holding every row of ``blocks``, in canonical order."""
-        blocks = [b for b in blocks if len(b)]
-        if not blocks:
-            return cls.empty(window_len)
-        if len({b.window_len for b in blocks}) > 1:
-            raise ValueError("cannot concatenate blocks with different window lengths")
-        if len(blocks) == 1:
-            return blocks[0]
-        window_len = blocks[0].window_len
-        fs_labels, fs = merged_labels(blocks, "fs")
-        node_labels, node = merged_labels(blocks, "node")
-        window = np.concatenate([b.window for b in blocks])
-        if all(a._key(-1) < b._key(0) for a, b in zip(blocks, blocks[1:])):
-            counters = np.concatenate([b.counters for b in blocks])
-            return cls(fs_labels, fs, node_labels, node, window, counters, window_len)
-        order = _unique_order(fs_labels, fs, node_labels, node, window)
-        # scatter each block's counters straight to their sorted rows
-        dest = np.empty(len(order), np.int64)
-        dest[order] = np.arange(len(order))
-        counters = np.empty((len(order), len(ALL_FIELDS)), np.int64)
-        lo = 0
-        for b in blocks:
-            counters[dest[lo : lo + len(b)]] = b.counters
-            lo += len(b)
-        return cls(
-            fs_labels, fs[order], node_labels, node[order], window[order], counters, window_len
-        )
+            return cls(fs_id, node_labels, node, window, counters, window_len)
+        return cls(fs_id, node_labels, node[order], window[order], counters[order], window_len)
 
     def _key(self, i: int) -> tuple[int, str, str]:
-        return (int(self.window[i]), self.fs_labels[self.fs[i]], self.node_labels[self.node[i]])
+        return (int(self.window[i]), self.fs_id, self.node_labels[self.node[i]])
 
     def key(self, i: int) -> tuple[str, str, int]:
         """Row i's (fs, node, window) key, the form error messages name a sample by."""
-        return (self.fs_labels[self.fs[i]], self.node_labels[self.node[i]], int(self.window[i]))
+        return (self.fs_id, self.node_labels[self.node[i]], int(self.window[i]))
 
     def take(self, index) -> "SampleBlock":
         """Rows selected by a boolean mask, ascending positions or a slice
         (whose columns are views); labels no selected row uses leave the
-        tables."""
-        fs_labels, fs = label_codes(self.fs_labels, self.fs[index])
+        table."""
         node_labels, node = label_codes(self.node_labels, self.node[index])
         return SampleBlock(
-            fs_labels,
-            fs,
-            node_labels,
-            node,
-            self.window[index],
-            self.counters[index],
-            self.window_len,
+            self.fs_id, node_labels, node, self.window[index], self.counters[index], self.window_len
         )
 
     def check_sum_bound(self) -> None:
@@ -341,9 +282,8 @@ class SampleBlock:
         if isinstance(other, SampleBlock):
             return (
                 self.window_len == other.window_len
-                and self.fs_labels == other.fs_labels
+                and self.fs_id == other.fs_id
                 and self.node_labels == other.node_labels
-                and np.array_equal(self.fs, other.fs)
                 and np.array_equal(self.node, other.node)
                 and np.array_equal(self.window, other.window)
                 and np.array_equal(self.counters, other.counters)

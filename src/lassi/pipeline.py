@@ -10,10 +10,12 @@ partitions.
 
 Aggregation and ingest each hold one (filesystem, day) partition of samples
 at a time, so their memory grows with a partition of data, not with the
-range or the file. Aggregation keeps its output (hourly records) between
-partitions and zero-fills it once after the last. Each stats file streams
-into a spill file in the store root, which ingest's later passes read back
-one partition at a time. compute_outputs_from_files, which `lassi verify` runs,
+range or the file. A sample block holds one filesystem, so attribution,
+hourly totals and the conservation check each see one filesystem.
+Aggregation keeps its output (hourly records) between partitions and
+zero-fills it once after the last. Each stats file streams into a spill
+file in the store root, which ingest's later passes read back one
+partition at a time. compute_outputs_from_files, which `lassi verify` runs,
 is this same flow (ingest, aggregate, baselines, exposures) on a temporary
 store, so the oracle checks what an operator's store holds.
 """
@@ -47,7 +49,6 @@ from .model import (
     JobRecord,
     SampleBlock,
     canonical_order,
-    id_codes,
     merged_labels,
 )
 from .store import Partition, Store, baseline_label
@@ -112,29 +113,32 @@ def _merge(
 
 
 def _union(old: SampleBlock, new: SampleBlock) -> tuple[SampleBlock, np.ndarray]:
-    """Key-wise union in canonical order, new rows winning; also the
-    positions in new, ascending, of the rows that changed an old row's
-    counters. When no new row adds a key or changes a counter, the union is
-    old itself."""
+    """Key-wise union in canonical order of two blocks of one filesystem,
+    new rows winning; also the positions in new, ascending, of the rows
+    that changed an old row's counters. When no new row adds a key or
+    changes a counter, the union is old itself, and no counter is copied."""
+    if old.fs_id != new.fs_id:
+        raise ValueError(f"cannot merge samples of {new.fs_id} into {old.fs_id}")
     if not len(old):
         return new, np.empty(0, np.int64)
-    fs_labels, fs = merged_labels((old, new), "fs")
-    node_labels, node = merged_labels((old, new), "node")
-    window, counters = (
-        np.concatenate([getattr(old, name), getattr(new, name)]) for name in ("window", "counters")
-    )
+    node_labels, node = merged_labels((old, new))
+    window = np.concatenate([old.window, new.window])
     source = np.repeat(np.array([0, 1], np.int8), [len(old), len(new)])
-    order, repeat = canonical_order(fs, node, window, source)
-    # a repeated key is an old row directly followed by its replacement
+    order, repeat = canonical_order(node, window, source)
+    # a repeated key is an old row directly followed by its replacement;
+    # their counters are compared where each block holds them, one field at
+    # a time, so no copy of either side's counter rows is made
     replaced = order[repeat]
-    replacing = order[np.flatnonzero(repeat) + 1]
-    changed = replacing[(counters[replaced] != counters[replacing]).any(axis=1)] - len(old)
+    replacing = order[np.flatnonzero(repeat) + 1] - len(old)
+    differs = np.zeros(len(replaced), bool)
+    for field in range(_N):
+        differs |= old.counters[replaced, field] != new.counters[replacing, field]
+    changed = replacing[differs]
     if not len(changed) and len(replaced) == len(new):
         return old, changed
     keep = order[~repeat]
-    merged = SampleBlock(
-        fs_labels, fs[keep], node_labels, node[keep], window[keep], counters[keep], new.window_len
-    )
+    counters = np.concatenate([old.counters, new.counters])[keep]
+    merged = SampleBlock(new.fs_id, node_labels, node[keep], window[keep], counters, new.window_len)
     return merged, changed
 
 
@@ -296,14 +300,16 @@ def ingest_files(
 def _check_hourly_conservation(
     app_hours: Sequence[AppHourRecord], fs_hours: Sequence[FsHourRecord]
 ) -> None:
-    """Per (fs, hour), the app-hours plus the unattributed portion must equal
-    the totals, field by field; an hour with no totals has none to share."""
+    """Per hour of one filesystem, the app-hours plus the unattributed
+    portion must equal the totals, field by field; an hour with no totals
+    has none to share. Records of a second filesystem raise ValueError."""
     f = len(fs_hours)
     records = (*fs_hours, *app_hours)
-    fs_ids, fs_codes = id_codes(r.fs_id for r in records)
-    hours, hour_pos = np.unique(np.array([r.hour for r in records], np.int64), return_inverse=True)
-    # keys run in (hour, fs) order, the order of the fs-hour records
-    keys, slot = np.unique(hour_pos * len(fs_ids) + fs_codes, return_inverse=True)
+    fs_ids = sorted({r.fs_id for r in records})
+    if len(fs_ids) > 1:
+        raise ValueError(f"hourly records of several filesystems: {', '.join(fs_ids)}")
+    # keys run in hour order, the order of the fs-hour records
+    keys, slot = np.unique(np.array([r.hour for r in records], np.int64), return_inverse=True)
     total, un = (np.zeros((len(keys), _N), np.int64) for _ in range(2))
     total[slot[:f]] = np.array([r.counters for r in fs_hours], np.int64).reshape(-1, _N)
     un[slot[:f]] = np.array([r.unattributed for r in fs_hours], np.int64).reshape(-1, _N)
@@ -315,8 +321,7 @@ def _check_hourly_conservation(
     if len(bad):
         k, i = bad[0].tolist()
         raise LassiError(
-            f"conservation violated for {fs_ids[keys[k] % len(fs_ids)]} "
-            f"hour {hours[keys[k] // len(fs_ids)]} {ALL_FIELDS[i]}: "
+            f"conservation violated for {fs_ids[0]} hour {keys[k]} {ALL_FIELDS[i]}: "
             f"{attributed[k, i]} + {un[k, i]} != {total[k, i]}"
         )
 

@@ -17,13 +17,15 @@ dataset's suffix; any other name with that suffix is an unexpected file
 A samples partition is an uncompressed ``.npz`` of the block's columns
 (_write_samples_npz): the node ids as UTF-8 bytes end to end with their end
 offsets, int32 node codes, int64 window starts and the (n, 21) int64
-counters; the filesystem is the partition's. np.savez stamps every entry
-with one fixed date, so equal blocks give equal bytes. The reader
-(_load_samples) loads no pickled object and refuses, as StoreError, any
-file the strict CSV read of the same rows would refuse. A samples directory
-holding a ``.csv`` partition, as stores written before samples were binary
-do, is refused whole with a hint to re-ingest the input; there is no
-migration.
+counters; the filesystem is the partition's, as it is the block's
+(SampleBlock.fs_id). np.savez stamps every entry with one fixed date, so
+equal blocks give equal bytes. A samples read returns one partition's
+block, and a samples range crossing a UTC midnight is refused with
+ValueError. The reader (_load_samples) loads no pickled object and refuses,
+as StoreError, any file the strict CSV read of the same rows would refuse.
+A samples directory holding a ``.csv`` partition, as stores written before
+samples were binary do, is refused whole with a hint to re-ingest the
+input; there is no migration.
 
 An ``fs_hours`` partition marks its (filesystem, day) as aggregated; reading
 app_hours or fs_hours over a day without one raises FileNotFoundError, so a
@@ -168,10 +170,8 @@ def _check_home(record, partition: Partition) -> None:
 
 def _check_samples_home(block: SampleBlock, partition: Partition) -> None:
     """Raise ValueError unless every sample row belongs in the partition."""
-    labels = block.fs_labels
-    home = labels.index(partition.fs_id) if partition.fs_id in labels else -1
-    outside = (block.fs != home) | (
-        block.window - block.window % DAY != partition.date
+    outside = (block.window - block.window % DAY != partition.date) | (
+        block.fs_id != partition.fs_id
     )
     if outside.any():
         raise ValueError(
@@ -257,9 +257,7 @@ def _load_samples(path: Path, partition: Partition, window_len: int) -> SampleBl
     if unused.any():
         raise StoreError(f"{path}: node label {labels[int(np.argmax(unused))]!r} used by no row")
 
-    fs_labels = (partition.fs_id,) if n else ()
-    fs = np.zeros(n, np.int32)
-    block = SampleBlock(fs_labels, fs, labels, node, window, counters, window_len)
+    block = SampleBlock(partition.fs_id, labels, node, window, counters, window_len)
     same_window = window[1:] == window[:-1]
     for bad, what in (
         (window % window_len != 0, f"off the {window_len}s window grid"),
@@ -524,27 +522,25 @@ class Store:
     ) -> list | SampleBlock:
         """Records with time key in [t0, t1), in time order.
 
-        samples filter on window_start and come back as one SampleBlock;
+        samples filter on window_start and come back as one SampleBlock of
+        one (filesystem, day) partition, empty where none is stored; a
+        samples range crossing a UTC midnight raises ValueError.
         app_hours/fs_hours filter on hour, jobs on start (see
         query_jobs_overlapping for span queries), and come back as new lists.
         A day never aggregated raises FileNotFoundError for app_hours/fs_hours.
         """
         if t1 <= t0:
             raise ValueError(f"empty range: t0 {format_utc(t0)} >= t1 {format_utc(t1)}")
-        if dataset != "samples" and dataset not in _TIME_KEY:
+        if dataset == "samples":
+            return self._read_samples(fs_id, t0, t1)
+        if dataset not in _TIME_KEY:
             raise ValueError(f"dataset {dataset!r} does not support read_range")
         parts = [Partition(dataset, fs_id, day) for day in day_range(t0, t1)]
-        if dataset == "samples":
-            self._check_no_csv_samples()
         if dataset in ("app_hours", "fs_hours"):
             for p in parts:
                 self._check_aggregated(fs_id, p.date)
         else:
             parts = [p for p in parts if self.path(p).exists()]
-        if dataset == "samples":
-            return SampleBlock.concat(
-                (self._read_samples(p, t0, t1) for p in parts), self.window_len
-            )
         key = _TIME_KEY[dataset]
         out = []
         for p in parts:
@@ -604,13 +600,24 @@ class Store:
 
         return self._day_derived(fs_id, day, ("apps",), index)
 
-    def _read_samples(self, partition: Partition, t0: int, t1: int) -> SampleBlock:
-        """One samples partition's rows in [t0, t1); every row must belong in it.
+    def _read_samples(self, fs_id: str, t0: int, t1: int) -> SampleBlock:
+        """fs_id's samples in [t0, t1), which lies inside one UTC day; every
+        row of that day's partition must belong in it.
 
         Rows run in window order, so those rows are one slice of the
         partition's columns, taken as views; a whole partition is the loaded
         block itself.
         """
+        day = floor_day(t0)
+        if t1 > day + DAY:
+            raise ValueError(
+                f"samples range {format_utc(t0)} to {format_utc(t1)} crosses a UTC midnight; "
+                f"samples are read one (filesystem, day) partition at a time"
+            )
+        self._check_no_csv_samples()
+        partition = Partition("samples", fs_id, day)
+        if not self.path(partition).exists():
+            return SampleBlock.empty(fs_id, self.window_len)
         block = _load_samples(self.path(partition), partition, self.window_len)
         lo, hi = np.searchsorted(block.window, (t0, t1)).tolist()
         return block if (lo, hi) == (0, len(block)) else block.take(slice(lo, hi))

@@ -68,16 +68,47 @@ def first_seen_codes(ids) -> tuple[list[str], np.ndarray]:
     return list(seen), np.array(codes, np.int32)
 
 
-def mk_block(rows, window_len=180) -> SampleBlock:
-    """A sample block of (fs_id, node_id, window_start, counters) rows in any order."""
+def mk_block(rows, window_len=180, fs_id="fs2") -> SampleBlock:
+    """A sample block of (fs_id, node_id, window_start, counters) rows in any
+    order, all of one filesystem (rows of two raise ValueError); fs_id names
+    the filesystem of a block with no rows."""
     rows = list(rows)
+    fs_ids = sorted({r[0] for r in rows})
+    if len(fs_ids) > 1:
+        raise ValueError(f"a sample block holds one filesystem, not {fs_ids}")
     return SampleBlock.from_columns(
-        *first_seen_codes(r[0] for r in rows),
+        fs_ids[0] if rows else fs_id,
         *first_seen_codes(r[1] for r in rows),
         np.array([r[2] for r in rows], np.int64),
         np.array([r[3] for r in rows], np.int64).reshape(len(rows), len(ALL_FIELDS)),
         window_len,
     )
+
+
+def fs_blocks(rows, window_len=180) -> list[SampleBlock]:
+    """One sample block (mk_block) per filesystem the rows hold, in fs order."""
+    rows = list(rows)
+    return [
+        mk_block([r for r in rows if r[0] == fs_id], window_len)
+        for fs_id in sorted({r[0] for r in rows})
+    ]
+
+
+def partitions(*blocks: SampleBlock) -> dict[tuple[str, int], SampleBlock]:
+    """The blocks' rows by (fs, UTC day) partition, in key order: what
+    parse_stats_csv gives for those rows, and what the store holds."""
+    out = {}
+    for block in blocks:
+        days = block.window - block.window % DAY
+        for day in sorted(set(days.tolist())):
+            out[block.fs_id, day] = block.take(days == day)
+    return dict(sorted(out.items()))
+
+
+def one_block(parsed: dict) -> SampleBlock:
+    """The block of a parse_stats_csv result holding one (fs, day) partition."""
+    (block,) = parsed.values()
+    return block
 
 
 def _csv_fields(labels, codes: np.ndarray) -> np.ndarray:
@@ -90,20 +121,21 @@ _STATS_LINE = "%s,%s,%s" + ",%d" * len(ALL_FIELDS) + "\n"
 _SERIALIZE_CHUNK = 4096
 
 
-def serialize_stats_csv(block: SampleBlock) -> str:
-    """A sample block in canonical stats CSV form, the form parse_stats_csv
-    reads back to the same block; builds stats file fixtures."""
-    starts, inverse = np.unique(block.window, return_inverse=True)
-    stamps = np.array([format_utc(w) for w in starts.tolist()], dtype=object)[inverse]
-    fs = _csv_fields(block.fs_labels, block.fs)
-    node = _csv_fields(block.node_labels, block.node)
+def serialize_stats_csv(*blocks: SampleBlock) -> str:
+    """Sample blocks in canonical stats CSV form, block after block, the form
+    parse_stats_csv reads back to the same blocks; builds stats file fixtures."""
     parts = [",".join(ingest.STATS_HEADER) + "\n"]
-    for lo in range(0, len(block), _SERIALIZE_CHUNK):
-        hi = min(lo + _SERIALIZE_CHUNK, len(block))
-        cells = np.empty((hi - lo, 3 + len(ALL_FIELDS)), dtype=object)
-        cells[:, 0], cells[:, 1], cells[:, 2] = stamps[lo:hi], fs[lo:hi], node[lo:hi]
-        cells[:, 3:] = block.counters[lo:hi]
-        parts.append(_STATS_LINE * (hi - lo) % tuple(cells.ravel().tolist()))
+    for block in blocks:
+        starts, inverse = np.unique(block.window, return_inverse=True)
+        stamps = np.array([format_utc(w) for w in starts.tolist()], dtype=object)[inverse]
+        fs = ingest.render_csv((block.fs_id,), [])[:-1]
+        node = _csv_fields(block.node_labels, block.node)
+        for lo in range(0, len(block), _SERIALIZE_CHUNK):
+            hi = min(lo + _SERIALIZE_CHUNK, len(block))
+            cells = np.empty((hi - lo, 3 + len(ALL_FIELDS)), dtype=object)
+            cells[:, 0], cells[:, 1], cells[:, 2] = stamps[lo:hi], fs, node[lo:hi]
+            cells[:, 3:] = block.counters[lo:hi]
+            parts.append(_STATS_LINE * (hi - lo) % tuple(cells.ravel().tolist()))
     return "".join(parts)
 
 
@@ -144,10 +176,8 @@ def fsync_spy(monkeypatch) -> list:
 def block_rows(block) -> list[tuple]:
     """A sample block as (fs_id, node_id, window_start, counters) rows, ids as strings."""
     return [
-        (block.fs_labels[f], block.node_labels[n], w, tuple(vec))
-        for f, n, w, vec in zip(
-            block.fs.tolist(), block.node.tolist(), block.window.tolist(), block.counters.tolist()
-        )
+        (block.fs_id, block.node_labels[n], w, tuple(vec))
+        for n, w, vec in zip(block.node.tolist(), block.window.tolist(), block.counters.tolist())
     ]
 
 
@@ -155,10 +185,8 @@ def result_dicts(result) -> tuple[dict, dict]:
     """An AttributionResult as dicts of counter tuples: attributed keyed by
     (app_id, fs_id, window_start), unattributed by (fs_id, window_start)."""
     attributed, unattributed = {}, {}
-    fs_ids = [result.fs_labels[f] for f in result.fs.tolist()]
-    for who, fs_id, w, vec in zip(
-        result.owner.tolist(), fs_ids, result.window.tolist(), result.counters.tolist()
-    ):
+    fs_id = result.fs_id
+    for who, w, vec in zip(result.owner.tolist(), result.window.tolist(), result.counters.tolist()):
         if who < 0:
             unattributed[(fs_id, w)] = tuple(vec)
         else:
@@ -167,7 +195,8 @@ def result_dicts(result) -> tuple[dict, dict]:
 
 
 def conservation_errors(block, result) -> list[str]:
-    """Window-level check: attributed + unattributed must equal the inputs."""
+    """Window-level check of one filesystem's block: attributed +
+    unattributed must equal the inputs."""
     n = len(ALL_FIELDS)
     totals: dict[tuple[str, int], list[int]] = {}
     for fs_id, _, w, vec in block_rows(block):

@@ -233,15 +233,16 @@ def test_criterion_06_conservation(capsys, tmp_path):
         # stagger_s=450 puts job boundaries mid-window so shares get split
         scenario = parse_scenario(_seeded_scenario(13))
         generated = generate(scenario, tmp_path, with_oracle=False)
-        samples, _ = parse_stats_csv(generated.stats_path, "strict", 900)
+        parsed, _ = parse_stats_csv(generated.stats_path, "strict", 900)
         jobs, _ = parse_jobs_csv(generated.jobs_path, "strict")
+        # one block per (filesystem, day) partition, so every sample is checked
+        assert len({fs_id for fs_id, _ in parsed}) > 1
         for policy in ("midpoint", "proportional"):
-            result = attribute(
-                samples, jobs, AttributionConfig(boundary_policy=policy, window_len=900)
-            )
-            problems = conservation_errors(samples, result)
-            assert problems == [], (policy, problems[:3])
-        return f"; {len(samples)} windows conserved under both policies"
+            config = AttributionConfig(boundary_policy=policy, window_len=900)
+            for samples in parsed.values():
+                problems = conservation_errors(samples, attribute(samples, jobs, config))
+                assert problems == [], (policy, samples.fs_id, problems[:3])
+        return f"; {sum(map(len, parsed.values()))} windows conserved under both policies"
 
     run_criterion(capsys, 6, "attribution conserves every counter", 30.0, body)
 

@@ -14,6 +14,7 @@ from lassi.timeutil import HOUR
 
 from helpers import (
     BASE_DAY,
+    block_rows,
     conservation_errors,
     mk_block,
     mk_counters,
@@ -246,3 +247,8 @@ def test_fs_hourly_totals_include_unattributed():
     assert second.hour == BASE_DAY + 2 * HOUR
     assert second.counters == mk_counters(write_kb=9)
     assert second.unattributed == mk_counters(write_kb=9)
+    # a result belongs to its block's filesystem
+    assert result.fs_id == "fs2"
+    other = mk_block([("fs3", *row[1:]) for row in block_rows(samples)])
+    with pytest.raises(ValueError, match="result of fs2 does not belong to a block of fs3"):
+        fs_hourly_totals(other, result)

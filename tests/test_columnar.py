@@ -21,6 +21,7 @@ from helpers import (
     mk_counters,
     mk_job,
     mk_sample,
+    one_block,
     result_dicts,
     serialize_stats_csv,
 )
@@ -34,7 +35,7 @@ from lassi.attribution import (
 )
 from lassi.errors import IngestError, LassiError
 from lassi.ingest import STATS_HEADER, _parse_stats_rows, parse_stats_csv
-from lassi.model import INT64_MAX, SampleBlock
+from lassi.model import INT64_MAX
 from lassi.pipeline import _merge_samples, ingest_files
 from lassi.store import Store
 from lassi.timeutil import DAY, HOUR, format_utc, parse_utc
@@ -58,11 +59,10 @@ def row_loop(text, mode, window_len=180):
 
 
 def spilled(source, mode="strict", window_len=180):
-    """parse_stats_csv through an in-memory spill, its partitions joined
-    back into one block."""
+    """parse_stats_csv through an in-memory spill, each partition read back
+    as its block."""
     parsed, report = parse_stats_csv(source, mode, window_len, io.BytesIO())
-    blocks = [parsed.block(fs_id, day) for fs_id, day in sorted(parsed.partitions)]
-    return SampleBlock.concat(blocks, window_len), report
+    return {key: parsed.block(*key) for key in sorted(parsed.partitions)}, report
 
 
 def outcome(fn, *args):
@@ -77,8 +77,8 @@ SPLITS = [ingest._RANGE_CHARS, 1, 300]
 
 
 def assert_agrees(text, window_len=180):
-    """parse_stats_csv, its days joined or its partitions joined, equals
-    the whole-text row loop in both modes, at every range size."""
+    """parse_stats_csv, without a spill or through one, equals the
+    whole-text row loop in both modes, at every range size."""
     for range_chars in SPLITS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_RANGE_CHARS", range_chars)
@@ -105,8 +105,8 @@ def test_single_digit_timestamp_is_a_line_numbered_reject():
     assert err.value.line == 3
     assert "bad timestamp" in err.value.reason
 
-    block, report = parse_stats_csv(io.StringIO(text), mode="lenient")
-    assert len(block) == 1
+    parsed, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    assert len(one_block(parsed)) == 1
     assert report.rejected_reasons == ((3, "bad timestamp '2017-10-9T0:3:0Z'"),)
 
 
@@ -120,15 +120,15 @@ def test_counter_above_int64_is_a_line_numbered_reject(big):
         parse_stats_csv(io.StringIO(text))
     assert (err.value.line, err.value.reason) == (3, "counter exceeds int64 range")
 
-    block, report = parse_stats_csv(io.StringIO(text), mode="lenient")
-    assert len(block) == 1
+    parsed, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    assert len(one_block(parsed)) == 1
     assert report.rejected_reasons == ((3, "counter exceeds int64 range"),)
 
 
 def test_int64_max_counter_is_exact():
     text = text_of(row(counters=(str(INT64_MAX),) + ("0",) * 20))
-    block, report = parse_stats_csv(io.StringIO(text))
-    assert block.counters.tolist() == [list(mk_counters(read_kb=INT64_MAX))]
+    parsed, report = parse_stats_csv(io.StringIO(text))
+    assert one_block(parsed).counters.tolist() == [list(mk_counters(read_kb=INT64_MAX))]
     assert report.rows_rejected == 0
 
 
@@ -204,7 +204,8 @@ def test_a_cell_past_the_csv_field_limit_is_a_line_numbered_reject():
     reason = f"field larger than field limit ({limit})"
     for text in (plain, quoted):
         assert_agrees(text)
-        block, report = parse_stats_csv(io.StringIO(text), "lenient")
+        parsed, report = parse_stats_csv(io.StringIO(text), "lenient")
+        block = one_block(parsed)
         assert [block.key(i) for i in range(len(block))] == [("fs2", "nid1", BASE_DAY)]
         assert report.rejected_reasons == ((2, reason),)
         with pytest.raises(IngestError) as err:
@@ -214,8 +215,8 @@ def test_a_cell_past_the_csv_field_limit_is_a_line_numbered_reject():
         parse_stats_csv, io.StringIO(quoted), "lenient"
     )
     # a cell of exactly the limit is a cell like any other
-    block, report = parse_stats_csv(io.StringIO(text_of(row(node="n" * limit))))
-    assert (len(block), report.rows_rejected) == (1, 0)
+    parsed, report = parse_stats_csv(io.StringIO(text_of(row(node="n" * limit))))
+    assert (len(one_block(parsed)), report.rows_rejected) == (1, 0)
 
 
 def looped_lines(monkeypatch) -> list:
@@ -346,8 +347,8 @@ def test_dirty_file_agrees_with_row_loop(monkeypatch, range_chars, every):
         got = outcome(parse_stats_csv, io.StringIO(text), mode)
         want = outcome(row_loop, text, mode)
         assert got == want, mode
-    block, report = got
-    assert report.rows_read > len(block) > 2900
+    parsed, report = got
+    assert report.rows_read > len(one_block(parsed)) > 2900
     kinds = {"negative", "window_start", "expected", "non-integer"} if every else set()
     assert {reason.split(" ")[0] for _, reason in report.rejected_reasons} == kinds | {"duplicate"}
 
@@ -373,10 +374,10 @@ def test_a_line_of_22_or_24_commas_goes_to_the_row_loop(monkeypatch, cells):
     text = text_of(row(), wrong, row(node="nid2"))
     assert_agrees(text)
     seen = looped_lines(monkeypatch)
-    block, report = parse_stats_csv(io.StringIO(text), "lenient")
+    parsed, report = parse_stats_csv(io.StringIO(text), "lenient")
     assert seen == [3]
     assert report.rejected_reasons == ((3, f"expected 24 columns, got {cells}"),)
-    assert len(block) == 2
+    assert len(one_block(parsed)) == 2
 
 
 @pytest.mark.parametrize("where", ["last range", "middle range"])
@@ -394,20 +395,20 @@ def test_a_late_quote_or_cr_starts_the_row_loop_there(monkeypatch, where, specia
         assert outcome(parse_stats_csv, io.StringIO(text), mode) == want, mode
         assert outcome(spilled, io.StringIO(text), mode) == want, mode
     seen = looped_lines(monkeypatch)
-    block, report = parse_stats_csv(io.StringIO(text), "lenient")
+    parsed, report = parse_stats_csv(io.StringIO(text), "lenient")
     late_line = at + 2
     # the lines before the special one's range were read column-wise
     assert late_line - 40 < min(seen) <= late_line
     assert max(seen) == len(lines) + 2
     assert ("fs2", "nid,9" if special == '"' else "nid9", BASE_DAY + 180) in {
-        block.key(i) for i in range(len(block))
+        block.key(i) for block in parsed.values() for i in range(len(block))
     }
     assert report.rejected_reasons == row_loop(text, "lenient")[1].rejected_reasons
 
 
 def test_far_apart_duplicates_resolve_as_the_row_loop_does(monkeypatch):
     """Lenient duplicates of one key many ranges apart give the whole-file
-    row loop's block and report, by days as by partitions."""
+    row loop's blocks and report, without a spill or through one."""
     monkeypatch.setattr(ingest, "_RANGE_CHARS", 4096)
     lines = dirty_lines(3, every=None)
     cells = lines[10].split(",")
@@ -433,10 +434,10 @@ def test_int64_max_counter_in_a_failing_range_is_exact(monkeypatch):
     text = text_of(row(), "2017-10-09T00:06:00Z,fs2,nid1,1,2", big, row(node="nid2"))
     assert_agrees(text)
     seen = looped_lines(monkeypatch)
-    block, report = parse_stats_csv(io.StringIO(text), "lenient")
+    parsed, report = parse_stats_csv(io.StringIO(text), "lenient")
     assert sorted(seen) == [3, 4]
     assert report.rejected_reasons == ((3, "expected 24 columns, got 5"),)
-    assert block.counters[:, 0].tolist() == [1, 1, INT64_MAX]
+    assert one_block(parsed).counters[:, 0].tolist() == [1, 1, INT64_MAX]
     with pytest.raises(IngestError) as err:
         parse_stats_csv(io.StringIO(text))
     assert err.value.line == 3
@@ -473,23 +474,24 @@ awkward_ids = st.text(
 
 @settings(max_examples=200, deadline=None)
 @given(
+    awkward_ids,
     st.lists(
         st.tuples(
-            awkward_ids,
             awkward_ids,
             st.integers(0, 30).map(lambda i: BASE_DAY + i * 180),
             st.lists(st.integers(0, INT64_MAX), min_size=21, max_size=21),
         ),
         max_size=12,
-        unique_by=lambda t: (t[0], t[1], t[2]),
-    )
+        unique_by=lambda t: (t[0], t[1]),
+    ),
 )
-def test_serialize_matches_csv_writer(rows):
+def test_serialize_matches_csv_writer(fs_id, cells):
+    rows = [(fs_id, *cell) for cell in cells]
     text = serialize_stats_csv(mk_block(rows))
     assert text == reference_serialize(rows)
     back, report = parse_stats_csv(io.StringIO(text))
     assert report.rows_rejected == 0
-    assert serialize_stats_csv(back) == text
+    assert serialize_stats_csv(*back.values()) == text
 
 
 # --- block construction ---------------------------------------------------
@@ -497,7 +499,7 @@ def test_serialize_matches_csv_writer(rows):
 
 def test_from_columns_puts_rows_in_canonical_order():
     samples = [
-        mk_sample("fs2", "nid2", BASE_DAY, read_kb=1),
+        mk_sample("fs1", "nid2", BASE_DAY, read_kb=1),
         mk_sample("fs1", "nid9", BASE_DAY + 180, open=2),
         mk_sample("fs1", "nid1", BASE_DAY),
     ]
@@ -505,36 +507,21 @@ def test_from_columns_puts_rows_in_canonical_order():
     assert len(block) == 3
     assert [block.key(i) for i in range(3)] == [
         ("fs1", "nid1", BASE_DAY),
-        ("fs2", "nid2", BASE_DAY),
+        ("fs1", "nid2", BASE_DAY),
         ("fs1", "nid9", BASE_DAY + 180),
     ]
     assert block.counters.tolist() == [[0] * 21, list(samples[0][3]), list(samples[1][3])]
     assert mk_block(reversed(samples)) == block
     assert block != mk_block(samples, window_len=360)
+    # the same rows of another filesystem are another block
+    assert block != mk_block([("fs2", *s[1:]) for s in samples])
 
 
-def test_block_rejects_duplicates_and_mixed_window_lengths():
-    with pytest.raises(ValueError, match="duplicate"):
+def test_block_rejects_duplicates_and_a_second_filesystem():
+    with pytest.raises(ValueError, match="duplicate sample for \\('fs2', 'nid1', 0\\)"):
         mk_block([mk_sample("fs2", "nid1", 0), mk_sample("fs2", "nid1", 0)])
-    with pytest.raises(ValueError, match="window lengths"):
-        SampleBlock.concat(
-            [mk_block([mk_sample("fs2", "n1", 0)]), mk_block([mk_sample("fs2", "n2", 0)], 900)]
-        )
-
-
-def test_concat_restores_canonical_order():
-    a = mk_block([mk_sample("fs2", "n1", 0), mk_sample("fs2", "n1", 360)])
-    b = mk_block([mk_sample("fs1", "n1", 180), mk_sample("fs1", "n1", 360)])
-    both = SampleBlock.concat([a, b])
-    assert [(w, fs) for fs, _, w, _ in block_rows(both)] == [
-        (0, "fs2"),
-        (180, "fs1"),
-        (360, "fs1"),
-        (360, "fs2"),
-    ]
-    assert SampleBlock.concat([a.take([0]), a.take([1])]) == a
-    with pytest.raises(ValueError, match="duplicate"):
-        SampleBlock.concat([a, a])
+    with pytest.raises(ValueError, match="one filesystem"):
+        mk_block([mk_sample("fs2", "nid1", 0), mk_sample("fs1", "nid1", 0)])
 
 
 # --- the code form equals a string-keyed reference --------------------------
@@ -542,15 +529,15 @@ def test_concat_restores_canonical_order():
 # ids whose first-seen order differs from their sorted order ("n9" before
 # "n10"), ids the csv writer quotes, and non-ASCII ids
 code_ids = st.sampled_from(["n9", "n10", "n1", "a,b", 'q"t', "é", "Ω2", "z"]) | awkward_ids
-sample_rows = st.lists(
+# (node, window, counters) cells of one filesystem's rows
+sample_cells = st.lists(
     st.tuples(
-        code_ids,
         code_ids,
         st.integers(0, 6).map(lambda i: BASE_DAY + i * 180),
         st.tuples(*[st.integers(0, 3)] * 21),
     ),
     max_size=14,
-    unique_by=lambda t: (t[0], t[1], t[2]),
+    unique_by=lambda t: (t[0], t[1]),
 )
 
 
@@ -560,24 +547,24 @@ def canonical_rows(rows):
 
 
 def assert_code_form(block):
-    """Label tables sorted, distinct and all used; every code indexes its table."""
-    for labels, codes in ((block.fs_labels, block.fs), (block.node_labels, block.node)):
-        assert type(labels) is tuple and list(labels) == sorted(set(labels))
-        assert codes.dtype == np.int32
-        assert sorted(set(codes.tolist())) == list(range(len(labels)))
-
-
-def first_duplicate(a, b):
-    """The message naming the lowest (window, fs, node) key both row lists hold."""
-    both = {r[:3] for r in a} & {r[:3] for r in b}
-    fs, node, w = min(both, key=lambda k: (k[2], k[0], k[1]))
-    return f"duplicate sample for {(fs, node, w)}"
+    """The node label table sorted, distinct and all used; every code indexes it."""
+    labels, codes = block.node_labels, block.node
+    assert type(block.fs_id) is str
+    assert type(labels) is tuple and list(labels) == sorted(set(labels))
+    assert codes.dtype == np.int32
+    assert sorted(set(codes.tolist())) == list(range(len(labels)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(old=sample_rows, new=sample_rows, mask=st.lists(st.booleans(), min_size=14, max_size=14))
-def test_code_form_matches_string_keyed_reference(old, new, mask):
-    a, b = mk_block(old), mk_block(new)
+@given(
+    fs_id=code_ids,
+    old=sample_cells,
+    new=sample_cells,
+    mask=st.lists(st.booleans(), min_size=14, max_size=14),
+)
+def test_code_form_matches_string_keyed_reference(fs_id, old, new, mask):
+    old, new = ([(fs_id, *cell) for cell in cells] for cells in (old, new))
+    a, b = mk_block(old, fs_id=fs_id), mk_block(new, fs_id=fs_id)
     for block, rows in ((a, old), (b, new)):
         assert_code_form(block)
         assert block_rows(block) == canonical_rows(rows)
@@ -587,17 +574,6 @@ def test_code_form_matches_string_keyed_reference(old, new, mask):
     picked = a.take(np.array(mask[: len(a)], bool))
     assert_code_form(picked)
     assert block_rows(picked) == [r for r, m in zip(canonical_rows(old), mask) if m]
-
-    # concat: the sorted union, or the lowest shared key named in the error
-    if {r[:3] for r in old} & {r[:3] for r in new}:
-        with pytest.raises(ValueError) as exc:
-            SampleBlock.concat([a, b])
-        assert str(exc.value) == first_duplicate(old, new)
-    else:
-        both = SampleBlock.concat([a, b])
-        assert_code_form(both)
-        assert block_rows(both) == canonical_rows(old + new)
-        assert both == mk_block(new + old)
 
     # _merge_samples: new rows win; strict refuses the lowest changed key
     union = {r[:3]: r for r in old}
@@ -619,16 +595,19 @@ def test_code_form_matches_string_keyed_reference(old, new, mask):
         assert _merge_samples(a, b, "strict", "here") == (merged, 0)
 
     # the canonical text parses back to the block, and so does the same
-    # rows' text in drawn order, whose ids come first-seen unsorted
+    # rows' text in drawn order, whose ids come first-seen unsorted; all
+    # windows lie in one day, so the block is one partition's
+    want = {(fs_id, BASE_DAY): merged} if len(merged) else {}
     text = serialize_stats_csv(merged)
     back, report = parse_stats_csv(io.StringIO(text))
     assert report.rows_rejected == 0
-    assert_code_form(back)
-    assert back == merged
+    for block in back.values():
+        assert_code_form(block)
+    assert back == want
     drawn = ingest.render_csv(
         STATS_HEADER, [(format_utc(w), fs, node) + vec for fs, node, w, vec in union.values()]
     )
-    assert parse_stats_csv(io.StringIO(drawn))[0] == merged
+    assert parse_stats_csv(io.StringIO(drawn))[0] == want
 
 
 def test_ingest_merges_overlapping_files_in_one_call(tmp_path):
@@ -753,16 +732,25 @@ def test_vector_attribution_matches_sample_loop(cuts, cells, policy):
             jobs.append(mk_job(f"{node}-app{k}", [node], BASE_DAY + s, BASE_DAY + e))
     jobs.reverse()  # job list order differs from app_id order
     samples = [(fs, node, BASE_DAY + i * 180, tuple(vec)) for fs, node, i, vec in cells]
-    block = mk_block(samples)
     config = AttributionConfig(boundary_policy=policy)
-    result = attribute(block, jobs, config)
+    # one block, attribution and pair of rollups per filesystem, against one
+    # reference over every sample
+    got_attributed, got_unattributed, got_totals, got_hours = {}, {}, [], []
+    for fs_id in ("fs1", "fs2"):
+        block = mk_block([s for s in samples if s[0] == fs_id], fs_id=fs_id)
+        result = attribute(block, jobs, config)
+        assert result.fs_id == fs_id
+        attributed, unattributed = result_dicts(result)
+        got_attributed.update(attributed)
+        got_unattributed.update(unattributed)
+        totals = [
+            (r.hour, r.fs_id, r.counters, r.unattributed) for r in fs_hourly_totals(block, result)
+        ]
+        hours = [(r.hour, r.fs_id, r.app_id, r.counters) for r in aggregate_hourly(result)]
+        assert totals == sorted(totals) and hours == sorted(hours)
+        got_totals += totals
+        got_hours += hours
     want_attributed, want_unattributed = reference_attribute(samples, jobs, config)
-    assert result_dicts(result) == (want_attributed, want_unattributed)
-    got_totals = [
-        (r.hour, r.fs_id, r.counters, r.unattributed) for r in fs_hourly_totals(block, result)
-    ]
-    assert got_totals == reference_fs_totals(samples, want_unattributed)
-    got_hours = [
-        (r.hour, r.fs_id, r.app_id, r.counters) for r in aggregate_hourly(result)
-    ]
-    assert got_hours == reference_aggregate_hourly(want_attributed)
+    assert (got_attributed, got_unattributed) == (want_attributed, want_unattributed)
+    assert sorted(got_totals) == reference_fs_totals(samples, want_unattributed)
+    assert sorted(got_hours) == reference_aggregate_hourly(want_attributed)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import mk_block, mk_job, mk_sample, serialize_stats_csv
+from helpers import fs_blocks, mk_job, mk_sample, one_block, partitions, serialize_stats_csv
 from lassi.errors import IngestError, StoreError
 from lassi.model import AppHourRecord
 from lassi.ingest import (
@@ -30,7 +30,9 @@ def jobs_text(*rows):
 
 
 def test_parse_stats_happy_path():
-    samples, report = parse_stats_csv(io.StringIO(stats_text(GOOD_ROW)))
+    parsed, report = parse_stats_csv(io.StringIO(stats_text(GOOD_ROW)))
+    samples = one_block(parsed)
+    assert list(parsed) == [("fs2", 1507507200)]
     assert report.rows_read == 1
     assert report.rows_accepted == 1
     assert report.rows_rejected == 0
@@ -40,8 +42,8 @@ def test_parse_stats_happy_path():
 
 
 def test_parse_stats_accepts_bytes_stream():
-    samples, _ = parse_stats_csv(io.BytesIO(stats_text(GOOD_ROW).encode()))
-    assert len(samples) == 1
+    parsed, _ = parse_stats_csv(io.BytesIO(stats_text(GOOD_ROW).encode()))
+    assert len(one_block(parsed)) == 1
 
 
 def test_header_must_match_exactly():
@@ -74,8 +76,8 @@ def test_parse_stats_rejects_bad_rows(row, needle):
     assert err.value.line == 2
     assert needle in str(err.value)
 
-    samples, report = parse_stats_csv(io.StringIO(stats_text(row)), mode="lenient")
-    assert len(samples) == 0
+    parsed, report = parse_stats_csv(io.StringIO(stats_text(row)), mode="lenient")
+    assert parsed == {}
     assert report.rows_rejected == 1
     assert report.first_error_line == 2
     assert report.rejected_reasons[0][0] == 2
@@ -93,17 +95,17 @@ def test_counter_cells_outside_the_integer_grammar_are_rejects(cell):
         parse_stats_csv(io.StringIO(text))
     assert (err.value.line, err.value.reason) == (3, "non-integer counter value")
 
-    samples, report = parse_stats_csv(io.StringIO(text), mode="lenient")
-    assert len(samples) == report.rows_accepted == 1
+    parsed, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    assert len(one_block(parsed)) == report.rows_accepted == 1
     assert report.rejected_reasons == ((3, "non-integer counter value"),)
 
 
 def test_leading_zeros_still_read_at_ingest():
     row = "2017-10-09T00:03:00Z,fs2,nid00001," + ",".join(["007"] + ["1"] * 20)
     for mode in ("strict", "lenient"):
-        samples, report = parse_stats_csv(io.StringIO(stats_text(GOOD_ROW, row)), mode)
+        parsed, report = parse_stats_csv(io.StringIO(stats_text(GOOD_ROW, row)), mode)
         assert report.rows_rejected == 0
-        assert samples.counters[1].tolist() == [7] + [1] * 20
+        assert one_block(parsed).counters[1].tolist() == [7] + [1] * 20
 
 
 @pytest.mark.parametrize(
@@ -128,8 +130,8 @@ def test_sample_rules_hold_at_the_parse_boundary(row, reason):
         parse_stats_csv(io.StringIO(text))
     assert (err.value.line, err.value.reason) == (3, reason)
 
-    samples, report = parse_stats_csv(io.StringIO(text), mode="lenient")
-    assert len(samples) == report.rows_accepted == 1
+    parsed, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    assert len(one_block(parsed)) == report.rows_accepted == 1
     assert report.rejected_reasons == ((3, reason),)
 
 
@@ -155,10 +157,10 @@ def test_duplicate_sample_strict_raises_at_later_line():
 
 def test_duplicate_sample_lenient_last_wins():
     second = "2017-10-09T00:00:00Z,fs2,nid00001," + ",".join(["7"] * 21)
-    samples, report = parse_stats_csv(
+    parsed, report = parse_stats_csv(
         io.StringIO(stats_text(GOOD_ROW, second)), mode="lenient"
     )
-    assert samples.counters.tolist() == [[7] * 21]
+    assert one_block(parsed).counters.tolist() == [[7] * 21]
     assert report.rows_accepted == 1
     assert report.rows_rejected == 1
     line, reason = report.rejected_reasons[0]
@@ -240,6 +242,8 @@ def test_rejects_name_the_file_line_after_a_quoted_newline(parse, text):
         parse(io.StringIO(text))
     assert err.value.line == 5
     parsed, report = parse(io.StringIO(text), mode="lenient")
+    if parse is parse_stats_csv:
+        parsed = one_block(parsed)
     assert len(parsed) == 2
     assert [line for line, _ in report.rejected_reasons] == [5]
     assert report.first_error_line == 5
@@ -287,8 +291,8 @@ def test_stats_row_loop_counts_lines_at_lf_after_a_lone_cr(tmp_path):
     path = tmp_path / "stats.csv"
     path.write_bytes(text.encode("utf-8"))
     for source in (path, io.StringIO(text, newline="")):
-        samples, report = parse_stats_csv(source, mode="lenient")
-        assert sorted(samples.node_labels) == ["n\rid", "nid00001"]
+        parsed, report = parse_stats_csv(source, mode="lenient")
+        assert sorted(one_block(parsed).node_labels) == ["n\rid", "nid00001"]
         assert report.rejected_reasons[0][0] == 4
     # a row ended by a lone CR shares its LF line with the next row
     text = stats_text(GOOD_ROW + "\r" + NEGATIVE_ROW, NEGATIVE_ROW.replace("00:06", "00:09"))
@@ -337,16 +341,16 @@ small_counters = st.lists(st.integers(min_value=0, max_value=999), min_size=21, 
     )
 )
 def test_stats_serialize_parse_round_trip(rows):
-    samples = mk_block(
+    blocks = fs_blocks(
         mk_sample(fs, node, w, **dict(zip(("read_kb", "open"), (vec[0], vec[5]))))
         for fs, node, w, vec in rows
     )
-    text = serialize_stats_csv(samples)
+    text = serialize_stats_csv(*blocks)
     parsed, report = parse_stats_csv(io.StringIO(text))
     assert report.rows_rejected == 0
-    assert parsed == samples
+    assert parsed == partitions(*blocks)
     # canonical form is a fixed point
-    assert serialize_stats_csv(parsed) == text
+    assert serialize_stats_csv(*parsed.values()) == text
 
 
 @pytest.mark.parametrize("command", ["./a.x\r", "a\rb", "a\r\nb", 'a,"\rb"'])

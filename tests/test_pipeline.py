@@ -1,5 +1,6 @@
 """Store-facing flows: idempotent ingest, aggregation, stored exposures."""
 
+import csv
 import fcntl
 import re
 import shutil
@@ -7,13 +8,14 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from lassi import attribution, ingest, model, pipeline, synth
 from lassi.attribution import AttributionConfig
 from lassi.errors import AttributionConflictError, IngestError, LassiError, StoreError
 from lassi.ingest import JOBS_HEADER, STATS_HEADER, serialize_jobs_csv
-from lassi.model import ALL_FIELDS, AppHourRecord, FsHourRecord
+from lassi.model import ALL_FIELDS, AppHourRecord, FsHourRecord, SampleBlock
 from lassi.pipeline import (
     aggregate_range,
     build_baselines,
@@ -30,11 +32,13 @@ from helpers import (
     TASKFARM_SCENARIO,
     build_exposure_fixture,
     count_calls,
+    fs_blocks,
     fsync_spy,
     mk_block,
     mk_counters,
     mk_job,
     mk_sample,
+    partitions,
     scenario_text,
     serialize_stats_csv,
 )
@@ -301,9 +305,38 @@ def test_ingest_memory_is_bounded_by_a_partition_not_the_file(tmp_path, monkeypa
 
     # the whole-file form spills too, and is one call of its public name
     parses = count_calls(monkeypatch, "parse_stats_csv")
-    block, _ = ingest.parse_stats_csv(gen.stats_path)
+    parsed, _ = ingest.parse_stats_csv(gen.stats_path)
     assert parses == [gen.stats_path]
-    assert len(block) == gen.sample_rows
+    assert len(parsed) == 16
+    assert sum(map(len, parsed.values())) == gen.sample_rows
+
+
+def test_a_redelivery_that_changes_nothing_copies_no_counters():
+    """_union compares each repeated key's counters where the two blocks
+    hold them, so a re-delivery that adds and changes no row returns the
+    stored block itself, and peaks below the size of its counters."""
+    nodes, windows = 20, 480
+    rng = np.random.default_rng(5)
+    old = SampleBlock.from_columns(
+        "fs2",
+        [f"nid{i:05d}" for i in range(nodes)],
+        np.tile(np.arange(nodes, dtype=np.int32), windows),
+        np.repeat(BASE_DAY + 180 * np.arange(windows, dtype=np.int64), nodes),
+        rng.integers(0, 10**6, (nodes * windows, len(ALL_FIELDS)), dtype=np.int64),
+        180,
+    )
+    # the same rows in reverse order, so from_columns sorts them into new arrays
+    whole = SampleBlock.from_columns(
+        "fs2", old.node_labels, old.node[::-1], old.window[::-1], old.counters[::-1], 180
+    )
+    assert not np.shares_memory(whole.counters, old.counters)
+    for new in (whole, old.take(slice(len(old) // 3, len(old) // 2))):
+        (merged, changed), peak = traced_peak(lambda: pipeline._union(old, new))
+        assert merged is old and len(changed) == 0
+        assert peak < old.counters.nbytes, (peak, old.counters.nbytes)
+    # blocks of two filesystems have no union
+    with pytest.raises(ValueError, match="cannot merge samples of fs3 into fs2"):
+        pipeline._union(old, SampleBlock.empty("fs3", 180))
 
 
 JOB_A = "app1,1.sdb,u,2017-10-09T00:00:00Z,2017-10-09T01:00:00Z,nid1,./a.x"
@@ -428,6 +461,10 @@ def test_hourly_conservation_check_names_the_first_differing_field():
     stray = AppHourRecord("app1", "fs2", BASE_DAY + HOUR, mk_counters(write_kb=4))
     with pytest.raises(LassiError, match=f"fs2 hour {BASE_DAY + HOUR} write_kb: 4 \\+ 0 != 0"):
         check(app_hours + [stray], [fs_hour])
+    # the records of one check belong to one filesystem
+    other = AppHourRecord("app3", "fs3", BASE_DAY, mk_counters())
+    with pytest.raises(ValueError, match="hourly records of several filesystems: fs2, fs3"):
+        check(app_hours + [other], [fs_hour])
 
 
 def test_aggregate_range_validation(tmp_path):
@@ -561,36 +598,35 @@ def test_long_lived_and_fresh_stores_give_the_same_exposures(tmp_path):
 
 
 def test_ids_are_coded_once_per_file_not_once_per_sample(tmp_path, monkeypatch):
-    """After the parser's one dedup, id strings are coded only for records:
-    the job list's app_ids and the hourly records the conservation check
-    groups, never a per-sample column."""
+    """After the parser's one dedup, id strings are coded once per label
+    table, never once per sample: ingest maps each partition's node table to
+    sorted order once, and an aggregate codes no id string at all, since
+    owners are numbered in app_id order and each rollup holds one
+    filesystem."""
     scenario = synth.parse_scenario(TASKFARM_SCENARIO.read_text(encoding="utf-8"))
     gen = synth.generate(scenario, tmp_path / "data", with_oracle=False)
+    with open(gen.stats_path, encoding="utf-8", newline="") as fh:
+        nodes = {row["node"] for row in csv.DictReader(fh)}
     coded = []
+    real = model.label_codes
 
-    def spy(real):
-        def id_codes(ids):
-            ids = list(ids)
-            coded.append(len(ids))
-            return real(ids)
+    def label_codes(labels, codes):
+        coded.append(len(labels))
+        return real(labels, codes)
 
-        return id_codes
-
-    for module in (model, pipeline, attribution):
-        monkeypatch.setattr(module, "id_codes", spy(module.id_codes))
+    for module in (model, ingest):
+        monkeypatch.setattr(module, "label_codes", label_codes)
     start = parse_utc("2017-10-10T00:00:00Z")
     store = Store(tmp_path / "store", window_len=600)
     ingested = ingest_files(store, [gen.stats_path], [gen.jobs_path])
+    # one node table per samples partition (2 filesystems x 2 days)
+    assert coded == [len(nodes)] * 4
+    coded.clear()
     summary = aggregate_range(
         store, start, start + 2 * DAY, AttributionConfig("proportional", window_len=600)
     )
-    records = summary.app_hour_records + summary.fs_hour_records
-    # per samples partition (2 filesystems x 2 days): aggregate_hourly codes
-    # the job list's app_ids, then the conservation check the partition's
-    # attributed app-hours and fs-hours
-    assert coded[0::2] == [len(gen.jobs)] * 4
-    assert summary.fs_hour_records < sum(coded[1::2]) <= records
-    assert ingested.samples > 10 * records
+    assert coded == []
+    assert ingested.samples > 10 * (summary.app_hour_records + summary.fs_hour_records)
 
 
 # --- day-bounded aggregation -------------------------------------------------
@@ -623,17 +659,14 @@ def three_day_case():
             rows.append(mk_sample("fs2", "n1", w, write_kb=k % 11 + 1, getattr=k % 5))
         if k % 3 == 0:
             rows.append(mk_sample("fs3", "n2", w, other=k % 4))
-    return mk_block(rows, WLEN), jobs
+    return fs_blocks(rows, WLEN), jobs
 
 
-def store_case(root, block, jobs):
+def store_case(root, blocks, jobs):
+    """A store holding each block's rows by (fs, day) partition, and the jobs."""
     store = Store(root, window_len=WLEN)
-    days = block.window - block.window % DAY
-    for code, fs_id in enumerate(block.fs_labels):
-        for day in sorted(set(days.tolist())):
-            rows = (block.fs == code) & (days == day)
-            if rows.any():
-                store.write_partition(block.take(rows), Partition("samples", fs_id, day))
+    for (fs_id, day), block in partitions(*blocks).items():
+        store.write_partition(block, Partition("samples", fs_id, day))
     by_day = {}
     for job in jobs:
         by_day.setdefault(floor_day(job.start), []).append(job)
@@ -652,20 +685,25 @@ def aggregate_files(store):
 
 @pytest.mark.parametrize("policy", attribution.BOUNDARY_POLICIES)
 def test_aggregate_range_equals_the_whole_range_rollup(tmp_path, policy):
-    block, jobs = three_day_case()
+    blocks, jobs = three_day_case()
     config = AttributionConfig(policy, WLEN)
     t0, t1 = DAYS[0], DAYS[2] + DAY
-    store = store_case(tmp_path / "days", block, jobs)
+    store = store_case(tmp_path / "days", blocks, jobs)
     summary = aggregate_range(store, t0, t1, config)
 
-    # the reference: one attribute call over the range's whole block, its
-    # app-hours zero-filled by the range rule written out here, split by a
-    # filter loop
+    # the reference: one attribute call over each filesystem's whole-range
+    # block, its app-hours zero-filled by the range rule written out here,
+    # split by a filter loop
     ranged = store.query_jobs_overlapping(t0, t1)
     assert [j.app_id for j in ranged] == ["early", "long", "cross", "cut", "late"]
-    result = attribution.attribute(block, ranged, config)
-    fs_hours = attribution.fs_hourly_totals(block, result)
-    cells = {(r.hour, r.fs_id, r.app_id): r for r in attribution.aggregate_hourly(result)}
+    assert [b.fs_id for b in blocks] == ["fs1", "fs2", "fs3"]
+    fs_hours, cells = [], {}
+    for block in blocks:
+        result = attribution.attribute(block, ranged, config)
+        fs_hours += attribution.fs_hourly_totals(block, result)
+        cells.update(
+            ((r.hour, r.fs_id, r.app_id), r) for r in attribution.aggregate_hourly(result)
+        )
     jobs_by_id = {j.app_id: j for j in ranged}
     for _, fs_id, app_id in list(cells):
         job = jobs_by_id[app_id]
@@ -714,23 +752,23 @@ def test_aggregate_range_equals_the_whole_range_rollup(tmp_path, policy):
 
 
 def test_aggregate_range_reads_samples_without_the_csv_parser(tmp_path, monkeypatch):
-    block, jobs = three_day_case()
-    store = store_case(tmp_path / "store", block, jobs)
+    blocks, jobs = three_day_case()
+    store = store_case(tmp_path / "store", blocks, jobs)
     parses = count_calls(monkeypatch, "parse_stats_csv")
     summary = aggregate_range(store, DAYS[0], DAYS[2] + DAY, AttributionConfig("midpoint", WLEN))
     assert summary.partitions == 18
     assert parses == []
 
 
-def aggregate_stored(tmp_path, block, jobs, config):
-    aggregate_range(store_case(tmp_path / "store", block, jobs), DAYS[0], DAYS[2] + DAY, config)
+def aggregate_stored(tmp_path, blocks, jobs, config):
+    aggregate_range(store_case(tmp_path / "store", blocks, jobs), DAYS[0], DAYS[2] + DAY, config)
 
 
-def verify_files(tmp_path, block, jobs, config, period=(DAYS[0] - DAY, DAYS[2] + 2 * DAY)):
+def verify_files(tmp_path, blocks, jobs, config, period=(DAYS[0] - DAY, DAYS[2] + 2 * DAY)):
     """What `lassi verify` runs, over the case as stats and jobs files; the
     default period holds every job, as the exposures' risk series must."""
     stats, jobs_csv = tmp_path / "stats.csv", tmp_path / "jobs.csv"
-    stats.write_text(serialize_stats_csv(block), encoding="utf-8")
+    stats.write_text(serialize_stats_csv(*blocks), encoding="utf-8")
     jobs_csv.write_text(serialize_jobs_csv(jobs), encoding="utf-8")
     return pipeline.compute_outputs_from_files(
         stats, jobs_csv, period, window_len=WLEN, boundary_policy=config.boundary_policy
@@ -756,19 +794,19 @@ PARTITIONS = [
 )
 def test_each_attribute_call_sees_one_utc_day(tmp_path, monkeypatch, flow):
     """Each call sees one filesystem's samples on one UTC day: a partition."""
-    block, jobs = three_day_case()
+    blocks, jobs = three_day_case()
     seen = []
     real = pipeline.attribute
 
     def spy(samples, job_list, config):
         days = {floor_day(w) for w in samples.window.tolist()}
-        seen.append((samples.fs_labels, sorted(days)))
+        seen.append((samples.fs_id, sorted(days)))
         assert [j.app_id for j in job_list] == ["early", "long", "cross", "cut", "late"]
         return real(samples, job_list, config)
 
     monkeypatch.setattr(pipeline, "attribute", spy)
-    flow(tmp_path, block, jobs, AttributionConfig("proportional", WLEN))
-    assert seen == [((fs_id,), [day]) for fs_id, day in PARTITIONS]
+    flow(tmp_path, blocks, jobs, AttributionConfig("proportional", WLEN))
+    assert seen == [(fs_id, [day]) for fs_id, day in PARTITIONS]
 
 
 def test_an_app_seen_only_on_the_later_day_is_zero_filled_on_the_earlier(tmp_path):
@@ -777,7 +815,7 @@ def test_an_app_seen_only_on_the_later_day_is_zero_filled_on_the_earlier(tmp_pat
     job = mk_job("rev", ["n1"], BASE_DAY + 22 * HOUR, DAYS[1] + 2 * HOUR)
     rows = [mk_sample("fs1", "n1", w, read_kb=1) for w in range(job.start, job.end, WLEN)]
     rows.append(mk_sample("fs2", "n1", DAYS[1] + HOUR, write_kb=5))
-    store = store_case(tmp_path / "store", mk_block(rows, WLEN), [job])
+    store = store_case(tmp_path / "store", fs_blocks(rows, WLEN), [job])
     aggregate_range(store, DAYS[0], DAYS[2], AttributionConfig("midpoint", WLEN))
     write_kb = ALL_FIELDS.index("write_kb")
     assert [
@@ -801,12 +839,12 @@ def test_verify_refuses_stats_outside_its_period_and_leaves_no_store(tmp_path, m
     temp = tmp_path / "tmp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
-    block, jobs = three_day_case()
+    blocks, jobs = three_day_case()
     config = AttributionConfig("midpoint", WLEN)
     with pytest.raises(ValueError, match=f"stats rows for fs1 on {date_str(DAYS[0])} lie outside"):
-        verify_files(tmp_path, block, jobs, config, period=(DAYS[1], DAYS[2]))
+        verify_files(tmp_path, blocks, jobs, config, period=(DAYS[1], DAYS[2]))
     assert list(temp.iterdir()) == []
-    assert len(verify_files(tmp_path, block, jobs, config).fs_hours) > 0
+    assert len(verify_files(tmp_path, blocks, jobs, config).fs_hours) > 0
     assert list(temp.iterdir()) == []
 
 
@@ -814,12 +852,12 @@ def test_verify_refuses_stats_outside_its_period_and_leaves_no_store(tmp_path, m
 def test_verify_refuses_a_run_crossing_a_period_end(tmp_path, drop, app):
     """early starts before the period and late ends after it; each has
     app-hours in it, so its exposure would need risk from outside it."""
-    block, jobs = three_day_case()
+    blocks, jobs = three_day_case()
     jobs = [j for j in jobs if j.app_id not in drop]
     period = (DAYS[0], DAYS[2] + DAY)
     want = f"app {app!r} has app-hours in the period {date_str(period[0])} to {date_str(period[1])}"
     with pytest.raises(ValueError, match=re.escape(want)):
-        verify_files(tmp_path, block, jobs, AttributionConfig("midpoint", WLEN), period)
+        verify_files(tmp_path, blocks, jobs, AttributionConfig("midpoint", WLEN), period)
 
 
 def test_verify_exposes_each_app_fs_pair_of_its_app_hours(tmp_path):
@@ -875,8 +913,8 @@ def corrupt_samples_on_day_3(store):
     ids=["conflict", "conflict without samples", "corrupt", "both"],
 )
 def test_a_failing_later_day_writes_no_aggregate(tmp_path, faults, error, match):
-    block, jobs = three_day_case()
-    store = store_case(tmp_path / "store", block, jobs)
+    blocks, jobs = three_day_case()
+    store = store_case(tmp_path / "store", blocks, jobs)
     for fault in faults:
         fault(store)
     with pytest.raises(error, match=match):
@@ -889,14 +927,15 @@ BIG = 2**62
 
 def test_the_sum_bound_holds_per_day(tmp_path):
     """No sum crosses an hour or a filesystem, so a partition's samples
-    bound every sum: two big samples on two days, or on two filesystems of
-    one day, are summed apart, where one block of them is refused."""
+    bound every sum: two big samples on two days are summed apart, where one
+    block of them is refused, and two on two filesystems of one day are
+    two blocks."""
     job = mk_job("app1", ["n1", "n2"], BASE_DAY, DAYS[1] + HOUR)
     rows = [
         mk_sample("fs1", "n1", BASE_DAY, read_kb=BIG),
         mk_sample("fs1", "n1", DAYS[1], read_kb=BIG),
     ]
-    store = store_case(tmp_path / "store", mk_block(rows, WLEN), [job])
+    store = store_case(tmp_path / "store", [mk_block(rows, WLEN)], [job])
     config = AttributionConfig("midpoint", WLEN)
     with pytest.raises(LassiError, match="summing 2 samples could exceed"):
         pipeline._rollup(mk_block(rows, WLEN), [job], config)
@@ -906,10 +945,12 @@ def test_the_sum_bound_holds_per_day(tmp_path):
         (hour,) = store.read_range("fs_hours", "fs1", day, day + DAY)
         assert (hour.hour, hour.counters[read_kb]) == (day, BIG)
 
-    two_fs = [rows[0], mk_sample("fs2", "n1", BASE_DAY, read_kb=BIG)]
-    with pytest.raises(LassiError, match="summing 2 samples could exceed"):
-        pipeline._rollup(mk_block(two_fs, WLEN), [job], config)
-    store = store_case(tmp_path / "two_fs", mk_block(two_fs, WLEN), [job])
+    # two filesystems are two blocks, each summed alone
+    two_fs = fs_blocks([rows[0], mk_sample("fs2", "n1", BASE_DAY, read_kb=BIG)], WLEN)
+    for block in two_fs:
+        (hour,) = pipeline._rollup(block, [job], config)[1]
+        assert (hour.fs_id, hour.counters[read_kb]) == (block.fs_id, BIG)
+    store = store_case(tmp_path / "two_fs", two_fs, [job])
     aggregate_range(store, BASE_DAY, DAYS[1], config)
     for fs_id in ("fs1", "fs2"):
         (hour,) = store.read_range("fs_hours", fs_id, BASE_DAY, DAYS[1])
@@ -920,7 +961,7 @@ def test_the_sum_bound_holds_per_day(tmp_path):
     rows.append(mk_sample("fs1", "n2", DAYS[1], read_kb=BIG))
     with pytest.raises(LassiError, match="summing 3 samples could exceed"):
         pipeline._rollup(mk_block(rows, WLEN), [job], config)
-    store = store_case(tmp_path / "again", mk_block(rows, WLEN), [job])
+    store = store_case(tmp_path / "again", [mk_block(rows, WLEN)], [job])
     with pytest.raises(LassiError, match="summing 2 samples could exceed"):
         aggregate_range(store, BASE_DAY, DAYS[2], config)
     assert aggregate_files(store) == {}
@@ -930,7 +971,7 @@ def test_the_sum_bound_holds_per_day(tmp_path):
         mk_sample("fs1", "n2", BASE_DAY, read_kb=BIG),
         mk_sample("fs1", "n1", DAYS[2], read_kb=1),
     ]
-    store = store_case(tmp_path / "both", mk_block(rows, WLEN), [job])
+    store = store_case(tmp_path / "both", [mk_block(rows, WLEN)], [job])
     corrupt_samples_on_day_3(store)
     with pytest.raises(LassiError, match="summing 2 samples could exceed"):
         aggregate_range(store, BASE_DAY, DAYS[2] + DAY, config)

@@ -21,7 +21,7 @@ from lassi.cli import main
 from lassi import store as store_module
 from lassi.errors import MissingBaselineError, StoreError, StoreLockError
 from lassi.metrics import FsBaseline
-from lassi.model import ALL_FIELDS, INT64_MAX, AppHourRecord, FsHourRecord
+from lassi.model import ALL_FIELDS, INT64_MAX, AppHourRecord, FsHourRecord, SampleBlock
 from lassi.pipeline import aggregate_range, ingest_files
 from lassi.store import SAMPLES_ARRAYS, Partition, Store
 from lassi.timeutil import DAY, HOUR, format_utc, parse_date, parse_utc
@@ -127,6 +127,27 @@ def test_read_range_filters_on_window_start(store):
 def test_read_range_rejects_empty_range(store):
     with pytest.raises(ValueError):
         store.read_range("samples", "fs2", BASE_DAY, BASE_DAY)
+
+
+def test_a_samples_read_is_one_partition(store):
+    """A samples read returns one (filesystem, day) partition's block, so a
+    range crossing a UTC midnight is refused, naming the range; a day with
+    no partition is an empty block of the filesystem."""
+    store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
+    store.write_partition(
+        mk_block([mk_sample("fs2", "nid1", BASE_DAY + DAY)]), samples_partition(date=BASE_DAY + DAY)
+    )
+    for t0, t1 in ((BASE_DAY, BASE_DAY + DAY + 180), (BASE_DAY + DAY - 180, BASE_DAY + DAY + 1)):
+        with pytest.raises(ValueError) as err:
+            store.read_range("samples", "fs2", t0, t1)
+        assert str(err.value).startswith(
+            f"samples range {format_utc(t0)} to {format_utc(t1)} crosses a UTC midnight"
+        )
+    # a range ending at the midnight is the whole day before it
+    assert len(store.read_range("samples", "fs2", BASE_DAY + DAY - 180, BASE_DAY + DAY)) == 0
+    assert store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY).fs_id == "fs2"
+    empty = store.read_range("samples", "fs3", BASE_DAY, BASE_DAY + DAY)
+    assert empty == SampleBlock.empty("fs3", store.window_len)
 
 
 def test_write_partition_rejects_out_of_bounds(store):
@@ -308,7 +329,7 @@ def test_samples_row_outside_its_partition_raises_store_error_naming_path_and_ke
 
     for reader in (store, Store(store.root)):
         with pytest.raises(StoreError) as err:
-            reader.read_range("samples", "fs2", BASE_DAY - DAY, BASE_DAY + 2 * DAY)
+            reader.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
         assert str(err.value) == f"{path}: sample {key} outside partition (fs2, 2017-10-09)"
 
 
