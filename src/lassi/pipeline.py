@@ -55,6 +55,8 @@ from .store import Partition, Store, baseline_label
 from .timeutil import DAY, HOUR, date_str, day_range, floor_day, floor_hour, format_utc, hour_range
 
 _N = len(ALL_FIELDS)
+# repeated keys whose counter rows _union compares in one step
+_COMPARE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -126,13 +128,14 @@ def _union(old: SampleBlock, new: SampleBlock) -> tuple[SampleBlock, np.ndarray]
     source = np.repeat(np.array([0, 1], np.int8), [len(old), len(new)])
     order, repeat = canonical_order(node, window, source)
     # a repeated key is an old row directly followed by its replacement;
-    # their counters are compared where each block holds them, one field at
-    # a time, so no copy of either side's counter rows is made
+    # their counter rows are compared _COMPARE_ROWS at a time, so neither
+    # side's counters are copied whole
     replaced = order[repeat]
     replacing = order[np.flatnonzero(repeat) + 1] - len(old)
-    differs = np.zeros(len(replaced), bool)
-    for field in range(_N):
-        differs |= old.counters[replaced, field] != new.counters[replacing, field]
+    differs = np.empty(len(replaced), bool)
+    for lo in range(0, len(replaced), _COMPARE_ROWS):
+        rows = slice(lo, lo + _COMPARE_ROWS)
+        differs[rows] = (old.counters[replaced[rows]] != new.counters[replacing[rows]]).any(1)
     changed = replacing[differs]
     if not len(changed) and len(replaced) == len(new):
         return old, changed

@@ -122,20 +122,31 @@ _SERIALIZE_CHUNK = 4096
 
 
 def serialize_stats_csv(*blocks: SampleBlock) -> str:
-    """Sample blocks in canonical stats CSV form, block after block, the form
-    parse_stats_csv reads back to the same blocks; builds stats file fixtures."""
+    """Sample blocks in canonical stats CSV form, the rows of all of them in
+    (window, fs, node) order, the form parse_stats_csv reads back to the
+    blocks' (fs, day) partitions; builds stats file fixtures."""
+    blocks = blocks or (mk_block([]),)
+    fs_ids = sorted({block.fs_id for block in blocks})
+    node_ids = sorted({label for block in blocks for label in block.node_labels})
+    node_code = {label: i for i, label in enumerate(node_ids)}
+    window = np.concatenate([block.window for block in blocks])
+    fs = np.concatenate([np.full(len(b), fs_ids.index(b.fs_id)) for b in blocks])
+    node = np.concatenate(
+        [np.array([node_code[n] for n in b.node_labels], np.intp)[b.node] for b in blocks]
+    )
+    counters = np.concatenate([block.counters for block in blocks])
+    order = np.lexsort((node, fs, window))
+    starts, inverse = np.unique(window[order], return_inverse=True)
+    stamps = np.array([format_utc(w) for w in starts.tolist()], dtype=object)[inverse]
+    fs, node = _csv_fields(fs_ids, fs[order]), _csv_fields(node_ids, node[order])
+    counters = counters[order]
     parts = [",".join(ingest.STATS_HEADER) + "\n"]
-    for block in blocks:
-        starts, inverse = np.unique(block.window, return_inverse=True)
-        stamps = np.array([format_utc(w) for w in starts.tolist()], dtype=object)[inverse]
-        fs = ingest.render_csv((block.fs_id,), [])[:-1]
-        node = _csv_fields(block.node_labels, block.node)
-        for lo in range(0, len(block), _SERIALIZE_CHUNK):
-            hi = min(lo + _SERIALIZE_CHUNK, len(block))
-            cells = np.empty((hi - lo, 3 + len(ALL_FIELDS)), dtype=object)
-            cells[:, 0], cells[:, 1], cells[:, 2] = stamps[lo:hi], fs, node[lo:hi]
-            cells[:, 3:] = block.counters[lo:hi]
-            parts.append(_STATS_LINE * (hi - lo) % tuple(cells.ravel().tolist()))
+    for lo in range(0, len(order), _SERIALIZE_CHUNK):
+        hi = min(lo + _SERIALIZE_CHUNK, len(order))
+        cells = np.empty((hi - lo, 3 + len(ALL_FIELDS)), dtype=object)
+        cells[:, 0], cells[:, 1], cells[:, 2] = stamps[lo:hi], fs[lo:hi], node[lo:hi]
+        cells[:, 3:] = counters[lo:hi]
+        parts.append(_STATS_LINE * (hi - lo) % tuple(cells.ravel().tolist()))
     return "".join(parts)
 
 

@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 from helpers import (
     BASE_DAY,
     block_rows,
+    fs_blocks,
     mk_block,
     mk_counters,
     mk_job,
     mk_sample,
     one_block,
+    partitions,
     result_dicts,
     serialize_stats_csv,
 )
@@ -35,7 +37,7 @@ from lassi.attribution import (
 )
 from lassi.errors import IngestError, LassiError
 from lassi.ingest import STATS_HEADER, _parse_stats_rows, parse_stats_csv
-from lassi.model import INT64_MAX
+from lassi.model import INT64_MAX, SampleBlock
 from lassi.pipeline import _merge_samples, ingest_files
 from lassi.store import Store
 from lassi.timeutil import DAY, HOUR, format_utc, parse_utc
@@ -474,23 +476,24 @@ awkward_ids = st.text(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    awkward_ids,
     st.lists(
         st.tuples(
+            awkward_ids,
             awkward_ids,
             st.integers(0, 30).map(lambda i: BASE_DAY + i * 180),
             st.lists(st.integers(0, INT64_MAX), min_size=21, max_size=21),
         ),
         max_size=12,
-        unique_by=lambda t: (t[0], t[1]),
-    ),
+        unique_by=lambda t: (t[0], t[1], t[2]),
+    )
 )
-def test_serialize_matches_csv_writer(fs_id, cells):
-    rows = [(fs_id, *cell) for cell in cells]
-    text = serialize_stats_csv(mk_block(rows))
+def test_serialize_matches_csv_writer(rows):
+    blocks = fs_blocks(rows)
+    text = serialize_stats_csv(*blocks)
     assert text == reference_serialize(rows)
     back, report = parse_stats_csv(io.StringIO(text))
     assert report.rows_rejected == 0
+    assert back == partitions(*blocks)
     assert serialize_stats_csv(*back.values()) == text
 
 
@@ -529,15 +532,15 @@ def test_block_rejects_duplicates_and_a_second_filesystem():
 # ids whose first-seen order differs from their sorted order ("n9" before
 # "n10"), ids the csv writer quotes, and non-ASCII ids
 code_ids = st.sampled_from(["n9", "n10", "n1", "a,b", 'q"t', "é", "Ω2", "z"]) | awkward_ids
-# (node, window, counters) cells of one filesystem's rows
-sample_cells = st.lists(
+sample_rows = st.lists(
     st.tuples(
+        code_ids,
         code_ids,
         st.integers(0, 6).map(lambda i: BASE_DAY + i * 180),
         st.tuples(*[st.integers(0, 3)] * 21),
     ),
     max_size=14,
-    unique_by=lambda t: (t[0], t[1]),
+    unique_by=lambda t: (t[0], t[1], t[2]),
 )
 
 
@@ -555,18 +558,14 @@ def assert_code_form(block):
     assert sorted(set(codes.tolist())) == list(range(len(labels)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    fs_id=code_ids,
-    old=sample_cells,
-    new=sample_cells,
-    mask=st.lists(st.booleans(), min_size=14, max_size=14),
-)
-def test_code_form_matches_string_keyed_reference(fs_id, old, new, mask):
-    old, new = ([(fs_id, *cell) for cell in cells] for cells in (old, new))
+def assert_one_fs_code_form(old, new, mask, fs_id) -> SampleBlock:
+    """The blocks of one filesystem's old and new rows, their take and their
+    lenient and strict merges agree with string-keyed references; returns
+    the lenient merge."""
     a, b = mk_block(old, fs_id=fs_id), mk_block(new, fs_id=fs_id)
     for block, rows in ((a, old), (b, new)):
         assert_code_form(block)
+        assert block.fs_id == fs_id
         assert block_rows(block) == canonical_rows(rows)
         assert [block.key(i) for i in range(len(block))] == [r[:3] for r in canonical_rows(rows)]
 
@@ -593,17 +592,33 @@ def test_code_form_matches_string_keyed_reference(fs_id, old, new, mask):
         assert exc.value.reason == f"sample {changed[0][:3]} conflicts here"
     else:
         assert _merge_samples(a, b, "strict", "here") == (merged, 0)
+    return merged
 
-    # the canonical text parses back to the block, and so does the same
-    # rows' text in drawn order, whose ids come first-seen unsorted; all
-    # windows lie in one day, so the block is one partition's
-    want = {(fs_id, BASE_DAY): merged} if len(merged) else {}
-    text = serialize_stats_csv(merged)
+
+@settings(max_examples=150, deadline=None)
+@given(old=sample_rows, new=sample_rows, mask=st.lists(st.booleans(), min_size=14, max_size=14))
+def test_code_form_matches_string_keyed_reference(old, new, mask):
+    # a block holds one filesystem: check each filesystem's rows as blocks
+    merged = [
+        assert_one_fs_code_form(
+            [r for r in old if r[0] == fs_id], [r for r in new if r[0] == fs_id], mask, fs_id
+        )
+        for fs_id in sorted({r[0] for r in old + new})
+    ]
+    assert_one_fs_code_form([], [], mask, "fs2")
+
+    # the canonical text of every filesystem's merge, rows window-major and
+    # filesystems interleaved, parses back to their partitions (all windows
+    # lie in one day); so does the same rows' text in drawn order, whose fs
+    # and node ids come first-seen unsorted
+    want = partitions(*merged)
+    text = serialize_stats_csv(*merged)
     back, report = parse_stats_csv(io.StringIO(text))
     assert report.rows_rejected == 0
     for block in back.values():
         assert_code_form(block)
     assert back == want
+    union = {r[:3]: r for r in old + new}
     drawn = ingest.render_csv(
         STATS_HEADER, [(format_utc(w), fs, node) + vec for fs, node, w, vec in union.values()]
     )

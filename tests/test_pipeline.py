@@ -312,9 +312,9 @@ def test_ingest_memory_is_bounded_by_a_partition_not_the_file(tmp_path, monkeypa
 
 
 def test_a_redelivery_that_changes_nothing_copies_no_counters():
-    """_union compares each repeated key's counters where the two blocks
-    hold them, so a re-delivery that adds and changes no row returns the
-    stored block itself, and peaks below the size of its counters."""
+    """_union compares repeated keys' counter rows a bounded number at a
+    time, so a re-delivery that adds and changes no row returns the stored
+    block itself, and peaks below the size of its counters."""
     nodes, windows = 20, 480
     rng = np.random.default_rng(5)
     old = SampleBlock.from_columns(
