@@ -25,7 +25,7 @@ app_id keeps the first and rejects each later one. Counters are spelled
 in ASCII digits (parse_int_cells) and must fit in a signed 64-bit integer;
 anything else is rejected like any other bad row.
 
-Stats files parse into a spill file (SpilledStats), read back as SampleBlocks,
+Stats files parse into spill files (SpilledStats), read back as SampleBlocks,
 the only form samples take, one partition at a time. The input is streamed in
 line-aligned ranges of about 64 KiB and never held as one text. A range
 proven clean is read column-wise by np.loadtxt. In a range that fails the
@@ -43,26 +43,47 @@ The fs and node ids of a file are coded as they are first read, once per
 distinct id; a block holds one filesystem, named once, and carries the
 node codes.
 
-Memory: a parse holds one range of input and a few thousand rows, which it
-appends to the spill grouped by (filesystem, UTC day) partition; a duplicate
-key never spans two partitions, so duplicates are then found, and the
-spilled rows later read back, one partition at a time. Only parse_stats_csv
-without a spill, and the row-loop reference _parse_stats_rows, hold every
-partition's block at once, by (filesystem, day); nothing joins them.
+Processes: a stats file given by path, a regular file of at least two
+_SPAN_BYTES (1 MiB) that is all ASCII and holds no quote, CR or NUL, is
+split into line-aligned byte spans, one per CPU the process may run on
+(os.sched_getaffinity), fewer where a span would hold less than
+_SPAN_BYTES. The calling process parses the first span and forks one worker
+for each other span, so a parse starts at most one process less than there
+are usable CPUs; every worker is reaped before the parse returns or raises.
+Everything else is read whole in the calling process, with no fork: a
+stream, a pipe or other non-regular file, a smaller file, a file holding a
+quote, CR or NUL (a quoted cell can span lines, so no split point is safe)
+or a non-ASCII byte, and any file while the process runs a second thread.
+The answer does not depend on the split. Nothing configures it: no
+option, environment variable or setting.
+
+Memory is per process: the calling process and each worker hold one range
+of input and a few thousand rows, which each appends to its own spill file
+grouped by (filesystem, UTC day) partition; a duplicate key never spans two
+partitions, so duplicates are then found, and the spilled rows later read
+back, one partition at a time, in the calling process. Only
+parse_stats_csv without spill holds every partition's block at once, by
+(filesystem, day); nothing joins them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
 import re
+import signal
+import stat
 import tempfile
+import threading
 import warnings
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, takewhile
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -195,7 +216,7 @@ def parse_stats_csv(
     source: Source,
     mode: str = "strict",
     window_len: int = 180,
-    spill: IO[bytes] | None = None,
+    spill: Callable[[], IO[bytes]] | None = None,
 ) -> tuple[dict[tuple[str, int], SampleBlock] | SpilledStats, IngestReport]:
     """Parse a stats CSV into its accepted rows plus an ingest report.
 
@@ -215,13 +236,23 @@ def parse_stats_csv(
     answer is the whole-file row loop's: the same block, report and strict
     error. Strict mode reads no range after the first one holding a bad row.
 
-    The accepted rows are appended to a spill, a seekable binary file,
-    _SPILL_ROWS at a time, by (fs, UTC day) partition, so memory holds one
-    range of input and, while duplicate keys are resolved, one partition's
-    keys. Given a spill, the result holds the file's SpilledStats, to be
-    read back one partition at a time. Without one, the rows go to a
-    temporary file in the system temp directory, and the result holds each
-    (fs, day) partition's block, by key in sorted order.
+    A path to a large regular file that is all ASCII and holds no quote, CR
+    or NUL is parsed in line-aligned byte spans (_stats_spans), one per
+    usable CPU: this process parses the first span and a forked worker
+    each other one, all at once (_parse_in_spans). The answer is the one
+    the file read whole gives.
+
+    The accepted rows are appended to spill files, _SPILL_ROWS at a time,
+    by (fs, UTC day) partition, so memory holds one range of input and,
+    while duplicate keys are resolved, one partition's keys. Given spill, a
+    function that returns a new seekable binary file on each call, once per
+    span, the result holds the file's SpilledStats, to be read back one
+    partition at a time from those files, which the caller owns and closes;
+    a worker writes its span's file, so in a parse in spans they must be
+    operating-system files, such as tempfile.TemporaryFile gives. Without
+    spill, the rows go to temporary files in the system temp directory, and
+    the result holds each (fs, day) partition's block, by key in sorted
+    order.
 
     A bad mode, or a window_len that does not divide an hour, raises
     ValueError before anything is read.
@@ -230,23 +261,33 @@ def parse_stats_csv(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if window_len <= 0 or HOUR % window_len:
         raise ValueError(f"window_len {window_len} must divide 3600")
-    with tempfile.TemporaryFile() if spill is None else nullcontext(spill) as sink:
-        rows = _StatsRows(mode, window_len, sink)
-        stream, owned = _open_source(source)
-        try:
-            _read_stats(stream, rows)
-        finally:
-            if owned:
-                stream.close()
-        spilled, report = rows.result()
+    with ExitStack() as temporary:
+        new_spill = spill or (lambda: temporary.enter_context(tempfile.TemporaryFile()))
+        spans = _stats_spans(source)
+        if spans:
+            files = [new_spill() for _ in spans]
+            parts = _parse_in_spans(source, spans, mode, window_len, files)
+        else:
+            files = [new_spill()]
+            rows = _StatsRows(mode, window_len, files[0])
+            stream, owned = _open_source(source)
+            try:
+                _read_stats(stream, rows)
+            finally:
+                if owned:
+                    stream.close()
+            parts = [rows.part()]
+        spilled = SpilledStats(files, parts, window_len)
+        report = spilled.report(mode == "strict", [bad for part in parts for bad in part.bad])
         if spill is not None:
             return spilled, report
         return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
 
 
-def _read_stats(stream: IO[str], rows: _StatsRows) -> None:
-    """Give rows the header and then the body of a stats stream, range by range."""
-    carry, line = "", 1
+def _read_stats(stream: IO[str], rows: _StatsRows, line: int = 1) -> None:
+    """Give rows the body of a stats stream whose first line is line, range
+    by range; from line 1, the header first."""
+    carry = ""
     while not rows.done():
         chunk = stream.read(_RANGE_CHARS)
         carry += chunk
@@ -290,18 +331,6 @@ def _pieces(text: str, stream: IO[str]) -> Iterator[str]:
         text = text[cut:]
 
 
-def _parse_stats_rows(
-    text: str, mode: str, window_len: int
-) -> tuple[dict[tuple[str, int], SampleBlock], IngestReport]:
-    """The whole file through the row loop; the reference the ranges must equal."""
-    lines = csv_rows(io.StringIO(text, newline=""), 1)
-    _check_header(next(lines, (1, None))[1], STATS_HEADER)
-    rows = _StatsRows(mode, window_len, io.BytesIO())
-    rows.row_loop(takewhile(lambda _: not rows.done(), lines))
-    spilled, report = rows.result()
-    return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
-
-
 # a range holding one of these starts the row loop, which reads the rest of the
 # file: the csv module reads quotes and CR across lines, and before Python 3.11
 # refuses NUL
@@ -321,9 +350,215 @@ _CLEAN_ROW = re.compile(r"(?:[!#-*\-./0-9:-~]*,){3}-?[0-9]{1,18}(?:,-?[0-9]{1,18
 _NO_STAMP = np.iinfo(np.int64).min
 # the row loop hands its accepted rows to the sink once it holds this many
 _ROWS_HELD = 1024
-# SpilledStats writes the rows it takes once it holds this many (about
-# 0.8 MB), so a partition is a few large segments, not one per range
+# _Spill writes the rows it takes once it holds this many (about 0.8 MB),
+# so a partition is a few large segments, not one per range
 _SPILL_ROWS = 1 << 12
+# the least bytes a span of a stats file parsed in spans holds: a worker's
+# fork, pipe and exit took 4-5 ms on a 2-CPU host, what parsing about 150 KB
+# takes (some 30 ns a byte), so a file split in two spans of this size or
+# more is parsed sooner: a 1.2 MB file in 36 ms against 43 ms whole
+_SPAN_BYTES = 1 << 19
+# the stats file bytes the span scan reads at a time
+_SCAN_BYTES = 1 << 18
+# bytes a file parsed in spans may not hold: _CSV_SPECIAL, as bytes
+_SPAN_SPECIAL = tuple(c.encode() for c in _CSV_SPECIAL)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return 1
+
+
+def _stats_spans(source: Source) -> list[tuple[int, int, int]] | None:
+    """(first byte, end byte, first line) of each span a stats file is
+    parsed in, or None where it is read whole.
+
+    A source is split only when it is a path to a regular file of at least
+    two _SPAN_BYTES, this process may run on two CPUs or more, and it runs
+    one thread: a fork copies only the thread that calls it, so a lock
+    another thread held would stay held in the worker. There are
+    as many spans as CPUs, fewer where a span would hold less than
+    _SPAN_BYTES, each starting after a LF, so on a line; the header is in
+    the first. One scan of the file's bytes counts the LFs before each
+    span, for its first line, and keeps whole any file holding a non-ASCII
+    byte (so no span can meet a decode error the whole read would meet
+    elsewhere) or a quote, CR or NUL, since a quoted cell can span lines
+    and so no split point is safe.
+    """
+    if not isinstance(source, (str, Path)):
+        return None
+    try:
+        info = os.stat(source)
+    except OSError:  # opening it raises the error
+        return None
+    size = info.st_size
+    count = min(_usable_cpus(), size // _SPAN_BYTES)
+    if not stat.S_ISREG(info.st_mode) or count < 2 or threading.active_count() > 1:
+        return None
+    with open(source, "rb") as fh:
+        starts = [0]
+        for k in range(1, count):
+            # a span starts after the LF that ends the line its split point is on
+            fh.seek(max(size * k // count - 1, starts[-1]))
+            fh.readline()
+            if fh.tell() >= size:
+                break
+            starts.append(fh.tell())
+        if len(starts) < 2:
+            return None
+        fh.seek(0)
+        lines, lf, at = [1], 0, 0
+        while chunk := fh.read(_SCAN_BYTES):
+            if not chunk.isascii() or any(c in chunk for c in _SPAN_SPECIAL):
+                return None
+            codes = np.frombuffer(chunk, np.uint8)
+            for start in starts[len(lines) :]:
+                if start > at + len(chunk):
+                    break
+                lines.append(1 + lf + int(np.count_nonzero(codes[: start - at] == 10)))
+            lf += int(np.count_nonzero(codes == 10))
+            at += len(chunk)
+    return list(zip(starts, starts[1:] + [size], lines))
+
+
+class _SpanText:
+    """The bytes from start to end of an ASCII file, read as text."""
+
+    def __init__(self, fh: IO[bytes], start: int, end: int):
+        fh.seek(start)
+        self.fh, self.left = fh, end - start
+
+    def read(self, size: int) -> str:
+        data = self.fh.read(min(size, self.left))
+        self.left -= len(data)
+        return data.decode("ascii")
+
+
+def _parse_span(
+    path: str | Path, span: tuple[int, int, int], mode: str, window_len: int, spill: IO[bytes]
+) -> _Part:
+    """One span of a stats file parsed into spill (see _stats_spans)."""
+    start, end, line = span
+    rows = _StatsRows(mode, window_len, spill)
+    with open(path, "rb") as fh:
+        _read_stats(_SpanText(fh, start, end), rows, line)
+    part = rows.part()
+    spill.flush()
+    return part
+
+
+def _parse_in_spans(
+    path: str | Path,
+    spans: list[tuple[int, int, int]],
+    mode: str,
+    window_len: int,
+    files: list[IO[bytes]],
+) -> list[_Part]:
+    """Each span of a stats file parsed into the spill file beside it: the
+    first in this process, each other one at once in a forked worker.
+
+    A worker ends with os._exit, whatever happens, so it runs no exit
+    handler and no cleanup of its parent's; it sends back over a pipe only
+    its _Part, or the exception its parse raised. The parts are taken in
+    span order up to the first that ends the parse (an exception, or a bad
+    row in strict mode): nothing after it counts, as a whole read stops
+    there. A worker that dies, or exits with another status than 0, raises
+    ChildProcessError, so its spill is never read as a short one. Every
+    worker is reaped before this returns or raises, and killed first if its
+    part is not taken.
+    """
+    workers: list[_Worker] = []
+    try:
+        for span, spill in zip(spans[1:], files[1:]):
+            workers.append(_Worker(partial(_parse_span, path, span, mode, window_len, spill)))
+        parts = [_parse_span(path, spans[0], mode, window_len, files[0])]
+        for worker in workers:
+            if parts[-1].done:
+                break
+            parts.append(worker.result())
+        return parts
+    finally:
+        for worker in workers:
+            worker.reap()
+
+
+class _Worker:
+    """A forked process running one function, and the pipe its outcome
+    comes back on."""
+
+    def __init__(self, work: Callable[[], object]):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if not self.pid:
+            status = 1
+            try:
+                os.close(read)
+                try:
+                    outcome = (True, work())
+                except BaseException as exc:  # sent to the parent, which raises it
+                    outcome = (False, exc)
+                try:
+                    data = pickle.dumps(outcome)
+                    if not outcome[0]:
+                        pickle.loads(data)  # the parent must get the exception back
+                except Exception:  # one that does not pickle goes as its repr
+                    data = pickle.dumps((False, ChildProcessError(repr(outcome[1]))))
+                with open(write, "wb") as pipe:
+                    pipe.write(data)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.pipe: IO[bytes] | None = open(read, "rb")
+
+    def result(self) -> object:
+        """What the work returned, once the worker has exited; its exception
+        is raised here."""
+        data = self.pipe.read()
+        self.pipe.close()
+        self.pipe = None
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise ChildProcessError(f"stats parse worker exited with status {code}")
+        done, value = pickle.loads(data)
+        if not done:
+            raise value
+        return value
+
+    def reap(self) -> None:
+        """Kill the worker unless its result was taken, and wait for it."""
+        if self.pipe is not None:
+            self.pipe.close()
+            self.pipe = None
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+
+
+@dataclass(frozen=True)
+class _Part:
+    """What one span's parse leaves, small enough to send over a pipe: the
+    ids its rows hold, in first-seen order; its bad rows, as (line, reason);
+    the (offset, rows) segments it wrote to its spill file, by (fs code,
+    UTC day) partition, fs and node codes indexing its ids; and whether
+    strict mode ended the parse in it, at a bad row."""
+
+    fs_ids: tuple[str, ...]
+    node_ids: tuple[str, ...]
+    bad: list[tuple[int, str]]
+    segments: dict[tuple[int, int], list[tuple[int, int]]]
+    done: bool
 
 
 class _IdCodes(dict):
@@ -366,19 +601,20 @@ def _first_repeat(line: np.ndarray, by: np.ndarray, key) -> tuple[int, str] | No
 
 
 class _StatsRows:
-    """The accepted and the bad rows of one stats file, as they are found.
+    """The accepted and the bad rows of one stats file, or of one span of
+    it, as they are found.
 
     Accepted rows go range by range, each with its line number, to the sink,
-    a SpilledStats over spill that groups them by partition. Duplicate keys
-    are resolved in line order once all rows are in (result). fs and node
-    ids are held as codes in first-seen order (fs_ids, node_ids), which the
-    sink's blocks map once to sorted order.
+    a _Spill that groups them by partition. fs and node ids are held as
+    codes in first-seen order (fs_ids, node_ids), which SpilledStats maps
+    once to sorted order. Duplicate keys are resolved there too, once all
+    rows are in.
     """
 
     def __init__(self, mode: str, window_len: int, spill: IO[bytes]):
         self.strict = mode == "strict"
         self.window_len = window_len
-        self.sink = SpilledStats(spill, window_len)
+        self.sink = _Spill(spill)
         # (line, fs code, node code, window, counters) of rows the row loop
         # accepted and has not yet handed to the sink
         self.rows: list[tuple[int, int, int, int, list[int]]] = []
@@ -532,70 +768,25 @@ class _StatsRows:
                 np.array(lines, np.int64),
             )
 
-    def result(self) -> tuple[SpilledStats, IngestReport]:
-        """The sink and the file's report; see report."""
+    def part(self) -> _Part:
+        """What this parse leaves, once every row it accepted is in the spill."""
         self._flush()
-        return self.sink.result(self)
-
-    def report(
-        self,
-        accepted: int,
-        superseded: list[int],
-        by: list[int],
-        first_repeat: tuple[int, str] | None,
-    ) -> IngestReport:
-        """The report of a file whose sink took accepted rows, of which the
-        rows on lines superseded were each superseded by the one on the line
-        at the same place in by, its key's next occurrence.
-
-        Lenient mode rejects every superseded row; strict mode raises the
-        lowest-line error among the bad rows and first_repeat, the lowest
-        second occurrence of a key (_first_repeat).
-        """
-        errors = list(self.bad)
-        if self.strict:
-            if first_repeat is not None:
-                errors.append(first_repeat)
-            if errors:
-                raise IngestError(*min(errors))
-        errors += [
-            (a, f"duplicate (fs, node, window) superseded by line {b}")
-            for a, b in zip(superseded, by)
-        ]
-        errors.sort()
-        return IngestReport(
-            rows_read=accepted + len(self.bad),
-            rows_accepted=accepted - len(superseded),
-            rows_rejected=len(errors),
-            first_error_line=errors[0][0] if errors else None,
-            rejected_reasons=tuple(errors),
+        self.sink.write()
+        return _Part(
+            tuple(self.fs_ids), tuple(self.node_ids), self.bad, self.sink.segments, self.done()
         )
 
 
-class SpilledStats:
-    """One stats file's accepted rows, appended to a binary spill file by
-    (fs, UTC day) partition; the one sink of a stats parse, and what
-    parse_stats_csv returns given a spill. Read back one partition at a
-    time, as a block of its filesystem (block).
+class _Spill:
+    """Rows appended to a binary spill file by (fs code, UTC day)
+    partition, a segment per partition each time _SPILL_ROWS are held: the
+    rows' node codes (int32), window starts, line numbers and (n, 21)
+    counters (int64), in that order. segments holds each partition's
+    (offset, rows) segments."""
 
-    The caller owns the file, which may hold other files' rows too: any
-    seekable binary file, such as an unlinked temporary file, which a crash
-    cannot leave behind. A partition is the segments its rows were written
-    in, one per _SPILL_ROWS rows taken: the rows' node codes (int32), window
-    starts, line numbers and (n, 21) counters (int64), in that order. Codes
-    index the file's ids in first-seen order (fs_ids, node_ids). Duplicate
-    keys stay in the spill until block resolves them; a key never spans two
-    partitions.
-    """
-
-    def __init__(self, spill: IO[bytes], window_len: int):
-        self.spill = spill
-        self.window_len = window_len
-        self.fs_ids: tuple[str, ...] = ()
-        self.node_ids: tuple[str, ...] = ()
-        # (fs code, day) -> [(offset, rows)] while the parse runs; then
-        # (fs id, day) -> [(offset, rows)]
-        self.partitions: dict[tuple, list[tuple[int, int]]] = {}
+    def __init__(self, file: IO[bytes]):
+        self.file = file
+        self.segments: dict[tuple[int, int], list[tuple[int, int]]] = {}
         # rows taken but not yet written, as (fs, node, window, counters, line)
         self.held: list[tuple[np.ndarray, ...]] = []
         self.rows_held = 0
@@ -603,68 +794,121 @@ class SpilledStats:
     def add(self, fs, node, window, counters, line) -> None:
         """Take rows; they are written once _SPILL_ROWS are held. Counters
         are copied out of a view, which would hold a whole np.loadtxt table."""
+        if not len(window):
+            return
         self.held.append((fs, node, window, np.ascontiguousarray(counters), line))
         self.rows_held += len(window)
         if self.rows_held >= _SPILL_ROWS:
-            self._write()
+            self.write()
 
-    def _write(self) -> None:
-        """Append the rows held to the spill, a segment per partition."""
+    def write(self) -> None:
+        """Append the rows held to the file, a segment per partition, found
+        as the runs of one stable sort of the rows' partition keys."""
         if not self.held:
             return
         fs, node, window, counters, line = (np.concatenate(c) for c in zip(*self.held))
         self.held, self.rows_held = [], 0
         group = (window // DAY) << 31 | fs
-        keys, inverse = np.unique(group, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.searchsorted(inverse[order], np.arange(len(keys) + 1)).tolist()
-        for key, a, b in zip(keys.tolist(), bounds, bounds[1:]):
-            rows = order[a:b] if len(keys) > 1 else slice(None)
-            offset = self.spill.seek(0, io.SEEK_END)
+        order = np.argsort(group, kind="stable")
+        group = group[order]
+        bounds = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), len(group)]
+        for a, b in zip(bounds, bounds[1:]):
+            rows = order[a:b] if len(bounds) > 2 else slice(None)
+            offset = self.file.seek(0, io.SEEK_END)
             for column in (node[rows], window[rows], line[rows], counters[rows]):
-                self.spill.write(memoryview(np.ascontiguousarray(column)).cast("B"))
-            self.partitions.setdefault((key & ((1 << 31) - 1), (key >> 31) * DAY), []).append(
+                self.file.write(memoryview(np.ascontiguousarray(column)).cast("B"))
+            key = int(group[a])
+            self.segments.setdefault((key & ((1 << 31) - 1), (key >> 31) * DAY), []).append(
                 (offset, b - a)
             )
 
-    def _load(self, segments: list[tuple[int, int]], counters: bool) -> list[np.ndarray]:
+
+class SpilledStats:
+    """One stats file's accepted rows, in the spill files its parse wrote,
+    one per span (_Spill); what parse_stats_csv returns given spill. Read
+    back one partition at a time, as a block of its filesystem (block).
+
+    The caller owns the files: any seekable binary files, such as unlinked
+    temporary files, which a crash cannot leave behind. partitions maps each (fs id, UTC day) to its
+    segments, as (file, offset, rows). A file's node codes index its span's
+    ids; loading maps them onto node_ids, the file's ids in first-seen
+    order: the first span's, then each later span's new ones, the order a
+    whole read meets them in. Duplicate keys stay in the spill until block
+    resolves them; a key never spans two partitions.
+    """
+
+    def __init__(self, files: Sequence[IO[bytes]], parts: Sequence[_Part], window_len: int):
+        self.files = files
+        self.window_len = window_len
+        node_ids = _IdCodes()
+        # per file, the node_ids code of each of its node codes, or None
+        # where the two are the same
+        self.node_codes: list[np.ndarray | None] = []
+        self.partitions: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
+        for k, part in enumerate(parts):
+            codes = np.array([node_ids[node_id] for node_id in part.node_ids], np.int32)
+            self.node_codes.append(None if (codes == np.arange(len(codes))).all() else codes)
+            for (fs, day), segments in part.segments.items():
+                self.partitions.setdefault((part.fs_ids[fs], day), []).extend(
+                    (k, offset, rows) for offset, rows in segments
+                )
+        self.node_ids = tuple(node_ids)
+
+    def _load(self, segments: list[tuple[int, int, int]], counters: bool) -> list[np.ndarray]:
         """A partition's node, window and line columns, and its counters if asked."""
-        n = sum(count for _, count in segments)
+        n = sum(count for _, _, count in segments)
         columns = [np.empty(n, np.int32), np.empty(n, np.int64), np.empty(n, np.int64)]
         if counters:
             columns.append(np.empty((n, len(ALL_FIELDS)), np.int64))
         at = 0
-        for offset, count in segments:
-            self.spill.seek(offset)
+        for k, offset, count in segments:
+            spill = self.files[k]
+            spill.seek(offset)
             for column in columns:
                 view = memoryview(column[at : at + count]).cast("B")
-                if self.spill.readinto(view) != len(view):
+                if spill.readinto(view) != len(view):
                     raise OSError(f"sample spill ends inside the segment at {offset}")
+            if self.node_codes[k] is not None:
+                columns[0][at : at + count] = self.node_codes[k][columns[0][at : at + count]]
             at += count
         return columns
 
-    def result(self, rows: _StatsRows) -> tuple[SpilledStats, IngestReport]:
-        """This file and its report, the partitions' keys read one at a time
-        to find the repeated ones."""
-        self._write()
-        self.fs_ids, self.node_ids = tuple(rows.fs_ids), tuple(rows.node_ids)
+    def report(self, strict: bool, bad: Sequence[tuple[int, str]]) -> IngestReport:
+        """The report of this file, whose bad rows are bad, as (line,
+        reason); the partitions' keys are read one at a time to find the
+        repeated ones.
+
+        Lenient mode rejects each row a later row of its key supersedes,
+        naming that next occurrence; strict mode raises the lowest-line
+        error among the bad rows and the second occurrences of keys.
+        """
         accepted, superseded, by, firsts = 0, [], [], []
-        for (code, day), segments in self.partitions.items():
+        for (fs_id, _), segments in self.partitions.items():
             node, window, line = self._load(segments, counters=False)
             _, dropped, later = _repeats(node, window, line)
             accepted += len(node)
             superseded += line[dropped].tolist()
             by += line[later].tolist()
             first = _first_repeat(
-                line, later, lambda i: (self.fs_ids[code], self.node_ids[node[i]], int(window[i]))
+                line, later, lambda i: (fs_id, self.node_ids[node[i]], int(window[i]))
             )
             if first is not None:
                 firsts.append(first)
-        report = rows.report(accepted, superseded, by, min(firsts, default=None))
-        self.partitions = {
-            (self.fs_ids[code], day): segments for (code, day), segments in self.partitions.items()
-        }
-        return self, report
+        errors = list(bad)
+        if strict and errors + firsts:
+            raise IngestError(*min(errors + firsts))
+        errors += [
+            (a, f"duplicate (fs, node, window) superseded by line {b}")
+            for a, b in zip(superseded, by)
+        ]
+        errors.sort()
+        return IngestReport(
+            rows_read=accepted + len(bad),
+            rows_accepted=accepted - len(superseded),
+            rows_rejected=len(errors),
+            first_error_line=errors[0][0] if errors else None,
+            rejected_reasons=tuple(errors),
+        )
 
     def block(self, fs_id: str, day: int) -> SampleBlock:
         """One partition's rows as a block in canonical order, each repeated

@@ -13,19 +13,21 @@ at a time, so their memory grows with a partition of data, not with the
 range or the file. A sample block holds one filesystem, so attribution,
 hourly totals and the conservation check each see one filesystem.
 Aggregation keeps its output (hourly records) between partitions and
-zero-fills it once after the last. Each stats file streams into a spill
-file in the store root, which ingest's later passes read back one
-partition at a time. compute_outputs_from_files, which `lassi verify` runs,
-is this same flow (ingest, aggregate, baselines, exposures) on a temporary
-store, so the oracle checks what an operator's store holds.
+zero-fills it once after the last. Each stats file streams into spill
+files in the store root, one per span a large file is parsed in, which
+ingest's later passes read back one partition at a time.
+compute_outputs_from_files, which `lassi verify` runs, is this same flow
+(ingest, aggregate, baselines, exposures) on a temporary store, so the
+oracle checks what an operator's store holds.
 """
 
 from __future__ import annotations
 
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import IO, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,7 +57,7 @@ from .store import Partition, Store, baseline_label
 from .timeutil import DAY, HOUR, date_str, day_range, floor_day, floor_hour, format_utc, hour_range
 
 _N = len(ALL_FIELDS)
-# repeated keys whose counter rows _union compares in one step
+# counter rows _union compares, or copies into the union, in one step
 _COMPARE_ROWS = 1024
 
 
@@ -140,7 +142,14 @@ def _union(old: SampleBlock, new: SampleBlock) -> tuple[SampleBlock, np.ndarray]
     if not len(changed) and len(replaced) == len(new):
         return old, changed
     keep = order[~repeat]
-    counters = np.concatenate([old.counters, new.counters])[keep]
+    # the kept counter rows are gathered _COMPARE_ROWS at a time into the
+    # merged array, so no side is copied whole
+    counters = np.empty((len(keep), _N), np.int64)
+    for lo in range(0, len(keep), _COMPARE_ROWS):
+        rows, out = keep[lo : lo + _COMPARE_ROWS], counters[lo : lo + _COMPARE_ROWS]
+        from_old = rows < len(old)
+        out[from_old] = old.counters[rows[from_old]]
+        out[~from_old] = new.counters[rows[~from_old] - len(old)]
     merged = SampleBlock(new.fs_id, node_labels, node[keep], window[keep], counters, new.window_len)
     return merged, changed
 
@@ -224,21 +233,28 @@ def ingest_files(
 ) -> IngestSummary:
     """Parse source CSVs and fold them into the store's daily partitions.
 
-    Each stats file is parsed range by range into a spill file, an unlinked
+    Each stats file is parsed range by range into spill files, one per
+    span a large file is parsed in (parse_stats_csv), each an unlinked
     temporary file in the store root (so on the store's disk, and gone with
     the process however it ends), its rows grouped by (filesystem, UTC day)
     partition; a duplicate key never crosses a partition. Memory then holds
-    a range of input or one partition, never a whole stats file. In strict
-    mode with two or more stats files, a check pass merges each partition of
-    the inputs in path order (_check_inputs); a strict error in a later
-    file's parse comes after a conflict among the files before it, as it
-    did when whole files were merged one by one. Jobs are read whole.
+    a range of input or one partition, never a whole stats file. Every
+    stats file is parsed before any partition lock is taken, so no forked
+    parse worker holds one. In strict mode with two or more stats files, a
+    check pass merges each partition of the inputs in path order
+    (_check_inputs); a strict error in a later file's parse comes after a
+    conflict among the files before it, as it did when whole files were
+    merged one by one. Jobs are read whole.
     Nothing is written until every input has been read and checked; then
     each partition's inputs are merged again and folded into the store
     under that partition's lock, one partition at a time.
     """
     store.root.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryFile(dir=store.root) as spill:
+    with ExitStack() as spills:
+
+        def spill() -> IO[bytes]:
+            return spills.enter_context(tempfile.TemporaryFile(dir=store.root))
+
         inputs: list[tuple[str | Path, SpilledStats]] = []
         failure = None
         rejected = 0

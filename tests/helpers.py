@@ -28,15 +28,18 @@ hours, so each of the four exposures is 502 OSS / 77 MDS, identically.
 
 from __future__ import annotations
 
+import io
 import os
 import stat
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
 
 from lassi import ingest
 from lassi.analysis import ExposureRecord, run_risk_exposure
+from lassi.ingest import IngestReport
 from lassi.metrics import fs_risk_series
 from lassi.model import ALL_FIELDS, JobRecord, SampleBlock
 from lassi.pipeline import find_job
@@ -148,6 +151,20 @@ def serialize_stats_csv(*blocks: SampleBlock) -> str:
         cells[:, 3:] = counters[lo:hi]
         parts.append(_STATS_LINE * (hi - lo) % tuple(cells.ravel().tolist()))
     return "".join(parts)
+
+
+def parse_stats_rows(
+    text: str, mode: str, window_len: int
+) -> tuple[dict[tuple[str, int], SampleBlock], IngestReport]:
+    """The whole stats text through the row loop alone, one line after
+    another: the reference every parse_stats_csv path must equal."""
+    lines = ingest.csv_rows(io.StringIO(text, newline=""), 1)
+    ingest._check_header(next(lines, (1, None))[1], ingest.STATS_HEADER)
+    rows = ingest._StatsRows(mode, window_len, io.BytesIO())
+    rows.row_loop(takewhile(lambda _: not rows.done(), lines))
+    spilled = ingest.SpilledStats([rows.sink.file], [rows.part()], window_len)
+    report = spilled.report(rows.strict, rows.bad)
+    return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
 
 
 def edit_npz(path, drop=(), **arrays) -> None:

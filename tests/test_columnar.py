@@ -6,12 +6,19 @@ references here: the block paths must return exactly what they return.
 
 import csv
 import io
+import os
 import random
+import signal
+import tempfile
+import threading
+import time
 from bisect import bisect_right
+from contextlib import ExitStack
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -23,6 +30,7 @@ from helpers import (
     mk_job,
     mk_sample,
     one_block,
+    parse_stats_rows,
     partitions,
     result_dicts,
     serialize_stats_csv,
@@ -36,7 +44,7 @@ from lassi.attribution import (
     node_index,
 )
 from lassi.errors import IngestError, LassiError
-from lassi.ingest import STATS_HEADER, _parse_stats_rows, parse_stats_csv
+from lassi.ingest import STATS_HEADER, parse_stats_csv
 from lassi.model import INT64_MAX, SampleBlock
 from lassi.pipeline import _merge_samples, ingest_files
 from lassi.store import Store
@@ -57,14 +65,17 @@ def text_of(*rows, end="\n"):
 
 def row_loop(text, mode, window_len=180):
     """What the row loop alone returns for the whole text."""
-    return _parse_stats_rows(text, mode, window_len)
+    return parse_stats_rows(text, mode, window_len)
 
 
 def spilled(source, mode="strict", window_len=180):
-    """parse_stats_csv through an in-memory spill, each partition read back
-    as its block."""
-    parsed, report = parse_stats_csv(source, mode, window_len, io.BytesIO())
-    return {key: parsed.block(*key) for key in sorted(parsed.partitions)}, report
+    """parse_stats_csv through spill files of its caller's, each partition
+    read back as its block."""
+    with ExitStack() as files:
+        parsed, report = parse_stats_csv(
+            source, mode, window_len, lambda: files.enter_context(tempfile.TemporaryFile())
+        )
+        return {key: parsed.block(*key) for key in sorted(parsed.partitions)}, report
 
 
 def outcome(fn, *args):
@@ -443,6 +454,321 @@ def test_int64_max_counter_in_a_failing_range_is_exact(monkeypatch):
     with pytest.raises(IngestError) as err:
         parse_stats_csv(io.StringIO(text))
     assert err.value.line == 3
+
+
+# --- a file parsed in spans by forked workers -----------------------------
+
+
+def split_in(mp, path, spans):
+    """Make a parse of path split it into this many spans, or fewer where a
+    long line takes in a split point (see ingest._stats_spans)."""
+    mp.setattr(ingest, "_usable_cpus", lambda: spans)
+    mp.setattr(ingest, "_SPAN_BYTES", max(1, os.path.getsize(path) // spans))
+
+
+def no_children():
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class NoWorker:
+    def __init__(self, work):
+        raise AssertionError("a worker was forked")
+
+
+# a window offset from BASE_DAY, ids, a counter value and a defect: the
+# re-delivery defects, an empty id, a blank line, or a long node id, which
+# takes in any split point that falls in its line
+span_rows = st.lists(
+    st.tuples(
+        st.sampled_from([0, 180, 360, DAY, DAY + 180]),
+        st.sampled_from(["fs1", "fs2", "fs3"]),
+        st.sampled_from([f"nid{i}" for i in range(5)]),
+        st.integers(0, 9),
+        st.sampled_from(
+            [None] * 6
+            + ["negative", "off grid", "short", "x.5", "bad time", "empty", "blank", "long"]
+        ),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def span_line(offset, fs, node, value, defect=None):
+    cells = [format_utc(BASE_DAY + offset), fs, node] + [str(value)] * 21
+    if defect == "negative":
+        cells[4] = "-1"
+    elif defect == "off grid":
+        cells[0] = format_utc(BASE_DAY + offset + 60)
+    elif defect == "short":
+        cells = cells[:5]
+    elif defect == "x.5":
+        cells[7] += ".5"
+    elif defect == "bad time":
+        cells[0] = "2017-10-9T0:3:0Z"
+    elif defect == "empty":
+        cells[1] = ""
+    elif defect == "blank":
+        return ""
+    elif defect == "long":
+        cells[2] = "n" * 150
+    return ",".join(cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=span_rows,
+    spans=st.sampled_from([2, 3]),
+    again=st.lists(st.integers(0, 29), max_size=3),
+    late=st.booleans(),
+    final_lf=st.booleans(),
+)
+def test_a_file_in_spans_agrees_with_the_row_loop(rows, spans, again, late, final_lf):
+    """Keys repeated across spans (again), ids first seen in a later span
+    (late), bad rows in any span, split points at any line: the forked
+    parse gives the whole-file row loop's blocks, report and strict error."""
+    body = [span_line(*r) for r in rows]
+    body += [span_line(*rows[i % len(rows)][:3], 7) for i in again]
+    if late:
+        body.append(span_line(DAY, "fs9", "nid9", 1))
+    text = text_of(*body)
+    if not final_lf:
+        text = text[:-1]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "stats.csv"
+        path.write_bytes(text.encode())
+        split_in(mp, path, spans)
+        layout = ingest._stats_spans(path)
+        assume(layout is not None)
+        assert (layout[0][0], layout[-1][1]) == (0, len(text))
+        assert all(a[1] == b[0] and text[b[0] - 1] == "\n" for a, b in zip(layout, layout[1:]))
+        assert [line for _, _, line in layout] == [text.count("\n", 0, a) + 1 for a, _, _ in layout]
+        for mode in ("strict", "lenient"):
+            want = outcome(row_loop, text, mode)
+            assert outcome(parse_stats_csv, path, mode) == want, mode
+            assert outcome(spilled, path, mode) == want, mode
+    assert no_children()
+
+
+def test_a_span_may_be_the_last_line_alone(tmp_path, monkeypatch):
+    """The middle of the file falls in the long second-to-last line, so the
+    second span is the last line: the first row's key with other counters."""
+    body = [row(), row(ts=T1, node="n" * 800), row(counters=("7",) * 21)]
+    text = text_of(*body)
+    path = tmp_path / "stats.csv"
+    path.write_bytes(text.encode())
+    split_in(monkeypatch, path, 2)
+    last = len(text) - len(body[-1]) - 1
+    assert ingest._stats_spans(path) == [(0, last, 1), (last, len(text), 4)]
+    for mode in ("strict", "lenient"):
+        assert outcome(parse_stats_csv, path, mode) == outcome(row_loop, text, mode), mode
+    with pytest.raises(IngestError, match="^line 4: duplicate sample for"):
+        parse_stats_csv(path)
+
+
+@pytest.mark.parametrize("special", ['"', "\r", "\x00", "é"])
+@pytest.mark.parametrize("at", [0, 150, -1])
+def test_a_quote_cr_nul_or_non_ascii_byte_keeps_a_file_whole(tmp_path, monkeypatch, special, at):
+    """One such byte anywhere in the body keeps the file whole: no worker is
+    forked, and the answer is the row loop's."""
+    lines = dirty_lines(5, every=37, n=300)
+    text = text_of(*lines)
+    path = tmp_path / "stats.csv"
+    path.write_bytes(text.encode())
+    split_in(monkeypatch, path, 3)
+    assert len(ingest._stats_spans(path)) == 3
+    odd = {'"': row(node='"n""9"'), "\r": row(node="nid9") + "\r", "\x00": row(node="n\x00")}
+    lines.insert(at % (len(lines) + 1), odd.get(special, row(node=f"n{special}")))
+    text = text_of(*lines)
+    path.write_bytes(text.encode())
+    assert ingest._stats_spans(path) is None
+    monkeypatch.setattr(ingest, "_Worker", NoWorker)
+    for mode in ("strict", "lenient"):
+        assert outcome(parse_stats_csv, path, mode) == outcome(row_loop, text, mode), mode
+
+
+def test_a_stream_or_a_pipe_is_read_whole(tmp_path, monkeypatch):
+    text = text_of(*dirty_lines(5, every=37, n=300))
+    path = tmp_path / "stats.csv"
+    path.write_bytes(text.encode())
+    split_in(monkeypatch, path, 3)
+    monkeypatch.setattr(ingest, "_Worker", NoWorker)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(text.encode(),))
+    writer.start()
+    try:
+        from_fifo = outcome(parse_stats_csv, fifo, "lenient")
+    finally:
+        writer.join()
+    want = outcome(row_loop, text, "lenient")
+    assert from_fifo == want
+    with open(path, "rb") as stream:
+        assert outcome(parse_stats_csv, stream, "lenient") == want
+    assert outcome(parse_stats_csv, io.StringIO(text), "lenient") == want
+
+
+def test_a_process_running_a_second_thread_reads_whole(tmp_path, monkeypatch):
+    """A fork would copy only the calling thread, and any lock the other
+    one held."""
+    text = text_of(*dirty_lines(5, every=37, n=300))
+    path = tmp_path / "stats.csv"
+    path.write_bytes(text.encode())
+    split_in(monkeypatch, path, 2)
+    assert len(ingest._stats_spans(path)) == 2
+    monkeypatch.setattr(ingest, "_Worker", NoWorker)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(60,))
+    other.start()
+    try:
+        assert outcome(parse_stats_csv, path, "lenient") == outcome(row_loop, text, "lenient")
+    finally:
+        stop.set()
+        other.join(10)
+    assert not other.is_alive()
+
+
+def store_files(store):
+    """Every file below the store root, with its bytes and modification time."""
+    return {
+        str(path.relative_to(store.root)): (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in sorted(store.root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def two_fs_lines(seed, every=None):
+    """dirty_lines over two filesystems, fs2 where fs1 is on every third line."""
+    return [
+        line.replace(",fs1,", ",fs2,", 1) if i % 3 == 0 else line
+        for i, line in enumerate(dirty_lines(seed, every))
+    ]
+
+
+def fail_workers(monkeypatch, fail):
+    """Make every forked worker call fail before it parses its span."""
+    real = ingest._parse_span
+
+    def parse_span(path, span, *args):
+        if span[0]:  # not the first span, which the parent parses
+            fail()
+        return real(path, span, *args)
+
+    monkeypatch.setattr(ingest, "_parse_span", parse_span)
+
+
+def disk_full():
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@pytest.mark.parametrize(
+    "fail, error",
+    [
+        (lambda: os._exit(1), "stats parse worker exited with status 1"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "exited with status -9"),
+        (disk_full, "No space left on device"),
+    ],
+)
+def test_a_failed_worker_fails_the_ingest_and_writes_nothing(
+    tmp_path, monkeypatch, mode, fail, error
+):
+    store = Store(tmp_path / "store")
+    first = tmp_path / "first.csv"
+    first.write_text(text_of(*two_fs_lines(3)[:200]), encoding="utf-8")
+    ingest_files(store, [first])
+    before = store_files(store)
+    path = tmp_path / "stats.csv"
+    path.write_text(text_of(*two_fs_lines(4)), encoding="utf-8")
+    split_in(monkeypatch, path, 3)
+    fail_workers(monkeypatch, fail)
+    with pytest.raises(OSError, match=error):
+        ingest_files(store, [path], mode=mode)
+    assert store_files(store) == before
+    assert no_children()
+
+
+def test_a_worker_failure_after_a_strict_error_does_not_count(tmp_path, monkeypatch):
+    """The parse ends at the first span's bad row, as a whole read would:
+    the strict error is raised, and only a lenient parse, which reads on,
+    meets the failed workers."""
+    lines = two_fs_lines(4)
+    lines.insert(20, "2017-10-09T00:03:00Z,fs2,nid1,1,2")
+    text = text_of(*lines)
+    path = tmp_path / "stats.csv"
+    path.write_text(text, encoding="utf-8")
+    split_in(monkeypatch, path, 3)
+    fail_workers(monkeypatch, lambda: os._exit(1))
+    with pytest.raises(IngestError) as err:
+        parse_stats_csv(path)
+    assert (err.value.line, err.value.reason) == (22, "expected 24 columns, got 5")
+    with pytest.raises(ChildProcessError):
+        parse_stats_csv(path, "lenient")
+    assert no_children()
+
+
+def test_a_fork_that_fails_fails_the_parse_and_leaks_nothing(tmp_path, monkeypatch):
+    """The second of two forks fails: the first worker is killed and
+    reaped, and every pipe is closed."""
+    path = tmp_path / "stats.csv"
+    path.write_text(text_of(*two_fs_lines(4)), encoding="utf-8")
+    split_in(monkeypatch, path, 3)
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(ingest.os, "fork", fork)
+    descriptors = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        parse_stats_csv(path, "lenient")
+    assert len(forks) == 2
+    assert sorted(os.listdir("/proc/self/fd")) == descriptors
+    assert no_children()
+
+
+def test_a_parent_that_raises_kills_its_workers(tmp_path, monkeypatch):
+    path = tmp_path / "stats.csv"
+    path.write_text(text_of(*two_fs_lines(4)), encoding="utf-8")
+    split_in(monkeypatch, path, 3)
+    real = ingest._parse_span
+
+    def parse_span(path, span, *args):
+        if not span[0]:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return real(path, span, *args)
+
+    monkeypatch.setattr(ingest, "_parse_span", parse_span)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        parse_stats_csv(path, "lenient")
+    assert time.monotonic() - started < 30
+    assert no_children()
+
+
+@pytest.mark.parametrize("every", [None, 97])
+def test_ingest_in_spans_writes_the_stores_a_whole_read_does(tmp_path, monkeypatch, every):
+    path = tmp_path / "stats.csv"
+    path.write_text(text_of(*two_fs_lines(6, every)), encoding="utf-8")
+    stores = {}
+    for spans in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            split_in(mp, path, spans)
+            assert len(ingest._stats_spans(path) or [None]) == spans
+            store = Store(tmp_path / f"store{spans}")
+            summary = ingest_files(store, [path], mode="lenient")
+        stores[spans] = (summary, {name: data for name, (data, _) in store_files(store).items()})
+    assert stores[1] == stores[3]
+    assert stores[1][0].partitions == 2
 
 
 # --- canonical serialization ---------------------------------------------

@@ -142,7 +142,7 @@ def test_window_len_off_the_hour_rejects_every_row(tmp_path, window_len):
     never opened."""
     missing = tmp_path / "missing.csv"
     for mode in ("strict", "lenient"):
-        for spill in (None, io.BytesIO()):
+        for spill in (None, io.BytesIO):
             with pytest.raises(ValueError, match=f"^window_len {window_len} must divide 3600$"):
                 parse_stats_csv(missing, mode, window_len, spill)
 
