@@ -50,20 +50,21 @@ split into line-aligned byte spans, one per CPU the process may run on
 _SPAN_BYTES. The calling process parses the first span and forks one worker
 for each other span, so a parse starts at most one process less than there
 are usable CPUs; every worker is reaped before the parse returns or raises.
-Everything else is read whole in the calling process, with no fork: a
-stream, a pipe or other non-regular file, a smaller file, a file holding a
-quote, CR or NUL (a quoted cell can span lines, so no split point is safe)
-or a non-ASCII byte, and any file while the process runs a second thread.
-The answer does not depend on the split. Nothing configures it: no
-option, environment variable or setting.
+Everything else is one span, the whole source, read by the same code in
+the calling process, with no fork: a stream, a pipe or other non-regular
+file, a smaller file, a file holding a quote, CR or NUL (a quoted cell can
+span lines, so no split point is safe) or a non-ASCII byte, and any file
+while the process runs a second thread. The answer does not depend on the
+split. Nothing configures it: no option, environment variable or setting.
+A stream the caller gives stays open.
 
 Memory is per process: the calling process and each worker hold one range
-of input and a few thousand rows, which each appends to its own spill file
-grouped by (filesystem, UTC day) partition; a duplicate key never spans two
-partitions, so duplicates are then found, and the spilled rows later read
-back, one partition at a time, in the calling process. Only
-parse_stats_csv without spill holds every partition's block at once, by
-(filesystem, day); nothing joins them.
+of input and at most _SPILL_ROWS accepted rows, however they were read,
+which each appends to its own spill file grouped by (filesystem, UTC day)
+partition; a duplicate key never spans two partitions, so duplicates are
+then found, and the spilled rows later read back, one partition at a time,
+in the calling process. Only parse_stats_csv without spill holds every
+partition's block at once, by (filesystem, day); nothing joins them.
 """
 
 from __future__ import annotations
@@ -122,14 +123,18 @@ class IngestReport:
     rejected_reasons: tuple[tuple[int, str], ...] = field(default=())
 
 
-def _open_source(source: Source) -> tuple[IO[str], bool]:
+def _open_source(source: Source, stack: ExitStack) -> IO[str]:
+    """source as a text stream for the life of stack: a path is opened and
+    closed with it; a binary stream is wrapped, and the wrapper detached
+    with it, so the caller's stream stays open."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        return stack.enter_context(open(source, "r", encoding="utf-8", newline=""))
     if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-        return source, False
+        if isinstance(source.read(0), bytes):
+            text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+            stack.callback(text.detach)
+            return text
+        return source
     raise TypeError(f"cannot read from {type(source).__name__}")
 
 
@@ -171,29 +176,17 @@ def _check_header(row: list[str] | csv.Error | None, expected: tuple[str, ...]) 
         raise IngestError(1, f"bad header {row!r}; expected {','.join(expected)}")
 
 
-class _Rejects:
-    """Collects rejections in lenient mode; raises immediately in strict."""
-
-    def __init__(self, mode: str):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        self.strict = mode == "strict"
-        self.rows: list[tuple[int, str]] = []
-
-    def add(self, line: int, reason: str) -> None:
-        if self.strict:
-            raise IngestError(line, reason)
-        self.rows.append((line, reason))
-
-    def report(self, rows_read: int, rows_accepted: int) -> IngestReport:
-        rows = sorted(self.rows)
-        return IngestReport(
-            rows_read=rows_read,
-            rows_accepted=rows_accepted,
-            rows_rejected=len(rows),
-            first_error_line=rows[0][0] if rows else None,
-            rejected_reasons=tuple(rows),
-        )
+def _report(rows_accepted: int, rejects: list[tuple[int, str]]) -> IngestReport:
+    """The report of a file whose rows_accepted rows were kept and whose
+    rejects, as (line, reason), were not."""
+    rejects = sorted(rejects)
+    return IngestReport(
+        rows_read=rows_accepted + len(rejects),
+        rows_accepted=rows_accepted,
+        rows_rejected=len(rejects),
+        first_error_line=rejects[0][0] if rejects else None,
+        rejected_reasons=tuple(rejects),
+    )
 
 
 # cells spelled -?[0-9]+ in ASCII, joined by commas; the sign is allowed so a
@@ -220,9 +213,9 @@ def parse_stats_csv(
 ) -> tuple[dict[tuple[str, int], SampleBlock] | SpilledStats, IngestReport]:
     """Parse a stats CSV into its accepted rows plus an ingest report.
 
-    The input is read from the stream in line-aligned ranges of about
-    _RANGE_CHARS characters, a partial last line carried to the next range,
-    so the file is never held as one text. A range that passes the clean
+    The input is read in line-aligned ranges of about _RANGE_CHARS
+    characters (_ranges), a partial last line carried to the next range, so
+    the file is never held as one text. A range that passes the clean
     proof (_StatsRows._read_range) is read column-wise, and a row of it with
     a negative counter, a bad timestamp or an empty id goes alone through
     the row loop. In a range that fails, the lines _CLEAN_ROW matches are
@@ -239,8 +232,9 @@ def parse_stats_csv(
     A path to a large regular file that is all ASCII and holds no quote, CR
     or NUL is parsed in line-aligned byte spans (_stats_spans), one per
     usable CPU: this process parses the first span and a forked worker
-    each other one, all at once (_parse_in_spans). The answer is the one
-    the file read whole gives.
+    each other one, all at once (_parse_in_spans). Any other source is
+    the one span None, read whole in this process by the same _parse_span,
+    and gives the same answer; a stream the caller gives is left open.
 
     The accepted rows are appended to spill files, _SPILL_ROWS at a time,
     by (fs, UTC day) partition, so memory holds one range of input and,
@@ -263,20 +257,9 @@ def parse_stats_csv(
         raise ValueError(f"window_len {window_len} must divide 3600")
     with ExitStack() as temporary:
         new_spill = spill or (lambda: temporary.enter_context(tempfile.TemporaryFile()))
-        spans = _stats_spans(source)
-        if spans:
-            files = [new_spill() for _ in spans]
-            parts = _parse_in_spans(source, spans, mode, window_len, files)
-        else:
-            files = [new_spill()]
-            rows = _StatsRows(mode, window_len, files[0])
-            stream, owned = _open_source(source)
-            try:
-                _read_stats(stream, rows)
-            finally:
-                if owned:
-                    stream.close()
-            parts = [rows.part()]
+        spans = _stats_spans(source) or [None]
+        files = [new_spill() for _ in spans]
+        parts = _parse_in_spans(source, spans, mode, window_len, files)
         spilled = SpilledStats(files, parts, window_len)
         report = spilled.report(mode == "strict", [bad for part in parts for bad in part.bad])
         if spill is not None:
@@ -284,21 +267,32 @@ def parse_stats_csv(
         return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
 
 
+def _ranges(stream: IO[str]) -> Iterator[str]:
+    """The text of stream, a read of _RANGE_CHARS at a time, each cut after
+    its last LF and the rest carried to the next; so no line, and no CR LF,
+    is split in two."""
+    carry = ""
+    while chunk := stream.read(_RANGE_CHARS):
+        carry += chunk
+        cut = carry.rfind("\n") + 1
+        if cut:
+            yield carry[:cut]
+            carry = carry[cut:]
+    if carry:
+        yield carry
+
+
 def _read_stats(stream: IO[str], rows: _StatsRows, line: int = 1) -> None:
     """Give rows the body of a stats stream whose first line is line, range
-    by range; from line 1, the header first."""
-    carry = ""
-    while not rows.done():
-        chunk = stream.read(_RANGE_CHARS)
-        carry += chunk
-        cut = carry.rfind("\n") + 1 if chunk else len(carry)
-        if not cut:
-            if chunk:
-                continue
-            break
-        text, carry = carry[:cut], carry[cut:]
+    by range (_ranges); from line 1, the header first. No range is read
+    once rows are done."""
+    ranges = _ranges(stream)
+    for text in ranges:
         if any(c in text for c in _CSV_SPECIAL):
-            lines = csv_rows(_pieces(text + carry, stream), line)
+            # the rest of the stream, split as a text stream opened with
+            # newline="" splits it (at LF, CR LF or a lone CR)
+            pieces = chain.from_iterable(io.StringIO(t, newline="") for t in chain([text], ranges))
+            lines = csv_rows(pieces, line)
             if line == 1:
                 _check_header(next(lines, (1, None))[1], STATS_HEADER)
             rows.row_loop(takewhile(lambda _: not rows.done(), lines))
@@ -309,26 +303,13 @@ def _read_stats(stream: IO[str], rows: _StatsRows, line: int = 1) -> None:
         if line == 1:
             _check_header(next(csv_rows(lines[:1], 1))[1], STATS_HEADER)
             text, lines, line = text[len(lines[0]) + 1 :], lines[1:], 2
-            if not lines:
-                continue
-        rows.add_range(text, lines, line)
-        line += len(lines)
+        if lines:
+            rows.add_range(text, lines, line)
+            line += len(lines)
+        if rows.done():
+            return
     if line == 1:
         _check_header(None, STATS_HEADER)
-
-
-def _pieces(text: str, stream: IO[str]) -> Iterator[str]:
-    """The lines of text and then of the rest of stream, split as a text
-    stream opened with newline="" splits them (at LF, CR LF or a lone CR).
-    Each read is cut after its last LF, so no CR LF is split in two."""
-    while True:
-        chunk = stream.read(_RANGE_CHARS)
-        text += chunk
-        cut = text.rfind("\n") + 1 if chunk else len(text)
-        yield from io.StringIO(text[:cut], newline="")
-        if not chunk:
-            return
-        text = text[cut:]
 
 
 # a range holding one of these starts the row loop, which reads the rest of the
@@ -348,10 +329,8 @@ _RANGE_CHARS = 1 << 16
 _CLEAN_ROW = re.compile(r"(?:[!#-*\-./0-9:-~]*,){3}-?[0-9]{1,18}(?:,-?[0-9]{1,18}){20}")
 # the window of a row whose timestamp parse_utc refuses; no timestamp has it
 _NO_STAMP = np.iinfo(np.int64).min
-# the row loop hands its accepted rows to the sink once it holds this many
-_ROWS_HELD = 1024
-# _Spill writes the rows it takes once it holds this many (about 0.8 MB),
-# so a partition is a few large segments, not one per range
+# _StatsRows writes the rows it holds once they are this many (about 0.8 MB
+# as columns), so a partition is a few large segments, not one per range
 _SPILL_ROWS = 1 << 12
 # the least bytes a span of a stats file parsed in spans holds: a worker's
 # fork, pipe and exit took 4-5 ms on a 2-CPU host, what parsing about 150 KB
@@ -438,27 +417,33 @@ class _SpanText:
 
 
 def _parse_span(
-    path: str | Path, span: tuple[int, int, int], mode: str, window_len: int, spill: IO[bytes]
+    source: Source, span: tuple[int, int, int] | None, mode: str, window_len: int, spill: IO[bytes]
 ) -> _Part:
-    """One span of a stats file parsed into spill (see _stats_spans)."""
-    start, end, line = span
+    """One span of a stats file parsed into spill (see _stats_spans), or
+    with span None the whole source."""
     rows = _StatsRows(mode, window_len, spill)
-    with open(path, "rb") as fh:
-        _read_stats(_SpanText(fh, start, end), rows, line)
+    with ExitStack() as stack:
+        if span is None:
+            _read_stats(_open_source(source, stack), rows)
+        else:
+            start, end, line = span
+            fh = stack.enter_context(open(source, "rb"))
+            _read_stats(_SpanText(fh, start, end), rows, line)
     part = rows.part()
     spill.flush()
     return part
 
 
 def _parse_in_spans(
-    path: str | Path,
-    spans: list[tuple[int, int, int]],
+    source: Source,
+    spans: list[tuple[int, int, int] | None],
     mode: str,
     window_len: int,
     files: list[IO[bytes]],
 ) -> list[_Part]:
-    """Each span of a stats file parsed into the spill file beside it: the
-    first in this process, each other one at once in a forked worker.
+    """Each span of a stats source parsed into the spill file beside it:
+    the first in this process, each other one at once in a forked worker;
+    a source read whole is the one span None, and forks no worker.
 
     A worker ends with os._exit, whatever happens, so it runs no exit
     handler and no cleanup of its parent's; it sends back over a pipe only
@@ -473,8 +458,8 @@ def _parse_in_spans(
     workers: list[_Worker] = []
     try:
         for span, spill in zip(spans[1:], files[1:]):
-            workers.append(_Worker(partial(_parse_span, path, span, mode, window_len, spill)))
-        parts = [_parse_span(path, spans[0], mode, window_len, files[0])]
+            workers.append(_Worker(partial(_parse_span, source, span, mode, window_len, spill)))
+        parts = [_parse_span(source, spans[0], mode, window_len, files[0])]
         for worker in workers:
             if parts[-1].done:
                 break
@@ -602,22 +587,30 @@ def _first_repeat(line: np.ndarray, by: np.ndarray, key) -> tuple[int, str] | No
 
 class _StatsRows:
     """The accepted and the bad rows of one stats file, or of one span of
-    it, as they are found.
+    it, as they are found, the accepted ones appended to a binary spill
+    file by (fs code, UTC day) partition.
 
-    Accepted rows go range by range, each with its line number, to the sink,
-    a _Spill that groups them by partition. fs and node ids are held as
-    codes in first-seen order (fs_ids, node_ids), which SpilledStats maps
-    once to sorted order. Duplicate keys are resolved there too, once all
-    rows are in.
+    Accepted rows are held, each with its line number, as column batches
+    from the ranges read column-wise and as tuples from the row loop; once
+    _SPILL_ROWS are held, all are written (write), a segment per partition:
+    the rows' node codes (int32), window starts, line numbers and (n, 21)
+    counters (int64), in that order. segments holds each partition's
+    (offset, rows) segments. fs and node ids are held as codes in
+    first-seen order (fs_ids, node_ids), which SpilledStats maps once to
+    sorted order. Duplicate keys are resolved there too, once all rows are
+    in.
     """
 
-    def __init__(self, mode: str, window_len: int, spill: IO[bytes]):
+    def __init__(self, mode: str, window_len: int, file: IO[bytes]):
         self.strict = mode == "strict"
         self.window_len = window_len
-        self.sink = _Spill(spill)
-        # (line, fs code, node code, window, counters) of rows the row loop
-        # accepted and has not yet handed to the sink
-        self.rows: list[tuple[int, int, int, int, list[int]]] = []
+        self.file = file
+        self.segments: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # rows held but not yet written: column batches of (fs, node, window,
+        # counters, line), and the row loop's rows as such tuples
+        self.held: list[tuple[np.ndarray, ...]] = []
+        self.looped: list[tuple[int, int, int, list[int], int]] = []
+        self.rows_held = 0
         self.bad: list[tuple[int, str]] = []  # (line, reason) of each bad row
         self.fs_ids = _IdCodes()
         self.node_ids = _IdCodes()
@@ -694,7 +687,7 @@ class _StatsRows:
             and not (window % self.window_len).any()
             and ",," not in text
         ):
-            self.sink.add(fs, node, window, counters, line)
+            self._hold(fs, node, window, counters, line)
             return True
         bad = (
             (counters < 0).any(axis=1)
@@ -704,7 +697,7 @@ class _StatsRows:
             | (node == self.node_ids.get("", -1))
         )
         good = ~bad
-        self.sink.add(fs[good], node[good], window[good], counters[good], line[good])
+        self._hold(fs[good], node[good], window[good], counters[good], line[good])
         bad_lines = np.flatnonzero(bad).tolist()
         self.row_loop(zip(line[bad].tolist(), csv.reader(lines[i] for i in bad_lines)))
         return True
@@ -714,8 +707,8 @@ class _StatsRows:
 
         A row must be readable as csv (cells, not a csv.Error), have 24
         cells, an exact timestamp on the window_len grid, non-empty ids and
-        counters (parse_int_cells) in [0, 2**63 - 1]. Accepted rows go to the
-        sink in batches of _ROWS_HELD.
+        counters (parse_int_cells) in [0, 2**63 - 1]. Accepted rows are held
+        with the others.
         """
         window_len = self.window_len
         fs_ids, node_ids = self.fs_ids, self.node_ids
@@ -750,60 +743,35 @@ class _StatsRows:
             elif not row[1] or not row[2]:
                 self.bad.append((line_no, "fs_id and node_id must be non-empty"))
             else:
-                self.rows.append((line_no, fs_ids[row[1]], node_ids[row[2]], window_start, vals))
-                if len(self.rows) == _ROWS_HELD:
-                    self._flush()
-        self._flush()
+                self.looped.append((fs_ids[row[1]], node_ids[row[2]], window_start, vals, line_no))
+                self.rows_held += 1
+                if self.rows_held >= _SPILL_ROWS:
+                    self.write()
 
-    def _flush(self) -> None:
-        """Hand the row loop's accepted rows to the sink."""
-        if self.rows:
-            lines, fss, nodes, windows, vals = zip(*self.rows)
-            self.rows = []
-            self.sink.add(
-                np.array(fss, np.int32),
-                np.array(nodes, np.int32),
-                np.array(windows, np.int64),
-                np.array(vals, np.int64),
-                np.array(lines, np.int64),
-            )
-
-    def part(self) -> _Part:
-        """What this parse leaves, once every row it accepted is in the spill."""
-        self._flush()
-        self.sink.write()
-        return _Part(
-            tuple(self.fs_ids), tuple(self.node_ids), self.bad, self.sink.segments, self.done()
-        )
-
-
-class _Spill:
-    """Rows appended to a binary spill file by (fs code, UTC day)
-    partition, a segment per partition each time _SPILL_ROWS are held: the
-    rows' node codes (int32), window starts, line numbers and (n, 21)
-    counters (int64), in that order. segments holds each partition's
-    (offset, rows) segments."""
-
-    def __init__(self, file: IO[bytes]):
-        self.file = file
-        self.segments: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        # rows taken but not yet written, as (fs, node, window, counters, line)
-        self.held: list[tuple[np.ndarray, ...]] = []
-        self.rows_held = 0
-
-    def add(self, fs, node, window, counters, line) -> None:
-        """Take rows; they are written once _SPILL_ROWS are held. Counters
-        are copied out of a view, which would hold a whole np.loadtxt table."""
-        if not len(window):
-            return
-        self.held.append((fs, node, window, np.ascontiguousarray(counters), line))
-        self.rows_held += len(window)
-        if self.rows_held >= _SPILL_ROWS:
-            self.write()
+    def _hold(self, fs, node, window, counters, line) -> None:
+        """Hold rows given as columns. Counters are copied out of a view,
+        which would hold a whole np.loadtxt table."""
+        if len(window):
+            self.held.append((fs, node, window, np.ascontiguousarray(counters), line))
+            self.rows_held += len(window)
+            if self.rows_held >= _SPILL_ROWS:
+                self.write()
 
     def write(self) -> None:
         """Append the rows held to the file, a segment per partition, found
         as the runs of one stable sort of the rows' partition keys."""
+        if self.looped:
+            fs, node, window, counters, line = zip(*self.looped)
+            self.looped = []
+            self.held.append(
+                (
+                    np.array(fs, np.int32),
+                    np.array(node, np.int32),
+                    np.array(window, np.int64),
+                    np.array(counters, np.int64),
+                    np.array(line, np.int64),
+                )
+            )
         if not self.held:
             return
         fs, node, window, counters, line = (np.concatenate(c) for c in zip(*self.held))
@@ -822,10 +790,15 @@ class _Spill:
                 (offset, b - a)
             )
 
+    def part(self) -> _Part:
+        """What this parse leaves, once every row it accepted is in the spill."""
+        self.write()
+        return _Part(tuple(self.fs_ids), tuple(self.node_ids), self.bad, self.segments, self.done())
+
 
 class SpilledStats:
     """One stats file's accepted rows, in the spill files its parse wrote,
-    one per span (_Spill); what parse_stats_csv returns given spill. Read
+    one per span (_StatsRows); what parse_stats_csv returns given spill. Read
     back one partition at a time, as a block of its filesystem (block).
 
     The caller owns the files: any seekable binary files, such as unlinked
@@ -901,14 +874,7 @@ class SpilledStats:
             (a, f"duplicate (fs, node, window) superseded by line {b}")
             for a, b in zip(superseded, by)
         ]
-        errors.sort()
-        return IngestReport(
-            rows_read=accepted + len(bad),
-            rows_accepted=accepted - len(superseded),
-            rows_rejected=len(errors),
-            first_error_line=errors[0][0] if errors else None,
-            rejected_reasons=tuple(errors),
-        )
+        return _report(accepted - len(superseded), errors)
 
     def block(self, fs_id: str, day: int) -> SampleBlock:
         """One partition's rows as a block in canonical order, each repeated
@@ -922,58 +888,59 @@ class SpilledStats:
 
 
 def parse_jobs_csv(source: Source, mode: str = "strict") -> tuple[list[JobRecord], IngestReport]:
-    """Parse a jobs CSV into job records plus an ingest report."""
-    rejects = _Rejects(mode)
-    stream, owned = _open_source(source)
+    """Parse a jobs CSV into job records plus an ingest report; strict mode
+    raises IngestError at the first bad row."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     jobs: list[JobRecord] = []
-    seen: dict[str, int] = {}
-    rows_read = 0
-    try:
-        rows = csv_rows(stream, 1)
+    seen: set[str] = set()
+    rejects: list[tuple[int, str]] = []
+    with ExitStack() as stack:
+        rows = csv_rows(_open_source(source, stack), 1)
         _check_header(next(rows, (1, None))[1], JOBS_HEADER)
         for line_no, row in rows:
             if not row:
                 continue
-            rows_read += 1
-            if isinstance(row, csv.Error):
-                rejects.add(line_no, str(row))
-                continue
-            if len(row) != len(JOBS_HEADER):
-                rejects.add(line_no, f"expected {len(JOBS_HEADER)} columns, got {len(row)}")
-                continue
-            app_id = row[0]
-            if app_id in seen:
-                rejects.add(line_no, "duplicate app_id")
-                continue
-            try:
-                start = parse_utc(row[3])
-                end = parse_utc(row[4])
-            except ValueError as exc:
-                rejects.add(line_no, f"bad timestamp: {exc}")
-                continue
-            nodes = frozenset(n for n in (t.strip() for t in row[5].split(";")) if n)
-            if not row[6].strip():
-                rejects.add(line_no, "empty command")
-                continue
-            try:
-                job = JobRecord(
-                    app_id=app_id,
-                    job_id=row[1],
-                    user=row[2],
-                    start=start,
-                    end=end,
-                    nodes=nodes,
-                    command=row[6],
-                )
-            except ValueError as exc:
-                rejects.add(line_no, str(exc))
-                continue
-            seen[app_id] = line_no
-            jobs.append(job)
-    finally:
-        if owned:
-            stream.close()
-    return jobs, rejects.report(rows_read, len(jobs))
+            job = _job(row, seen)
+            if isinstance(job, JobRecord):
+                seen.add(job.app_id)
+                jobs.append(job)
+            elif mode == "strict":
+                raise IngestError(line_no, job)
+            else:
+                rejects.append((line_no, job))
+    return jobs, _report(len(jobs), rejects)
+
+
+def _job(row: list[str] | csv.Error, seen: set[str]) -> JobRecord | str:
+    """The job a jobs row holds, or why it is rejected; seen holds the
+    app_ids of the jobs already accepted."""
+    if isinstance(row, csv.Error):
+        return str(row)
+    if len(row) != len(JOBS_HEADER):
+        return f"expected {len(JOBS_HEADER)} columns, got {len(row)}"
+    if row[0] in seen:
+        return "duplicate app_id"
+    try:
+        start = parse_utc(row[3])
+        end = parse_utc(row[4])
+    except ValueError as exc:
+        return f"bad timestamp: {exc}"
+    if not row[6].strip():
+        return "empty command"
+    nodes = frozenset(n for n in (t.strip() for t in row[5].split(";")) if n)
+    try:
+        return JobRecord(
+            app_id=row[0],
+            job_id=row[1],
+            user=row[2],
+            start=start,
+            end=end,
+            nodes=nodes,
+            command=row[6],
+        )
+    except ValueError as exc:
+        return str(exc)
 
 
 def jobs_rows(jobs: Iterable[JobRecord]) -> list[tuple]:

@@ -225,6 +225,28 @@ def _check_inputs(
         raise IngestError(0, f"sample {key} conflicts across inputs ({inputs[k][0]})")
 
 
+def _check_stored(
+    store: Store,
+    inputs: Sequence[tuple[str | Path, SpilledStats]],
+    partitions: Iterable[tuple[str, int]],
+    jobs_by_day: Mapping[int, list[JobRecord]],
+) -> None:
+    """Strict mode's check pass against the store, before anything is
+    written: merge each partition that has a stored file with it, samples
+    in (fs, day) order and then jobs by day, raising the IngestError the
+    write pass would, so a refused ingest leaves the store as it was. It
+    takes no lock; the write pass refuses what a writer adds in between."""
+    for fs_id, day in partitions:
+        if store.path(Partition("samples", fs_id, day)).exists():
+            stored = store.read_range("samples", fs_id, day, day + DAY)
+            batch, _, _ = _merge_inputs(inputs, fs_id, day)
+            _merge_samples(stored, batch, "strict", "with stored data")
+    for day, batch in sorted(jobs_by_day.items()):
+        if store.path(Partition("jobs", None, day)).exists():
+            stored = store.read_range("jobs", None, day, day + DAY)
+            _merge(stored, batch, "strict", "with stored data")
+
+
 def ingest_files(
     store: Store,
     stats_paths: Sequence[str | Path] = (),
@@ -244,7 +266,9 @@ def ingest_files(
     check pass merges each partition of the inputs in path order
     (_check_inputs); a strict error in a later file's parse comes after a
     conflict among the files before it, as it did when whole files were
-    merged one by one. Jobs are read whole.
+    merged one by one. Jobs are read whole. In strict mode, a second check
+    pass merges each partition that has a stored file with it
+    (_check_stored), so a conflict with stored data writes nothing either.
     Nothing is written until every input has been read and checked; then
     each partition's inputs are merged again and folded into the store
     under that partition's lock, one partition at a time.
@@ -280,6 +304,11 @@ def ingest_files(
 
         moved = _moved_jobs(store, jobs, mode)
         rejected += len(set().union(*moved.values()))
+        jobs_by_day: dict[int, list[JobRecord]] = {}
+        for j in jobs:
+            jobs_by_day.setdefault(floor_day(j.start), []).append(j)
+        if mode == "strict":
+            _check_stored(store, inputs, partitions, jobs_by_day)
 
         # one partition's batch at a time, each merged under that partition's lock
         merges = []
@@ -295,9 +324,6 @@ def ingest_files(
                 )
             )
             del batch  # so this partition's rows are freed before the next is read
-    jobs_by_day: dict[int, list[JobRecord]] = {}
-    for j in jobs:
-        jobs_by_day.setdefault(floor_day(j.start), []).append(j)
     for day in sorted(jobs_by_day.keys() | moved.keys()):
         batch, drop = jobs_by_day.get(day, []), moved.get(day, ())
         merges.append(

@@ -210,15 +210,19 @@ def _load_samples(path: Path, partition: Partition, window_len: int) -> SampleBl
     negative counter; rows out of canonical order or repeating a key.
     """
     try:
-        npz = np.load(path, allow_pickle=False)
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz file")
-        with npz:
-            if sorted(npz.files) != sorted(SAMPLES_ARRAYS):
-                raise ValueError(f"arrays {sorted(npz.files)}, expected {sorted(SAMPLES_ARRAYS)}")
-            if any(info.compress_type != zipfile.ZIP_STORED for info in npz.zip.infolist()):
-                raise ValueError("compressed entries; the store writes them stored")
-            columns = {name: npz[name] for name in SAMPLES_ARRAYS}
+        # np.load given a path leaves the file open when NpzFile refuses it
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz file")
+            with npz:
+                if sorted(npz.files) != sorted(SAMPLES_ARRAYS):
+                    raise ValueError(
+                        f"arrays {sorted(npz.files)}, expected {sorted(SAMPLES_ARRAYS)}"
+                    )
+                if any(info.compress_type != zipfile.ZIP_STORED for info in npz.zip.infolist()):
+                    raise ValueError("compressed entries; the store writes them stored")
+                columns = {name: npz[name] for name in SAMPLES_ARRAYS}
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise StoreError(f"{path}: unreadable samples partition: {exc}") from exc
     for name, dtype in SAMPLES_ARRAYS.items():

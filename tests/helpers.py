@@ -162,7 +162,7 @@ def parse_stats_rows(
     ingest._check_header(next(lines, (1, None))[1], ingest.STATS_HEADER)
     rows = ingest._StatsRows(mode, window_len, io.BytesIO())
     rows.row_loop(takewhile(lambda _: not rows.done(), lines))
-    spilled = ingest.SpilledStats([rows.sink.file], [rows.part()], window_len)
+    spilled = ingest.SpilledStats([rows.file], [rows.part()], window_len)
     report = spilled.report(rows.strict, rows.bad)
     return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
 

@@ -456,6 +456,34 @@ def test_int64_max_counter_in_a_failing_range_is_exact(monkeypatch):
     assert err.value.line == 3
 
 
+class CountedReads(io.StringIO):
+    """A text stream that counts the reads made of it."""
+
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+def test_a_strict_parse_reads_no_range_after_a_bad_row(monkeypatch):
+    """The short row is in the second of about 140 ranges: a strict parse
+    raises after two reads of text (and the probe read(0)), a lenient one
+    reads to the end."""
+    monkeypatch.setattr(ingest, "_RANGE_CHARS", 4096)  # about 22 lines
+    lines = dirty_lines(7, every=None)
+    lines.insert(30, "2017-10-09T00:03:00Z,fs1,nid1,1,2")
+    text = text_of(*lines)
+    stream = CountedReads(text)
+    with pytest.raises(IngestError) as err:
+        parse_stats_csv(stream)
+    assert (err.value.line, err.value.reason) == (32, "expected 24 columns, got 5")
+    assert stream.reads == 3
+    stream = CountedReads(text)
+    parse_stats_csv(stream, "lenient")
+    assert stream.reads > len(text) // 4096
+
+
 # --- a file parsed in spans by forked workers -----------------------------
 
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 
 import pytest
@@ -44,6 +45,27 @@ def test_parse_stats_happy_path():
 def test_parse_stats_accepts_bytes_stream():
     parsed, _ = parse_stats_csv(io.BytesIO(stats_text(GOOD_ROW).encode()))
     assert len(one_block(parsed)) == 1
+
+
+JOB_ROW = "app1,1.sdb,u,2017-10-09T01:00:00Z,2017-10-09T02:00:00Z,n1,c"
+
+
+@pytest.mark.parametrize("bad", [False, True])
+def test_a_binary_stream_the_caller_gives_stays_open(tmp_path, bad):
+    """The text wrapper put around it is detached, not closed, whether the
+    parse returns or raises."""
+    inputs = ((parse_stats_csv, stats_text(GOOD_ROW)), (parse_jobs_csv, jobs_text(JOB_ROW)))
+    for parse, text in inputs:
+        path = tmp_path / "input.csv"
+        path.write_text(text + "bad row\n" * bad, encoding="utf-8")
+        with open(path, "rb") as stream:
+            if bad:
+                with pytest.raises(IngestError):
+                    parse(stream)
+            else:
+                assert parse(stream)[1].rows_accepted == 1
+            gc.collect()
+            assert not stream.closed, parse.__name__
 
 
 def test_header_must_match_exactly():

@@ -176,20 +176,25 @@ def test_ingest_holds_each_partition_lock_while_it_reads_the_stored_rows(tmp_pat
         tmp_path, "j.csv", ["app1,1.sdb,u,2017-10-09T00:00:00Z,2017-10-09T01:00:00Z,nid1,./a.x"]
     )
     read_range = Store.read_range
-    locked = []
+    locked, unlocked = [], []
 
     def spy(self, dataset, fs_id, t0, t1):
         path = self.path(Partition(dataset, fs_id, t0))
         with open(path.with_name(path.name + ".lock")) as other:
-            with pytest.raises(BlockingIOError):
+            try:
                 fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        locked.append(dataset)
+            except BlockingIOError:
+                locked.append(dataset)
+            else:
+                unlocked.append(dataset)
         return read_range(self, dataset, fs_id, t0, t1)
 
     monkeypatch.setattr(Store, "read_range", spy)
     ingest_files(store, [stats], [jobs])  # into an empty store
     ingest_files(store, [stats], [jobs])  # over the stored rows
     assert locked == ["samples", "jobs"] * 2
+    # strict mode's check pass reads each stored partition once more, unlocked
+    assert unlocked == ["samples", "jobs"]
 
 
 def test_ingest_conflict_across_inputs_in_one_call(tmp_path):
@@ -230,6 +235,22 @@ def test_a_refused_strict_ingest_leaves_the_store_as_it_was(tmp_path):
     changed = stats_file(tmp_path, "c.csv", [DAY_3[-1].replace(counters(2), counters(7))])
     with pytest.raises(IngestError, match="conflicts across inputs"):
         ingest_files(store, [stats_file(tmp_path, "d.csv", DAY_3), changed])
+    assert tree(store.root) == before
+
+    # a later partition changes a stored row, after rows added to an earlier one
+    added = REDELIVERED[0].replace("T00:00:00Z", "T00:06:00Z")
+    conflict = REDELIVERED[-1].replace(counters(2), counters(7))
+    with pytest.raises(IngestError, match="conflicts with stored data"):
+        ingest_files(store, [stats_file(tmp_path, "e.csv", [added, conflict])])
+    assert tree(store.root) == before
+
+    # a job changes a stored one, with samples for a day not yet stored
+    job = "app1,1.sdb,u,2017-10-11T00:00:00Z,2017-10-11T01:00:00Z,nid1,./a.x"
+    ingest_files(store, [], [jobs_file(tmp_path, "j.csv", [job])])
+    before = tree(store.root)
+    changed_job = jobs_file(tmp_path, "k.csv", [job.replace("./a.x", "./b.x")])
+    with pytest.raises(IngestError, match="job app1 conflicts with stored data"):
+        ingest_files(store, [stats_file(tmp_path, "f.csv", DAY_3)], [changed_job])
     assert tree(store.root) == before
 
     # a new store gets its root and nothing in it

@@ -488,13 +488,16 @@ SAMPLES_DEFECTS = {
 
 @pytest.mark.parametrize("defect", sorted(SAMPLES_DEFECTS))
 def test_a_corrupt_samples_file_raises_store_error_naming_path_and_defect(store, defect):
+    """The refusal names the defect and leaves no file open."""
     path, arrays = stored_samples(store)
     corrupt, message = SAMPLES_DEFECTS[defect]
     corrupt(path, arrays)
+    descriptors = sorted(os.listdir("/proc/self/fd"))
     for reader in (store, Store(store.root)):
         with pytest.raises(StoreError) as err:
             reader.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
         assert str(err.value).startswith(f"{path}: {message}")
+    assert sorted(os.listdir("/proc/self/fd")) == descriptors
 
 
 class Unpickled:
