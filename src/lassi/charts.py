@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 STYLES = ("dual_axis", "stacked", "lines")
 
@@ -54,6 +53,15 @@ class ChartSpec:
     x_labels: tuple[str, ...]
     series: tuple[ChartSeries, ...]
     y_label: str = ""
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for XML text, as xml.sax.saxutils.escape does.
+
+    That module is not imported: it pulls in urllib.request and with it ssl,
+    socket, http.client and email on every import of the package.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:

@@ -28,6 +28,7 @@ hours, so each of the four exposures is 502 OSS / 77 MDS, identically.
 
 from __future__ import annotations
 
+import csv
 import io
 import os
 import stat
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lassi import ingest
+from lassi import ingest, synth
 from lassi.analysis import ExposureRecord, run_risk_exposure
 from lassi.ingest import IngestReport
 from lassi.metrics import fs_risk_series
@@ -369,6 +370,28 @@ def build_exposure_fixture(window_len: int = 180) -> ExposureFixture:
 
 # two commands of eight tasks over two days; see the file's header
 TASKFARM_SCENARIO = Path(__file__).parent / "data" / "taskfarm_scenario.ini"
+
+
+def reference_stats_csv(scenario) -> str:
+    """A scenario's stats.csv written row by row with csv.writer from synth's
+    counter cells: rows in (window, fs, node) order, a node's home-filesystem
+    cell on every window and a cell on another filesystem only on windows
+    with a nonzero counter."""
+    cells = synth._build_cells(scenario, synth._plan_jobs(scenario))
+    fs_ids = scenario.fs_ids
+    rows = []
+    for (node_i, fs_id), arr in cells.items():
+        home = fs_ids[node_i % len(fs_ids)] == fs_id
+        for i, vec in enumerate(arr.tolist()):
+            if home or any(vec):
+                rows.append((i, fs_id, f"nid{node_i:05d}", vec))
+    rows.sort(key=lambda row: row[:3])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ingest.STATS_HEADER)
+    for i, fs_id, node, vec in rows:
+        writer.writerow((format_utc(scenario.start + i * scenario.window_len), fs_id, node, *vec))
+    return buf.getvalue()
 
 
 def scenario_text(

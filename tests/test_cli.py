@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import lassi
 from lassi.analysis import group_key
 from lassi.cli import main
 from lassi.ingest import JOBS_HEADER, STATS_HEADER
@@ -439,3 +444,14 @@ def test_bad_config_rejected(tmp_path, capsys):
 
     cfg.write_text("[lassi]\nboundary_policy = psychic\n", encoding="utf-8")
     assert main(["ingest", "--config", str(cfg), "--stats", "x.csv"]) == 2
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    # xml.sax.saxutils, for one, pulls these in through urllib.request
+    network = ("ssl", "socket", "http.client", "urllib.request", "email")
+    code = f"import sys, lassi.cli; print([m for m in {network!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(lassi.__file__).parents[1]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert loaded.stdout.strip() == "[]"

@@ -3,10 +3,11 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
 import pytest
 
-from lassi.charts import ChartSeries, ChartSpec, render_timeseries_chart
+from lassi.charts import ChartSeries, ChartSpec, escape, render_timeseries_chart
 from lassi.metrics import FsBaseline
 from lassi.model import ALL_FIELDS, AppHourRecord, FsHourRecord
 from lassi.report import (
@@ -209,6 +210,13 @@ def test_charts_are_valid_xml_and_deterministic(style):
     root = ET.fromstring(doc)
     assert root.tag.endswith("svg")
     assert doc == render_timeseries_chart(spec, style)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "plain", "& < > \" '", "a&amp;b<c>d", "&lt;&&>>", "<<&>>\"'\"'"]
+)
+def test_chart_escape_matches_saxutils(text):
+    assert escape(text) == saxutils.escape(text)
 
 
 def test_chart_metadata_carries_source_values():

@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from lassi import synth
 from lassi.errors import ScenarioError
 from lassi.oracle import read_oracle, verify
 from lassi.pipeline import compute_outputs_from_files
 from lassi.synth import ARCHETYPES, generate, load_scenario, parse_scenario
 from lassi.timeutil import DAY, HOUR, parse_utc
 
-from helpers import scenario_text
+from helpers import reference_stats_csv, scenario_text
 
 START = parse_utc("2017-10-10T00:00:00Z")
 
@@ -158,15 +159,18 @@ def test_planner_names_ids_and_home_fs_preference(tmp_path):
     assert a.end == START + 3 * HOUR
 
 
+# three nodes on a pool with two fs2-homed nodes: one runs on a foreign filesystem
+SPILL_ACTOR = (
+    "[actor wide]\n"
+    "type = small_write_tracer\n"
+    "fs = fs2\n"
+    "nodes = 3\n"
+    "hours = 1\n"
+)
+
+
 def test_planner_spills_to_foreign_nodes_and_emits_sparse_rows(tmp_path):
-    actor = (
-        "[actor wide]\n"
-        "type = small_write_tracer\n"
-        "fs = fs2\n"
-        "nodes = 3\n"
-        "hours = 1\n"
-    )
-    generated = generate(quiet_scenario(extra_actor=actor), tmp_path, with_oracle=False)
+    generated = generate(quiet_scenario(extra_actor=SPILL_ACTOR), tmp_path, with_oracle=False)
     (job,) = generated.jobs
     # two fs2-homed nodes, then the first fs3-homed one
     assert job.nodes == frozenset({"nid00000", "nid00002", "nid00001"})
@@ -190,6 +194,73 @@ def test_planner_spills_to_foreign_nodes_and_emits_sparse_rows(tmp_path):
 def test_planner_rejects_impossible_schedules(tmp_path, actor):
     with pytest.raises(ScenarioError):
         generate(quiet_scenario(extra_actor=actor), tmp_path, with_oracle=False)
+
+
+def quoted_fs_scenario():
+    # a double quote in the filesystem id makes csv quote the field; 120 s
+    # windows give 720 a day, more than one of the writer's blocks holds
+    return parse_scenario(
+        scenario_text(
+            seed=4,
+            node_pool=3,
+            filesystems='fs"2:48 fs3:48',
+            window_len=120,
+            background='[background fs"2]\nread_kb = 9\nopen = 0.2\nnoise = 0.5\n',
+            actors=SPILL_ACTOR.replace("fs2", 'fs"2'),
+        )
+    )
+
+
+STATS_CASES = {
+    "foreign_rows": lambda: quiet_scenario(extra_actor=SPILL_ACTOR),
+    "all_zero": lambda: parse_scenario(scenario_text(node_pool=3, window_len=900)),
+    "quoted_fs": quoted_fs_scenario,
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATS_CASES))
+def test_generated_stats_equal_a_row_by_row_csv_writer(tmp_path, case):
+    scenario = STATS_CASES[case]()
+    generated = generate(scenario, tmp_path)
+    want = reference_stats_csv(scenario)
+    assert generated.stats_path.read_text(encoding="utf-8") == want
+    assert generated.sample_rows == want.count("\n") - 1
+    if case == "quoted_fs":
+        # nid00001 is homed on fs3 and spills onto the quoted filesystem
+        assert ',"fs""2",nid00001,' in want
+
+
+@pytest.mark.parametrize("case", sorted(STATS_CASES))
+def test_the_oracle_changes_no_stats_byte(tmp_path, case):
+    scenario = STATS_CASES[case]()
+    with_oracle = generate(scenario, tmp_path / "a")
+    without = generate(scenario, tmp_path / "b", with_oracle=False)
+    assert with_oracle.stats_path.read_bytes() == without.stats_path.read_bytes()
+    assert with_oracle.sample_rows == without.sample_rows
+    assert with_oracle.jobs_path.read_bytes() == without.jobs_path.read_bytes()
+
+
+@pytest.mark.parametrize("with_oracle", [True, False])
+def test_generate_passes_over_the_rows_once(tmp_path, monkeypatch, with_oracle):
+    passes = []
+    real_write = synth._write_stats
+
+    def write_spy(*args):
+        passes.append(0)
+        for block in real_write(*args):
+            passes[-1] += len(block)
+            yield block
+
+    stamps = []
+    real_format = synth.format_utc
+    monkeypatch.setattr(synth, "_write_stats", write_spy)
+    monkeypatch.setattr(synth, "format_utc", lambda t: stamps.append(t) or real_format(t))
+    generated = generate(
+        quiet_scenario(extra_actor=SPILL_ACTOR), tmp_path, with_oracle=with_oracle
+    )
+    assert passes == [generated.sample_rows]
+    # each window's timestamp is formatted once, not once per row
+    assert stamps == [START + i * 900 for i in range(DAY // 900)]
 
 
 def test_load_scenario_from_file(tmp_path):
