@@ -10,7 +10,6 @@ concurrent identical runs see identical exposure regardless of their own I/O.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -79,6 +78,8 @@ def normalize_command(command: str) -> str:
 
 def group_key(command: str) -> str:
     """Stable key for one exact launch command, whitespace-insensitive."""
+    import hashlib  # here, as only grouping needs it: OpenSSL costs some 3.6 MiB
+
     return hashlib.sha256(normalize_command(command).encode("utf-8")).hexdigest()[:16]
 
 

@@ -458,7 +458,8 @@ def _parse_in_spans(
     workers: list[_Worker] = []
     try:
         for span, spill in zip(spans[1:], files[1:]):
-            workers.append(_Worker(partial(_parse_span, source, span, mode, window_len, spill)))
+            work = partial(_parse_span, source, span, mode, window_len, spill)
+            workers.append(_Worker(work, "stats parse"))
         parts = [_parse_span(source, spans[0], mode, window_len, files[0])]
         for worker in workers:
             if parts[-1].done:
@@ -472,9 +473,10 @@ def _parse_in_spans(
 
 class _Worker:
     """A forked process running one function, and the pipe its outcome
-    comes back on."""
+    comes back on; name says what it does, in the error of a failed one."""
 
-    def __init__(self, work: Callable[[], object]):
+    def __init__(self, work: Callable[[], object], name: str):
+        self.name = name
         read, write = os.pipe()
         try:
             self.pid = os.fork()
@@ -514,7 +516,7 @@ class _Worker:
         self.pid = 0
         code = os.waitstatus_to_exitcode(status)
         if code:
-            raise ChildProcessError(f"stats parse worker exited with status {code}")
+            raise ChildProcessError(f"{self.name} worker exited with status {code}")
         done, value = pickle.loads(data)
         if not done:
             raise value

@@ -18,11 +18,12 @@ A samples partition is an uncompressed ``.npz`` of the block's columns
 (_write_samples_npz): the node ids as UTF-8 bytes end to end with their end
 offsets, int32 node codes, int64 window starts and the (n, 21) int64
 counters; the filesystem is the partition's, as it is the block's
-(SampleBlock.fs_id). np.savez stamps every entry with one fixed date, so
-equal blocks give equal bytes. A samples read returns one partition's
-block, and a samples range crossing a UTC midnight is refused with
-ValueError. The reader (_load_samples) loads no pickled object and refuses,
-as StoreError, any file the strict CSV read of the same rows would refuse.
+(SampleBlock.fs_id). Every entry carries zipfile's one fixed date, as in
+np.savez's files, so equal blocks give equal bytes. A samples read returns
+one partition's block, and a samples range crossing a UTC midnight is
+refused with ValueError. The reader (_load_samples) loads no pickled object
+and refuses, as StoreError, any file the strict CSV read of the same rows
+would refuse.
 A samples directory holding a ``.csv`` partition, as stores written before
 samples were binary do, is refused whole with a hint to re-ingest the
 input; there is no migration.
@@ -183,7 +184,9 @@ def _check_samples_home(block: SampleBlock, partition: Partition) -> None:
 def _write_samples_npz(fh: IO[bytes], block: SampleBlock) -> None:
     """Write a samples partition file to fh: the block's columns
     (SAMPLES_ARRAYS) as an uncompressed .npz, whose bytes depend on the
-    block's values only."""
+    block's values only. They are the bytes np.savez writes, but each
+    column's buffer goes into its entry as it is, after its .npy header,
+    where np.savez would first copy it whole."""
     ids = [label.encode("utf-8") for label in block.node_labels]
     columns = {
         "node_labels": np.frombuffer(b"".join(ids), np.uint8),
@@ -192,10 +195,13 @@ def _write_samples_npz(fh: IO[bytes], block: SampleBlock) -> None:
         "window": block.window,
         "counters": block.counters,
     }
-    np.savez(
-        fh,
-        **{name: np.ascontiguousarray(col, SAMPLES_ARRAYS[name]) for name, col in columns.items()},
-    )
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as npz:
+        for name, col in columns.items():
+            col = np.ascontiguousarray(col, SAMPLES_ARRAYS[name])
+            with npz.open(name + ".npy", "w", force_zip64=True) as entry:
+                header = np.lib.format.header_data_from_array_1_0(col)
+                np.lib.format.write_array_header_1_0(entry, header)
+                entry.write(col.reshape(-1).view(np.uint8))  # a view, even of no rows
 
 
 def _load_samples(path: Path, partition: Partition, window_len: int) -> SampleBlock:

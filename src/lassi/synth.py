@@ -40,6 +40,21 @@ direct-evaluation module; verify() compares pipeline results against it.
 generate() takes one pass over the sample rows: each row's CSV line is
 written, a block of windows at a time, and the same row is handed to the
 oracle, so stats.csv is the same bytes with or without an oracle.
+
+Processes: a scenario whose nodes report at least two _SPAN_ROWS rows on
+their home filesystems is generated in spans of whole windows, one per CPU
+the process may run on, fewer where a span would hold less than _SPAN_ROWS
+(_window_spans). The calling process writes the header and the first span
+straight into stats.csv; a forked worker (ingest._Worker) writes each other
+span to an unlinked temporary file in the output directory and sends back
+only its span's integer oracle sums (oracle.sum_samples). The caller
+appends the span files in order and merges the sums exactly
+(SampleSums.merge), then computes the oracle's float results once
+(oracle.compute_oracle), so the output is the same bytes however the
+windows are split. A smaller scenario, a single usable CPU, or a process
+running a second thread (a fork copies only the calling thread) is the one
+span, written by the same code in the calling process, with no fork. Every
+worker is reaped before generate returns or raises.
 """
 
 from __future__ import annotations
@@ -47,16 +62,21 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import shutil
+import tempfile
+import threading
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from . import oracle as oracle_mod
 from .errors import ScenarioError
-from .ingest import STATS_HEADER, serialize_jobs_csv
+from .ingest import STATS_HEADER, _usable_cpus, _Worker, serialize_jobs_csv
 from .model import ALL_FIELDS, JobRecord
 from .timeutil import DAY, HOUR, format_utc, parse_utc
 
@@ -110,6 +130,12 @@ ARCHETYPES: dict[str, dict[str, float]] = {
 # (the week's generate took about 1.9 s at 500 rows, 2.4 s at 48,000)
 _BLOCK_ROWS = 500
 _ROW_FORMAT = ",".join(["%d"] * len(ALL_FIELDS)) + "\n"
+# the least home-filesystem rows a span of a scenario generated in spans
+# holds (see _window_spans): a worker's fork, pipe and exit and the append of
+# its span cost about what generating 7,000 rows does on a 2-CPU host (a
+# 13,824-row scenario took 105 ms with its oracle whole or in two spans;
+# 18,432 rows took 126 ms in two against 197 ms whole)
+_SPAN_ROWS = 1 << 13
 
 _ACTOR_KEYS = {
     "type",
@@ -491,23 +517,24 @@ def _csv_line(row: Sequence) -> str:
 
 
 def _write_stats(
-    scenario: Scenario, order: Sequence[tuple[str, str, np.ndarray, list[bool] | None]], fh
+    scenario: Scenario,
+    order: Sequence[tuple[str, str, np.ndarray, list[bool] | None]],
+    fh: IO[bytes],
+    windows: range,
 ) -> Iterator[list[tuple[str, str, int, list[int]]]]:
-    """Write stats.csv to fh, rows in (window, fs, node) order, and yield each
-    written block's rows as (fs, node, window_start, counters), the oracle's
-    sample form.
+    """Write the stats.csv lines of the given windows to fh, rows in
+    (window, fs, node) order, and yield each written block's rows as (fs,
+    node, window_start, counters), the oracle's sample form.
 
     A block takes one tolist() per cell and one write. A row's ",fs,node,"
     text comes from csv.writer, so an id that needs quoting is quoted as a
     row-by-row writer would quote it.
     """
     wlen = scenario.window_len
-    n_windows = scenario.days * DAY // wlen
     keys = [_csv_line(("", fs_id, node, ""))[:-1] for fs_id, node, _, _ in order]
-    fh.write(_csv_line(STATS_HEADER))
     step = max(1, _BLOCK_ROWS // len(order))
-    for b0 in range(0, n_windows, step):
-        b1 = min(b0 + step, n_windows)
+    for b0 in range(windows.start, windows.stop, step):
+        b1 = min(b0 + step, windows.stop)
         cells = [
             (fs_id, node, key, arr[b0:b1].tolist(), mask)
             for (fs_id, node, arr, mask), key in zip(order, keys)
@@ -523,8 +550,44 @@ def _write_stats(
                 vec = counts[i - b0]
                 lines.append(stamp + key + _ROW_FORMAT % tuple(vec))
                 rows.append((fs_id, node, w, vec))
-        fh.write("".join(lines))
+        fh.write("".join(lines).encode("utf-8"))
         yield rows
+
+
+def _write_span(
+    scenario: Scenario,
+    order: Sequence[tuple[str, str, np.ndarray, list[bool] | None]],
+    fh: IO[bytes],
+    windows: range,
+    jobs: list | None,
+) -> oracle_mod.SampleSums | None:
+    """Write one span's stats.csv lines to fh and flush it; given the
+    oracle's jobs, return the oracle's sums of the span's rows."""
+    blocks = _write_stats(scenario, order, fh, windows)
+    sums = None
+    if jobs is not None:
+        sums = oracle_mod.sum_samples(chain.from_iterable(blocks), jobs, scenario.window_len)
+    for _ in blocks:  # every block, without an oracle
+        pass
+    fh.flush()
+    return sums
+
+
+def _window_spans(scenario: Scenario) -> list[range]:
+    """The windows of each span a scenario is generated in, in order.
+
+    A scenario is split only when each span would hold at least _SPAN_ROWS
+    rows on the nodes' home filesystems (every node reports every window
+    there), this process may run on two CPUs or more, and it runs one
+    thread: a fork copies only the thread that calls it. There are as many
+    spans as CPUs, fewer where a span would hold less than _SPAN_ROWS rows.
+    """
+    n_windows = scenario.days * DAY // scenario.window_len
+    count = min(_usable_cpus(), n_windows * scenario.node_pool // _SPAN_ROWS)
+    if count < 2 or threading.active_count() > 1:
+        return [range(n_windows)]
+    bounds = [n_windows * k // count for k in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _job_records(jobs: Sequence[PlannedJob]) -> tuple[JobRecord, ...]:
@@ -556,31 +619,45 @@ def generate(
     rows = sum(n_windows if mask is None else sum(mask) for _, _, _, mask in order)
     stats_path = out / "stats.csv"
     oracle_dir = out / "oracle" if with_oracle else None
-    with open(stats_path, "w", encoding="utf-8", newline="") as fh:
-        blocks = _write_stats(scenario, order, fh)
-        if with_oracle:
-            raw_jobs = [
-                (j.app_id, frozenset(_node_name(i) for i in j.node_indices), j.start, j.end)
-                for j in jobs
-            ]
-            meta = {
-                "t0": scenario.start,
-                "t1": scenario.end,
-                "window_len": scenario.window_len,
-                "alpha": scenario.alpha,
-                "boundary_policy": "midpoint",
-                "filesystems": list(scenario.fs_ids),
-            }
-            data = oracle_mod.compute_oracle(chain.from_iterable(blocks), raw_jobs, meta)
-        for _ in blocks:  # what the oracle left unread, or every block without one
-            pass
+    raw_jobs = None
+    if with_oracle:
+        raw_jobs = [
+            (j.app_id, frozenset(_node_name(i) for i in j.node_indices), j.start, j.end)
+            for j in jobs
+        ]
+    spans = _window_spans(scenario)
+    with ExitStack() as stack:
+        files = [stack.enter_context(tempfile.TemporaryFile(dir=out)) for _ in spans[1:]]
+        workers = []
+        for windows, file in zip(spans[1:], files):
+            workers.append(
+                _Worker(partial(_write_span, scenario, order, file, windows, raw_jobs), "synth")
+            )
+            stack.callback(workers[-1].reap)  # before the files close
+        with open(stats_path, "wb") as fh:
+            fh.write(_csv_line(STATS_HEADER).encode("utf-8"))
+            sums = _write_span(scenario, order, fh, spans[0], raw_jobs)
+            for worker, file in zip(workers, files):
+                more = worker.result()
+                file.seek(0)
+                shutil.copyfileobj(file, fh)
+                if sums is not None:
+                    sums.merge(more)
 
     job_records = _job_records(jobs)
     jobs_path = out / "jobs.csv"
     jobs_path.write_text(serialize_jobs_csv(job_records), encoding="utf-8")
 
     if with_oracle:
-        oracle_mod.write_oracle(data, oracle_dir)
+        meta = {
+            "t0": scenario.start,
+            "t1": scenario.end,
+            "window_len": scenario.window_len,
+            "alpha": scenario.alpha,
+            "boundary_policy": "midpoint",
+            "filesystems": list(scenario.fs_ids),
+        }
+        oracle_mod.write_oracle(oracle_mod.compute_oracle(sums, raw_jobs, meta), oracle_dir)
 
     return GeneratedScenario(
         scenario=scenario,

@@ -28,22 +28,26 @@ _date_cache: dict[str, int] = {}
 _date_str_cache: dict[int, str] = {}
 
 _DATE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
+# a year before 1000 is refused, as format_utc would not write it in four digits
+_STAMP = re.compile(r"([1-9][0-9]{3})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
 _EPOCH = date(1970, 1, 1)
+_EPOCH_TIME = datetime(1970, 1, 1)
 
 
 def parse_utc(text: str) -> int:
     """Parse YYYY-MM-DDTHH:MM:SSZ into epoch seconds.
 
-    Raises ValueError for anything that is not exactly that format.
+    Raises ValueError for anything that is not exactly that format, in
+    ASCII digits, or not a calendar date and time of day.
     """
     cached = _parse_cache.get(text)
     if cached is not None:
         return cached
-    dt = datetime.strptime(text, _TS_FORMAT).replace(tzinfo=timezone.utc)
-    value = int(dt.timestamp())
-    # strptime also takes single-digit fields such as "2017-10-9T1:2:3Z"
-    if format_utc(value) != text:
+    match = _STAMP.fullmatch(text)
+    if match is None:
         raise ValueError(f"time data {text!r} is not exactly YYYY-MM-DDTHH:MM:SSZ")
+    since = datetime(*map(int, match.groups())) - _EPOCH_TIME  # refuses a bad date or time
+    value = since.days * DAY + since.seconds
     if len(_parse_cache) < _CACHE_LIMIT:
         _parse_cache[text] = value
     return value

@@ -33,6 +33,7 @@ import io
 import os
 import stat
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from itertools import takewhile
 from pathlib import Path
 
@@ -50,6 +51,17 @@ BASE_DAY = parse_utc("2017-10-09T00:00:00Z")
 REPORT_DAY = BASE_DAY + DAY
 
 _JOB_SEQ = [0]
+
+
+def reference_parse_utc(text: str) -> int:
+    """parse_utc as strptime and a round trip through format_utc read a
+    timestamp, without a cache: the reference the regex version is held to."""
+    dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    value = int(dt.timestamp())
+    # strptime also takes single-digit fields such as "2017-10-9T1:2:3Z"
+    if format_utc(value) != text:
+        raise ValueError(f"time data {text!r} is not exactly YYYY-MM-DDTHH:MM:SSZ")
+    return value
 
 
 def mk_counters(**by_name) -> tuple[int, ...]:

@@ -504,7 +504,7 @@ def no_children():
 
 
 class NoWorker:
-    def __init__(self, work):
+    def __init__(self, *args):
         raise AssertionError("a worker was forked")
 
 

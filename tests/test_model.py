@@ -25,7 +25,7 @@ from lassi.timeutil import (
     parse_utc,
 )
 
-from helpers import mk_counters
+from helpers import mk_counters, reference_parse_utc
 
 ZEROS = mk_counters()
 
@@ -139,6 +139,76 @@ def test_parse_format_round_trip(ts):
 def test_parse_utc_rejects_other_formats(bad):
     with pytest.raises(ValueError):
         parse_utc(bad)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+STAMP_EDGES = [
+    "2016-02-29T00:00:00Z",  # leap year
+    "2000-02-29T12:00:00Z",
+    "2017-02-29T00:00:00Z",  # not a leap year
+    "1900-02-29T00:00:00Z",
+    "2017-10-09T24:00:00Z",
+    "2017-10-09T23:59:60Z",
+    "2017-10-09T23:60:00Z",
+    "2017-10-9T13:30:00Z",  # single-digit fields
+    "2017-1-09T13:30:00Z",
+    "2017-10-09T1:30:00Z",
+    "2017-10-09T13:3:00Z",
+    "2017-10-09T13:30:0Z",
+    "２017-10-09T13:30:00Z",  # non-ASCII digits
+    "2017-10-09T13:30:0٠Z",
+    " 2017-10-09T13:30:00Z",  # spaces
+    "2017-10-09T13:30:00Z ",
+    "2017-10-09 13:30:00Z",
+    "2017-10-09T13:30:00",  # no Z
+    "2017-10-09T13:30:00Z\n",
+    "2017-10-09t13:30:00z",
+    "0999-12-31T23:59:59Z",
+    "0001-01-01T00:00:00Z",
+    "1000-01-01T00:00:00Z",
+    "9999-12-31T23:59:59Z",
+    "1969-12-31T23:59:59Z",
+    "2017-00-09T13:30:00Z",
+    "2017-10-00T13:30:00Z",
+    "2017-13-09T13:30:00Z",
+    "+2017-10-09T13:30:00Z",
+]
+
+
+@pytest.mark.parametrize("text", STAMP_EDGES)
+def test_parse_utc_agrees_with_strptime_at_the_edges(text):
+    assert parse_outcome(parse_utc, text) == parse_outcome(reference_parse_utc, text)
+
+
+def stamp_like():
+    """Text near YYYY-MM-DDTHH:MM:SSZ: each field any digits, ASCII or not,
+    of one to four places, the separators sometimes another character."""
+    digit = st.sampled_from("0123456789") | st.sampled_from("٠١٢٣٤５６７８")
+    field = st.lists(digit, min_size=1, max_size=4).map("".join)
+    sep = lambda c: st.sampled_from([c, c, c, c, " ", "", "t", "/"])  # noqa: E731
+    return st.tuples(
+        field, sep("-"), field, sep("-"), field, sep("T"), field, sep(":"), field, sep(":"),
+        field, st.sampled_from(["Z", "Z", "z", "", " Z", "Z "]),
+    ).map("".join)
+
+
+@given(
+    st.one_of(
+        stamp_like(),
+        st.integers(-62135596800, 253402300799).map(
+            lambda ts: datetime.fromtimestamp(ts, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        ),
+    )
+)
+def test_parse_utc_agrees_with_strptime(text):
+    """The same strings parse to the same value, and the same raise ValueError."""
+    assert parse_outcome(parse_utc, text) == parse_outcome(reference_parse_utc, text)
 
 
 def test_floor_and_ranges():

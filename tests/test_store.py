@@ -900,3 +900,39 @@ def test_a_job_lookup_in_a_new_store_parses_only_partitions_that_may_hold_it(sto
     assert len(parses) == 2
     assert [day for day, _ in fresh.job_partitions()] == days
     assert len(parses) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labels=st.lists(st.text(min_size=1, max_size=6), max_size=4, unique=True),
+    rows=st.sampled_from([0, 1, 2, 7]),
+    data=st.data(),
+)
+def test_a_samples_file_holds_the_bytes_np_savez_writes(labels, rows, data):
+    """The columns go into their entries without a copy, as the same bytes
+    np.savez writes, for empty and 1-row blocks and any counter values; a
+    column that is not C-contiguous is written as its contiguous copy."""
+    labels = sorted(labels)
+    ints = st.integers(0, INT64_MAX)
+    node = np.array(data.draw(st.lists(st.integers(0, 9), min_size=rows, max_size=rows)), np.int32)
+    window = np.array(data.draw(st.lists(ints, min_size=rows, max_size=rows)), np.int64)
+    counters = np.array(
+        data.draw(st.lists(st.lists(ints, min_size=21, max_size=21), min_size=rows, max_size=rows)),
+        np.int64,
+    ).reshape(rows, len(ALL_FIELDS))
+    if data.draw(st.booleans()):
+        counters = np.asfortranarray(counters)
+    block = SampleBlock("fs2", tuple(labels), node, window, counters, 180)
+    got = io.BytesIO()
+    store_module._write_samples_npz(got, block)
+    ids = [label.encode("utf-8") for label in labels]
+    want = io.BytesIO()
+    np.savez(
+        want,
+        node_labels=np.frombuffer(b"".join(ids), np.uint8),
+        node_label_ends=np.cumsum([len(i) for i in ids], dtype=np.int64),
+        node=node,
+        window=window,
+        counters=np.ascontiguousarray(counters),
+    )
+    assert got.getvalue() == want.getvalue()

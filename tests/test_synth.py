@@ -1,11 +1,15 @@
 """Scenario parsing, deterministic generation, and oracle verification."""
 
 import ast
+import os
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lassi import synth
+from lassi import oracle, synth
 from lassi.errors import ScenarioError
 from lassi.oracle import read_oracle, verify
 from lassi.pipeline import compute_outputs_from_files
@@ -261,6 +265,155 @@ def test_generate_passes_over_the_rows_once(tmp_path, monkeypatch, with_oracle):
     assert passes == [generated.sample_rows]
     # each window's timestamp is formatted once, not once per row
     assert stamps == [START + i * 900 for i in range(DAY // 900)]
+
+
+# --- a scenario generated in window spans by forked workers ---------------
+
+
+def split_in(monkeypatch, spans):
+    """Make generate split a scenario of any size into this many spans."""
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: spans)
+    monkeypatch.setattr(synth, "_SPAN_ROWS", 1)
+
+
+def no_children():
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def span_edge_scenario():
+    """720 windows of 120 s in 7 spans, a quoted filesystem id, and a job of
+    06:00..08:00 spilling onto a foreign filesystem; the span starting at
+    window 205 (06:50) cuts both its hour and the job."""
+    return parse_scenario(
+        scenario_text(
+            seed=4,
+            node_pool=3,
+            filesystems='fs"2:48 fs3:48',
+            window_len=120,
+            background='[background fs"2]\nread_kb = 9\nopen = 0.2\nnoise = 0.5\n'
+            "[background fs3]\nwrite_kb = 3\nnoise = 0.2\n",
+            actors=SPILL_ACTOR.replace("fs2", 'fs"2').replace("hours = 1", "start_hour = 6\nhours = 2")
+            + "noise = 0.3\n",
+        )
+    )
+
+
+def test_a_scenario_in_spans_writes_the_one_span_bytes(tmp_path, monkeypatch):
+    scenario = span_edge_scenario()
+    whole = generate(scenario, tmp_path / "whole")
+    generate(scenario, tmp_path / "whole-no-oracle", with_oracle=False)
+    split_in(monkeypatch, 7)
+    spans = synth._window_spans(scenario)
+    assert len(spans) == 7 and 720 % 7
+    (job,) = whole.jobs
+    edges = [scenario.start + windows.start * 120 for windows in spans[1:]]
+    assert any(e % HOUR and job.start < e < job.end for e in edges)
+    split = generate(scenario, tmp_path / "split")
+    assert tree_bytes(tmp_path / "split") == tree_bytes(tmp_path / "whole")
+    assert ',"fs""2",nid00001,' in split.stats_path.read_text(encoding="utf-8")
+    assert split.sample_rows == whole.sample_rows
+    generate(scenario, tmp_path / "split-no-oracle", with_oracle=False)
+    assert tree_bytes(tmp_path / "split-no-oracle") == tree_bytes(tmp_path / "whole-no-oracle")
+    assert no_children()
+
+
+# rows of two filesystems and four nodes over two hours, and the jobs that
+# own some of them
+SUM_JOBS = [
+    ("app1", frozenset({"n0", "n1"}), START + 600, START + 4000),
+    ("app2", frozenset({"n2"}), START, START + 1800),
+]
+sample_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["fs1", "fs2"]),
+        st.sampled_from(["n0", "n1", "n2", "n3"]),
+        st.integers(0, 39).map(lambda i: START + i * 180),
+        st.lists(st.integers(0, 2**40), min_size=21, max_size=21),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=sample_rows, cut=st.integers(0, 40))
+def test_the_sums_of_two_parts_merge_into_the_sums_of_all(rows, cut):
+    """At any cut: the same sums, with the keys in the same order."""
+    want = oracle.sum_samples(rows, SUM_JOBS, 180)
+    got = oracle.sum_samples(rows[:cut], SUM_JOBS, 180)
+    got.merge(oracle.sum_samples(rows[cut:], SUM_JOBS, 180))
+    assert got == want
+    for table in ("app_hours", "fs_hours", "unattributed"):
+        assert list(getattr(got, table)) == list(getattr(want, table))
+
+
+def fail_in_workers(monkeypatch, fail):
+    """Make every forked worker fail as it starts to write its span."""
+    parent = os.getpid()
+    real = synth._write_stats
+
+    def write_stats(*args):
+        if os.getpid() != parent:
+            fail()
+        return real(*args)
+
+    monkeypatch.setattr(synth, "_write_stats", write_stats)
+
+
+def disk_full():
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "fail, error",
+    [(disk_full, "No space left on device"), (lambda: os._exit(1), "synth worker exited with status 1")],
+)
+def test_a_failed_worker_fails_generate_and_leaves_no_temporary_file(
+    tmp_path, monkeypatch, fail, error
+):
+    split_in(monkeypatch, 3)
+    fail_in_workers(monkeypatch, fail)
+    with pytest.raises(OSError, match=error):
+        generate(span_edge_scenario(), tmp_path)
+    assert os.listdir(tmp_path) == ["stats.csv"]
+    assert no_children()
+
+
+class WorkerSpy:
+    started: list = []
+
+    def __init__(self, *args):
+        self.started.append(args)
+        raise AssertionError("a worker was forked")
+
+
+def test_a_small_scenario_or_a_second_thread_starts_no_worker(tmp_path, monkeypatch):
+    """13,824 rows, as a two-day task farm of 48 nodes reports, stay one
+    span however many CPUs there are; so does any scenario while another
+    thread runs, since a fork copies only the calling thread."""
+    monkeypatch.setattr(synth, "_Worker", WorkerSpy)
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: 64)
+    farm = parse_scenario(scenario_text(days=2, node_pool=48, window_len=600))
+    assert synth._window_spans(farm) == [range(288)]
+    assert generate(farm, tmp_path / "farm").sample_rows == 13824
+    split_in(monkeypatch, 3)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(60,))
+    other.start()
+    try:
+        generate(span_edge_scenario(), tmp_path / "threads")
+    finally:
+        stop.set()
+        other.join(10)
+    assert WorkerSpy.started == []
 
 
 def test_load_scenario_from_file(tmp_path):
