@@ -1,4 +1,4 @@
-"""CSV ingest for samples and job records, and canonical serialization of jobs.
+"""Ingest of stats and job files, and canonical serialization of jobs.
 
 Stats files carry one row per (filesystem, node, window) with 21 counters:
 
@@ -10,13 +10,18 @@ Job files carry one row per application run:
 
     app_id,job_id,user,start,end,nodes,command
 
-Timestamps are ISO-8601 UTC with a trailing Z. The nodes field joins node ids
-with ';'. The command field is RFC-4180 quoted when it contains commas or
-quotes. Canonical form (what serialize_jobs_csv and render_csv emit) is LF
-line endings, minimal quoting plus quotes around any field holding a CR, rows
-sorted by primary key; parsing a canonical jobs file and serializing the
-result reproduces it byte for byte. The store keeps samples as binary
-columns, so no stats CSV writer lives here.
+Timestamps are ISO-8601 UTC with a trailing Z. A stats file is lines, not
+CSV: a line is the bytes up to an LF and its cells are split at commas.
+Nothing in it is quoted, so a line holding a quote, a CR or a NUL, or bytes
+that are not UTF-8, is a bad row like any other, with its own line number; a
+file with CRLF endings is refused at its header. A jobs file is CSV: the
+nodes field joins node ids with ';', and the command field is RFC-4180
+quoted when it contains commas or quotes. Canonical form (what
+serialize_jobs_csv and render_csv emit) is LF line endings, minimal quoting
+plus quotes around any field holding a CR, rows sorted by primary key;
+parsing a canonical jobs file and serializing the result reproduces it byte
+for byte. The store keeps samples as binary columns, so no stats writer
+lives here.
 
 Strict mode raises IngestError at the first invalid row. Lenient mode skips
 invalid rows and reports them. A duplicate sample key in lenient mode keeps
@@ -33,30 +38,22 @@ proof, the lines of a plainly clean shape (_CLEAN_ROW) are still read
 column-wise together, and only the others go through the row loop, one line
 at a time with its absolute line number, so a file with a few bad rows
 costs about what a clean one does. The row loop alone decides a bad row's
-reason; a row the csv module refuses, such as one holding a cell longer than
-csv.field_size_limit(), is a bad row like any other. The first range
-holding a quote, CR or NUL starts the row loop, which reads the rest of the
-file from that range's first line, since csv quoting can span lines.
-Duplicate keys are resolved once over all accepted rows in line order, so
-every path gives the whole-file row loop's blocks, report and strict error.
-The fs and node ids of a file are coded as they are first read, once per
-distinct id; a block holds one filesystem, named once, and carries the
-node codes.
+reason. Duplicate keys are resolved once over all accepted rows in line
+order, so every path gives the whole-file row loop's blocks, report and
+strict error. The fs and node ids of a file are coded as they are first
+read, once per distinct id; a block holds one filesystem, named once, and
+carries the node codes.
 
 Processes: a stats file given by path, a regular file of at least two
-_SPAN_BYTES (1 MiB) that is all ASCII and holds no quote, CR or NUL, is
-split into line-aligned byte spans, one per CPU the process may run on
-(os.sched_getaffinity), fewer where a span would hold less than
-_SPAN_BYTES. The calling process parses the first span and forks one worker
-for each other span, so a parse starts at most one process less than there
-are usable CPUs; every worker is reaped before the parse returns or raises.
-Everything else is one span, the whole source, read by the same code in
-the calling process, with no fork: a stream, a pipe or other non-regular
-file, a smaller file, a file holding a quote, CR or NUL (a quoted cell can
-span lines, so no split point is safe) or a non-ASCII byte, and any file
-while the process runs a second thread. The answer does not depend on the
-split. Nothing configures it: no option, environment variable or setting.
-A stream the caller gives stays open.
+_SPAN_BYTES (1 MiB), is split into line-aligned byte spans, one per usable
+CPU (_stats_spans). The calling process parses the first span and forks one
+worker for each other span, and reaps every worker before the parse returns
+or raises. Everything else is one span, the whole source, read by the same
+code in the calling process, with no fork: a stream, a pipe or other
+non-regular file, a smaller file, and any file while the process runs a
+second thread. The answer does not depend on the split. Nothing configures
+it: no option, environment variable or setting. A stream the caller gives
+stays open.
 
 Memory is per process: the calling process and each worker hold one range
 of input and at most _SPILL_ROWS accepted rows, however they were read,
@@ -69,6 +66,7 @@ partition's block at once, by (filesystem, day); nothing joins them.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import os
@@ -82,7 +80,6 @@ import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, takewhile
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
@@ -123,31 +120,31 @@ class IngestReport:
     rejected_reasons: tuple[tuple[int, str], ...] = field(default=())
 
 
-def _open_source(source: Source, stack: ExitStack) -> IO[str]:
-    """source as a text stream for the life of stack: a path is opened and
-    closed with it; a binary stream is wrapped, and the wrapper detached
-    with it, so the caller's stream stays open."""
+def _open_source(source: Source, stack: ExitStack, errors: str = "strict") -> IO[str]:
+    """source as a text stream for the life of stack, its bytes decoded as
+    UTF-8 with the given error handler: a path is opened and closed with
+    it; a binary stream is wrapped, and the wrapper detached with it, so
+    the caller's stream stays open."""
     if isinstance(source, (str, Path)):
-        return stack.enter_context(open(source, "r", encoding="utf-8", newline=""))
+        return stack.enter_context(open(source, encoding="utf-8", errors=errors, newline=""))
     if hasattr(source, "read"):
         if isinstance(source.read(0), bytes):
-            text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+            text = io.TextIOWrapper(source, encoding="utf-8", errors=errors, newline="")
             stack.callback(text.detach)
             return text
         return source
     raise TypeError(f"cannot read from {type(source).__name__}")
 
 
-def csv_rows(lines: Iterable[str], first: int) -> Iterator[tuple[int, list[str] | csv.Error]]:
-    """(line, cells) of each csv row of lines, where the first of lines is
-    line first: each row has the number of the line it starts on, so a
-    quoted cell that spans lines does not shift later rows. Lines are counted
-    at LF, as wc -l and the stats range reader count them: a piece of lines
-    ending at a lone CR continues its line, though the csv module may end a
-    row there. A row the csv module refuses, such as one holding a cell
-    longer than csv.field_size_limit(), comes with its csv.Error in place of
-    cells."""
-    line = first
+def csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str] | csv.Error]]:
+    """(line, cells) of each row of a jobs file or store partition's CSV
+    lines: each row has the number of the line it starts on, so a quoted
+    cell that spans lines does not shift later rows. Lines are counted at
+    LF, as wc -l and the stats reader count them: a piece ending at a lone
+    CR continues its line, though the csv module may end a row there. A row
+    the csv module refuses, such as one holding a cell longer than
+    csv.field_size_limit(), comes with its csv.Error in place of cells."""
+    line = 1
 
     def pieces() -> Iterator[str]:
         nonlocal line
@@ -211,30 +208,12 @@ def parse_stats_csv(
     window_len: int = 180,
     spill: Callable[[], IO[bytes]] | None = None,
 ) -> tuple[dict[tuple[str, int], SampleBlock] | SpilledStats, IngestReport]:
-    """Parse a stats CSV into its accepted rows plus an ingest report.
+    """Parse a stats file into its accepted rows plus an ingest report.
 
-    The input is read in line-aligned ranges of about _RANGE_CHARS
-    characters (_ranges), a partial last line carried to the next range, so
-    the file is never held as one text. A range that passes the clean
-    proof (_StatsRows._read_range) is read column-wise, and a row of it with
-    a negative counter, a bad timestamp or an empty id goes alone through
-    the row loop. In a range that fails, the lines _CLEAN_ROW matches are
-    read column-wise together, and each other line goes through the row
-    loop with its absolute line number, so the row loop sees only the bad
-    and the blank lines. The first range holding a quote, CR or NUL starts
-    the row loop, which reads from that range's first line to the end of the
-    file: no earlier line holds one of these, so each was a whole csv row
-    and the csv reader starts there as the whole-file row loop would be.
-    Duplicate keys are resolved in line order once all rows are in, so the
-    answer is the whole-file row loop's: the same block, report and strict
-    error. Strict mode reads no range after the first one holding a bad row.
-
-    A path to a large regular file that is all ASCII and holds no quote, CR
-    or NUL is parsed in line-aligned byte spans (_stats_spans), one per
-    usable CPU: this process parses the first span and a forked worker
-    each other one, all at once (_parse_in_spans). Any other source is
-    the one span None, read whole in this process by the same _parse_span,
-    and gives the same answer; a stream the caller gives is left open.
+    A path or binary stream is decoded as UTF-8, a byte that is not UTF-8
+    as a lone surrogate, which the row loop rejects with its line. The
+    answer is the whole-file row loop's, read in spans (_stats_spans) or
+    whole; strict mode reads no range after the first holding a bad row.
 
     The accepted rows are appended to spill files, _SPILL_ROWS at a time,
     by (fs, UTC day) partition, so memory holds one range of input and,
@@ -269,8 +248,8 @@ def parse_stats_csv(
 
 def _ranges(stream: IO[str]) -> Iterator[str]:
     """The text of stream, a read of _RANGE_CHARS at a time, each cut after
-    its last LF and the rest carried to the next; so no line, and no CR LF,
-    is split in two."""
+    its last LF and the rest carried to the next; so no line is split in
+    two."""
     carry = ""
     while chunk := stream.read(_RANGE_CHARS):
         carry += chunk
@@ -286,22 +265,12 @@ def _read_stats(stream: IO[str], rows: _StatsRows, line: int = 1) -> None:
     """Give rows the body of a stats stream whose first line is line, range
     by range (_ranges); from line 1, the header first. No range is read
     once rows are done."""
-    ranges = _ranges(stream)
-    for text in ranges:
-        if any(c in text for c in _CSV_SPECIAL):
-            # the rest of the stream, split as a text stream opened with
-            # newline="" splits it (at LF, CR LF or a lone CR)
-            pieces = chain.from_iterable(io.StringIO(t, newline="") for t in chain([text], ranges))
-            lines = csv_rows(pieces, line)
-            if line == 1:
-                _check_header(next(lines, (1, None))[1], STATS_HEADER)
-            rows.row_loop(takewhile(lambda _: not rows.done(), lines))
-            return
+    for text in _ranges(stream):
         lines = text.split("\n")
         if not lines[-1]:
             lines.pop()
         if line == 1:
-            _check_header(next(csv_rows(lines[:1], 1))[1], STATS_HEADER)
+            _check_header(lines[0].split(","), STATS_HEADER)
             text, lines, line = text[len(lines[0]) + 1 :], lines[1:], 2
         if lines:
             rows.add_range(text, lines, line)
@@ -312,13 +281,12 @@ def _read_stats(stream: IO[str], rows: _StatsRows, line: int = 1) -> None:
         _check_header(None, STATS_HEADER)
 
 
-# a range holding one of these starts the row loop, which reads the rest of the
-# file: the csv module reads quotes and CR across lines, and before Python 3.11
-# refuses NUL
-_CSV_SPECIAL = ('"', "\r", "\x00")
-# what fails an ASCII range's clean proof: "+" and any whitespace but LF,
-# which np.loadtxt takes around a number
-_UNCLEAN_CHARS = ("+", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+# what no stats line may hold: a quote, CR or NUL, or a surrogate, which
+# decoding gives for a byte that is not UTF-8 and no UTF-8 text holds
+_BAD_CHAR = re.compile('["\r\x00\ud800-\udfff]')
+# what fails an ASCII range's clean proof: what _BAD_CHAR finds, and "+" and
+# any whitespace but LF, which np.loadtxt takes around a number
+_UNCLEAN_CHARS = tuple('"\r\x00+ \t\x0b\x0c\x1c\x1d\x1e\x1f')
 # one row read whole by np.loadtxt: the three key columns as str, then counters
 _STATS_ROW_DTYPE = np.dtype([("key", object, (3,)), ("counters", np.int64, (len(ALL_FIELDS),))])
 # a range holds about this many characters, so a np.loadtxt call's transient
@@ -339,8 +307,6 @@ _SPILL_ROWS = 1 << 12
 _SPAN_BYTES = 1 << 19
 # the stats file bytes the span scan reads at a time
 _SCAN_BYTES = 1 << 18
-# bytes a file parsed in spans may not hold: _CSV_SPECIAL, as bytes
-_SPAN_SPECIAL = tuple(c.encode() for c in _CSV_SPECIAL)
 
 
 def _usable_cpus() -> int:
@@ -361,11 +327,10 @@ def _stats_spans(source: Source) -> list[tuple[int, int, int]] | None:
     another thread held would stay held in the worker. There are
     as many spans as CPUs, fewer where a span would hold less than
     _SPAN_BYTES, each starting after a LF, so on a line; the header is in
-    the first. One scan of the file's bytes counts the LFs before each
-    span, for its first line, and keeps whole any file holding a non-ASCII
-    byte (so no span can meet a decode error the whole read would meet
-    elsewhere) or a quote, CR or NUL, since a quoted cell can span lines
-    and so no split point is safe.
+    the first. A scan of the bytes before the last span counts the LFs
+    before each span, for its first line. Nothing in a stats line is
+    quoted, and no multibyte character holds an LF byte, so a split after
+    any LF reads every line as the whole read does.
     """
     if not isinstance(source, (str, Path)):
         return None
@@ -389,31 +354,30 @@ def _stats_spans(source: Source) -> list[tuple[int, int, int]] | None:
         if len(starts) < 2:
             return None
         fh.seek(0)
-        lines, lf, at = [1], 0, 0
-        while chunk := fh.read(_SCAN_BYTES):
-            if not chunk.isascii() or any(c in chunk for c in _SPAN_SPECIAL):
-                return None
-            codes = np.frombuffer(chunk, np.uint8)
-            for start in starts[len(lines) :]:
-                if start > at + len(chunk):
-                    break
-                lines.append(1 + lf + int(np.count_nonzero(codes[: start - at] == 10)))
-            lf += int(np.count_nonzero(codes == 10))
-            at += len(chunk)
+        lines = [1]
+        for a, b in zip(starts, starts[1:]):
+            chunks = (fh.read(min(_SCAN_BYTES, b - at)) for at in range(a, b, _SCAN_BYTES))
+            lines.append(lines[-1] + sum(chunk.count(b"\n") for chunk in chunks))
     return list(zip(starts, starts[1:] + [size], lines))
 
 
 class _SpanText:
-    """The bytes from start to end of an ASCII file, read as text."""
+    """The bytes from start to end of a file, decoded as a whole read of a
+    stats file decodes them; a read that ends inside a character keeps its
+    first bytes for the next, and returns text unless the span is done."""
 
     def __init__(self, fh: IO[bytes], start: int, end: int):
         fh.seek(start)
         self.fh, self.left = fh, end - start
+        self.decoder = codecs.getincrementaldecoder("utf-8")("surrogateescape")
 
     def read(self, size: int) -> str:
-        data = self.fh.read(min(size, self.left))
-        self.left -= len(data)
-        return data.decode("ascii")
+        text = ""
+        while not text and self.left:
+            data = self.fh.read(min(size, self.left))
+            self.left = self.left - len(data) if data else 0
+            text = self.decoder.decode(data, final=not self.left)
+        return text
 
 
 def _parse_span(
@@ -424,7 +388,7 @@ def _parse_span(
     rows = _StatsRows(mode, window_len, spill)
     with ExitStack() as stack:
         if span is None:
-            _read_stats(_open_source(source, stack), rows)
+            _read_stats(_open_source(source, stack, "surrogateescape"), rows)
         else:
             start, end, line = span
             fh = stack.enter_context(open(source, "rb"))
@@ -631,8 +595,7 @@ class _StatsRows:
         through the row loop."""
         if self._read_range(text, lines, np.arange(first, first + len(lines))):
             return
-        limit = csv.field_size_limit()
-        clean = [len(line) <= limit and _CLEAN_ROW.fullmatch(line) is not None for line in lines]
+        clean = [_CLEAN_ROW.fullmatch(line) is not None for line in lines]
         picked = [line for line, ok in zip(lines, clean) if ok]
         if picked and self._read_range(
             "\n".join(picked), picked, first + np.flatnonzero(clean).astype(np.int64)
@@ -640,29 +603,22 @@ class _StatsRows:
             rest = [i for i, ok in enumerate(clean) if not ok]
         else:
             rest = range(len(lines))
-        self.row_loop(chain.from_iterable(csv_rows([lines[i]], first + i) for i in rest))
+        self.row_loop((first + i, lines[i]) for i in rest)
 
     def _read_range(self, text: str, lines: list[str], line: np.ndarray) -> bool:
         """Read lines, numbered line (text is them joined by LF),
         column-wise if they pass the clean proof; False if not.
 
-        The proof: no cell longer than csv.field_size_limit(), which only a
-        range longer than that limit can hold; ASCII only; no "+" or
-        whitespace other than LF; np.loadtxt reads a row of three keys and
-        21 int64 counters from every line. It refuses a line of more or
-        fewer than 24 cells ("requires 24 columns"), and skips a blank line,
-        which the row count then misses. np.loadtxt reads a signed or
-        space-padded token, and gives a non-ASCII one a value, where
-        parse_int_cells refuses it; on what is left it takes only -?[0-9]+,
-        with int()'s value. A row of a proven range with a negative counter,
-        an inexact or off-grid timestamp or an empty id goes alone through
-        the row loop.
+        The proof: ASCII only; no quote, CR, NUL, "+" or whitespace other
+        than LF; np.loadtxt reads a row of three keys and 21 int64 counters
+        from every line. It refuses a line of more or fewer than 24 cells
+        ("requires 24 columns"), and skips a blank line, which the row count
+        then misses. np.loadtxt reads a signed or space-padded token, and
+        gives a non-ASCII one a value, where parse_int_cells refuses it; on
+        what is left it takes only -?[0-9]+, with int()'s value. A row of a
+        proven range with a negative counter, an inexact or off-grid
+        timestamp or an empty id goes alone through the row loop.
         """
-        limit = csv.field_size_limit()
-        if len(text) > limit and any(
-            len(cell) > limit for line in lines if len(line) > limit for cell in line.split(",")
-        ):
-            return False
         if not text.isascii() or any(c in text for c in _UNCLEAN_CHARS):
             return False
         try:
@@ -700,26 +656,29 @@ class _StatsRows:
         )
         good = ~bad
         self._hold(fs[good], node[good], window[good], counters[good], line[good])
-        bad_lines = np.flatnonzero(bad).tolist()
-        self.row_loop(zip(line[bad].tolist(), csv.reader(lines[i] for i in bad_lines)))
+        self.row_loop((int(line[i]), lines[i]) for i in np.flatnonzero(bad).tolist())
         return True
 
-    def row_loop(self, rows: Iterable[tuple[int, list[str] | csv.Error]]) -> None:
-        """Check (line, cells) rows one by one; a blank row is skipped.
+    def row_loop(self, lines: Iterable[tuple[int, str]]) -> None:
+        """Check (line number, text) lines one by one; a blank line is skipped.
 
-        A row must be readable as csv (cells, not a csv.Error), have 24
-        cells, an exact timestamp on the window_len grid, non-empty ids and
-        counters (parse_int_cells) in [0, 2**63 - 1]. Accepted rows are held
-        with the others.
+        A line must hold no quote, CR or NUL and no surrogate (a byte that
+        is not UTF-8), and its cells, split at commas, must be 24: an exact
+        timestamp on the window_len grid, non-empty ids and counters
+        (parse_int_cells) in [0, 2**63 - 1]. Accepted rows are held with
+        the others.
         """
         window_len = self.window_len
         fs_ids, node_ids = self.fs_ids, self.node_ids
-        for line_no, row in rows:
-            if isinstance(row, csv.Error):
-                self.bad.append((line_no, str(row)))
+        for line_no, text in lines:
+            if not text:
                 continue
-            if not row:
+            if bad := _BAD_CHAR.search(text):
+                char = bad.group()
+                reason = f"line holds {char!r}" if char in '"\r\x00' else "not UTF-8"
+                self.bad.append((line_no, reason))
                 continue
+            row = text.split(",")
             if len(row) != len(STATS_HEADER):
                 reason = f"expected {len(STATS_HEADER)} columns, got {len(row)}"
                 self.bad.append((line_no, reason))
@@ -898,7 +857,7 @@ def parse_jobs_csv(source: Source, mode: str = "strict") -> tuple[list[JobRecord
     seen: set[str] = set()
     rejects: list[tuple[int, str]] = []
     with ExitStack() as stack:
-        rows = csv_rows(_open_source(source, stack), 1)
+        rows = csv_rows(_open_source(source, stack))
         _check_header(next(rows, (1, None))[1], JOBS_HEADER)
         for line_no, row in rows:
             if not row:

@@ -677,7 +677,7 @@ class Store:
         Rows must be readable as csv and have one cell per header column;
         anything else raises StoreError naming the path and line.
         """
-        rows = ingest.csv_rows(stream, 1)
+        rows = ingest.csv_rows(stream)
         got = next(rows, (1, None))[1]
         if got is None or isinstance(got, csv.Error) or tuple(got) != header:
             raise StoreError(f"{path}: bad header {got!r}")

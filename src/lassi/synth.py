@@ -60,8 +60,6 @@ worker is reaped before generate returns or raises.
 from __future__ import annotations
 
 import configparser
-import csv
-import io
 import shutil
 import tempfile
 import threading
@@ -233,11 +231,16 @@ def _number(section, key: str, default: float) -> float:
 
 
 def _parse_filesystems(raw: str) -> tuple[tuple[str, int], ...]:
+    """(name, ost count) of each name:ost_count token, split at commas and
+    whitespace; a name may not hold a quote or NUL, which make a stats line
+    bad."""
     out = []
     for token in raw.replace(",", " ").split():
         name, sep, osts = token.partition(":")
         if not name or not sep or not osts.isdigit():
             raise ScenarioError(f"bad filesystem token {token!r}; want name:ost_count")
+        if '"' in name or "\x00" in name:
+            raise ScenarioError(f"filesystem name {name!r} holds a quote or NUL")
         out.append((name, int(osts)))
     if not out:
         raise ScenarioError("filesystems list is empty")
@@ -510,12 +513,6 @@ def _cell_order(
     return order
 
 
-def _csv_line(row: Sequence) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(row)
-    return buf.getvalue()
-
-
 def _write_stats(
     scenario: Scenario,
     order: Sequence[tuple[str, str, np.ndarray, list[bool] | None]],
@@ -527,11 +524,10 @@ def _write_stats(
     node, window_start, counters), the oracle's sample form.
 
     A block takes one tolist() per cell and one write. A row's ",fs,node,"
-    text comes from csv.writer, so an id that needs quoting is quoted as a
-    row-by-row writer would quote it.
+    text is made once per cell.
     """
     wlen = scenario.window_len
-    keys = [_csv_line(("", fs_id, node, ""))[:-1] for fs_id, node, _, _ in order]
+    keys = [f",{fs_id},{node}," for fs_id, node, _, _ in order]
     step = max(1, _BLOCK_ROWS // len(order))
     for b0 in range(windows.start, windows.stop, step):
         b1 = min(b0 + step, windows.stop)
@@ -635,7 +631,7 @@ def generate(
             )
             stack.callback(workers[-1].reap)  # before the files close
         with open(stats_path, "wb") as fh:
-            fh.write(_csv_line(STATS_HEADER).encode("utf-8"))
+            fh.write((",".join(STATS_HEADER) + "\n").encode("utf-8"))
             sums = _write_span(scenario, order, fh, spans[0], raw_jobs)
             for worker, file in zip(workers, files):
                 more = worker.result()

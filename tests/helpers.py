@@ -28,7 +28,6 @@ hours, so each of the four exposures is 502 OSS / 77 MDS, identically.
 
 from __future__ import annotations
 
-import csv
 import io
 import os
 import stat
@@ -127,18 +126,12 @@ def one_block(parsed: dict) -> SampleBlock:
     return block
 
 
-def _csv_fields(labels, codes: np.ndarray) -> np.ndarray:
-    """Each coded id as the csv writer renders it inside a row; each label
-    is rendered once."""
-    return np.array([ingest.render_csv((label,), [])[:-1] for label in labels], dtype=object)[codes]
-
-
 _STATS_LINE = "%s,%s,%s" + ",%d" * len(ALL_FIELDS) + "\n"
 _SERIALIZE_CHUNK = 4096
 
 
 def serialize_stats_csv(*blocks: SampleBlock) -> str:
-    """Sample blocks in canonical stats CSV form, the rows of all of them in
+    """Sample blocks in canonical stats form, the rows of all of them in
     (window, fs, node) order, the form parse_stats_csv reads back to the
     blocks' (fs, day) partitions; builds stats file fixtures."""
     blocks = blocks or (mk_block([]),)
@@ -154,7 +147,8 @@ def serialize_stats_csv(*blocks: SampleBlock) -> str:
     order = np.lexsort((node, fs, window))
     starts, inverse = np.unique(window[order], return_inverse=True)
     stamps = np.array([format_utc(w) for w in starts.tolist()], dtype=object)[inverse]
-    fs, node = _csv_fields(fs_ids, fs[order]), _csv_fields(node_ids, node[order])
+    fs = np.array(fs_ids, dtype=object)[fs[order]]
+    node = np.array(node_ids, dtype=object)[node[order]]
     counters = counters[order]
     parts = [",".join(ingest.STATS_HEADER) + "\n"]
     for lo in range(0, len(order), _SERIALIZE_CHUNK):
@@ -170,11 +164,14 @@ def parse_stats_rows(
     text: str, mode: str, window_len: int
 ) -> tuple[dict[tuple[str, int], SampleBlock], IngestReport]:
     """The whole stats text through the row loop alone, one line after
-    another: the reference every parse_stats_csv path must equal."""
-    lines = ingest.csv_rows(io.StringIO(text, newline=""), 1)
-    ingest._check_header(next(lines, (1, None))[1], ingest.STATS_HEADER)
+    another, the text split at LF and the header at commas: the reference
+    every parse_stats_csv path must equal."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    ingest._check_header(lines[0].split(",") if lines else None, ingest.STATS_HEADER)
     rows = ingest._StatsRows(mode, window_len, io.BytesIO())
-    rows.row_loop(takewhile(lambda _: not rows.done(), lines))
+    rows.row_loop(takewhile(lambda _: not rows.done(), enumerate(lines[1:], 2)))
     spilled = ingest.SpilledStats([rows.file], [rows.part()], window_len)
     report = spilled.report(rows.strict, rows.bad)
     return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
@@ -385,10 +382,10 @@ TASKFARM_SCENARIO = Path(__file__).parent / "data" / "taskfarm_scenario.ini"
 
 
 def reference_stats_csv(scenario) -> str:
-    """A scenario's stats.csv written row by row with csv.writer from synth's
-    counter cells: rows in (window, fs, node) order, a node's home-filesystem
-    cell on every window and a cell on another filesystem only on windows
-    with a nonzero counter."""
+    """A scenario's stats.csv written row by row from synth's counter cells,
+    each row's cells joined by commas: rows in (window, fs, node) order, a
+    node's home-filesystem cell on every window and a cell on another
+    filesystem only on windows with a nonzero counter."""
     cells = synth._build_cells(scenario, synth._plan_jobs(scenario))
     fs_ids = scenario.fs_ids
     rows = []
@@ -398,12 +395,10 @@ def reference_stats_csv(scenario) -> str:
             if home or any(vec):
                 rows.append((i, fs_id, f"nid{node_i:05d}", vec))
     rows.sort(key=lambda row: row[:3])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ingest.STATS_HEADER)
+    lines = [ingest.STATS_HEADER]
     for i, fs_id, node, vec in rows:
-        writer.writerow((format_utc(scenario.start + i * scenario.window_len), fs_id, node, *vec))
-    return buf.getvalue()
+        lines.append((format_utc(scenario.start + i * scenario.window_len), fs_id, node, *vec))
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
 
 def scenario_text(

@@ -182,6 +182,8 @@ def _shapes():
         "quoted field": text_of(good[0], row(ts=T1, node='"nid1"')),
         "quoted comma": text_of(good[0], row(ts=T1, node='"n,1"')),
         "crlf": text_of(*good, end="\r\n"),
+        "cr in line": text_of(good[0], row(ts=T1) + "\r" + good[2]),
+        "not utf-8": text_of(good[0], row(ts=T1, node="n\udcff")),
         "hash in id": text_of(good[0], row(ts=T1, node="nid#1")),
         "blank line": text_of(good[0], "", good[1]),
         "blank last line": text_of(*good) + "\n",
@@ -208,28 +210,20 @@ def test_file_shapes_agree(shape):
     assert_agrees(_shapes()[shape])
 
 
-def test_a_cell_past_the_csv_field_limit_is_a_line_numbered_reject():
-    limit = csv.field_size_limit()
-    long_row = row(node="n" * (limit + 1))
-    plain = text_of(long_row, row())
-    # the same file with one cell quoted goes whole to the row loop
-    quoted = text_of(long_row, row(node='"nid1"'))
-    reason = f"field larger than field limit ({limit})"
+def test_a_cell_past_the_csv_field_limit_is_a_cell_like_any_other():
+    """A stats line is not CSV, so the csv module's cell limit does not
+    hold for it; a quoted line beside the long one is a reject of its own."""
+    long_id = "n" * (csv.field_size_limit() + 1)
+    plain = text_of(row(node=long_id), row())
+    quoted = text_of(row(node=long_id), row(node='"nid1"'))
     for text in (plain, quoted):
         assert_agrees(text)
-        parsed, report = parse_stats_csv(io.StringIO(text), "lenient")
-        block = one_block(parsed)
-        assert [block.key(i) for i in range(len(block))] == [("fs2", "nid1", BASE_DAY)]
-        assert report.rejected_reasons == ((2, reason),)
-        with pytest.raises(IngestError) as err:
-            parse_stats_csv(io.StringIO(text))
-        assert (err.value.line, err.value.reason) == (2, reason)
-    assert outcome(parse_stats_csv, io.StringIO(plain), "lenient") == outcome(
-        parse_stats_csv, io.StringIO(quoted), "lenient"
-    )
-    # a cell of exactly the limit is a cell like any other
-    parsed, report = parse_stats_csv(io.StringIO(text_of(row(node="n" * limit))))
-    assert (len(one_block(parsed)), report.rows_rejected) == (1, 0)
+    parsed, report = parse_stats_csv(io.StringIO(plain))
+    assert one_block(parsed).node_labels == ("nid1", long_id)
+    assert report.rows_rejected == 0
+    parsed, report = parse_stats_csv(io.StringIO(quoted), "lenient")
+    assert one_block(parsed).node_labels == (long_id,)
+    assert report.rejected_reasons == ((3, "line holds '\"'"),)
 
 
 def looped_lines(monkeypatch) -> list:
@@ -246,8 +240,9 @@ def looped_lines(monkeypatch) -> list:
     return seen
 
 
-# shapes read column-wise whole, and those whose rows pass the range proof
-# except one, which alone goes through the row loop
+# shapes read column-wise whole or refused at the header (a CRLF file's
+# header ends in "cdr\r"), and those with one bad row, which alone goes
+# through the row loop
 CLEAN_SHAPES = {
     "canonical",
     "unsorted",
@@ -259,8 +254,19 @@ CLEAN_SHAPES = {
     "header without newline",
     "empty",
     "bad header",
+    "crlf",
 }
-ONE_BAD_ROW = {"off grid", "negative", "empty id", "single-digit time"}
+ONE_BAD_ROW = {
+    "off grid",
+    "negative",
+    "empty id",
+    "single-digit time",
+    "quoted field",
+    "quoted comma",
+    "cr in line",
+    "nul in id",
+    "not utf-8",
+}
 
 
 def test_clean_path_takes_canonical_files_only(monkeypatch):
@@ -285,6 +291,7 @@ ts_tokens = st.sampled_from(
 )
 id_tokens = st.sampled_from(
     ["fs1", "fs2", "nid1", "n,1", 'n"1', "a#b", "", " x", "é", "a\x0cb", "\x85", "n\u2028"]
+    + ["n\udcff"]
 )
 counter_tokens = st.one_of(
     st.integers(0, 10**6).map(str),
@@ -312,6 +319,17 @@ def test_clean_path_agrees_with_row_loop(rows, quoted, crlf, dup):
     else:
         text = text_of(*(",".join(line) for line in lines), end="\r\n" if crlf else "\n")
     assert_agrees(text)
+    if crlf:
+        # refused at the header, whose last cell holds the CR
+        with pytest.raises(IngestError, match=r"^line 1: bad header .*'cdr\\r'\]"):
+            parse_stats_csv(io.StringIO(text), "lenient")
+        return
+    _, report = parse_stats_csv(io.StringIO(text), "lenient")
+    reasons = dict(report.rejected_reasons)
+    for line_no, line in enumerate(text.split("\n"), 1):
+        bad = [c for c in line if c in '"\udcff']
+        if bad:
+            assert reasons[line_no] == ("not UTF-8" if bad[0] == "\udcff" else "line holds '\"'")
 
 
 def dirty_lines(seed: int, every: int | None, n: int = 3000) -> list[str]:
@@ -395,9 +413,10 @@ def test_a_line_of_22_or_24_commas_goes_to_the_row_loop(monkeypatch, cells):
 
 @pytest.mark.parametrize("where", ["last range", "middle range"])
 @pytest.mark.parametrize("special", ['"', "\r"])
-def test_a_late_quote_or_cr_starts_the_row_loop_there(monkeypatch, where, special):
-    """The first range holding a quote or CR starts the row loop, which reads
-    to the end of the file; the answer is the whole-file row loop's."""
+def test_a_late_quote_or_cr_is_a_reject_on_its_own_line(monkeypatch, where, special):
+    """A line holding a quote or CR is a bad row like any other: it alone
+    goes through the row loop, and the lines after it are read column-wise
+    as before; the answer is the whole-file row loop's."""
     monkeypatch.setattr(ingest, "_RANGE_CHARS", 4096)  # about 27 lines
     lines = dirty_lines(7, every=None)
     at = len(lines) if where == "last range" else len(lines) // 2
@@ -407,16 +426,12 @@ def test_a_late_quote_or_cr_starts_the_row_loop_there(monkeypatch, where, specia
         want = outcome(row_loop, text, mode)
         assert outcome(parse_stats_csv, io.StringIO(text), mode) == want, mode
         assert outcome(spilled, io.StringIO(text), mode) == want, mode
-    seen = looped_lines(monkeypatch)
-    parsed, report = parse_stats_csv(io.StringIO(text), "lenient")
     late_line = at + 2
-    # the lines before the special one's range were read column-wise
-    assert late_line - 40 < min(seen) <= late_line
-    assert max(seen) == len(lines) + 2
-    assert ("fs2", "nid,9" if special == '"' else "nid9", BASE_DAY + 180) in {
-        block.key(i) for block in parsed.values() for i in range(len(block))
-    }
-    assert report.rejected_reasons == row_loop(text, "lenient")[1].rejected_reasons
+    seen = looped_lines(monkeypatch)
+    _, report = parse_stats_csv(io.StringIO(text), "lenient")
+    assert seen == [late_line]
+    bad = [r for r in report.rejected_reasons if not r[1].startswith("duplicate ")]
+    assert bad == [(late_line, f"line holds {special!r}")]
 
 
 def test_far_apart_duplicates_resolve_as_the_row_loop_does(monkeypatch):
@@ -509,8 +524,9 @@ class NoWorker:
 
 
 # a window offset from BASE_DAY, ids, a counter value and a defect: the
-# re-delivery defects, an empty id, a blank line, or a long node id, which
-# takes in any split point that falls in its line
+# re-delivery defects, an empty id, a blank line, a quoted, a CR-ended or a
+# not UTF-8 line, a non-ASCII node id, or a long node id, which takes in any
+# split point that falls in its line
 span_rows = st.lists(
     st.tuples(
         st.sampled_from([0, 180, 360, DAY, DAY + 180]),
@@ -520,6 +536,7 @@ span_rows = st.lists(
         st.sampled_from(
             [None] * 6
             + ["negative", "off grid", "short", "x.5", "bad time", "empty", "blank", "long"]
+            + ["quoted", "cr", "not utf-8", "é"]
         ),
     ),
     min_size=1,
@@ -545,6 +562,14 @@ def span_line(offset, fs, node, value, defect=None):
         return ""
     elif defect == "long":
         cells[2] = "n" * 150
+    elif defect == "quoted":
+        cells[2] = f'"{node}"'
+    elif defect == "cr":
+        cells[-1] += "\r"
+    elif defect == "not utf-8":
+        cells[2] += "\udcff"
+    elif defect == "é":
+        cells[2] += "é"
     return ",".join(cells)
 
 
@@ -567,15 +592,17 @@ def test_a_file_in_spans_agrees_with_the_row_loop(rows, spans, again, late, fina
     text = text_of(*body)
     if not final_lf:
         text = text[:-1]
+    data = text.encode("utf-8", "surrogateescape")
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "stats.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(data)
         split_in(mp, path, spans)
         layout = ingest._stats_spans(path)
         assume(layout is not None)
-        assert (layout[0][0], layout[-1][1]) == (0, len(text))
-        assert all(a[1] == b[0] and text[b[0] - 1] == "\n" for a, b in zip(layout, layout[1:]))
-        assert [line for _, _, line in layout] == [text.count("\n", 0, a) + 1 for a, _, _ in layout]
+        assert (layout[0][0], layout[-1][1]) == (0, len(data))
+        assert all(a[1] == b[0] and data[b[0] - 1] == 10 for a, b in zip(layout, layout[1:]))
+        firsts = [data.count(b"\n", 0, a) + 1 for a, _, _ in layout]
+        assert [line for _, _, line in layout] == firsts
         for mode in ("strict", "lenient"):
             want = outcome(row_loop, text, mode)
             assert outcome(parse_stats_csv, path, mode) == want, mode
@@ -599,25 +626,51 @@ def test_a_span_may_be_the_last_line_alone(tmp_path, monkeypatch):
         parse_stats_csv(path)
 
 
-@pytest.mark.parametrize("special", ['"', "\r", "\x00", "é"])
-@pytest.mark.parametrize("at", [0, 150, -1])
-def test_a_quote_cr_nul_or_non_ascii_byte_keeps_a_file_whole(tmp_path, monkeypatch, special, at):
-    """One such byte anywhere in the body keeps the file whole: no worker is
-    forked, and the answer is the row loop's."""
-    lines = dirty_lines(5, every=37, n=300)
-    text = text_of(*lines)
+@pytest.mark.parametrize("first", ["not utf-8", "quoted"])
+def test_a_bad_utf8_or_quoted_line_is_a_reject_on_its_own_line_and_the_file_still_splits(
+    tmp_path, monkeypatch, first
+):
+    """A file of two _SPAN_BYTES or more, with a line of bytes that are not
+    UTF-8 in one span and a quoted line in the other, among lines with a
+    non-ASCII id, is parsed in two spans: exactly those two lines are
+    rejected, with their line numbers, as the whole read and the row loop
+    reject them."""
+    lines = [
+        ",".join([format_utc(BASE_DAY + i // 20 * 180), "fs1", f"nid{i % 20:02d}é"] + [str(i)] * 21)
+        for i in range(2 * ingest._SPAN_BYTES // 100)
+    ]
+    odd = {"not utf-8": (b"\xff", "not UTF-8"), "quoted": (b'"', "line holds '\"'")}
+    (second,) = set(odd) - {first}
+    early, late = len(lines) // 5, len(lines) * 4 // 5
+    rejects = ((early, odd[first][1]), (late, odd[second][1]))
+    data = bytearray(text_of(*lines).encode())
+    for line_no, kind in ((late, second), (early, first)):
+        # the end of file line line_no, which holds lines[line_no - 2]
+        cut = data.index(b"\n", data.index(f"é,{line_no - 2},".encode()))
+        data[cut:cut] = odd[kind][0]
     path = tmp_path / "stats.csv"
-    path.write_bytes(text.encode())
-    split_in(monkeypatch, path, 3)
-    assert len(ingest._stats_spans(path)) == 3
-    odd = {'"': row(node='"n""9"'), "\r": row(node="nid9") + "\r", "\x00": row(node="n\x00")}
-    lines.insert(at % (len(lines) + 1), odd.get(special, row(node=f"n{special}")))
-    text = text_of(*lines)
-    path.write_bytes(text.encode())
-    assert ingest._stats_spans(path) is None
-    monkeypatch.setattr(ingest, "_Worker", NoWorker)
+    path.write_bytes(data)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
+    spans = ingest._stats_spans(path)
+    assert len(data) >= 2 * ingest._SPAN_BYTES and len(spans) == 2
+    assert spans[0][2] <= early < spans[1][2] <= late
+
+    _, report = parse_stats_csv(path, "lenient")
+    assert report.rejected_reasons == rejects
+    assert report.rows_accepted == len(lines) - 2
+    with pytest.raises(IngestError) as err:
+        parse_stats_csv(path)
+    assert (err.value.line, err.value.reason) == rejects[0]
+
+    text = data.decode("utf-8", "surrogateescape")
     for mode in ("strict", "lenient"):
-        assert outcome(parse_stats_csv, path, mode) == outcome(row_loop, text, mode), mode
+        split = outcome(parse_stats_csv, path, mode)
+        assert split == outcome(row_loop, text, mode), mode
+        assert outcome(spilled, path, mode) == split, mode
+        with pytest.MonkeyPatch.context() as mp, open(path, "rb") as stream:
+            mp.setattr(ingest, "_Worker", NoWorker)
+            assert outcome(parse_stats_csv, stream, mode) == split, mode
+    assert no_children()
 
 
 def test_a_stream_or_a_pipe_is_read_whole(tmp_path, monkeypatch):
@@ -803,26 +856,19 @@ def test_ingest_in_spans_writes_the_stores_a_whole_read_does(tmp_path, monkeypat
 
 
 def reference_serialize(samples):
-    """Canonical stats CSV of (fs, node, window, counters) rows as the csv
-    module writes it, one row at a time.
-
-    Each row is written with a CRLF terminator, which makes the writer quote
-    any field holding a CR, and then ended with LF instead.
-    """
+    """The canonical stats text of (fs, node, window, counters) rows, one
+    row at a time: its cells joined by commas and ended by LF."""
     rows = [STATS_HEADER] + [
         (format_utc(w), fs, node) + tuple(vec)
         for fs, node, w, vec in sorted(samples, key=lambda s: (s[2], s[0], s[1]))
     ]
-    lines = []
-    for r in rows:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\r\n").writerow(r)
-        lines.append(buf.getvalue()[:-2] + "\n")
-    return "".join(lines)
+    return "".join(",".join(map(str, r)) + "\n" for r in rows)
 
 
+# ids a stats line may hold that the clean path does not take: a space, a
+# hash, non-ASCII UTF-8 of two and of four bytes
 awkward_ids = st.text(
-    alphabet=st.sampled_from(["a", "b", ",", '"', "\n", "\r", " ", "#", "é"]),
+    alphabet=st.sampled_from(["a", "b", " ", "#", "é", "\U0001f600"]),
     min_size=1,
     max_size=4,
 )
@@ -841,7 +887,7 @@ awkward_ids = st.text(
         unique_by=lambda t: (t[0], t[1], t[2]),
     )
 )
-def test_serialize_matches_csv_writer(rows):
+def test_serialize_matches_a_row_by_row_writer(rows):
     blocks = fs_blocks(rows)
     text = serialize_stats_csv(*blocks)
     assert text == reference_serialize(rows)
@@ -884,8 +930,8 @@ def test_block_rejects_duplicates_and_a_second_filesystem():
 # --- the code form equals a string-keyed reference --------------------------
 
 # ids whose first-seen order differs from their sorted order ("n9" before
-# "n10"), ids the csv writer quotes, and non-ASCII ids
-code_ids = st.sampled_from(["n9", "n10", "n1", "a,b", 'q"t', "é", "Ω2", "z"]) | awkward_ids
+# "n10"), a long id, and non-ASCII ids
+code_ids = st.sampled_from(["n9", "n10", "n1", "n" * 300, "é", "Ω2", "z"]) | awkward_ids
 sample_rows = st.lists(
     st.tuples(
         code_ids,
@@ -973,8 +1019,8 @@ def test_code_form_matches_string_keyed_reference(old, new, mask):
         assert_code_form(block)
     assert back == want
     union = {r[:3]: r for r in old + new}
-    drawn = ingest.render_csv(
-        STATS_HEADER, [(format_utc(w), fs, node) + vec for fs, node, w, vec in union.values()]
+    drawn = text_of(
+        *(",".join(map(str, (format_utc(w), f, n) + vec)) for f, n, w, vec in union.values())
     )
     assert parse_stats_csv(io.StringIO(drawn))[0] == want
 

@@ -242,7 +242,8 @@ def test_a_jobs_cell_past_the_csv_field_limit_is_a_line_numbered_reject():
     assert (err.value.line, err.value.reason) == (2, reason)
 
 
-# a quoted id holding a newline spans lines 2 and 3, so the bad row is line 5
+# a quoted cell holding a newline spans lines 2 and 3: a jobs row, so the bad
+# row is line 5; in a stats file, which is not CSV, lines 2 and 3 are bad too
 QUOTED_NEWLINE_NODE = '2017-10-09T00:00:00Z,fs2,"n\nid",' + ",".join(["1"] * 21)
 NEGATIVE_ROW = "2017-10-09T00:06:00Z,fs2,nid00001,-1," + ",".join(["1"] * 20)
 QUOTED_NEWLINE_JOB = 'app1,1.sdb,u,2017-10-09T01:00:00Z,2017-10-09T02:00:00Z,n1,"a\nb"'
@@ -251,24 +252,24 @@ BAD_TIME_JOB = "app3,3.sdb,u,2017-10-09T01:00:00Z,never,n3,c"
 
 
 @pytest.mark.parametrize(
-    "parse, text",
+    "parse, text, rejects, accepted",
     [
-        (parse_stats_csv, stats_text(QUOTED_NEWLINE_NODE, GOOD_ROW, NEGATIVE_ROW)),
-        (parse_jobs_csv, jobs_text(QUOTED_NEWLINE_JOB, GOOD_JOB, BAD_TIME_JOB)),
+        (parse_stats_csv, stats_text(QUOTED_NEWLINE_NODE, GOOD_ROW, NEGATIVE_ROW), [2, 3, 5], 1),
+        (parse_jobs_csv, jobs_text(QUOTED_NEWLINE_JOB, GOOD_JOB, BAD_TIME_JOB), [5], 2),
     ],
     ids=["stats", "jobs"],
 )
-def test_rejects_name_the_file_line_after_a_quoted_newline(parse, text):
+def test_rejects_name_the_file_line_after_a_quoted_newline(parse, text, rejects, accepted):
     assert text.splitlines()[4].startswith(("2017-10-09T00:06:00Z,", "app3,"))
     with pytest.raises(IngestError) as err:
         parse(io.StringIO(text))
-    assert err.value.line == 5
+    assert err.value.line == rejects[0]
     parsed, report = parse(io.StringIO(text), mode="lenient")
     if parse is parse_stats_csv:
         parsed = one_block(parsed)
-    assert len(parsed) == 2
-    assert [line for line, _ in report.rejected_reasons] == [5]
-    assert report.first_error_line == 5
+    assert len(parsed) == accepted
+    assert [line for line, _ in report.rejected_reasons] == rejects
+    assert report.first_error_line == rejects[0]
 
 
 def test_a_store_error_names_the_file_line_after_a_quoted_newline(tmp_path):
@@ -308,18 +309,62 @@ def test_jobs_rejects_count_lines_at_lf_after_a_lone_cr(tmp_path, source):
     assert report.rejected_reasons[0][0] == 3
 
 
-def test_stats_row_loop_counts_lines_at_lf_after_a_lone_cr(tmp_path):
-    text = stats_text(LONE_CR_NODE, GOOD_ROW, NEGATIVE_ROW)
+@pytest.mark.parametrize("source", ["path", "text", "bytes"])
+def test_stats_row_loop_counts_lines_at_lf_after_a_lone_cr(tmp_path, source):
+    """A line holding a CR is one bad line, counted at LF, whether the CR is
+    quoted or ends a row that shares the LF line with the next."""
+    two_rows = GOOD_ROW + "\r" + NEGATIVE_ROW.replace("00:06", "00:09")
+    text = stats_text(LONE_CR_NODE, GOOD_ROW, two_rows, NEGATIVE_ROW)
     path = tmp_path / "stats.csv"
     path.write_bytes(text.encode("utf-8"))
-    for source in (path, io.StringIO(text, newline="")):
-        parsed, report = parse_stats_csv(source, mode="lenient")
-        assert sorted(one_block(parsed).node_labels) == ["n\rid", "nid00001"]
-        assert report.rejected_reasons[0][0] == 4
-    # a row ended by a lone CR shares its LF line with the next row
-    text = stats_text(GOOD_ROW + "\r" + NEGATIVE_ROW, NEGATIVE_ROW.replace("00:06", "00:09"))
-    _, report = parse_stats_csv(io.StringIO(text, newline=""), mode="lenient")
-    assert [line for line, _ in report.rejected_reasons] == [2, 3]
+    sources = {
+        "path": lambda: path,
+        "text": lambda: io.StringIO(text, newline=""),
+        "bytes": lambda: io.BytesIO(text.encode("utf-8")),
+    }
+    parsed, report = parse_stats_csv(sources[source](), mode="lenient")
+    assert one_block(parsed).node_labels == ("nid00001",)
+    assert report.rejected_reasons == (
+        (2, "line holds '\"'"),
+        (4, "line holds '\\r'"),
+        (5, f"negative counter in counters {(-1,) + (1,) * 20}"),
+    )
+    with pytest.raises(IngestError, match="^line 2: line holds '\"'$"):
+        parse_stats_csv(sources[source]())
+
+
+@pytest.mark.parametrize("source", ["path", "bytes"])
+def test_a_stats_line_not_utf8_is_a_line_numbered_reject(tmp_path, source):
+    """A byte that is not UTF-8 makes its line a bad row; it does not abort
+    a lenient parse, and a strict one names its line."""
+    data = stats_text(GOOD_ROW, "\udcff", NEGATIVE_ROW).encode("utf-8", "surrogateescape")
+    data = data.replace(b"\xff\n", GOOD_ROW.replace("00:00:00", "00:03:00").encode() + b"\xff\n")
+    path = tmp_path / "stats.csv"
+    path.write_bytes(data)
+    sources = {"path": lambda: path, "bytes": lambda: io.BytesIO(data)}
+    parsed, report = parse_stats_csv(sources[source](), mode="lenient")
+    assert len(one_block(parsed)) == report.rows_accepted == 1
+    assert [reason.split(" ")[0] for _, reason in report.rejected_reasons] == ["not", "negative"]
+    assert report.rejected_reasons[0] == (3, "not UTF-8")
+    with pytest.raises(IngestError, match="^line 3: not UTF-8$"):
+        parse_stats_csv(sources[source]())
+
+
+def test_a_crlf_stats_file_is_refused_at_its_header():
+    text = stats_text(GOOD_ROW).replace("\n", "\r\n")
+    for mode in ("strict", "lenient"):
+        with pytest.raises(IngestError, match=r"^line 1: bad header .*'cdr\\r'\]"):
+            parse_stats_csv(io.StringIO(text, newline=""), mode)
+
+
+def test_a_quoted_stats_id_is_a_reject():
+    """A stats line is not CSV: a quoted id is a bad row, not an id."""
+    text = stats_text(GOOD_ROW, '2017-10-09T00:00:00Z,fs2,"a,b",' + ",".join(["1"] * 21))
+    parsed, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    assert one_block(parsed).node_labels == ("nid00001",)
+    assert report.rejected_reasons == ((3, "line holds '\"'"),)
+    with pytest.raises(IngestError, match="^line 3: line holds '\"'$"):
+        parse_stats_csv(io.StringIO(text))
 
 
 def test_a_store_error_counts_lines_at_lf_after_a_lone_cr(tmp_path):

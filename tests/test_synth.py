@@ -200,17 +200,17 @@ def test_planner_rejects_impossible_schedules(tmp_path, actor):
         generate(quiet_scenario(extra_actor=actor), tmp_path, with_oracle=False)
 
 
-def quoted_fs_scenario():
-    # a double quote in the filesystem id makes csv quote the field; 120 s
-    # windows give 720 a day, more than one of the writer's blocks holds
+def non_ascii_fs_scenario():
+    # a filesystem id that is not ASCII; 120 s windows give 720 a day, more
+    # than one of the writer's blocks holds
     return parse_scenario(
         scenario_text(
             seed=4,
             node_pool=3,
-            filesystems='fs"2:48 fs3:48',
+            filesystems="fsé2:48 fs3:48",
             window_len=120,
-            background='[background fs"2]\nread_kb = 9\nopen = 0.2\nnoise = 0.5\n',
-            actors=SPILL_ACTOR.replace("fs2", 'fs"2'),
+            background="[background fsé2]\nread_kb = 9\nopen = 0.2\nnoise = 0.5\n",
+            actors=SPILL_ACTOR.replace("fs2", "fsé2"),
         )
     )
 
@@ -218,20 +218,27 @@ def quoted_fs_scenario():
 STATS_CASES = {
     "foreign_rows": lambda: quiet_scenario(extra_actor=SPILL_ACTOR),
     "all_zero": lambda: parse_scenario(scenario_text(node_pool=3, window_len=900)),
-    "quoted_fs": quoted_fs_scenario,
+    "non_ascii_fs": non_ascii_fs_scenario,
 }
 
 
 @pytest.mark.parametrize("case", sorted(STATS_CASES))
-def test_generated_stats_equal_a_row_by_row_csv_writer(tmp_path, case):
+def test_generated_stats_equal_a_row_by_row_writer(tmp_path, case):
     scenario = STATS_CASES[case]()
     generated = generate(scenario, tmp_path)
     want = reference_stats_csv(scenario)
     assert generated.stats_path.read_text(encoding="utf-8") == want
     assert generated.sample_rows == want.count("\n") - 1
-    if case == "quoted_fs":
-        # nid00001 is homed on fs3 and spills onto the quoted filesystem
-        assert ',"fs""2",nid00001,' in want
+    if case == "non_ascii_fs":
+        # nid00001 is homed on fs3 and spills onto fsé2
+        assert ",fsé2,nid00001," in want
+
+
+@pytest.mark.parametrize("name", ['fs"2', "fs\x002"])
+def test_a_filesystem_id_holding_a_quote_or_nul_is_refused(name):
+    """No stats line may hold a quote or NUL, so no scenario writes one."""
+    with pytest.raises(ScenarioError, match="holds a quote or NUL"):
+        parse_scenario(scenario_text(filesystems=f"{name}:48 fs3:48"))
 
 
 @pytest.mark.parametrize("case", sorted(STATS_CASES))
@@ -290,18 +297,18 @@ def tree_bytes(root: Path) -> dict:
 
 
 def span_edge_scenario():
-    """720 windows of 120 s in 7 spans, a quoted filesystem id, and a job of
-    06:00..08:00 spilling onto a foreign filesystem; the span starting at
-    window 205 (06:50) cuts both its hour and the job."""
+    """720 windows of 120 s in 7 spans, a filesystem id that is not ASCII,
+    and a job of 06:00..08:00 spilling onto a foreign filesystem; the span
+    starting at window 205 (06:50) cuts both its hour and the job."""
     return parse_scenario(
         scenario_text(
             seed=4,
             node_pool=3,
-            filesystems='fs"2:48 fs3:48',
+            filesystems="fsé2:48 fs3:48",
             window_len=120,
-            background='[background fs"2]\nread_kb = 9\nopen = 0.2\nnoise = 0.5\n'
+            background="[background fsé2]\nread_kb = 9\nopen = 0.2\nnoise = 0.5\n"
             "[background fs3]\nwrite_kb = 3\nnoise = 0.2\n",
-            actors=SPILL_ACTOR.replace("fs2", 'fs"2').replace("hours = 1", "start_hour = 6\nhours = 2")
+            actors=SPILL_ACTOR.replace("fs2", "fsé2").replace("hours = 1", "start_hour = 6\nhours = 2")
             + "noise = 0.3\n",
         )
     )
@@ -319,7 +326,7 @@ def test_a_scenario_in_spans_writes_the_one_span_bytes(tmp_path, monkeypatch):
     assert any(e % HOUR and job.start < e < job.end for e in edges)
     split = generate(scenario, tmp_path / "split")
     assert tree_bytes(tmp_path / "split") == tree_bytes(tmp_path / "whole")
-    assert ',"fs""2",nid00001,' in split.stats_path.read_text(encoding="utf-8")
+    assert ",fsé2,nid00001," in split.stats_path.read_text(encoding="utf-8")
     assert split.sample_rows == whole.sample_rows
     generate(scenario, tmp_path / "split-no-oracle", with_oracle=False)
     assert tree_bytes(tmp_path / "split-no-oracle") == tree_bytes(tmp_path / "whole-no-oracle")
