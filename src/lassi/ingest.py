@@ -30,28 +30,29 @@ app_id keeps the first and rejects each later one. Counters are spelled
 in ASCII digits (parse_int_cells) and must fit in a signed 64-bit integer;
 anything else is rejected like any other bad row.
 
-Stats files parse into spill files (SpilledStats), read back as SampleBlocks,
-the only form samples take, one partition at a time. The input is streamed in
-line-aligned ranges of about 64 KiB and never held as one text. A range
-proven clean is read column-wise by np.loadtxt. In a range that fails the
-proof, the lines of a plainly clean shape (_CLEAN_ROW) are still read
+Stats files parse into spill files (SpilledStats), read back as
+SampleBlocks, the only form samples take, one partition at a time. The
+header is read and checked once; the body is streamed as bytes in
+line-aligned ranges of about 64 KiB (_ranges) and never held as one text. A
+range proven clean is read column-wise by np.loadtxt. In a range that fails
+the proof, the lines of a plainly clean shape (_CLEAN_ROW) are still read
 column-wise together, and only the others go through the row loop, one line
-at a time with its absolute line number, so a file with a few bad rows
-costs about what a clean one does. The row loop alone decides a bad row's
-reason. Duplicate keys are resolved once over all accepted rows in line
-order, so every path gives the whole-file row loop's blocks, report and
-strict error. The fs and node ids of a file are coded as they are first
-read, once per distinct id; a block holds one filesystem, named once, and
-carries the node codes.
+at a time with its absolute line number, so a file with a few bad rows costs
+about what a clean one does. The row loop alone decides a bad row's reason.
+Duplicate keys are resolved once over all accepted rows in line order, so
+every path gives the whole-file row loop's blocks, report and strict error.
+The fs and node ids of a file are coded as they are first read, once per
+distinct id; a block holds one filesystem, named once, and carries the node
+codes.
 
-Processes: a stats file given by path, a regular file of at least two
-_SPAN_BYTES (1 MiB), is split into line-aligned byte spans, one per usable
-CPU (_stats_spans). The calling process parses the first span and forks one
-worker for each other span, and reaps every worker before the parse returns
-or raises. Everything else is one span, the whole source, read by the same
-code in the calling process, with no fork: a stream, a pipe or other
-non-regular file, a smaller file, and any file while the process runs a
-second thread. The answer does not depend on the split. Nothing configures
+Processes: the body of a stats file given by path, a regular file of at
+least two _SPAN_BYTES (1 MiB), is split into line-aligned byte spans, one
+per usable CPU (_stats_spans). The calling process parses the first span and
+forks one worker for each other span, and reaps every worker before the
+parse returns or raises. Everything else is one span, the whole body, read
+by the same code in the calling process, with no fork: a stream, a pipe or
+other non-regular file, a smaller file, and any file while the process runs
+a second thread. The answer does not depend on the split. Nothing configures
 it: no option, environment variable or setting. A stream the caller gives
 stays open.
 
@@ -66,7 +67,6 @@ partition's block at once, by (filesystem, day); nothing joins them.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import os
@@ -120,20 +120,28 @@ class IngestReport:
     rejected_reasons: tuple[tuple[int, str], ...] = field(default=())
 
 
-def _open_source(source: Source, stack: ExitStack, errors: str = "strict") -> IO[str]:
+def _open_source(source: Source, stack: ExitStack) -> IO[str]:
     """source as a text stream for the life of stack, its bytes decoded as
-    UTF-8 with the given error handler: a path is opened and closed with
-    it; a binary stream is wrapped, and the wrapper detached with it, so
-    the caller's stream stays open."""
+    UTF-8: a path is opened and closed with it; a binary stream is wrapped,
+    and the wrapper detached with it, so the caller's stream stays open."""
     if isinstance(source, (str, Path)):
-        return stack.enter_context(open(source, encoding="utf-8", errors=errors, newline=""))
+        return stack.enter_context(open(source, encoding="utf-8", newline=""))
     if hasattr(source, "read"):
         if isinstance(source.read(0), bytes):
-            text = io.TextIOWrapper(source, encoding="utf-8", errors=errors, newline="")
+            text = io.TextIOWrapper(source, encoding="utf-8", newline="")
             stack.callback(text.detach)
             return text
         return source
     raise TypeError(f"cannot read from {type(source).__name__}")
+
+
+def _open_stats(source: Source, stack: ExitStack) -> IO[bytes]:
+    """source as a binary stream for the life of stack; the caller's stays open."""
+    if isinstance(source, (str, Path)):
+        return stack.enter_context(open(source, "rb"))
+    if hasattr(source, "read") and isinstance(source.read(0), bytes):
+        return source
+    raise TypeError(f"cannot read stats from {type(source).__name__}: not a path or binary stream")
 
 
 def csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str] | csv.Error]]:
@@ -203,15 +211,16 @@ def parse_int_cells(cells: Sequence[str]) -> list[int]:
 
 
 def parse_stats_csv(
-    source: Source,
+    source: str | Path | IO[bytes],
     mode: str = "strict",
     window_len: int = 180,
     spill: Callable[[], IO[bytes]] | None = None,
 ) -> tuple[dict[tuple[str, int], SampleBlock] | SpilledStats, IngestReport]:
     """Parse a stats file into its accepted rows plus an ingest report.
 
-    A path or binary stream is decoded as UTF-8, a byte that is not UTF-8
-    as a lone surrogate, which the row loop rejects with its line. The
+    source is a path or a binary stream; a text stream raises TypeError.
+    Its header line is read first, at most _HEADER_BYTES of it: a file
+    refused there, as one with no LF that early is, forks no worker. The
     answer is the whole-file row loop's, read in spans (_stats_spans) or
     whole; strict mode reads no range after the first holding a bad row.
 
@@ -234,11 +243,17 @@ def parse_stats_csv(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if window_len <= 0 or HOUR % window_len:
         raise ValueError(f"window_len {window_len} must divide 3600")
-    with ExitStack() as temporary:
-        new_spill = spill or (lambda: temporary.enter_context(tempfile.TemporaryFile()))
-        spans = _stats_spans(source) or [None]
+    with ExitStack() as stack:
+        fh = _open_stats(source, stack)
+        head = fh.readline(_HEADER_BYTES)
+        if len(head) == _HEADER_BYTES and not head.endswith(b"\n"):
+            raise IngestError(1, f"bad header: no LF in its first {_HEADER_BYTES} bytes")
+        header = head.decode("utf-8", "surrogateescape").removesuffix("\n")
+        _check_header(header.split(",") if head else None, STATS_HEADER)
+        spans = _stats_spans(source, len(head))
+        new_spill = spill or (lambda: stack.enter_context(tempfile.TemporaryFile()))
         files = [new_spill() for _ in spans]
-        parts = _parse_in_spans(source, spans, mode, window_len, files)
+        parts = _parse_in_spans(source, fh, spans, mode, window_len, files)
         spilled = SpilledStats(files, parts, window_len)
         report = spilled.report(mode == "strict", [bad for part in parts for bad in part.bad])
         if spill is not None:
@@ -246,39 +261,26 @@ def parse_stats_csv(
         return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
 
 
-def _ranges(stream: IO[str]) -> Iterator[str]:
-    """The text of stream, a read of _RANGE_CHARS at a time, each cut after
-    its last LF and the rest carried to the next; so no line is split in
-    two."""
-    carry = ""
-    while chunk := stream.read(_RANGE_CHARS):
-        carry += chunk
-        cut = carry.rfind("\n") + 1
+def _ranges(fh: IO[bytes], left: int | None) -> Iterator[str]:
+    """The text of the next left bytes of fh (with left None, the rest), a
+    read of _RANGE_BYTES at a time, each cut after its last LF and the rest
+    carried, so no line is split; only the new read is searched for an LF.
+    A range is decoded as UTF-8, a byte that is not UTF-8 as a lone
+    surrogate; no UTF-8 character holds an LF byte, so each decodes as the
+    whole file would."""
+    pieces: list[bytes] = []
+    while left != 0 and (data := fh.read(min(_RANGE_BYTES, left or _RANGE_BYTES))):
+        if left is not None:
+            left -= len(data)
+        cut = data.rfind(b"\n") + 1
         if cut:
-            yield carry[:cut]
-            carry = carry[cut:]
-    if carry:
-        yield carry
-
-
-def _read_stats(stream: IO[str], rows: _StatsRows, line: int = 1) -> None:
-    """Give rows the body of a stats stream whose first line is line, range
-    by range (_ranges); from line 1, the header first. No range is read
-    once rows are done."""
-    for text in _ranges(stream):
-        lines = text.split("\n")
-        if not lines[-1]:
-            lines.pop()
-        if line == 1:
-            _check_header(lines[0].split(","), STATS_HEADER)
-            text, lines, line = text[len(lines[0]) + 1 :], lines[1:], 2
-        if lines:
-            rows.add_range(text, lines, line)
-            line += len(lines)
-        if rows.done():
-            return
-    if line == 1:
-        _check_header(None, STATS_HEADER)
+            pieces.append(data[:cut])
+            yield b"".join(pieces).decode("utf-8", "surrogateescape")
+            pieces = [data[cut:]]
+        else:
+            pieces.append(data)
+    if rest := b"".join(pieces):
+        yield rest.decode("utf-8", "surrogateescape")
 
 
 # what no stats line may hold: a quote, CR or NUL, or a surrogate, which
@@ -289,9 +291,12 @@ _BAD_CHAR = re.compile('["\r\x00\ud800-\udfff]')
 _UNCLEAN_CHARS = tuple('"\r\x00+ \t\x0b\x0c\x1c\x1d\x1e\x1f')
 # one row read whole by np.loadtxt: the three key columns as str, then counters
 _STATS_ROW_DTYPE = np.dtype([("key", object, (3,)), ("counters", np.int64, (len(ALL_FIELDS),))])
-# a range holds about this many characters, so a np.loadtxt call's transient
+# a range holds about this many bytes, so a np.loadtxt call's transient
 # row objects stay small next to the columns it fills
-_RANGE_CHARS = 1 << 16
+_RANGE_BYTES = 1 << 16
+# the most of a stats file's header line read: the header is some 180 bytes,
+# so a file with no LF this near its start is refused at once
+_HEADER_BYTES = 1 << 12
 # a line the clean proof is sure to pass: ids of printable ASCII but space,
 # '"', "+" and ",", and counters of at most 18 digits, which fit in int64
 _CLEAN_ROW = re.compile(r"(?:[!#-*\-./0-9:-~]*,){3}-?[0-9]{1,18}(?:,-?[0-9]{1,18}){20}")
@@ -317,33 +322,31 @@ def _usable_cpus() -> int:
         return 1
 
 
-def _stats_spans(source: Source) -> list[tuple[int, int, int]] | None:
-    """(first byte, end byte, first line) of each span a stats file is
-    parsed in, or None where it is read whole.
+def _stats_spans(source: Source, body: int) -> list[tuple[int, int | None, int]]:
+    """(first byte, end byte, first line) of each span the body of a stats
+    file is parsed in, body being the byte after its header line; where the
+    body is not split, the one span (body, None, 2), to its end.
 
     A source is split only when it is a path to a regular file of at least
     two _SPAN_BYTES, this process may run on two CPUs or more, and it runs
     one thread: a fork copies only the thread that calls it, so a lock
     another thread held would stay held in the worker. There are
     as many spans as CPUs, fewer where a span would hold less than
-    _SPAN_BYTES, each starting after a LF, so on a line; the header is in
-    the first. A scan of the bytes before the last span counts the LFs
-    before each span, for its first line. Nothing in a stats line is
-    quoted, and no multibyte character holds an LF byte, so a split after
-    any LF reads every line as the whole read does.
+    _SPAN_BYTES, each starting after a LF, so on a line; nothing in a stats
+    line is quoted, so a split there reads every line as the whole read
+    does. A scan of the bytes before the last span counts the LFs before
+    each span, for its first line.
     """
+    whole = [(body, None, 2)]
     if not isinstance(source, (str, Path)):
-        return None
-    try:
-        info = os.stat(source)
-    except OSError:  # opening it raises the error
-        return None
+        return whole
+    info = os.stat(source)
     size = info.st_size
     count = min(_usable_cpus(), size // _SPAN_BYTES)
     if not stat.S_ISREG(info.st_mode) or count < 2 or threading.active_count() > 1:
-        return None
+        return whole
     with open(source, "rb") as fh:
-        starts = [0]
+        starts = [body]
         for k in range(1, count):
             # a span starts after the LF that ends the line its split point is on
             fh.seek(max(size * k // count - 1, starts[-1]))
@@ -352,47 +355,31 @@ def _stats_spans(source: Source) -> list[tuple[int, int, int]] | None:
                 break
             starts.append(fh.tell())
         if len(starts) < 2:
-            return None
-        fh.seek(0)
-        lines = [1]
+            return whole
+        fh.seek(body)
+        lines = [2]
         for a, b in zip(starts, starts[1:]):
             chunks = (fh.read(min(_SCAN_BYTES, b - at)) for at in range(a, b, _SCAN_BYTES))
             lines.append(lines[-1] + sum(chunk.count(b"\n") for chunk in chunks))
     return list(zip(starts, starts[1:] + [size], lines))
 
 
-class _SpanText:
-    """The bytes from start to end of a file, decoded as a whole read of a
-    stats file decodes them; a read that ends inside a character keeps its
-    first bytes for the next, and returns text unless the span is done."""
-
-    def __init__(self, fh: IO[bytes], start: int, end: int):
-        fh.seek(start)
-        self.fh, self.left = fh, end - start
-        self.decoder = codecs.getincrementaldecoder("utf-8")("surrogateescape")
-
-    def read(self, size: int) -> str:
-        text = ""
-        while not text and self.left:
-            data = self.fh.read(min(size, self.left))
-            self.left = self.left - len(data) if data else 0
-            text = self.decoder.decode(data, final=not self.left)
-        return text
-
-
 def _parse_span(
-    source: Source, span: tuple[int, int, int] | None, mode: str, window_len: int, spill: IO[bytes]
+    fh: IO[bytes], span: tuple[int, int | None, int], mode: str, window_len: int, spill: IO[bytes]
 ) -> _Part:
-    """One span of a stats file parsed into spill (see _stats_spans), or
-    with span None the whole source."""
+    """One span of a stats file (see _stats_spans), read from fh at its
+    first byte, parsed into spill; no range is read once strict mode has
+    its answer."""
+    start, end, line = span
     rows = _StatsRows(mode, window_len, spill)
-    with ExitStack() as stack:
-        if span is None:
-            _read_stats(_open_source(source, stack, "surrogateescape"), rows)
-        else:
-            start, end, line = span
-            fh = stack.enter_context(open(source, "rb"))
-            _read_stats(_SpanText(fh, start, end), rows, line)
+    for text in _ranges(fh, None if end is None else end - start):
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        rows.add_range(text, lines, line)
+        line += len(lines)
+        if rows.done():
+            break
     part = rows.part()
     spill.flush()
     return part
@@ -400,14 +387,17 @@ def _parse_span(
 
 def _parse_in_spans(
     source: Source,
-    spans: list[tuple[int, int, int] | None],
+    fh: IO[bytes],
+    spans: list[tuple[int, int | None, int]],
     mode: str,
     window_len: int,
     files: list[IO[bytes]],
 ) -> list[_Part]:
     """Each span of a stats source parsed into the spill file beside it:
-    the first in this process, each other one at once in a forked worker;
-    a source read whole is the one span None, and forks no worker.
+    the first in this process, from fh, which is at its first byte; each
+    other one at once in a forked worker, which opens the file itself and
+    seeks to its span, since it shares fh's offset with this process. A
+    body read whole is one span, and forks no worker.
 
     A worker ends with os._exit, whatever happens, so it runs no exit
     handler and no cleanup of its parent's; it sends back over a pipe only
@@ -419,12 +409,17 @@ def _parse_in_spans(
     worker is reaped before this returns or raises, and killed first if its
     part is not taken.
     """
+
+    def parse_own(span: tuple[int, int, int], spill: IO[bytes]) -> _Part:
+        with open(source, "rb") as own:
+            own.seek(span[0])
+            return _parse_span(own, span, mode, window_len, spill)
+
     workers: list[_Worker] = []
     try:
         for span, spill in zip(spans[1:], files[1:]):
-            work = partial(_parse_span, source, span, mode, window_len, spill)
-            workers.append(_Worker(work, "stats parse"))
-        parts = [_parse_span(source, spans[0], mode, window_len, files[0])]
+            workers.append(_Worker(partial(parse_own, span, spill), "stats parse"))
+        parts = [_parse_span(fh, spans[0], mode, window_len, files[0])]
         for worker in workers:
             if parts[-1].done:
                 break

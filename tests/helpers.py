@@ -160,6 +160,12 @@ def serialize_stats_csv(*blocks: SampleBlock) -> str:
     return "".join(parts)
 
 
+def stats_stream(text: str) -> io.BytesIO:
+    """Stats text as the binary stream parse_stats_csv reads, a lone
+    surrogate standing for a byte that is not UTF-8."""
+    return io.BytesIO(text.encode("utf-8", "surrogateescape"))
+
+
 def parse_stats_rows(
     text: str, mode: str, window_len: int
 ) -> tuple[dict[tuple[str, int], SampleBlock], IngestReport]:

@@ -34,6 +34,7 @@ from helpers import (
     partitions,
     result_dicts,
     serialize_stats_csv,
+    stats_stream,
 )
 from lassi import ingest
 from lassi.attribution import (
@@ -51,6 +52,8 @@ from lassi.store import Store
 from lassi.timeutil import DAY, HOUR, format_utc, parse_utc
 
 HEADER = ",".join(STATS_HEADER)
+# the first byte of a stats body, after the header line
+BODY = len(HEADER) + 1
 T0 = "2017-10-09T00:00:00Z"
 T1 = "2017-10-09T00:03:00Z"
 
@@ -85,21 +88,21 @@ def outcome(fn, *args):
         return ("IngestError", exc.line, exc.reason)
 
 
-# range characters: as shipped, one line a range, and a few lines a range
-SPLITS = [ingest._RANGE_CHARS, 1, 300]
+# range bytes: as shipped, a byte a read, and a few lines a range
+SPLITS = [ingest._RANGE_BYTES, 1, 300]
 
 
 def assert_agrees(text, window_len=180):
     """parse_stats_csv, without a spill or through one, equals the
     whole-text row loop in both modes, at every range size."""
-    for range_chars in SPLITS:
+    for range_bytes in SPLITS:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_RANGE_CHARS", range_chars)
+            mp.setattr(ingest, "_RANGE_BYTES", range_bytes)
             for mode in ("strict", "lenient"):
                 want = outcome(row_loop, text, mode, window_len)
                 for parse in (parse_stats_csv, spilled):
-                    got = outcome(parse, io.StringIO(text), mode, window_len)
-                    assert got == want, (range_chars, mode, parse.__name__, text)
+                    got = outcome(parse, stats_stream(text), mode, window_len)
+                    assert got == want, (range_bytes, mode, parse.__name__, text)
 
 
 # --- timestamps are exact -------------------------------------------------
@@ -114,11 +117,11 @@ def test_parse_utc_rejects_single_digit_fields():
 def test_single_digit_timestamp_is_a_line_numbered_reject():
     text = text_of(row(), row(ts="2017-10-9T0:3:0Z"))
     with pytest.raises(IngestError) as err:
-        parse_stats_csv(io.StringIO(text))
+        parse_stats_csv(stats_stream(text))
     assert err.value.line == 3
     assert "bad timestamp" in err.value.reason
 
-    parsed, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    parsed, report = parse_stats_csv(stats_stream(text), mode="lenient")
     assert len(one_block(parsed)) == 1
     assert report.rejected_reasons == ((3, "bad timestamp '2017-10-9T0:3:0Z'"),)
 
@@ -130,17 +133,17 @@ def test_single_digit_timestamp_is_a_line_numbered_reject():
 def test_counter_above_int64_is_a_line_numbered_reject(big):
     text = text_of(row(), row(ts=T1, counters=(big,) + ("0",) * 20))
     with pytest.raises(IngestError) as err:
-        parse_stats_csv(io.StringIO(text))
+        parse_stats_csv(stats_stream(text))
     assert (err.value.line, err.value.reason) == (3, "counter exceeds int64 range")
 
-    parsed, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    parsed, report = parse_stats_csv(stats_stream(text), mode="lenient")
     assert len(one_block(parsed)) == 1
     assert report.rejected_reasons == ((3, "counter exceeds int64 range"),)
 
 
 def test_int64_max_counter_is_exact():
     text = text_of(row(counters=(str(INT64_MAX),) + ("0",) * 20))
-    parsed, report = parse_stats_csv(io.StringIO(text))
+    parsed, report = parse_stats_csv(stats_stream(text))
     assert one_block(parsed).counters.tolist() == [list(mk_counters(read_kb=INT64_MAX))]
     assert report.rows_rejected == 0
 
@@ -218,10 +221,10 @@ def test_a_cell_past_the_csv_field_limit_is_a_cell_like_any_other():
     quoted = text_of(row(node=long_id), row(node='"nid1"'))
     for text in (plain, quoted):
         assert_agrees(text)
-    parsed, report = parse_stats_csv(io.StringIO(plain))
+    parsed, report = parse_stats_csv(stats_stream(plain))
     assert one_block(parsed).node_labels == ("nid1", long_id)
     assert report.rows_rejected == 0
-    parsed, report = parse_stats_csv(io.StringIO(quoted), "lenient")
+    parsed, report = parse_stats_csv(stats_stream(quoted), "lenient")
     assert one_block(parsed).node_labels == (long_id,)
     assert report.rejected_reasons == ((3, "line holds '\"'"),)
 
@@ -273,7 +276,7 @@ def test_clean_path_takes_canonical_files_only(monkeypatch):
     seen = looped_lines(monkeypatch)
     for name, text in _shapes().items():
         seen.clear()
-        outcome(parse_stats_csv, io.StringIO(text), "lenient")
+        outcome(parse_stats_csv, stats_stream(text), "lenient")
         if name in CLEAN_SHAPES:
             assert seen == [], name
         elif name in ONE_BAD_ROW:
@@ -282,7 +285,7 @@ def test_clean_path_takes_canonical_files_only(monkeypatch):
             assert seen, name
     seen.clear()
     with pytest.raises(ValueError, match="window_len 7 must divide 3600"):
-        parse_stats_csv(io.StringIO(_shapes()["canonical"]), "lenient", 7)
+        parse_stats_csv(stats_stream(_shapes()["canonical"]), "lenient", 7)
     assert seen == []
 
 
@@ -322,9 +325,9 @@ def test_clean_path_agrees_with_row_loop(rows, quoted, crlf, dup):
     if crlf:
         # refused at the header, whose last cell holds the CR
         with pytest.raises(IngestError, match=r"^line 1: bad header .*'cdr\\r'\]"):
-            parse_stats_csv(io.StringIO(text), "lenient")
+            parse_stats_csv(stats_stream(text), "lenient")
         return
-    _, report = parse_stats_csv(io.StringIO(text), "lenient")
+    _, report = parse_stats_csv(stats_stream(text), "lenient")
     reasons = dict(report.rejected_reasons)
     for line_no, line in enumerate(text.split("\n"), 1):
         bad = [c for c in line if c in '"\udcff']
@@ -369,13 +372,13 @@ def dirty_lines(seed: int, every: int | None, n: int = 3000) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("range_chars", [ingest._RANGE_CHARS, 4096])
+@pytest.mark.parametrize("range_bytes", [ingest._RANGE_BYTES, 4096])
 @pytest.mark.parametrize("every", [None, 97, 331])
-def test_dirty_file_agrees_with_row_loop(monkeypatch, range_chars, every):
-    monkeypatch.setattr(ingest, "_RANGE_CHARS", range_chars)
+def test_dirty_file_agrees_with_row_loop(monkeypatch, range_bytes, every):
+    monkeypatch.setattr(ingest, "_RANGE_BYTES", range_bytes)
     text = text_of(*dirty_lines(11, every))
     for mode in ("strict", "lenient"):
-        got = outcome(parse_stats_csv, io.StringIO(text), mode)
+        got = outcome(parse_stats_csv, stats_stream(text), mode)
         want = outcome(row_loop, text, mode)
         assert got == want, mode
     parsed, report = got
@@ -385,10 +388,10 @@ def test_dirty_file_agrees_with_row_loop(monkeypatch, range_chars, every):
 
 
 def test_row_loop_sees_only_bad_and_blank_lines(monkeypatch):
-    monkeypatch.setattr(ingest, "_RANGE_CHARS", 4096)  # about 27 lines
+    monkeypatch.setattr(ingest, "_RANGE_BYTES", 4096)  # about 27 lines
     text = text_of(*dirty_lines(11, every=331))
     seen = looped_lines(monkeypatch)
-    _, report = parse_stats_csv(io.StringIO(text), "lenient")
+    _, report = parse_stats_csv(stats_stream(text), "lenient")
     bad_rows = [line for line, why in report.rejected_reasons if not why.startswith("duplicate")]
     blank_lines = [i for i, line in enumerate(text.split("\n")[:-1], 1) if not line]
     assert (len(bad_rows), len(blank_lines)) == (10, 3)
@@ -405,7 +408,7 @@ def test_a_line_of_22_or_24_commas_goes_to_the_row_loop(monkeypatch, cells):
     text = text_of(row(), wrong, row(node="nid2"))
     assert_agrees(text)
     seen = looped_lines(monkeypatch)
-    parsed, report = parse_stats_csv(io.StringIO(text), "lenient")
+    parsed, report = parse_stats_csv(stats_stream(text), "lenient")
     assert seen == [3]
     assert report.rejected_reasons == ((3, f"expected 24 columns, got {cells}"),)
     assert len(one_block(parsed)) == 2
@@ -417,18 +420,18 @@ def test_a_late_quote_or_cr_is_a_reject_on_its_own_line(monkeypatch, where, spec
     """A line holding a quote or CR is a bad row like any other: it alone
     goes through the row loop, and the lines after it are read column-wise
     as before; the answer is the whole-file row loop's."""
-    monkeypatch.setattr(ingest, "_RANGE_CHARS", 4096)  # about 27 lines
+    monkeypatch.setattr(ingest, "_RANGE_BYTES", 4096)  # about 27 lines
     lines = dirty_lines(7, every=None)
     at = len(lines) if where == "last range" else len(lines) // 2
     late = row(ts=T1, node='"nid,9"') if special == '"' else row(ts=T1, node="nid9") + "\r"
     text = text_of(*lines[:at], late, *lines[at:])
     for mode in ("strict", "lenient"):
         want = outcome(row_loop, text, mode)
-        assert outcome(parse_stats_csv, io.StringIO(text), mode) == want, mode
-        assert outcome(spilled, io.StringIO(text), mode) == want, mode
+        assert outcome(parse_stats_csv, stats_stream(text), mode) == want, mode
+        assert outcome(spilled, stats_stream(text), mode) == want, mode
     late_line = at + 2
     seen = looped_lines(monkeypatch)
-    _, report = parse_stats_csv(io.StringIO(text), "lenient")
+    _, report = parse_stats_csv(stats_stream(text), "lenient")
     assert seen == [late_line]
     bad = [r for r in report.rejected_reasons if not r[1].startswith("duplicate ")]
     assert bad == [(late_line, f"line holds {special!r}")]
@@ -437,21 +440,21 @@ def test_a_late_quote_or_cr_is_a_reject_on_its_own_line(monkeypatch, where, spec
 def test_far_apart_duplicates_resolve_as_the_row_loop_does(monkeypatch):
     """Lenient duplicates of one key many ranges apart give the whole-file
     row loop's blocks and report, without a spill or through one."""
-    monkeypatch.setattr(ingest, "_RANGE_CHARS", 4096)
+    monkeypatch.setattr(ingest, "_RANGE_BYTES", 4096)
     lines = dirty_lines(3, every=None)
     cells = lines[10].split(",")
     again = [",".join(cells[:5] + [str(k)] + cells[6:]) for k in (7, 8, 9)]
     text = text_of(*lines[:1000], again[0], *lines[1000:2000], again[1], *lines[2000:], again[2])
     want = row_loop(text, "lenient")
-    assert parse_stats_csv(io.StringIO(text), "lenient") == want
-    assert spilled(io.StringIO(text), "lenient") == want
+    assert parse_stats_csv(stats_stream(text), "lenient") == want
+    assert spilled(stats_stream(text), "lenient") == want
     reasons = dict(want[1].rejected_reasons)
     first, second, third = 1002, 2003, len(lines) + 4
     assert reasons[12] == f"duplicate (fs, node, window) superseded by line {first}"
     assert reasons[first] == f"duplicate (fs, node, window) superseded by line {second}"
     assert reasons[second] == f"duplicate (fs, node, window) superseded by line {third}"
     with pytest.raises(IngestError) as err:
-        spilled(io.StringIO(text))
+        spilled(stats_stream(text))
     assert outcome(row_loop, text, "strict") == ("IngestError", err.value.line, err.value.reason)
 
 
@@ -462,30 +465,42 @@ def test_int64_max_counter_in_a_failing_range_is_exact(monkeypatch):
     text = text_of(row(), "2017-10-09T00:06:00Z,fs2,nid1,1,2", big, row(node="nid2"))
     assert_agrees(text)
     seen = looped_lines(monkeypatch)
-    parsed, report = parse_stats_csv(io.StringIO(text), "lenient")
+    parsed, report = parse_stats_csv(stats_stream(text), "lenient")
     assert sorted(seen) == [3, 4]
     assert report.rejected_reasons == ((3, "expected 24 columns, got 5"),)
     assert one_block(parsed).counters[:, 0].tolist() == [1, 1, INT64_MAX]
     with pytest.raises(IngestError) as err:
-        parse_stats_csv(io.StringIO(text))
+        parse_stats_csv(stats_stream(text))
     assert err.value.line == 3
 
 
-class CountedReads(io.StringIO):
-    """A text stream that counts the reads made of it."""
+class CountedReads(io.BytesIO):
+    """A binary stream of stats text that counts the reads made of it and
+    the bytes they return."""
 
     reads = 0
+    bytes_read = 0
+
+    def __init__(self, text):
+        super().__init__(text.encode("utf-8", "surrogateescape"))
 
     def read(self, size=-1):
+        return self._counted(super().read(size))
+
+    def readline(self, size=-1):
+        return self._counted(super().readline(size))
+
+    def _counted(self, data):
         self.reads += 1
-        return super().read(size)
+        self.bytes_read += len(data)
+        return data
 
 
 def test_a_strict_parse_reads_no_range_after_a_bad_row(monkeypatch):
     """The short row is in the second of about 140 ranges: a strict parse
-    raises after two reads of text (and the probe read(0)), a lenient one
-    reads to the end."""
-    monkeypatch.setattr(ingest, "_RANGE_CHARS", 4096)  # about 22 lines
+    raises after two reads of ranges (and the probe read(0) and the header's
+    readline), a lenient one reads to the end."""
+    monkeypatch.setattr(ingest, "_RANGE_BYTES", 4096)  # about 22 lines
     lines = dirty_lines(7, every=None)
     lines.insert(30, "2017-10-09T00:03:00Z,fs1,nid1,1,2")
     text = text_of(*lines)
@@ -493,10 +508,31 @@ def test_a_strict_parse_reads_no_range_after_a_bad_row(monkeypatch):
     with pytest.raises(IngestError) as err:
         parse_stats_csv(stream)
     assert (err.value.line, err.value.reason) == (32, "expected 24 columns, got 5")
-    assert stream.reads == 3
+    assert stream.reads == 4
     stream = CountedReads(text)
     parse_stats_csv(stream, "lenient")
     assert stream.reads > len(text) // 4096
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_a_file_with_no_lf_near_its_start_is_refused_after_one_header_read(tmp_path, mode):
+    """A file of 3 MiB with CR line endings is one line: the header read
+    stops at _HEADER_BYTES, and the error, the same by path, quotes none of
+    the file."""
+    text = text_of(*dirty_lines(5, every=None, n=20000), end="\r")
+    assert "\n" not in text and len(text) > 3 << 20
+    stream = CountedReads(text)
+    with pytest.raises(IngestError) as err:
+        parse_stats_csv(stream, mode)
+    assert err.value.line == 1
+    assert str(err.value) == f"line 1: bad header: no LF in its first {ingest._HEADER_BYTES} bytes"
+    assert len(str(err.value)) < 8 << 10
+    assert stream.bytes_read <= ingest._HEADER_BYTES
+    path = tmp_path / "stats.csv"
+    path.write_bytes(stream.getvalue())
+    with pytest.raises(IngestError) as by_path:
+        parse_stats_csv(path, mode)
+    assert str(by_path.value) == str(err.value)
 
 
 # --- a file parsed in spans by forked workers -----------------------------
@@ -597,9 +633,9 @@ def test_a_file_in_spans_agrees_with_the_row_loop(rows, spans, again, late, fina
         path = Path(tmp) / "stats.csv"
         path.write_bytes(data)
         split_in(mp, path, spans)
-        layout = ingest._stats_spans(path)
-        assume(layout is not None)
-        assert (layout[0][0], layout[-1][1]) == (0, len(data))
+        layout = ingest._stats_spans(path, BODY)
+        assume(len(layout) > 1)
+        assert (layout[0][0], layout[-1][1]) == (BODY, len(data))
         assert all(a[1] == b[0] and data[b[0] - 1] == 10 for a, b in zip(layout, layout[1:]))
         firsts = [data.count(b"\n", 0, a) + 1 for a, _, _ in layout]
         assert [line for _, _, line in layout] == firsts
@@ -619,7 +655,7 @@ def test_a_span_may_be_the_last_line_alone(tmp_path, monkeypatch):
     path.write_bytes(text.encode())
     split_in(monkeypatch, path, 2)
     last = len(text) - len(body[-1]) - 1
-    assert ingest._stats_spans(path) == [(0, last, 1), (last, len(text), 4)]
+    assert ingest._stats_spans(path, BODY) == [(BODY, last, 2), (last, len(text), 4)]
     for mode in ("strict", "lenient"):
         assert outcome(parse_stats_csv, path, mode) == outcome(row_loop, text, mode), mode
     with pytest.raises(IngestError, match="^line 4: duplicate sample for"):
@@ -651,7 +687,7 @@ def test_a_bad_utf8_or_quoted_line_is_a_reject_on_its_own_line_and_the_file_stil
     path = tmp_path / "stats.csv"
     path.write_bytes(data)
     monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
-    spans = ingest._stats_spans(path)
+    spans = ingest._stats_spans(path, BODY)
     assert len(data) >= 2 * ingest._SPAN_BYTES and len(spans) == 2
     assert spans[0][2] <= early < spans[1][2] <= late
 
@@ -691,7 +727,7 @@ def test_a_stream_or_a_pipe_is_read_whole(tmp_path, monkeypatch):
     assert from_fifo == want
     with open(path, "rb") as stream:
         assert outcome(parse_stats_csv, stream, "lenient") == want
-    assert outcome(parse_stats_csv, io.StringIO(text), "lenient") == want
+    assert outcome(parse_stats_csv, stats_stream(text), "lenient") == want
 
 
 def test_a_process_running_a_second_thread_reads_whole(tmp_path, monkeypatch):
@@ -701,7 +737,7 @@ def test_a_process_running_a_second_thread_reads_whole(tmp_path, monkeypatch):
     path = tmp_path / "stats.csv"
     path.write_bytes(text.encode())
     split_in(monkeypatch, path, 2)
-    assert len(ingest._stats_spans(path)) == 2
+    assert len(ingest._stats_spans(path, BODY)) == 2
     monkeypatch.setattr(ingest, "_Worker", NoWorker)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait, args=(60,))
@@ -712,6 +748,53 @@ def test_a_process_running_a_second_thread_reads_whole(tmp_path, monkeypatch):
         stop.set()
         other.join(10)
     assert not other.is_alive()
+
+
+def test_a_crlf_file_given_by_path_is_refused_before_any_fork(tmp_path, monkeypatch):
+    """A file of 1 MiB or more that would be parsed in two spans is refused
+    at its header, whose last cell reads cdr\\r, before any worker starts."""
+    path = tmp_path / "stats.csv"
+    path.write_bytes(text_of(*dirty_lines(5, every=None, n=7000), end="\r\n").encode())
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
+    assert path.stat().st_size >= 1 << 20
+    assert len(ingest._stats_spans(path, BODY + 1)) == 2
+    monkeypatch.setattr(ingest, "_Worker", NoWorker)
+    for mode in ("strict", "lenient"):
+        with pytest.raises(IngestError, match=r"^line 1: bad header .*'cdr\\r'\]"):
+            parse_stats_csv(path, mode)
+    assert no_children()
+
+
+@pytest.mark.parametrize("read", ["whole", "in spans"])
+def test_a_line_many_reads_long_is_one_bad_row_read_in_linear_time(tmp_path, monkeypatch, read):
+    """Lines of 3 and 2 MiB, some 80,000 reads of 64 bytes in all: the
+    first a good row with a long node id, the second a bad row of one cell
+    on its own line, read whole or in the second of two spans; the rows
+    after them keep their lines. Each read alone is searched for an LF, so
+    the parse takes time in proportion to the bytes, not to their square."""
+    monkeypatch.setattr(ingest, "_RANGE_BYTES", 64)
+    long_id = "n" * (3 << 20)
+    bad = "x" * (2 << 20)
+    text = text_of(row(node=long_id), row(), bad, row(ts=T1), "2017-10-09T00:06:00Z,fs2,nid1,1,2")
+    path = tmp_path / "stats.csv"
+    path.write_bytes(text.encode())
+    if read == "in spans":
+        split_in(monkeypatch, path, 2)
+        assert [line for _, _, line in ingest._stats_spans(path, BODY)] == [2, 3]
+    else:
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(ingest, "_Worker", NoWorker)
+    started = time.monotonic()
+    for mode in ("strict", "lenient"):
+        assert outcome(parse_stats_csv, path, mode) == outcome(row_loop, text, mode), mode
+    assert time.monotonic() - started < 10
+    parsed, report = parse_stats_csv(path, "lenient")
+    assert report.rejected_reasons == (
+        (4, "expected 24 columns, got 1"),
+        (6, "expected 24 columns, got 5"),
+    )
+    assert one_block(parsed).node_labels == ("nid1", long_id)
+    assert no_children()
 
 
 def store_files(store):
@@ -733,12 +816,12 @@ def two_fs_lines(seed, every=None):
 
 def fail_workers(monkeypatch, fail):
     """Make every forked worker call fail before it parses its span."""
-    real = ingest._parse_span
+    real, parent = ingest._parse_span, os.getpid()
 
-    def parse_span(path, span, *args):
-        if span[0]:  # not the first span, which the parent parses
+    def parse_span(*args):
+        if os.getpid() != parent:  # not the first span, which the parent parses
             fail()
-        return real(path, span, *args)
+        return real(*args)
 
     monkeypatch.setattr(ingest, "_parse_span", parse_span)
 
@@ -820,13 +903,13 @@ def test_a_parent_that_raises_kills_its_workers(tmp_path, monkeypatch):
     path = tmp_path / "stats.csv"
     path.write_text(text_of(*two_fs_lines(4)), encoding="utf-8")
     split_in(monkeypatch, path, 3)
-    real = ingest._parse_span
+    real, parent = ingest._parse_span, os.getpid()
 
-    def parse_span(path, span, *args):
-        if not span[0]:
+    def parse_span(*args):
+        if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)
-        return real(path, span, *args)
+        return real(*args)
 
     monkeypatch.setattr(ingest, "_parse_span", parse_span)
     started = time.monotonic()
@@ -844,7 +927,7 @@ def test_ingest_in_spans_writes_the_stores_a_whole_read_does(tmp_path, monkeypat
     for spans in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
             split_in(mp, path, spans)
-            assert len(ingest._stats_spans(path) or [None]) == spans
+            assert len(ingest._stats_spans(path, BODY)) == spans
             store = Store(tmp_path / f"store{spans}")
             summary = ingest_files(store, [path], mode="lenient")
         stores[spans] = (summary, {name: data for name, (data, _) in store_files(store).items()})
@@ -891,7 +974,7 @@ def test_serialize_matches_a_row_by_row_writer(rows):
     blocks = fs_blocks(rows)
     text = serialize_stats_csv(*blocks)
     assert text == reference_serialize(rows)
-    back, report = parse_stats_csv(io.StringIO(text))
+    back, report = parse_stats_csv(stats_stream(text))
     assert report.rows_rejected == 0
     assert back == partitions(*blocks)
     assert serialize_stats_csv(*back.values()) == text
@@ -1013,7 +1096,7 @@ def test_code_form_matches_string_keyed_reference(old, new, mask):
     # and node ids come first-seen unsorted
     want = partitions(*merged)
     text = serialize_stats_csv(*merged)
-    back, report = parse_stats_csv(io.StringIO(text))
+    back, report = parse_stats_csv(stats_stream(text))
     assert report.rows_rejected == 0
     for block in back.values():
         assert_code_form(block)
@@ -1022,7 +1105,7 @@ def test_code_form_matches_string_keyed_reference(old, new, mask):
     drawn = text_of(
         *(",".join(map(str, (format_utc(w), f, n) + vec)) for f, n, w, vec in union.values())
     )
-    assert parse_stats_csv(io.StringIO(drawn))[0] == want
+    assert parse_stats_csv(stats_stream(drawn))[0] == want
 
 
 def test_ingest_merges_overlapping_files_in_one_call(tmp_path):

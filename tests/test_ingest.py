@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import fs_blocks, mk_job, mk_sample, one_block, partitions, serialize_stats_csv
+from helpers import (
+    fs_blocks,
+    mk_job,
+    mk_sample,
+    one_block,
+    partitions,
+    serialize_stats_csv,
+    stats_stream,
+)
 from lassi.errors import IngestError, StoreError
 from lassi.model import AppHourRecord
 from lassi.ingest import (
@@ -31,7 +39,7 @@ def jobs_text(*rows):
 
 
 def test_parse_stats_happy_path():
-    parsed, report = parse_stats_csv(io.StringIO(stats_text(GOOD_ROW)))
+    parsed, report = parse_stats_csv(stats_stream(stats_text(GOOD_ROW)))
     samples = one_block(parsed)
     assert list(parsed) == [("fs2", 1507507200)]
     assert report.rows_read == 1
@@ -52,8 +60,9 @@ JOB_ROW = "app1,1.sdb,u,2017-10-09T01:00:00Z,2017-10-09T02:00:00Z,n1,c"
 
 @pytest.mark.parametrize("bad", [False, True])
 def test_a_binary_stream_the_caller_gives_stays_open(tmp_path, bad):
-    """The text wrapper put around it is detached, not closed, whether the
-    parse returns or raises."""
+    """A stats parse reads it as it is, and a jobs parse detaches the text
+    wrapper it puts around it; neither closes it, whether the parse returns
+    or raises."""
     inputs = ((parse_stats_csv, stats_text(GOOD_ROW)), (parse_jobs_csv, jobs_text(JOB_ROW)))
     for parse, text in inputs:
         path = tmp_path / "input.csv"
@@ -68,17 +77,23 @@ def test_a_binary_stream_the_caller_gives_stays_open(tmp_path, bad):
             assert not stream.closed, parse.__name__
 
 
+def test_a_stats_source_that_is_a_text_stream_is_refused():
+    """A stats file is bytes: a path or a binary stream."""
+    with pytest.raises(TypeError, match="^cannot read stats from StringIO: not a path or binary"):
+        parse_stats_csv(io.StringIO(stats_text(GOOD_ROW)))
+
+
 def test_header_must_match_exactly():
     with pytest.raises(IngestError) as err:
-        parse_stats_csv(io.StringIO("window_start,fs\n"))
+        parse_stats_csv(stats_stream("window_start,fs\n"))
     assert err.value.line == 1
     with pytest.raises(IngestError):
-        parse_stats_csv(io.StringIO(""))
+        parse_stats_csv(stats_stream(""))
     # swapped columns are not the contract header
     cols = list(STATS_HEADER)
     cols[3], cols[4] = cols[4], cols[3]
     with pytest.raises(IngestError):
-        parse_stats_csv(io.StringIO(",".join(cols) + "\n"))
+        parse_stats_csv(stats_stream(",".join(cols) + "\n"))
 
 
 @pytest.mark.parametrize(
@@ -94,11 +109,11 @@ def test_header_must_match_exactly():
 )
 def test_parse_stats_rejects_bad_rows(row, needle):
     with pytest.raises(IngestError) as err:
-        parse_stats_csv(io.StringIO(stats_text(row)))
+        parse_stats_csv(stats_stream(stats_text(row)))
     assert err.value.line == 2
     assert needle in str(err.value)
 
-    parsed, report = parse_stats_csv(io.StringIO(stats_text(row)), mode="lenient")
+    parsed, report = parse_stats_csv(stats_stream(stats_text(row)), mode="lenient")
     assert parsed == {}
     assert report.rows_rejected == 1
     assert report.first_error_line == 2
@@ -114,10 +129,10 @@ def test_counter_cells_outside_the_integer_grammar_are_rejects(cell):
     row = "2017-10-09T00:03:00Z,fs2,nid00001," + ",".join([cell] + ["1"] * 20)
     text = stats_text(GOOD_ROW, row)
     with pytest.raises(IngestError) as err:
-        parse_stats_csv(io.StringIO(text))
+        parse_stats_csv(stats_stream(text))
     assert (err.value.line, err.value.reason) == (3, "non-integer counter value")
 
-    parsed, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    parsed, report = parse_stats_csv(stats_stream(text), mode="lenient")
     assert len(one_block(parsed)) == report.rows_accepted == 1
     assert report.rejected_reasons == ((3, "non-integer counter value"),)
 
@@ -125,7 +140,7 @@ def test_counter_cells_outside_the_integer_grammar_are_rejects(cell):
 def test_leading_zeros_still_read_at_ingest():
     row = "2017-10-09T00:03:00Z,fs2,nid00001," + ",".join(["007"] + ["1"] * 20)
     for mode in ("strict", "lenient"):
-        parsed, report = parse_stats_csv(io.StringIO(stats_text(GOOD_ROW, row)), mode)
+        parsed, report = parse_stats_csv(stats_stream(stats_text(GOOD_ROW, row)), mode)
         assert report.rows_rejected == 0
         assert one_block(parsed).counters[1].tolist() == [7] + [1] * 20
 
@@ -149,10 +164,10 @@ def test_leading_zeros_still_read_at_ingest():
 def test_sample_rules_hold_at_the_parse_boundary(row, reason):
     text = stats_text(GOOD_ROW, row)
     with pytest.raises(IngestError) as err:
-        parse_stats_csv(io.StringIO(text))
+        parse_stats_csv(stats_stream(text))
     assert (err.value.line, err.value.reason) == (3, reason)
 
-    parsed, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    parsed, report = parse_stats_csv(stats_stream(text), mode="lenient")
     assert len(one_block(parsed)) == report.rows_accepted == 1
     assert report.rejected_reasons == ((3, reason),)
 
@@ -172,7 +187,7 @@ def test_window_len_off_the_hour_rejects_every_row(tmp_path, window_len):
 def test_duplicate_sample_strict_raises_at_later_line():
     text = stats_text(GOOD_ROW, GOOD_ROW.replace(",1,", ",2,", 1))
     with pytest.raises(IngestError) as err:
-        parse_stats_csv(io.StringIO(text))
+        parse_stats_csv(stats_stream(text))
     assert err.value.line == 3
     assert "duplicate" in str(err.value)
 
@@ -180,7 +195,7 @@ def test_duplicate_sample_strict_raises_at_later_line():
 def test_duplicate_sample_lenient_last_wins():
     second = "2017-10-09T00:00:00Z,fs2,nid00001," + ",".join(["7"] * 21)
     parsed, report = parse_stats_csv(
-        io.StringIO(stats_text(GOOD_ROW, second)), mode="lenient"
+        stats_stream(stats_text(GOOD_ROW, second)), mode="lenient"
     )
     assert one_block(parsed).counters.tolist() == [[7] * 21]
     assert report.rows_accepted == 1
@@ -262,9 +277,9 @@ BAD_TIME_JOB = "app3,3.sdb,u,2017-10-09T01:00:00Z,never,n3,c"
 def test_rejects_name_the_file_line_after_a_quoted_newline(parse, text, rejects, accepted):
     assert text.splitlines()[4].startswith(("2017-10-09T00:06:00Z,", "app3,"))
     with pytest.raises(IngestError) as err:
-        parse(io.StringIO(text))
+        parse(stats_stream(text))
     assert err.value.line == rejects[0]
-    parsed, report = parse(io.StringIO(text), mode="lenient")
+    parsed, report = parse(stats_stream(text), mode="lenient")
     if parse is parse_stats_csv:
         parsed = one_block(parsed)
     assert len(parsed) == accepted
@@ -309,7 +324,7 @@ def test_jobs_rejects_count_lines_at_lf_after_a_lone_cr(tmp_path, source):
     assert report.rejected_reasons[0][0] == 3
 
 
-@pytest.mark.parametrize("source", ["path", "text", "bytes"])
+@pytest.mark.parametrize("source", ["path", "bytes"])
 def test_stats_row_loop_counts_lines_at_lf_after_a_lone_cr(tmp_path, source):
     """A line holding a CR is one bad line, counted at LF, whether the CR is
     quoted or ends a row that shares the LF line with the next."""
@@ -317,11 +332,7 @@ def test_stats_row_loop_counts_lines_at_lf_after_a_lone_cr(tmp_path, source):
     text = stats_text(LONE_CR_NODE, GOOD_ROW, two_rows, NEGATIVE_ROW)
     path = tmp_path / "stats.csv"
     path.write_bytes(text.encode("utf-8"))
-    sources = {
-        "path": lambda: path,
-        "text": lambda: io.StringIO(text, newline=""),
-        "bytes": lambda: io.BytesIO(text.encode("utf-8")),
-    }
+    sources = {"path": lambda: path, "bytes": lambda: io.BytesIO(text.encode("utf-8"))}
     parsed, report = parse_stats_csv(sources[source](), mode="lenient")
     assert one_block(parsed).node_labels == ("nid00001",)
     assert report.rejected_reasons == (
@@ -354,17 +365,17 @@ def test_a_crlf_stats_file_is_refused_at_its_header():
     text = stats_text(GOOD_ROW).replace("\n", "\r\n")
     for mode in ("strict", "lenient"):
         with pytest.raises(IngestError, match=r"^line 1: bad header .*'cdr\\r'\]"):
-            parse_stats_csv(io.StringIO(text, newline=""), mode)
+            parse_stats_csv(stats_stream(text), mode)
 
 
 def test_a_quoted_stats_id_is_a_reject():
     """A stats line is not CSV: a quoted id is a bad row, not an id."""
     text = stats_text(GOOD_ROW, '2017-10-09T00:00:00Z,fs2,"a,b",' + ",".join(["1"] * 21))
-    parsed, report = parse_stats_csv(io.StringIO(text), mode="lenient")
+    parsed, report = parse_stats_csv(stats_stream(text), mode="lenient")
     assert one_block(parsed).node_labels == ("nid00001",)
     assert report.rejected_reasons == ((3, "line holds '\"'"),)
     with pytest.raises(IngestError, match="^line 3: line holds '\"'$"):
-        parse_stats_csv(io.StringIO(text))
+        parse_stats_csv(stats_stream(text))
 
 
 def test_a_store_error_counts_lines_at_lf_after_a_lone_cr(tmp_path):
@@ -389,7 +400,7 @@ def test_a_store_error_counts_lines_at_lf_after_a_lone_cr(tmp_path):
 
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
-        parse_stats_csv(io.StringIO(stats_text()), mode="permissive")
+        parse_stats_csv(stats_stream(stats_text()), mode="permissive")
 
 
 small_counters = st.lists(st.integers(min_value=0, max_value=999), min_size=21, max_size=21)
@@ -413,7 +424,7 @@ def test_stats_serialize_parse_round_trip(rows):
         for fs, node, w, vec in rows
     )
     text = serialize_stats_csv(*blocks)
-    parsed, report = parse_stats_csv(io.StringIO(text))
+    parsed, report = parse_stats_csv(stats_stream(text))
     assert report.rows_rejected == 0
     assert parsed == partitions(*blocks)
     # canonical form is a fixed point
