@@ -6,12 +6,25 @@ group. A run is flagged slow when its runtime reaches a configurable factor
 of its group's mean runtime, the run itself included. Exposure totals the
 filesystem-level hourly risk over every hour a run's span touches, so
 concurrent identical runs see identical exposure regardless of their own I/O.
+
+A group's key is the first 16 hex digits of the SHA-256 of its normalized
+command. The digest comes from CPython's own SHA-256 module, not hashlib:
+hashlib maps OpenSSL's libcrypto, some 3.5 MiB of memory for one hash.
+Both give the same digest; hashlib is used only where that module is absent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import SeriesGapError
 from .metrics import RiskRecord, RiskSeries, rsd
@@ -78,9 +91,7 @@ def normalize_command(command: str) -> str:
 
 def group_key(command: str) -> str:
     """Stable key for one exact launch command, whitespace-insensitive."""
-    import hashlib  # here, as only grouping needs it: OpenSSL costs some 3.6 MiB
-
-    return hashlib.sha256(normalize_command(command).encode("utf-8")).hexdigest()[:16]
+    return sha256(normalize_command(command).encode("utf-8")).hexdigest()[:16]
 
 
 def group_jobs(jobs: Iterable[JobRecord]) -> list[AppGroup]:

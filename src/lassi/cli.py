@@ -316,7 +316,7 @@ def cmd_synth(args, settings: Settings) -> int:
 def cmd_verify(args, settings: Settings) -> int:
     data_dir = Path(args.data)
     oracle_dir = Path(args.oracle) if args.oracle else data_dir / "oracle"
-    meta = oracle_mod.read_oracle(oracle_dir).meta
+    meta = oracle_mod.read_meta(oracle_dir)
     outputs = compute_outputs_from_files(
         data_dir / "stats.csv",
         data_dir / "jobs.csv",

@@ -302,9 +302,11 @@ _HEADER_BYTES = 1 << 12
 _CLEAN_ROW = re.compile(r"(?:[!#-*\-./0-9:-~]*,){3}-?[0-9]{1,18}(?:,-?[0-9]{1,18}){20}")
 # the window of a row whose timestamp parse_utc refuses; no timestamp has it
 _NO_STAMP = np.iinfo(np.int64).min
-# _StatsRows writes the rows it holds once they are this many (about 0.8 MB
-# as columns), so a partition is a few large segments, not one per range
-_SPILL_ROWS = 1 << 12
+# _StatsRows writes the rows it holds once they are this many (about 0.4 MB
+# as columns, twice that while write gathers them by partition), so a
+# partition is a few large segments, not one per range; 4,096 rows took the
+# task farm's verify 0.7 MiB higher in peak RSS, and the week no faster
+_SPILL_ROWS = 1 << 11
 # the least bytes a span of a stats file parsed in spans holds: a worker's
 # fork, pipe and exit took 4-5 ms on a 2-CPU host, what parsing about 150 KB
 # takes (some 30 ns a byte), so a file split in two spans of this size or

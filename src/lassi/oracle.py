@@ -10,7 +10,8 @@ those of all of them, so the rows may be summed in parts, in any number of
 processes. compute_oracle() then derives from the sums the expected
 aggregates, baselines, risk series, operation-size metrics, and per-run
 exposures, once; write_oracle()/read_oracle() persist them; verify()
-compares pipeline outputs against a written oracle directory.
+compares pipeline outputs against a written oracle directory, reading each
+table a row at a time. Both read the tables through the same row readers.
 
 Only the midpoint window-ownership rule is modelled: a window belongs to the
 job whose [start, end) interval contains the window's midpoint, checked in
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 STAT_NAMES = (
     "read_kb",
@@ -370,10 +371,22 @@ def write_oracle(data: OracleData, oracle_dir: str | Path) -> None:
     )
 
 
-def _read_table(path: Path) -> list:
+class _Stamps(dict):
+    """Unix seconds by hour stamp, each stamp parsed once: every table
+    repeats the same few."""
+
+    def __missing__(self, ts: str) -> int:
+        value = self[ts] = _unix(ts)
+        return value
+
+
+def _rows(path: Path) -> Iterator[list]:
+    """The CSV rows of a table after its header, one at a time, the file
+    open only while they are read."""
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    return rows[1:]
+        rows = csv.reader(fh)
+        next(rows, None)
+        yield from rows
 
 
 def _parse_opt(text: str) -> float | None:
@@ -384,59 +397,91 @@ def _parse_opt(text: str) -> float | None:
     return float(text)
 
 
+# The row readers: each yields the rows of one table of the oracle directory
+# root, parsed, one at a time and in file order, a key as often as the file
+# holds it.
+
+
+def _app_hours_rows(root: Path, stamps: _Stamps) -> Iterator[tuple]:
+    """((app_id, fs, hour), 21 counters) per row of app_hours.csv."""
+    for row in _rows(root / "app_hours.csv"):
+        yield (row[2], row[1], stamps[row[0]]), tuple(map(int, row[3:]))
+
+
+def _fs_hours_rows(root: Path, stamps: _Stamps) -> Iterator[tuple]:
+    """((fs, hour), 21 totals, 21 unattributed counters) per row of fs_hours.csv."""
+    for row in _rows(root / "fs_hours.csv"):
+        yield (
+            (row[1], stamps[row[0]]),
+            tuple(map(int, row[2 : 2 + N_STATS])),
+            tuple(map(int, row[2 + N_STATS :])),
+        )
+
+
+def _baseline_rows(root: Path, stamps: _Stamps) -> Iterator[tuple]:
+    """(fs, stat index, mean) per row of baseline.csv."""
+    for fs, stat, mean in _rows(root / "baseline.csv"):
+        yield fs, STAT_NAMES.index(stat), float(mean)
+
+
+def _fs_risk_rows(root: Path, stamps: _Stamps) -> Iterator[tuple]:
+    """((fs, hour), (risk_oss, risk_mds)) per row of risk_fs.csv."""
+    for fs, hour, oss, mds in _rows(root / "risk_fs.csv"):
+        yield (fs, stamps[hour]), (float(oss), float(mds))
+
+
+def _app_risk_rows(root: Path, stamps: _Stamps) -> Iterator[tuple]:
+    """((fs, hour, app_id), (risk_oss, risk_mds)) per row of risk_apps.csv."""
+    for fs, hour, app, oss, mds in _rows(root / "risk_apps.csv"):
+        yield (fs, stamps[hour], app), (float(oss), float(mds))
+
+
+def _ops_rows(root: Path, stamps: _Stamps) -> Iterator[tuple]:
+    """((fs, hour), (read_kb_ops, write_kb_ops)) per row of ops.csv."""
+    for fs, hour, read_q, write_q in _rows(root / "ops.csv"):
+        yield (fs, stamps[hour]), (_parse_opt(read_q), _parse_opt(write_q))
+
+
+def _exposure_rows(root: Path, stamps: _Stamps) -> Iterator[tuple]:
+    """((app_id, fs), (risk_oss_sum, risk_mds_sum, hours)) per row of exposures.csv."""
+    for app, fs, oss, mds, hours in _rows(root / "exposures.csv"):
+        yield (app, fs), (float(oss), float(mds), int(hours))
+
+
+def read_meta(oracle_dir: str | Path) -> dict:
+    """An oracle directory's meta.json, t0 and t1 as Unix seconds: all of
+    it that running the pipeline for verify needs."""
+    with open(Path(oracle_dir) / "meta.json", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    return {**meta, "t0": _unix(meta["t0"]), "t1": _unix(meta["t1"])}
+
+
 def read_oracle(oracle_dir: str | Path) -> OracleData:
+    """Every table of an oracle directory, held by key. A key that a table
+    repeats keeps its last row here; verify reports the repeat instead."""
     root = Path(oracle_dir)
-    meta_doc = json.loads((root / "meta.json").read_text(encoding="utf-8"))
-    # every table repeats the same few hour stamps; parse each one once
-    stamps: dict = {}
-
-    def unix(ts: str) -> int:
-        value = stamps.get(ts)
-        if value is None:
-            value = stamps[ts] = _unix(ts)
-        return value
-
-    meta = dict(meta_doc)
-    meta["t0"] = unix(meta_doc["t0"])
-    meta["t1"] = unix(meta_doc["t1"])
-
-    app_hours = {}
-    for row in _read_table(root / "app_hours.csv"):
-        app_hours[(row[2], row[1], unix(row[0]))] = [int(v) for v in row[3:]]
+    stamps = _Stamps()
+    meta = read_meta(root)
+    app_hours = {key: list(vec) for key, vec in _app_hours_rows(root, stamps)}
     fs_hours = {}
     unattr = {}
-    for row in _read_table(root / "fs_hours.csv"):
-        key = (row[1], unix(row[0]))
-        fs_hours[key] = [int(v) for v in row[2 : 2 + N_STATS]]
-        un = [int(v) for v in row[2 + N_STATS :]]
+    for key, totals, un in _fs_hours_rows(root, stamps):
+        fs_hours[key] = list(totals)
         if any(un):
-            unattr[key] = un
+            unattr[key] = list(un)
     baselines: dict = {}
-    for fs, stat, mean in _read_table(root / "baseline.csv"):
-        baselines.setdefault(fs, [0.0] * N_STATS)[STAT_NAMES.index(stat)] = float(mean)
-    fs_risk = {}
-    for fs, hour, oss, mds in _read_table(root / "risk_fs.csv"):
-        fs_risk[(fs, unix(hour))] = (float(oss), float(mds))
-    app_risk = {}
-    for fs, hour, app, oss, mds in _read_table(root / "risk_apps.csv"):
-        app_risk[(fs, unix(hour), app)] = (float(oss), float(mds))
-    ops = {}
-    for fs, hour, read_q, write_q in _read_table(root / "ops.csv"):
-        ops[(fs, unix(hour))] = (_parse_opt(read_q), _parse_opt(write_q))
-    exposures = [
-        (app, fs, float(oss), float(mds), int(hours))
-        for app, fs, oss, mds, hours in _read_table(root / "exposures.csv")
-    ]
+    for fs, i, mean in _baseline_rows(root, stamps):
+        baselines.setdefault(fs, [0.0] * N_STATS)[i] = mean
     return OracleData(
         meta=meta,
         app_hours=app_hours,
         fs_hours=fs_hours,
         unattributed=unattr,
         baselines=baselines,
-        fs_risk=fs_risk,
-        app_risk=app_risk,
-        ops=ops,
-        exposures=exposures,
+        fs_risk=dict(_fs_risk_rows(root, stamps)),
+        app_risk=dict(_app_risk_rows(root, stamps)),
+        ops=dict(_ops_rows(root, stamps)),
+        exposures=[(*key, *value) for key, value in _exposure_rows(root, stamps)],
     )
 
 
@@ -455,36 +500,125 @@ _DIFF_CAP = 200
 
 
 class _Differ:
-    def __init__(self) -> None:
-        self.diffs: list = []
+    """The count of values compared and the diffs found. Each diff is kept
+    with its place, (table rank, key), and the report lists the first
+    _DIFF_CAP by place, a key's diffs in the order found. Once twice that
+    many are held, only the first _DIFF_CAP are kept, so a verify with many
+    diffs holds few."""
+
+    def __init__(self, rel_tol: float) -> None:
+        self.rel_tol = rel_tol
+        self.found: list = []  # (place, number found before it, message)
+        self.count = 0  # diffs found
         self.compared = 0
-        self.truncated = False
 
-    def add(self, message: str) -> None:
-        if len(self.diffs) < _DIFF_CAP:
-            self.diffs.append(message)
-        else:
-            self.truncated = True
+    def add(self, at: tuple, message: str) -> None:
+        self.found.append((at, self.count, message))
+        self.count += 1
+        if len(self.found) > 2 * _DIFF_CAP:
+            self.found.sort()
+            del self.found[_DIFF_CAP:]
 
-    def close(self, where: str, got, want, rel_tol: float) -> None:
+    def close(self, at: tuple, where: str, got, want) -> None:
         self.compared += 1
         if got is None or want is None:
             if got is not want:
-                self.add(f"{where}: got {got}, want {want}")
+                self.add(at, f"{where}: got {got}, want {want}")
             return
-        if not math.isclose(got, want, rel_tol=rel_tol, abs_tol=1e-12):
-            self.add(f"{where}: got {got!r}, want {want!r}")
+        if not math.isclose(got, want, rel_tol=self.rel_tol, abs_tol=1e-12):
+            self.add(at, f"{where}: got {got!r}, want {want!r}")
 
-    def exact(self, where: str, got, want) -> None:
+    def exact(self, at: tuple, where: str, got, want) -> None:
         self.compared += 1
         if got != want:
-            self.add(f"{where}: got {got!r}, want {want!r}")
+            self.add(at, f"{where}: got {got!r}, want {want!r}")
 
     def report(self) -> VerifyReport:
-        diffs = list(self.diffs)
-        if self.truncated:
+        self.found.sort()
+        diffs = [message for _at, _n, message in self.found[:_DIFF_CAP]]
+        if self.count > _DIFF_CAP:
             diffs.append("... further diffs suppressed")
         return VerifyReport(ok=not diffs, compared=self.compared, diffs=tuple(diffs))
+
+
+# each table's fields, by name, and whether they compare exactly or to rel_tol
+_COUNTERS = tuple((stat, True) for stat in STAT_NAMES)
+_RISK = (("oss", False), ("mds", False))
+_OPS = (("read", False), ("write", False))
+_EXPOSURE = (("risk_oss_sum", False), ("risk_mds_sum", False), ("hours", True))
+
+_SEEN = object()  # in a table's index: the oracle's row of this key was compared
+
+
+def _key(key: tuple) -> str:
+    return ",".join(k if isinstance(k, str) else _iso(k) for k in key)
+
+
+class _Table:
+    """One table's comparison: each oracle row given to row is compared
+    with got, the outputs' values by key, which this takes over, and finish
+    reports the keys no row named. A row equal as a whole counts its values
+    without a label; a differing one is compared field by field."""
+
+    def __init__(self, d: _Differ, rank: int, name: str, fields: tuple, got: dict) -> None:
+        self.d = d
+        self.rank = rank
+        self.name = name
+        self.fields = fields
+        self.got = got
+
+    def row(self, key: tuple, want: tuple) -> bool:
+        """Compare the oracle's row of key; False if an earlier row had that key."""
+        d, at = self.d, (self.rank, key)
+        got = self.got.get(key)
+        if got is _SEEN:
+            d.add(at, f"{self.name}[{_key(key)}]: repeated in oracle")
+            return False
+        self.got[key] = _SEEN
+        if got is None:
+            d.add(at, f"{self.name}[{_key(key)}]: missing from pipeline")
+        elif got == want:
+            d.compared += len(want)
+        else:
+            label = f"{self.name}[{_key(key)}]"
+            for (field, exact), g, w in zip(self.fields, got, want):
+                (d.exact if exact else d.close)(at, f"{label}.{field}", g, w)
+        return True
+
+    def rows(self, rows: Iterable[tuple]) -> None:
+        for key, want in rows:
+            self.row(key, want)
+        self.finish()
+
+    def finish(self) -> None:
+        for key, got in self.got.items():
+            if got is not _SEEN:
+                message = f"{self.name}[{_key(key)}]: unexpected in pipeline"
+                self.d.add((self.rank, key), message)
+
+
+def _compare_baselines(d: _Differ, got: dict, rows: Iterable[tuple]) -> None:
+    """The baselines, by filesystem: one on a single side is one diff, and
+    a stat its oracle rows lack compares with 0.0."""
+    read: dict = {}  # fs -> the stat indexes of its rows so far
+    for fs, i, mean in rows:
+        at, stat = (4, (fs, i)), STAT_NAMES[i]
+        stats = read.setdefault(fs, set())
+        if i in stats:
+            d.add(at, f"baseline[{fs},{stat}]: repeated in oracle")
+            continue
+        stats.add(i)
+        if fs in got:
+            d.close(at, f"baseline[{fs}].{stat}", got[fs].means[stat], mean)
+        elif len(stats) == 1:
+            d.add((4, (fs, -1)), f"baseline[{fs}]: missing from pipeline")
+    for fs, baseline in got.items():
+        if fs not in read:
+            d.add((4, (fs, -1)), f"baseline[{fs}]: pipeline invented this filesystem")
+            continue
+        for i in set(range(N_STATS)) - read[fs]:
+            stat = STAT_NAMES[i]
+            d.close((4, (fs, i)), f"baseline[{fs}].{stat}", baseline.means[stat], 0.0)
 
 
 def verify(outputs, oracle_dir: str | Path, rel_tol: float = 1e-9) -> VerifyReport:
@@ -493,126 +627,81 @@ def verify(outputs, oracle_dir: str | Path, rel_tol: float = 1e-9) -> VerifyRepo
     outputs is a PipelineOutputs-shaped object; only attribute access is
     used here, keeping this module import-independent from the pipeline.
     Counters compare exactly, floats to rel_tol.
+
+    Every file's existence is checked first: a missing one is the only
+    diff, with nothing compared. Then each table is read when its
+    comparison starts, a CSV row at a time, and each row is compared with
+    an index of the outputs by key that holds the records' own values. A
+    second row of a key is a diff, "repeated in oracle". Diffs are listed
+    by table, then by key; only they are sorted.
     """
-    try:
-        want = read_oracle(oracle_dir)
-    except FileNotFoundError as exc:
-        return VerifyReport(
-            ok=False, compared=0, diffs=(f"missing oracle file: {exc.filename}",)
-        )
-    d = _Differ()
-    d.exact("meta.t0", outputs.period[0], want.meta["t0"])
-    d.exact("meta.t1", outputs.period[1], want.meta["t1"])
-    d.close("meta.alpha", outputs.alpha, float(want.meta["alpha"]), rel_tol)
+    root = Path(oracle_dir)
+    for name in ORACLE_FILES:
+        if not (root / name).exists():
+            missing = f"missing oracle file: {root / name}"
+            return VerifyReport(ok=False, compared=0, diffs=(missing,))
+    stamps = _Stamps()
+    d = _Differ(rel_tol)
+    meta = read_meta(root)
+    d.exact((0, 0), "meta.t0", outputs.period[0], meta["t0"])
+    d.exact((0, 1), "meta.t1", outputs.period[1], meta["t1"])
+    d.close((0, 2), "meta.alpha", outputs.alpha, float(meta["alpha"]))
 
-    got_app = {}
-    for rec in outputs.app_hours:
-        got_app[(rec.app_id, rec.fs_id, rec.hour)] = list(rec.counters)
-    _compare_tables(d, "app_hours", got_app, want.app_hours, _key3)
+    _Table(
+        d, 1, "app_hours", _COUNTERS,
+        {(rec.app_id, rec.fs_id, rec.hour): rec.counters for rec in outputs.app_hours},
+    ).rows(_app_hours_rows(root, stamps))
 
-    got_tot = {}
-    got_un = {}
-    for rec in outputs.fs_hours:
-        got_tot[(rec.fs_id, rec.hour)] = list(rec.counters)
-        un = list(rec.unattributed)
-        if any(un):
-            got_un[(rec.fs_id, rec.hour)] = un
-    _compare_tables(d, "fs_hours", got_tot, want.fs_hours, _key2)
-    _compare_tables(d, "unattributed", got_un, want.unattributed, _key2)
+    totals = _Table(
+        d, 2, "fs_hours", _COUNTERS,
+        {(rec.fs_id, rec.hour): rec.counters for rec in outputs.fs_hours},
+    )
+    unattributed = _Table(
+        d, 3, "unattributed", _COUNTERS,
+        {
+            (rec.fs_id, rec.hour): rec.unattributed
+            for rec in outputs.fs_hours
+            if any(rec.unattributed)
+        },
+    )
+    for key, counters, un in _fs_hours_rows(root, stamps):
+        if totals.row(key, counters) and any(un):
+            unattributed.row(key, un)
+    totals.finish()
+    unattributed.finish()
 
-    for fs in sorted(set(want.baselines) | set(outputs.baselines)):
-        if fs not in outputs.baselines:
-            d.add(f"baseline[{fs}]: missing from pipeline")
-            continue
-        if fs not in want.baselines:
-            d.add(f"baseline[{fs}]: pipeline invented this filesystem")
-            continue
-        means = outputs.baselines[fs].means
-        for i, stat in enumerate(STAT_NAMES):
-            d.close(f"baseline[{fs}].{stat}", means[stat], want.baselines[fs][i], rel_tol)
+    _compare_baselines(d, outputs.baselines, _baseline_rows(root, stamps))
 
-    got_fs_risk = {}
-    got_app_risk = {}
-    for fs, series in sorted(outputs.risk.items()):
-        for hour, oss, mds in zip(series.hours, series.oss, series.mds):
-            got_fs_risk[(fs, hour)] = (oss, mds)
-        for rec in series.records:
-            got_app_risk[(fs, rec.hour, rec.app_id)] = (rec.risk_oss, rec.risk_mds)
-    _compare_pairs(d, "fs_risk", got_fs_risk, want.fs_risk, rel_tol)
-    _compare_pairs(d, "app_risk", got_app_risk, want.app_risk, rel_tol)
-
-    got_ops = {}
-    for fs, entries in sorted(outputs.ops.items()):
-        for hour, read_q, write_q in entries:
-            got_ops[(fs, hour)] = (read_q, write_q)
-    _compare_pairs(d, "ops", got_ops, want.ops, rel_tol)
-
-    got_exp = {}
-    for rec in outputs.exposures:
-        got_exp[(rec.app_id, rec.fs_id)] = (rec.risk_oss_sum, rec.risk_mds_sum, rec.hours)
-    want_exp = {(app, fs): (oss, mds, hours) for app, fs, oss, mds, hours in want.exposures}
-    for key in sorted(set(got_exp) | set(want_exp)):
-        app, fs = key
-        if key not in got_exp:
-            d.add(f"exposure[{app},{fs}]: missing from pipeline")
-            continue
-        if key not in want_exp:
-            d.add(f"exposure[{app},{fs}]: unexpected in pipeline")
-            continue
-        g, w = got_exp[key], want_exp[key]
-        if g == w:
-            d.compared += 3
-            continue
-        d.close(f"exposure[{app},{fs}].risk_oss_sum", g[0], w[0], rel_tol)
-        d.close(f"exposure[{app},{fs}].risk_mds_sum", g[1], w[1], rel_tol)
-        d.exact(f"exposure[{app},{fs}].hours", g[2], w[2])
+    risk = outputs.risk.items()
+    _Table(
+        d, 5, "fs_risk", _RISK,
+        {
+            (fs, hour): (oss, mds)
+            for fs, series in risk
+            for hour, oss, mds in zip(series.hours, series.oss, series.mds)
+        },
+    ).rows(_fs_risk_rows(root, stamps))
+    _Table(
+        d, 6, "app_risk", _RISK,
+        {
+            (fs, rec.hour, rec.app_id): (rec.risk_oss, rec.risk_mds)
+            for fs, series in risk
+            for rec in series.records
+        },
+    ).rows(_app_risk_rows(root, stamps))
+    _Table(
+        d, 7, "ops", _OPS,
+        {
+            (fs, hour): (read_q, write_q)
+            for fs, entries in outputs.ops.items()
+            for hour, read_q, write_q in entries
+        },
+    ).rows(_ops_rows(root, stamps))
+    _Table(
+        d, 8, "exposure", _EXPOSURE,
+        {
+            (rec.app_id, rec.fs_id): (rec.risk_oss_sum, rec.risk_mds_sum, rec.hours)
+            for rec in outputs.exposures
+        },
+    ).rows(_exposure_rows(root, stamps))
     return d.report()
-
-
-def _key3(key) -> str:
-    app, fs, hour = key
-    return f"{app},{fs},{_iso(hour)}"
-
-
-def _key2(key) -> str:
-    fs, hour = key
-    return f"{fs},{_iso(hour)}"
-
-
-def _compare_tables(d: _Differ, name: str, got: dict, want: dict, fmt) -> None:
-    """Compare counter rows key by key; a row equal as a whole counts its
-    N_STATS values without a label, a differing one is compared field by field."""
-    for key in sorted(set(got) | set(want)):
-        if key not in got:
-            d.add(f"{name}[{fmt(key)}]: missing from pipeline")
-            continue
-        if key not in want:
-            d.add(f"{name}[{fmt(key)}]: unexpected in pipeline")
-            continue
-        g, w = got[key], want[key]
-        if g == w:
-            d.compared += N_STATS
-            continue
-        label = f"{name}[{fmt(key)}]"
-        for i in range(N_STATS):
-            d.exact(f"{label}.{STAT_NAMES[i]}", g[i], w[i])
-
-
-def _compare_pairs(d: _Differ, name: str, got: dict, want: dict, rel_tol: float) -> None:
-    """Compare value pairs key by key; a pair equal as a whole is within any
-    tolerance, so only a differing pair is labelled and compared to rel_tol."""
-    labels = ("oss", "mds") if "risk" in name else ("read", "write")
-    for key in sorted(set(got) | set(want)):
-        g, w = got.get(key), want.get(key)
-        if g is not None and g == w:
-            d.compared += 2
-            continue
-        kf = ",".join(str(k) if not isinstance(k, int) else _iso(k) for k in key)
-        if g is None:
-            d.add(f"{name}[{kf}]: missing from pipeline")
-            continue
-        if w is None:
-            d.add(f"{name}[{kf}]: unexpected in pipeline")
-            continue
-        d.close(f"{name}[{kf}].{labels[0]}", g[0], w[0], rel_tol)
-        d.close(f"{name}[{kf}].{labels[1]}", g[1], w[1], rel_tol)

@@ -1,6 +1,10 @@
 """Run grouping, slowdown detection, exposure sums, and contributor ranking."""
 
+import hashlib
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lassi.analysis import (
     detect_slowdown,
@@ -31,6 +35,18 @@ def test_group_key_stable_and_whitespace_insensitive():
     assert len(k) == 16
     assert int(k, 16) >= 0  # hex digest prefix
     assert k != group_key("aprun -n 72 ./a.x")
+
+
+# commands of words, some not ASCII, between runs of mixed whitespace
+_WORDS = st.text(st.characters(exclude_categories=("Cs", "Z", "Cc")), min_size=1)
+_GAPS = st.text(" \t\n\r\x0b\x0c\u00a0\u2003\u3000", min_size=1)
+
+
+@given(st.lists(st.tuples(_GAPS, _WORDS), min_size=1), _GAPS)
+def test_group_key_is_the_sha256_of_the_normalized_command(parts, tail):
+    command = "".join(gap + word for gap, word in parts) + tail
+    want = hashlib.sha256(normalize_command(command).encode("utf-8")).hexdigest()[:16]
+    assert group_key(command) == want
 
 
 def jobs_with_runtimes(runtimes, command="aprun -n 36 ./ft_app.x"):

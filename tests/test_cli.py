@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import lassi
+from lassi import oracle as oracle_mod
 from lassi.analysis import group_key
 from lassi.cli import main
 from lassi.ingest import JOBS_HEADER, STATS_HEADER
@@ -360,6 +361,30 @@ def test_verify_mismatch_exits_2(tmp_path, capsys):
     assert "diff" in out
 
 
+def test_verify_reads_only_the_oracle_meta_for_its_settings(tmp_path, capsys, monkeypatch):
+    scenario_path = tmp_path / "scenario.ini"
+    scenario_path.write_text(SCENARIO, encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["synth", "--scenario", str(scenario_path), "--out", str(data)]) == 0
+    capsys.readouterr()
+
+    def read_oracle(oracle_dir):
+        raise AssertionError("the oracle's tables were read whole")
+
+    monkeypatch.setattr(oracle_mod, "read_oracle", read_oracle)
+    assert main(["verify", str(data)]) == 0
+    assert capsys.readouterr().out.endswith(", 0 diffs\n")
+
+    # a missing table is verify's one diff, found after the store flow ran
+    (data / "oracle" / "ops.csv").unlink()
+    assert main(["verify", str(data)]) == 2
+    out = capsys.readouterr().out
+    assert out == (
+        "MISMATCH: 0 values compared, 1 diffs\n"
+        f"  missing oracle file: {data / 'oracle' / 'ops.csv'}\n"
+    )
+
+
 def test_verify_refuses_stats_outside_the_oracle_period(tmp_path, capsys):
     scenario_path = tmp_path / "scenario.ini"
     scenario_path.write_text(SCENARIO, encoding="utf-8")
@@ -446,13 +471,34 @@ def test_bad_config_rejected(tmp_path, capsys):
     assert main(["ingest", "--config", str(cfg), "--stats", "x.csv"]) == 2
 
 
-def test_importing_the_cli_loads_no_network_or_openssl_modules():
-    # xml.sax.saxutils, for one, pulls these in through urllib.request;
-    # hashlib loads OpenSSL's _hashlib, which only grouping runs by command needs
-    unwanted = ("ssl", "socket", "http.client", "urllib.request", "email", "_hashlib")
-    code = f"import sys, lassi.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+# xml.sax.saxutils, for one, pulls these in through urllib.request; hashlib
+# loads OpenSSL's _hashlib, some 3.5 MiB, where CPython's own SHA-256 does not
+UNWANTED_MODULES = ("ssl", "socket", "http.client", "urllib.request", "email", "_hashlib")
+
+
+def modules_loaded_by(code: str) -> str:
+    """The UNWANTED_MODULES a fresh interpreter has loaded after running
+    code, as the list's repr."""
+    code += f"\nimport sys; print([m for m in {UNWANTED_MODULES!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(lassi.__file__).parents[1]))
     loaded = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert loaded.stdout.strip() == "[]"
+    return loaded.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_network_or_openssl_modules():
+    assert modules_loaded_by("import lassi.cli") == "[]"
+
+
+def test_grouping_the_task_farm_runs_loads_no_openssl(tmp_path):
+    """Group keys are hashed without OpenSSL, on every supported Python."""
+    main(["synth", "--scenario", str(TASKFARM_SCENARIO), "--out", str(tmp_path), "--no-oracle"])
+    code = (
+        "import lassi.cli\n"
+        "from lassi.analysis import group_jobs\n"
+        "from lassi.ingest import parse_jobs_csv\n"
+        f"jobs, _report = parse_jobs_csv({str(tmp_path / 'jobs.csv')!r})\n"
+        "assert len(group_jobs(jobs)) > 1"
+    )
+    assert modules_loaded_by(code) == "[]"
