@@ -316,16 +316,19 @@ def cmd_synth(args, settings: Settings) -> int:
 def cmd_verify(args, settings: Settings) -> int:
     data_dir = Path(args.data)
     oracle_dir = Path(args.oracle) if args.oracle else data_dir / "oracle"
-    meta = oracle_mod.read_meta(oracle_dir)
-    outputs = compute_outputs_from_files(
-        data_dir / "stats.csv",
-        data_dir / "jobs.csv",
-        period=(int(meta["t0"]), int(meta["t1"])),
-        alpha=float(meta["alpha"]),
-        window_len=int(meta["window_len"]),
-        boundary_policy=str(meta.get("boundary_policy", "midpoint")),
-    )
-    report = oracle_mod.verify(outputs, oracle_dir, rel_tol=args.rel_tol)
+    # an incomplete oracle is refused before the store flow is run for it
+    report = oracle_mod.missing_file(oracle_dir)
+    if report is None:
+        meta = oracle_mod.read_meta(oracle_dir)
+        outputs = compute_outputs_from_files(
+            data_dir / "stats.csv",
+            data_dir / "jobs.csv",
+            period=(int(meta["t0"]), int(meta["t1"])),
+            alpha=float(meta["alpha"]),
+            window_len=int(meta["window_len"]),
+            boundary_policy=str(meta.get("boundary_policy", "midpoint")),
+        )
+        report = oracle_mod.verify(outputs, oracle_dir, rel_tol=args.rel_tol)
     print(report.summary())
     for diff in report.diffs[:20]:
         print(f"  {diff}")

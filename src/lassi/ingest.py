@@ -303,7 +303,7 @@ _CLEAN_ROW = re.compile(r"(?:[!#-*\-./0-9:-~]*,){3}-?[0-9]{1,18}(?:,-?[0-9]{1,18
 # the window of a row whose timestamp parse_utc refuses; no timestamp has it
 _NO_STAMP = np.iinfo(np.int64).min
 # _StatsRows writes the rows it holds once they are this many (about 0.4 MB
-# as columns, twice that while write gathers them by partition), so a
+# as columns, written by partition from the batches they are held in), so a
 # partition is a few large segments, not one per range; 4,096 rows took the
 # task farm's verify 0.7 MiB higher in peak RSS, and the week no faster
 _SPILL_ROWS = 1 << 11
@@ -717,7 +717,9 @@ class _StatsRows:
 
     def write(self) -> None:
         """Append the rows held to the file, a segment per partition, found
-        as the runs of one stable sort of the rows' partition keys."""
+        as the runs of one stable sort of the rows' partition keys. Each
+        column is filled into one block as the held batches are let go, so
+        the rows are held about once, then gathered a partition at a time."""
         if self.looped:
             fs, node, window, counters, line = zip(*self.looped)
             self.looped = []
@@ -732,8 +734,16 @@ class _StatsRows:
             )
         if not self.held:
             return
-        fs, node, window, counters, line = (np.concatenate(c) for c in zip(*self.held))
-        self.held, self.rows_held = [], 0
+        n, self.rows_held = self.rows_held, 0
+        fs, node, window, line = (np.empty(n, t) for t in (np.int32, np.int32, np.int64, np.int64))
+        counters = np.empty((n, len(ALL_FIELDS)), np.int64)
+        held, self.held = self.held[::-1], []
+        at = 0
+        while held:
+            batch = held.pop()  # let go once copied
+            for column, values in zip((fs, node, window, counters, line), batch):
+                column[at : at + len(values)] = values
+            at += len(batch[0])
         group = (window // DAY) << 31 | fs
         order = np.argsort(group, kind="stable")
         group = group[order]

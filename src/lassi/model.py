@@ -7,8 +7,10 @@ counts) followed by the sixteen MDS metadata operations the servers report.
 _check_counters holds the rules all records share: exactly 21 values, none
 negative. All types are immutable.
 
-Samples have one form, the SampleBlock: one filesystem's samples as
-columns, one row per (window, node). The block names its filesystem once
+Samples held in memory have one form, the SampleBlock: one filesystem's
+samples as columns, one row per (window, node); its keys are a SampleKeys,
+which a stored partition also is, its counters read a row range at a time
+(samples_file.StoredSamples). The block names its filesystem once
 (``fs_id``), as the store's (filesystem, day) partitions do; its node
 column holds int32 codes into a sorted table of the distinct node ids
 (``node_labels``). The parser makes the codes where it first reads the ids;
@@ -132,6 +134,13 @@ class FsHourRecord:
             )
 
 
+def check_sum_bound(rows: int, largest: int) -> None:
+    """Raise LassiError unless a sum of rows counter rows, none above
+    largest, fits in int64."""
+    if rows and largest > INT64_MAX // rows:
+        raise LassiError(f"summing {rows} samples could exceed the int64 counter range")
+
+
 def label_codes(labels: Sequence[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct labels that codes use, sorted, and codes remapped onto them.
 
@@ -159,9 +168,14 @@ def canonical_order(
     do. Also returns, per sorted row, whether the next sorted row has the
     same (window, node) key.
     """
+    repeat = np.zeros(len(window), bool)
+    ascending = (window[1:] > window[:-1]) | ((window[1:] == window[:-1]) & (node[1:] > node[:-1]))
+    if ascending.all():
+        # rows already in order with unique keys, as the parse of a file
+        # written in that order gives them, need no sort (nor its copies)
+        return np.arange(len(window)), repeat
     keys = (node, window)
     order = np.lexsort(keys if tiebreak is None else (tiebreak,) + keys)
-    repeat = np.zeros(len(order), bool)
     if len(order) > 1:
         a, b = order[:-1], order[1:]
         repeat[:-1] = (window[a] == window[b]) & (node[a] == node[b])
@@ -186,22 +200,58 @@ def merged_labels(blocks: Sequence["SampleBlock"]) -> tuple[tuple[str, ...], np.
     )
 
 
-class SampleBlock:
-    """One filesystem's samples as columns: one row per (window, node), in
+class SampleKeys:
+    """The keys of one filesystem's samples: one row per (window, node), in
     that order.
 
     ``fs_id`` names the filesystem every row belongs to. ``node`` holds
     int32 codes into ``node_labels``, a tuple of the distinct node ids the
     rows hold, sorted; so codes sort, group and compare rows exactly as the
     ids do, and an id is handled once per label, never once per row. key(i)
-    names row i by its ids. ``window`` holds int64 window starts and
-    ``counters`` an int64 (n, 21) array in ALL_FIELDS order; every row
+    names row i by its ids. ``window`` holds int64 window starts; every row
     shares one ``window_len``. Rows are in canonical (window, node) order
     with unique keys, and every label is used by some row; the constructor
-    trusts its caller on that, from_columns establishes it.
+    trusts its caller on that. Its counters are its subclass's: held whole
+    (SampleBlock), or read a row range at a time (samples_file.StoredSamples).
     """
 
-    __slots__ = ("fs_id", "node_labels", "node", "window", "counters", "window_len")
+    __slots__ = ("fs_id", "node_labels", "node", "window", "window_len")
+
+    def __init__(
+        self,
+        fs_id: str,
+        node_labels: tuple[str, ...],
+        node: np.ndarray,
+        window: np.ndarray,
+        window_len: int,
+    ):
+        if len(node) != len(window):
+            raise ValueError("sample block columns differ in length")
+        self.fs_id = fs_id
+        self.node_labels = node_labels
+        self.node = node
+        self.window = window
+        self.window_len = window_len
+
+    def _key(self, i: int) -> tuple[int, str, str]:
+        return (int(self.window[i]), self.fs_id, self.node_labels[self.node[i]])
+
+    def key(self, i: int) -> tuple[str, str, int]:
+        """Row i's (fs, node, window) key, the form error messages name a sample by."""
+        return (self.fs_id, self.node_labels[self.node[i]], int(self.window[i]))
+
+    def __len__(self) -> int:
+        return len(self.window)
+
+
+class SampleBlock(SampleKeys):
+    """One filesystem's samples as columns: its keys (SampleKeys) and
+    ``counters``, an int64 (n, 21) array in ALL_FIELDS order, held whole.
+    The constructor trusts its caller on the keys' order, from_columns
+    establishes it.
+    """
+
+    __slots__ = ("counters",)
 
     def __init__(
         self,
@@ -212,15 +262,10 @@ class SampleBlock:
         counters: np.ndarray,
         window_len: int,
     ):
-        n = len(window)
-        if len(node) != n or counters.shape != (n, len(ALL_FIELDS)):
+        super().__init__(fs_id, node_labels, node, window, window_len)
+        if counters.shape != (len(window), len(ALL_FIELDS)):
             raise ValueError("sample block columns differ in length")
-        self.fs_id = fs_id
-        self.node_labels = node_labels
-        self.node = node
-        self.window = window
         self.counters = counters
-        self.window_len = window_len
 
     @classmethod
     def empty(cls, fs_id: str, window_len: int) -> "SampleBlock":
@@ -253,13 +298,6 @@ class SampleBlock:
             return cls(fs_id, node_labels, node, window, counters, window_len)
         return cls(fs_id, node_labels, node[order], window[order], counters[order], window_len)
 
-    def _key(self, i: int) -> tuple[int, str, str]:
-        return (int(self.window[i]), self.fs_id, self.node_labels[self.node[i]])
-
-    def key(self, i: int) -> tuple[str, str, int]:
-        """Row i's (fs, node, window) key, the form error messages name a sample by."""
-        return (self.fs_id, self.node_labels[self.node[i]], int(self.window[i]))
-
     def take(self, index) -> "SampleBlock":
         """Rows selected by a boolean mask, ascending positions or a slice
         (whose columns are views); labels no selected row uses leave the
@@ -269,14 +307,19 @@ class SampleBlock:
             self.fs_id, node_labels, node, self.window[index], self.counters[index], self.window_len
         )
 
+    def counter_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The counters of ascending row positions rows, as a stored
+        partition gives them (samples_file.StoredSamples)."""
+        return self.counters[rows]
+
+    def counter_chunks(self) -> tuple[np.ndarray, ...]:
+        """The counters as row chunks in order, as the store's writer takes
+        them: the whole block is one chunk."""
+        return (self.counters,)
+
     def check_sum_bound(self) -> None:
         """Raise LassiError unless any sum of counter rows fits in int64."""
-        n = len(self)
-        if n and int(self.counters.max()) > INT64_MAX // n:
-            raise LassiError(f"summing {n} samples could exceed the int64 counter range")
-
-    def __len__(self) -> int:
-        return len(self.window)
+        check_sum_bound(len(self), int(self.counters.max()) if len(self) else 0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SampleBlock):

@@ -621,6 +621,17 @@ def _compare_baselines(d: _Differ, got: dict, rows: Iterable[tuple]) -> None:
             d.close((4, (fs, i)), f"baseline[{fs}].{stat}", baseline.means[stat], 0.0)
 
 
+def missing_file(oracle_dir: str | Path) -> VerifyReport | None:
+    """The report of a verify against an oracle directory that lacks one
+    of ORACLE_FILES, naming the first such file as its one diff, with
+    nothing compared; None when every file is there."""
+    for name in ORACLE_FILES:
+        path = Path(oracle_dir) / name
+        if not path.exists():
+            return VerifyReport(ok=False, compared=0, diffs=(f"missing oracle file: {path}",))
+    return None
+
+
 def verify(outputs, oracle_dir: str | Path, rel_tol: float = 1e-9) -> VerifyReport:
     """Compare pipeline outputs against a written oracle directory.
 
@@ -636,10 +647,9 @@ def verify(outputs, oracle_dir: str | Path, rel_tol: float = 1e-9) -> VerifyRepo
     by table, then by key; only they are sorted.
     """
     root = Path(oracle_dir)
-    for name in ORACLE_FILES:
-        if not (root / name).exists():
-            missing = f"missing oracle file: {root / name}"
-            return VerifyReport(ok=False, compared=0, diffs=(missing,))
+    missing = missing_file(root)
+    if missing is not None:
+        return missing
     stamps = _Stamps()
     d = _Differ(rel_tol)
     meta = read_meta(root)

@@ -14,16 +14,13 @@ untouched. Partition file names are exactly ``YYYY-MM-DD`` plus the
 dataset's suffix; any other name with that suffix is an unexpected file
 (StoreError).
 
-A samples partition is an uncompressed ``.npz`` of the block's columns
-(_write_samples_npz): the node ids as UTF-8 bytes end to end with their end
-offsets, int32 node codes, int64 window starts and the (n, 21) int64
-counters; the filesystem is the partition's, as it is the block's
-(SampleBlock.fs_id). Every entry carries zipfile's one fixed date, as in
-np.savez's files, so equal blocks give equal bytes. A samples read returns
-one partition's block, and a samples range crossing a UTC midnight is
-refused with ValueError. The reader (_load_samples) loads no pickled object
-and refuses, as StoreError, any file the strict CSV read of the same rows
-would refuse.
+A samples partition is an uncompressed ``.npz`` of the block's columns,
+written and read by the samples_file module: open_samples opens one,
+checked whole (StoredSamples), with its keys held and its counters read a
+row range at a time. A samples read (read_range) returns one partition's
+rows in a range as a block, and a samples range crossing a UTC midnight is
+refused with ValueError; aggregation and the ingest merge use the open
+partition itself, so no stored partition's counters are held whole.
 A samples directory holding a ``.csv`` partition, as stores written before
 samples were binary do, is refused whole with a hint to re-ingest the
 input; there is no migration.
@@ -64,14 +61,13 @@ import csv
 import fcntl
 import io
 import os
-import zipfile
 from bisect import bisect_right
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -85,6 +81,7 @@ from .model import (
     JobRecord,
     SampleBlock,
 )
+from .samples_file import StoredSamples, write_samples_npz
 from .timeutil import (
     DAY,
     date_str,
@@ -103,17 +100,6 @@ FS_HOURS_HEADER = (
     ("hour", "fs") + ALL_FIELDS + tuple("un_" + name for name in ALL_FIELDS)
 )
 BASELINE_HEADER = ("fs", "period_start", "period_end", "alpha", "basis", "stat", "mean")
-
-# each array of a samples partition file, with its dtype, in write order. The
-# node ids are UTF-8 bytes end to end, cut at node_label_ends, because a numpy
-# str array drops a trailing NUL, which an id may hold
-SAMPLES_ARRAYS = {
-    "node_labels": np.dtype(np.uint8),
-    "node_label_ends": np.dtype(np.int64),
-    "node": np.dtype(np.int32),
-    "window": np.dtype(np.int64),
-    "counters": np.dtype(np.int64),
-}
 
 # the time key read_range filters each record dataset on
 _TIME_KEY = {
@@ -179,112 +165,6 @@ def _check_samples_home(block: SampleBlock, partition: Partition) -> None:
             f"sample {block.key(int(np.argmax(outside)))} outside partition "
             f"({partition.fs_id}, {date_str(partition.date)})"
         )
-
-
-def _write_samples_npz(fh: IO[bytes], block: SampleBlock) -> None:
-    """Write a samples partition file to fh: the block's columns
-    (SAMPLES_ARRAYS) as an uncompressed .npz, whose bytes depend on the
-    block's values only. They are the bytes np.savez writes, but each
-    column's buffer goes into its entry as it is, after its .npy header,
-    where np.savez would first copy it whole."""
-    ids = [label.encode("utf-8") for label in block.node_labels]
-    columns = {
-        "node_labels": np.frombuffer(b"".join(ids), np.uint8),
-        "node_label_ends": np.cumsum([len(i) for i in ids], dtype=np.int64),
-        "node": block.node,
-        "window": block.window,
-        "counters": block.counters,
-    }
-    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as npz:
-        for name, col in columns.items():
-            col = np.ascontiguousarray(col, SAMPLES_ARRAYS[name])
-            with npz.open(name + ".npy", "w", force_zip64=True) as entry:
-                header = np.lib.format.header_data_from_array_1_0(col)
-                np.lib.format.write_array_header_1_0(entry, header)
-                entry.write(col.reshape(-1).view(np.uint8))  # a view, even of no rows
-
-
-def _load_samples(path: Path, partition: Partition, window_len: int) -> SampleBlock:
-    """The block a samples partition file holds.
-
-    Refused with a StoreError naming the path, and the row's (fs, node,
-    window) key where there is one: a file that is not a whole .npz of
-    exactly the SAMPLES_ARRAYS, stored uncompressed, with their dtypes and
-    shapes (an object array is never unpickled); node labels that are
-    empty, not UTF-8, unsorted, repeated or unused, or codes outside them; a
-    window off the window_len grid or outside the partition's day; a
-    negative counter; rows out of canonical order or repeating a key.
-    """
-    try:
-        # np.load given a path leaves the file open when NpzFile refuses it
-        with open(path, "rb") as fh:
-            npz = np.load(fh, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                raise ValueError("not an .npz file")
-            with npz:
-                if sorted(npz.files) != sorted(SAMPLES_ARRAYS):
-                    raise ValueError(
-                        f"arrays {sorted(npz.files)}, expected {sorted(SAMPLES_ARRAYS)}"
-                    )
-                if any(info.compress_type != zipfile.ZIP_STORED for info in npz.zip.infolist()):
-                    raise ValueError("compressed entries; the store writes them stored")
-                columns = {name: npz[name] for name in SAMPLES_ARRAYS}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise StoreError(f"{path}: unreadable samples partition: {exc}") from exc
-    for name, dtype in SAMPLES_ARRAYS.items():
-        col = columns[name]
-        if col.dtype != dtype or col.ndim != (2 if name == "counters" else 1):
-            raise StoreError(
-                f"{path}: array {name} is {col.dtype} of shape {col.shape}, expected {dtype}"
-            )
-    ids, ends, node, window, counters = columns.values()
-    n = len(window)
-    if len(node) != n or counters.shape != (n, len(ALL_FIELDS)):
-        raise StoreError(
-            f"{path}: columns differ in shape: node {node.shape}, window {window.shape}, "
-            f"counters {counters.shape}"
-        )
-
-    starts = np.concatenate([[0], ends])[:-1]
-    if (ends <= starts).any() or (ends[-1] if len(ends) else 0) != len(ids):
-        raise StoreError(f"{path}: node_label_ends do not cut node_labels into non-empty labels")
-    data = ids.tobytes()
-    try:
-        labels = tuple(data[a:b].decode("utf-8") for a, b in zip(starts.tolist(), ends.tolist()))
-    except UnicodeDecodeError as exc:
-        raise StoreError(f"{path}: node label not UTF-8: {exc}") from exc
-    for a, b in zip(labels, labels[1:]):
-        if a >= b:
-            raise StoreError(f"{path}: node labels not sorted and distinct: {a!r} before {b!r}")
-    outside = (node < 0) | (node >= len(labels))
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise StoreError(
-            f"{path}: row {i} (window {window[i]}): node code {node[i]} not among "
-            f"{len(labels)} labels"
-        )
-    unused = np.bincount(node, minlength=len(labels)) == 0
-    if unused.any():
-        raise StoreError(f"{path}: node label {labels[int(np.argmax(unused))]!r} used by no row")
-
-    block = SampleBlock(partition.fs_id, labels, node, window, counters, window_len)
-    same_window = window[1:] == window[:-1]
-    for bad, what in (
-        (window % window_len != 0, f"off the {window_len}s window grid"),
-        (
-            window - window % DAY != partition.date,
-            f"outside partition ({partition.fs_id}, {date_str(partition.date)})",
-        ),
-        ((counters < 0).any(axis=1), "has a negative counter"),
-        (np.r_[False, same_window & (node[1:] == node[:-1])], "repeats the key before it"),
-        (
-            np.r_[False, (window[1:] < window[:-1]) | (same_window & (node[1:] < node[:-1]))],
-            "out of canonical (window, fs, node) order",
-        ),
-    ):
-        if bad.any():
-            raise StoreError(f"{path}: sample {block.key(int(np.argmax(bad)))} {what}")
-    return block
 
 
 def _may_hold(jobs_csv: bytes, app_ids: set[bytes]) -> bool:
@@ -431,13 +311,18 @@ class Store:
         """Rewrite a partition as merge(stored rows) -> (rows, count) under its
         lock; returns count and whether the file was written.
 
-        A merge that returns the stored rows themselves leaves an existing
-        file as it is, bytes and modification time.
+        Stored samples come open (open_samples), so the merged rows may read
+        their counters from the stored file as they are written. A merge
+        that returns the stored rows themselves leaves an existing file as
+        it is, bytes and modification time.
         """
         p = partition
         path = self.path(p)
-        with self._locked(path):
-            stored = self.read_range(p.dataset, p.fs_id, p.date, p.date + DAY)
+        with self._locked(path), ExitStack() as opened:
+            if p.dataset == "samples":
+                stored = opened.enter_context(self.open_samples(p.fs_id, p.date))
+            else:
+                stored = self.read_range(p.dataset, p.fs_id, p.date, p.date + DAY)
             rows, count = merge(stored)
             written = rows is not stored or not path.exists()
             if written:
@@ -453,14 +338,16 @@ class Store:
         """Replace one partition with the given records. Returns row count.
 
         Every record must belong to the partition's filesystem and day;
-        anything else raises ValueError. Samples come as one SampleBlock.
+        anything else raises ValueError. Samples come as one SampleBlock, or
+        as sample keys whose counters come as row chunks from
+        counter_chunks() (write_samples_npz).
         """
         dataset = partition.dataset
         if dataset == "samples":
             _check_samples_home(records, partition)
             # straight into the temp file: an in-memory .npz first would copy
             # the partition twice, and cost a fresh page for every 4 KiB
-            self._write_file(self.path(partition), lambda fh: _write_samples_npz(fh, records))
+            self._write_file(self.path(partition), lambda fh: write_samples_npz(fh, records))
             return len(records)
         records = list(records)
         if dataset in ("jobs", "app_hours", "fs_hours"):
@@ -614,23 +501,33 @@ class Store:
         """fs_id's samples in [t0, t1), which lies inside one UTC day; every
         row of that day's partition must belong in it.
 
-        Rows run in window order, so those rows are one slice of the
-        partition's columns, taken as views; a whole partition is the loaded
-        block itself.
-        """
+        Rows run in window order, so those rows are one row range of the
+        partition, whose counters alone are read after the checks."""
         day = floor_day(t0)
         if t1 > day + DAY:
             raise ValueError(
                 f"samples range {format_utc(t0)} to {format_utc(t1)} crosses a UTC midnight; "
                 f"samples are read one (filesystem, day) partition at a time"
             )
+        with self.open_samples(fs_id, day) as stored:
+            if isinstance(stored, SampleBlock):
+                return stored
+            lo, hi = np.searchsorted(stored.window, (t0, t1)).tolist()
+            return stored.block(lo, hi)
+
+    @contextmanager
+    def open_samples(self, fs_id: str, day: int) -> Iterator[StoredSamples | SampleBlock]:
+        """fs_id's samples partition of one UTC day, opened and checked
+        whole (StoredSamples), closed when the context ends; an empty
+        SampleBlock where none is stored."""
         self._check_no_csv_samples()
         partition = Partition("samples", fs_id, day)
-        if not self.path(partition).exists():
-            return SampleBlock.empty(fs_id, self.window_len)
-        block = _load_samples(self.path(partition), partition, self.window_len)
-        lo, hi = np.searchsorted(block.window, (t0, t1)).tolist()
-        return block if (lo, hi) == (0, len(block)) else block.take(slice(lo, hi))
+        path = self.path(partition)
+        if not path.exists():
+            yield SampleBlock.empty(fs_id, self.window_len)
+            return
+        with StoredSamples(path, fs_id, day, self.window_len) as stored:
+            yield stored
 
     def _parsed(self, dataset: str, path: Path, data: bytes | None = None):
         """The strict parse of one jobs, app_hours, fs_hours or baselines file.

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import lassi
+from lassi import cli
 from lassi import oracle as oracle_mod
 from lassi.analysis import group_key
 from lassi.cli import main
@@ -375,8 +376,20 @@ def test_verify_reads_only_the_oracle_meta_for_its_settings(tmp_path, capsys, mo
     assert main(["verify", str(data)]) == 0
     assert capsys.readouterr().out.endswith(", 0 diffs\n")
 
-    # a missing table is verify's one diff, found after the store flow ran
+
+def test_verify_refuses_an_incomplete_oracle_before_the_store_flow(tmp_path, capsys, monkeypatch):
+    """A missing table is verify's one diff, found before any store is built."""
+    scenario_path = tmp_path / "scenario.ini"
+    scenario_path.write_text(SCENARIO, encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["synth", "--scenario", str(scenario_path), "--out", str(data)]) == 0
+    capsys.readouterr()
     (data / "oracle" / "ops.csv").unlink()
+
+    def compute_outputs_from_files(*args, **kwargs):
+        raise AssertionError("the store flow ran for an incomplete oracle")
+
+    monkeypatch.setattr(cli, "compute_outputs_from_files", compute_outputs_from_files)
     assert main(["verify", str(data)]) == 2
     out = capsys.readouterr().out
     assert out == (

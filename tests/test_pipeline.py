@@ -2,6 +2,7 @@
 
 import csv
 import fcntl
+import io
 import re
 import shutil
 import tempfile
@@ -10,8 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lassi import attribution, ingest, model, pipeline, synth
+from lassi import samples_file
 from lassi.attribution import AttributionConfig
 from lassi.errors import AttributionConflictError, IngestError, LassiError, StoreError
 from lassi.ingest import JOBS_HEADER, STATS_HEADER, serialize_jobs_csv
@@ -175,21 +179,29 @@ def test_ingest_holds_each_partition_lock_while_it_reads_the_stored_rows(tmp_pat
     jobs = jobs_file(
         tmp_path, "j.csv", ["app1,1.sdb,u,2017-10-09T00:00:00Z,2017-10-09T01:00:00Z,nid1,./a.x"]
     )
-    read_range = Store.read_range
+    read_range, open_samples = Store.read_range, Store.open_samples
     locked, unlocked = [], []
 
-    def spy(self, dataset, fs_id, t0, t1):
-        path = self.path(Partition(dataset, fs_id, t0))
+    def record(store, partition):
+        path = store.path(partition)
         with open(path.with_name(path.name + ".lock")) as other:
             try:
                 fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
-                locked.append(dataset)
+                locked.append(partition.dataset)
             else:
-                unlocked.append(dataset)
+                unlocked.append(partition.dataset)
+
+    def read_spy(self, dataset, fs_id, t0, t1):
+        record(self, Partition(dataset, fs_id, t0))
         return read_range(self, dataset, fs_id, t0, t1)
 
-    monkeypatch.setattr(Store, "read_range", spy)
+    def open_spy(self, fs_id, day):
+        record(self, Partition("samples", fs_id, day))
+        return open_samples(self, fs_id, day)
+
+    monkeypatch.setattr(Store, "read_range", read_spy)
+    monkeypatch.setattr(Store, "open_samples", open_spy)
     ingest_files(store, [stats], [jobs])  # into an empty store
     ingest_files(store, [stats], [jobs])  # over the stored rows
     assert locked == ["samples", "jobs"] * 2
@@ -358,6 +370,138 @@ def test_a_redelivery_that_changes_nothing_copies_no_counters():
     # blocks of two filesystems have no union
     with pytest.raises(ValueError, match="cannot merge samples of fs3 into fs2"):
         pipeline._union(old, SampleBlock.empty("fs3", 180))
+
+
+def whole_block_union(old: SampleBlock, new: SampleBlock) -> tuple[SampleBlock, np.ndarray]:
+    """The union both sides held whole, as one sort of every key: the
+    reference the streamed union (pipeline._union) must agree with."""
+    if not len(old):
+        return new, np.empty(0, np.int64)
+    node_labels, node = model.merged_labels((old, new))
+    window = np.concatenate([old.window, new.window])
+    source = np.repeat(np.array([0, 1], np.int8), [len(old), len(new)])
+    order = np.lexsort((source, node, window))
+    a, b = order[:-1], order[1:]
+    repeat = np.r_[(window[a] == window[b]) & (node[a] == node[b]), False]
+    replaced = order[repeat]
+    replacing = order[np.flatnonzero(repeat) + 1] - len(old)
+    changed = replacing[(old.counters[replaced] != new.counters[replacing]).any(1)]
+    if not len(changed) and len(replaced) == len(new):
+        return old, changed
+    keep = order[~repeat]
+    counters = np.concatenate([old.counters, new.counters])[keep]
+    return SampleBlock(new.fs_id, node_labels, node[keep], window[keep], counters, 180), changed
+
+
+def savez_bytes(block: SampleBlock) -> bytes:
+    ids = [label.encode("utf-8") for label in block.node_labels]
+    out = io.BytesIO()
+    np.savez(
+        out,
+        node_labels=np.frombuffer(b"".join(ids), np.uint8),
+        node_label_ends=np.cumsum([len(i) for i in ids], dtype=np.int64),
+        node=block.node,
+        window=block.window,
+        counters=block.counters,
+    )
+    return out.getvalue()
+
+
+NODE_POOLS = (("n1", "n2", "n3"), ("m1", "m2"), ("n2", "m1", "z"))
+
+
+@st.composite
+def union_case(draw):
+    """Old and new rows of fs2 on BASE_DAY: new ones from the same, another
+    or an overlapping pool of node ids, or a copy of some old rows; small
+    counters, so new rows often leave an old row as it was."""
+    def rows(pool):
+        return st.lists(
+            st.tuples(st.sampled_from(pool), st.integers(0, 5), st.integers(0, 2)),
+            max_size=12,
+            unique_by=lambda r: r[:2],
+        )
+
+    old = draw(rows(NODE_POOLS[0]))
+    if draw(st.booleans()):
+        new = [r for r in old if draw(st.booleans())]
+    else:
+        new = draw(rows(draw(st.sampled_from(NODE_POOLS))))
+    return tuple(
+        mk_block([mk_sample("fs2", n, BASE_DAY + 180 * w, read_kb=v, open=w) for n, w, v in side])
+        for side in (old, new)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(union_case(), st.sampled_from([1, 2, 1024]))
+def test_the_streamed_union_equals_the_whole_block_union(case, step):
+    """Against a stored partition, read a few rows at a time: the same
+    changed rows, the stored rows themselves when nothing changes, and
+    otherwise a union whose file holds the np.savez bytes of the whole-block
+    union's columns."""
+    old, new = case
+    want, want_changed = whole_block_union(old, new)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_COMPARE_ROWS", step)
+        patch.setattr(samples_file, "_READ_ROWS", step)
+        store = Store(tmp)
+        store.write_partition(old, Partition("samples", "fs2", BASE_DAY))
+        with store.open_samples("fs2", BASE_DAY) as stored:
+            got, changed = pipeline._union(stored, new)
+            assert changed.tolist() == want_changed.tolist()
+            if want is old:
+                assert got is stored
+            elif want is new:
+                assert got is new
+            else:
+                out = io.BytesIO()
+                samples_file.write_samples_npz(out, got)
+                assert out.getvalue() == savez_bytes(want)
+        # held blocks give the held union
+        held, changed = pipeline._union(old, new)
+        assert changed.tolist() == want_changed.tolist()
+        assert held is want if want is old or want is new else held == want
+
+
+def test_aggregate_and_redelivery_never_hold_a_stored_partition_whole(tmp_path):
+    """A stored partition of 99,840 samples (208 nodes, 480 windows): its
+    aggregate, read in hour ranges, and a lenient re-delivery that changes
+    1,000 of its rows and adds 480, read a few rows at a time into the
+    merged file, each peak below half the partition's counter bytes."""
+    nodes, windows = 208, 480
+    rng = np.random.default_rng(11)
+    stored = SampleBlock.from_columns(
+        "fs2",
+        [f"nid{i:05d}" for i in range(nodes)],
+        np.tile(np.arange(nodes, dtype=np.int32), windows),
+        np.repeat(BASE_DAY + 180 * np.arange(windows, dtype=np.int64), nodes),
+        rng.integers(0, 10**6, (nodes * windows, len(ALL_FIELDS)), dtype=np.int64),
+        180,
+    )
+    store = Store(tmp_path / "store")
+    store.write_partition(stored, Partition("samples", "fs2", BASE_DAY))
+    job = mk_job("app1", ["nid00001", "nid00002"], BASE_DAY + HOUR, BASE_DAY + 5 * HOUR)
+    store.write_partition([job], Partition("jobs", None, BASE_DAY))
+    half = stored.counters.nbytes / 2
+
+    summary, peak = traced_peak(lambda: aggregate_range(store, BASE_DAY, BASE_DAY + DAY))
+    assert (summary.app_hour_records, summary.fs_hour_records) == (4, 24)
+    assert peak < half, (peak, half)
+
+    changed = stored.take(np.arange(1000))  # a copy: a slice would be a view
+    changed.counters[:, 0] += 1
+    added = SampleBlock(
+        "fs2", ("nid99999",), np.zeros(windows, np.int32), np.unique(stored.window),
+        np.ones((windows, len(ALL_FIELDS)), np.int64), 180,
+    )
+    redelivery = tmp_path / "redelivery.csv"
+    redelivery.write_text(serialize_stats_csv(changed, added), encoding="utf-8")
+    summary, peak = traced_peak(lambda: ingest_files(store, [redelivery], mode="lenient"))
+    assert (summary.rejected, summary.written) == (1000, 1)
+    assert peak < half, (peak, half)
+    want = whole_block_union(whole_block_union(stored, changed)[0], added)[0]
+    assert store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY) == want
 
 
 JOB_A = "app1,1.sdb,u,2017-10-09T00:00:00Z,2017-10-09T01:00:00Z,nid1,./a.x"
@@ -770,6 +914,81 @@ def test_aggregate_range_equals_the_whole_range_rollup(tmp_path, policy):
         "cut": list(range(DAYS[1] + 5 * HOUR, DAYS[1] + 8 * HOUR, HOUR)),
         "late": list(range(DAYS[2] + 20 * HOUR, t1, HOUR)),
     }
+
+
+@pytest.mark.parametrize("policy", attribution.BOUNDARY_POLICIES)
+def test_aggregate_range_rolls_up_in_hour_ranges_with_the_same_result(
+    tmp_path, monkeypatch, policy
+):
+    """A partition is rolled up in row ranges of whole hours: one hour per
+    range (a budget of 1 row), a few hours, the default budget and one range
+    per partition all write the same aggregates."""
+    blocks, jobs = three_day_case()
+    config = AttributionConfig(policy, WLEN)
+    written, rollups = {}, {}
+    for budget in (1, 100, pipeline._ROLLUP_ROWS, 10**9):
+        monkeypatch.setattr(pipeline, "_ROLLUP_ROWS", budget)
+        calls = []
+        rollup = pipeline._rollup
+        monkeypatch.setattr(
+            pipeline, "_rollup", lambda block, *a: calls.append(len(block)) or rollup(block, *a)
+        )
+        store = store_case(tmp_path / str(budget), blocks, jobs)
+        aggregate_range(store, DAYS[0], DAYS[2] + DAY, config)
+        monkeypatch.setattr(pipeline, "_rollup", rollup)
+        written[budget], rollups[budget] = aggregate_files(store), calls
+    assert len({tuple(files.items()) for files in written.values()}) == 1
+    # fs1 holds 4 rows a window, 24 a 600 s hour, in each of the 72 hours;
+    # fs3 holds rows in every hour too, and fs2 in two
+    assert max(rollups[1]) == 24 and len(rollups[1]) == 72 + 2 + 72
+    assert max(rollups[100]) == 96
+    assert len(rollups[pipeline._ROLLUP_ROWS]) == len(rollups[10**9]) == 7
+
+
+def test_hour_ranges_of_a_week_partition():
+    """A 16,320-row partition, 680 rows an hour, goes in four 6-hour ranges,
+    and an hour holding more rows than the budget is one range alone."""
+    window = np.repeat(BASE_DAY + 180 * np.arange(480, dtype=np.int64), 34)
+    assert len(window) == 16320
+    assert pipeline._hour_chunks(window, BASE_DAY) == [
+        (k * 4080, (k + 1) * 4080) for k in range(4)
+    ]
+    dense = np.repeat(window, 8)  # 5,440 rows an hour
+    chunks = pipeline._hour_chunks(dense, BASE_DAY)
+    assert chunks == [(h * 5440, (h + 1) * 5440) for h in range(24)]
+    # hours without rows take no range of their own
+    sparse = window[(window < BASE_DAY + HOUR) | (window >= BASE_DAY + 20 * HOUR)]
+    assert pipeline._hour_chunks(sparse, BASE_DAY) == [(0, 680 * 5)]
+
+
+def test_a_corrupt_partition_on_the_last_day_writes_no_aggregate(tmp_path):
+    """Every partition of the range is read and checked before the first
+    aggregate is written, so a refusal on the last day leaves no day
+    aggregated."""
+    blocks, jobs = three_day_case()
+    store = store_case(tmp_path / "store", blocks, jobs)
+    path = store.path(Partition("samples", "fs3", DAYS[2]))
+    path.write_bytes(path.read_bytes()[:-100])
+    with pytest.raises(StoreError, match=re.escape(f"{path}: unreadable samples partition")):
+        aggregate_range(store, DAYS[0], DAYS[2] + DAY, AttributionConfig("midpoint", WLEN))
+    assert aggregate_files(store) == {}
+
+
+def test_the_sum_bound_names_the_partitions_rows_not_a_ranges(tmp_path, monkeypatch):
+    """Four samples over two hours, rolled up an hour (two rows) at a time:
+    a counter that two rows could sum but four could not is refused, naming
+    the partition's four rows; nothing is written."""
+    big = model.INT64_MAX // 4 + 1
+    rows = [
+        mk_sample("fs2", n, BASE_DAY + h * HOUR, read_kb=big) for h in (0, 1) for n in ("n1", "n2")
+    ]
+    store = store_case(tmp_path / "store", [mk_block(rows, WLEN)], [])
+    monkeypatch.setattr(pipeline, "_ROLLUP_ROWS", 1)
+    assert pipeline._hour_chunks(mk_block(rows, WLEN).window, BASE_DAY) == [(0, 2), (2, 4)]
+    message = "^summing 4 samples could exceed the int64 counter range$"
+    with pytest.raises(LassiError, match=message):
+        aggregate_range(store, BASE_DAY, BASE_DAY + DAY, AttributionConfig("midpoint", WLEN))
+    assert aggregate_files(store) == {}
 
 
 def test_aggregate_range_reads_samples_without_the_csv_parser(tmp_path, monkeypatch):

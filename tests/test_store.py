@@ -5,6 +5,7 @@ import fcntl
 import io
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -18,12 +19,14 @@ from hypothesis import strategies as st
 
 import lassi
 from lassi.cli import main
+from lassi import samples_file
 from lassi import store as store_module
 from lassi.errors import MissingBaselineError, StoreError, StoreLockError
 from lassi.metrics import FsBaseline
 from lassi.model import ALL_FIELDS, INT64_MAX, AppHourRecord, FsHourRecord, SampleBlock
 from lassi.pipeline import aggregate_range, ingest_files
-from lassi.store import SAMPLES_ARRAYS, Partition, Store
+from lassi.samples_file import SAMPLES_ARRAYS
+from lassi.store import Partition, Store
 from lassi.timeutil import DAY, HOUR, format_utc, parse_date, parse_utc
 
 from helpers import (
@@ -371,6 +374,30 @@ def npy_file(path, arrays):
     path.write_bytes(out.getvalue())
 
 
+def flip_counter_byte(path, row):
+    """Flip the low bit of row's first counter in the file's bytes, so only
+    zipfile's CRC-32 of counters.npy can tell."""
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("counters.npy")
+        with zf.open(info) as member:
+            np.lib.format.read_magic(member)
+            np.lib.format.read_array_header_1_0(member)
+            header = member.tell()
+    # a local file header is 30 bytes, then the name and the extra field
+    name, extra = struct.unpack("<HH", data[info.header_offset + 26 : info.header_offset + 30])
+    data[info.header_offset + 30 + name + extra + header + row * len(ALL_FIELDS) * 8] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def negative_and_flipped(path, arrays):
+    """Row 2's counters negated, then a byte of row 3 flipped."""
+    edit(counters=lambda a: a["counters"] * np.where(np.arange(4) == 2, -1, 1)[:, None])(
+        path, arrays
+    )
+    flip_counter_byte(path, 3)
+
+
 def labels(*ids):
     """edit() arguments giving node labels ids."""
     encoded = [i.encode() for i in ids]
@@ -483,6 +510,15 @@ SAMPLES_DEFECTS = {
         lambda path, a: np.savez_compressed(path, **a),
         "unreadable samples partition: compressed entries",
     ),
+    "bad_crc": (
+        lambda path, a: flip_counter_byte(path, 3),
+        "unreadable samples partition: Bad CRC-32 for file 'counters.npy'",
+    ),
+    # the CRC-32 is checked as the file is read, before any row is
+    "bad_crc_and_negative_counter": (
+        negative_and_flipped,
+        "unreadable samples partition: Bad CRC-32 for file 'counters.npy'",
+    ),
 }
 
 
@@ -498,6 +534,26 @@ def test_a_corrupt_samples_file_raises_store_error_naming_path_and_defect(store,
             reader.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
         assert str(err.value).startswith(f"{path}: {message}")
     assert sorted(os.listdir("/proc/self/fd")) == descriptors
+
+
+@pytest.mark.parametrize("step", [1, 7, 512])
+def test_a_flipped_counter_byte_is_refused_however_the_counters_are_read(store, monkeypatch, step):
+    """A partition far larger than zipfile's first read, its last row's
+    counters flipped: the checking pass reads the counters a few rows at a
+    time to the end, so zipfile's CRC-32 refuses the file before any row is
+    handed out, by read_range or aggregate_range."""
+    rows = [
+        mk_sample("fs2", f"nid{n}", W0 + 180 * w, read_kb=w) for w in range(480) for n in range(6)
+    ]
+    store.write_partition(mk_block(rows), samples_partition())
+    path = store.path(samples_partition())
+    flip_counter_byte(path, len(rows) - 1)
+    monkeypatch.setattr(samples_file, "_READ_ROWS", step)
+    message = re.escape(f"{path}: unreadable samples partition: Bad CRC-32 for file 'counters.npy'")
+    with pytest.raises(StoreError, match=message):
+        store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + HOUR)
+    with pytest.raises(StoreError, match=message):
+        aggregate_range(store, BASE_DAY, BASE_DAY + DAY)
 
 
 class Unpickled:
@@ -865,13 +921,13 @@ def test_corrupting_a_memoized_partition_raises(store, dataset):
 def test_samples_are_never_memoized(store, monkeypatch):
     store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
     loads = []
-    real = store_module._load_samples
+    real = store_module.StoredSamples
 
-    def spy(path, partition, window_len):
+    def spy(path, *args):
         loads.append(path)
-        return real(path, partition, window_len)
+        return real(path, *args)
 
-    monkeypatch.setattr(store_module, "_load_samples", spy)
+    monkeypatch.setattr(store_module, "StoredSamples", spy)
     parses = count_calls(monkeypatch, "parse_stats_csv")
     for _ in range(3):
         assert len(store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)) == 1
@@ -924,7 +980,7 @@ def test_a_samples_file_holds_the_bytes_np_savez_writes(labels, rows, data):
         counters = np.asfortranarray(counters)
     block = SampleBlock("fs2", tuple(labels), node, window, counters, 180)
     got = io.BytesIO()
-    store_module._write_samples_npz(got, block)
+    samples_file.write_samples_npz(got, block)
     ids = [label.encode("utf-8") for label in labels]
     want = io.BytesIO()
     np.savez(
