@@ -30,8 +30,9 @@ app_id keeps the first and rejects each later one. Counters are spelled
 in ASCII digits (parse_int_cells) and must fit in a signed 64-bit integer;
 anything else is rejected like any other bad row.
 
-Stats files parse into spill files (SpilledStats), read back as
-SampleBlocks, the only form samples take, one partition at a time. The
+Stats files parse into spill files (SpilledStats), read back one
+partition at a time: its keys held and its counters read from the spill a
+row range at a time (SpilledPartition), or held whole as a SampleBlock. The
 header is read and checked once; the body is streamed as bytes in
 line-aligned ranges of about 64 KiB (_ranges) and never held as one text. A
 range proven clean is read column-wise by np.loadtxt. In a range that fails
@@ -60,15 +61,17 @@ Memory is per process: the calling process and each worker hold one range
 of input and at most _SPILL_ROWS accepted rows, however they were read,
 which each appends to its own spill file grouped by (filesystem, UTC day)
 partition; a duplicate key never spans two partitions, so duplicates are
-then found, and the spilled rows later read back, one partition at a time,
-in the calling process. Only parse_stats_csv without spill holds every
-partition's block at once, by (filesystem, day); nothing joins them.
+then found, and the spilled rows later read back, one partition's keys at a
+time, in the calling process. Only parse_stats_csv without spill holds
+every partition's block at once, by (filesystem, day); nothing joins them.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
+import itertools
 import os
 import pickle
 import re
@@ -85,12 +88,14 @@ from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
+from . import samples_file
 from .errors import IngestError
 from .model import (
     ALL_FIELDS,
     INT64_MAX,
     JobRecord,
     SampleBlock,
+    SampleKeys,
     canonical_order,
     label_codes,
 )
@@ -230,11 +235,11 @@ def parse_stats_csv(
     function that returns a new seekable binary file on each call, once per
     span, the result holds the file's SpilledStats, to be read back one
     partition at a time from those files, which the caller owns and closes;
-    a worker writes its span's file, so in a parse in spans they must be
-    operating-system files, such as tempfile.TemporaryFile gives. Without
-    spill, the rows go to temporary files in the system temp directory, and
-    the result holds each (fs, day) partition's block, by key in sorted
-    order.
+    a worker writes its span's file and SpilledPartition reads them by file
+    descriptor, so they must be operating-system files, such as
+    tempfile.TemporaryFile gives. Without spill, the rows go to temporary
+    files in the system temp directory, and the result holds each (fs, day)
+    partition's block, by key in sorted order.
 
     A bad mode, or a window_len that does not divide an hour, raises
     ValueError before anything is read.
@@ -314,6 +319,10 @@ _SPILL_ROWS = 1 << 11
 _SPAN_BYTES = 1 << 19
 # the stats file bytes the span scan reads at a time
 _SCAN_BYTES = 1 << 18
+# a spilled row's key bytes, which come before its segment's counters: its
+# node code (int32), window start and line number (int64)
+_KEY_BYTES = 4 + 8 + 8
+_N = len(ALL_FIELDS)
 
 
 def _usable_cpus() -> int:
@@ -767,15 +776,18 @@ class _StatsRows:
 class SpilledStats:
     """One stats file's accepted rows, in the spill files its parse wrote,
     one per span (_StatsRows); what parse_stats_csv returns given spill. Read
-    back one partition at a time, as a block of its filesystem (block).
+    back one partition at a time (partition), its keys held and its
+    counters read from the spill as they are asked for, or held whole
+    (block).
 
-    The caller owns the files: any seekable binary files, such as unlinked
-    temporary files, which a crash cannot leave behind. partitions maps each (fs id, UTC day) to its
-    segments, as (file, offset, rows). A file's node codes index its span's
-    ids; loading maps them onto node_ids, the file's ids in first-seen
-    order: the first span's, then each later span's new ones, the order a
-    whole read meets them in. Duplicate keys stay in the spill until block
-    resolves them; a key never spans two partitions.
+    The caller owns the files: operating-system files, such as unlinked
+    temporary files, which a crash cannot leave behind. partitions maps
+    each (fs id, UTC day) to its segments, as (file, offset, rows). A
+    file's node codes index its span's ids; loading maps them onto
+    node_ids, the file's ids in first-seen order: the first span's, then
+    each later span's new ones, the order a whole read meets them in.
+    Duplicate keys stay in the spill until partition resolves them; a key
+    never spans two partitions.
     """
 
     def __init__(self, files: Sequence[IO[bytes]], parts: Sequence[_Part], window_len: int):
@@ -795,12 +807,10 @@ class SpilledStats:
                 )
         self.node_ids = tuple(node_ids)
 
-    def _load(self, segments: list[tuple[int, int, int]], counters: bool) -> list[np.ndarray]:
-        """A partition's node, window and line columns, and its counters if asked."""
+    def _load(self, segments: list[tuple[int, int, int]]) -> list[np.ndarray]:
+        """A partition's node, window and line columns, segment after segment."""
         n = sum(count for _, _, count in segments)
         columns = [np.empty(n, np.int32), np.empty(n, np.int64), np.empty(n, np.int64)]
-        if counters:
-            columns.append(np.empty((n, len(ALL_FIELDS)), np.int64))
         at = 0
         for k, offset, count in segments:
             spill = self.files[k]
@@ -825,7 +835,7 @@ class SpilledStats:
         """
         accepted, superseded, by, firsts = 0, [], [], []
         for (fs_id, _), segments in self.partitions.items():
-            node, window, line = self._load(segments, counters=False)
+            node, window, line = self._load(segments)
             _, dropped, later = _repeats(node, window, line)
             accepted += len(node)
             superseded += line[dropped].tolist()
@@ -844,15 +854,91 @@ class SpilledStats:
         ]
         return _report(accepted - len(superseded), errors)
 
-    def block(self, fs_id: str, day: int) -> SampleBlock:
-        """One partition's rows as a block in canonical order, each repeated
-        key's last line kept."""
-        node, window, line, counters = self._load(self.partitions[fs_id, day], counters=True)
+    def partition(self, fs_id: str, day: int) -> SpilledPartition:
+        """One partition's rows in canonical order, each repeated key's last
+        line kept: its keys held, its counters read from the spill as asked."""
+        segments = self.partitions[fs_id, day]
+        node, window, line = self._load(segments)
         node_labels, node = label_codes(self.node_ids, node)
         keep, _, _ = _repeats(node, window, line)
+        position = None
         if len(keep) != len(node) or not (np.diff(keep) == 1).all():
-            node, window, counters = node[keep], window[keep], counters[keep]
-        return SampleBlock(fs_id, node_labels, node, window, counters, self.window_len)
+            node, window, position = node[keep], window[keep], keep
+        runs = [
+            (self.files[k].fileno(), offset + count * _KEY_BYTES, count)
+            for k, offset, count in segments
+        ]
+        return SpilledPartition(fs_id, node_labels, node, window, self.window_len, runs, position)
+
+    def block(self, fs_id: str, day: int) -> SampleBlock:
+        """One partition's rows held whole: its partition with every counter read."""
+        rows = self.partition(fs_id, day)
+        counters = rows.counter_rows(np.arange(len(rows)))
+        return SampleBlock(
+            fs_id, rows.node_labels, rows.node, rows.window, counters, rows.window_len
+        )
+
+
+class SpilledPartition(SampleKeys):
+    """One (fs, day) partition of a SpilledStats, its repeated keys resolved
+    (SpilledStats.partition): the keys held, 12 bytes a row, the counters
+    read from the spill a row range at a time, as a stored partition's are
+    (samples_file.StoredSamples), with os.preadv.
+
+    A segment's counters follow its node, window and line columns, so each
+    is one run of bytes; runs holds each segment's (file descriptor, offset
+    of its counters, rows), in spill order. position holds each row's place
+    among the spilled rows in that order, or None where the rows are the
+    spilled ones in it.
+    """
+
+    __slots__ = ("runs", "starts", "position", "ascending")
+
+    def __init__(self, fs_id, node_labels, node, window, window_len, runs, position):
+        super().__init__(fs_id, node_labels, node, window, window_len)
+        self.runs = runs
+        self.starts = [0, *itertools.accumulate(count for _, _, count in runs)]
+        self.position = position
+        self.ascending = position is None or bool((np.diff(position) > 0).all())
+
+    def counter_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The counters of ascending row positions rows, their spilled rows
+        read in ascending order (samples_file.gather_rows)."""
+        at = rows if self.position is None else self.position[rows]
+        if self.ascending:
+            return samples_file.gather_rows(at, self._read_spilled)
+        order = np.argsort(at)
+        out = np.empty((len(at), _N), np.int64)
+        out[order] = samples_file.gather_rows(at[order], self._read_spilled)
+        return out
+
+    def counter_chunks(self) -> Iterator[np.ndarray]:
+        """The counters as row chunks in order, as the store's writer takes
+        them, samples_file._READ_ROWS rows a chunk; rows that are the
+        spilled ones in order are read as ranges, with no gather."""
+        step, n = samples_file._READ_ROWS, len(self)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            if self.position is None:
+                yield self._read_spilled(lo, hi)
+            else:
+                yield self.counter_rows(np.arange(lo, hi))
+
+    def _read_spilled(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The counters of spilled rows [lo, hi), read into out (a new array
+        if None) from the runs they lie in."""
+        if out is None:
+            out = np.empty((hi - lo, _N), np.int64)
+        k = bisect.bisect_right(self.starts, lo) - 1
+        at = lo
+        while at < hi:
+            fd, offset, _ = self.runs[k]
+            end = min(hi, self.starts[k + 1])
+            skip = (at - self.starts[k]) * _N * 8
+            if not samples_file.read_into(fd, out[at - lo : end - lo], offset + skip):
+                raise OSError(f"sample spill ends inside the counters at {offset}")
+            at, k = end, k + 1
+        return out
 
 
 def parse_jobs_csv(source: Source, mode: str = "strict") -> tuple[list[JobRecord], IngestReport]:

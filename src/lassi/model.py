@@ -9,13 +9,14 @@ negative. All types are immutable.
 
 Samples held in memory have one form, the SampleBlock: one filesystem's
 samples as columns, one row per (window, node); its keys are a SampleKeys,
-which a stored partition also is, its counters read a row range at a time
-(samples_file.StoredSamples). The block names its filesystem once
+which a stored partition and a spilled one also are, their counters read a
+row range at a time (samples_file.StoredSamples,
+ingest.SpilledPartition). The block names its filesystem once
 (``fs_id``), as the store's (filesystem, day) partitions do; its node
 column holds int32 codes into a sorted table of the distinct node ids
 (``node_labels``). The parser makes the codes where it first reads the ids;
 after that, sorting, grouping, masking and comparing rows work on codes, and
-merging blocks remaps label tables, not rows (label_codes, merged_labels).
+merging blocks remaps label tables, not rows (label_codes).
 Ingest enforces the rules a sample row obeys (on-grid window, non-empty
 ids, counters in [0, 2**63 - 1]); the block keeps counters as int64, so
 every rollup first checks that its sums cannot leave that range
@@ -182,24 +183,6 @@ def canonical_order(
     return order, repeat
 
 
-def merged_labels(blocks: Sequence["SampleBlock"]) -> tuple[tuple[str, ...], np.ndarray]:
-    """One node label table for several blocks, and their node codes over
-    it, block after block.
-
-    Blocks sharing one table keep their codes; otherwise each block's codes
-    move onto the union through its own small table (label_codes).
-    """
-    tables = [b.node_labels for b in blocks]
-    columns = [b.node for b in blocks]
-    if all(t == tables[0] for t in tables):
-        return tables[0], np.concatenate(columns)
-    offsets = np.cumsum([0] + [len(t) for t in tables[:-1]]).tolist()
-    return label_codes(
-        [label for t in tables for label in t],
-        np.concatenate([c + off for c, off in zip(columns, offsets)]),
-    )
-
-
 class SampleKeys:
     """The keys of one filesystem's samples: one row per (window, node), in
     that order.
@@ -212,7 +195,8 @@ class SampleKeys:
     shares one ``window_len``. Rows are in canonical (window, node) order
     with unique keys, and every label is used by some row; the constructor
     trusts its caller on that. Its counters are its subclass's: held whole
-    (SampleBlock), or read a row range at a time (samples_file.StoredSamples).
+    (SampleBlock), or read a row range at a time (samples_file.StoredSamples,
+    ingest.SpilledPartition, and ingest's union of two of them).
     """
 
     __slots__ = ("fs_id", "node_labels", "node", "window", "window_len")

@@ -9,7 +9,7 @@ nothing and writes no partition, re-aggregating a range rewrites the same
 partitions.
 
 Aggregation and ingest each work on one (filesystem, day) partition of
-samples at a time, so their memory grows with a partition of data, not with
+samples at a time, so their memory grows with a partition's keys, not with
 the range or the file; of a stored partition they hold the keys, and read
 the counters a row range at a time (samples_file.StoredSamples). A sample
 block holds one filesystem, so attribution, hourly totals and the
@@ -17,7 +17,8 @@ conservation check each see one filesystem. Aggregation keeps its output
 (hourly records) between partitions and zero-fills it once after the last.
 Each stats file streams into spill files in the store root, one per span a
 large file is parsed in, which ingest's later passes read back one
-partition at a time.
+partition at a time, its keys held and its counters read from the spill as
+they are merged and written (ingest.SpilledPartition).
 compute_outputs_from_files, which `lassi verify` runs, is this same flow
 (ingest, aggregate, baselines, exposures) on a temporary store, so the
 oracle checks what an operator's store holds.
@@ -53,15 +54,13 @@ from .model import (
     JobRecord,
     SampleBlock,
     SampleKeys,
-    merged_labels,
 )
-from .samples_file import StoredSamples
 from .store import Partition, Store, baseline_label
 from .timeutil import DAY, HOUR, date_str, day_range, floor_day, floor_hour, format_utc, hour_range
 
 _N = len(ALL_FIELDS)
-# counter rows _union compares, or copies into the union, in one step; 1,024
-# took the week's re-delivery some 0.35 MiB higher in peak RSS
+# the rows _union searches, compares or copies into the union in one step;
+# 1,024 took the week's re-delivery some 0.35 MiB higher in peak RSS
 _COMPARE_ROWS = 512
 # the most rows aggregate_range attributes and rolls up at once, in whole
 # hours (one hour however many it holds): the week's 16,320-row partitions
@@ -127,50 +126,57 @@ def _merge(
 
 
 class _Union(SampleKeys):
-    """The key-wise union of old and new rows (_union), its counters
-    gathered _COMPARE_ROWS rows at a time as counter_chunks() is read, old's
-    by old.counter_rows, so a stored partition's counters go into the writer
-    without being held."""
+    """The key-wise union of old and new rows (_union), its counters read
+    as they are asked for, each row's from the side it comes from by that
+    side's counter_rows, so neither side's counters are held.
 
-    __slots__ = ("old", "new", "keep")
+    The plan is the size of new, not of old: the positions in old of the
+    rows new changed (replaced) and of their new rows (replacing), and the
+    union positions of the rows new added (slots) and of their new rows
+    (added); every other union row is old's, in order. Each ends in a
+    sentinel no search finds, so a search result always indexes it.
+    """
 
-    def __init__(self, old, new: SampleBlock, node_labels, node, window, keep: np.ndarray):
+    __slots__ = ("old", "new", "replaced", "replacing", "slots", "added")
+
+    def __init__(self, old, new, node_labels, node, window, replaced, replacing, slots, added):
         super().__init__(new.fs_id, node_labels, node, window, new.window_len)
-        # each kept row's position in old's rows followed by new's
-        self.old, self.new, self.keep = old, new, keep
+        self.old, self.new = old, new
+        self.replaced, self.replacing = np.r_[replaced, len(old)], np.r_[replacing, 0]
+        self.slots, self.added = np.r_[slots, len(node)], np.r_[added, 0]
+
+    def counter_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The counters of ascending union rows rows: both sides' rows come
+        in ascending order, as each side reads them."""
+        before = np.searchsorted(self.slots, rows)  # added rows before each row
+        is_added = self.slots[before] == rows
+        at = rows - before  # a row's position in old, unless it is added
+        r = np.searchsorted(self.replaced, at)
+        from_new = is_added | (self.replaced[r] == at)
+        out = np.empty((len(rows), _N), np.int64)
+        new_rows = np.where(is_added, self.added[before], self.replacing[r])
+        out[from_new] = self.new.counter_rows(new_rows[from_new])
+        out[~from_new] = self.old.counter_rows(at[~from_new])
+        return out
 
     def counter_chunks(self) -> Iterator[np.ndarray]:
-        n_old = len(self.old)
-        for lo in range(0, len(self.keep), _COMPARE_ROWS):
-            rows = self.keep[lo : lo + _COMPARE_ROWS]
-            from_old = rows < n_old
-            out = np.empty((len(rows), _N), np.int64)
-            out[from_old] = self.old.counter_rows(rows[from_old])
-            out[~from_old] = self.new.counters[rows[~from_old] - n_old]
-            yield out
-
-    def block(self) -> SampleBlock:
-        """The union held whole."""
-        counters = np.empty((len(self), _N), np.int64)
-        at = 0
-        for chunk in self.counter_chunks():
-            counters[at : at + len(chunk)] = chunk
-            at += len(chunk)
-        return SampleBlock(
-            self.fs_id, self.node_labels, self.node, self.window, counters, self.window_len
-        )
+        """The counters as row chunks in order, _COMPARE_ROWS rows a chunk."""
+        for lo in range(0, len(self), _COMPARE_ROWS):
+            yield self.counter_rows(np.arange(lo, min(lo + _COMPARE_ROWS, len(self))))
 
 
-def _union(old: SampleBlock | StoredSamples, new: SampleBlock) -> tuple[SampleKeys, np.ndarray]:
-    """Key-wise union in canonical order of two blocks of one filesystem,
-    new rows winning; also the positions in new, ascending, of the rows
-    that changed an old row's counters. When no new row adds a key or
+def _union(old: SampleKeys, new: SampleKeys) -> tuple[SampleKeys, np.ndarray]:
+    """Key-wise union in canonical order of two sets of one filesystem's
+    rows, new rows winning; also the positions in new, ascending, of the
+    rows that changed an old row's counters. When no new row adds a key or
     changes a counter, the union is old itself, and no counter is copied.
 
-    old may be a stored partition, whose keys alone are held: its counters
-    are read _COMPARE_ROWS rows at a time, once to compare the rows new
-    replaces and, should anything change, once more as the union (a
-    _Union) is written. The union of two held blocks is held whole.
+    Either side is any sample keys that answer counter_rows: a held
+    block, a stored partition or a spilled one, or another union. Only
+    keys are held: each side's counters are read _COMPARE_ROWS rows at a
+    time, once to compare the rows new repeats and, should anything
+    change, once more as the union (a _Union) is written. Besides the
+    union's node and window columns, what is built is the size of new.
     """
     if old.fs_id != new.fs_id:
         raise ValueError(f"cannot merge samples of {new.fs_id} into {old.fs_id}")
@@ -178,57 +184,59 @@ def _union(old: SampleBlock | StoredSamples, new: SampleBlock) -> tuple[SampleKe
         return new, np.empty(0, np.int64)
     n = len(old)
     if old.node_labels == new.node_labels:
-        node_labels, codes = old.node_labels, (old.node, new.node)
+        node_labels, old_node, new_node = old.node_labels, old.node, new.node
     else:
-        node_labels, node = merged_labels((old, new))
-        codes = (node[:n], node[n:])
+        # every label of a side is used by its rows, so the union's are both sides'
+        node_labels = tuple(sorted({*old.node_labels, *new.node_labels}))
+        code = {label: i for i, label in enumerate(node_labels)}
+        old_node, new_node = (
+            np.array([code[label] for label in side.node_labels], np.int32)[side.node]
+            for side in (old, new)
+        )
     # both sides are sorted on (window, node) with unique keys, so each new
-    # row is found among old's by one binary search on an int64 key: the
-    # window's rank among both sides' windows, then the node's code
-    windows = np.union1d(np.unique(old.window), np.unique(new.window))
-    keys = []
-    for block, code in zip((old, new), codes):
-        key = np.searchsorted(windows, block.window)
-        key *= len(node_labels)
-        key += code
-        keys.append(key)
-    at = np.searchsorted(*keys)
-    found = np.take(keys[0], at, mode="clip") == keys[1]
-    del keys
-    # replaced rows run ascending on both sides
+    # row is found among old's by one binary search on an int64 key, the
+    # window's distance from old's first and then the node's code; old's
+    # keys are built a chunk at a time, only for chunks new rows fall in
+    labels, w0 = len(node_labels), int(old.window[0])
+    new_key = (new.window - w0) * labels + new_node
+    at = np.full(len(new), n)  # each new row's place among old's rows
+    found = np.zeros(len(new), bool)
+    j = 0
+    for lo in range(0, n, _COMPARE_ROWS):
+        if j == len(new):
+            break
+        hi = min(lo + _COMPARE_ROWS, n)
+        last = (int(old.window[hi - 1]) - w0) * labels + int(old_node[hi - 1])
+        k = int(np.searchsorted(new_key, last, "right"))
+        if k > j:
+            key = (old.window[lo:hi] - w0) * labels + old_node[lo:hi]
+            i = np.searchsorted(key, new_key[j:k])
+            at[j:k], found[j:k] = lo + i, key[i] == new_key[j:k]
+            j = k
+    del new_key
+    # repeated rows run ascending on both sides
     replaced, replacing = at[found], np.flatnonzero(found)
-    added = np.flatnonzero(~found)
-    # where each added row goes in the union
-    slots = at[added] + np.arange(len(added))
-    del at, found
     differs = np.empty(len(replaced), bool)
     for lo in range(0, len(replaced), _COMPARE_ROWS):
         rows = slice(lo, lo + _COMPARE_ROWS)
         was = old.counter_rows(replaced[rows])
-        differs[rows] = (was != new.counters[replacing[rows]]).any(1)
+        differs[rows] = (was != new.counter_rows(replacing[rows])).any(1)
     changed = replacing[differs]
+    added = np.flatnonzero(~found)
     if not len(changed) and not len(added):
         return old, changed
-    # the union's columns: old's rows, each replaced one's counters taken
-    # from new (keep holds each row's position in old's rows then new's),
-    # with the added rows put in their slots
-    is_added = np.zeros(n + len(added), bool)
-    is_added[slots] = True
-    kept = np.arange(n)
-    kept[replaced] = replacing + n
-    keep, node, window = (np.empty(len(is_added), t) for t in (np.int64, np.int32, np.int64))
-    for column, of_old, of_added in (
-        (keep, kept, added + n),
-        (node, codes[0], codes[1][added]),
-        (window, old.window, new.window[added]),
-    ):
-        column[~is_added], column[is_added] = of_old, of_added
-    union = _Union(old, new, node_labels, node, window, keep)
-    return (union.block() if isinstance(old, SampleBlock) else union), changed
+    # old's columns with each added row put before the old row it precedes
+    where = at[added]
+    node = np.insert(old_node, where, new_node[added])
+    del old_node  # a remapped copy of old's codes is let go before the windows are built
+    window = np.insert(old.window, where, new.window[added])
+    slots = where + np.arange(len(added))
+    union = _Union(old, new, node_labels, node, window, replaced[differs], changed, slots, added)
+    return union, changed
 
 
 def _merge_samples(
-    old: SampleBlock | StoredSamples, new: SampleBlock, mode: str, where: str
+    old: SampleKeys, new: SampleKeys, mode: str, where: str
 ) -> tuple[SampleKeys, int]:
     """Key-wise union in canonical order, new rows winning (_union); also
     the number of rows whose counters a new row changed.
@@ -244,24 +252,26 @@ def _merge_samples(
 
 def _merge_inputs(
     inputs: Sequence[tuple[str | Path, SpilledStats]], fs_id: str, day: int
-) -> tuple[SampleBlock, int, tuple | None]:
+) -> tuple[SampleKeys, int, tuple | None]:
     """One (filesystem, day) partition's rows of every input that has it,
-    merged in input order, later inputs winning; with the number of rows a
-    later input changed, and the first such change as (input position,
-    (window, fs, node) key, (fs, node, window) key), or None."""
+    merged in input order, later inputs winning, as keys whose counters
+    are read from the spills (SpilledStats.partition, _union); with the
+    number of rows a later input changed, and the first such change as
+    (input position, (window, fs, node) key, (fs, node, window) key), or
+    None."""
     merged, changed, first = None, 0, None
     for k, (_, spilled) in enumerate(inputs):
         if (fs_id, day) not in spilled.partitions:
             continue
-        block = spilled.block(fs_id, day)
+        rows = spilled.partition(fs_id, day)
         if merged is None:
-            merged = block
+            merged = rows
             continue
-        merged, rows = _union(merged, block)
-        changed += len(rows)
-        if len(rows) and first is None:
-            i = int(rows[0])
-            first = (k, block._key(i), block.key(i))
+        merged, by = _union(merged, rows)
+        changed += len(by)
+        if len(by) and first is None:
+            i = int(by[0])
+            first = (k, rows._key(i), rows.key(i))
     return merged, changed, first
 
 
@@ -344,11 +354,11 @@ def ingest_files(
     (_check_stored), so a conflict with stored data writes nothing either.
     Nothing is written until every input has been read and checked; then
     each partition's inputs are merged again and folded into the store
-    under that partition's lock, one partition at a time. The incoming rows
-    of a partition are held whole, the stored ones are not: the merge
-    (_union) holds the stored keys and reads the stored counters a few
-    rows at a time, once to compare and, when something changed, once more
-    into the file it writes.
+    under that partition's lock, one partition at a time. No partition is
+    held whole, incoming or stored: every merge (_union) holds keys, and
+    reads counters from the spills and the stored file a few rows at a
+    time, once to compare and, when something changed, once more into the
+    file it writes.
     """
     store.root.mkdir(parents=True, exist_ok=True)
     with ExitStack() as spills:

@@ -96,6 +96,39 @@ def write_samples_npz(fh: IO[bytes], rows: SampleKeys) -> None:
                 raise ValueError(f"counter chunks hold {written} rows, expected {len(rows)}")
 
 
+def read_into(fd: int, out: np.ndarray, offset: int) -> bool:
+    """Fill the contiguous array out with the bytes of file descriptor fd
+    from offset on, by os.preadv; False if the file ends first."""
+    data = out.reshape(-1).view(np.uint8)
+    at = 0
+    while at < len(data):
+        got = os.preadv(fd, [data[at:]], offset + at)
+        if not got:
+            return False
+        at += got
+    return True
+
+
+def gather_rows(rows: np.ndarray, read_rows) -> np.ndarray:
+    """The counters of ascending row positions rows, read_rows(lo, hi, out)
+    reading rows [lo, hi) into out, or into a new array with out None: in
+    ranges of at most _READ_ROWS rows, so rows far apart cost a few reads,
+    not a read of every row between them, and a range of consecutive rows
+    goes straight into its place."""
+    out = np.empty((len(rows), _N), np.int64)
+    i = 0
+    while i < len(rows):
+        lo = int(rows[i])
+        j = int(np.searchsorted(rows, lo + _READ_ROWS))
+        hi = int(rows[j - 1]) + 1
+        if hi - lo == j - i:
+            read_rows(lo, hi, out[i:j])
+        else:
+            out[i:j] = read_rows(lo, hi)[rows[i:j] - lo]
+        i = j
+    return out
+
+
 def _counters_header(member: IO[bytes]) -> tuple[tuple[int, ...], bool, np.dtype]:
     """The (shape, fortran_order, dtype) of a .npy member, read as np.load
     reads it, the member left at the first byte of its data."""
@@ -217,17 +250,22 @@ class StoredSamples(SampleKeys):
             raise StoreError(f"{path}: node label {labels[int(np.argmax(unused))]!r} used by no row")
 
         super().__init__(fs_id, labels, node, window, window_len)
-        same_window = window[1:] == window[:-1]
-        for bad, what in (
-            (window % window_len != 0, f"off the {window_len}s window grid"),
-            (window - window % DAY != day, f"outside partition ({fs_id}, {date_str(day)})"),
-            (negative, "has a negative counter"),
-            (np.r_[False, same_window & (node[1:] == node[:-1])], "repeats the key before it"),
-            (
+
+        def flaws():
+            """Each row check's mask, made as it is asked for, so the
+            row-sized temporaries of one check are held at a time."""
+            yield window % window_len != 0, f"off the {window_len}s window grid"
+            outside = f"outside partition ({fs_id}, {date_str(day)})"
+            yield (window < day) | (window >= day + DAY), outside
+            yield negative, "has a negative counter"
+            same_window = window[1:] == window[:-1]
+            yield np.r_[False, same_window & (node[1:] == node[:-1])], "repeats the key before it"
+            yield (
                 np.r_[False, (window[1:] < window[:-1]) | (same_window & (node[1:] < node[:-1]))],
                 "out of canonical (window, fs, node) order",
-            ),
-        ):
+            )
+
+        for bad, what in flaws():
             if bad.any():
                 raise StoreError(f"{path}: sample {self.key(int(np.argmax(bad)))} {what}")
 
@@ -267,31 +305,18 @@ class StoredSamples(SampleKeys):
         return shape, fortran_order, dtype, np.concatenate(negative), largest
 
     def counter_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The counters of ascending row positions rows, read in ranges of
-        at most _READ_ROWS rows, so rows far apart cost a few reads, not a
-        read of every row between them."""
-        out = np.empty((len(rows), _N), np.int64)
-        i = 0
-        while i < len(rows):
-            lo = int(rows[i])
-            j = int(np.searchsorted(rows, lo + _READ_ROWS))
-            out[i:j] = self._read_rows(lo, int(rows[j - 1]) + 1)[rows[i:j] - lo]
-            i = j
-        return out
+        """The counters of ascending row positions rows (gather_rows)."""
+        return gather_rows(rows, self._read_rows)
 
-    def _read_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Counter rows [lo, hi), read straight into their array from the
-        open file, at the offset the checking pass found: the bytes that
-        pass read, CRC-32 and all, since the store replaces a file and never
-        writes into one."""
-        out = np.empty((hi - lo, _N), np.int64)
-        data = out.reshape(-1).view(np.uint8)
-        at = 0
-        while at < len(data):
-            got = os.preadv(self._file.fileno(), [data[at:]], self._data_at + lo * _N * 8 + at)
-            if not got:
-                raise StoreError(f"{self.path}: counters end before row {hi}")
-            at += got
+    def _read_rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Counter rows [lo, hi), read straight into out (a new array if
+        None) from the open file, at the offset the checking pass found: the
+        bytes that pass read, CRC-32 and all, since the store replaces a
+        file and never writes into one."""
+        if out is None:
+            out = np.empty((hi - lo, _N), np.int64)
+        if not read_into(self._file.fileno(), out, self._data_at + lo * _N * 8):
+            raise StoreError(f"{self.path}: counters end before row {hi}")
         return out
 
     def block(self, lo: int, hi: int) -> SampleBlock:

@@ -156,8 +156,14 @@ def _check_home(record, partition: Partition) -> None:
 
 
 def _check_samples_home(block: SampleBlock, partition: Partition) -> None:
-    """Raise ValueError unless every sample row belongs in the partition."""
-    outside = (block.window - block.window % DAY != partition.date) | (
+    """Raise ValueError unless every sample row belongs in the partition;
+    only a partition with a row outside pays for a mask of its rows."""
+    window = block.window
+    if block.fs_id == partition.fs_id and (
+        not len(window) or partition.date <= window.min() and window.max() < partition.date + DAY
+    ):
+        return
+    outside = (window - window % DAY != partition.date) | (
         block.fs_id != partition.fs_id
     )
     if outside.any():

@@ -31,6 +31,7 @@ from __future__ import annotations
 import io
 import os
 import stat
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import takewhile
@@ -160,6 +161,15 @@ def serialize_stats_csv(*blocks: SampleBlock) -> str:
     return "".join(parts)
 
 
+def held_block(rows) -> SampleBlock:
+    """Sample keys whose counters come as row chunks (counter_chunks), such
+    as a merge gives, held whole as a block."""
+    counters = np.concatenate([*rows.counter_chunks(), np.empty((0, len(ALL_FIELDS)), np.int64)])
+    return SampleBlock(
+        rows.fs_id, rows.node_labels, rows.node, rows.window, counters, rows.window_len
+    )
+
+
 def stats_stream(text: str) -> io.BytesIO:
     """Stats text as the binary stream parse_stats_csv reads, a lone
     surrogate standing for a byte that is not UTF-8."""
@@ -176,11 +186,12 @@ def parse_stats_rows(
     if not lines[-1]:
         lines.pop()
     ingest._check_header(lines[0].split(",") if lines else None, ingest.STATS_HEADER)
-    rows = ingest._StatsRows(mode, window_len, io.BytesIO())
-    rows.row_loop(takewhile(lambda _: not rows.done(), enumerate(lines[1:], 2)))
-    spilled = ingest.SpilledStats([rows.file], [rows.part()], window_len)
-    report = spilled.report(rows.strict, rows.bad)
-    return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
+    with tempfile.TemporaryFile() as spill:
+        rows = ingest._StatsRows(mode, window_len, spill)
+        rows.row_loop(takewhile(lambda _: not rows.done(), enumerate(lines[1:], 2)))
+        spilled = ingest.SpilledStats([spill], [rows.part()], window_len)
+        report = spilled.report(rows.strict, rows.bad)
+        return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
 
 
 def edit_npz(path, drop=(), **arrays) -> None:

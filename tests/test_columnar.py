@@ -25,6 +25,7 @@ from helpers import (
     BASE_DAY,
     block_rows,
     fs_blocks,
+    held_block,
     mk_block,
     mk_counters,
     mk_job,
@@ -36,7 +37,7 @@ from helpers import (
     serialize_stats_csv,
     stats_stream,
 )
-from lassi import ingest
+from lassi import ingest, samples_file
 from lassi.attribution import (
     AttributionConfig,
     aggregate_hourly,
@@ -709,6 +710,71 @@ def test_a_bad_utf8_or_quoted_line_is_a_reject_on_its_own_line_and_the_file_stil
     assert no_children()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([0, 180, 360, 540, DAY]),
+            st.sampled_from(["fs1", "fs2"]),
+            st.sampled_from(["nid7", "nid3", "nid12", "nid0", "nid5"]),
+            st.integers(0, 9),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    spans=st.sampled_from([1, 2, 3]),
+    reverse=st.booleans(),
+    read_rows=st.sampled_from([1, 7, samples_file._READ_ROWS]),
+    data=st.data(),
+)
+def test_a_spilled_partition_reads_its_counters_from_the_spill(
+    rows, spans, reverse, read_rows, data
+):
+    """SpilledStats.partition holds a partition's keys and reads its
+    counters from the spill, a few rows a read: in files parsed in spans,
+    whose node codes are remapped onto the first span's, with keys repeated
+    (lenient mode keeps each one's last line), in drawn or reversed line
+    order, its counter_rows of any ascending rows are the block's counters
+    there, and counter_chunks gives all of them in order. The blocks are
+    the rows' string-keyed reference."""
+    body = [span_line(offset, fs, node, value) for offset, fs, node, value in rows]
+    if reverse:
+        body.reverse()
+    want = {}
+    for line in body:
+        cells = line.split(",")
+        want[cells[1], cells[2], parse_utc(cells[0])] = tuple(map(int, cells[3:]))
+    text = text_of(*body)
+    with ExitStack() as files, pytest.MonkeyPatch.context() as mp:
+        path = Path(files.enter_context(tempfile.TemporaryDirectory())) / "stats.csv"
+        path.write_bytes(text.encode())
+        if spans > 1:
+            split_in(mp, path, spans)
+        mp.setattr(samples_file, "_READ_ROWS", read_rows)
+        spilled, report = parse_stats_csv(
+            path, "lenient", 180, lambda: files.enter_context(tempfile.TemporaryFile())
+        )
+        assert report.rows_accepted == len(want)
+        blocks = {key: spilled.block(*key) for key in sorted(spilled.partitions)}
+        got = [row for block in blocks.values() for row in block_rows(block)]
+        assert got == sorted(
+            ((*key, counters) for key, counters in want.items()), key=lambda r: (r[0], r[2], r[1])
+        )
+        for key, block in blocks.items():
+            view = spilled.partition(*key)
+            assert (view.fs_id, view.node_labels) == (block.fs_id, block.node_labels)
+            assert (view.node.tolist(), view.window.tolist()) == (
+                block.node.tolist(), block.window.tolist()
+            )
+            mask = data.draw(st.lists(st.booleans(), min_size=len(view), max_size=len(view)))
+            picked = np.flatnonzero(mask)
+            assert view.counter_rows(picked).tolist() == block.counters[picked].tolist()
+            chunks = list(view.counter_chunks())
+            assert all(len(chunk) <= read_rows for chunk in chunks)
+            assert np.concatenate(chunks).tolist() == block.counters.tolist()
+    assert no_children()
+
+
 def test_a_stream_or_a_pipe_is_read_whole(tmp_path, monkeypatch):
     text = text_of(*dirty_lines(5, every=37, n=300))
     path = tmp_path / "stats.csv"
@@ -1063,18 +1129,20 @@ def assert_one_fs_code_form(old, new, mask, fs_id) -> SampleBlock:
         (r for r in new if r[:3] in union and union[r[:3]] != r), key=lambda r: (r[2], r[0], r[1])
     )
     union.update({r[:3]: r for r in new})
-    merged, count = _merge_samples(a, b, "lenient", "here")
+    got, count = _merge_samples(a, b, "lenient", "here")
+    merged = held_block(got)
     assert_code_form(merged)
     assert block_rows(merged) == canonical_rows(list(union.values()))
     assert count == len(changed)
     if old and not changed and len(union) == len(old):
-        assert merged is a
+        assert got is a
     if changed:
         with pytest.raises(IngestError) as exc:
             _merge_samples(a, b, "strict", "here")
         assert exc.value.reason == f"sample {changed[0][:3]} conflicts here"
     else:
-        assert _merge_samples(a, b, "strict", "here") == (merged, 0)
+        strict, count = _merge_samples(a, b, "strict", "here")
+        assert (held_block(strict), count) == (merged, 0)
     return merged
 
 

@@ -377,7 +377,10 @@ def whole_block_union(old: SampleBlock, new: SampleBlock) -> tuple[SampleBlock, 
     reference the streamed union (pipeline._union) must agree with."""
     if not len(old):
         return new, np.empty(0, np.int64)
-    node_labels, node = model.merged_labels((old, new))
+    node_labels, node = model.label_codes(
+        old.node_labels + new.node_labels,
+        np.concatenate([old.node, new.node + len(old.node_labels)]),
+    )
     window = np.concatenate([old.window, new.window])
     source = np.repeat(np.array([0, 1], np.int8), [len(old), len(new)])
     order = np.lexsort((source, node, window))
@@ -439,7 +442,7 @@ def test_the_streamed_union_equals_the_whole_block_union(case, step):
     """Against a stored partition, read a few rows at a time: the same
     changed rows, the stored rows themselves when nothing changes, and
     otherwise a union whose file holds the np.savez bytes of the whole-block
-    union's columns."""
+    union's columns; held blocks give the same."""
     old, new = case
     want, want_changed = whole_block_union(old, new)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
@@ -448,30 +451,24 @@ def test_the_streamed_union_equals_the_whole_block_union(case, step):
         store = Store(tmp)
         store.write_partition(old, Partition("samples", "fs2", BASE_DAY))
         with store.open_samples("fs2", BASE_DAY) as stored:
-            got, changed = pipeline._union(stored, new)
-            assert changed.tolist() == want_changed.tolist()
-            if want is old:
-                assert got is stored
-            elif want is new:
-                assert got is new
-            else:
-                out = io.BytesIO()
-                samples_file.write_samples_npz(out, got)
-                assert out.getvalue() == savez_bytes(want)
-        # held blocks give the held union
-        held, changed = pipeline._union(old, new)
-        assert changed.tolist() == want_changed.tolist()
-        assert held is want if want is old or want is new else held == want
+            for side in (stored, old):
+                got, changed = pipeline._union(side, new)
+                assert changed.tolist() == want_changed.tolist()
+                if want is old:
+                    assert got is side
+                elif want is new:
+                    assert got is new
+                else:
+                    out = io.BytesIO()
+                    samples_file.write_samples_npz(out, got)
+                    assert out.getvalue() == savez_bytes(want)
 
 
-def test_aggregate_and_redelivery_never_hold_a_stored_partition_whole(tmp_path):
-    """A stored partition of 99,840 samples (208 nodes, 480 windows): its
-    aggregate, read in hour ranges, and a lenient re-delivery that changes
-    1,000 of its rows and adds 480, read a few rows at a time into the
-    merged file, each peak below half the partition's counter bytes."""
-    nodes, windows = 208, 480
-    rng = np.random.default_rng(11)
-    stored = SampleBlock.from_columns(
+def wide_partition(nodes=208, windows=480, seed=11) -> SampleBlock:
+    """A one-day partition of fs2, every node in every 180 s window: by
+    default 99,840 samples, 16.8 MB of counters."""
+    rng = np.random.default_rng(seed)
+    return SampleBlock.from_columns(
         "fs2",
         [f"nid{i:05d}" for i in range(nodes)],
         np.tile(np.arange(nodes, dtype=np.int32), windows),
@@ -479,6 +476,33 @@ def test_aggregate_and_redelivery_never_hold_a_stored_partition_whole(tmp_path):
         rng.integers(0, 10**6, (nodes * windows, len(ALL_FIELDS)), dtype=np.int64),
         180,
     )
+
+
+def test_a_strict_ingest_never_holds_an_incoming_partition_whole(tmp_path):
+    """A stats file of one 99,840-sample partition is spilled and written
+    from the spill a few rows at a time: the ingest peaks below a third of
+    the partition's counter bytes, and stores the np.savez bytes of its
+    block."""
+    block = wide_partition()
+    path = tmp_path / "stats.csv"
+    path.write_text(serialize_stats_csv(block), encoding="utf-8")
+    store = Store(tmp_path / "store")
+    summary, peak = traced_peak(lambda: ingest_files(store, [path]))
+    assert (summary.samples, summary.written) == (len(block), 1)
+    third = block.counters.nbytes / 3
+    assert peak < third, (peak, third)
+    assert store.path(Partition("samples", "fs2", BASE_DAY)).read_bytes() == savez_bytes(block)
+
+
+def test_aggregate_and_redelivery_never_hold_a_stored_partition_whole(tmp_path):
+    """A stored partition of 99,840 samples (208 nodes, 480 windows): its
+    aggregate, read in hour ranges, peaks below half the partition's
+    counter bytes; a lenient re-delivery that changes 1,000 of its rows and
+    adds 480, whose merge plan is the size of the re-delivery and whose
+    counters are read a few rows at a time into the merged file, below a
+    fifth of them."""
+    windows = 480
+    stored = wide_partition(windows=windows)
     store = Store(tmp_path / "store")
     store.write_partition(stored, Partition("samples", "fs2", BASE_DAY))
     job = mk_job("app1", ["nid00001", "nid00002"], BASE_DAY + HOUR, BASE_DAY + 5 * HOUR)
@@ -499,9 +523,68 @@ def test_aggregate_and_redelivery_never_hold_a_stored_partition_whole(tmp_path):
     redelivery.write_text(serialize_stats_csv(changed, added), encoding="utf-8")
     summary, peak = traced_peak(lambda: ingest_files(store, [redelivery], mode="lenient"))
     assert (summary.rejected, summary.written) == (1000, 1)
-    assert peak < half, (peak, half)
+    fifth = stored.counters.nbytes / 5
+    assert peak < fifth, (peak, fifth)
     want = whole_block_union(whole_block_union(stored, changed)[0], added)[0]
     assert store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY) == want
+
+
+def stats_lines(block: SampleBlock, reverse=False) -> list[str]:
+    """A block's stats rows, in canonical order or reversed."""
+    lines = serialize_stats_csv(block).splitlines()[1:]
+    return lines[::-1] if reverse else lines
+
+
+def test_ingest_merges_and_writes_incoming_partitions_from_the_spill(tmp_path, monkeypatch):
+    """No ingest path reads an incoming partition whole (a spy on
+    SpilledStats.block): a lenient ingest of two or three stats files, each
+    changing and adding rows of the ones before it, stores the np.savez
+    bytes of the whole-block union of them in order; strict ingests refuse
+    a change across two files and a change to a stored row with their
+    messages word for word, and write nothing."""
+    def never(*args):
+        raise AssertionError("an ingest path held an incoming partition whole")
+
+    monkeypatch.setattr(ingest.SpilledStats, "block", never)
+    monkeypatch.setattr(pipeline, "_COMPARE_ROWS", 7)
+    monkeypatch.setattr(samples_file, "_READ_ROWS", 5)
+    rng = np.random.default_rng(3)
+    a = wide_partition(nodes=12, windows=40, seed=3)
+    b = a.take(np.flatnonzero(rng.random(len(a)) < 0.3))
+    b.counters[rng.random(len(b)) < 0.2, 4] += 1
+    extra = SampleBlock(
+        "fs2", ("nid00003x", "nid99999"), np.tile(np.arange(2, dtype=np.int32), 50),
+        np.repeat(BASE_DAY + 180 * np.arange(50, dtype=np.int64), 2),
+        np.full((100, len(ALL_FIELDS)), 9, np.int64), 180,
+    )
+    b = whole_block_union(b, extra)[0]
+    c = b.take(np.flatnonzero(rng.random(len(b)) < 0.5))
+    c.counters[:, 0] += 2
+    ab, changed = whole_block_union(a, b)
+    assert len(changed) and len(ab) > len(a)
+    paths = [
+        stats_file(tmp_path, f"{name}.csv", stats_lines(block, reverse=name == "b"))
+        for name, block in (("a", a), ("b", b), ("c", c))
+    ]
+    partition = Partition("samples", "fs2", BASE_DAY)
+    for inputs, want in ((paths[:2], ab), (paths, whole_block_union(ab, c)[0])):
+        store = Store(tmp_path / f"lenient{len(inputs)}")
+        summary = ingest_files(store, inputs, mode="lenient")
+        assert (summary.samples, summary.written) == (len(want), 1)
+        assert store.path(partition).read_bytes() == savez_bytes(want)
+
+    first = b.key(int(changed[0]))
+    store = Store(tmp_path / "strict")
+    with pytest.raises(IngestError) as err:
+        ingest_files(store, paths[:2])
+    assert err.value.reason == f"sample {first} conflicts across inputs ({paths[1]})"
+    assert tree(store.root) == {}
+    ingest_files(store, paths[:1])
+    before = tree(store.root)
+    with pytest.raises(IngestError) as err:
+        ingest_files(store, paths[1:2])
+    assert err.value.reason == f"sample {first} conflicts with stored data"
+    assert tree(store.root) == before
 
 
 JOB_A = "app1,1.sdb,u,2017-10-09T00:00:00Z,2017-10-09T01:00:00Z,nid1,./a.x"
