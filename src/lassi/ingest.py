@@ -32,7 +32,8 @@ anything else is rejected like any other bad row.
 
 Stats files parse into spill files (SpilledStats), read back one
 partition at a time: its keys held and its counters read from the spill a
-row range at a time (SpilledPartition), or held whole as a SampleBlock. The
+row range at a time by the one reader of counters from files, stored or
+spilled (samples_file.FileSamples), or held whole as a SampleBlock. The
 header is read and checked once; the body is streamed as bytes in
 line-aligned ranges of about 64 KiB (_ranges) and never held as one text. A
 range proven clean is read column-wise by np.loadtxt. In a range that fails
@@ -68,10 +69,8 @@ every partition's block at once, by (filesystem, day); nothing joins them.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
-import itertools
 import os
 import pickle
 import re
@@ -88,17 +87,9 @@ from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from . import samples_file
-from .errors import IngestError
-from .model import (
-    ALL_FIELDS,
-    INT64_MAX,
-    JobRecord,
-    SampleBlock,
-    SampleKeys,
-    canonical_order,
-    label_codes,
-)
+from .errors import IngestError, StoreError
+from .model import ALL_FIELDS, INT64_MAX, JobRecord, SampleBlock, canonical_order, label_codes
+from .samples_file import FileSamples
 from .timeutil import DAY, HOUR, format_utc, parse_utc
 
 STATS_HEADER = ("window_start", "fs", "node") + ALL_FIELDS
@@ -235,7 +226,7 @@ def parse_stats_csv(
     function that returns a new seekable binary file on each call, once per
     span, the result holds the file's SpilledStats, to be read back one
     partition at a time from those files, which the caller owns and closes;
-    a worker writes its span's file and SpilledPartition reads them by file
+    a worker writes its span's file and FileSamples reads them by file
     descriptor, so they must be operating-system files, such as
     tempfile.TemporaryFile gives. Without spill, the rows go to temporary
     files in the system temp directory, and the result holds each (fs, day)
@@ -259,11 +250,11 @@ def parse_stats_csv(
         new_spill = spill or (lambda: stack.enter_context(tempfile.TemporaryFile()))
         files = [new_spill() for _ in spans]
         parts = _parse_in_spans(source, fh, spans, mode, window_len, files)
-        spilled = SpilledStats(files, parts, window_len)
+        spilled = SpilledStats(files, parts, window_len, getattr(fh, "name", "a stream"))
         report = spilled.report(mode == "strict", [bad for part in parts for bad in part.bad])
         if spill is not None:
             return spilled, report
-        return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
+        return {key: spilled.partition(*key).block() for key in sorted(spilled.partitions)}, report
 
 
 def _ranges(fh: IO[bytes], left: int | None) -> Iterator[str]:
@@ -322,7 +313,6 @@ _SCAN_BYTES = 1 << 18
 # a spilled row's key bytes, which come before its segment's counters: its
 # node code (int32), window start and line number (int64)
 _KEY_BYTES = 4 + 8 + 8
-_N = len(ALL_FIELDS)
 
 
 def _usable_cpus() -> int:
@@ -777,8 +767,8 @@ class SpilledStats:
     """One stats file's accepted rows, in the spill files its parse wrote,
     one per span (_StatsRows); what parse_stats_csv returns given spill. Read
     back one partition at a time (partition), its keys held and its
-    counters read from the spill as they are asked for, or held whole
-    (block).
+    counters read from the spill as they are asked for (FileSamples).
+    source, the stats file's name, names its spill in errors.
 
     The caller owns the files: operating-system files, such as unlinked
     temporary files, which a crash cannot leave behind. partitions maps
@@ -790,9 +780,12 @@ class SpilledStats:
     never spans two partitions.
     """
 
-    def __init__(self, files: Sequence[IO[bytes]], parts: Sequence[_Part], window_len: int):
+    def __init__(
+        self, files: Sequence[IO[bytes]], parts: Sequence[_Part], window_len: int, source: str
+    ):
         self.files = files
         self.window_len = window_len
+        self.name = f"sample spill of {source}"
         node_ids = _IdCodes()
         # per file, the node_ids code of each of its node codes, or None
         # where the two are the same
@@ -818,7 +811,7 @@ class SpilledStats:
             for column in columns:
                 view = memoryview(column[at : at + count]).cast("B")
                 if spill.readinto(view) != len(view):
-                    raise OSError(f"sample spill ends inside the segment at {offset}")
+                    raise StoreError(f"{self.name}: keys end inside the segment at {offset}")
             if self.node_codes[k] is not None:
                 columns[0][at : at + count] = self.node_codes[k][columns[0][at : at + count]]
             at += count
@@ -854,9 +847,11 @@ class SpilledStats:
         ]
         return _report(accepted - len(superseded), errors)
 
-    def partition(self, fs_id: str, day: int) -> SpilledPartition:
+    def partition(self, fs_id: str, day: int) -> FileSamples:
         """One partition's rows in canonical order, each repeated key's last
-        line kept: its keys held, its counters read from the spill as asked."""
+        line kept: its keys held, its counters read from the spill as asked.
+        A segment's counters follow its node, window and line columns, so
+        each is one run of the spill's rows."""
         segments = self.partitions[fs_id, day]
         node, window, line = self._load(segments)
         node_labels, node = label_codes(self.node_ids, node)
@@ -868,77 +863,9 @@ class SpilledStats:
             (self.files[k].fileno(), offset + count * _KEY_BYTES, count)
             for k, offset, count in segments
         ]
-        return SpilledPartition(fs_id, node_labels, node, window, self.window_len, runs, position)
-
-    def block(self, fs_id: str, day: int) -> SampleBlock:
-        """One partition's rows held whole: its partition with every counter read."""
-        rows = self.partition(fs_id, day)
-        counters = rows.counter_rows(np.arange(len(rows)))
-        return SampleBlock(
-            fs_id, rows.node_labels, rows.node, rows.window, counters, rows.window_len
+        return FileSamples(
+            fs_id, node_labels, node, window, self.window_len, self.name, runs, position
         )
-
-
-class SpilledPartition(SampleKeys):
-    """One (fs, day) partition of a SpilledStats, its repeated keys resolved
-    (SpilledStats.partition): the keys held, 12 bytes a row, the counters
-    read from the spill a row range at a time, as a stored partition's are
-    (samples_file.StoredSamples), with os.preadv.
-
-    A segment's counters follow its node, window and line columns, so each
-    is one run of bytes; runs holds each segment's (file descriptor, offset
-    of its counters, rows), in spill order. position holds each row's place
-    among the spilled rows in that order, or None where the rows are the
-    spilled ones in it.
-    """
-
-    __slots__ = ("runs", "starts", "position", "ascending")
-
-    def __init__(self, fs_id, node_labels, node, window, window_len, runs, position):
-        super().__init__(fs_id, node_labels, node, window, window_len)
-        self.runs = runs
-        self.starts = [0, *itertools.accumulate(count for _, _, count in runs)]
-        self.position = position
-        self.ascending = position is None or bool((np.diff(position) > 0).all())
-
-    def counter_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The counters of ascending row positions rows, their spilled rows
-        read in ascending order (samples_file.gather_rows)."""
-        at = rows if self.position is None else self.position[rows]
-        if self.ascending:
-            return samples_file.gather_rows(at, self._read_spilled)
-        order = np.argsort(at)
-        out = np.empty((len(at), _N), np.int64)
-        out[order] = samples_file.gather_rows(at[order], self._read_spilled)
-        return out
-
-    def counter_chunks(self) -> Iterator[np.ndarray]:
-        """The counters as row chunks in order, as the store's writer takes
-        them, samples_file._READ_ROWS rows a chunk; rows that are the
-        spilled ones in order are read as ranges, with no gather."""
-        step, n = samples_file._READ_ROWS, len(self)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            if self.position is None:
-                yield self._read_spilled(lo, hi)
-            else:
-                yield self.counter_rows(np.arange(lo, hi))
-
-    def _read_spilled(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The counters of spilled rows [lo, hi), read into out (a new array
-        if None) from the runs they lie in."""
-        if out is None:
-            out = np.empty((hi - lo, _N), np.int64)
-        k = bisect.bisect_right(self.starts, lo) - 1
-        at = lo
-        while at < hi:
-            fd, offset, _ = self.runs[k]
-            end = min(hi, self.starts[k + 1])
-            skip = (at - self.starts[k]) * _N * 8
-            if not samples_file.read_into(fd, out[at - lo : end - lo], offset + skip):
-                raise OSError(f"sample spill ends inside the counters at {offset}")
-            at, k = end, k + 1
-        return out
 
 
 def parse_jobs_csv(source: Source, mode: str = "strict") -> tuple[list[JobRecord], IngestReport]:

@@ -9,9 +9,9 @@ negative. All types are immutable.
 
 Samples held in memory have one form, the SampleBlock: one filesystem's
 samples as columns, one row per (window, node); its keys are a SampleKeys,
-which a stored partition and a spilled one also are, their counters read a
-row range at a time (samples_file.StoredSamples,
-ingest.SpilledPartition). The block names its filesystem once
+which a stored partition and a spilled one also are, their counters read
+from the file a row range at a time by one reader
+(samples_file.FileSamples). The block names its filesystem once
 (``fs_id``), as the store's (filesystem, day) partitions do; its node
 column holds int32 codes into a sorted table of the distinct node ids
 (``node_labels``). The parser makes the codes where it first reads the ids;
@@ -25,7 +25,7 @@ every rollup first checks that its sums cannot leave that range
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +55,12 @@ MDS_FIELDS = (
 ALL_FIELDS = OSS_FIELDS + MDS_FIELDS
 
 INT64_MAX = 2**63 - 1
+# the one row step of counter reads: the most counter rows a file read holds
+# beside what it hands out (samples_file.FileSamples, and the checking pass
+# of a stored partition), the rows a chunk of counter_chunks holds, and the
+# rows ingest's merge (pipeline._union) searches or compares at once; 1,024
+# took the week's re-delivery some 0.2-0.35 MiB higher in peak RSS
+_READ_ROWS = 256
 
 
 def _check_counters(counters: tuple[int, ...], name: str = "counters") -> None:
@@ -194,9 +200,12 @@ class SampleKeys:
     names row i by its ids. ``window`` holds int64 window starts; every row
     shares one ``window_len``. Rows are in canonical (window, node) order
     with unique keys, and every label is used by some row; the constructor
-    trusts its caller on that. Its counters are its subclass's: held whole
-    (SampleBlock), or read a row range at a time (samples_file.StoredSamples,
-    ingest.SpilledPartition, and ingest's union of two of them).
+    trusts its caller on that. Its counters are its subclass's, which
+    answers counter_rows(rows), the counters of ascending row positions:
+    held whole (SampleBlock), read from a stored or spilled partition's
+    file a row range at a time (samples_file.FileSamples), or from both
+    sides of ingest's union of two of them (pipeline._Union).
+    counter_chunks and block read through it.
     """
 
     __slots__ = ("fs_id", "node_labels", "node", "window", "window_len")
@@ -226,6 +235,20 @@ class SampleKeys:
 
     def __len__(self) -> int:
         return len(self.window)
+
+    def counter_chunks(self) -> Iterator[np.ndarray]:
+        """The counters as row chunks in order, _READ_ROWS rows a chunk, as
+        the store's writer takes them (samples_file.write_samples_npz)."""
+        for lo in range(0, len(self), _READ_ROWS):
+            yield self.counter_rows(np.arange(lo, min(lo + _READ_ROWS, len(self))))
+
+    def block(self, lo: int = 0, hi: int | None = None) -> "SampleBlock":
+        """Rows [lo, hi), by default all of them, held whole as a
+        SampleBlock; labels no row of them uses leave its table."""
+        hi = len(self) if hi is None else hi
+        labels, node = label_codes(self.node_labels, self.node[lo:hi])
+        counters = self.counter_rows(np.arange(lo, hi))
+        return SampleBlock(self.fs_id, labels, node, self.window[lo:hi], counters, self.window_len)
 
 
 class SampleBlock(SampleKeys):
@@ -292,14 +315,8 @@ class SampleBlock(SampleKeys):
         )
 
     def counter_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The counters of ascending row positions rows, as a stored
-        partition gives them (samples_file.StoredSamples)."""
+        """The counters of ascending row positions rows."""
         return self.counters[rows]
-
-    def counter_chunks(self) -> tuple[np.ndarray, ...]:
-        """The counters as row chunks in order, as the store's writer takes
-        them: the whole block is one chunk."""
-        return (self.counters,)
 
     def check_sum_bound(self) -> None:
         """Raise LassiError unless any sum of counter rows fits in int64."""

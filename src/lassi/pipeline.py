@@ -11,14 +11,15 @@ partitions.
 Aggregation and ingest each work on one (filesystem, day) partition of
 samples at a time, so their memory grows with a partition's keys, not with
 the range or the file; of a stored partition they hold the keys, and read
-the counters a row range at a time (samples_file.StoredSamples). A sample
+the counters a row range at a time (samples_file.FileSamples, the one
+reader of counters from files, stored or spilled). A sample
 block holds one filesystem, so attribution, hourly totals and the
 conservation check each see one filesystem. Aggregation keeps its output
 (hourly records) between partitions and zero-fills it once after the last.
 Each stats file streams into spill files in the store root, one per span a
 large file is parsed in, which ingest's later passes read back one
 partition at a time, its keys held and its counters read from the spill as
-they are merged and written (ingest.SpilledPartition).
+they are merged and written, by the same reader (samples_file.FileSamples).
 compute_outputs_from_files, which `lassi verify` runs, is this same flow
 (ingest, aggregate, baselines, exposures) on a temporary store, so the
 oracle checks what an operator's store holds.
@@ -30,10 +31,11 @@ import tempfile
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import model
 from .analysis import ExposureRecord, run_risk_exposure
 from .attribution import (
     AttributionConfig,
@@ -47,21 +49,11 @@ from .errors import IngestError, LassiError
 from .ingest import SpilledStats, parse_jobs_csv, parse_stats_csv
 from .metrics import FsBaseline, RiskSeries, compute_baseline, ops_series
 from .metrics import fs_risk_series  # noqa: F401 -- perfbench's span table wraps it here
-from .model import (
-    ALL_FIELDS,
-    AppHourRecord,
-    FsHourRecord,
-    JobRecord,
-    SampleBlock,
-    SampleKeys,
-)
+from .model import ALL_FIELDS, AppHourRecord, FsHourRecord, JobRecord, SampleBlock, SampleKeys
 from .store import Partition, Store, baseline_label
 from .timeutil import DAY, HOUR, date_str, day_range, floor_day, floor_hour, format_utc, hour_range
 
 _N = len(ALL_FIELDS)
-# the rows _union searches, compares or copies into the union in one step;
-# 1,024 took the week's re-delivery some 0.35 MiB higher in peak RSS
-_COMPARE_ROWS = 512
 # the most rows aggregate_range attributes and rolls up at once, in whole
 # hours (one hour however many it holds): the week's 16,320-row partitions
 # go in four 6-hour ranges, whose rollups took 0.19-0.22 s in all on a
@@ -159,11 +151,6 @@ class _Union(SampleKeys):
         out[~from_new] = self.old.counter_rows(at[~from_new])
         return out
 
-    def counter_chunks(self) -> Iterator[np.ndarray]:
-        """The counters as row chunks in order, _COMPARE_ROWS rows a chunk."""
-        for lo in range(0, len(self), _COMPARE_ROWS):
-            yield self.counter_rows(np.arange(lo, min(lo + _COMPARE_ROWS, len(self))))
-
 
 def _union(old: SampleKeys, new: SampleKeys) -> tuple[SampleKeys, np.ndarray]:
     """Key-wise union in canonical order of two sets of one filesystem's
@@ -173,7 +160,7 @@ def _union(old: SampleKeys, new: SampleKeys) -> tuple[SampleKeys, np.ndarray]:
 
     Either side is any sample keys that answer counter_rows: a held
     block, a stored partition or a spilled one, or another union. Only
-    keys are held: each side's counters are read _COMPARE_ROWS rows at a
+    keys are held: each side's counters are read model._READ_ROWS rows at a
     time, once to compare the rows new repeats and, should anything
     change, once more as the union (a _Union) is written. Besides the
     union's node and window columns, what is built is the size of new.
@@ -201,11 +188,11 @@ def _union(old: SampleKeys, new: SampleKeys) -> tuple[SampleKeys, np.ndarray]:
     new_key = (new.window - w0) * labels + new_node
     at = np.full(len(new), n)  # each new row's place among old's rows
     found = np.zeros(len(new), bool)
-    j = 0
-    for lo in range(0, n, _COMPARE_ROWS):
+    j, step = 0, model._READ_ROWS
+    for lo in range(0, n, step):
         if j == len(new):
             break
-        hi = min(lo + _COMPARE_ROWS, n)
+        hi = min(lo + step, n)
         last = (int(old.window[hi - 1]) - w0) * labels + int(old_node[hi - 1])
         k = int(np.searchsorted(new_key, last, "right"))
         if k > j:
@@ -217,8 +204,8 @@ def _union(old: SampleKeys, new: SampleKeys) -> tuple[SampleKeys, np.ndarray]:
     # repeated rows run ascending on both sides
     replaced, replacing = at[found], np.flatnonzero(found)
     differs = np.empty(len(replaced), bool)
-    for lo in range(0, len(replaced), _COMPARE_ROWS):
-        rows = slice(lo, lo + _COMPARE_ROWS)
+    for lo in range(0, len(replaced), step):
+        rows = slice(lo, lo + step)
         was = old.counter_rows(replaced[rows])
         differs[rows] = (was != new.counter_rows(replacing[rows])).any(1)
     changed = replacing[differs]

@@ -8,16 +8,21 @@ block's (SampleBlock.fs_id). Every entry carries zipfile's one fixed date,
 as in np.savez's files, so equal blocks give equal bytes
 (write_samples_npz, which takes the counters as row chunks).
 
-StoredSamples opens a file: it reads the whole file once through zipfile
-to check it, CRC-32 included, loads no pickled object and refuses, as
-StoreError, any file the strict CSV read of the same rows would refuse;
-then it holds the keys (node codes and windows, 12 bytes a row) and reads
-the counters a row range at a time, so no reader holds a stored
-partition's counters whole unless it asks for all of its rows.
+FileSamples is the one reader of counters from files, stored or spilled:
+it holds a partition's keys (node codes and windows, 12 bytes a row) and
+reads the counters from runs of rows in open files a row range at a time,
+so no reader holds a partition's counters whole unless it asks for all of
+its rows. StoredSamples is the FileSamples of one stored file: opening it
+reads the whole file once through zipfile to check it, CRC-32 included,
+loads no pickled object and refuses, as StoreError, any file the strict
+CSV read of the same rows would refuse; ingest's spilled partitions are
+FileSamples of the spill files (ingest.SpilledStats.partition).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import os
 import struct
 import zipfile
@@ -26,14 +31,9 @@ from typing import IO
 
 import numpy as np
 
+from . import model
 from .errors import StoreError
-from .model import (
-    ALL_FIELDS,
-    SampleBlock,
-    SampleKeys,
-    check_sum_bound,
-    label_codes,
-)
+from .model import ALL_FIELDS, SampleKeys, check_sum_bound
 from .timeutil import DAY, date_str
 
 # each array of a samples partition file, with its dtype, in write order. The
@@ -48,17 +48,12 @@ SAMPLES_ARRAYS = {
 }
 
 _N = len(ALL_FIELDS)
-# the most counter rows a samples read holds beside what it hands out: a
-# piece of the checking pass, which zipfile hands over as bytes, or a row
-# range a gather reads; 1,024 rows took the week's re-delivery some 0.2 MiB
-# higher in peak RSS
-_READ_ROWS = 256
 
 
 def write_samples_npz(fh: IO[bytes], rows: SampleKeys) -> None:
     """Write a samples partition file to fh: the columns (SAMPLES_ARRAYS) of
-    rows, a SampleBlock or any sample keys whose counters come as row
-    chunks in order from counter_chunks(), as an uncompressed .npz whose
+    rows, any sample keys, their counters taken as row chunks in order from
+    counter_chunks(), as an uncompressed .npz whose
     bytes depend on the values only. They are the bytes np.savez writes,
     but each column's buffer, and each counter chunk, goes into its entry
     as it is, after its .npy header, where np.savez would first copy it
@@ -96,37 +91,76 @@ def write_samples_npz(fh: IO[bytes], rows: SampleKeys) -> None:
                 raise ValueError(f"counter chunks hold {written} rows, expected {len(rows)}")
 
 
-def read_into(fd: int, out: np.ndarray, offset: int) -> bool:
-    """Fill the contiguous array out with the bytes of file descriptor fd
-    from offset on, by os.preadv; False if the file ends first."""
-    data = out.reshape(-1).view(np.uint8)
-    at = 0
-    while at < len(data):
-        got = os.preadv(fd, [data[at:]], offset + at)
-        if not got:
-            return False
-        at += got
-    return True
+class FileSamples(SampleKeys):
+    """Sample keys held whole (12 bytes a row) whose counters are read from
+    files a row range at a time, with os.preadv: a stored partition
+    (StoredSamples) or a spilled one (ingest.SpilledStats.partition).
 
+    runs holds each run of int64 counter rows as (file descriptor, offset
+    of its first row, rows). The rows are the runs' rows in order, or,
+    where position is not None, row i is the runs' row position[i]. path
+    names the file in errors.
+    """
 
-def gather_rows(rows: np.ndarray, read_rows) -> np.ndarray:
-    """The counters of ascending row positions rows, read_rows(lo, hi, out)
-    reading rows [lo, hi) into out, or into a new array with out None: in
-    ranges of at most _READ_ROWS rows, so rows far apart cost a few reads,
-    not a read of every row between them, and a range of consecutive rows
-    goes straight into its place."""
-    out = np.empty((len(rows), _N), np.int64)
-    i = 0
-    while i < len(rows):
-        lo = int(rows[i])
-        j = int(np.searchsorted(rows, lo + _READ_ROWS))
-        hi = int(rows[j - 1]) + 1
-        if hi - lo == j - i:
-            read_rows(lo, hi, out[i:j])
-        else:
-            out[i:j] = read_rows(lo, hi)[rows[i:j] - lo]
-        i = j
-    return out
+    __slots__ = ("path", "runs", "starts", "position", "ascending")
+
+    def __init__(self, fs_id, node_labels, node, window, window_len, path, runs, position=None):
+        super().__init__(fs_id, node_labels, node, window, window_len)
+        self.path = path
+        self.runs = runs
+        self.starts = [0, *itertools.accumulate(count for _, _, count in runs)]
+        self.position = position
+        self.ascending = position is None or bool((np.diff(position) > 0).all())
+
+    def counter_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The counters of ascending row positions rows, their runs' rows
+        read in ascending order (_gather)."""
+        at = rows if self.position is None else self.position[rows]
+        if self.ascending:
+            return self._gather(at)
+        order = np.argsort(at)
+        out = np.empty((len(at), _N), np.int64)
+        out[order] = self._gather(at[order])
+        return out
+
+    def _gather(self, at: np.ndarray) -> np.ndarray:
+        """The counters of the runs' ascending rows at: a range of
+        consecutive rows read straight into place, and others in ranges of
+        at most _READ_ROWS rows, so rows far apart cost a few reads, not a
+        read of every row between them."""
+        out = np.empty((len(at), _N), np.int64)
+        if len(at) and int(at[-1]) - int(at[0]) == len(at) - 1:
+            return self._read(int(at[0]), int(at[-1]) + 1, out)
+        i = 0
+        while i < len(at):
+            lo = int(at[i])
+            j = int(np.searchsorted(at, lo + model._READ_ROWS))
+            hi = int(at[j - 1]) + 1
+            if hi - lo == j - i:
+                self._read(lo, hi, out[i:j])
+            else:
+                out[i:j] = self._read(lo, hi, np.empty((hi - lo, _N), np.int64))[at[i:j] - lo]
+            i = j
+        return out
+
+    def _read(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """The runs' rows [lo, hi), read into out from the runs they lie in;
+        a file that ends first raises StoreError naming it."""
+        k = bisect.bisect_right(self.starts, lo) - 1
+        at = lo
+        while at < hi:
+            fd, offset, _ = self.runs[k]
+            end = min(hi, self.starts[k + 1])
+            data = out[at - lo : end - lo].reshape(-1).view(np.uint8)
+            offset += (at - self.starts[k]) * _N * 8
+            done = 0
+            while done < len(data):
+                got = os.preadv(fd, [data[done:]], offset + done)
+                if not got:
+                    raise StoreError(f"{self.path}: counters end before row {end}")
+                done += got
+            at, k = end, k + 1
+        return out
 
 
 def _counters_header(member: IO[bytes]) -> tuple[tuple[int, ...], bool, np.dtype]:
@@ -157,9 +191,12 @@ def _short_read(size: int, got: int, itemsize: int) -> ValueError:
     )
 
 
-class StoredSamples(SampleKeys):
+class StoredSamples(FileSamples):
     """One samples partition file, open and checked: its keys held whole
-    (12 bytes a row), its counters read from the file a row range at a time.
+    (12 bytes a row), its counters read from the file a row range at a time
+    (FileSamples, one run at the counters' offset that the checking pass
+    found: the bytes that pass read, CRC-32 and all, since the store
+    replaces a file and never writes into one).
 
     Opening reads the whole file once (_check), and refuses, as a
     StoreError naming the path, and the row's (fs, node, window) key where
@@ -171,12 +208,11 @@ class StoredSamples(SampleKeys):
     window_len grid or outside the partition's day; a negative counter;
     rows out of canonical order or repeating a key. The checks run in that
     order, on the counters as they stream past, so no more than _READ_ROWS
-    counter rows are held at once. Then block hands out a row range as a
-    SampleBlock, and counter_rows gathers the counters of chosen rows. Use
-    it as a context manager, which closes the file.
+    counter rows are held at once. Use it as a context manager, which
+    closes the file.
     """
 
-    __slots__ = ("path", "largest", "_file", "_npz", "_data_at")
+    __slots__ = ("largest", "_file", "_npz", "_data_at")
 
     def __init__(self, path: Path, fs_id: str, day: int, window_len: int):
         self.path = path
@@ -249,7 +285,9 @@ class StoredSamples(SampleKeys):
         if unused.any():
             raise StoreError(f"{path}: node label {labels[int(np.argmax(unused))]!r} used by no row")
 
-        super().__init__(fs_id, labels, node, window, window_len)
+        super().__init__(
+            fs_id, labels, node, window, window_len, path, [(self._file.fileno(), self._data_at, n)]
+        )
 
         def flaws():
             """Each row check's mask, made as it is asked for, so the
@@ -292,7 +330,7 @@ class StoredSamples(SampleKeys):
             self._data_at = self._entry_offset("counters.npy") + member.tell()
             size = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
             rows = dtype == SAMPLES_ARRAYS["counters"] and len(shape) == 2 and shape[1] == _N
-            step = _READ_ROWS * _N * 8 if rows else np.lib.format.BUFFER_SIZE
+            step = model._READ_ROWS * _N * 8 if rows else np.lib.format.BUFFER_SIZE
             negative, largest = [np.zeros(0, bool)], 0
             for at in range(0, size, step):
                 data = member.read(min(step, size - at))
@@ -303,28 +341,6 @@ class StoredSamples(SampleKeys):
                     negative.append((piece < 0).any(axis=1))
                     largest = max(largest, int(piece.max()))
         return shape, fortran_order, dtype, np.concatenate(negative), largest
-
-    def counter_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The counters of ascending row positions rows (gather_rows)."""
-        return gather_rows(rows, self._read_rows)
-
-    def _read_rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Counter rows [lo, hi), read straight into out (a new array if
-        None) from the open file, at the offset the checking pass found: the
-        bytes that pass read, CRC-32 and all, since the store replaces a
-        file and never writes into one."""
-        if out is None:
-            out = np.empty((hi - lo, _N), np.int64)
-        if not read_into(self._file.fileno(), out, self._data_at + lo * _N * 8):
-            raise StoreError(f"{self.path}: counters end before row {hi}")
-        return out
-
-    def block(self, lo: int, hi: int) -> SampleBlock:
-        """Rows [lo, hi) as a SampleBlock; labels no row of them uses leave
-        its table."""
-        labels, node = label_codes(self.node_labels, self.node[lo:hi])
-        counters = self._read_rows(lo, hi)
-        return SampleBlock(self.fs_id, labels, node, self.window[lo:hi], counters, self.window_len)
 
     def check_sum_bound(self) -> None:
         """Raise LassiError unless any sum of the partition's counter rows fits in int64."""

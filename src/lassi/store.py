@@ -80,6 +80,7 @@ from .model import (
     FsHourRecord,
     JobRecord,
     SampleBlock,
+    SampleKeys,
 )
 from .samples_file import StoredSamples, write_samples_npz
 from .timeutil import (
@@ -155,7 +156,7 @@ def _check_home(record, partition: Partition) -> None:
         )
 
 
-def _check_samples_home(block: SampleBlock, partition: Partition) -> None:
+def _check_samples_home(block: SampleKeys, partition: Partition) -> None:
     """Raise ValueError unless every sample row belongs in the partition;
     only a partition with a row outside pays for a mask of its rows."""
     window = block.window
@@ -340,13 +341,12 @@ class Store:
         self.write_partition(app_hours, Partition("app_hours", fs_id, day))
         self.write_partition(fs_hours, Partition("fs_hours", fs_id, day))
 
-    def write_partition(self, records: Iterable | SampleBlock, partition: Partition) -> int:
+    def write_partition(self, records: Iterable | SampleKeys, partition: Partition) -> int:
         """Replace one partition with the given records. Returns row count.
 
         Every record must belong to the partition's filesystem and day;
-        anything else raises ValueError. Samples come as one SampleBlock, or
-        as sample keys whose counters come as row chunks from
-        counter_chunks() (write_samples_npz).
+        anything else raises ValueError. Samples come as sample keys, their
+        counters written a row chunk at a time (write_samples_npz).
         """
         dataset = partition.dataset
         if dataset == "samples":
@@ -516,8 +516,6 @@ class Store:
                 f"samples are read one (filesystem, day) partition at a time"
             )
         with self.open_samples(fs_id, day) as stored:
-            if isinstance(stored, SampleBlock):
-                return stored
             lo, hi = np.searchsorted(stored.window, (t0, t1)).tolist()
             return stored.block(lo, hi)
 

@@ -161,15 +161,6 @@ def serialize_stats_csv(*blocks: SampleBlock) -> str:
     return "".join(parts)
 
 
-def held_block(rows) -> SampleBlock:
-    """Sample keys whose counters come as row chunks (counter_chunks), such
-    as a merge gives, held whole as a block."""
-    counters = np.concatenate([*rows.counter_chunks(), np.empty((0, len(ALL_FIELDS)), np.int64)])
-    return SampleBlock(
-        rows.fs_id, rows.node_labels, rows.node, rows.window, counters, rows.window_len
-    )
-
-
 def stats_stream(text: str) -> io.BytesIO:
     """Stats text as the binary stream parse_stats_csv reads, a lone
     surrogate standing for a byte that is not UTF-8."""
@@ -189,9 +180,9 @@ def parse_stats_rows(
     with tempfile.TemporaryFile() as spill:
         rows = ingest._StatsRows(mode, window_len, spill)
         rows.row_loop(takewhile(lambda _: not rows.done(), enumerate(lines[1:], 2)))
-        spilled = ingest.SpilledStats([spill], [rows.part()], window_len)
+        spilled = ingest.SpilledStats([spill], [rows.part()], window_len, "the row loop's text")
         report = spilled.report(rows.strict, rows.bad)
-        return {key: spilled.block(*key) for key in sorted(spilled.partitions)}, report
+        return {key: spilled.partition(*key).block() for key in sorted(spilled.partitions)}, report
 
 
 def edit_npz(path, drop=(), **arrays) -> None:

@@ -25,7 +25,6 @@ from helpers import (
     BASE_DAY,
     block_rows,
     fs_blocks,
-    held_block,
     mk_block,
     mk_counters,
     mk_job,
@@ -37,7 +36,7 @@ from helpers import (
     serialize_stats_csv,
     stats_stream,
 )
-from lassi import ingest, samples_file
+from lassi import ingest, model
 from lassi.attribution import (
     AttributionConfig,
     aggregate_hourly,
@@ -45,11 +44,11 @@ from lassi.attribution import (
     fs_hourly_totals,
     node_index,
 )
-from lassi.errors import IngestError, LassiError
+from lassi.errors import IngestError, LassiError, StoreError
 from lassi.ingest import STATS_HEADER, parse_stats_csv
 from lassi.model import INT64_MAX, SampleBlock
 from lassi.pipeline import _merge_samples, ingest_files
-from lassi.store import Store
+from lassi.store import Partition, Store
 from lassi.timeutil import DAY, HOUR, format_utc, parse_utc
 
 HEADER = ",".join(STATS_HEADER)
@@ -79,7 +78,7 @@ def spilled(source, mode="strict", window_len=180):
         parsed, report = parse_stats_csv(
             source, mode, window_len, lambda: files.enter_context(tempfile.TemporaryFile())
         )
-        return {key: parsed.block(*key) for key in sorted(parsed.partitions)}, report
+        return {key: parsed.partition(*key).block() for key in sorted(parsed.partitions)}, report
 
 
 def outcome(fn, *args):
@@ -724,7 +723,7 @@ def test_a_bad_utf8_or_quoted_line_is_a_reject_on_its_own_line_and_the_file_stil
     ),
     spans=st.sampled_from([1, 2, 3]),
     reverse=st.booleans(),
-    read_rows=st.sampled_from([1, 7, samples_file._READ_ROWS]),
+    read_rows=st.sampled_from([1, 7, model._READ_ROWS]),
     data=st.data(),
 )
 def test_a_spilled_partition_reads_its_counters_from_the_spill(
@@ -734,9 +733,11 @@ def test_a_spilled_partition_reads_its_counters_from_the_spill(
     counters from the spill, a few rows a read: in files parsed in spans,
     whose node codes are remapped onto the first span's, with keys repeated
     (lenient mode keeps each one's last line), in drawn or reversed line
-    order, its counter_rows of any ascending rows are the block's counters
-    there, and counter_chunks gives all of them in order. The blocks are
-    the rows' string-keyed reference."""
+    order. The partitions read whole (block()) are the rows' string-keyed
+    reference. Each partition is also written to a store and reopened
+    (Store.open_samples); on both forms, the one file reader's counter_rows
+    of any ascending rows, counter_chunks and block(lo, hi) of any range are
+    the held block's."""
     body = [span_line(offset, fs, node, value) for offset, fs, node, value in rows]
     if reverse:
         body.reverse()
@@ -746,33 +747,81 @@ def test_a_spilled_partition_reads_its_counters_from_the_spill(
         want[cells[1], cells[2], parse_utc(cells[0])] = tuple(map(int, cells[3:]))
     text = text_of(*body)
     with ExitStack() as files, pytest.MonkeyPatch.context() as mp:
-        path = Path(files.enter_context(tempfile.TemporaryDirectory())) / "stats.csv"
+        tmp = Path(files.enter_context(tempfile.TemporaryDirectory()))
+        path = tmp / "stats.csv"
         path.write_bytes(text.encode())
         if spans > 1:
             split_in(mp, path, spans)
-        mp.setattr(samples_file, "_READ_ROWS", read_rows)
+        mp.setattr(model, "_READ_ROWS", read_rows)
         spilled, report = parse_stats_csv(
             path, "lenient", 180, lambda: files.enter_context(tempfile.TemporaryFile())
         )
         assert report.rows_accepted == len(want)
-        blocks = {key: spilled.block(*key) for key in sorted(spilled.partitions)}
+        blocks = {key: spilled.partition(*key).block() for key in sorted(spilled.partitions)}
         got = [row for block in blocks.values() for row in block_rows(block)]
         assert got == sorted(
             ((*key, counters) for key, counters in want.items()), key=lambda r: (r[0], r[2], r[1])
         )
+        store = Store(tmp / "store")
         for key, block in blocks.items():
             view = spilled.partition(*key)
-            assert (view.fs_id, view.node_labels) == (block.fs_id, block.node_labels)
-            assert (view.node.tolist(), view.window.tolist()) == (
-                block.node.tolist(), block.window.tolist()
-            )
+            store.write_partition(view, Partition("samples", *key))
             mask = data.draw(st.lists(st.booleans(), min_size=len(view), max_size=len(view)))
             picked = np.flatnonzero(mask)
-            assert view.counter_rows(picked).tolist() == block.counters[picked].tolist()
-            chunks = list(view.counter_chunks())
-            assert all(len(chunk) <= read_rows for chunk in chunks)
-            assert np.concatenate(chunks).tolist() == block.counters.tolist()
+            lo = data.draw(st.integers(0, len(view)))
+            hi = data.draw(st.integers(lo, len(view)))
+            with store.open_samples(*key) as stored:
+                for rows in (view, stored):
+                    assert (rows.fs_id, rows.node_labels) == (block.fs_id, block.node_labels)
+                    assert (rows.node.tolist(), rows.window.tolist()) == (
+                        block.node.tolist(), block.window.tolist()
+                    )
+                    assert rows.counter_rows(picked).tolist() == block.counters[picked].tolist()
+                    chunks = list(rows.counter_chunks())
+                    assert all(len(chunk) <= read_rows for chunk in chunks)
+                    assert np.concatenate(chunks).tolist() == block.counters.tolist()
+                    assert rows.block(lo, hi) == block.take(slice(lo, hi))
     assert no_children()
+
+
+def test_a_file_cut_short_under_the_reader_raises_store_error_naming_it(tmp_path):
+    """A short read of counters is one error, a StoreError naming the file,
+    for a spill cut after the parse and for a stored partition cut after it
+    was opened and checked; the rows before the cut still read. A spill cut
+    inside a partition's keys is refused the same way."""
+    path = tmp_path / "stats.csv"
+    lines = [span_line(180 * w, "fs2", node, w) for w in range(20) for node in ("nid1", "nid2")]
+    path.write_bytes(text_of(*lines).encode())
+    store = Store(tmp_path / "store")
+    with ExitStack() as files:
+        spills = []
+
+        def spill():
+            spills.append(files.enter_context(tempfile.TemporaryFile()))
+            return spills[-1]
+
+        spilled, _ = parse_stats_csv(path, "strict", 180, spill)
+        (key,) = spilled.partitions
+        whole = spilled.partition(*key).block()
+        store.write_partition(spilled.partition(*key), Partition("samples", *key))
+        (spilled_file,) = spills
+        spilled_file.truncate(spilled_file.seek(0, os.SEEK_END) - 1)
+        rows = spilled.partition(*key)
+        with pytest.raises(StoreError) as err:
+            rows.block()
+        assert str(err.value) == f"sample spill of {path}: counters end before row 40"
+        assert rows.block(0, 39) == whole.take(slice(0, 39))
+        spilled_file.truncate(0)
+        with pytest.raises(StoreError) as err:
+            spilled.partition(*key)
+        assert str(err.value) == f"sample spill of {path}: keys end inside the segment at 0"
+    stored_path = store.path(Partition("samples", *key))
+    with store.open_samples(*key) as stored:
+        os.truncate(stored_path, stored.runs[0][1] + 10 * 21 * 8)
+        with pytest.raises(StoreError) as err:
+            stored.block(5, 40)
+        assert str(err.value) == f"{stored_path}: counters end before row 40"
+        assert stored.block(0, 10) == whole.take(slice(0, 10))
 
 
 def test_a_stream_or_a_pipe_is_read_whole(tmp_path, monkeypatch):
@@ -1130,7 +1179,7 @@ def assert_one_fs_code_form(old, new, mask, fs_id) -> SampleBlock:
     )
     union.update({r[:3]: r for r in new})
     got, count = _merge_samples(a, b, "lenient", "here")
-    merged = held_block(got)
+    merged = got.block()
     assert_code_form(merged)
     assert block_rows(merged) == canonical_rows(list(union.values()))
     assert count == len(changed)
@@ -1142,7 +1191,7 @@ def assert_one_fs_code_form(old, new, mask, fs_id) -> SampleBlock:
         assert exc.value.reason == f"sample {changed[0][:3]} conflicts here"
     else:
         strict, count = _merge_samples(a, b, "strict", "here")
-        assert (held_block(strict), count) == (merged, 0)
+        assert (strict.block(), count) == (merged, 0)
     return merged
 
 

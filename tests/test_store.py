@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import lassi
 from lassi.cli import main
-from lassi import samples_file
+from lassi import model, samples_file
 from lassi import store as store_module
 from lassi.errors import MissingBaselineError, StoreError, StoreLockError
 from lassi.metrics import FsBaseline
@@ -548,7 +548,7 @@ def test_a_flipped_counter_byte_is_refused_however_the_counters_are_read(store, 
     store.write_partition(mk_block(rows), samples_partition())
     path = store.path(samples_partition())
     flip_counter_byte(path, len(rows) - 1)
-    monkeypatch.setattr(samples_file, "_READ_ROWS", step)
+    monkeypatch.setattr(model, "_READ_ROWS", step)
     message = re.escape(f"{path}: unreadable samples partition: Bad CRC-32 for file 'counters.npy'")
     with pytest.raises(StoreError, match=message):
         store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + HOUR)
