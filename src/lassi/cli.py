@@ -5,11 +5,15 @@ range, build baselines, emit report bundles and dispersion tables, and query
 slowdown, exposure, and scatter views. synth and verify generate synthetic
 scenarios and check pipeline results against the bundled reference results.
 
-The five settings (store, window_len, alpha, boundary_policy, top_k) resolve
-in precedence order: command-line flags, then LASSI_* environment variables,
-then an INI config file ([lassi] section, path from --config or LASSI_CONFIG;
-any other key is an error), then built-in defaults. The alpha setting is what
-`baseline` stores; --alpha on report, exposure or scatter re-scores it.
+Each command takes only the setting flags it reads: --store and --config
+on all but synth and verify, and --window-len on ingest, --boundary-policy
+on aggregate, --alpha on baseline, report, exposure and scatter. It resolves
+just those of the five settings (store, window_len, alpha, boundary_policy,
+top_k) in precedence order: flags, then LASSI_* environment variables, then
+an INI config file ([lassi] section, path from --config or LASSI_CONFIG; any
+other key is an error), then defaults; window_len defaults to the store's
+(Store.window_len). The alpha setting is what `baseline` stores; --alpha on
+report, exposure or scatter re-scores it.
 
 Exit codes: 0 success, 1 I/O or store failure (a day never aggregated too),
 2 invalid data or arguments discovered while running, 3 attribution
@@ -56,22 +60,24 @@ from .store import Store
 from .timeutil import DAY, date_str, format_utc, parse_date, parse_utc
 from .version import __version__
 
-_DEFAULTS = {
-    "store": "lassi-data",
-    "window_len": "180",
-    "alpha": "2.0",
-    "boundary_policy": "midpoint",
-    "top_k": "8",
+# each setting's type and default; None leaves the window length to the store
+_SETTINGS = {
+    "store": (str, "lassi-data"),
+    "window_len": (int, None),
+    "alpha": (float, "2.0"),
+    "boundary_policy": (str, "midpoint"),
+    "top_k": (int, "8"),
 }
 
 
 @dataclass(frozen=True)
 class Settings:
-    store: str
-    window_len: int
-    alpha: float
-    boundary_policy: str
-    top_k: int
+    """The settings a command resolved; None for those it does not read."""
+    store: str | None = None
+    window_len: int | None = None
+    alpha: float | None = None
+    boundary_policy: str | None = None
+    top_k: int | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,9 +100,10 @@ def _time(value: str) -> int:
 
 
 def resolve_settings(args: argparse.Namespace) -> Settings:
-    values = dict(_DEFAULTS)
+    """The settings args' command has flags for; without --config, no config file is read."""
+    values = {key: default for key, (_, default) in _SETTINGS.items() if hasattr(args, key)}
 
-    config_path = getattr(args, "config", None) or os.environ.get("LASSI_CONFIG")
+    config_path = hasattr(args, "config") and (args.config or os.environ.get("LASSI_CONFIG"))
     if config_path:
         cp = configparser.ConfigParser(interpolation=None)
         try:
@@ -106,35 +113,30 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             raise ValueError(f"config file {config_path}: {exc}") from exc
         if cp.has_section("lassi"):
             for key, value in cp.items("lassi"):
-                if key not in _DEFAULTS:
+                if key not in _SETTINGS:
                     raise ValueError(f"config file {config_path}: unknown key {key!r}")
-                values[key] = value
+                if key in values:
+                    values[key] = value
 
-    for key in _DEFAULTS:
+    for key in values:
         env = os.environ.get("LASSI_" + key.upper())
         if env is not None:
             values[key] = env
-
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = str(flag)
 
     try:
         settings = Settings(
-            store=values["store"],
-            window_len=int(values["window_len"]),
-            alpha=float(values["alpha"]),
-            boundary_policy=values["boundary_policy"],
-            top_k=int(values["top_k"]),
+            **{key: _SETTINGS[key][0](value) for key, value in values.items() if value is not None}
         )
     except ValueError as exc:
         raise ValueError(f"bad setting value: {exc}") from None
-    if settings.boundary_policy not in BOUNDARY_POLICIES:
+    if settings.boundary_policy not in (None, *BOUNDARY_POLICIES):
         raise ValueError(f"boundary_policy must be one of {BOUNDARY_POLICIES}")
-    if settings.alpha <= 0:
+    if settings.alpha is not None and settings.alpha <= 0:
         raise ValueError("alpha must be positive")
-    if settings.top_k < 1:
+    if settings.top_k is not None and settings.top_k < 1:
         raise ValueError("top_k must be at least 1")
     return settings
 
@@ -169,9 +171,7 @@ def cmd_ingest(args, settings: Settings) -> int:
 
 def cmd_aggregate(args, settings: Settings) -> int:
     t0, t1 = _range(args)
-    config = AttributionConfig(
-        boundary_policy=settings.boundary_policy, window_len=settings.window_len
-    )
+    config = AttributionConfig(boundary_policy=settings.boundary_policy)
     summary = aggregate_range(_store(settings), t0, t1, config)
     print(
         f"aggregated fs={','.join(summary.filesystems) or '-'} "
@@ -342,33 +342,35 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"lassi {__version__}")
     parser.set_defaults(func=None)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--store", metavar="DIR", help="store root (default ./lassi-data)")
-    common.add_argument("--config", metavar="FILE", help="INI config file, [lassi] section")
-    common.add_argument("--window-len", dest="window_len", type=int, metavar="SECONDS")
-    common.add_argument("--alpha", type=float, metavar="A", help="baseline scale factor")
-    common.add_argument(
-        "--boundary-policy",
-        dest="boundary_policy",
-        choices=BOUNDARY_POLICIES,
-        help="how windows straddling job boundaries are attributed",
-    )
+    # the setting flags: every command with any takes --store and --config
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument("--store", metavar="DIR", help="store root (default ./lassi-data)")
+    store.add_argument("--config", metavar="FILE", help="INI config file, [lassi] section")
+    alpha = argparse.ArgumentParser(add_help=False, parents=[store])
+    alpha.add_argument("--alpha", type=float, metavar="A", help="baseline scale factor")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("ingest", parents=[common], help="parse source CSVs into the store")
+    p = sub.add_parser("ingest", parents=[store], help="parse source CSVs into the store")
+    p.add_argument("--window-len", dest="window_len", type=int, metavar="SECONDS")
     p.add_argument("--stats", action="append", metavar="FILE", help="server counter CSV (repeatable)")
     p.add_argument("--jobs", action="append", metavar="FILE", help="job record CSV (repeatable)")
     p.add_argument("--mode", choices=("strict", "lenient"), default="strict")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("aggregate", parents=[common], help="attribute samples and write hourly rollups")
+    p = sub.add_parser("aggregate", parents=[store], help="attribute samples and write hourly rollups")
+    p.add_argument(
+        "--boundary-policy",
+        dest="boundary_policy",
+        choices=BOUNDARY_POLICIES,
+        help="how windows straddling job boundaries are attributed",
+    )
     p.add_argument("--from", dest="t0", type=_date, metavar="DATE")
     p.add_argument("--to", dest="t1", type=_date, metavar="DATE", help="exclusive")
     p.add_argument("--date", type=_date, metavar="DATE", help="single day shorthand")
     p.set_defaults(func=cmd_aggregate)
 
-    p = sub.add_parser("baseline", parents=[common], help="compute and store per-fs baselines")
+    p = sub.add_parser("baseline", parents=[alpha], help="compute and store per-fs baselines")
     p.add_argument("--from", dest="t0", type=_time, metavar="TIME")
     p.add_argument("--to", dest="t1", type=_time, metavar="TIME", help="exclusive")
     p.add_argument("--date", type=_date, metavar="DATE", help="single day shorthand")
@@ -376,7 +378,7 @@ def build_parser() -> _Parser:
     p.add_argument("--label", type=_date, metavar="DATE", help="effective date (default: period start)")
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("report", parents=[common], help="write one filesystem's daily report bundle")
+    p = sub.add_parser("report", parents=[alpha], help="write one filesystem's daily report bundle")
     p.add_argument("--fs", required=True, metavar="FS")
     p.add_argument("--date", required=True, type=_date, metavar="DATE")
     p.add_argument("--top-k", dest="top_k", type=int, metavar="K")
@@ -388,36 +390,36 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("rsd", parents=[common], help="write the per-fs dispersion table")
+    p = sub.add_parser("rsd", parents=[store], help="write the per-fs dispersion table")
     p.add_argument("--from", dest="t0", type=_time, metavar="TIME")
     p.add_argument("--to", dest="t1", type=_time, metavar="TIME", help="exclusive")
     p.add_argument("--date", type=_date, metavar="DATE", help="single day shorthand")
     p.set_defaults(func=cmd_rsd)
 
-    p = sub.add_parser("slowdown", parents=[common], help="flag slow runs within command groups")
+    p = sub.add_parser("slowdown", parents=[store], help="flag slow runs within command groups")
     p.add_argument("--from", dest="t0", type=_time, metavar="TIME")
     p.add_argument("--to", dest="t1", type=_time, metavar="TIME", help="exclusive")
     p.add_argument("--factor", type=float, default=1.5, metavar="F")
     p.set_defaults(func=cmd_slowdown, date=None)
 
-    p = sub.add_parser("exposure", parents=[common], help="ambient risk summed over one run")
+    p = sub.add_parser("exposure", parents=[alpha], help="ambient risk summed over one run")
     p.add_argument("--app", required=True, metavar="APP_ID")
     p.add_argument("--fs", metavar="FS")
     p.set_defaults(func=cmd_exposure)
 
-    p = sub.add_parser("scatter", parents=[common], help="runtime vs risk points for a command group")
+    p = sub.add_parser("scatter", parents=[alpha], help="runtime vs risk points for a command group")
     p.add_argument("--app", metavar="APP_ID", help="any run in the group")
     p.add_argument("--key", metavar="GROUP_KEY", help="group key, as printed elsewhere")
     p.add_argument("--fs", metavar="FS")
     p.set_defaults(func=cmd_scatter)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic scenario")
+    p = sub.add_parser("synth", help="generate a synthetic scenario")
     p.add_argument("--scenario", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--no-oracle", dest="no_oracle", action="store_true")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("verify", parents=[common], help="check the store flow against an oracle")
+    p = sub.add_parser("verify", help="check the store flow against an oracle")
     p.add_argument("data", metavar="DIR", help="directory with stats.csv and jobs.csv")
     p.add_argument("--oracle", metavar="DIR", help="oracle directory (default DIR/oracle)")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-9)

@@ -89,7 +89,7 @@ import numpy as np
 
 from .errors import IngestError, StoreError
 from .model import ALL_FIELDS, INT64_MAX, JobRecord, SampleBlock, canonical_order, label_codes
-from .samples_file import FileSamples
+from .samples_file import FileSamples, read_into
 from .timeutil import DAY, HOUR, format_utc, parse_utc
 
 STATS_HEADER = ("window_start", "fs", "node") + ALL_FIELDS
@@ -381,9 +381,7 @@ def _parse_span(
         line += len(lines)
         if rows.done():
             break
-    part = rows.part()
-    spill.flush()
-    return part
+    return rows.part()
 
 
 def _parse_in_spans(
@@ -758,8 +756,10 @@ class _StatsRows:
             )
 
     def part(self) -> _Part:
-        """What this parse leaves, once every row it accepted is in the spill."""
+        """What this parse leaves, once every row it accepted is in the
+        spill file, flushed: it is read back by file descriptor."""
         self.write()
+        self.file.flush()
         return _Part(tuple(self.fs_ids), tuple(self.node_ids), self.bad, self.segments, self.done())
 
 
@@ -771,11 +771,12 @@ class SpilledStats:
     source, the stats file's name, names its spill in errors.
 
     The caller owns the files: operating-system files, such as unlinked
-    temporary files, which a crash cannot leave behind. partitions maps
-    each (fs id, UTC day) to its segments, as (file, offset, rows). A
-    file's node codes index its span's ids; loading maps them onto
-    node_ids, the file's ids in first-seen order: the first span's, then
-    each later span's new ones, the order a whole read meets them in.
+    temporary files, which a crash cannot leave behind, read by descriptor
+    (fds, samples_file.read_into). partitions maps each (fs id, UTC day) to
+    its segments, as (file, offset, rows). A file's node codes index its
+    span's ids; loading maps them onto node_ids, the file's ids in
+    first-seen order: the first span's, then each later span's new ones,
+    the order a whole read meets them in.
     Duplicate keys stay in the spill until partition resolves them; a key
     never spans two partitions.
     """
@@ -783,7 +784,7 @@ class SpilledStats:
     def __init__(
         self, files: Sequence[IO[bytes]], parts: Sequence[_Part], window_len: int, source: str
     ):
-        self.files = files
+        self.fds = [file.fileno() for file in files]
         self.window_len = window_len
         self.name = f"sample spill of {source}"
         node_ids = _IdCodes()
@@ -806,12 +807,12 @@ class SpilledStats:
         columns = [np.empty(n, np.int32), np.empty(n, np.int64), np.empty(n, np.int64)]
         at = 0
         for k, offset, count in segments:
-            spill = self.files[k]
-            spill.seek(offset)
+            start = offset
             for column in columns:
-                view = memoryview(column[at : at + count]).cast("B")
-                if spill.readinto(view) != len(view):
+                view = column[at : at + count].view(np.uint8)
+                if not read_into(self.fds[k], view, start):
                     raise StoreError(f"{self.name}: keys end inside the segment at {offset}")
+                start += len(view)
             if self.node_codes[k] is not None:
                 columns[0][at : at + count] = self.node_codes[k][columns[0][at : at + count]]
             at += count
@@ -859,10 +860,7 @@ class SpilledStats:
         position = None
         if len(keep) != len(node) or not (np.diff(keep) == 1).all():
             node, window, position = node[keep], window[keep], keep
-        runs = [
-            (self.files[k].fileno(), offset + count * _KEY_BYTES, count)
-            for k, offset, count in segments
-        ]
+        runs = [(self.fds[k], offset + count * _KEY_BYTES, count) for k, offset, count in segments]
         return FileSamples(
             fs_id, node_labels, node, window, self.window_len, self.name, runs, position
         )

@@ -518,7 +518,7 @@ def aggregate_range(
     if t1 <= t0:
         raise ValueError("aggregate range is empty")
     if config is None:
-        config = AttributionConfig(window_len=store.window_len)
+        config = AttributionConfig()
 
     fs_ids = store.list_fs("samples")
     days = day_range(t0, t1)
@@ -648,7 +648,7 @@ def compute_outputs_from_files(
                 if not t0 <= day < t1:
                     where = f"{fs_id} on {date_str(day)}"
                     raise ValueError(f"stats rows for {where} lie outside the period")
-        aggregate_range(store, t0, t1, AttributionConfig(boundary_policy, window_len))
+        aggregate_range(store, t0, t1, AttributionConfig(boundary_policy))
         for job in sorted(store.query_jobs_overlapping(t0, t1), key=lambda j: j.app_id):
             if (job.start < t0 or job.end > t1) and any(
                 job.app_id in store.day_apps(fs_id, day)

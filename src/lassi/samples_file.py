@@ -153,14 +153,18 @@ class FileSamples(SampleKeys):
             end = min(hi, self.starts[k + 1])
             data = out[at - lo : end - lo].reshape(-1).view(np.uint8)
             offset += (at - self.starts[k]) * _N * 8
-            done = 0
-            while done < len(data):
-                got = os.preadv(fd, [data[done:]], offset + done)
-                if not got:
-                    raise StoreError(f"{self.path}: counters end before row {end}")
-                done += got
+            if not read_into(fd, data, offset):
+                raise StoreError(f"{self.path}: counters end before row {end}")
             at, k = end, k + 1
         return out
+
+
+def read_into(fd: int, data: np.ndarray, offset: int) -> bool:
+    """Fill uint8 array data with the file's bytes from offset; False if it ends first."""
+    done = 0
+    while done < len(data) and (got := os.preadv(fd, [data[done:]], offset + done)):
+        done += got
+    return done == len(data)
 
 
 def _counters_header(member: IO[bytes]) -> tuple[tuple[int, ...], bool, np.dtype]:

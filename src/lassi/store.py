@@ -16,14 +16,15 @@ dataset's suffix; any other name with that suffix is an unexpected file
 
 A samples partition is an uncompressed ``.npz`` of the block's columns,
 written and read by the samples_file module: open_samples opens one,
-checked whole (StoredSamples), with its keys held and its counters read a
-row range at a time. A samples read (read_range) returns one partition's
-rows in a range as a block, and a samples range crossing a UTC midnight is
-refused with ValueError; aggregation and the ingest merge use the open
-partition itself, so no stored partition's counters are held whole.
-A samples directory holding a ``.csv`` partition, as stores written before
-samples were binary do, is refused whole with a hint to re-ingest the
-input; there is no migration.
+checked whole (StoredSamples), its keys held and its counters read a row
+range at a time. The first samples written record their window length in
+``<root>/samples/window_len`` (digits and a LF) under that file's lock; the
+first writer wins, and a writer of another length raises StoreError. A
+``Store``'s window_len is resolved at its first samples read or write: the
+record, else the value given, else 180. StoreError refuses a given value
+other than the record, and a samples tree holding a ``.csv`` partition, or
+``.npz`` ones and no record, as older stores do, with a hint to re-ingest
+the input; there is no migration.
 
 An ``fs_hours`` partition marks its (filesystem, day) as aggregated; reading
 app_hours or fs_hours over a day without one raises FileNotFoundError, so a
@@ -128,20 +129,10 @@ class Partition:
         """The path's components below the store root."""
         return self.dataset, self.fs_id or "all", date_str(self.date) + _suffix(self.dataset)
 
-    def relative_path(self) -> Path:
-        return Path(*self.parts())
-
 
 def _suffix(dataset: str) -> str:
     """The file name suffix of a dataset's partitions."""
     return ".npz" if dataset == "samples" else ".csv"
-
-
-def _legacy_samples(path: Path) -> StoreError:
-    return StoreError(
-        f"{path}: a CSV samples partition, which this version no longer reads "
-        f"(samples are stored as .npz); re-ingest the input into a new store"
-    )
 
 
 def _check_home(record, partition: Partition) -> None:
@@ -268,18 +259,62 @@ def baseline_label(fs_id: str, date: int, dates: Sequence[int]) -> int:
 class Store:
     """Filesystem-backed partition store rooted at one directory."""
 
-    def __init__(self, root: str | Path, window_len: int = 180):
+    def __init__(self, root: str | Path, window_len: int | None = None):
         self.root = Path(root)
-        self.window_len = window_len
+        # see window_len and _record_window_len
+        self._given_window_len = window_len
+        self._window_len: int | None = None
+        self._record = self.root / "samples" / "window_len"
+        self._recorded = False
         # path -> (the bytes last parsed there, their parse, values derived
         # from that parse by key); see _entry
         self._memo: dict[Path, tuple[bytes, object, dict]] = {}
         # partitions this Store holds the lock of; see _locked
         self._held: set[Path] = set()
-        # whether the samples tree was found free of CSV partitions; see _check_no_csv_samples
-        self._samples_checked = False
         # each partition's path, resolved once; see path
         self._paths: dict[Partition, Path] = {}
+
+    @property
+    def window_len(self) -> int:
+        """The samples' window length, resolved at the first call (see the module docstring)."""
+        if self._window_len is None:
+            recorded = self._read_window_len()
+            for path in sorted((self.root / "samples").glob("*/*")):
+                if path.suffix == ".csv" or path.suffix == ".npz" and recorded is None:
+                    what = "a CSV samples partition"
+                    if path.suffix == ".npz":
+                        what = "a samples partition with no window length record"
+                    raise StoreError(
+                        f"{path}: {what}, which this version no longer reads; "
+                        f"re-ingest the input into a new store"
+                    )
+            given = self._given_window_len
+            if None not in (recorded, given) and given != recorded:
+                raise StoreError(f"{self.root}: window_len {given} given, the store's is {recorded}")
+            self._window_len = recorded or (180 if given is None else given)
+            self._recorded = recorded is not None
+        return self._window_len
+
+    def _read_window_len(self) -> int | None:
+        """The window length the samples' record holds; None if there is none."""
+        if not self._record.exists():
+            return None
+        data = self._record.read_bytes()
+        if not data.endswith(b"\n") or not data[:-1].isdigit() or data.startswith(b"0"):
+            raise StoreError(f"{self._record}: bad window length record {data[:32]!r}")
+        return int(data)
+
+    def _record_window_len(self) -> None:
+        """Record window_len, under the record's lock, unless it is recorded:
+        the first writer wins, and a record of another value raises StoreError."""
+        if not self._recorded:
+            with self._locked(self._record):
+                recorded = self._read_window_len()
+                if recorded is None:
+                    replace_files(self._record.parent, {self._record.name: f"{self.window_len}\n"})
+                elif recorded != self.window_len:
+                    raise StoreError(f"{self._record}: window_len {recorded}, not {self.window_len}")
+            self._recorded = True
 
     def path(self, partition: Partition) -> Path:
         """The partition's file below the root, joined once per Store."""
@@ -345,12 +380,16 @@ class Store:
         """Replace one partition with the given records. Returns row count.
 
         Every record must belong to the partition's filesystem and day;
-        anything else raises ValueError. Samples come as sample keys, their
-        counters written a row chunk at a time (write_samples_npz).
+        anything else raises ValueError, as do samples of another window_len.
+        Samples come as sample keys, their counters written a row chunk at a
+        time (write_samples_npz) once their window_len is recorded.
         """
         dataset = partition.dataset
         if dataset == "samples":
+            if records.window_len != self.window_len:
+                raise ValueError(f"samples of window_len {records.window_len}, not {self.window_len}")
             _check_samples_home(records, partition)
+            self._record_window_len()
             # straight into the temp file: an in-memory .npz first would copy
             # the partition twice, and cost a fresh page for every 4 KiB
             self._write_file(self.path(partition), lambda fh: write_samples_npz(fh, records))
@@ -388,9 +427,11 @@ class Store:
         """The days of the dataset's partitions under fs_id, in order.
 
         Each name with the dataset's suffix must be exactly ``YYYY-MM-DD``
-        plus that suffix, and a samples directory must hold no ``.csv``;
-        anything else raises StoreError. Hidden files are left aside.
+        plus that suffix; anything else raises StoreError, as does a samples
+        tree window_len refuses. Hidden files are left aside.
         """
+        if dataset == "samples":
+            self.window_len  # resolving it refuses a samples tree this version does not read
         base = self.root.joinpath(dataset, fs_id or "all")
         try:
             names = os.listdir(base)
@@ -401,8 +442,6 @@ class Store:
         for name in sorted(names):
             if name.startswith("."):
                 continue
-            if dataset == "samples" and name.endswith(".csv"):
-                raise _legacy_samples(base / name)
             if not name.endswith(suffix):
                 continue
             try:
@@ -411,31 +450,16 @@ class Store:
                 raise StoreError(f"unexpected file in store: {base / name}")
         return dates
 
-    def _check_no_csv_samples(self) -> None:
-        """Raise StoreError naming a CSV samples partition, if the store holds
-        one; the tree is scanned once per Store, as each command makes one."""
-        if self._samples_checked:
-            return
-        for path in sorted((self.root / "samples").glob("*/*.csv")):
-            raise _legacy_samples(path)
-        self._samples_checked = True
+    def read_range(self, dataset: str, fs_id: str | None, t0: int, t1: int) -> list:
+        """Records with time key in [t0, t1), in time order, as a new list.
 
-    def read_range(
-        self, dataset: str, fs_id: str | None, t0: int, t1: int
-    ) -> list | SampleBlock:
-        """Records with time key in [t0, t1), in time order.
-
-        samples filter on window_start and come back as one SampleBlock of
-        one (filesystem, day) partition, empty where none is stored; a
-        samples range crossing a UTC midnight raises ValueError.
         app_hours/fs_hours filter on hour, jobs on start (see
-        query_jobs_overlapping for span queries), and come back as new lists.
-        A day never aggregated raises FileNotFoundError for app_hours/fs_hours.
+        query_jobs_overlapping for span queries); samples are read through
+        open_samples. A day never aggregated raises FileNotFoundError for
+        app_hours/fs_hours.
         """
         if t1 <= t0:
             raise ValueError(f"empty range: t0 {format_utc(t0)} >= t1 {format_utc(t1)}")
-        if dataset == "samples":
-            return self._read_samples(fs_id, t0, t1)
         if dataset not in _TIME_KEY:
             raise ValueError(f"dataset {dataset!r} does not support read_range")
         parts = [Partition(dataset, fs_id, day) for day in day_range(t0, t1)]
@@ -503,30 +527,12 @@ class Store:
 
         return self._day_derived(fs_id, day, ("apps",), index)
 
-    def _read_samples(self, fs_id: str, t0: int, t1: int) -> SampleBlock:
-        """fs_id's samples in [t0, t1), which lies inside one UTC day; every
-        row of that day's partition must belong in it.
-
-        Rows run in window order, so those rows are one row range of the
-        partition, whose counters alone are read after the checks."""
-        day = floor_day(t0)
-        if t1 > day + DAY:
-            raise ValueError(
-                f"samples range {format_utc(t0)} to {format_utc(t1)} crosses a UTC midnight; "
-                f"samples are read one (filesystem, day) partition at a time"
-            )
-        with self.open_samples(fs_id, day) as stored:
-            lo, hi = np.searchsorted(stored.window, (t0, t1)).tolist()
-            return stored.block(lo, hi)
-
     @contextmanager
     def open_samples(self, fs_id: str, day: int) -> Iterator[StoredSamples | SampleBlock]:
         """fs_id's samples partition of one UTC day, opened and checked
         whole (StoredSamples), closed when the context ends; an empty
         SampleBlock where none is stored."""
-        self._check_no_csv_samples()
-        partition = Partition("samples", fs_id, day)
-        path = self.path(partition)
+        path = self.path(Partition("samples", fs_id, day))
         if not path.exists():
             yield SampleBlock.empty(fs_id, self.window_len)
             return

@@ -185,6 +185,18 @@ def parse_stats_rows(
         return {key: spilled.partition(*key).block() for key in sorted(spilled.partitions)}, report
 
 
+def read_samples(store, fs_id, day) -> SampleBlock:
+    """fs_id's stored samples of one UTC day, held whole; an empty block
+    where none are stored."""
+    with store.open_samples(fs_id, day) as stored:
+        return stored.block()
+
+
+def tree(root):
+    """Every file under root, lock files too, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def edit_npz(path, drop=(), **arrays) -> None:
     """Rewrite an .npz file with the named arrays dropped, then arrays set."""
     with np.load(path) as npz:

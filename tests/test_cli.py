@@ -20,7 +20,7 @@ from lassi.report import build_daily_report, bundle_to_json
 from lassi.store import Store
 from lassi.timeutil import parse_date
 
-from helpers import TASKFARM_SCENARIO, scenario_text
+from helpers import TASKFARM_SCENARIO, scenario_text, tree
 
 STATS_HEADER_LINE = ",".join(STATS_HEADER)
 JOBS_HEADER_LINE = ",".join(JOBS_HEADER)
@@ -77,7 +77,7 @@ def test_full_cli_flow(tmp_path, capsys):
 
     assert (
         main(
-            ["ingest", *store, "--stats", str(data / "stats.csv"),
+            ["ingest", *store, "--window-len", "900", "--stats", str(data / "stats.csv"),
              "--jobs", str(data / "jobs.csv")]
         )
         == 0
@@ -88,13 +88,13 @@ def test_full_cli_flow(tmp_path, capsys):
     assert "rejected=0" in out
     assert out.endswith(" partitions=3 written=3\n")
 
-    # the same files again change no stored row, so no partition is written
+    # the same files again change no stored row, so no partition is written;
+    # the store keeps the window length its first samples were written with
     assert main(["ingest", *store, "--stats", str(data / "stats.csv"),
                  "--jobs", str(data / "jobs.csv")]) == 0
     assert capsys.readouterr().out.endswith(" rejected=0 partitions=3 written=0\n")
 
-    assert main(["aggregate", *store, "--date", "2017-10-10",
-                 "--window-len", "900"]) == 0
+    assert main(["aggregate", *store, "--date", "2017-10-10"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("aggregated fs=fs2,fs3")
 
@@ -135,10 +135,10 @@ def taskfarm_store(tmp_path, capsys) -> tuple[list[str], list[str]]:
     Returns the store options and the group key of each of its commands.
     """
     data = tmp_path / "data"
-    store = ["--store", str(tmp_path / "store"), "--window-len", "600"]
+    store = ["--store", str(tmp_path / "store")]
     stats, jobs = ["--stats", str(data / "stats.csv")], ["--jobs", str(data / "jobs.csv")]
     assert main(["synth", "--scenario", str(TASKFARM_SCENARIO), "--out", str(data)]) == 0
-    assert main(["ingest", *store, *stats, *jobs]) == 0
+    assert main(["ingest", *store, "--window-len", "600", *stats, *jobs]) == 0
     assert main(["aggregate", *store, "--from", "2017-10-10", "--to", "2017-10-12",
                  "--boundary-policy", "proportional"]) == 0
     assert main(["baseline", *store, "--date", "2017-10-10"]) == 0
@@ -281,6 +281,86 @@ def test_removed_settings_are_refused(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LASSI_FS_RISK_BASIS", "totals")
     ingest_into(["ingest", *store], tmp_path, capsys)
     assert (tmp_path / "s" / "samples").is_dir()
+
+
+# the setting flags each command takes; report adds its own --top-k
+SETTING_FLAGS = {
+    "--store": "DIR",
+    "--config": "FILE",
+    "--window-len": "600",
+    "--alpha": "2.5",
+    "--boundary-policy": "midpoint",
+}
+COMMAND_FLAGS = {
+    "ingest": (["--stats", "x.csv"], {"--store", "--config", "--window-len"}),
+    "aggregate": (["--date", "2017-10-10"], {"--store", "--config", "--boundary-policy"}),
+    "baseline": (["--date", "2017-10-10"], {"--store", "--config", "--alpha"}),
+    "report": (["--fs", "fs2", "--date", "2017-10-10"], {"--store", "--config", "--alpha"}),
+    "exposure": (["--app", "app1"], {"--store", "--config", "--alpha"}),
+    "scatter": (["--app", "app1"], {"--store", "--config", "--alpha"}),
+    "rsd": (["--date", "2017-10-10"], {"--store", "--config"}),
+    "slowdown": ([], {"--store", "--config"}),
+    "synth": (["--scenario", "s.ini", "--out", "out"], set()),
+    "verify": (["data"], set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_takes_only_the_setting_flags_it_reads(command, capsys):
+    """A setting flag a command does not read is a usage error, exit 64,
+    before anything runs."""
+    required, kept = COMMAND_FLAGS[command]
+    parser = cli.build_parser()
+    for flag, value in SETTING_FLAGS.items():
+        argv = [command, *required, flag, value]
+        if flag in kept:
+            args = parser.parse_args(argv)
+            assert str(getattr(args, flag[2:].replace("-", "_"))) == value
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64, argv
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_a_command_reads_only_the_settings_it_takes_flags_for(tmp_path, monkeypatch):
+    """aggregate reads no window length, verify no setting at all: neither
+    is moved by a bad or other value in the environment or config file."""
+    monkeypatch.setenv("LASSI_WINDOW_LEN", "7")
+    monkeypatch.setenv("LASSI_ALPHA", "-1")
+    monkeypatch.setenv("LASSI_STORE", "/nonexistent")
+    cfg = tmp_path / "lassi.ini"
+    cfg.write_text("[lassi]\nwarp_factor = 9\n", encoding="utf-8")
+    monkeypatch.setenv("LASSI_CONFIG", str(cfg))
+    settings = cli.resolve_settings(cli.build_parser().parse_args(["verify", "data"]))
+    assert settings == cli.Settings()
+    monkeypatch.delenv("LASSI_CONFIG")
+    args = cli.build_parser().parse_args(
+        ["aggregate", "--store", "s", "--date", "2017-10-10", "--boundary-policy", "proportional"]
+    )
+    assert cli.resolve_settings(args) == cli.Settings(store="s", boundary_policy="proportional")
+
+
+def test_ingest_at_another_window_length_than_the_store_exits_1(tmp_path, capsys):
+    stats = tmp_path / "stats.csv"
+    stats.write_text(
+        STATS_HEADER_LINE + "\n"
+        + "".join(f"2017-10-10T00:{m}:00Z,fs2,nid1," + ",".join(["1"] * 21) + "\n"
+                  for m in ("00", "10", "20")),
+        encoding="utf-8",
+    )
+    store = ["--store", str(tmp_path / "s")]
+    assert main(["ingest", *store, "--window-len", "600", "--stats", str(stats)]) == 0
+    capsys.readouterr()
+    root = tmp_path / "s"
+    before = tree(root)
+    assert main(["ingest", *store, "--window-len", "300", "--stats", str(stats)]) == 1
+    assert "window_len 300 given, the store's is 600" in capsys.readouterr().err
+    assert tree(root) == before
+    # without the flag, ingest and aggregate use the store's
+    assert main(["ingest", *store, "--stats", str(stats)]) == 0
+    assert capsys.readouterr().out.endswith(" written=0\n")
+    assert main(["aggregate", *store, "--date", "2017-10-10"]) == 0
 
 
 def test_version_flag(capsys):
@@ -477,11 +557,17 @@ def test_bad_config_rejected(tmp_path, capsys):
     assert main(["ingest", "--config", str(cfg), "--stats", "x.csv"]) == 2
     assert "unknown key" in capsys.readouterr().err
 
+    # a bad value is refused by a command that reads it, and by no other
     cfg.write_text("[lassi]\nalpha = loud\n", encoding="utf-8")
-    assert main(["ingest", "--config", str(cfg), "--stats", "x.csv"]) == 2
+    assert main(["baseline", "--config", str(cfg), "--date", "2017-10-10"]) == 2
+    assert "bad setting value" in capsys.readouterr().err
+    store = ["--store", str(tmp_path / "s")]
+    assert main(["ingest", "--config", str(cfg), *store, "--stats", "x.csv"]) == 1
+    assert "x.csv" in capsys.readouterr().err
 
     cfg.write_text("[lassi]\nboundary_policy = psychic\n", encoding="utf-8")
-    assert main(["ingest", "--config", str(cfg), "--stats", "x.csv"]) == 2
+    assert main(["aggregate", "--config", str(cfg), "--date", "2017-10-10"]) == 2
+    assert "boundary_policy must be one of" in capsys.readouterr().err
 
 
 # xml.sax.saxutils, for one, pulls these in through urllib.request; hashlib

@@ -32,6 +32,7 @@ from helpers import (
     one_block,
     parse_stats_rows,
     partitions,
+    read_samples,
     result_dicts,
     serialize_stats_csv,
     stats_stream,
@@ -788,7 +789,8 @@ def test_a_file_cut_short_under_the_reader_raises_store_error_naming_it(tmp_path
     """A short read of counters is one error, a StoreError naming the file,
     for a spill cut after the parse and for a stored partition cut after it
     was opened and checked; the rows before the cut still read. A spill cut
-    inside a partition's keys is refused the same way."""
+    inside a partition's keys is refused the same way: keys and counters are
+    read from the spill's descriptor, so a cut made on it is seen."""
     path = tmp_path / "stats.csv"
     lines = [span_line(180 * w, "fs2", node, w) for w in range(20) for node in ("nid1", "nid2")]
     path.write_bytes(text_of(*lines).encode())
@@ -805,13 +807,13 @@ def test_a_file_cut_short_under_the_reader_raises_store_error_naming_it(tmp_path
         whole = spilled.partition(*key).block()
         store.write_partition(spilled.partition(*key), Partition("samples", *key))
         (spilled_file,) = spills
-        spilled_file.truncate(spilled_file.seek(0, os.SEEK_END) - 1)
+        os.ftruncate(spilled_file.fileno(), os.fstat(spilled_file.fileno()).st_size - 1)
         rows = spilled.partition(*key)
         with pytest.raises(StoreError) as err:
             rows.block()
         assert str(err.value) == f"sample spill of {path}: counters end before row 40"
         assert rows.block(0, 39) == whole.take(slice(0, 39))
-        spilled_file.truncate(0)
+        os.ftruncate(spilled_file.fileno(), 0)
         with pytest.raises(StoreError) as err:
             spilled.partition(*key)
         assert str(err.value) == f"sample spill of {path}: keys end inside the segment at 0"
@@ -1232,7 +1234,7 @@ def test_ingest_merges_overlapping_files_in_one_call(tmp_path):
     store = Store(tmp_path / "store")
     summary = ingest_files(store, [one, two])
     assert (summary.samples, summary.rejected) == (3, 0)
-    got = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    got = read_samples(store, "fs2", BASE_DAY)
     assert [(w, node) for _, node, w, _ in block_rows(got)] == [
         (BASE_DAY, "nid1"),
         (BASE_DAY, "nid2"),
@@ -1243,7 +1245,7 @@ def test_ingest_merges_overlapping_files_in_one_call(tmp_path):
     changed.write_text(text_of(row(counters=("9",) * 21), row(ts=T1)), encoding="utf-8")
     summary = ingest_files(store, [changed], mode="lenient")
     assert summary.rejected == 1  # one stored row replaced, one identical
-    got = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + 1)
+    got = read_samples(store, "fs2", BASE_DAY)
     assert got.counters[0].tolist() == [9] * 21
 
 

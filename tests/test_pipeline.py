@@ -43,8 +43,10 @@ from helpers import (
     mk_job,
     mk_sample,
     partitions,
+    read_samples,
     scenario_text,
     serialize_stats_csv,
+    tree,
 )
 
 STATS_LINE = ",".join(STATS_HEADER)
@@ -155,7 +157,7 @@ def test_ingest_merges_new_windows_into_existing_partition(tmp_path):
     b = stats_file(tmp_path, "b.csv", [f"2017-10-09T00:03:00Z,fs2,nid1,{counters()}"])
     ingest_files(store, [a])
     ingest_files(store, [b])
-    got = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    got = read_samples(store, "fs2", BASE_DAY)
     assert len(got) == 2
 
 
@@ -169,7 +171,7 @@ def test_ingest_conflicting_resubmission(tmp_path):
 
     summary = ingest_files(store, [b], mode="lenient")
     assert summary.rejected == 1  # the override is reported
-    got = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    got = read_samples(store, "fs2", BASE_DAY)
     assert got.counters.tolist() == [list(mk_counters(read_kb=9))]  # and the new value wins
 
 
@@ -217,11 +219,6 @@ def test_ingest_conflict_across_inputs_in_one_call(tmp_path):
         ingest_files(store, [a, b])
 
 
-def tree(root):
-    """Every file under root, lock files too, with its bytes."""
-    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-
 DAY_3 = [
     f"2017-10-11T00:0{m}:00Z,fs{f},nid{n},{counters(n)}"
     for m in (0, 3, 6)
@@ -234,7 +231,8 @@ def test_a_refused_strict_ingest_leaves_the_store_as_it_was(tmp_path):
     store = Store(tmp_path / "store")
     ingest_files(store, [stats_file(tmp_path, "a.csv", REDELIVERED)])
     before = tree(store.root)
-    assert len(before) == 8  # four partitions, each with its lock file
+    # four partitions and the window length record, each with its lock file
+    assert len(before) == 10
 
     # the file's only bad row is its last line
     last_bad = stats_file(tmp_path, "b.csv", DAY_3 + ["2017-10-11T00:09:00Z,fs2,nid1,1,2"])
@@ -525,7 +523,7 @@ def test_aggregate_and_redelivery_never_hold_a_stored_partition_whole(tmp_path):
     fifth = stored.counters.nbytes / 5
     assert peak < fifth, (peak, fifth)
     want = whole_block_union(whole_block_union(stored, changed)[0], added)[0]
-    assert store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY) == want
+    assert read_samples(store, "fs2", BASE_DAY) == want
 
 
 def stats_lines(block: SampleBlock, reverse=False) -> list[str]:

@@ -39,7 +39,9 @@ from helpers import (
     mk_counters,
     mk_job,
     mk_sample,
+    read_samples,
     serialize_stats_csv,
+    tree,
 )
 
 
@@ -93,7 +95,7 @@ def test_partition_validation():
         Partition("nope", "fs2", BASE_DAY)
     with pytest.raises(ValueError):
         Partition("samples", "fs2", BASE_DAY + 1)
-    assert Partition("jobs", None, BASE_DAY).relative_path().parts[1] == "all"
+    assert Partition("jobs", None, BASE_DAY).parts()[1] == "all"
 
 
 def test_samples_round_trip(store):
@@ -108,7 +110,7 @@ def test_samples_round_trip(store):
     assert path.name == "2017-10-09.npz"
     with np.load(path, allow_pickle=False) as npz:
         assert npz.files == list(SAMPLES_ARRAYS)
-    back = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    back = read_samples(store, "fs2", BASE_DAY)
     assert back == samples
     # canonical order: window, then fs, then node
     assert [(w, node) for _, node, w, _ in block_rows(back)] == [
@@ -120,37 +122,16 @@ def test_samples_round_trip(store):
     assert tuple(back.counters[1].tolist()) == mk_counters(open=1)
 
 
-def test_read_range_filters_on_window_start(store):
-    samples = mk_block(mk_sample("fs2", "nid1", BASE_DAY + i * 180) for i in range(4))
-    store.write_partition(samples, samples_partition())
-    mid = store.read_range("samples", "fs2", BASE_DAY + 180, BASE_DAY + 540)
-    assert mid.window.tolist() == [BASE_DAY + 180, BASE_DAY + 360]
-
-
 def test_read_range_rejects_empty_range(store):
-    with pytest.raises(ValueError):
-        store.read_range("samples", "fs2", BASE_DAY, BASE_DAY)
+    with pytest.raises(ValueError, match="empty range"):
+        store.read_range("jobs", None, BASE_DAY, BASE_DAY)
+    # samples are read a partition at a time, through open_samples
+    with pytest.raises(ValueError, match="'samples' does not support read_range"):
+        store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
 
 
-def test_a_samples_read_is_one_partition(store):
-    """A samples read returns one (filesystem, day) partition's block, so a
-    range crossing a UTC midnight is refused, naming the range; a day with
-    no partition is an empty block of the filesystem."""
-    store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
-    store.write_partition(
-        mk_block([mk_sample("fs2", "nid1", BASE_DAY + DAY)]), samples_partition(date=BASE_DAY + DAY)
-    )
-    for t0, t1 in ((BASE_DAY, BASE_DAY + DAY + 180), (BASE_DAY + DAY - 180, BASE_DAY + DAY + 1)):
-        with pytest.raises(ValueError) as err:
-            store.read_range("samples", "fs2", t0, t1)
-        assert str(err.value).startswith(
-            f"samples range {format_utc(t0)} to {format_utc(t1)} crosses a UTC midnight"
-        )
-    # a range ending at the midnight is the whole day before it
-    assert len(store.read_range("samples", "fs2", BASE_DAY + DAY - 180, BASE_DAY + DAY)) == 0
-    assert store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY).fs_id == "fs2"
-    empty = store.read_range("samples", "fs3", BASE_DAY, BASE_DAY + DAY)
-    assert empty == SampleBlock.empty("fs3", store.window_len)
+def test_a_day_with_no_samples_partition_opens_as_an_empty_block(store):
+    assert read_samples(store, "fs3", BASE_DAY) == SampleBlock.empty("fs3", 180)
 
 
 def test_write_partition_rejects_out_of_bounds(store):
@@ -332,7 +313,7 @@ def test_samples_row_outside_its_partition_raises_store_error_naming_path_and_ke
 
     for reader in (store, Store(store.root)):
         with pytest.raises(StoreError) as err:
-            reader.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+            read_samples(reader, "fs2", BASE_DAY)
         assert str(err.value) == f"{path}: sample {key} outside partition (fs2, 2017-10-09)"
 
 
@@ -531,7 +512,7 @@ def test_a_corrupt_samples_file_raises_store_error_naming_path_and_defect(store,
     descriptors = sorted(os.listdir("/proc/self/fd"))
     for reader in (store, Store(store.root)):
         with pytest.raises(StoreError) as err:
-            reader.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+            read_samples(reader, "fs2", BASE_DAY)
         assert str(err.value).startswith(f"{path}: {message}")
     assert sorted(os.listdir("/proc/self/fd")) == descriptors
 
@@ -541,7 +522,7 @@ def test_a_flipped_counter_byte_is_refused_however_the_counters_are_read(store, 
     """A partition far larger than zipfile's first read, its last row's
     counters flipped: the checking pass reads the counters a few rows at a
     time to the end, so zipfile's CRC-32 refuses the file before any row is
-    handed out, by read_range or aggregate_range."""
+    handed out, by open_samples or aggregate_range."""
     rows = [
         mk_sample("fs2", f"nid{n}", W0 + 180 * w, read_kb=w) for w in range(480) for n in range(6)
     ]
@@ -551,7 +532,7 @@ def test_a_flipped_counter_byte_is_refused_however_the_counters_are_read(store, 
     monkeypatch.setattr(model, "_READ_ROWS", step)
     message = re.escape(f"{path}: unreadable samples partition: Bad CRC-32 for file 'counters.npy'")
     with pytest.raises(StoreError, match=message):
-        store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + HOUR)
+        read_samples(store, "fs2", BASE_DAY)
     with pytest.raises(StoreError, match=message):
         aggregate_range(store, BASE_DAY, BASE_DAY + DAY)
 
@@ -569,7 +550,7 @@ def test_a_samples_file_holding_an_object_array_is_refused_not_unpickled(store):
     path, arrays = stored_samples(store)
     edit_npz(path, node_labels=np.array([Unpickled()], dtype=object))
     with pytest.raises(StoreError, match=re.escape(f"{path}: unreadable samples partition: ")):
-        store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+        read_samples(store, "fs2", BASE_DAY)
     assert Unpickled.loads == []
 
 
@@ -578,7 +559,7 @@ def test_writing_one_block_twice_gives_equal_bytes(tmp_path):
                       for n in ("nid1", "nid2")])
     first, second = Store(tmp_path / "first"), Store(tmp_path / "second")
     first.write_partition(block, samples_partition())
-    back = Store(first.root).read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    back = read_samples(Store(first.root), "fs2", BASE_DAY)
     second.write_partition(back, samples_partition())
     data = first.path(samples_partition()).read_bytes()
     assert second.path(samples_partition()).read_bytes() == data
@@ -609,7 +590,7 @@ def test_samples_partition_round_trip_with_awkward_ids(rows):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Store(Path(tmp) / "first"), Store(Path(tmp) / "second")
         first.write_partition(block, samples_partition())
-        back = Store(first.root).read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+        back = read_samples(Store(first.root), "fs2", BASE_DAY)
         assert back == block
         second.write_partition(back, samples_partition())
         path = samples_partition()
@@ -630,8 +611,8 @@ def test_a_csv_samples_partition_is_refused_with_a_re_ingest_hint(tmp_path):
     message = re.escape(f"{legacy}: a CSV samples partition") + ".*re-ingest the input"
 
     for refused in (
-        lambda s: s.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY),
-        lambda s: s.read_range("samples", "fs3", BASE_DAY, BASE_DAY + DAY),
+        lambda s: read_samples(s, "fs2", BASE_DAY),
+        lambda s: read_samples(s, "fs3", BASE_DAY),
         lambda s: s.partition_dates("samples", "fs2"),
         lambda s: ingest_files(s, [stats]),
         lambda s: aggregate_range(s, BASE_DAY, BASE_DAY + DAY),
@@ -641,7 +622,82 @@ def test_a_csv_samples_partition_is_refused_with_a_re_ingest_hint(tmp_path):
     assert main(["ingest", "--store", str(root), "--stats", str(stats)]) == 1
     # nothing was written: the fs3 partition still holds its one row
     legacy.unlink()
-    assert len(Store(root).read_range("samples", "fs3", BASE_DAY, BASE_DAY + DAY)) == 1
+    assert len(read_samples(Store(root), "fs3", BASE_DAY)) == 1
+
+
+def test_the_first_samples_written_record_the_store_window_length(tmp_path):
+    """A store with no samples takes the window length it is given, 180 by
+    default; its first samples partition records it, and every later Store
+    reads it from the record and refuses another given value, naming both."""
+    root = tmp_path / "store"
+    assert Store(root).window_len == 180
+    writer = Store(root, 600)
+    writer.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)], 600), samples_partition())
+    assert (root / "samples" / "window_len").read_bytes() == b"600\n"
+    assert Store(root).window_len == Store(root, 600).window_len == 600
+    assert read_samples(Store(root), "fs2", BASE_DAY).window_len == 600
+    with pytest.raises(StoreError) as err:
+        Store(root, 300).window_len
+    assert str(err.value) == f"{root}: window_len 300 given, the store's is 600"
+    # a block of another window length is refused before anything is written
+    before = tree(root)
+    with pytest.raises(ValueError, match="samples of window_len 180, not 600"):
+        writer.write_partition(mk_block([mk_sample("fs3", "nid1", BASE_DAY)]), samples_partition("fs3"))
+    assert tree(root) == before
+
+
+def test_two_stores_of_different_window_lengths_leave_one_record(tmp_path):
+    """Both resolve their window length before either writes: the first
+    writer's record stands, and the second's write raises and leaves no
+    partition."""
+    root = tmp_path / "store"
+    first, second = Store(root, 180), Store(root, 600)
+    assert (first.window_len, second.window_len) == (180, 600)
+    first.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
+    with pytest.raises(StoreError, match="samples/window_len: window_len 180, not 600"):
+        second.write_partition(
+            mk_block([mk_sample("fs3", "nid1", BASE_DAY)], 600), samples_partition("fs3")
+        )
+    assert (root / "samples" / "window_len").read_bytes() == b"180\n"
+    assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*.npz")) == [
+        "samples/fs2/2017-10-09.npz"
+    ]
+
+
+def test_a_store_with_samples_and_no_record_is_refused_with_a_re_ingest_hint(tmp_path):
+    """Samples written before the store recorded its window length: every
+    samples read, ingest and aggregate names a partition and says to re-ingest."""
+    root = tmp_path / "store"
+    Store(root).write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
+    (root / "samples" / "window_len").unlink()
+    before = tree(root)
+    stats = tmp_path / "stats.csv"
+    stats.write_text(serialize_stats_csv(mk_block([mk_sample("fs3", "nid2", BASE_DAY)])))
+    path = Store(root).path(samples_partition())
+    message = re.escape(f"{path}: a samples partition with no window length record") + (
+        ".*re-ingest the input into a new store"
+    )
+    for refused in (
+        lambda s: read_samples(s, "fs3", BASE_DAY),
+        lambda s: ingest_files(s, [stats]),
+        lambda s: aggregate_range(s, BASE_DAY, BASE_DAY + DAY),
+    ):
+        with pytest.raises(StoreError, match=message):
+            refused(Store(root))
+    assert main(["aggregate", "--store", str(root), "--date", "2017-10-09"]) == 1
+    assert tree(root) == before
+
+
+def test_aggregating_at_another_window_length_is_refused_and_writes_nothing(tmp_path):
+    root = tmp_path / "store"
+    block = mk_block([mk_sample("fs2", "nid1", BASE_DAY + 600 * i) for i in range(3)], 600)
+    Store(root, 600).write_partition(block, samples_partition())
+    before = tree(root)
+    with pytest.raises(StoreError, match="window_len 300 given"):
+        aggregate_range(Store(root, 300), BASE_DAY, BASE_DAY + DAY)
+    assert tree(root) == before
+    aggregate_range(Store(root), BASE_DAY, BASE_DAY + DAY)
+    assert Store(root).path(Partition("fs_hours", "fs2", BASE_DAY)).exists()
 
 
 def test_baseline_store_and_lookup(store):
@@ -716,7 +772,7 @@ def test_lock_of_a_killed_writer_is_released(store):
             writer.wait(timeout=30)
         writer.stdout.close()
     store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), partition)
-    assert len(store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)) == 1
+    assert len(read_samples(store, "fs2", BASE_DAY)) == 1
 
 
 def test_an_ingest_into_a_locked_partition_exits_1_and_the_retry_lands(store, tmp_path):
@@ -752,7 +808,7 @@ def test_an_ingest_into_a_locked_partition_exits_1_and_the_retry_lands(store, tm
         holder.wait(timeout=30)
         holder.stdout.close()
     assert main([*ingest, str(second)]) == 0
-    got = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    got = read_samples(store, "fs2", BASE_DAY)
     assert got == mk_block([mk_sample("fs2", n, BASE_DAY) for n in ("nid1", "nid2")])
 
 
@@ -813,11 +869,11 @@ def test_a_non_canonical_partition_name_is_an_unexpected_file(store):
 
 def test_corrupt_partition_surfaces_as_store_error(store):
     partition = samples_partition()
+    store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), partition)
     path = store.path(partition)
-    path.parent.mkdir(parents=True)
     path.write_text("wrong,header\n", encoding="utf-8")
     with pytest.raises(StoreError, match=re.escape(f"{path}: unreadable samples partition")):
-        store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+        read_samples(store, "fs2", BASE_DAY)
 
 
 def test_list_fs(store):
@@ -836,7 +892,7 @@ def test_rewrite_replaces_partition(store):
         partition,
     )
     store.write_partition(mk_block([mk_sample("fs2", "nid9", BASE_DAY, read_ops=5)]), partition)
-    back = store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)
+    back = read_samples(store, "fs2", BASE_DAY)
     assert back == mk_block([mk_sample("fs2", "nid9", BASE_DAY, read_ops=5)])
 
 
@@ -930,7 +986,7 @@ def test_samples_are_never_memoized(store, monkeypatch):
     monkeypatch.setattr(store_module, "StoredSamples", spy)
     parses = count_calls(monkeypatch, "parse_stats_csv")
     for _ in range(3):
-        assert len(store.read_range("samples", "fs2", BASE_DAY, BASE_DAY + DAY)) == 1
+        assert len(read_samples(store, "fs2", BASE_DAY)) == 1
     assert loads == [store.path(samples_partition())] * 3
     assert parses == []
 
