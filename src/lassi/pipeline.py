@@ -345,12 +345,14 @@ def ingest_files(
     held whole, incoming or stored: every merge (_union) holds keys, and
     reads counters from the spills and the stored file a few rows at a
     time, once to compare and, when something changed, once more into the
-    file it writes.
+    file it writes. The store is opened (and may be refused) before any
+    input is, and its root made only at the first spill.
     """
-    store.root.mkdir(parents=True, exist_ok=True)
+    window_len = store.window_len
     with ExitStack() as spills:
 
         def spill() -> IO[bytes]:
+            store.root.mkdir(parents=True, exist_ok=True)
             return spills.enter_context(tempfile.TemporaryFile(dir=store.root))
 
         inputs: list[tuple[str | Path, SpilledStats]] = []
@@ -358,7 +360,7 @@ def ingest_files(
         rejected = 0
         for path in stats_paths:
             try:
-                spilled, report = parse_stats_csv(path, mode, store.window_len, spill)
+                spilled, report = parse_stats_csv(path, mode, window_len, spill)
             except IngestError as exc:
                 failure = exc
                 break

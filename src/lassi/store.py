@@ -14,17 +14,22 @@ untouched. Partition file names are exactly ``YYYY-MM-DD`` plus the
 dataset's suffix; any other name with that suffix is an unexpected file
 (StoreError).
 
+One record describes the store, ``<root>/store.json``: ``{"format":
+FORMAT, "window_len": <int or null>}``, written under its own lock through
+replace_files before the first partition of any dataset; the first samples
+written set the window length, the first writer winning (another value
+raises StoreError). A ``Store`` reads it once, at first use, and takes its
+window_len: the record's, else the value given (another raises
+StoreError), else 180. A root holding a partition file but no record of
+this FORMAT, as every store of an earlier layout does, is refused with
+StoreError and a hint to re-ingest the input into a new store; there is no
+migration. Lock files and empty directories, which a refused or killed
+command can leave, are no partition files: a root of only those is new.
+
 A samples partition is an uncompressed ``.npz`` of the block's columns,
 written and read by the samples_file module: open_samples opens one,
 checked whole (StoredSamples), its keys held and its counters read a row
-range at a time. The first samples written record their window length in
-``<root>/samples/window_len`` (digits and a LF) under that file's lock; the
-first writer wins, and a writer of another length raises StoreError. A
-``Store``'s window_len is resolved at its first samples read or write: the
-record, else the value given, else 180. StoreError refuses a given value
-other than the record, and a samples tree holding a ``.csv`` partition, or
-``.npz`` ones and no record, as older stores do, with a hint to re-ingest
-the input; there is no migration.
+range at a time.
 
 An ``fs_hours`` partition marks its (filesystem, day) as aggregated; reading
 app_hours or fs_hours over a day without one raises FileNotFoundError, so a
@@ -46,9 +51,8 @@ and the day's app_id -> hours index (day_apps). They follow the same rule:
 each call reads the file's bytes, checks the day's fs_hours marker, and drops
 them with the parse when the bytes change. Each partition's path is joined
 once per ``Store``. Samples are never held, and no setting controls any of
-this; the memo lives as long as the ``Store``. A
-lookup of jobs by app_id reads every jobs file but parses only those whose
-bytes may name one of the jobs.
+this; the memo lives as long as the ``Store``. A lookup of jobs by app_id
+reads every jobs file but parses only those whose bytes may name one of them.
 
 Datasets: jobs reuse the ingest wire format; app_hours, fs_hours, and
 baselines use the CSV mirrors defined here. Report bundles live under
@@ -61,6 +65,7 @@ from __future__ import annotations
 import csv
 import fcntl
 import io
+import json
 import os
 from bisect import bisect_right
 from contextlib import ExitStack, contextmanager
@@ -98,10 +103,10 @@ from .timeutil import (
 DATASETS = ("samples", "jobs", "app_hours", "fs_hours", "baselines", "reports")
 
 APP_HOURS_HEADER = ("hour", "fs", "app_id") + ALL_FIELDS
-FS_HOURS_HEADER = (
-    ("hour", "fs") + ALL_FIELDS + tuple("un_" + name for name in ALL_FIELDS)
-)
-BASELINE_HEADER = ("fs", "period_start", "period_end", "alpha", "basis", "stat", "mean")
+FS_HOURS_HEADER = ("hour", "fs") + ALL_FIELDS + tuple("un_" + name for name in ALL_FIELDS)
+BASELINE_HEADER = ("fs", "period_start", "period_end", "alpha", "stat", "mean")
+# the layout version store.json records; a layout change bumps it
+FORMAT = 1
 
 # the time key read_range filters each record dataset on
 _TIME_KEY = {
@@ -155,9 +160,7 @@ def _check_samples_home(block: SampleKeys, partition: Partition) -> None:
         not len(window) or partition.date <= window.min() and window.max() < partition.date + DAY
     ):
         return
-    outside = (window - window % DAY != partition.date) | (
-        block.fs_id != partition.fs_id
-    )
+    outside = (window - window % DAY != partition.date) | (block.fs_id != partition.fs_id)
     if outside.any():
         raise ValueError(
             f"sample {block.key(int(np.argmax(outside)))} outside partition "
@@ -229,18 +232,8 @@ def _fs_hour_rows(records: Sequence[FsHourRecord]) -> list[tuple]:
 def _baseline_rows(baselines: Sequence[FsBaseline]) -> list[tuple]:
     rows = []
     for b in sorted(baselines, key=lambda b: b.fs_id):
-        for stat in ALL_FIELDS:
-            rows.append(
-                (
-                    b.fs_id,
-                    format_utc(b.period[0]),
-                    format_utc(b.period[1]),
-                    repr(b.alpha),
-                    "fs_total",  # the one basis; the column keeps the file format
-                    stat,
-                    repr(b.means[stat]),
-                )
-            )
+        head = (b.fs_id, format_utc(b.period[0]), format_utc(b.period[1]), repr(b.alpha))
+        rows.extend((*head, stat, repr(b.means[stat])) for stat in ALL_FIELDS)
     return rows
 
 
@@ -261,11 +254,10 @@ class Store:
 
     def __init__(self, root: str | Path, window_len: int | None = None):
         self.root = Path(root)
-        # see window_len and _record_window_len
+        # see _open and _write_record
         self._given_window_len = window_len
         self._window_len: int | None = None
-        self._record = self.root / "samples" / "window_len"
-        self._recorded = False
+        self._record: dict | None = None
         # path -> (the bytes last parsed there, their parse, values derived
         # from that parse by key); see _entry
         self._memo: dict[Path, tuple[bytes, object, dict]] = {}
@@ -276,50 +268,73 @@ class Store:
 
     @property
     def window_len(self) -> int:
-        """The samples' window length, resolved at the first call (see the module docstring)."""
-        if self._window_len is None:
-            recorded = self._read_window_len()
-            for path in sorted((self.root / "samples").glob("*/*")):
-                if path.suffix == ".csv" or path.suffix == ".npz" and recorded is None:
-                    what = "a CSV samples partition"
-                    if path.suffix == ".npz":
-                        what = "a samples partition with no window length record"
-                    raise StoreError(
-                        f"{path}: {what}, which this version no longer reads; "
-                        f"re-ingest the input into a new store"
-                    )
-            given = self._given_window_len
-            if None not in (recorded, given) and given != recorded:
-                raise StoreError(f"{self.root}: window_len {given} given, the store's is {recorded}")
-            self._window_len = recorded or (180 if given is None else given)
-            self._recorded = recorded is not None
+        """The samples' window length, resolved when the store is opened (_open)."""
+        self._open()
         return self._window_len
 
-    def _read_window_len(self) -> int | None:
-        """The window length the samples' record holds; None if there is none."""
-        if not self._record.exists():
-            return None
-        data = self._record.read_bytes()
-        if not data.endswith(b"\n") or not data[:-1].isdigit() or data.startswith(b"0"):
-            raise StoreError(f"{self._record}: bad window length record {data[:32]!r}")
-        return int(data)
+    def _open(self) -> None:
+        """Read the record and resolve window_len, at the first call (see the module docstring)."""
+        if self._window_len is not None:
+            return
+        record = self._read_record()
+        if record is None and any(
+            not name.endswith(".lock")
+            for dataset in DATASETS[:-1]  # reports are outputs, not partitions
+            for _, _, names in os.walk(self.root / dataset)
+            for name in names
+        ):
+            raise StoreError(
+                f"{self.root}: a store with no store.json of format {FORMAT}, which this "
+                f"version does not read; re-ingest the input into a new store"
+            )
+        recorded, given = record and record["window_len"], self._given_window_len
+        if None not in (recorded, given) and given != recorded:
+            raise StoreError(f"{self.root}: window_len {given} given, the store's is {recorded}")
+        self._record = record
+        self._window_len = recorded or (180 if given is None else given)
 
-    def _record_window_len(self) -> None:
-        """Record window_len, under the record's lock, unless it is recorded:
-        the first writer wins, and a record of another value raises StoreError."""
-        if not self._recorded:
-            with self._locked(self._record):
-                recorded = self._read_window_len()
-                if recorded is None:
-                    replace_files(self._record.parent, {self._record.name: f"{self.window_len}\n"})
-                elif recorded != self.window_len:
-                    raise StoreError(f"{self._record}: window_len {recorded}, not {self.window_len}")
-            self._recorded = True
+    def _read_record(self) -> dict | None:
+        """The record, None if there is none of FORMAT; StoreError unless it is
+        a JSON object with an integer format and, for FORMAT, just a window_len
+        that is null or positive."""
+        path = self.root / "store.json"
+        try:
+            data = path.read_bytes()
+            record = json.loads(data)
+        except FileNotFoundError:
+            return None
+        except ValueError:
+            record = None
+        if isinstance(record, dict) and type(record.get("format")) is int:
+            if record["format"] != FORMAT:
+                return None
+            length = record.get("window_len", 0)
+            if len(record) == 2 and (length is None or type(length) is int and length > 0):
+                return record
+        raise StoreError(f"{path}: bad store record {data[:64]!r}")
+
+    def _write_record(self, samples: bool) -> None:
+        """Write the record unless it holds what a write needs: the store, and
+        for samples their window_len. It is re-read under its lock: the first
+        writer's window_len wins, and another raises StoreError."""
+        if self._record is None or samples and self._record["window_len"] != self.window_len:
+            path = self.root / "store.json"
+            with self._locked(path):
+                stored = self._read_record()
+                recorded = stored and stored["window_len"]
+                if samples and recorded not in (None, self.window_len):
+                    raise StoreError(f"{path}: window_len {recorded}, not {self.window_len}")
+                window_len = recorded or (self.window_len if samples else None)
+                record = {"format": FORMAT, "window_len": window_len}
+                if record != stored:
+                    replace_files(self.root, {path.name: json.dumps(record) + "\n"})
+            self._record = record
 
     def path(self, partition: Partition) -> Path:
         """The partition's file below the root, joined once per Store."""
         path = self._paths.get(partition)
         if path is None:
+            self._open()
             path = self._paths[partition] = self.root.joinpath(*partition.parts())
         return path
 
@@ -345,7 +360,9 @@ class Store:
             # unlinked it could leave the next two locking different files
             os.close(fd)
 
-    def _write_file(self, path: Path, data: str | bytes | Callable) -> None:
+    def _write_file(self, partition: Partition, data: str | bytes | Callable) -> None:
+        path = self.path(partition)
+        self._write_record(partition.dataset == "samples")
         with self._locked(path):
             replace_files(path.parent, {path.name: data})
 
@@ -382,17 +399,16 @@ class Store:
         Every record must belong to the partition's filesystem and day;
         anything else raises ValueError, as do samples of another window_len.
         Samples come as sample keys, their counters written a row chunk at a
-        time (write_samples_npz) once their window_len is recorded.
+        time (write_samples_npz) once the store's record holds their window_len.
         """
         dataset = partition.dataset
         if dataset == "samples":
             if records.window_len != self.window_len:
                 raise ValueError(f"samples of window_len {records.window_len}, not {self.window_len}")
             _check_samples_home(records, partition)
-            self._record_window_len()
             # straight into the temp file: an in-memory .npz first would copy
             # the partition twice, and cost a fresh page for every 4 KiB
-            self._write_file(self.path(partition), lambda fh: write_samples_npz(fh, records))
+            self._write_file(partition, lambda fh: write_samples_npz(fh, records))
             return len(records)
         records = list(records)
         if dataset in ("jobs", "app_hours", "fs_hours"):
@@ -414,10 +430,11 @@ class Store:
             text = ingest.render_csv(BASELINE_HEADER, _baseline_rows(records))
         else:
             raise ValueError(f"dataset {dataset!r} is not a CSV partition dataset")
-        self._write_file(self.path(partition), text)
+        self._write_file(partition, text)
         return len(records)
 
     def list_fs(self, dataset: str) -> list[str]:
+        self._open()
         base = self.root / dataset
         if not base.is_dir():
             return []
@@ -427,11 +444,10 @@ class Store:
         """The days of the dataset's partitions under fs_id, in order.
 
         Each name with the dataset's suffix must be exactly ``YYYY-MM-DD``
-        plus that suffix; anything else raises StoreError, as does a samples
-        tree window_len refuses. Hidden files are left aside.
+        plus that suffix; anything else raises StoreError, as does a store
+        this version does not read. Hidden files are left aside.
         """
-        if dataset == "samples":
-            self.window_len  # resolving it refuses a samples tree this version does not read
+        self._open()
         base = self.root.joinpath(dataset, fs_id or "all")
         try:
             names = os.listdir(base)
@@ -440,9 +456,7 @@ class Store:
         suffix = _suffix(dataset)
         dates = []
         for name in sorted(names):
-            if name.startswith("."):
-                continue
-            if not name.endswith(suffix):
+            if name.startswith(".") or not name.endswith(suffix):
                 continue
             try:
                 dates.append(parse_date(name[: -len(suffix)]))
@@ -471,7 +485,7 @@ class Store:
         key = _TIME_KEY[dataset]
         out = []
         for p in parts:
-            records = self._parsed(dataset, self.path(p))
+            records = self._entry(dataset, self.path(p))[1]
             if dataset == "jobs":
                 records = records.values()
             out.extend(r for r in records if t0 <= key(r) < t1)
@@ -501,19 +515,10 @@ class Store:
         the day's current app_hours bytes; a day never aggregated raises
         FileNotFoundError.
         """
-        key = (
-            "risk",
-            baseline.fs_id,
-            baseline.period,
-            baseline.alpha,
-            tuple(baseline.means[stat] for stat in ALL_FIELDS),
-        )
-        return self._day_derived(
-            fs_id,
-            day,
-            key,
-            lambda records: fs_risk_series(records, baseline, tuple(hour_range(day, day + DAY))),
-        )
+        means = tuple(baseline.means[stat] for stat in ALL_FIELDS)
+        key = ("risk", baseline.fs_id, baseline.period, baseline.alpha, means)
+        hours = tuple(hour_range(day, day + DAY))
+        return self._day_derived(fs_id, day, key, lambda r: fs_risk_series(r, baseline, hours))
 
     def day_apps(self, fs_id: str, day: int) -> Mapping[str, tuple[int, ...]]:
         """Each app_id with app-hours on one aggregated (filesystem, day), with
@@ -539,22 +544,17 @@ class Store:
         with StoredSamples(path, fs_id, day, self.window_len) as stored:
             yield stored
 
-    def _parsed(self, dataset: str, path: Path, data: bytes | None = None):
-        """The strict parse of one jobs, app_hours, fs_hours or baselines file.
-
-        Parses are never handed out mutable: jobs come as a read-only app_id
-        mapping, aggregates as tuples of frozen records, and callers copy a
-        baseline's means. See _entry.
-        """
-        return self._entry(dataset, path, data)[1]
-
     def _entry(self, dataset: str, path: Path, data: bytes | None = None):
-        """(bytes, parse, derived values) of one file's memo entry.
+        """(bytes, strict parse, derived values) of one jobs, app_hours,
+        fs_hours or baselines file's memo entry.
 
         The file is read on every call (or its bytes given as data), and an
         earlier entry is reused only while the bytes equal those it came
         from; otherwise the file is parsed afresh and the entry starts with
         no derived values. Aggregate rows must belong in the file's partition.
+        Parses are never handed out mutable: jobs come as a read-only app_id
+        mapping, aggregates as tuples of frozen records, and callers copy a
+        baseline's means.
         """
         if data is None:
             data = path.read_bytes()
@@ -620,8 +620,7 @@ class Store:
 
     @staticmethod
     def _fs_hour(hour: int, row: list[str]) -> FsHourRecord:
-        vals = _canonical_ints(row[2:])
-        n = len(ALL_FIELDS)
+        vals, n = _canonical_ints(row[2:]), len(ALL_FIELDS)
         return FsHourRecord(fs_id=row[1], hour=hour, counters=vals[:n], unattributed=vals[n:])
 
     def query_jobs_overlapping(self, t0: int, t1: int) -> list[JobRecord]:
@@ -652,7 +651,7 @@ class Store:
             if hit is not None and hit[0] == data:
                 yield day, hit[1]
             elif wanted is None or _may_hold(data, wanted):
-                yield day, self._parsed("jobs", path, data)
+                yield day, self._entry("jobs", path, data)[1]
 
     def write_baseline(self, baseline: FsBaseline, label_date: int) -> Path:
         """Store a baseline under its filesystem, labeled by report date."""
@@ -670,7 +669,7 @@ class Store:
         """The baseline stored for fs_id under exactly label_date, with alpha,
         when given, in place of the stored one; FileNotFoundError if none."""
         path = self.path(Partition("baselines", fs_id, label_date))
-        baseline = self._parsed("baselines", path)
+        baseline = self._entry("baselines", path)[1]
         alpha = baseline.alpha if alpha is None else alpha
         return replace(baseline, means=dict(baseline.means), alpha=alpha)
 
@@ -678,20 +677,19 @@ class Store:
     def _parse_baseline(cls, path: Path, stream: io.StringIO) -> FsBaseline:
         fs_id = path.parent.name
         means: dict[str, float] = {}
-        period = None
-        alpha = None
+        period = alpha = None
         for line_no, row in cls._rows(path, stream, BASELINE_HEADER):
             if row[0] != fs_id:
                 raise StoreError(f"{path}: baseline row for {row[0]!r}, expected {fs_id!r}")
             try:
                 period = (parse_utc(row[1]), parse_utc(row[2]))
                 alpha = float(row[3])
-                mean = float(row[6])
+                mean = float(row[5])
             except ValueError as exc:
                 raise StoreError(f"{path}: line {line_no}: {exc}") from exc
             if mean < 0:
-                raise StoreError(f"{path}: line {line_no}: negative mean {row[6]!r}")
-            means[row[5]] = mean
+                raise StoreError(f"{path}: line {line_no}: negative mean {row[5]!r}")
+            means[row[4]] = mean
         if period is None or alpha is None or set(means) != set(ALL_FIELDS):
             raise StoreError(f"{path}: incomplete baseline")
         try:

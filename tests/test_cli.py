@@ -363,6 +363,42 @@ def test_ingest_at_another_window_length_than_the_store_exits_1(tmp_path, capsys
     assert main(["aggregate", *store, "--date", "2017-10-10"]) == 0
 
 
+def test_a_jobs_only_ingest_at_another_window_length_exits_1_and_writes_nothing(
+    tmp_path, capsys
+):
+    """The flag is compared with the store's record before any input is
+    read; a record with no window length yet takes any."""
+    stats = tmp_path / "stats.csv"
+    stats.write_text(
+        STATS_HEADER_LINE + "\n2017-10-10T00:00:00Z,fs2,nid1," + ",".join(["1"] * 21) + "\n",
+        encoding="utf-8",
+    )
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_text(
+        JOBS_HEADER_LINE + "\napp1,1.sdb,u,2017-10-10T00:00:00Z,2017-10-10T02:00:00Z,nid1,./a.x\n",
+        encoding="utf-8",
+    )
+    root = tmp_path / "s"
+    store = ["--store", str(root)]
+    assert main(["ingest", *store, "--window-len", "300", "--jobs", str(jobs)]) == 0
+    assert (root / "store.json").read_bytes() == b'{"format": 1, "window_len": null}\n'
+    assert main(["ingest", *store, "--window-len", "600", "--stats", str(stats)]) == 0
+    capsys.readouterr()
+    before = tree(root)
+    assert main(["ingest", *store, "--window-len", "300", "--jobs", str(jobs)]) == 1
+    assert "window_len 300 given, the store's is 600" in capsys.readouterr().err
+    assert tree(root) == before
+    assert main(["ingest", *store, "--jobs", str(jobs)]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--stats", "--jobs"])
+def test_an_ingest_refused_for_a_missing_input_creates_no_store(tmp_path, capsys, flag):
+    root = tmp_path / "new"
+    assert main(["ingest", "--store", str(root), flag, str(tmp_path / "missing.csv")]) == 1
+    assert "missing.csv" in capsys.readouterr().err
+    assert not root.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -3,6 +3,7 @@
 import csv
 import fcntl
 import io
+import json
 import os
 import re
 import struct
@@ -269,7 +270,11 @@ def test_non_canonical_counter_raises_store_error_naming_path_and_line(store, da
 
 def test_a_partition_write_fsyncs_one_file_and_its_directory(store, monkeypatch):
     synced = fsync_spy(monkeypatch)
+    # a store's first write records the store first
     store.write_partition([app_hour(1)], Partition("app_hours", "fs2", BASE_DAY))
+    assert synced == ["file", "dir"] * 2
+    synced.clear()
+    store.write_partition([app_hour(2)], Partition("app_hours", "fs2", BASE_DAY))
     assert synced == ["file", "dir"]
 
 
@@ -597,34 +602,6 @@ def test_samples_partition_round_trip_with_awkward_ids(rows):
         assert second.path(path).read_bytes() == first.path(path).read_bytes()
 
 
-def test_a_csv_samples_partition_is_refused_with_a_re_ingest_hint(tmp_path):
-    """A store written when samples were CSV is refused whole: every samples
-    read, ingest and aggregate names the file and says to re-ingest."""
-    root = tmp_path / "store"
-    Store(root).write_partition(mk_block([mk_sample("fs3", "nid1", BASE_DAY)]),
-                                samples_partition(fs="fs3"))
-    legacy = root / "samples" / "fs2" / "2017-10-09.csv"
-    legacy.parent.mkdir(parents=True)
-    legacy.write_text(serialize_stats_csv(mk_block([mk_sample("fs2", "nid1", BASE_DAY)])))
-    stats = tmp_path / "stats.csv"
-    stats.write_text(serialize_stats_csv(mk_block([mk_sample("fs3", "nid2", BASE_DAY)])))
-    message = re.escape(f"{legacy}: a CSV samples partition") + ".*re-ingest the input"
-
-    for refused in (
-        lambda s: read_samples(s, "fs2", BASE_DAY),
-        lambda s: read_samples(s, "fs3", BASE_DAY),
-        lambda s: s.partition_dates("samples", "fs2"),
-        lambda s: ingest_files(s, [stats]),
-        lambda s: aggregate_range(s, BASE_DAY, BASE_DAY + DAY),
-    ):
-        with pytest.raises(StoreError, match=message):
-            refused(Store(root))
-    assert main(["ingest", "--store", str(root), "--stats", str(stats)]) == 1
-    # nothing was written: the fs3 partition still holds its one row
-    legacy.unlink()
-    assert len(read_samples(Store(root), "fs3", BASE_DAY)) == 1
-
-
 def test_the_first_samples_written_record_the_store_window_length(tmp_path):
     """A store with no samples takes the window length it is given, 180 by
     default; its first samples partition records it, and every later Store
@@ -633,7 +610,7 @@ def test_the_first_samples_written_record_the_store_window_length(tmp_path):
     assert Store(root).window_len == 180
     writer = Store(root, 600)
     writer.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)], 600), samples_partition())
-    assert (root / "samples" / "window_len").read_bytes() == b"600\n"
+    assert (root / "store.json").read_bytes() == b'{"format": 1, "window_len": 600}\n'
     assert Store(root).window_len == Store(root, 600).window_len == 600
     assert read_samples(Store(root), "fs2", BASE_DAY).window_len == 600
     with pytest.raises(StoreError) as err:
@@ -654,38 +631,127 @@ def test_two_stores_of_different_window_lengths_leave_one_record(tmp_path):
     first, second = Store(root, 180), Store(root, 600)
     assert (first.window_len, second.window_len) == (180, 600)
     first.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
-    with pytest.raises(StoreError, match="samples/window_len: window_len 180, not 600"):
+    with pytest.raises(StoreError, match="store.json: window_len 180, not 600"):
         second.write_partition(
             mk_block([mk_sample("fs3", "nid1", BASE_DAY)], 600), samples_partition("fs3")
         )
-    assert (root / "samples" / "window_len").read_bytes() == b"180\n"
+    assert (root / "store.json").read_bytes() == b'{"format": 1, "window_len": 180}\n'
     assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*.npz")) == [
         "samples/fs2/2017-10-09.npz"
     ]
 
 
-def test_a_store_with_samples_and_no_record_is_refused_with_a_re_ingest_hint(tmp_path):
-    """Samples written before the store recorded its window length: every
-    samples read, ingest and aggregate names a partition and says to re-ingest."""
+def older_layout(root, layout):
+    """Turn a store into one this version does not read: the layout of the
+    window length record before store.json, CSV samples, or another format."""
+    if layout == "CSV samples":
+        for npz in (root / "samples").rglob("*.npz"):
+            block = read_samples(Store(root), npz.parent.name, parse_date(npz.stem))
+            npz.with_suffix(".csv").write_text(serialize_stats_csv(block))
+            npz.unlink()
+    record = root / "store.json"
+    if layout == "format":
+        record.write_text(json.dumps({"format": store_module.FORMAT + 1, "window_len": 180}))
+        return
+    record.unlink()
+    if layout == "window_len record":
+        (root / "samples" / "window_len").write_bytes(b"180\n")
+
+
+@pytest.mark.parametrize("layout", ["window_len record", "CSV samples", "format"])
+def test_a_store_of_another_layout_is_refused_by_every_command(tmp_path, capsys, layout):
+    """One rule: a root holding partitions but no store.json of this format is
+    refused with exit 1 by ingest, aggregate, baseline and report, each naming
+    the root and saying to re-ingest, and nothing is written."""
     root = tmp_path / "store"
-    Store(root).write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
-    (root / "samples" / "window_len").unlink()
-    before = tree(root)
     stats = tmp_path / "stats.csv"
-    stats.write_text(serialize_stats_csv(mk_block([mk_sample("fs3", "nid2", BASE_DAY)])))
-    path = Store(root).path(samples_partition())
-    message = re.escape(f"{path}: a samples partition with no window length record") + (
-        ".*re-ingest the input into a new store"
+    rows = [mk_sample("fs2", f"nid{n}", BASE_DAY + 180 * i) for n in (1, 2) for i in range(40)]
+    stats.write_text(serialize_stats_csv(mk_block(rows)))
+    store, date = ["--store", str(root)], ["--date", "2017-10-09"]
+    commands = (
+        ["ingest", *store, "--stats", str(stats)],
+        ["aggregate", *store, *date],
+        ["baseline", *store, *date],
+        ["report", *store, "--fs", "fs2", *date],
     )
+    for argv in commands:
+        assert main(argv) == 0
+    older_layout(root, layout)
+    capsys.readouterr()
+    before = tree(root)
+    refusal = re.escape(f"{root}: a store with no store.json of format 1") + (
+        ".*; re-ingest the input into a new store"
+    )
+    for argv in commands:
+        assert main(argv) == 1
+        assert re.fullmatch(f"lassi: {refusal}\n", capsys.readouterr().err)
+        assert tree(root) == before
     for refused in (
-        lambda s: read_samples(s, "fs3", BASE_DAY),
+        lambda s: read_samples(s, "fs2", BASE_DAY),
+        lambda s: s.partition_dates("samples", "fs2"),
+        lambda s: s.write_partition([], Partition("jobs", None, BASE_DAY)),
         lambda s: ingest_files(s, [stats]),
         lambda s: aggregate_range(s, BASE_DAY, BASE_DAY + DAY),
     ):
-        with pytest.raises(StoreError, match=message):
+        with pytest.raises(StoreError, match=refusal):
             refused(Store(root))
-    assert main(["aggregate", "--store", str(root), "--date", "2017-10-09"]) == 1
     assert tree(root) == before
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        b'{"format": 1, "window_len": 600',
+        b"\xff",
+        b"[1, 600]",
+        b'{"window_len": 600}',
+        b'{"format": 1}',
+        b'{"format": 1, "window_len": 600, "extra": 0}',
+        b'{"format": "1", "window_len": 600}',
+        b'{"format": 1, "window_len": 0}',
+        b'{"format": 1, "window_len": -1}',
+        b'{"format": 1, "window_len": "600"}',
+        b'{"format": 1, "window_len": true}',
+    ],
+)
+def test_a_bad_store_record_raises_store_error_naming_it(tmp_path, record):
+    root = tmp_path / "store"
+    root.mkdir()
+    (root / "store.json").write_bytes(record)
+    message = re.escape(f"{root / 'store.json'}: bad store record {record[:64]!r}")
+    for use in (lambda s: s.window_len, lambda s: s.partition_dates("jobs", None)):
+        with pytest.raises(StoreError, match=message):
+            use(Store(root))
+
+
+def test_a_root_with_only_locks_empty_directories_or_a_record_of_another_format_is_new(tmp_path):
+    """What a refused or killed command can leave is no partition: such a
+    root is a new store, and its first write records the store."""
+    root = tmp_path / "store"
+    (root / "jobs" / "all").mkdir(parents=True)
+    (root / "samples" / "fs2").mkdir(parents=True)
+    (root / "samples" / "fs2" / "2017-10-09.npz.lock").touch()
+    (root / "reports" / "rsd").mkdir(parents=True)
+    (root / "reports" / "rsd" / "rsd.json").touch()
+    (root / "store.json").write_text('{"format": 0}')
+    store = Store(root, 600)
+    assert store.partition_dates("samples", "fs2") == []
+    store.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)], 600), samples_partition())
+    assert (root / "store.json").read_bytes() == b'{"format": 1, "window_len": 600}\n'
+
+
+def test_a_jobs_write_records_the_store_and_the_first_samples_its_window_len(tmp_path):
+    """A jobs write records the store with no window length; the first
+    samples set it, and a later Store reads it from the record."""
+    root = tmp_path / "store"
+    job = mk_job("app1", ("nid1",), BASE_DAY, BASE_DAY + 60)
+    Store(root, 300).write_partition([job], Partition("jobs", None, BASE_DAY))
+    assert (root / "store.json").read_bytes() == b'{"format": 1, "window_len": null}\n'
+    assert Store(root, 600).window_len == 600
+    block = mk_block([mk_sample("fs2", "nid1", BASE_DAY)], 600)
+    Store(root, 600).write_partition(block, samples_partition())
+    assert (root / "store.json").read_bytes() == b'{"format": 1, "window_len": 600}\n'
+    assert Store(root).window_len == 600
 
 
 def test_aggregating_at_another_window_length_is_refused_and_writes_nothing(tmp_path):
