@@ -17,9 +17,10 @@ block holds one filesystem, so attribution, hourly totals and the
 conservation check each see one filesystem. Aggregation keeps its output
 (hourly records) between partitions and zero-fills it once after the last.
 Each stats file streams into spill files in the store root, one per span a
-large file is parsed in, which ingest's later passes read back one
-partition at a time, its keys held and its counters read from the spill as
-they are merged and written, by the same reader (samples_file.FileSamples).
+large file is parsed in, which ingest's one loop reads back one partition
+at a time, its keys held and its counters read from the spill as they are
+merged and staged, by the same reader (samples_file.FileSamples); nothing
+is renamed into the store until the last partition has passed.
 compute_outputs_from_files, which `lassi verify` runs, is this same flow
 (ingest, aggregate, baselines, exposures) on a temporary store, so the
 oracle checks what an operator's store holds.
@@ -28,8 +29,9 @@ oracle checks what an operator's store holds.
 from __future__ import annotations
 
 import tempfile
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import IO, Collection, Iterable, Mapping, Sequence
 
@@ -282,132 +284,98 @@ def _moved_jobs(store: Store, jobs: Sequence[JobRecord], mode: str) -> dict[int,
     return moved
 
 
-def _check_inputs(
-    inputs: Sequence[tuple[str | Path, SpilledStats]], partitions: Iterable[tuple[str, int]]
-) -> None:
-    """Strict mode's check pass over two or more stats files: raise the
-    IngestError a merge of the whole files in path order raises, naming the
-    first input that changes a row of an earlier one and, in it, the first
-    such sample in (window, fs, node) order."""
-    conflicts = [c for key in partitions if (c := _merge_inputs(inputs, *key)[2]) is not None]
-    if conflicts:
-        k, _, key = min(conflicts)
-        raise IngestError(0, f"sample {key} conflicts across inputs ({inputs[k][0]})")
-
-
-def _check_stored(
-    store: Store,
-    inputs: Sequence[tuple[str | Path, SpilledStats]],
-    partitions: Iterable[tuple[str, int]],
-    jobs_by_day: Mapping[int, list[JobRecord]],
-) -> None:
-    """Strict mode's check pass against the store, before anything is
-    written: merge each partition that has a stored file with it, samples
-    in (fs, day) order and then jobs by day, raising the IngestError the
-    write pass would, so a refused ingest leaves the store as it was. It
-    takes no lock; the write pass refuses what a writer adds in between."""
-    for fs_id, day in partitions:
-        if store.path(Partition("samples", fs_id, day)).exists():
-            batch, _, _ = _merge_inputs(inputs, fs_id, day)
-            with store.open_samples(fs_id, day) as stored:
-                _merge_samples(stored, batch, "strict", "with stored data")
-    for day, batch in sorted(jobs_by_day.items()):
-        if store.path(Partition("jobs", None, day)).exists():
-            stored = store.read_range("jobs", None, day, day + DAY)
-            _merge(stored, batch, "strict", "with stored data")
-
-
 def ingest_files(
     store: Store,
     stats_paths: Sequence[str | Path] = (),
     jobs_paths: Sequence[str | Path] = (),
     mode: str = "strict",
 ) -> IngestSummary:
-    """Parse source CSVs and fold them into the store's daily partitions.
+    """Parse source CSVs and fold them into the store's daily partitions,
+    all or nothing.
 
-    Each stats file is parsed range by range into spill files, one per
-    span a large file is parsed in (parse_stats_csv), each an unlinked
-    temporary file in the store root (so on the store's disk, and gone with
-    the process however it ends), its rows grouped by (filesystem, UTC day)
-    partition; a duplicate key never crosses a partition. Memory then holds
-    a range of input or one partition, never a whole stats file. Every
-    stats file is parsed before any partition lock is taken, so no forked
-    parse worker holds one. In strict mode with two or more stats files, a
-    check pass merges each partition of the inputs in path order
-    (_check_inputs); a strict error in a later file's parse comes after a
-    conflict among the files before it, as it did when whole files were
-    merged one by one. Jobs are read whole. In strict mode, a second check
-    pass merges each partition that has a stored file with it
-    (_check_stored), so a conflict with stored data writes nothing either.
-    Nothing is written until every input has been read and checked; then
-    each partition's inputs are merged again and folded into the store
-    under that partition's lock, one partition at a time. No partition is
-    held whole, incoming or stored: every merge (_union) holds keys, and
-    reads counters from the spills and the stored file a few rows at a
-    time, once to compare and, when something changed, once more into the
-    file it writes. The store is opened (and may be refused) before any
-    input is, and its root made only at the first spill.
+    The store is opened, and may be refused, before any input is. Each
+    stats file is parsed range by range into spill files (parse_stats_csv),
+    unlinked temporary files in the store root, its rows grouped by
+    (filesystem, UTC day) partition, before any lock is taken. Then one loop,
+    the same in both modes, takes each samples partition, then each jobs
+    day: it merges the inputs' rows in path order (_merge_inputs) and the
+    stored file, opened once, and stages the result (Store.staging). One
+    commit after the last renames every staged file into place, so a
+    refused ingest writes nothing, and removes the root it made. Every
+    merge (_union) holds keys only, and reads counters a few rows at a time.
+
+    Of its errors strict mode raises, in this order: a conflict across
+    inputs (the first input changing a row of an earlier one and, in it,
+    the first such sample in (window, fs, node) order); a stats file's
+    parse error; a jobs file's, or a job changed across inputs; a moved
+    job; a sample changed from the stored one, in (fs, day) order; a job
+    changed from the stored one. Once one is known nothing more is staged.
     """
     window_len = store.window_len
-    with ExitStack() as spills:
+    made_root = not store.root.exists()
+    try:
+        with ExitStack() as spills, store.staging() as staged:
 
-        def spill() -> IO[bytes]:
-            store.root.mkdir(parents=True, exist_ok=True)
-            return spills.enter_context(tempfile.TemporaryFile(dir=store.root))
+            def spill() -> IO[bytes]:
+                store.root.mkdir(parents=True, exist_ok=True)
+                return spills.enter_context(tempfile.TemporaryFile(dir=store.root))
 
-        inputs: list[tuple[str | Path, SpilledStats]] = []
-        failure = None
-        rejected = 0
-        for path in stats_paths:
-            try:
-                spilled, report = parse_stats_csv(path, mode, window_len, spill)
-            except IngestError as exc:
-                failure = exc
-                break
-            inputs.append((path, spilled))
-            rejected += report.rows_rejected
-        partitions = sorted({key for _, spilled in inputs for key in spilled.partitions})
-        if mode == "strict" and len(inputs) > 1:
-            _check_inputs(inputs, partitions)
-        if failure is not None:
-            raise failure
+            inputs: list[tuple[str | Path, SpilledStats]] = []
+            failure = conflict = None
+            rejected = 0
+            for path in stats_paths:
+                try:
+                    spilled, report = parse_stats_csv(path, mode, window_len, spill)
+                except IngestError as exc:
+                    failure = exc
+                    break
+                inputs.append((path, spilled))
+                rejected += report.rows_rejected
 
-        jobs: list[JobRecord] = []
-        for path in jobs_paths:
-            parsed, report = parse_jobs_csv(path, mode)
-            jobs, changed = _merge(jobs, parsed, mode, f"across inputs ({path})")
-            rejected += report.rows_rejected + changed
+            # across: (input, key order, key) of each partition's first change across inputs
+            across, merges, samples = [], [], 0
+            for fs_id, day in sorted({key for _, spilled in inputs for key in spilled.partitions}):
+                batch, changed, first = _merge_inputs(inputs, fs_id, day)
+                if mode == "strict" and first is not None:
+                    across.append(first)
+                if failure or conflict or across:
+                    continue
+                samples += len(batch)
+                rejected += changed
+                merge = partial(_merge_samples, new=batch, mode=mode, where="with stored data")
+                try:
+                    merges.append(staged.merge(Partition("samples", fs_id, day), merge))
+                except IngestError as exc:
+                    conflict = exc
+                del batch, merge  # so this partition's rows are freed before the next is read
+            if across:
+                k, _, key = min(across)
+                raise IngestError(0, f"sample {key} conflicts across inputs ({inputs[k][0]})")
+            if failure:
+                raise failure
 
-        moved = _moved_jobs(store, jobs, mode)
-        rejected += len(set().union(*moved.values()))
-        jobs_by_day: dict[int, list[JobRecord]] = {}
-        for j in jobs:
-            jobs_by_day.setdefault(floor_day(j.start), []).append(j)
-        if mode == "strict":
-            _check_stored(store, inputs, partitions, jobs_by_day)
-
-        # one partition's batch at a time, each merged under that partition's lock
-        merges = []
-        samples = 0
-        for fs_id, day in partitions:
-            batch, changed, _ = _merge_inputs(inputs, fs_id, day)
-            samples += len(batch)
-            rejected += changed
-            merges.append(
-                store.merge_partition(
-                    Partition("samples", fs_id, day),
-                    lambda stored: _merge_samples(stored, batch, mode, "with stored data"),
-                )
-            )
-            del batch  # so this partition's rows are freed before the next is read
-    for day in sorted(jobs_by_day.keys() | moved.keys()):
-        batch, drop = jobs_by_day.get(day, []), moved.get(day, ())
-        merges.append(
-            store.merge_partition(
-                Partition("jobs", None, day),
-                lambda stored: _merge(stored, batch, mode, "with stored data", drop),
-            )
-        )
+            jobs: list[JobRecord] = []
+            for path in jobs_paths:
+                parsed, report = parse_jobs_csv(path, mode)
+                jobs, changed = _merge(jobs, parsed, mode, f"across inputs ({path})")
+                rejected += report.rows_rejected + changed
+            moved = _moved_jobs(store, jobs, mode)
+            if conflict:
+                raise conflict
+            rejected += len(set().union(*moved.values()))
+            jobs_by_day: dict[int, list[JobRecord]] = {}
+            for j in jobs:
+                jobs_by_day.setdefault(floor_day(j.start), []).append(j)
+            for day in sorted(jobs_by_day.keys() | moved.keys()):
+                batch, drop = jobs_by_day.get(day, []), moved.get(day, ())
+                merge = partial(_merge, new=batch, mode=mode, where="with stored data", drop=drop)
+                merges.append(staged.merge(Partition("jobs", None, day), merge))
+            staged.commit()
+    except BaseException:
+        if made_root:
+            with suppress(OSError):
+                store.root.rmdir()  # never recursive: only a root left empty goes
+        raise
 
     return IngestSummary(
         samples=samples,

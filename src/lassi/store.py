@@ -2,23 +2,24 @@
 
 Layout: ``<root>/<dataset>/<fs_id | all>/<YYYY-MM-DD>.<suffix>``, where the
 suffix is ``npz`` for samples and ``csv`` for every other dataset. Partitions
-are rewritten whole: content is serialized in canonical sorted form and
-written by replace_files (also the writer of report bundles and RSD tables):
-each file to a temp file, fsynced and renamed into place, then the directory
-fsynced once. A ``fcntl.flock`` on a ``<partition file>.lock`` file enforces
-a single writer per partition, and ends with its writer, even a killed one;
-readers never need the lock because rename is atomic. merge_partition holds
-the lock while it reads, merges and writes, so two merging writers cannot
-lose each other's rows; a merge that changes nothing leaves the file
-untouched. Partition file names are exactly ``YYYY-MM-DD`` plus the
-dataset's suffix; any other name with that suffix is an unexpected file
+are rewritten whole, in canonical sorted form, by a batch (staging; one
+write is a batch of one): each file is staged as a fsynced file in the root,
+and one commit renames them all into place, then fsyncs each directory once
+(the stage-then-rename code replace_files, the writer of report bundles and
+RSD tables, shares). A ``fcntl.flock`` on a ``<partition file>.lock`` file
+enforces a single writer per partition, and ends with its writer, even a
+killed one; readers never need the lock because rename is atomic. A batch's
+merge holds the lock from before it reads the stored rows to the commit, so
+two merging writers cannot lose each other's rows; a merge that changes
+nothing stages nothing. Partition file names are exactly ``YYYY-MM-DD`` plus
+the dataset's suffix; any other name with that suffix is an unexpected file
 (StoreError).
 
 One record describes the store, ``<root>/store.json``: ``{"format":
-FORMAT, "window_len": <int or null>}``, written under its own lock through
-replace_files before the first partition of any dataset; the first samples
-written set the window length, the first writer winning (another value
-raises StoreError). A ``Store`` reads it once, at first use, and takes its
+FORMAT, "window_len": <int or null>}``, renamed by the commit that writes
+the store's first partition, before it, and re-read under its own lock;
+the first samples written set the window length, the first writer winning
+(another value raises StoreError). A ``Store`` reads it once, at first use, and takes its
 window_len: the record's, else the value given (another raises
 StoreError), else 180. A root holding a partition file but no record of
 this FORMAT, as every store of an earlier layout does, is refused with
@@ -68,7 +69,7 @@ import io
 import json
 import os
 from bisect import bisect_right
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -189,34 +190,51 @@ def _canonical_ints(cells: list[str]) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def replace_files(directory: Path, files: Mapping[str, str | bytes | Callable]) -> None:
-    """Replace each named file in directory with its bytes, its text as
-    UTF-8, or what a function writes to the open file, in name order.
+class _Staged(list):
+    """(temp file, destination) pairs, each file written and fsynced
+    (stage), then all renamed in order and each destination directory
+    fsynced once (commit); closing unlinks every temp file not renamed."""
 
-    Each file goes to a fsynced temp file that is renamed over the name; the
-    directory is fsynced once after the last rename, so every rename has
-    survived a crash once this returns.
-    """
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, data in sorted(files.items()):
-        path = directory / name
-        tmp = path.with_name(f"{name}.tmp{os.getpid()}")
-        try:
-            with open(tmp, "wb") as fh:
-                if callable(data):
-                    data(fh)
-                else:
-                    fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
+    def _temp(self, dest: Path) -> Path:
+        return dest.with_name(f"{dest.name}.tmp{os.getpid()}")
+
+    def stage(self, dest: Path, data: str | bytes | Callable) -> None:
+        """Write data's bytes, its text as UTF-8 or what a function writes to
+        the open file, to dest's temp file, and fsync it."""
+        tmp = self._temp(dest)
+        self.append((tmp, dest))
+        with open(tmp, "wb") as fh:
+            if callable(data):
+                data(fh)
+            else:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            fh.flush()
+            os.fsync(fh.fileno())
+
+    def commit(self) -> None:
+        for tmp, dest in self:
+            os.replace(tmp, dest)
+        for directory in dict.fromkeys(dest.parent for _, dest in self):
+            fd = os.open(directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+
+    def close(self) -> None:
+        for tmp, _ in self:
             tmp.unlink(missing_ok=True)
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+
+
+def replace_files(directory: Path, files: Mapping[str, str | bytes | Callable]) -> None:
+    """Replace each named file in directory with its data, as _Staged.stage
+    takes it: all are staged beside their names, in name order, before the
+    first is renamed, so a failed write leaves every file as it was."""
+    directory.mkdir(parents=True, exist_ok=True)
+    with closing(_Staged()) as staged:
+        for name, data in sorted(files.items()):
+            staged.stage(directory / name, data)
+        staged.commit()
 
 
 def _app_hour_rows(records: Sequence[AppHourRecord]) -> list[tuple]:
@@ -254,15 +272,13 @@ class Store:
 
     def __init__(self, root: str | Path, window_len: int | None = None):
         self.root = Path(root)
-        # see _open and _write_record
+        # see _open and _Batch.commit
         self._given_window_len = window_len
         self._window_len: int | None = None
         self._record: dict | None = None
         # path -> (the bytes last parsed there, their parse, values derived
         # from that parse by key); see _entry
         self._memo: dict[Path, tuple[bytes, object, dict]] = {}
-        # partitions this Store holds the lock of; see _locked
-        self._held: set[Path] = set()
         # each partition's path, resolved once; see path
         self._paths: dict[Partition, Path] = {}
 
@@ -313,22 +329,15 @@ class Store:
                 return record
         raise StoreError(f"{path}: bad store record {data[:64]!r}")
 
-    def _write_record(self, samples: bool) -> None:
-        """Write the record unless it holds what a write needs: the store, and
-        for samples their window_len. It is re-read under its lock: the first
-        writer's window_len wins, and another raises StoreError."""
-        if self._record is None or samples and self._record["window_len"] != self.window_len:
+    def _record_for(self, stored: dict | None, samples: bool) -> dict:
+        """The record a write over the stored one needs: the store, and for
+        samples their window_len; StoreError if stored holds another, since
+        the first writer's window_len wins."""
+        recorded = stored and stored["window_len"]
+        if samples and recorded not in (None, self.window_len):
             path = self.root / "store.json"
-            with self._locked(path):
-                stored = self._read_record()
-                recorded = stored and stored["window_len"]
-                if samples and recorded not in (None, self.window_len):
-                    raise StoreError(f"{path}: window_len {recorded}, not {self.window_len}")
-                window_len = recorded or (self.window_len if samples else None)
-                record = {"format": FORMAT, "window_len": window_len}
-                if record != stored:
-                    replace_files(self.root, {path.name: json.dumps(record) + "\n"})
-            self._record = record
+            raise StoreError(f"{path}: window_len {recorded}, not {self.window_len}")
+        return {"format": FORMAT, "window_len": recorded or (self.window_len if samples else None)}
 
     def path(self, partition: Partition) -> Path:
         """The partition's file below the root, joined once per Store."""
@@ -340,10 +349,7 @@ class Store:
 
     @contextmanager
     def _locked(self, path: Path):
-        """Hold the partition's lock; re-entering it within this Store is a no-op."""
-        if path in self._held:
-            yield
-            return
+        """Hold the partition's lock."""
         lock = path.with_name(path.name + ".lock")
         lock.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
@@ -352,41 +358,16 @@ class Store:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
                 raise StoreLockError(f"partition {path} is locked by another writer") from None
-            self._held.add(path)
             yield
         finally:
-            self._held.discard(path)
             # closing releases the lock; the file stays, since a writer that
             # unlinked it could leave the next two locking different files
             os.close(fd)
 
-    def _write_file(self, partition: Partition, data: str | bytes | Callable) -> None:
-        path = self.path(partition)
-        self._write_record(partition.dataset == "samples")
-        with self._locked(path):
-            replace_files(path.parent, {path.name: data})
-
-    def merge_partition(self, partition: Partition, merge) -> tuple[int, bool]:
-        """Rewrite a partition as merge(stored rows) -> (rows, count) under its
-        lock; returns count and whether the file was written.
-
-        Stored samples come open (open_samples), so the merged rows may read
-        their counters from the stored file as they are written. A merge
-        that returns the stored rows themselves leaves an existing file as
-        it is, bytes and modification time.
-        """
-        p = partition
-        path = self.path(p)
-        with self._locked(path), ExitStack() as opened:
-            if p.dataset == "samples":
-                stored = opened.enter_context(self.open_samples(p.fs_id, p.date))
-            else:
-                stored = self.read_range(p.dataset, p.fs_id, p.date, p.date + DAY)
-            rows, count = merge(stored)
-            written = rows is not stored or not path.exists()
-            if written:
-                self.write_partition(rows, p)
-        return count, written
+    def staging(self) -> closing[_Batch]:
+        """A batch of partition writes (_Batch) that writes nothing until its
+        commit; a with statement closes it, however the block ends."""
+        return closing(_Batch(self))
 
     def write_aggregates(self, fs_id: str, day: int, app_hours, fs_hours) -> None:
         """Write a (filesystem, day)'s app_hours, then the fs_hours that mark it aggregated."""
@@ -394,12 +375,21 @@ class Store:
         self.write_partition(fs_hours, Partition("fs_hours", fs_id, day))
 
     def write_partition(self, records: Iterable | SampleKeys, partition: Partition) -> int:
-        """Replace one partition with the given records. Returns row count.
+        """Replace one partition with the given records, a batch of one
+        (staging), so with the store's record when it needs writing.
+        Returns row count."""
+        with self.staging() as batch:
+            count = batch.write(records, partition)
+            batch.commit()
+        return count
+
+    def _serialized(self, records: Iterable | SampleKeys, partition: Partition):
+        """(a partition file's content, as _Staged.stage takes it, row count).
 
         Every record must belong to the partition's filesystem and day;
         anything else raises ValueError, as do samples of another window_len.
         Samples come as sample keys, their counters written a row chunk at a
-        time (write_samples_npz) once the store's record holds their window_len.
+        time (write_samples_npz) as the file is.
         """
         dataset = partition.dataset
         if dataset == "samples":
@@ -408,8 +398,7 @@ class Store:
             _check_samples_home(records, partition)
             # straight into the temp file: an in-memory .npz first would copy
             # the partition twice, and cost a fresh page for every 4 KiB
-            self._write_file(partition, lambda fh: write_samples_npz(fh, records))
-            return len(records)
+            return (lambda fh: write_samples_npz(fh, records)), len(records)
         records = list(records)
         if dataset in ("jobs", "app_hours", "fs_hours"):
             for record in records:
@@ -430,8 +419,7 @@ class Store:
             text = ingest.render_csv(BASELINE_HEADER, _baseline_rows(records))
         else:
             raise ValueError(f"dataset {dataset!r} is not a CSV partition dataset")
-        self._write_file(partition, text)
-        return len(records)
+        return text, len(records)
 
     def list_fs(self, dataset: str) -> list[str]:
         self._open()
@@ -696,3 +684,91 @@ class Store:
             return FsBaseline(fs_id=fs_id, period=period, alpha=alpha, means=means)
         except ValueError as exc:
             raise StoreError(f"{path}: {exc}") from exc
+
+
+class _Batch(_Staged):
+    """Partition files staged in the store root for one commit, which
+    renames them into place after the store's record; closing the batch
+    also releases every lock it holds (Store.staging)."""
+
+    def __init__(self, store: Store):
+        super().__init__()
+        self.store, self.locks, self.samples = store, ExitStack(), False
+        # staged partitions the commit locks, each with whether it had no file when read
+        self.unlocked: list[tuple[Path, bool]] = []
+
+    def merge(self, p: Partition, merge) -> tuple[int, bool]:
+        """Stage partition p as merge(stored rows) -> (rows, count) unless
+        that returns the stored rows themselves; returns count and whether
+        p was staged. A partition with a file or a lock file is locked
+        before its stored rows are read and, if staged, until the batch
+        closes. Stored samples come open (open_samples), so the merged rows
+        may read their counters from the stored file as they are staged.
+        """
+        store, path = self.store, self.store.path(p)
+        with ExitStack() as lock, ExitStack() as opened:
+            locked = path.exists() or path.with_name(path.name + ".lock").exists()
+            if locked:
+                lock.enter_context(store._locked(path))
+            exists = path.exists()
+            if p.dataset == "samples":
+                stored = opened.enter_context(store.open_samples(p.fs_id, p.date))
+            else:
+                stored = store.read_range(p.dataset, p.fs_id, p.date, p.date + DAY)
+            rows, count = merge(stored)
+            if rows is stored and exists:
+                return count, False
+            self._stage(rows, p)
+            self.locks.push(lock.pop_all())
+            if not locked:
+                self.unlocked.append((path, True))
+        return count, True
+
+    def write(self, rows, p: Partition) -> int:
+        """Stage partition p as rows, to be locked at the commit; returns their count."""
+        self.unlocked.append((self.store.path(p), False))
+        return self._stage(rows, p)
+
+    def _stage(self, rows, p: Partition) -> int:
+        data, count = self.store._serialized(rows, p)
+        self.stage(self.store.path(p), data)
+        self.samples |= p.dataset == "samples"
+        return count
+
+    def _temp(self, dest: Path) -> Path:
+        """dest's staged file: in the store root, never under a dataset directory."""
+        root = self.store.root
+        root.mkdir(parents=True, exist_ok=True)
+        return root / f".stage{os.getpid()}.{'_'.join(dest.relative_to(root).parts)}"
+
+    def commit(self) -> None:
+        """Rename the store's record, when this batch needs it written
+        (_record_for), then every staged partition into place. The record
+        is staged before any lock is taken here. A partition staged with no
+        file, which another writer has written since, raises StoreLockError;
+        the record is re-read under its lock, and left as it is if it holds
+        what this batch needs."""
+        store, path = self.store, self.store.root / "store.json"
+        record = store._record_for(store._record, self.samples)
+        if not self or record == store._record:
+            record = None
+        else:
+            self.stage(path, json.dumps(record) + "\n")
+            self.insert(0, self.pop())  # no partition lands before the record
+        for dest, new in self.unlocked:
+            self.locks.enter_context(store._locked(dest))
+            if new and dest.exists():
+                raise StoreLockError(f"partition {dest} was written by another writer meanwhile")
+        if record is not None:
+            self.locks.enter_context(store._locked(path))
+            stored = store._read_record()
+            # a record only ever gains a window_len, so a write needs it as it is or the staged one
+            if store._record_for(stored, self.samples) == stored:
+                self.pop(0)[0].unlink()
+                record = stored
+        super().commit()
+        store._record = record or store._record
+
+    def close(self) -> None:
+        super().close()
+        self.locks.close()

@@ -28,6 +28,7 @@ hours, so each of the four exposures is 502 OSS / 77 MDS, identically.
 
 from __future__ import annotations
 
+import errno
 import io
 import os
 import stat
@@ -229,6 +230,22 @@ def fsync_spy(monkeypatch) -> list:
 
     monkeypatch.setattr("lassi.store.os.fsync", spy)
     return synced
+
+
+def fsync_fault(monkeypatch, k: int) -> None:
+    """Make the store's k-th fsync of a file, counting from 1, raise OSError for one test."""
+    files = 0
+    real = os.fsync
+
+    def fault(fd):
+        nonlocal files
+        if not stat.S_ISDIR(os.fstat(fd).st_mode):
+            files += 1
+            if files == k:
+                raise OSError(errno.EIO, f"fsync of file {k} failed on purpose")
+        real(fd)
+
+    monkeypatch.setattr("lassi.store.os.fsync", fault)
 
 
 def block_rows(block) -> list[tuple]:

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from lassi import attribution, ingest, model, pipeline, synth
 from lassi import samples_file
 from lassi.attribution import AttributionConfig
-from lassi.errors import AttributionConflictError, IngestError, LassiError, StoreError
+from lassi.errors import (
+    AttributionConflictError,
+    IngestError,
+    LassiError,
+    StoreError,
+    StoreLockError,
+)
 from lassi.ingest import JOBS_HEADER, STATS_HEADER, serialize_jobs_csv
 from lassi.model import ALL_FIELDS, AppHourRecord, FsHourRecord, SampleBlock
 from lassi.pipeline import (
@@ -37,6 +43,7 @@ from helpers import (
     build_exposure_fixture,
     count_calls,
     fs_blocks,
+    fsync_fault,
     fsync_spy,
     mk_block,
     mk_counters,
@@ -186,6 +193,8 @@ def test_ingest_holds_each_partition_lock_while_it_reads_the_stored_rows(tmp_pat
 
     def record(store, partition):
         path = store.path(partition)
+        if not path.exists():
+            return  # nothing stored to read
         with open(path.with_name(path.name + ".lock")) as other:
             try:
                 fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -206,9 +215,9 @@ def test_ingest_holds_each_partition_lock_while_it_reads_the_stored_rows(tmp_pat
     monkeypatch.setattr(Store, "open_samples", open_spy)
     ingest_files(store, [stats], [jobs])  # into an empty store
     ingest_files(store, [stats], [jobs])  # over the stored rows
-    assert locked == ["samples", "jobs"] * 2
-    # strict mode's check pass reads each stored partition once more, unlocked
-    assert unlocked == ["samples", "jobs"]
+    # each stored partition is read once, under its lock, in strict mode too
+    assert locked == ["samples", "jobs"]
+    assert unlocked == []
 
 
 def test_ingest_conflict_across_inputs_in_one_call(tmp_path):
@@ -263,11 +272,11 @@ def test_a_refused_strict_ingest_leaves_the_store_as_it_was(tmp_path):
         ingest_files(store, [stats_file(tmp_path, "f.csv", DAY_3)], [changed_job])
     assert tree(store.root) == before
 
-    # a new store gets its root and nothing in it
+    # a new store is left with no root
     fresh = Store(tmp_path / "fresh")
     with pytest.raises(IngestError):
         ingest_files(fresh, [last_bad])
-    assert fresh.root.is_dir() and tree(fresh.root) == {}
+    assert not fresh.root.exists()
 
 
 def test_a_conflict_across_inputs_names_the_first_sample_in_key_order(tmp_path):
@@ -292,6 +301,138 @@ def test_a_conflict_across_inputs_names_the_first_sample_in_key_order(tmp_path):
         ingest_files(store, [a, bad, b])
     assert (err.value.line, err.value.reason) == (2, "expected 24 columns, got 1")
     assert tree(store.root) == {}
+
+
+def test_a_stored_conflict_before_a_conflict_across_inputs_names_the_latter(tmp_path):
+    """The error a strict ingest raises does not depend on the order the
+    loop meets them in: an earlier partition changing a stored row loses
+    to a later partition changing a row across inputs."""
+    store = Store(tmp_path / "store")
+    stored = f"2017-10-09T00:00:00Z,fs2,nid1,{counters(1)}"
+    ingest_files(store, [stats_file(tmp_path, "s.csv", [stored])])
+    before = tree(store.root)
+    later = f"2017-10-10T00:00:00Z,fs2,nid1,{counters(1)}"
+    a = stats_file(tmp_path, "a.csv", [stored.replace(counters(1), counters(5)), later])
+    b = stats_file(tmp_path, "b.csv", [later.replace(counters(1), counters(2))])
+    with pytest.raises(IngestError) as err:
+        ingest_files(store, [a, b])
+    assert err.value.reason == f"sample ('fs2', 'nid1', {REPORT_DAY}) conflicts across inputs ({b})"
+    assert tree(store.root) == before
+    with pytest.raises(IngestError) as err:
+        ingest_files(store, [a])
+    assert err.value.reason == f"sample ('fs2', 'nid1', {BASE_DAY}) conflicts with stored data"
+    assert tree(store.root) == before
+
+
+@pytest.fixture(scope="module")
+def taskfarm(tmp_path_factory):
+    """The task-farm scenario's inputs (four samples partitions, two jobs
+    days, 600 s windows), and a re-delivery of its stats that adds a key to
+    every samples partition."""
+    scenario = synth.parse_scenario(TASKFARM_SCENARIO.read_text(encoding="utf-8"))
+    out = tmp_path_factory.mktemp("taskfarm")
+    gen = synth.generate(scenario, out / "data", with_oracle=False)
+    lines = gen.stats_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    added = [line.replace(",nid", ",zznid", 1) for line in lines[1::97]]
+    redelivery = out / "redelivery.csv"
+    redelivery.write_text("".join(lines[:1] + added), encoding="utf-8")
+    return gen.stats_path, gen.jobs_path, redelivery
+
+
+def samples_partitions(store) -> list[Partition]:
+    return [
+        Partition("samples", fs_id, day)
+        for fs_id in store.list_fs("samples")
+        for day in store.partition_dates("samples", fs_id)
+    ]
+
+
+def test_ingest_loads_each_spilled_partition_twice_and_opens_each_partition_once(
+    tmp_path, taskfarm, monkeypatch
+):
+    """SpilledStats.report loads each input's partitions once to find the
+    repeated keys; the ingest loop loads them once more to merge them, and
+    opens each partition, stored or not, once, in strict mode too."""
+    stats, jobs, _ = taskfarm
+    loads, opens = [], []
+    load, open_samples = ingest.SpilledStats._load, Store.open_samples
+
+    def load_spy(self, segments):
+        loads.append(len(segments))
+        return load(self, segments)
+
+    def open_spy(self, fs_id, day):
+        opens.append((fs_id, day))
+        return open_samples(self, fs_id, day)
+
+    monkeypatch.setattr(ingest.SpilledStats, "_load", load_spy)
+    monkeypatch.setattr(Store, "open_samples", open_spy)
+    counts = []
+    for inputs in ([stats], [stats], [stats, stats]):
+        loads.clear()
+        opens.clear()
+        summary = ingest_files(Store(tmp_path / "store", window_len=600), inputs, [jobs])
+        counts.append((len(loads), len(opens), summary.written))
+    assert len(samples_partitions(Store(tmp_path / "store"))) == 4
+    assert counts == [(8, 4, 6), (8, 4, 0), (16, 4, 0)]
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["new store", "re-delivery"])
+def test_a_held_partition_lock_refuses_the_whole_ingest(tmp_path, taskfarm, stored):
+    """With the last samples partition's lock held by another writer, a
+    strict and a lenient ingest each raise StoreLockError and write nothing:
+    no partition, record, staged file or new lock file."""
+    stats, jobs, redelivery = taskfarm
+    probe = Store(tmp_path / "probe", window_len=600)
+    ingest_files(probe, [stats], [jobs])
+    store = Store(tmp_path / "store", window_len=600)
+    if stored:
+        ingest_files(store, [stats], [jobs])
+    path = store.path(samples_partitions(probe)[-1])
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path.with_name(path.name + ".lock"), "a") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        before = tree(store.root)
+        for mode in ("strict", "lenient"):
+            with pytest.raises(StoreLockError, match="locked by another writer"):
+                ingest_files(Store(store.root, 600), [redelivery if stored else stats], [jobs], mode)
+            assert tree(store.root) == before
+    summary = ingest_files(Store(store.root, 600), [redelivery if stored else stats], [jobs])
+    assert summary.written == (4 if stored else 6)
+
+
+def leftovers(root) -> list:
+    return [p for p in root.rglob("*") if ".tmp" in p.name or p.name.startswith(".stage")]
+
+
+def test_a_failed_staged_write_leaves_the_store_as_it_was(tmp_path, taskfarm, monkeypatch):
+    """A fault at any one file fsync, of a staged partition or of the
+    record, leaves no trace: a strict ingest into a new store leaves no
+    root, and a lenient re-delivery rewriting four partitions leaves every
+    file as it was, with no staged or temp file anywhere under the root."""
+    stats, jobs, redelivery = taskfarm
+    synced = fsync_spy(monkeypatch)
+    ingest_files(Store(tmp_path / "clean", window_len=600), [stats], [jobs])
+    fresh_files = synced.count("file")
+    assert fresh_files == 7  # four samples partitions, two jobs days and the record
+    for k in range(1, fresh_files + 1):
+        fsync_fault(monkeypatch, k)
+        store = Store(tmp_path / f"fresh{k}", window_len=600)
+        with pytest.raises(OSError, match=f"fsync of file {k} failed on purpose"):
+            ingest_files(store, [stats], [jobs])
+        assert not store.root.exists()
+
+    store = Store(tmp_path / "store", window_len=600)
+    ingest_files(store, [stats], [jobs])
+    before = tree(store.root)
+    for k in range(1, 5):
+        fsync_fault(monkeypatch, k)
+        with pytest.raises(OSError, match=f"fsync of file {k} failed on purpose"):
+            ingest_files(Store(store.root), [redelivery], mode="lenient")
+        assert tree(store.root) == before and leftovers(store.root) == []
+    fsync_fault(monkeypatch, 5)
+    summary = ingest_files(Store(store.root), [redelivery], mode="lenient")
+    assert summary.written == 4 and leftovers(store.root) == []
 
 
 def traced_peak(call):

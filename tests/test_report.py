@@ -26,7 +26,7 @@ from lassi.report import (
 from lassi.store import Partition, Store
 from lassi.timeutil import DAY, HOUR, parse_utc
 
-from helpers import REPORT_DAY, fsync_spy, mk_counters, mk_job
+from helpers import REPORT_DAY, fsync_fault, fsync_spy, mk_counters, mk_job
 
 H = [REPORT_DAY + i * HOUR for i in range(24)]
 
@@ -190,6 +190,22 @@ def test_a_bundle_fsyncs_each_file_and_its_directory_once(report_store, tmp_path
     synced = fsync_spy(monkeypatch)
     write_bundle(bundle, tmp_path / "out")
     assert synced == ["file"] * 9 + ["dir"]
+
+
+def test_a_failed_bundle_write_leaves_the_old_bundle_as_it_was(report_store, tmp_path, monkeypatch):
+    """Every file of a bundle is written and fsynced before the first is
+    renamed, so a fault at any one fsync leaves the old bundle byte for byte."""
+    out = write_bundle(build_daily_report(report_store, "fs2", REPORT_DAY), tmp_path / "out")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    baseline = report_store.load_baseline("fs2", REPORT_DAY, alpha=4.0)
+    bundle = build_daily_report(report_store, "fs2", REPORT_DAY, baseline=baseline)
+    changed = sorted(n for n, text in bundle_files(bundle).items() if text.encode() != before[n])
+    assert changed == ["oss_risk.csv", "oss_risk.svg", "report.json", "risk_stats.csv", "risk_stats.svg"]
+    for k in range(1, len(before) + 1):
+        fsync_fault(monkeypatch, k)
+        with pytest.raises(OSError, match=f"fsync of file {k} failed on purpose"):
+            write_bundle(bundle, tmp_path / "out")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def chart_spec(values_a, values_b=None, labels=None):

@@ -270,9 +270,9 @@ def test_non_canonical_counter_raises_store_error_naming_path_and_line(store, da
 
 def test_a_partition_write_fsyncs_one_file_and_its_directory(store, monkeypatch):
     synced = fsync_spy(monkeypatch)
-    # a store's first write records the store first
+    # a store's first write records the store too, and renames it first
     store.write_partition([app_hour(1)], Partition("app_hours", "fs2", BASE_DAY))
-    assert synced == ["file", "dir"] * 2
+    assert synced == ["file", "file", "dir", "dir"]
     synced.clear()
     store.write_partition([app_hour(2)], Partition("app_hours", "fs2", BASE_DAY))
     assert synced == ["file", "dir"]
@@ -638,6 +638,38 @@ def test_two_stores_of_different_window_lengths_leave_one_record(tmp_path):
     assert (root / "store.json").read_bytes() == b'{"format": 1, "window_len": 180}\n'
     assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*.npz")) == [
         "samples/fs2/2017-10-09.npz"
+    ]
+
+
+def test_a_commit_refuses_a_new_partition_written_meanwhile_and_keeps_a_record_that_serves(
+    tmp_path,
+):
+    """Two writers open a new store before either writes. A batch whose
+    partition had no file when merged refuses it at the commit once the
+    other has written it, and writes nothing; a later commit leaves the
+    other's record in place, since it holds the window length this one
+    needs, and renames only its partition."""
+    root = tmp_path / "store"
+    first, second = Store(root, 180), Store(root, 180)
+    assert first.window_len == second.window_len == 180
+    with second.staging() as batch:
+        mine = mk_block([mk_sample("fs2", "nid2", BASE_DAY)])
+        batch.merge(samples_partition(), lambda stored: (mine, 0))
+        first.write_partition(mk_block([mk_sample("fs2", "nid1", BASE_DAY)]), samples_partition())
+        before = tree(root)
+        with pytest.raises(StoreLockError, match="written by another writer meanwhile"):
+            batch.commit()
+    assert tree(root) == before
+    record = (root / "store.json").stat().st_ino
+    second.write_partition(mk_block([mk_sample("fs3", "nid1", BASE_DAY)]), samples_partition("fs3"))
+    assert (root / "store.json").stat().st_ino == record
+    assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()) == [
+        "samples/fs2/2017-10-09.npz",
+        "samples/fs2/2017-10-09.npz.lock",
+        "samples/fs3/2017-10-09.npz",
+        "samples/fs3/2017-10-09.npz.lock",
+        "store.json",
+        "store.json.lock",
     ]
 
 
